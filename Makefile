@@ -12,7 +12,7 @@ SPLIT_SEEDS ?= 42 7 1337
 # Seed matrix for the bit-rot suite; override with ROT_SEEDS="...".
 ROT_SEEDS ?= 42 7 1337
 
-.PHONY: build test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot
+.PHONY: build test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -31,8 +31,9 @@ race:
 # paths, the seeded chaos suite, the disk-crash matrix, and a one-
 # iteration smoke of the scheduler benchmark recorder so regressions in
 # the scaling path fail the loop, plus the bit-rot matrix proving
-# silent corruption stays detectable and healable.
-verify: build vet test race chaos crash split rot bench-json-smoke
+# silent corruption stays detectable and healable, plus a smoke of the
+# end-to-end benchmark.
+verify: build vet test race chaos crash split rot bench-json-smoke e2e-smoke
 
 # Chaos determinism suite: the fault-injection golden tests under the
 # race detector, once per seed in the matrix. Each seed is a different
@@ -139,6 +140,12 @@ bench-json:
 	@echo "-- wrote BENCH_gassyfs.json"
 	BENCH_JSON=$(CURDIR)/BENCH_scrub.json $(GO) test -run TestWriteScrubBenchJSON -count=1 ./internal/scrub/
 	@echo "-- wrote BENCH_scrub.json"
+
+# Vet and test the end-to-end benchmark (e2ebench/README.md). It is its
+# own Go module, so `go test ./...` above never builds it; this catches
+# an API change in store, core, repl or scrub that breaks it.
+e2e-smoke:
+	cd e2ebench && $(GO) vet . && $(GO) test -count=1 .
 
 # One-iteration smoke of the benchmark recorders for `make verify`:
 # same code paths, tiny matrices, throwaway output files.

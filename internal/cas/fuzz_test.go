@@ -141,3 +141,41 @@ func FuzzParseMerkle(f *testing.F) {
 		}
 	})
 }
+
+// fuzzLeaves reads raw bytes as consecutive leaf digests; a trailing
+// partial digest is dropped.
+func fuzzLeaves(raw []byte) [][sha256.Size]byte {
+	leaves := make([][sha256.Size]byte, len(raw)/sha256.Size)
+	for i := range leaves {
+		copy(leaves[i][:], raw[i*sha256.Size:])
+	}
+	return leaves
+}
+
+// FuzzBuildMerkleFrom checks the incremental builder against a fresh
+// build for arbitrary (previous, next) leaf lists. The corpus pairs each
+// seal image from fuzzMerkleImages — pristine and rotted, so leaves are
+// flipped, scattered and truncated — with its pristine original and
+// with every other image (unrelated, shorter and longer trees).
+func FuzzBuildMerkleFrom(f *testing.F) {
+	images := fuzzMerkleImages()
+	per := 1 + 3*len(fuzzRotSeeds) // one pristine image, then its rotted copies
+	for i, img := range images {
+		orig := images[i-i%per]
+		f.Add(orig, img)
+		f.Add(img, orig)
+		if i%per == 0 {
+			for j := 0; j < len(images); j += per {
+				f.Add(images[j], img)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, prevRaw, nextRaw []byte) {
+		prev := BuildMerkle(1, fuzzLeaves(prevRaw))
+		leaves := fuzzLeaves(nextRaw)
+		got, want := BuildMerkleFrom(prev, 2, leaves), BuildMerkle(2, leaves)
+		if !sameTree(got, want) || !bytes.Equal(got.Encode(), want.Encode()) {
+			t.Fatalf("incremental build over %d leaves (prev %d) differs from a fresh build", len(leaves), prev.Len())
+		}
+	})
+}

@@ -31,35 +31,65 @@ type Merkle struct {
 const merkleMagic = "popper-merkle v1\n"
 
 // merkleNodePrefix domain-separates interior nodes from leaf digests.
-var merkleNodePrefix = []byte("popper-merkle-node\x00")
+const merkleNodePrefix = "popper-merkle-node\x00"
 
 // merkleEmptyRoot is the root of a tree with no leaves (an empty
 // manifest still seals a well-defined root).
 var merkleEmptyRoot = sha256.Sum256([]byte("popper-merkle-empty"))
 
-// merkleNode combines two child digests into their parent.
+// merkleNode combines two child digests into their parent. The input
+// is laid out in one stack buffer, so combining never allocates.
 func merkleNode(left, right [sha256.Size]byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(merkleNodePrefix)
-	h.Write(left[:])
-	h.Write(right[:])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	var buf [len(merkleNodePrefix) + 2*sha256.Size]byte
+	n := copy(buf[:], merkleNodePrefix)
+	n += copy(buf[n:], left[:])
+	copy(buf[n:], right[:])
+	return sha256.Sum256(buf[:])
 }
 
 // BuildMerkle constructs the tree over the leaf digests, in order.
 func BuildMerkle(gen int, leaves [][sha256.Size]byte) *Merkle {
-	m := &Merkle{Gen: gen}
-	level := append([][sha256.Size]byte(nil), leaves...)
+	return BuildMerkleFrom(nil, gen, leaves)
+}
+
+// BuildMerkleFrom constructs the tree over the leaf digests, in order,
+// reusing prev's interior nodes: a parent whose two children equal the
+// children at the same position in prev is copied, not rehashed. prev
+// may be nil or any tree at all (unrelated, shorter, longer) and the
+// result is identical to a fresh build; a tree that differs from prev
+// in k leaves at the same positions costs O(k log n) node hashes plus
+// O(n) digest compares and copies. The leaves are copied.
+func BuildMerkleFrom(prev *Merkle, gen int, leaves [][sha256.Size]byte) *Merkle {
+	// Every level lives in one backing array, so a build allocates a
+	// constant number of times whatever the leaf count.
+	depth, total := 1, len(leaves)
+	for n := len(leaves); n > 1; n = (n + 1) / 2 {
+		depth++
+		total += (n + 1) / 2
+	}
+	nodes := make([][sha256.Size]byte, total)
+	m := &Merkle{Gen: gen, levels: make([][][sha256.Size]byte, 0, depth)}
+	level := nodes[:len(leaves):len(leaves)]
+	copy(level, leaves)
+	nodes = nodes[len(level):]
 	m.levels = append(m.levels, level)
-	for len(level) > 1 {
-		next := make([][sha256.Size]byte, 0, (len(level)+1)/2)
-		for i := 0; i < len(level); i += 2 {
-			if i+1 < len(level) {
-				next = append(next, merkleNode(level[i], level[i+1]))
-			} else {
-				next = append(next, level[i]) // odd node promotes unchanged
+	for k := 0; len(level) > 1; k++ {
+		width := (len(level) + 1) / 2
+		next := nodes[:width:width]
+		nodes = nodes[width:]
+		var old, oldNext [][sha256.Size]byte
+		if prev != nil && k+1 < len(prev.levels) {
+			old, oldNext = prev.levels[k], prev.levels[k+1]
+		}
+		for j := range next {
+			i := 2 * j
+			switch {
+			case i+1 == len(level):
+				next[j] = level[i] // odd node promotes unchanged
+			case i+1 < len(old) && level[i] == old[i] && level[i+1] == old[i+1]:
+				next[j] = oldNext[j] // same children, same parent
+			default:
+				next[j] = merkleNode(level[i], level[i+1])
 			}
 		}
 		m.levels = append(m.levels, next)
@@ -164,20 +194,17 @@ func VerifyMerkleProof(root [sha256.Size]byte, n, i int, leaf [sha256.Size]byte,
 // leaves and refuses an image whose sealed root does not match, so a
 // rotted sidecar fails loudly instead of vouching for the wrong tree.
 func (m *Merkle) Encode() []byte {
-	var b bytes.Buffer
-	b.WriteString(merkleMagic)
-	var hdr [8]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(m.Gen))
-	binary.BigEndian.PutUint32(hdr[4:8], uint32(m.Len()))
-	b.Write(hdr[:])
+	b := make([]byte, 0, len(merkleMagic)+8+(m.Len()+2)*sha256.Size)
+	b = append(b, merkleMagic...)
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Gen))
+	b = binary.BigEndian.AppendUint32(b, uint32(m.Len()))
 	for _, leaf := range m.levels[0] {
-		b.Write(leaf[:])
+		b = append(b, leaf[:]...)
 	}
 	root := m.Root()
-	b.Write(root[:])
-	sum := sha256.Sum256(b.Bytes())
-	b.Write(sum[:])
-	return b.Bytes()
+	b = append(b, root[:]...)
+	sum := sha256.Sum256(b)
+	return append(b, sum[:]...)
 }
 
 // ParseMerkle decodes and verifies a sealed tree image: magic, exact

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -152,5 +153,95 @@ func TestMerkleProofsVerifyEveryLeaf(t *testing.T) {
 		if VerifyMerkleProof(root, n, -1, m.Leaf(0), m.Proof(0)) || VerifyMerkleProof(root, n, n, m.Leaf(0), m.Proof(0)) {
 			t.Fatalf("n=%d: out-of-range index verified", n)
 		}
+	}
+}
+
+// sameTree reports whether two trees hold identical generations and
+// nodes at every level, not just identical roots.
+func sameTree(a, b *Merkle) bool {
+	if a.Gen != b.Gen || len(a.levels) != len(b.levels) {
+		return false
+	}
+	for k := range a.levels {
+		if len(a.levels[k]) != len(b.levels[k]) {
+			return false
+		}
+		for i := range a.levels[k] {
+			if a.levels[k][i] != b.levels[k][i] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// checkBuildFrom asserts the incremental builder's contract: whatever
+// prev is, the result is the tree a fresh build produces, node for node
+// and byte for byte once encoded.
+func checkBuildFrom(t *testing.T, what string, prev *Merkle, leaves [][sha256.Size]byte) {
+	t.Helper()
+	got, want := BuildMerkleFrom(prev, 11, leaves), BuildMerkle(11, leaves)
+	if !sameTree(got, want) || string(got.Encode()) != string(want.Encode()) {
+		t.Fatalf("%s: incremental build differs from a fresh build", what)
+	}
+}
+
+func TestBuildMerkleFromMatchesFreshBuild(t *testing.T) {
+	sizes := []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 31, 33, 100}
+	other := func(n int) [][sha256.Size]byte {
+		leaves := make([][sha256.Size]byte, n)
+		for i := range leaves {
+			leaves[i] = sha256.Sum256([]byte(fmt.Sprintf("other-%d", i)))
+		}
+		return leaves
+	}
+	for _, n := range sizes {
+		leaves := buildLeaves(n)
+		prev := BuildMerkle(3, leaves)
+		checkBuildFrom(t, fmt.Sprintf("n=%d nil prev", n), nil, leaves)
+		checkBuildFrom(t, fmt.Sprintf("n=%d same leaves", n), prev, leaves)
+		checkBuildFrom(t, fmt.Sprintf("n=%d unrelated prev", n), BuildMerkle(3, other(n)), leaves)
+		for _, m := range sizes {
+			if m < n {
+				checkBuildFrom(t, fmt.Sprintf("n=%d shorter prev %d", n, m), BuildMerkle(3, leaves[:m]), leaves)
+			} else if m > n {
+				checkBuildFrom(t, fmt.Sprintf("n=%d longer prev %d", n, m), BuildMerkle(3, buildLeaves(m)), leaves)
+			}
+		}
+		for i := 0; i < n; i++ {
+			replaced := append([][sha256.Size]byte(nil), leaves...)
+			replaced[i] = sha256.Sum256([]byte(fmt.Sprintf("replaced-%d", i)))
+			checkBuildFrom(t, fmt.Sprintf("n=%d replace %d", n, i), prev, replaced)
+			removed := append(append([][sha256.Size]byte(nil), leaves[:i]...), leaves[i+1:]...)
+			checkBuildFrom(t, fmt.Sprintf("n=%d remove %d", n, i), prev, removed)
+		}
+		for i := 0; i <= n; i++ {
+			inserted := append(append(append([][sha256.Size]byte(nil), leaves[:i]...), leafFor(1000+i)), leaves[i:]...)
+			checkBuildFrom(t, fmt.Sprintf("n=%d insert at %d", n, i), prev, inserted)
+		}
+	}
+	// Random histories: each tree is built from the previous one, the
+	// way the store seals generation after generation.
+	rng := rand.New(rand.NewSource(42))
+	leaves := buildLeaves(20)
+	prev := BuildMerkle(1, leaves)
+	for step := 0; step < 500; step++ {
+		next := append([][sha256.Size]byte(nil), leaves...)
+		for k := rng.Intn(4); k >= 0; k-- {
+			switch i := rng.Intn(len(next) + 1); rng.Intn(3) {
+			case 0:
+				if i < len(next) {
+					next[i] = leafFor(rng.Intn(1 << 20))
+				}
+			case 1:
+				next = append(next[:i], append([][sha256.Size]byte{leafFor(rng.Intn(1 << 20))}, next[i:]...)...)
+			case 2:
+				if i < len(next) {
+					next = append(next[:i], next[i+1:]...)
+				}
+			}
+		}
+		checkBuildFrom(t, fmt.Sprintf("history step %d", step), prev, next)
+		leaves, prev = next, BuildMerkleFrom(prev, step, next)
 	}
 }

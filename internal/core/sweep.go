@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/csv"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -272,7 +274,7 @@ func parseSweepJournal(raw []byte) (map[int]sweepJournalEntry, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweep journal: %w", err)
 	}
-	for _, col := range []string{"config", "params", "status", "attempts", "detail"} {
+	for _, col := range journalColumns {
 		if !t.HasColumn(col) {
 			return nil, fmt.Errorf("sweep journal: missing column %q", col)
 		}
@@ -312,16 +314,58 @@ type journalRow struct {
 	detail   string
 }
 
+// journalColumns is the sweep journal's header.
+var journalColumns = []string{"config", "params", "status", "attempts", "detail"}
+
+// journalHeader is the journal's rendered header line.
+var journalHeader = csvLine(journalColumns...)
+
+// render renders the row as one journal line, formatted exactly as
+// the table the final sync writes renders it.
+func (r journalRow) render() []byte {
+	return csvLine(table.Number(float64(r.index)).Text(), r.params, r.status,
+		table.Number(float64(r.attempts)).Text(), r.detail)
+}
+
+// csvLine renders one CSV record, newline included.
+func csvLine(fields ...string) []byte {
+	var b bytes.Buffer
+	w := csv.NewWriter(&b)
+	_ = w.Write(fields)
+	w.Flush()
+	return b.Bytes()
+}
+
 // durableJournal serializes incremental journal writes: each completed
-// configuration re-renders the full journal (index order, identical
-// bytes to the final one) and hands it to the Durable sink. The first
-// sink error stops further writes and fails the sweep.
+// configuration hands the Durable sink the full journal so far, in
+// index order and byte-identical to the final one. Rows stay sorted,
+// each rendered to its line once, so a write costs one copy of the
+// lines. The first sink error stops further writes and fails the sweep.
 type durableJournal struct {
 	path  string
 	write func(path string, data []byte) error
 	mu    sync.Mutex
-	rows  []journalRow
+	lines []journalLine // sorted by index
+	size  int           // bytes across lines
 	werr  error
+}
+
+// journalLine is one row's rendered journal line.
+type journalLine struct {
+	index int
+	text  []byte
+}
+
+// add files a row at its index position without writing; callers hold
+// mu or are the only user of d.
+func (d *durableJournal) add(row journalRow) {
+	if d.write == nil {
+		return
+	}
+	line := row.render()
+	i := sort.Search(len(d.lines), func(i int) bool { return d.lines[i].index >= row.index })
+	d.lines = slices.Insert(d.lines, i, journalLine{index: row.index, text: line})
+	d.size += len(line)
 }
 
 func (d *durableJournal) record(row journalRow) {
@@ -333,29 +377,19 @@ func (d *durableJournal) record(row journalRow) {
 	if d.werr != nil {
 		return
 	}
-	d.rows = append(d.rows, row)
-	d.werr = d.write(d.path, journalCSV(d.rows))
+	d.add(row)
+	data := make([]byte, 0, len(journalHeader)+d.size)
+	data = append(data, journalHeader...)
+	for _, l := range d.lines {
+		data = append(data, l.text...)
+	}
+	d.werr = d.write(d.path, data)
 }
 
 func (d *durableJournal) err() error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.werr
-}
-
-// journalCSV renders journal rows in configuration order — the same
-// column set and formatting the final journal uses, so the last
-// incremental write and the final sync are byte-identical.
-func journalCSV(rows []journalRow) []byte {
-	sorted := append([]journalRow(nil), rows...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].index < sorted[j].index })
-	t := table.New("config", "params", "status", "attempts", "detail")
-	for _, r := range sorted {
-		t.MustAppend(
-			table.Number(float64(r.index)), table.String(r.params), table.String(r.status),
-			table.Number(float64(r.attempts)), table.String(r.detail))
-	}
-	return []byte(t.CSV())
 }
 
 // hasSweepOutputs reports whether any per-configuration sweep output
@@ -470,7 +504,7 @@ func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, o
 			continue
 		}
 		ent := prior[i]
-		durable.rows = append(durable.rows, journalRow{
+		durable.add(journalRow{
 			index: i, params: FormatOverrides(run.Overrides),
 			status: ent.status, attempts: ent.attempts, detail: ent.detail,
 		})
@@ -621,7 +655,7 @@ func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, o
 
 	// Quarantine report: one row per terminally failed configuration.
 	failures := table.New("config", "params", "attempts", "error")
-	journal := table.New("config", "params", "status", "attempts", "detail")
+	journal := table.New(journalColumns...)
 	for i := range configs {
 		run := &sr.Runs[i]
 		if run.Skipped {

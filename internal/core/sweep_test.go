@@ -2,12 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"popper/internal/pipeline"
+	"popper/internal/table"
 )
 
 // sweepProject builds a small cloverleaf project cheap enough to run
@@ -311,6 +315,137 @@ func TestDurableJournalIncremental(t *testing.T) {
 		if len(ents) != i+1 {
 			t.Fatalf("incremental journal %d has %d rows, want %d", i, len(ents), i+1)
 		}
+	}
+	// Every payload is the canonical rendering of its own rows.
+	for i, c := range calls {
+		if want := journalCSV(journalRows(t, c)); string(c) != string(want) {
+			t.Fatalf("incremental journal %d is not the table rendering of its rows:\n%s\nwant\n%s", i, c, want)
+		}
+	}
+	t.Run("shuffled-quoted-resumed-rows", testDurableJournalRendering)
+	t.Run("resumed-and-failed-sweep", testDurableJournalResumedAndFailed)
+}
+
+// journalCSV is the reference rendering the durable journal must match
+// byte for byte: the rows in configuration order through the same
+// table the final sync writes.
+func journalCSV(rows []journalRow) []byte {
+	sorted := append([]journalRow(nil), rows...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].index < sorted[j].index })
+	t := table.New("config", "params", "status", "attempts", "detail")
+	for _, r := range sorted {
+		t.MustAppend(
+			table.Number(float64(r.index)), table.String(r.params), table.String(r.status),
+			table.Number(float64(r.attempts)), table.String(r.detail))
+	}
+	return []byte(t.CSV())
+}
+
+// journalRows parses a journal payload back into rows.
+func journalRows(t *testing.T, raw []byte) []journalRow {
+	t.Helper()
+	ents, err := parseSweepJournal(raw)
+	if err != nil {
+		t.Fatalf("journal does not parse: %v\n%s", err, raw)
+	}
+	rows := make([]journalRow, 0, len(ents))
+	for idx, e := range ents {
+		rows = append(rows, journalRow{index: idx, params: e.params, status: e.status, attempts: e.attempts, detail: e.detail})
+	}
+	return rows
+}
+
+// testDurableJournalRendering feeds the journal resumed rows and
+// shuffled completions whose text needs CSV quoting: every payload must
+// equal the reference rendering of the rows recorded so far.
+func testDurableJournalRendering(t *testing.T) {
+	details := []string{
+		"3f2a9c", "", "plain error", "a,b", `say "hi"`, " leading space",
+		journalDetail("line one\nline two\r\n"), `"quoted", and, commas`, "trailing space ",
+	}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		n := 1 + rng.Intn(40)
+		rows := make([]journalRow, n)
+		for i, idx := range rng.Perm(3 * n)[:n] { // distinct, shuffled, with gaps
+			status := "ok"
+			if rng.Intn(3) == 0 {
+				status = "failed"
+			}
+			rows[i] = journalRow{
+				index:    idx,
+				params:   fmt.Sprintf("nodes=%d,%d seed=%d", rng.Intn(8), rng.Intn(8), idx),
+				status:   status,
+				attempts: 1 + rng.Intn(3),
+				detail:   details[rng.Intn(len(details))],
+			}
+		}
+		resumed := rng.Intn(n)
+		var payloads [][]byte
+		d := &durableJournal{path: "j.csv", write: func(_ string, data []byte) error {
+			payloads = append(payloads, data)
+			return nil
+		}}
+		for _, r := range rows[:resumed] {
+			d.add(r)
+		}
+		for k, r := range rows[resumed:] {
+			d.record(r)
+			want := journalCSV(rows[:resumed+k+1])
+			if got := payloads[len(payloads)-1]; string(got) != string(want) {
+				t.Fatalf("seed %d, write %d:\n%s\nwant\n%s", seed, k, got, want)
+			}
+		}
+		if len(payloads) != n-resumed {
+			t.Fatalf("seed %d: %d writes for %d recorded rows", seed, len(payloads), n-resumed)
+		}
+	}
+}
+
+// testDurableJournalResumedAndFailed drives a resumed sweep whose
+// journal already holds an ok and a failed row: each incremental
+// payload carries the resumed rows plus one more completion, renders
+// canonically, and the last equals the journal the final sync writes.
+func testDurableJournalResumedAndFailed(t *testing.T) {
+	p := sweepProject(t)
+	configs := []map[string]string{
+		{"seed": "1"}, {"nodes": "bogus"}, {"seed": "3"}, {"nodes": "x,y"}, {"seed": "5"}, {"seed": "6"},
+	}
+	if _, err := p.RunSweep("sweep", &Env{Seed: 5}, configs, SweepOptions{Jobs: 1, Limit: 2}); err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var calls [][]byte
+	sr, err := p.RunSweep("sweep", &Env{Seed: 5}, configs, SweepOptions{
+		Jobs:   3,
+		Resume: true,
+		Durable: func(_ string, data []byte) error {
+			mu.Lock()
+			defer mu.Unlock()
+			calls = append(calls, append([]byte(nil), data...))
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sr.Runs[0].Resumed || !sr.Runs[1].Resumed || !sr.Runs[1].Quarantined || !sr.Runs[3].Quarantined {
+		t.Fatalf("want configs 0-1 resumed (1 failed) and config 3 failed: %+v", sr.Runs)
+	}
+	if len(calls) != len(configs)-2 {
+		t.Fatalf("want one durable write per newly completed config, got %d", len(calls))
+	}
+	for i, c := range calls {
+		rows := journalRows(t, c)
+		if len(rows) != 2+i+1 {
+			t.Fatalf("incremental journal %d has %d rows, want %d", i, len(rows), 2+i+1)
+		}
+		if want := journalCSV(rows); string(c) != string(want) {
+			t.Fatalf("incremental journal %d:\n%s\nwant\n%s", i, c, want)
+		}
+	}
+	if want := string(p.Files[expPath("sweep", SweepJournalFile)]); string(calls[len(calls)-1]) != want {
+		t.Fatalf("final incremental journal differs from synced journal:\n%s\nwant\n%s", calls[len(calls)-1], want)
 	}
 }
 

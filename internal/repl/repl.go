@@ -348,6 +348,11 @@ func (g *Group) Down(id int) bool {
 // apply it to every reachable replica's store. On quorum failure the
 // proposal is rolled back and the error is a *QuorumError.
 func (g *Group) Sync(files map[string][]byte) (store.SyncStats, error) {
+	for path := range files {
+		if err := store.CheckPath(path); err != nil {
+			return store.SyncStats{}, err // refused before it reaches the log
+		}
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ldr, err := g.ensureLeaderLocked()
@@ -364,6 +369,9 @@ func (g *Group) Sync(files map[string][]byte) (store.SyncStats, error) {
 // Put replicates one durable artifact write (the sweep journal's
 // commit path) under the same quorum rules as Sync.
 func (g *Group) Put(path string, data []byte) error {
+	if err := store.CheckPath(path); err != nil {
+		return err // refused before it reaches the log
+	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	ldr, err := g.ensureLeaderLocked()

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"strconv"
+	"strings"
 	"testing"
 
 	"popper/internal/fault"
@@ -114,6 +115,35 @@ func TestReplicatedSyncKeepsTreesIdentical(t *testing.T) {
 			t.Errorf("replicated tree diverges from serial reference at %s", path)
 		}
 	}
+}
+
+// TestReplicatedSyncRefusesNewlinePath: a path no manifest can record
+// is refused by name before it is proposed, so it never reaches the
+// log, no replica goes down applying it, and the group keeps
+// committing.
+func TestReplicatedSyncRefusesNewlinePath(t *testing.T) {
+	g := memGroup(t, 3, chaosSeed(t))
+	if _, err := g.Sync(ws(1)); err != nil {
+		t.Fatal(err)
+	}
+	bad := "exp/a\nb.csv"
+	files := ws(2)
+	files[bad] = []byte("x")
+	if _, err := g.Sync(files); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+		t.Fatalf("replicated sync with a newline path: want an error naming %q, got %v", bad, err)
+	}
+	if err := g.Put(bad, []byte("x")); err == nil || !strings.Contains(err.Error(), strconv.Quote(bad)) {
+		t.Fatalf("replicated put of a newline path: want an error naming %q, got %v", bad, err)
+	}
+	for id := 0; id < g.Size(); id++ {
+		if g.Down(id) {
+			t.Fatalf("replica %d went down over a refused path", id)
+		}
+	}
+	if _, err := g.Sync(ws(2)); err != nil {
+		t.Fatalf("sync after a refused path: %v", err)
+	}
+	wantIdenticalTrees(t, g, 0)
 }
 
 func TestPrimaryCrashElectsNewEpoch(t *testing.T) {

@@ -590,7 +590,7 @@ func (s *Store) Repair(rep *Report) ([]Action, error) {
 	// a group without diverging it from its peers. Only entry surgery
 	// (quarantine, adoption) or a lost manifest commits a new one.
 	if man != nil && sameEntries(man, entries) {
-		if err := s.sealMerkleLocked(man); err != nil {
+		if _, err := s.sealMerkleLocked(man); err != nil {
 			return acts, err
 		}
 		if err := s.gc(man); err != nil {
@@ -606,10 +606,11 @@ func (s *Store) Repair(rep *Report) ([]Action, error) {
 	if err := s.writeFileAtomic(manifestPath, next.Encode()); err != nil {
 		return acts, err
 	}
-	if err := s.sealMerkleLocked(next); err != nil {
+	tree, err := s.sealMerkleLocked(next)
+	if err != nil {
 		return acts, err
 	}
-	s.man, s.got = next, true
+	s.man, s.tree, s.got = next, tree, true
 	acts = append(acts, Action{Verb: "rebuilt", Path: manifestPath, Note: fmt.Sprintf("generation %d, %d file(s)", gen, next.Len())})
 	if err := s.gc(next); err != nil {
 		return acts, err

@@ -1,10 +1,10 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -39,7 +39,10 @@ type Entry struct {
 type Manifest struct {
 	Generation int
 	Entries    []Entry // sorted by path
-	byPath     map[string]int
+	// byPath maps each path to its entry index. It is never modified
+	// once built, so generations that differ only in entry contents
+	// share one.
+	byPath map[string]int
 }
 
 // manifestHeader versions the on-disk format.
@@ -55,9 +58,51 @@ func NewManifest(generation int, files map[string][]byte) *Manifest {
 		}
 		m.Entries = append(m.Entries, Entry{Path: path, Size: int64(len(content)), Hash: sha256.Sum256(content)})
 	}
+	sortEntries(m)
+	return m
+}
+
+// sortEntries sorts and indexes a manifest built from entries in no
+// particular order.
+func sortEntries(m *Manifest) {
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Path < m.Entries[j].Path })
 	m.index()
-	return m
+}
+
+// with returns the next generation of m with e recorded, leaving m
+// untouched, plus the entry e superseded (nil for a new path). A
+// replace copies the entries once and shares m's path index; a new
+// path is inserted at its binary-search position and indexed afresh.
+func (m *Manifest) with(gen int, e Entry) (next *Manifest, replaced *Entry) {
+	next = &Manifest{Generation: gen}
+	if i, ok := m.byPath[e.Path]; ok {
+		old := m.Entries[i]
+		next.Entries = slices.Clone(m.Entries)
+		next.Entries[i] = e
+		next.byPath = m.byPath
+		return next, &old
+	}
+	i := sort.Search(len(m.Entries), func(i int) bool { return m.Entries[i].Path >= e.Path })
+	next.Entries = make([]Entry, len(m.Entries)+1)
+	copy(next.Entries, m.Entries[:i])
+	next.Entries[i] = e
+	copy(next.Entries[i+1:], m.Entries[i:])
+	next.index()
+	return next, nil
+}
+
+// find returns the index at which m records exactly e: i itself when
+// nothing shifted, else wherever e's path sits. A nil m records
+// nothing.
+func (m *Manifest) find(i int, e Entry) (int, bool) {
+	if m == nil {
+		return 0, false
+	}
+	if i < len(m.Entries) && m.Entries[i] == e {
+		return i, true
+	}
+	j, ok := m.byPath[e.Path]
+	return j, ok && m.Entries[j] == e
 }
 
 func (m *Manifest) index() {
@@ -100,14 +145,28 @@ func (m *Manifest) Matches(path string, content []byte) bool {
 //
 // The trailing checksum makes a damaged manifest self-evident.
 func (m *Manifest) Encode() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "%s\ngeneration %d\n", manifestHeader, m.Generation)
-	for _, e := range m.Entries {
-		fmt.Fprintf(&b, "%s %d %s\n", hex.EncodeToString(e.Hash[:]), e.Size, e.Path)
+	const intMax = len("-9223372036854775808")
+	size := len(manifestHeader) + len("\ngeneration \n") + intMax + len("checksum \n") + hex.EncodedLen(sha256.Size)
+	for i := range m.Entries {
+		size += hex.EncodedLen(sha256.Size) + len("  \n") + intMax + len(m.Entries[i].Path)
 	}
-	sum := sha256.Sum256(b.Bytes())
-	fmt.Fprintf(&b, "checksum %s\n", hex.EncodeToString(sum[:]))
-	return b.Bytes()
+	b := make([]byte, 0, size)
+	b = append(b, manifestHeader+"\ngeneration "...)
+	b = strconv.AppendInt(b, int64(m.Generation), 10)
+	b = append(b, '\n')
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		b = hex.AppendEncode(b, e.Hash[:])
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, e.Size, 10)
+		b = append(b, ' ')
+		b = append(b, e.Path...)
+		b = append(b, '\n')
+	}
+	sum := sha256.Sum256(b)
+	b = append(b, "checksum "...)
+	b = hex.AppendEncode(b, sum[:])
+	return append(b, '\n')
 }
 
 // ParseManifest decodes and verifies an encoded manifest. Any
@@ -166,7 +225,26 @@ func ParseManifest(raw []byte) (*Manifest, error) {
 // The rules mirror what `popper` loads: dot-directories (including the
 // store's own .popper) and dot-files are out, except the convention's
 // own dot-configs; the store's temp files are never workspace content.
+// A path with a newline is never tracked: manifest entries are
+// newline-framed, so it could not be recorded (see CheckPath).
 func Tracked(path string) bool {
+	return trackedShape(path) && !strings.Contains(path, "\n")
+}
+
+// CheckPath refuses a path the rules above would track but for a
+// newline in it. Committing one would write a manifest that no later
+// open can parse, so Sync and Put reject it, by name, before the
+// intent record is written (and the replicated store before it
+// proposes the write).
+func CheckPath(path string) error {
+	if strings.Contains(path, "\n") && trackedShape(path) {
+		return fmt.Errorf("store: path %q cannot be tracked: it contains a newline", path)
+	}
+	return nil
+}
+
+// trackedShape applies Tracked's naming rules, newlines aside.
+func trackedShape(path string) bool {
 	if strings.HasSuffix(path, tmpSuffix) {
 		return false
 	}

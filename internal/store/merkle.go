@@ -40,23 +40,19 @@ const (
 func ObjectFile(hash [sha256.Size]byte) string { return objectPath(hash) }
 
 // merkleLeafPrefix domain-separates manifest-entry leaf digests.
-var merkleLeafPrefix = []byte("popper-merkle-leaf\x00")
+const merkleLeafPrefix = "popper-merkle-leaf\x00"
 
 // MerkleLeaf is the leaf digest over one manifest entry: path, size
-// and content hash, length-framed so no two entries collide.
+// and content hash, length-framed so no two entries collide. The input
+// is framed in one buffer that stays on the stack for ordinary paths.
 func MerkleLeaf(path string, size int64, hash [sha256.Size]byte) [sha256.Size]byte {
-	h := sha256.New()
-	h.Write(merkleLeafPrefix)
-	var sz [8]byte
-	binary.BigEndian.PutUint64(sz[:], uint64(len(path)))
-	h.Write(sz[:])
-	h.Write([]byte(path))
-	binary.BigEndian.PutUint64(sz[:], uint64(size))
-	h.Write(sz[:])
-	h.Write(hash[:])
-	var out [sha256.Size]byte
-	h.Sum(out[:0])
-	return out
+	buf := make([]byte, 0, 256)
+	buf = append(buf, merkleLeafPrefix...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(path)))
+	buf = append(buf, path...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(size))
+	buf = append(buf, hash[:]...)
+	return sha256.Sum256(buf)
 }
 
 // MerkleForManifest builds the expected tree for a manifest; leaf i
@@ -67,6 +63,29 @@ func MerkleForManifest(m *Manifest) *cas.Merkle {
 		leaves = append(leaves, MerkleLeaf(e.Path, e.Size, e.Hash))
 	}
 	return cas.BuildMerkle(m.Generation, leaves)
+}
+
+// merkleLocked returns the same tree as MerkleForManifest, built from
+// the last tree this store sealed for its cached manifest: an entry
+// that manifest records unchanged keeps its leaf digest (found at the
+// same index, else by path), and cas.BuildMerkleFrom copies every
+// interior node over unchanged children. A commit that changes k
+// entries in place therefore hashes O(k log n) nodes. Callers hold the
+// lock.
+func (s *Store) merkleLocked(man *Manifest) *cas.Merkle {
+	prev, tree := s.man, s.tree
+	if tree == nil || prev == nil || tree.Len() != prev.Len() {
+		prev, tree = nil, nil
+	}
+	leaves := make([][sha256.Size]byte, len(man.Entries))
+	for i, e := range man.Entries {
+		if j, ok := prev.find(i, e); ok {
+			leaves[i] = tree.Leaf(j)
+		} else {
+			leaves[i] = MerkleLeaf(e.Path, e.Size, e.Hash)
+		}
+	}
+	return cas.BuildMerkleFrom(tree, man.Generation, leaves)
 }
 
 // Merkle reads and verifies the sealed sidecar; (nil, nil) when the
@@ -100,13 +119,16 @@ func (s *Store) SealMerkle() error {
 	if man == nil {
 		return nil
 	}
-	return s.sealMerkleLocked(man)
+	tree, err := s.sealMerkleLocked(man)
+	s.tree = tree // built by the store for the cached manifest
+	return err
 }
 
-// sealMerkleLocked writes the sidecar for the manifest; callers hold
-// the lock.
-func (s *Store) sealMerkleLocked(man *Manifest) error {
-	return s.writeFileAtomic(MerklePath, MerkleForManifest(man).Encode())
+// sealMerkleLocked writes the sidecar for the manifest and returns the
+// tree it sealed; callers hold the lock.
+func (s *Store) sealMerkleLocked(man *Manifest) (*cas.Merkle, error) {
+	tree := s.merkleLocked(man)
+	return tree, s.writeFileAtomic(MerklePath, tree.Encode())
 }
 
 // --- scrub support surface -------------------------------------------
@@ -218,7 +240,7 @@ func (s *Store) RestoreRaw(path string, data []byte) error {
 		s.invalidateExtents()
 	}
 	if path == manifestPath {
-		s.man, s.got = nil, false
+		s.man, s.tree, s.got = nil, nil, false
 	}
 	return nil
 }

@@ -105,7 +105,7 @@ func (s *Store) InstallImage(img map[string][]byte) error {
 			return err
 		}
 	}
-	s.man, s.got = nil, false
+	s.man, s.tree, s.got = nil, nil, false
 	s.invalidateExtents()
 	return nil
 }

@@ -25,6 +25,11 @@ type Store struct {
 	dead error
 	man  *Manifest // cached committed manifest
 	got  bool      // manifest cache populated
+	// tree is nil or the Merkle tree this store built and sealed for
+	// man, which the next seal starts from (see merkleLocked). It is
+	// never parsed from the on-disk sidecar, whose leaves need not
+	// describe man.
+	tree *cas.Merkle
 	// extents is the lazily-built index over packed extents
 	// (hash → payload); nil means rebuild on next object lookup.
 	extents map[[sha256.Size]byte][]byte
@@ -113,6 +118,11 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	var stats SyncStats
 	if s.dead != nil {
 		return stats, s.dead
+	}
+	for path := range files {
+		if err := CheckPath(path); err != nil {
+			return stats, err
+		}
 	}
 	man, err := s.loadManifest()
 	if err != nil {
@@ -225,6 +235,9 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 // each completed configuration is recoverable even if the process
 // never reaches its final sync.
 func (s *Store) Put(path string, data []byte) error {
+	if err := CheckPath(path); err != nil {
+		return err
+	}
 	if !Tracked(path) {
 		return fmt.Errorf("store: put %s: path is not tracked", path)
 	}
@@ -237,30 +250,20 @@ func (s *Store) Put(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	if man != nil && man.Matches(path, data) {
-		return nil
+	e := Entry{Path: path, Size: int64(len(data)), Hash: sha256.Sum256(data)}
+	gen := 1
+	if man != nil {
+		if cur, ok := man.Lookup(path); ok && cur == e {
+			return nil
+		}
+		gen = man.Generation + 1
+	} else {
+		man = &Manifest{}
 	}
 	if err := s.refuseIfInterrupted("put"); err != nil {
 		return err
 	}
-	gen := 1
-	var entries []Entry
-	var replaced *Entry
-	if man != nil {
-		gen = man.Generation + 1
-		entries = make([]Entry, 0, man.Len()+1)
-		for i := range man.Entries {
-			if man.Entries[i].Path == path {
-				e := man.Entries[i]
-				replaced = &e
-				continue
-			}
-			entries = append(entries, man.Entries[i])
-		}
-	}
-	e := Entry{Path: path, Size: int64(len(data)), Hash: sha256.Sum256(data)}
-	next := &Manifest{Generation: gen, Entries: append(entries, e)}
-	sortEntries(next)
+	next, replaced := man.with(gen, e)
 	if err := s.writeFileAtomic(manifestNextPath, next.Encode()); err != nil {
 		return err
 	}
@@ -296,6 +299,7 @@ func (s *Store) loadManifest() (*Manifest, error) {
 	if s.got {
 		return s.man, nil
 	}
+	s.tree = nil // no tree the store sealed describes a manifest read off disk
 	raw, err := s.read(manifestPath)
 	if errors.Is(err, fs.ErrNotExist) {
 		s.got = true
@@ -328,7 +332,8 @@ func (s *Store) refuseIfInterrupted(op string) error {
 // two leaves a next-generation sidecar beside the old manifest, which
 // fsck flags as stale and repair reseals.
 func (s *Store) commitManifest(next *Manifest) error {
-	if err := s.sealMerkleLocked(next); err != nil {
+	tree, err := s.sealMerkleLocked(next)
+	if err != nil {
 		return err
 	}
 	if err := s.rename(manifestNextPath, manifestPath); err != nil {
@@ -337,7 +342,7 @@ func (s *Store) commitManifest(next *Manifest) error {
 	if err := s.syncDir(popperDir); err != nil {
 		return err
 	}
-	s.man, s.got = next, true
+	s.man, s.tree, s.got = next, tree, true
 	return nil
 }
 
@@ -554,16 +559,6 @@ func (s *Store) read(path string) ([]byte, error) {
 		}
 	}
 	return s.fs.ReadFile(path)
-}
-
-// sortEntries re-sorts and re-indexes a manifest after entry surgery.
-func sortEntries(m *Manifest) {
-	for i := 1; i < len(m.Entries); i++ {
-		for j := i; j > 0 && m.Entries[j].Path < m.Entries[j-1].Path; j-- {
-			m.Entries[j], m.Entries[j-1] = m.Entries[j-1], m.Entries[j]
-		}
-	}
-	m.index()
 }
 
 // referencesHash reports whether any manifest entry carries the hash.

@@ -553,6 +553,7 @@ func TestTracked(t *testing.T) {
 		"exp/out.csv.ptmp":       false,
 		"exp/.hidden":            false,
 		"a/.dot/b":               false,
+		"exp/a\nb.csv":           false,
 	}
 	for path, want := range cases {
 		if got := Tracked(path); got != want {
