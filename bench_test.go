@@ -166,7 +166,7 @@ func gassyfsSweep(b *testing.B, policy gassyfs.AllocPolicy, nodeCounts []int) *t
 		if err != nil {
 			b.Fatal(err)
 		}
-		world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+		world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func mountCompileFS(b *testing.B, ranks int, spec workload.CompileSpec, opts gas
 	if err != nil {
 		b.Fatal(err)
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func BenchmarkGasnetGetv(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func BenchmarkFigMPIVariability(b *testing.B) {
 			if load > 0 {
 				nodes[int(seed)%8].SetBackgroundLoad(load)
 			}
-			cm, _ := mpi.NewComm(nodes, cluster.NewNetwork(0))
+			cm, _ := mpi.NewComm(nodes, cluster.NewNetwork())
 			res, err := workload.RunLulesh(cm, spec)
 			if err != nil {
 				b.Fatal(err)
@@ -378,6 +378,38 @@ func BenchmarkFigMPIVariability(b *testing.B) {
 		cvRatio = table.CoeffVar(noisy) / table.CoeffVar(quiet)
 	}
 	b.ReportMetric(cvRatio, "cv_ratio_noisy_vs_quiet")
+}
+
+// BenchmarkRunLulesh times the simulator under the MPI figure: one
+// LULESH-proxy run on an 8-rank communicator, blocking and overlapped.
+// Per op that is 50 iterations of 12 halo exchanges and an Allreduce,
+// the message path a cloverleaf sweep spends its time in.
+func BenchmarkRunLulesh(b *testing.B) {
+	for _, overlap := range []bool{false, true} {
+		name := "blocking"
+		if overlap {
+			name = "overlap"
+		}
+		b.Run(name, func(b *testing.B) {
+			nodes, err := cluster.New(42).Provision("probe-opteron", 8)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
+			if err != nil {
+				b.Fatal(err)
+			}
+			spec := workload.DefaultLuleshSpec()
+			spec.Overlap = overlap
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := workload.RunLulesh(cm, spec); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // --- E8: Figure bww-airtemp ---------------------------------------------
@@ -499,7 +531,7 @@ func BenchmarkAblationGassyfsPlacement(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(42)
 				nodes, _ := c.Provision("cloudlab-c220g1", 4)
-				world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+				world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -538,7 +570,7 @@ func BenchmarkAblationGassyfsMetadata(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(42)
 				nodes, _ := c.Provision("cloudlab-c220g1", 4)
-				world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+				world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -666,7 +698,7 @@ func BenchmarkAblationGassyfsCache(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(42)
 				nodes, _ := c.Provision("cloudlab-c220g1", 2)
-				world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+				world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -712,7 +744,7 @@ func BenchmarkAblationMPIOverlap(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				c := cluster.New(42)
 				nodes, _ := c.Provision("probe-opteron", 8)
-				cm, err := mpi.NewComm(nodes, cluster.NewNetwork(0))
+				cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -65,7 +65,7 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		world, err := gasnet.New(ns, cluster.NewNetwork(0), nil)
+		world, err := gasnet.New(ns, cluster.NewNetwork(), nil)
 		if err != nil {
 			return err
 		}

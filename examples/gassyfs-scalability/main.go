@@ -47,7 +47,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+			world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -115,7 +115,7 @@ func main() {
 
 	c := cluster.New(7)
 	nodes, _ := c.Provision("cloudlab-c220g1", 2)
-	world, _ := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, _ := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	world.AttachAll(512 << 20)
 	fresh, err := gassyfs.Mount(world, gassyfs.Options{})
 	if err != nil {

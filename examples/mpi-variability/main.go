@@ -82,7 +82,7 @@ func main() {
 					nodes[rng.Intn(len(nodes))].SetBackgroundLoad(0.7 * rng.Float64())
 				}
 			}
-			cm, err := mpi.NewComm(nodes, cluster.NewNetwork(0))
+			cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
 			if err != nil {
 				log.Fatal(err)
 			}

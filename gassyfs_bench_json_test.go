@@ -22,7 +22,7 @@ func benchCompileFS(tb testing.TB, ranks int, spec workload.CompileSpec, opts ga
 	if err != nil {
 		tb.Fatal(err)
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func testFederation(t *testing.T, hosts int) (*Federation, *Tier, []*cluster.Nod
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestFederationPicksCheapestPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	nodes := []*cluster.Node{slow[0], fast[0], fast[1]} // host 0 slow, 1-2 fast
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestFederationSurvivesEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

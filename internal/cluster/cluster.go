@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
 
 // Cluster is a pool of simulated machines, provisioned by profile name
@@ -80,12 +81,19 @@ func (c *Cluster) Nodes() []*Node {
 }
 
 // Node is one simulated machine with a logical clock.
+//
+// Clock contract: every clock write (Run, RunParallel, RunThenAdvance,
+// AdvanceToThenRun, Advance, AdvanceTo) holds mu, which also guards the
+// jitter RNG, the background load and the RAM accounting, so concurrent
+// writers serialize. Now (and so MaxClock) reads the clock with one
+// atomic load and takes no lock: a reader racing a writer sees the clock
+// from just before or just after that write, never a torn value.
 type Node struct {
 	mu        sync.Mutex
 	id        string
 	profile   *MachineProfile
-	clock     float64 // virtual seconds since provisioning
-	bgLoad    float64 // background ("noisy neighbour") load in [0,1)
+	clock     atomic.Uint64 // Float64bits of virtual seconds since provisioning
+	bgLoad    float64       // background ("noisy neighbour") load in [0,1)
 	rng       *rand.Rand
 	released  bool
 	usedBytes int64 // allocated simulated RAM
@@ -97,18 +105,18 @@ func (n *Node) ID() string { return n.id }
 // Profile returns the node's machine profile.
 func (n *Node) Profile() *MachineProfile { return n.profile }
 
-// Now returns the node's logical clock in virtual seconds.
-func (n *Node) Now() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.clock
-}
+// Now returns the node's logical clock in virtual seconds. It takes no
+// lock.
+func (n *Node) Now() float64 { return math.Float64frombits(n.clock.Load()) }
+
+// setClock publishes a new clock value; the caller holds n.mu.
+func (n *Node) setClock(t float64) { n.clock.Store(math.Float64bits(t)) }
 
 // AdvanceTo moves the clock forward to at least t (never backwards).
 func (n *Node) AdvanceTo(t float64) {
 	n.mu.Lock()
-	if t > n.clock {
-		n.clock = t
+	if t > n.Now() {
+		n.setClock(t)
 	}
 	n.mu.Unlock()
 }
@@ -119,7 +127,7 @@ func (n *Node) Advance(d float64) {
 		panic(fmt.Sprintf("cluster: negative advance %g on %s", d, n.id))
 	}
 	n.mu.Lock()
-	n.clock += d
+	n.setClock(n.Now() + d)
 	n.mu.Unlock()
 }
 
@@ -142,15 +150,22 @@ func (n *Node) BackgroundLoad() float64 {
 	return n.bgLoad
 }
 
-// jitterFactor draws a multiplicative slowdown >= 1 from the node's RNG.
-// Half-normal: most runs are near nominal, occasional runs are slower —
-// the shape real systems show.
-func (n *Node) jitterFactor() float64 {
-	sigma := n.profile.JitterSigma
-	if sigma == 0 {
-		return 1
+// inflate turns a nominal duration into the node's actual one: it
+// panics on a released node, then slows d by the background load and by
+// a half-normal jitter draw — most runs near nominal, occasional runs
+// slower, the shape real systems show. The caller holds n.mu (the draw
+// advances the RNG).
+func (n *Node) inflate(d float64) float64 {
+	if n.released {
+		panic(fmt.Sprintf("cluster: node %s used after release", n.id))
 	}
-	return 1 + math.Abs(n.rng.NormFloat64())*sigma
+	if n.bgLoad > 0 {
+		d /= 1 - n.bgLoad
+	}
+	if sigma := n.profile.JitterSigma; sigma > 0 {
+		d *= 1 + math.Abs(n.rng.NormFloat64())*sigma
+	}
+	return d
 }
 
 // Run executes work on the node: the duration is computed from the
@@ -159,19 +174,40 @@ func (n *Node) jitterFactor() float64 {
 func (n *Node) Run(w Work) float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.released {
-		panic(fmt.Sprintf("cluster: node %s used after release", n.id))
-	}
-	d := n.profile.Duration(w)
-	if n.bgLoad > 0 {
-		d /= 1 - n.bgLoad
-	}
-	sigma := n.profile.JitterSigma
-	if sigma > 0 {
-		d *= 1 + math.Abs(n.rng.NormFloat64())*sigma
-	}
-	n.clock += d
+	d := n.inflate(n.profile.Duration(w))
+	n.setClock(n.Now() + d)
 	return d
+}
+
+// RunThenAdvance is Run(w) followed by Advance(wait) in one clock
+// update: the sending side of a blocking message, which pays its
+// software overhead and then blocks for the wire. It returns the clock
+// before and after.
+func (n *Node) RunThenAdvance(w Work, wait float64) (start, end float64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	start = n.Now()
+	end = start + n.inflate(n.profile.Duration(w))
+	end += wait
+	n.setClock(end)
+	return start, end
+}
+
+// AdvanceToThenRun is AdvanceTo(t) followed by Run(w) in one clock
+// update: the receiving side of a message, which waits for the arrival
+// and then pays its software overhead. It returns the clock before and
+// after.
+func (n *Node) AdvanceToThenRun(t float64, w Work) (start, end float64) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	start = n.Now()
+	end = start
+	if t > end {
+		end = t
+	}
+	end += n.inflate(n.profile.Duration(w))
+	n.setClock(end)
+	return start, end
 }
 
 // RunParallel executes work that parallelizes over up to `threads` cores
@@ -191,19 +227,10 @@ func (n *Node) RunParallel(w Work, threads int, serialFrac float64) float64 {
 	}
 	speedup := 1 / (serialFrac + (1-serialFrac)/float64(threads))
 	serial := n.profile.Duration(w)
-	d := serial / speedup
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.released {
-		panic(fmt.Sprintf("cluster: node %s used after release", n.id))
-	}
-	if n.bgLoad > 0 {
-		d /= 1 - n.bgLoad
-	}
-	if sigma := n.profile.JitterSigma; sigma > 0 {
-		d *= 1 + math.Abs(n.rng.NormFloat64())*sigma
-	}
-	n.clock += d
+	d := n.inflate(serial / speedup)
+	n.setClock(n.Now() + d)
 	return d
 }
 
@@ -256,19 +283,13 @@ func (n *Node) Facts() map[string]string {
 }
 
 // Network models the interconnect between nodes: a latency + bandwidth
-// (alpha-beta) cost model with optional per-transfer congestion.
-type Network struct {
-	mu sync.Mutex
-	// CongestionFactor inflates transfer time by (1 + cf*(active-1))
-	// where active counts concurrent transfers; 0 disables congestion.
-	CongestionFactor float64
-	active           int
-}
+// (alpha-beta) cost model. It holds no state, so one Network can be
+// shared by any number of goroutines and every cost it computes is a
+// pure function of the endpoints and the size.
+type Network struct{}
 
-// NewNetwork creates a network with the given congestion factor.
-func NewNetwork(congestion float64) *Network {
-	return &Network{CongestionFactor: congestion}
-}
+// NewNetwork creates a network.
+func NewNetwork() *Network { return &Network{} }
 
 // TransferTime returns the virtual seconds needed to move `bytes` from
 // src to dst without advancing any clock.
@@ -279,27 +300,14 @@ func (net *Network) TransferTime(src, dst *Node, bytes int64) float64 {
 	}
 	lat := src.profile.NICLatS + dst.profile.NICLatS
 	bw := math.Min(src.profile.NICBWBps, dst.profile.NICBWBps)
-	t := lat + float64(bytes)/bw
-	net.mu.Lock()
-	if net.CongestionFactor > 0 && net.active > 0 {
-		t *= 1 + net.CongestionFactor*float64(net.active)
-	}
-	net.mu.Unlock()
-	return t
+	return lat + float64(bytes)/bw
 }
 
 // Send moves bytes from src to dst: src blocks for the transfer, and
 // dst's clock is advanced to the arrival time (message-passing send).
 // Returns the arrival time on dst's clock.
 func (net *Network) Send(src, dst *Node, bytes int64) float64 {
-	net.mu.Lock()
-	net.active++
-	net.mu.Unlock()
-	t := net.TransferTime(src, dst, bytes)
-	net.mu.Lock()
-	net.active--
-	net.mu.Unlock()
-	src.Advance(t)
+	src.Advance(net.TransferTime(src, dst, bytes))
 	arrival := src.Now()
 	dst.AdvanceTo(arrival)
 	return arrival
@@ -307,10 +315,9 @@ func (net *Network) Send(src, dst *Node, bytes int64) float64 {
 
 // RDMACost returns the virtual seconds a one-sided transfer of `bytes`
 // between the two nodes takes, without advancing any clock. The cost is
-// a pure function of the endpoints and the size (no RNG, no congestion
-// state), which is what lets parallel engines compute transfer costs on
-// worker goroutines and apply them to clocks later in a deterministic
-// order.
+// a pure function of the endpoints and the size (no RNG), which is what
+// lets parallel engines compute transfer costs on worker goroutines and
+// apply them to clocks later in a deterministic order.
 func (net *Network) RDMACost(caller, target *Node, bytes int64) float64 {
 	if caller == target {
 		return float64(bytes) / caller.profile.MemBWBps

@@ -274,7 +274,7 @@ func TestFacts(t *testing.T) {
 func TestNetworkTransferTime(t *testing.T) {
 	c := New(13)
 	nodes, _ := c.Provision("cloudlab-c220g1", 2)
-	net := NewNetwork(0)
+	net := NewNetwork()
 	a, b := nodes[0], nodes[1]
 	p := a.Profile()
 
@@ -300,7 +300,7 @@ func TestNetworkHeterogeneousBottleneck(t *testing.T) {
 	c := New(17)
 	slow, _ := c.Provision("xeon-2005", 1)      // 1 GbE
 	fast, _ := c.Provision("cloudlab-c8220", 1) // 40 GbE
-	net := NewNetwork(0)
+	net := NewNetwork()
 	tt := net.TransferTime(slow[0], fast[0], 1<<30)
 	wantBW := float64(1<<30) / slow[0].Profile().NICBWBps
 	if math.Abs(tt-wantBW)/wantBW > 0.01 {
@@ -311,7 +311,7 @@ func TestNetworkHeterogeneousBottleneck(t *testing.T) {
 func TestSendAdvancesBothClocks(t *testing.T) {
 	c := New(19)
 	nodes, _ := c.Provision("cloudlab-c220g1", 2)
-	net := NewNetwork(0)
+	net := NewNetwork()
 	a, b := nodes[0], nodes[1]
 	b.Advance(5) // receiver is ahead
 	arrival := net.Send(a, b, 1<<20)
@@ -334,7 +334,7 @@ func TestSendAdvancesBothClocks(t *testing.T) {
 func TestRDMAOneSided(t *testing.T) {
 	c := New(23)
 	nodes, _ := c.Provision("probe-opteron", 2)
-	net := NewNetwork(0)
+	net := NewNetwork()
 	caller, target := nodes[0], nodes[1]
 	before := target.Now()
 	d := net.RDMARead(caller, target, 1<<20)
@@ -362,7 +362,7 @@ func TestBarrier(t *testing.T) {
 	c := New(29)
 	nodes, _ := c.Provision("cloudlab-c220g1", 4)
 	nodes[2].Advance(10)
-	end := NewNetwork(0).Barrier(nodes)
+	end := NewNetwork().Barrier(nodes)
 	if end < 10 {
 		t.Fatalf("barrier end = %v", end)
 	}
@@ -374,7 +374,7 @@ func TestBarrier(t *testing.T) {
 	if MaxClock(nodes) != end {
 		t.Fatalf("MaxClock = %v", MaxClock(nodes))
 	}
-	if got := NewNetwork(0).Barrier(nil); got != 0 {
+	if got := NewNetwork().Barrier(nil); got != 0 {
 		t.Fatalf("empty barrier = %v", got)
 	}
 }
@@ -432,32 +432,168 @@ func TestQuickClockMonotone(t *testing.T) {
 	}
 }
 
-func TestNetworkCongestion(t *testing.T) {
+// The network holds no state: concurrent sends each pay exactly what a
+// lone transfer pays.
+func TestNetworkSendIsStateless(t *testing.T) {
 	c := New(41)
-	nodes, _ := c.Provision("cloudlab-c220g1", 4)
-	// With a congestion factor, concurrent transfers inflate each other;
-	// a lone transfer is unaffected.
-	net := NewNetwork(0.5)
+	nodes, _ := c.Provision("cloudlab-c220g1", 16)
+	net := NewNetwork()
 	lone := net.TransferTime(nodes[0], nodes[1], 1<<20)
-
-	var wg sync.WaitGroup
-	times := make([]float64, 8)
-	for i := range times {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			times[i] = net.Send(nodes[i%2], nodes[2+(i%2)], 1<<20)
-		}(i)
-	}
-	wg.Wait()
-	// no assertion on exact inflation (scheduling-dependent), but every
-	// transfer completed and the model never produced nonsense
-	for i, tt := range times {
-		if tt <= 0 {
-			t.Fatalf("transfer %d = %v", i, tt)
-		}
-	}
 	if lone <= 0 {
 		t.Fatal("lone transfer must cost time")
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < len(nodes); i += 2 {
+		wg.Add(1)
+		go func(src, dst *Node) {
+			defer wg.Done()
+			net.Send(src, dst, 1<<20)
+		}(nodes[i], nodes[i+1])
+	}
+	wg.Wait()
+	for _, n := range nodes {
+		if n.Now() != lone {
+			t.Fatalf("%s at %v after a concurrent send, want the lone cost %v", n.ID(), n.Now(), lone)
+		}
+	}
+}
+
+// The clock contract: Now and MaxClock take no lock while every clock
+// write serializes on the node. Readers poll every node while one
+// writer per node applies a seeded sequence; each reader must see every
+// clock only move forward, and the final clocks must equal a serial
+// replay of the same sequences. A second phase has many writers share
+// one node with exactly representable steps, where a lost update would
+// show as a short total.
+func TestClockConcurrentReadersAndWriters(t *testing.T) {
+	// units is large enough that an unlocked Advance loses updates.
+	const writers, steps, units = 4, 2000, 100000
+	apply := func(n *Node, i, step int) {
+		w := Work{CPUOps: float64(1000 + 37*step)}
+		switch (i + step) % 5 {
+		case 0:
+			n.Run(w)
+		case 1:
+			n.Advance(float64(step%7) * 1e-6)
+		case 2:
+			n.AdvanceTo(n.Now() + 2e-6)
+		case 3:
+			n.RunThenAdvance(w, 3e-6)
+		case 4:
+			n.AdvanceToThenRun(n.Now()+1e-6, w)
+		}
+	}
+	replay, _ := New(47).Provision("ec2-m4", writers)
+	for i, n := range replay {
+		for step := 0; step < steps; step++ {
+			apply(n, i, step)
+		}
+	}
+
+	nodes, _ := New(47).Provision("ec2-m4", writers)
+	done := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := make([]float64, len(nodes))
+			lastMax := 0.0
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				for i, n := range nodes {
+					now := n.Now()
+					if now < last[i] {
+						t.Errorf("%s clock went back: %v after %v", n.ID(), now, last[i])
+						return
+					}
+					last[i] = now
+				}
+				m := MaxClock(nodes)
+				if m < lastMax {
+					t.Errorf("MaxClock went back: %v after %v", m, lastMax)
+					return
+				}
+				lastMax = m
+			}
+		}()
+	}
+	var ws sync.WaitGroup
+	for i, n := range nodes {
+		ws.Add(1)
+		go func(i int, n *Node) {
+			defer ws.Done()
+			for step := 0; step < steps; step++ {
+				apply(n, i, step)
+			}
+		}(i, n)
+	}
+	ws.Wait()
+	close(done)
+	readers.Wait()
+	for i, n := range nodes {
+		if n.Now() != replay[i].Now() {
+			t.Fatalf("%s ended at %v, serial replay at %v", n.ID(), n.Now(), replay[i].Now())
+		}
+	}
+
+	shared := nodes[0]
+	base := math.Ceil(shared.Now())
+	shared.AdvanceTo(base)
+	var sw sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		sw.Add(1)
+		go func() {
+			defer sw.Done()
+			for step := 0; step < units; step++ {
+				shared.Advance(1)
+			}
+		}()
+	}
+	sw.Wait()
+	if want := base + writers*units; shared.Now() != want {
+		t.Fatalf("shared clock = %v after %d concurrent unit advances from %v, want %v",
+			shared.Now(), writers*units, base, want)
+	}
+}
+
+// The fused message steps are the two calls they replace, bit for bit:
+// same clocks, same jitter draws, on loaded and unloaded nodes, with the
+// arrival both ahead of and behind the receiver.
+func TestFusedMessageStepsMatchTwoCalls(t *testing.T) {
+	w := Work{CPUOps: 2e4}
+	for _, load := range []float64{0, 0.4} {
+		fused, _ := New(53).Provision("ec2-m4", 2)
+		split, _ := New(53).Provision("ec2-m4", 2)
+		for i := range fused {
+			fused[i].SetBackgroundLoad(load)
+			split[i].SetBackgroundLoad(load)
+		}
+		for step := 0; step < 200; step++ {
+			wire := float64(step%5) * 3e-6
+			start, arrival := fused[0].RunThenAdvance(w, wire)
+			before := split[0].Now()
+			split[0].Run(w)
+			split[0].Advance(wire)
+			if start != before || arrival != split[0].Now() {
+				t.Fatalf("load %v step %d: RunThenAdvance = (%v, %v), Run+Advance = (%v, %v)",
+					load, step, start, arrival, before, split[0].Now())
+			}
+			if step%3 == 0 {
+				arrival = 0 // the receiver is already past it
+			}
+			start, end := fused[1].AdvanceToThenRun(arrival, w)
+			before = split[1].Now()
+			split[1].AdvanceTo(arrival)
+			split[1].Run(w)
+			if start != before || end != split[1].Now() {
+				t.Fatalf("load %v step %d: AdvanceToThenRun = (%v, %v), AdvanceTo+Run = (%v, %v)",
+					load, step, start, end, before, split[1].Now())
+			}
+		}
 	}
 }

@@ -101,7 +101,7 @@ func benchFederation(tb testing.TB, hosts int) (*cas.Federation, *cas.Tier) {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -111,7 +111,7 @@ func federateSweepCache(cache *pipeline.Cache, hosts []sched.HostSpec) error {
 	if len(nodes) == 0 {
 		return nil
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		return err
 	}

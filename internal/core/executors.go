@@ -69,7 +69,7 @@ func runGassyfs(x *ExecState) error {
 		if err != nil {
 			return err
 		}
-		world, err := gasnet.New(ns, cluster.NewNetwork(0), nil)
+		world, err := gasnet.New(ns, cluster.NewNetwork(), nil)
 		if err != nil {
 			return err
 		}
@@ -226,7 +226,7 @@ func runMPIVariability(x *ExecState) error {
 					}
 				}
 			}
-			cm, err := mpi.NewComm(ns, cluster.NewNetwork(0))
+			cm, err := mpi.NewComm(ns, cluster.NewNetwork())
 			if err != nil {
 				return err
 			}
@@ -379,7 +379,7 @@ func runCloverleaf(x *ExecState) error {
 		if err != nil {
 			return err
 		}
-		cm, err := mpi.NewComm(ns, cluster.NewNetwork(0))
+		cm, err := mpi.NewComm(ns, cluster.NewNetwork())
 		if err != nil {
 			return err
 		}
@@ -431,7 +431,7 @@ func runSpark(x *ExecState) error {
 		if err != nil {
 			return err
 		}
-		net := cluster.NewNetwork(0)
+		net := cluster.NewNetwork()
 		perNode := totalWords / float64(n)
 		// map phase: tokenize + count locally, parallel across cores
 		for _, node := range ns {
@@ -502,7 +502,7 @@ func runCephRados(x *ExecState) error {
 		if err != nil {
 			return err
 		}
-		net := cluster.NewNetwork(0)
+		net := cluster.NewNetwork()
 		rep := replicas
 		if rep > n {
 			rep = n
@@ -587,7 +587,7 @@ func runZlog(x *ExecState) error {
 			return err
 		}
 		seq, client, storage := nodes[0], nodes[1], nodes[2:]
-		net := cluster.NewNetwork(0)
+		net := cluster.NewNetwork()
 		start := client.Now()
 		done := 0
 		for done < appends {
@@ -694,7 +694,7 @@ func runMalacology(x *ExecState) error {
 			return err
 		}
 		server, clis := ns[0], ns[1:]
-		net := cluster.NewNetwork(0)
+		net := cluster.NewNetwork()
 		totalOps := nc * opsPerClient
 		// the server processes every op serially (the bottleneck)
 		server.Run(cluster.Work{Syscalls: float64(totalOps) * 4, CPUOps: float64(totalOps) * 3e4})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -235,21 +236,36 @@ func TestExecutorParameterErrors(t *testing.T) {
 	}
 }
 
+// TestRunDeterministic holds every template to the convention's re-run
+// promise: the same seed reproduces every file of the workspace byte for
+// byte, run after run.
 func TestRunDeterministic(t *testing.T) {
-	run := func() string {
-		p := Init()
-		p.AddExperiment("gassyfs", "exp")
-		p.SetParam("exp", "nodes", "1,2,4")
-		p.SetParam("exp", "sources", "24")
-		p.SetParam("exp", "segment_mb", "64")
-		if _, err := p.RunExperiment("exp", &Env{Seed: 5}); err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := p.ExperimentFile("exp", "results.csv")
-		return string(raw)
-	}
-	if run() != run() {
-		t.Fatal("same seed must reproduce identical results.csv")
+	const runs = 5
+	for _, template := range Templates() {
+		t.Run(template, func(t *testing.T) {
+			run := func() map[string][]byte {
+				p := Init()
+				if err := p.AddExperiment(template, "exp"); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := p.RunExperiment("exp", &Env{Seed: 5}); err != nil {
+					t.Fatal(err)
+				}
+				return p.Files
+			}
+			first := run()
+			for i := 1; i < runs; i++ {
+				again := run()
+				if len(again) != len(first) {
+					t.Fatalf("run %d wrote %d files, run 0 wrote %d", i, len(again), len(first))
+				}
+				for path, want := range first {
+					if got, ok := again[path]; !ok || !bytes.Equal(got, want) {
+						t.Fatalf("run %d: %s differs from run 0:\n%s\n-- run 0 --\n%s", i, path, got, want)
+					}
+				}
+			}
+		})
 	}
 }
 

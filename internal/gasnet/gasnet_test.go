@@ -16,7 +16,7 @@ func world(t *testing.T, n int, segSize int64) (*World, []*cluster.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := New(nodes, cluster.NewNetwork(0), nil)
+	w, err := New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func world(t *testing.T, n int, segSize int64) (*World, []*cluster.Node) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(nil, cluster.NewNetwork(0), nil); err == nil {
+	if _, err := New(nil, cluster.NewNetwork(), nil); err == nil {
 		t.Fatal("empty world should fail")
 	}
 	c := cluster.New(1)
@@ -197,7 +197,7 @@ func TestMetricsInstrumentation(t *testing.T) {
 	c := cluster.New(13)
 	nodes, _ := c.Provision("cloudlab-c220g1", 2)
 	reg := metrics.NewRegistry(metrics.Labels{"exp": "gasnet"}, nil)
-	w, err := New(nodes, cluster.NewNetwork(0), reg)
+	w, err := New(nodes, cluster.NewNetwork(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

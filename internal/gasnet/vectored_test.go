@@ -112,7 +112,7 @@ func worldWithReg(t *testing.T, n int, segSize int64, reg *metrics.Registry) (*W
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := New(nodes, cluster.NewNetwork(0), reg)
+	w, err := New(nodes, cluster.NewNetwork(), reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func chaosMount(t *testing.T, ranks int, opts Options, rules []fault.Rule) (*FS,
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), opts.Registry)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), opts.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}

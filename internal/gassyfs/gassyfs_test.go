@@ -19,7 +19,7 @@ func mount(t *testing.T, ranks int, opts Options) (*FS, *Client) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), opts.Registry)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), opts.Registry)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func mount(t *testing.T, ranks int, opts Options) (*FS, *Client) {
 func TestMountValidation(t *testing.T) {
 	c := cluster.New(1)
 	nodes, _ := c.Provision("xeon-2005", 1)
-	w, _ := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, _ := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if _, err := Mount(w, Options{}); err == nil {
 		t.Fatal("mount without segments must fail")
 	}
@@ -341,7 +341,7 @@ func TestRoundRobinBalances(t *testing.T) {
 func TestOutOfSpace(t *testing.T) {
 	c := cluster.New(31)
 	nodes, _ := c.Provision("cloudlab-c220g1", 1)
-	w, _ := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, _ := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	w.AttachAll(8 << 10) // 8 KiB = 2 blocks of 4 KiB
 	fs, err := Mount(w, Options{BlockSize: 4096})
 	if err != nil {
@@ -368,7 +368,7 @@ func TestRemoteClientPaysMore(t *testing.T) {
 	// faster than a remote client reading the same data.
 	c := cluster.New(33)
 	nodes, _ := c.Provision("cloudlab-c220g1", 2)
-	w, _ := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, _ := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	w.AttachAll(32 << 20)
 	fs, _ := Mount(w, Options{Policy: AllocLocalFirst})
 	cl0, _ := fs.Client(0)

@@ -22,12 +22,15 @@ import (
 	"popper/internal/table"
 )
 
-// Comm is an MPI communicator: one rank per cluster node.
+// Comm is an MPI communicator: one rank per cluster node. A Comm is
+// driven from one goroutine: its message queues and profiler take no
+// locks. (The nodes' clocks may still be read from other goroutines.)
 type Comm struct {
 	nodes []*cluster.Node
 	net   *cluster.Network
-	// queues[src][dst] holds in-flight message arrival times (FIFO).
-	queues map[int]map[int][]pendingMsg
+	// queues[src*Size()+dst] holds the in-flight messages from src to
+	// dst.
+	queues []fifo
 	prof   *Profiler
 }
 
@@ -35,6 +38,38 @@ type pendingMsg struct {
 	arrival float64
 	bytes   int64
 }
+
+// fifo is one rank pair's message queue. It reuses its backing array:
+// a drained queue rewinds, and a full one compacts before it grows, so a
+// pair that never has more than k messages in flight allocates for at
+// most k of them, once.
+type fifo struct {
+	msgs []pendingMsg
+	head int
+}
+
+func (q *fifo) push(m pendingMsg) {
+	if q.head > 0 && len(q.msgs) == cap(q.msgs) {
+		n := copy(q.msgs, q.msgs[q.head:])
+		q.msgs, q.head = q.msgs[:n], 0
+	}
+	q.msgs = append(q.msgs, m)
+}
+
+func (q *fifo) pop() (pendingMsg, bool) {
+	if q.head == len(q.msgs) {
+		return pendingMsg{}, false
+	}
+	m := q.msgs[q.head]
+	q.head++
+	if q.head == len(q.msgs) {
+		q.msgs, q.head = q.msgs[:0], 0
+	}
+	return m, true
+}
+
+// queue returns the FIFO of messages from src to dst.
+func (c *Comm) queue(src, dst int) *fifo { return &c.queues[src*len(c.nodes)+dst] }
 
 // NewComm builds a communicator with one rank per node.
 func NewComm(nodes []*cluster.Node, net *cluster.Network) (*Comm, error) {
@@ -47,7 +82,7 @@ func NewComm(nodes []*cluster.Node, net *cluster.Network) (*Comm, error) {
 	return &Comm{
 		nodes:  nodes,
 		net:    net,
-		queues: make(map[int]map[int][]pendingMsg),
+		queues: make([]fifo, len(nodes)*len(nodes)),
 		prof:   NewProfiler(len(nodes)),
 	}, nil
 }
@@ -66,8 +101,8 @@ func (c *Comm) Node(rank int) (*cluster.Node, error) {
 // Profiler returns the attached mpiP-style profiler.
 func (c *Comm) Profiler() *Profiler { return c.prof }
 
-// sendOverhead is the per-message software overhead (seconds of CPU).
-const sendOverheadOps = 2e4
+// overhead is the per-message software overhead each side pays.
+var overhead = cluster.Work{CPUOps: 2e4}
 
 // Send posts a message; the sender pays software overhead plus the wire
 // time, and the message is queued with its arrival timestamp.
@@ -84,16 +119,10 @@ func (c *Comm) Send(src, dst int, bytes int64) error {
 	if bytes < 0 {
 		return fmt.Errorf("mpi: negative message size")
 	}
-	start := c.nodes[src].Now()
-	c.nodes[src].Run(cluster.Work{CPUOps: sendOverheadOps})
 	wire := c.net.TransferTime(c.nodes[src], c.nodes[dst], bytes)
-	c.nodes[src].Advance(wire)
-	arrival := c.nodes[src].Now()
-	if c.queues[src] == nil {
-		c.queues[src] = make(map[int][]pendingMsg)
-	}
-	c.queues[src][dst] = append(c.queues[src][dst], pendingMsg{arrival: arrival, bytes: bytes})
-	c.prof.record(src, "Send", c.nodes[src].Now()-start, bytes)
+	start, arrival := c.nodes[src].RunThenAdvance(overhead, wire)
+	c.queue(src, dst).push(pendingMsg{arrival: arrival, bytes: bytes})
+	c.prof.record(src, callSend, arrival-start, bytes)
 	return nil
 }
 
@@ -106,16 +135,12 @@ func (c *Comm) Recv(dst, src int) (int64, error) {
 	if err := c.checkRank(dst); err != nil {
 		return 0, err
 	}
-	q := c.queues[src][dst]
-	if len(q) == 0 {
+	msg, ok := c.queue(src, dst).pop()
+	if !ok {
 		return 0, fmt.Errorf("mpi: rank %d has no message from %d (deadlock)", dst, src)
 	}
-	msg := q[0]
-	c.queues[src][dst] = q[1:]
-	start := c.nodes[dst].Now()
-	c.nodes[dst].AdvanceTo(msg.arrival)
-	c.nodes[dst].Run(cluster.Work{CPUOps: sendOverheadOps})
-	c.prof.record(dst, "Recv", c.nodes[dst].Now()-start, msg.bytes)
+	start, end := c.nodes[dst].AdvanceToThenRun(msg.arrival, overhead)
+	c.prof.record(dst, callRecv, end-start, msg.bytes)
 	return msg.bytes, nil
 }
 
@@ -147,14 +172,11 @@ func (c *Comm) Isend(src, dst int, bytes int64) (*Request, error) {
 		return nil, fmt.Errorf("mpi: negative message size")
 	}
 	start := c.nodes[src].Now()
-	c.nodes[src].Run(cluster.Work{CPUOps: sendOverheadOps})
+	c.nodes[src].Run(overhead)
 	wire := c.net.TransferTime(c.nodes[src], c.nodes[dst], bytes)
-	arrival := c.nodes[src].Now() + wire
-	if c.queues[src] == nil {
-		c.queues[src] = make(map[int][]pendingMsg)
-	}
-	c.queues[src][dst] = append(c.queues[src][dst], pendingMsg{arrival: arrival, bytes: bytes})
-	c.prof.record(src, "Isend", c.nodes[src].Now()-start, bytes)
+	now := c.nodes[src].Now()
+	c.queue(src, dst).push(pendingMsg{arrival: now + wire, bytes: bytes})
+	c.prof.record(src, callIsend, now-start, bytes)
 	return &Request{rank: src}, nil
 }
 
@@ -170,13 +192,11 @@ func (c *Comm) Irecv(dst, src int) (*Request, error) {
 	if err := c.checkRank(dst); err != nil {
 		return nil, err
 	}
-	q := c.queues[src][dst]
-	if len(q) == 0 {
+	msg, ok := c.queue(src, dst).pop()
+	if !ok {
 		return nil, fmt.Errorf("mpi: rank %d has no posted message from %d", dst, src)
 	}
-	msg := q[0]
-	c.queues[src][dst] = q[1:]
-	c.nodes[dst].Run(cluster.Work{CPUOps: sendOverheadOps})
+	c.nodes[dst].Run(overhead)
 	return &Request{rank: dst, arrival: msg.arrival, bytes: msg.bytes, recv: true}, nil
 }
 
@@ -193,7 +213,7 @@ func (c *Comm) Wait(r *Request) error {
 	}
 	start := c.nodes[r.rank].Now()
 	c.nodes[r.rank].AdvanceTo(r.arrival)
-	c.prof.record(r.rank, "Wait", c.nodes[r.rank].Now()-start, r.bytes)
+	c.prof.record(r.rank, callWait, c.nodes[r.rank].Now()-start, r.bytes)
 	return nil
 }
 
@@ -224,7 +244,7 @@ func (c *Comm) Sendrecv(a, b int, bytes int64) error {
 
 // collective advances every rank to the end of a tree collective that
 // moves `bytes` per round over `rounds` rounds.
-func (c *Comm) collective(name string, bytes int64, rounds float64) {
+func (c *Comm) collective(call callID, bytes int64, rounds float64) {
 	start := 0.0
 	maxLat := 0.0
 	minBW := math.Inf(1)
@@ -244,7 +264,7 @@ func (c *Comm) collective(name string, bytes int64, rounds float64) {
 	for r, n := range c.nodes {
 		before := n.Now()
 		n.AdvanceTo(end)
-		c.prof.record(r, name, end-before, bytes)
+		c.prof.record(r, call, end-before, bytes)
 	}
 }
 
@@ -257,14 +277,14 @@ func (c *Comm) rounds() float64 {
 }
 
 // Barrier synchronizes all ranks.
-func (c *Comm) Barrier() { c.collective("Barrier", 0, c.rounds()) }
+func (c *Comm) Barrier() { c.collective(callBarrier, 0, c.rounds()) }
 
 // Bcast broadcasts bytes from a root over a binomial tree.
 func (c *Comm) Bcast(root int, bytes int64) error {
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	c.collective("Bcast", bytes, c.rounds())
+	c.collective(callBcast, bytes, c.rounds())
 	return nil
 }
 
@@ -273,18 +293,18 @@ func (c *Comm) Reduce(root int, bytes int64) error {
 	if err := c.checkRank(root); err != nil {
 		return err
 	}
-	c.collective("Reduce", bytes, c.rounds())
+	c.collective(callReduce, bytes, c.rounds())
 	return nil
 }
 
 // Allreduce combines and redistributes (reduce + broadcast).
 func (c *Comm) Allreduce(bytes int64) {
-	c.collective("Allreduce", bytes, 2*c.rounds())
+	c.collective(callAllreduce, bytes, 2*c.rounds())
 }
 
 // Allgather gathers bytes from every rank to every rank.
 func (c *Comm) Allgather(bytes int64) {
-	c.collective("Allgather", bytes*int64(len(c.nodes)), c.rounds())
+	c.collective(callAllgather, bytes*int64(len(c.nodes)), c.rounds())
 }
 
 // Compute runs application (non-MPI) work on a rank.
@@ -306,11 +326,45 @@ func (c *Comm) checkRank(r int) error {
 	return nil
 }
 
+// callID names one profiled MPI call. The IDs follow the calls'
+// names in byte order, so every loop over them visits calls
+// alphabetically; that order is the profiler's summation order.
+type callID uint8
+
+const (
+	callAllgather callID = iota
+	callAllreduce
+	callBarrier
+	callBcast
+	callIsend
+	callRecv
+	callReduce
+	callSend
+	callWait
+	numCalls
+)
+
+var callNames = [numCalls]string{
+	callAllgather: "Allgather",
+	callAllreduce: "Allreduce",
+	callBarrier:   "Barrier",
+	callBcast:     "Bcast",
+	callIsend:     "Isend",
+	callRecv:      "Recv",
+	callReduce:    "Reduce",
+	callSend:      "Send",
+	callWait:      "Wait",
+}
+
 // Profiler captures per-rank, per-call MPI statistics like mpiP.
+//
+// Every sum it reports adds its terms in a fixed order — calls by name,
+// ranks by number — so a rank's MPI time, and every figure derived from
+// it, has the same bits on every run.
 type Profiler struct {
 	ranks int
-	// byRankCall[rank][call] accumulates time and counts.
-	byRankCall []map[string]*callStats
+	// stats[rank] accumulates time and counts per call.
+	stats [][numCalls]callStats
 }
 
 type callStats struct {
@@ -321,41 +375,30 @@ type callStats struct {
 
 // NewProfiler creates a profiler for n ranks.
 func NewProfiler(n int) *Profiler {
-	p := &Profiler{ranks: n, byRankCall: make([]map[string]*callStats, n)}
-	for i := range p.byRankCall {
-		p.byRankCall[i] = make(map[string]*callStats)
-	}
-	return p
+	return &Profiler{ranks: n, stats: make([][numCalls]callStats, n)}
 }
 
-func (p *Profiler) record(rank int, call string, elapsed float64, bytes int64) {
-	cs, ok := p.byRankCall[rank][call]
-	if !ok {
-		cs = &callStats{}
-		p.byRankCall[rank][call] = cs
-	}
+func (p *Profiler) record(rank int, call callID, elapsed float64, bytes int64) {
+	cs := &p.stats[rank][call]
 	cs.Count++
 	cs.Time += elapsed
 	cs.Bytes += bytes
 }
 
 // Reset clears all recorded statistics.
-func (p *Profiler) Reset() {
-	for i := range p.byRankCall {
-		p.byRankCall[i] = make(map[string]*callStats)
-	}
-}
+func (p *Profiler) Reset() { clear(p.stats) }
 
-// MPITime returns the total time a rank spent inside MPI calls.
+// MPITime returns the total time a rank spent inside MPI calls, summed
+// in call-name order.
 func (p *Profiler) MPITime(rank int) float64 {
 	total := 0.0
-	for _, cs := range p.byRankCall[rank] {
+	for _, cs := range &p.stats[rank] {
 		total += cs.Time
 	}
 	return total
 }
 
-// TotalMPITime sums MPI time across ranks.
+// TotalMPITime sums MPI time across ranks in rank order.
 func (p *Profiler) TotalMPITime() float64 {
 	total := 0.0
 	for r := 0; r < p.ranks; r++ {
@@ -364,20 +407,18 @@ func (p *Profiler) TotalMPITime() float64 {
 	return total
 }
 
-// Table exports per-rank per-call statistics (the mpiP report body).
+// Table exports per-rank per-call statistics (the mpiP report body):
+// one row for each call a rank made, in call-name order.
 func (p *Profiler) Table() *table.Table {
 	t := table.New("rank", "call", "count", "time", "bytes")
 	for r := 0; r < p.ranks; r++ {
-		calls := make([]string, 0, len(p.byRankCall[r]))
-		for call := range p.byRankCall[r] {
-			calls = append(calls, call)
-		}
-		sort.Strings(calls)
-		for _, call := range calls {
-			cs := p.byRankCall[r][call]
+		for call, cs := range &p.stats[r] {
+			if cs.Count == 0 {
+				continue
+			}
 			t.MustAppend(
 				table.Number(float64(r)),
-				table.String(call),
+				table.String(callNames[call]),
 				table.Number(float64(cs.Count)),
 				table.Number(cs.Time),
 				table.Number(float64(cs.Bytes)),
@@ -388,7 +429,8 @@ func (p *Profiler) Table() *table.Table {
 }
 
 // Report renders an mpiP-style text summary: aggregate time per call
-// type, plus the rank-level min/mean/max MPI time.
+// type, plus the rank-level min/mean/max MPI time. Calls are listed by
+// aggregate time, longest first; equal times list by name.
 func (p *Profiler) Report(appTime float64) string {
 	var sb strings.Builder
 	sb.WriteString("@--- MPI Time (seconds) ---------------------------------\n")
@@ -406,27 +448,25 @@ func (p *Profiler) Report(appTime float64) string {
 		fmt.Fprintf(&sb, "mpi fraction of app time: %.1f%%\n", table.Mean(times)/appTime*100)
 	}
 	sb.WriteString("@--- Aggregate Time (top, by call) ----------------------\n")
-	agg := make(map[string]*callStats)
-	for r := 0; r < p.ranks; r++ {
-		for call, cs := range p.byRankCall[r] {
-			a, ok := agg[call]
-			if !ok {
-				a = &callStats{}
-				agg[call] = a
-			}
+	var agg [numCalls]callStats
+	calls := make([]callID, 0, numCalls)
+	for call := range agg {
+		a := &agg[call]
+		for r := 0; r < p.ranks; r++ {
+			cs := p.stats[r][call]
 			a.Count += cs.Count
 			a.Time += cs.Time
 			a.Bytes += cs.Bytes
 		}
+		if a.Count > 0 {
+			calls = append(calls, callID(call))
+		}
 	}
-	calls := make([]string, 0, len(agg))
-	for call := range agg {
-		calls = append(calls, call)
-	}
-	sort.Slice(calls, func(i, j int) bool { return agg[calls[i]].Time > agg[calls[j]].Time })
+	// calls is in name order, so a stable sort breaks ties by name.
+	sort.SliceStable(calls, func(i, j int) bool { return agg[calls[i]].Time > agg[calls[j]].Time })
 	for _, call := range calls {
 		a := agg[call]
-		fmt.Fprintf(&sb, "%-10s calls=%-8d time=%-12.4g bytes=%d\n", call, a.Count, a.Time, a.Bytes)
+		fmt.Fprintf(&sb, "%-10s calls=%-8d time=%-12.4g bytes=%d\n", callNames[call], a.Count, a.Time, a.Bytes)
 	}
 	return sb.String()
 }

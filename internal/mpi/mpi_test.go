@@ -17,7 +17,7 @@ func comm(t *testing.T, n int, seed int64) (*Comm, []*cluster.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cm, err := NewComm(nodes, cluster.NewNetwork(0))
+	cm, err := NewComm(nodes, cluster.NewNetwork())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func comm(t *testing.T, n int, seed int64) (*Comm, []*cluster.Node) {
 }
 
 func TestNewCommValidation(t *testing.T) {
-	if _, err := NewComm(nil, cluster.NewNetwork(0)); err == nil {
+	if _, err := NewComm(nil, cluster.NewNetwork()); err == nil {
 		t.Fatal("empty comm must fail")
 	}
 	c := cluster.New(1)
@@ -253,7 +253,7 @@ func TestQuickCollectivesSynchronize(t *testing.T) {
 func commQuick(n int) (*Comm, []*cluster.Node) {
 	c := cluster.New(99)
 	nodes, _ := c.Provision("probe-opteron", n)
-	cm, _ := NewComm(nodes, cluster.NewNetwork(0))
+	cm, _ := NewComm(nodes, cluster.NewNetwork())
 	return cm, nodes
 }
 
@@ -352,5 +352,81 @@ func TestOverlapHidesWireTime(t *testing.T) {
 	waited := nodes[1].Now() - before
 	if waited > 1e-9 {
 		t.Fatalf("fully-overlapped wait should be ~free, waited %v", waited)
+	}
+}
+
+// The call-ID table is in name order; the profiler's summation order
+// and its tables rely on it.
+func TestCallNamesSorted(t *testing.T) {
+	for c := callID(1); c < numCalls; c++ {
+		if callNames[c-1] >= callNames[c] {
+			t.Fatalf("callNames out of order at %d: %q before %q", c, callNames[c-1], callNames[c])
+		}
+	}
+}
+
+// MPITime adds a rank's calls in name order, whatever order they were
+// recorded in. In record order (Send, Barrier, Allreduce) the two tiny
+// terms would add up before meeting the large one and round to a
+// different result.
+func TestMPITimeSumsInCallNameOrder(t *testing.T) {
+	p := NewProfiler(2)
+	p.record(1, callSend, 1e-16, 0)
+	p.record(1, callBarrier, 1e-16, 0)
+	p.record(1, callAllreduce, 1, 0)
+	if got := p.MPITime(1); got != 1 {
+		t.Fatalf("MPITime = %v, want exactly 1 (call-name order)", got)
+	}
+	if got := p.TotalMPITime(); got != 1 {
+		t.Fatalf("TotalMPITime = %v, want 1", got)
+	}
+}
+
+// Report lists calls by aggregate time, and calls with equal times by
+// name.
+func TestReportOrdersTiesByName(t *testing.T) {
+	p := NewProfiler(2)
+	for r := 0; r < 2; r++ {
+		p.record(r, callWait, 0.5, 8)
+		p.record(r, callSend, 0.5, 8)
+		p.record(r, callBarrier, 0.5, 0)
+		p.record(r, callAllreduce, 2, 8)
+	}
+	report := p.Report(10)
+	var order []string
+	for _, line := range strings.Split(report, "\n") {
+		if name, _, ok := strings.Cut(line, " "); ok && strings.Contains(line, "calls=") {
+			order = append(order, name)
+		}
+	}
+	if got := strings.Join(order, ","); got != "Allreduce,Barrier,Send,Wait" {
+		t.Fatalf("report order = %s, want Allreduce,Barrier,Send,Wait\n%s", got, report)
+	}
+}
+
+// A pair's queue stays FIFO and bounded when it never drains: a full
+// queue compacts before it grows.
+func TestFIFOReusesBacking(t *testing.T) {
+	var q fifo
+	next, want := int64(0), int64(0)
+	for i := 0; i < 10000; i++ {
+		for len(q.msgs)-q.head < 4 {
+			q.push(pendingMsg{bytes: next})
+			next++
+		}
+		m, ok := q.pop()
+		if !ok || m.bytes != want {
+			t.Fatalf("pop %d = %v, %v; want %d", i, m.bytes, ok, want)
+		}
+		want++
+	}
+	if cap(q.msgs) > 8 {
+		t.Fatalf("queue with at most 4 in flight grew to cap %d", cap(q.msgs))
+	}
+	for len(q.msgs)-q.head > 0 {
+		q.pop()
+	}
+	if _, ok := q.pop(); ok {
+		t.Fatal("drained queue must be empty")
 	}
 }

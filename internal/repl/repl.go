@@ -213,7 +213,7 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		return nil, err
 	}

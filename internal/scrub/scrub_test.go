@@ -292,7 +292,7 @@ func testFederation(t *testing.T) *cas.Federation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

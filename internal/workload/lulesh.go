@@ -106,11 +106,12 @@ func RunLulesh(cm *mpi.Comm, spec LuleshSpec) (LuleshResult, error) {
 		CPUOps:   elemsPerRank * spec.OpsPerElement * 0.4,
 		MemBytes: elemsPerRank * 8 * float64(spec.FieldsPerElement),
 	}
+	var reqs []*mpi.Request // the Overlap path's handles, reused every iteration
 	for it := 0; it < spec.Iterations; it++ {
 		if spec.Overlap {
 			// nonblocking: post the halo sends, compute, then wait —
 			// wire time hides behind the stencil.
-			var reqs []*mpi.Request
+			reqs = reqs[:0]
 			for dim := 0; dim < 3; dim++ {
 				for r := 0; r < n; r++ {
 					c := coord(r)

@@ -28,7 +28,7 @@ func buildFS(t *testing.T, nodes int, seed int64) *gassyfs.FS {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(ns, cluster.NewNetwork(0), nil)
+	w, err := gasnet.New(ns, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestGrid3(t *testing.T) {
 func TestLuleshRuns(t *testing.T) {
 	c := cluster.New(4)
 	nodes, _ := c.Provision("probe-opteron", 8)
-	cm, _ := mpi.NewComm(nodes, cluster.NewNetwork(0))
+	cm, _ := mpi.NewComm(nodes, cluster.NewNetwork())
 	spec := DefaultLuleshSpec()
 	spec.Iterations = 5
 	spec.ProblemSize = 10
@@ -204,7 +204,7 @@ func TestLuleshRuns(t *testing.T) {
 func TestLuleshValidation(t *testing.T) {
 	c := cluster.New(5)
 	nodes, _ := c.Provision("probe-opteron", 1)
-	cm, _ := mpi.NewComm(nodes, cluster.NewNetwork(0))
+	cm, _ := mpi.NewComm(nodes, cluster.NewNetwork())
 	for _, s := range []LuleshSpec{
 		{},
 		{Iterations: 1, ProblemSize: 0, OpsPerElement: 1, FieldsPerElement: 1},
@@ -233,7 +233,7 @@ func TestLuleshNoisyNeighbourVariability(t *testing.T) {
 				n.SetBackgroundLoad(load)
 			}
 		}
-		cm, _ := mpi.NewComm(nodes, cluster.NewNetwork(0))
+		cm, _ := mpi.NewComm(nodes, cluster.NewNetwork())
 		res, err := RunLulesh(cm, spec)
 		if err != nil {
 			t.Fatal(err)
@@ -314,7 +314,7 @@ func TestLuleshOverlapFasterThanBlocking(t *testing.T) {
 	run := func(overlap bool) float64 {
 		c := cluster.New(9)
 		nodes, _ := c.Provision("probe-opteron", 8)
-		cm, _ := mpi.NewComm(nodes, cluster.NewNetwork(0))
+		cm, _ := mpi.NewComm(nodes, cluster.NewNetwork())
 		spec := DefaultLuleshSpec()
 		spec.Iterations = 4
 		spec.ProblemSize = 12

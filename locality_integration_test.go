@@ -27,7 +27,7 @@ func TestGassyFSLocalitySchedulesSweepOnDataRanks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,9 @@ import (
 	"popper/internal/cluster"
 	"popper/internal/gasnet"
 	"popper/internal/gassyfs"
+	"popper/internal/mpi"
 	"popper/internal/table"
+	"popper/internal/workload"
 )
 
 // The columnar table rewrite is allocation-bounded: grouping, view
@@ -79,7 +81,7 @@ func TestDataPathAllocationBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	world, err := gasnet.New(nodes, cluster.NewNetwork(0), nil)
+	world, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,4 +135,47 @@ func TestDataPathAllocationBounds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}), 4)
+}
+
+// The simulated message path holds the same bar: a LULESH-proxy run
+// allocates per run, never per message. The blocking path's allocations
+// do not grow with Iterations, and the Overlap path's grow by at most its
+// request handles. (Measured at 8 ranks: 0 allocs per blocking run at
+// 10 and 100 iterations, and 486 and 4806 on Overlap, exactly its 48
+// handles per iteration apart. The map-and-append message path took the
+// blocking path from 288 to 2448 and Overlap from 828 to 7848 over the
+// same range.)
+func TestSimulatorAllocationBounds(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement is slow")
+	}
+	allocs := func(overlap bool, iterations int) float64 {
+		nodes, err := cluster.New(42).Provision("probe-opteron", 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec := workload.DefaultLuleshSpec()
+		spec.ProblemSize = 10
+		spec.Iterations = iterations
+		spec.Overlap = overlap
+		return testing.AllocsPerRun(3, func() {
+			if _, err := workload.RunLulesh(cm, spec); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if lo, hi := allocs(false, 10), allocs(false, 100); hi > lo {
+		t.Errorf("blocking: %v allocs/op at 100 iterations, %v at 10 — a per-message allocation crept back in", hi, lo)
+	}
+	// 8 ranks form a 2x2x2 grid: 12 neighbour pairs, each posting two
+	// Isends and two Irecvs per iteration.
+	const handles = 12 * 4
+	if lo, hi := allocs(true, 10), allocs(true, 100); hi-lo > 90*handles {
+		t.Errorf("overlap: %v allocs/op at 100 iterations, %v at 10 — more than the %d request handles per iteration",
+			hi, lo, handles)
+	}
 }
