@@ -83,13 +83,13 @@ split:
 
 # Bit-rot matrix: seeded silent corruption across every artifact class
 # (workspace files, loose objects, packed extents, manifest, merkle
-# seal) x every repair source (replica quorum, cas, loose pool,
-# federation peers, deterministic reseal) — each injection must be
-# detected by the merkle-verified scrub, healed from the highest-
-# priority live source, and leave the tree byte-identical to an
-# uncorrupted run; quorum-holds-the-rot degradation and unrepairable
-# quarantine included. Under the race detector, once per seed (see
-# docs/RESILIENCE.md, "Scrubbing and silent corruption").
+# seal) x every repair rung (replica quorum, cas, loose pool, intact
+# workspace copy) — each injection must be detected by the one verify
+# walk, healed from the highest-priority live rung, and leave the tree
+# byte-identical to an uncorrupted run, after which a fresh verify plans
+# nothing; quorum-holds-the-rot degradation and unrepairable quarantine
+# included. Under the race detector, once per seed (see
+# docs/RESILIENCE.md, "Integrity verification and repair").
 rot:
 	@for seed in $(ROT_SEEDS); do \
 		echo "-- bit-rot suite, seed $$seed"; \

@@ -31,23 +31,17 @@
 //	popper machines                  list simulated machine profiles
 //	popper report                    render report.html from the repo
 //	popper build-paper               render paper/paper.tex
-//	popper scrub [--repair]          walk every artifact — manifest,
-//	                                 loose objects, packed extents,
-//	                                 replica trees — against the sealed
-//	                                 merkle sidecar; --repair heals
-//	                                 silent corruption through the
-//	                                 prioritized chain (replica quorum,
-//	                                 cas, loose pool, federation peers,
-//	                                 deterministic reseal) and
-//	                                 quarantines what no source proves
-//	popper fsck [--repair]           verify the tree against the artifact
-//	                                 manifest; --repair restores damaged
-//	                                 files from the object cache,
-//	                                 quarantines what it cannot prove,
-//	                                 and rolls back interrupted syncs;
-//	                                 on a replicated repository it also
-//	                                 audits replica agreement, healing
-//	                                 laggards by anti-entropy
+//	popper fsck [--repair]           verify every tracked file, object,
+//	                                 extent and the merkle seal against
+//	                                 the manifest (every replica, plus
+//	                                 replica agreement, on a replicated
+//	                                 repository); --repair applies a
+//	                                 plan whose every action names its
+//	                                 byte source — replica quorum, cas,
+//	                                 loose object, intact workspace copy
+//	                                 — and quarantines only what no
+//	                                 source proves
+//	popper scrub [--repair]          the same command as fsck
 //
 // Every command reads and writes the repository through the
 // crash-consistent artifact store (internal/store): workspace changes
@@ -459,25 +453,14 @@ func run(args []string) error {
 			fmt.Println("-- paper built: paper/paper.pdf")
 			return nil
 		})
-	case "scrub":
+	case "fsck", "scrub":
 		repair := false
 		for _, arg := range rest[1:] {
 			switch arg {
 			case "--repair", "-repair":
 				repair = true
 			default:
-				return fmt.Errorf("usage: popper scrub [--repair]")
-			}
-		}
-		return cmdScrub(*dir, repair, *replicas, *seed)
-	case "fsck":
-		repair := false
-		for _, arg := range rest[1:] {
-			switch arg {
-			case "--repair", "-repair":
-				repair = true
-			default:
-				return fmt.Errorf("usage: popper fsck [--repair]")
+				return fmt.Errorf("usage: popper %s [--repair]", rest[0])
 			}
 		}
 		return cmdFsck(*dir, repair, *replicas, *seed)
@@ -511,104 +494,37 @@ func cmdInit(dir string) error {
 	return nil
 }
 
-// cmdFsck verifies the repository against its artifact manifest and,
-// with --repair, heals it: restore from the object cache, adopt
-// strays, quarantine the unprovable, roll back interrupted syncs. On a
-// replicated repository it additionally audits replica agreement —
-// every replica's tree against the primary's committed history — and
-// --repair drives anti-entropy until the group converges.
+// cmdFsck verifies the repository — every replica of a replicated one,
+// plus replica agreement — and prints the report; `popper scrub` is the
+// same command. With --repair it applies the repair plan and proves
+// convergence with a second verify. Quarantine is a completed repair;
+// a replica that would not heal is not.
 func cmdFsck(dir string, repair bool, replicas int, seed int64) error {
 	if _, err := os.Stat(filepath.Join(dir, ".popper", "manifest")); err != nil {
 		if _, cerr := os.Stat(filepath.Join(dir, core.ConfigFile)); cerr != nil {
 			return fmt.Errorf("%s is not a Popper repository (no %s and no artifact manifest)", dir, core.ConfigFile)
 		}
 	}
-	st := store.Open(dir)
-	rep, err := st.Fsck()
+	st, err := openRepo(dir, replicas, seed)
 	if err != nil {
 		return err
+	}
+	rep, err := newScrubber(st, repair).Scrub()
+	if err != nil {
+		return fmt.Errorf("%w (re-run `popper fsck --repair` once the store is reachable)", err)
 	}
 	fmt.Print(rep.Format())
 	if !repair {
 		if !rep.Clean() {
 			return fmt.Errorf("repository needs repair (re-run with --repair)")
 		}
-		return fsckFinish(dir, repair, replicas, seed)
+		return nil
 	}
-	if rep.Clean() {
-		fmt.Println("-- nothing to repair")
-		return fsckFinish(dir, repair, replicas, seed)
+	if n := rep.Count(store.Failed); n > 0 {
+		return fmt.Errorf("%d finding(s) could not be healed; re-run with --repair once the group is reachable", n)
 	}
-	acts, rerr := st.Repair(rep)
-	for _, a := range acts {
-		fmt.Println("  " + a.String())
-	}
-	if rerr != nil {
-		return rerr
-	}
-	after, err := st.Fsck()
-	if err != nil {
-		return err
-	}
-	if !after.Clean() {
-		return fmt.Errorf("repository still unhealthy after repair:\n%s", after.Format())
-	}
-	fmt.Println("-- repaired: repository is consistent with its manifest")
-	return fsckFinish(dir, repair, replicas, seed)
-}
-
-// fsckFinish completes an fsck verdict: replica agreement, then a
-// merkle-verified scrub pass so fsck subsumes the scrubber's findings —
-// silent corruption the manifest walk alone cannot localize. With
-// --repair the pass heals through the full chain (quorum, cas, loose,
-// peers, reseal) before judging.
-func fsckFinish(dir string, repair bool, replicas int, seed int64) error {
-	if err := fsckReplicas(dir, repair, replicas, seed); err != nil {
-		return err
-	}
-	st, err := openRepo(dir, replicas, seed)
-	if err != nil {
-		return err
-	}
-	sc := newScrubber(st, repair)
-	rep, err := sc.Scrub()
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Format())
-	if rep.Unrepairable > 0 {
-		return fmt.Errorf("%d finding(s) could not be healed from any source (quarantined; see %s)", rep.Unrepairable, store.QuarantinePrefix)
-	}
-	if !repair && !rep.Clean() {
-		return fmt.Errorf("scrub detected silent corruption (re-run with --repair to heal)")
-	}
-	return nil
-}
-
-// cmdScrub walks every artifact against the sealed merkle sidecar —
-// the standalone face of the background scrubber `popper run
-// -scrub-interval` attaches. Detection is the default; --repair heals
-// findings through the prioritized chain and quarantines what no
-// source can prove.
-func cmdScrub(dir string, repair bool, replicas int, seed int64) error {
-	if _, err := os.Stat(filepath.Join(dir, ".popper", "manifest")); err != nil {
-		return fmt.Errorf("%s is not a Popper repository (no artifact manifest)", dir)
-	}
-	st, err := openRepo(dir, replicas, seed)
-	if err != nil {
-		return err
-	}
-	sc := newScrubber(st, repair)
-	rep, err := sc.Scrub()
-	if err != nil {
-		return err
-	}
-	fmt.Print(rep.Format())
-	if rep.Unrepairable > 0 {
-		return fmt.Errorf("%d finding(s) could not be healed from any source (quarantined; see %s)", rep.Unrepairable, store.QuarantinePrefix)
-	}
-	if !repair && !rep.Clean() {
-		return fmt.Errorf("silent corruption detected (re-run with --repair to heal)")
+	if !rep.Clean() {
+		fmt.Println("-- repaired: a second verify of the tree is clean")
 	}
 	return nil
 }
@@ -655,50 +571,15 @@ func backgroundScrub(sc *scrub.Scrubber, every time.Duration) func() error {
 		t := sc.Totals()
 		fmt.Printf("-- scrub: %d pass(es), %d entries verified (%s), %d finding(s), %d healed, %d unrepairable\n",
 			t.Passes, t.Scanned, humanBytes(t.Bytes), t.Findings, t.Healed, t.Unrepairable)
-		if !rep.Clean() {
-			fmt.Print(rep.Format())
-			return fmt.Errorf("scrub detected silent corruption (heal with `popper fsck --repair` or `popper scrub --repair`)")
+		// A lagging replica is anti-entropy's to catch up, not damage.
+		for _, f := range rep.Findings {
+			if f.State != store.StateLagging {
+				fmt.Print(rep.Format())
+				return fmt.Errorf("scrub detected silent corruption (heal with `popper fsck --repair`)")
+			}
 		}
 		return nil
 	}
-}
-
-// fsckReplicas audits replica agreement for a replicated repository
-// (a no-op on a plain one). Divergence always fails the audit; lagging
-// replicas fail it too unless --repair heals them via anti-entropy.
-func fsckReplicas(dir string, repair bool, replicas int, seed int64) error {
-	if replicas == 0 {
-		replicas = detectReplicas(dir)
-	}
-	if replicas <= 1 {
-		return nil
-	}
-	g, err := repl.OpenDir(dir, repl.Options{Replicas: replicas, Seed: seed})
-	if err != nil {
-		return err
-	}
-	aud, err := g.Audit()
-	if err != nil {
-		return err
-	}
-	fmt.Print(aud.Format())
-	if repair && !aud.Converged() {
-		if err := g.Heal(); err != nil {
-			return fmt.Errorf("replica anti-entropy: %w", err)
-		}
-		if aud, err = g.Audit(); err != nil {
-			return err
-		}
-		fmt.Println("-- replicas healed by anti-entropy:")
-		fmt.Print(aud.Format())
-	}
-	if !aud.Agreement() {
-		return fmt.Errorf("replica trees diverge from the primary history")
-	}
-	if !aud.Converged() {
-		return fmt.Errorf("replicas lag the quorum frontier (re-run with --repair to heal)")
-	}
-	return nil
 }
 
 // withProject loads the workspace through the artifact store, applies

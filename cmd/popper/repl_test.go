@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"popper/internal/repl"
@@ -146,4 +147,98 @@ func TestCLIReplicatedFsckHealsTamperedReplica(t *testing.T) {
 	// The healed replica is byte-identical to the primary.
 	wantSameImage(t, "healed replica 2",
 		treeImage(t, repl.ReplicaRoot(dir, 2)), treeImage(t, dir))
+}
+
+// TestCLIReplicatedFsckRepairHealsFromQuorum: the primary's vars.yml is
+// corrupted and its object destroyed, but replicas 1 and 2 still hold
+// the bytes. `popper fsck --repair` must heal it from that quorum —
+// nothing quarantined, the generation unmoved, every replica's tracked
+// tree back to its pre-damage bytes and all three trees equal.
+func TestCLIReplicatedFsckRepairHealsFromQuorum(t *testing.T) {
+	dir := replSweepRepo(t, "seed: [1, 2]\n")
+	if err := popper(t, dir, "-replicas", "3", "-jobs", "1", "run", "stm"); err != nil {
+		t.Fatal(err)
+	}
+	roots := []string{repl.ReplicaRoot(dir, 0), repl.ReplicaRoot(dir, 1), repl.ReplicaRoot(dir, 2)}
+	before := make([]map[string][]byte, len(roots))
+	for id, root := range roots {
+		files, err := store.Open(root).Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[id] = files
+	}
+	varsPath := filepath.Join(dir, "experiments/stm/vars.yml")
+	vars, err := os.ReadFile(varsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(varsPath, []byte(strings.Repeat("#", len(vars))), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	destroyObject(t, dir, vars)
+
+	if out, err := popperOut(t, dir, "fsck", "--repair"); err != nil {
+		t.Fatalf("fsck --repair: %v\n%s", err, out)
+	}
+	var hashes [][32]byte
+	for id, root := range roots {
+		if _, err := os.Stat(filepath.Join(root, ".popper", "quarantine")); !os.IsNotExist(err) {
+			t.Errorf("replica %d: repair quarantined bytes a quorum holds (stat err %v)", id, err)
+		}
+		st := store.Open(root)
+		if gen, err := st.Generation(); err != nil || gen != 5 {
+			t.Errorf("replica %d: generation %d after repair, want 5 (err %v)", id, gen, err)
+		}
+		files, err := st.Load()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantSameImage(t, "replica "+string(rune('0'+id))+" tracked tree", files, before[id])
+		hash, err := st.TreeHash()
+		if err != nil {
+			t.Fatal(err)
+		}
+		hashes = append(hashes, hash)
+	}
+	if hashes[1] != hashes[0] || hashes[2] != hashes[0] {
+		t.Fatalf("replica tree hashes differ after repair: %x %x %x", hashes[0][:6], hashes[1][:6], hashes[2][:6])
+	}
+	if out, err := popperOut(t, dir, "fsck"); err != nil {
+		t.Fatalf("fsck after repair: %v\n%s", err, out)
+	}
+}
+
+// TestCLIReplicatedFsckRepairInstallsQuorumManifest: a primary whose
+// manifest is damaged still opens as a member of its group, and
+// `popper fsck --repair` installs the replica quorum's manifest byte
+// for byte instead of rebuilding a new history locally.
+func TestCLIReplicatedFsckRepairInstallsQuorumManifest(t *testing.T) {
+	dir := replSweepRepo(t, "seed: [1, 2]\n")
+	if err := popper(t, dir, "-replicas", "3", "-jobs", "1", "run", "stm"); err != nil {
+		t.Fatal(err)
+	}
+	manPath := filepath.Join(dir, ".popper", "manifest")
+	want, err := os.ReadFile(manPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := treeImage(t, repl.ReplicaRoot(dir, 1))
+	if err := os.WriteFile(manPath, []byte("damaged\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := popper(t, dir, "fsck"); err == nil || !strings.Contains(err.Error(), "--repair") {
+		t.Fatalf("fsck over a damaged manifest must fail naming --repair, got %v", err)
+	}
+	if out, err := popperOut(t, dir, "fsck", "--repair"); err != nil {
+		t.Fatalf("fsck --repair: %v\n%s", err, out)
+	}
+	got, err := os.ReadFile(manPath)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("manifest not restored from the quorum (err %v)", err)
+	}
+	wantSameImage(t, "repaired primary", treeImage(t, dir), ref)
+	if out, err := popperOut(t, dir, "fsck"); err != nil {
+		t.Fatalf("fsck after repair: %v\n%s", err, out)
+	}
 }

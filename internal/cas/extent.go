@@ -29,8 +29,8 @@ import (
 // manifest), and because every record carries its own digest, a torn
 // extent is still partially salvageable: records are walked from the
 // front and every payload that matches its digest is recovered
-// (SalvageExtent). That is what lets store.Repair treat a torn extent
-// like a set of loose objects instead of losing all of them.
+// (SalvageExtent). That is what lets the store's repair plan treat a
+// torn extent like a set of loose objects instead of losing all of them.
 
 const (
 	extentMagic       = "popper-extent v1\n"

@@ -229,13 +229,13 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 			next:  make([]int, opts.Replicas),
 			acked: make([]int, opts.Replicas),
 		}
-		man, err := st.Manifest()
-		if err != nil {
-			return nil, fmt.Errorf("repl: replica %d: %w", id, err)
-		}
-		if man != nil {
+		// A replica whose manifest does not load joins with an empty
+		// base: it cannot lead, and `popper fsck --repair` installs the
+		// quorum's manifest on it while anti-entropy catches it up.
+		if man, err := st.Manifest(); err == nil && man != nil {
 			r.base = man.Generation
 		}
+		var err error
 		r.baseDigest, err = st.TreeHash()
 		if err != nil {
 			return nil, fmt.Errorf("repl: replica %d: %w", id, err)

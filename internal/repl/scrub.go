@@ -4,15 +4,20 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+
+	"popper/internal/store"
 )
 
-// Scrub support: the repair chain's highest-priority rung is a replica
+// Repair support: the repair chain's highest-priority rung is a replica
 // quorum — bytes are trustworthy when a majority of live replicas
-// independently serve the same verified content. Anti-entropy alone
+// independently serve the same verified content. A Group is the
+// store.Quorum a replica's repair plan draws on. Anti-entropy alone
 // cannot heal silent rot (a replica whose tree rotted but whose log
-// digests still match probes clean), so the scrubber also needs a
-// forced snapshot install (Reseed) for tree-level divergence that log
-// replay will never touch.
+// digests still match probes clean), so repair also needs a forced
+// snapshot install (Reseed) for tree-level divergence that log replay
+// will never touch.
+
+var _ store.Quorum = (*Group)(nil)
 
 // Quorum returns the group's majority threshold.
 func (g *Group) Quorum() int { return g.quorum() }

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"popper/internal/fault"
 	"popper/internal/store"
 )
 
@@ -30,7 +29,6 @@ func benchWorkspace(n int) map[string][]byte {
 // scrubBenchRecord is one BENCH_scrub.json entry.
 type scrubBenchRecord struct {
 	NsPerOp        float64        `json:"ns_per_op"`
-	GBPerSecVirt   float64        `json:"gb_per_sec_virtual,omitempty"`
 	Entries        int            `json:"entries_verified,omitempty"`
 	Bytes          int64          `json:"bytes_verified,omitempty"`
 	MerkleCompares int            `json:"merkle_compares,omitempty"`
@@ -41,22 +39,23 @@ type scrubBenchRecord struct {
 }
 
 func bySourceNames(rep *Report) map[string]int {
-	if len(rep.BySource) == 0 {
-		return nil
+	out := make(map[string]int)
+	for _, rung := range store.Rungs {
+		if n := healedFrom(rep, rung); n > 0 {
+			out[rung.String()] = n
+		}
 	}
-	out := make(map[string]int, len(rep.BySource))
-	for src, n := range rep.BySource {
-		out[src.String()] = n
+	if len(out) == 0 {
+		return nil
 	}
 	return out
 }
 
 // TestWriteScrubBenchJSON records the scrubber's perf trajectory: when
-// BENCH_JSON names an output file (`make bench-json`), it measures
-// clean-tree verification throughput in virtual GB/s (bytes charged to
-// the fault clock at the configured scan rate), the merkle compare
-// count against the entry count (the O(log n) clean-pass claim), and a
-// group heal pass's findings-by-source breakdown. BENCH_SMOKE=1 (wired
+// BENCH_JSON names an output file (`make bench-json`), it times a
+// clean-tree verification pass (wall clock) with its entry, byte and
+// merkle compare counts (one compare on a clean tree), and a group heal
+// pass's findings-by-rung breakdown. BENCH_SMOKE=1 (wired
 // into `make verify`) shrinks the tree so regressions in the scrub
 // path fail the full loop without a long run.
 func TestWriteScrubBenchJSON(t *testing.T) {
@@ -77,8 +76,7 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	if _, err := st.Sync(benchWorkspace(files)); err != nil {
 		t.Fatal(err)
 	}
-	clock := fault.NewClock()
-	sc := New(st, Options{Clock: clock})
+	sc := New(st, Options{})
 	start := time.Now()
 	rep, err := sc.Scrub()
 	if err != nil {
@@ -89,7 +87,6 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	}
 	records["BenchmarkScrubCleanTree"] = scrubBenchRecord{
 		NsPerOp:        float64(time.Since(start).Nanoseconds()),
-		GBPerSecVirt:   sc.Totals().GBPerSec(),
 		Entries:        rep.Scanned,
 		Bytes:          rep.Bytes,
 		MerkleCompares: rep.MerkleCompares,
@@ -101,15 +98,15 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 
 	// Group heal: rot a slice of the primary's tree at rest, then time a
 	// repair pass healing everything from the quorum.
-	g, fss := memGroup(t, 3, 11)
+	g := memGroup(t, 3, 11)
 	if _, err := g.Sync(benchWorkspace(files)); err != nil {
 		t.Fatal(err)
 	}
-	gsc := New(nil, Options{Repair: true, Group: g, Clock: fault.NewClock()})
+	gsc := New(nil, Options{Repair: true, Group: g.Group})
 	rot := files / 8
 	for i := 0; i < rot; i++ {
 		path := fmt.Sprintf("exp/data-%03d.bin", i*8)
-		if hit := fss[0].Rot(path, 1); len(hit) != 1 {
+		if hit := g.fss[0].Rot(path, 1); len(hit) != 1 {
 			t.Fatalf("rot touched %v", hit)
 		}
 	}
@@ -120,16 +117,15 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	}
 	records["BenchmarkScrubGroupHeal"] = scrubBenchRecord{
 		NsPerOp:      float64(time.Since(start).Nanoseconds()),
-		GBPerSecVirt: gsc.Totals().GBPerSec(),
 		Entries:      hrep.Scanned,
 		Bytes:        hrep.Bytes,
 		Findings:     len(hrep.Findings),
-		Healed:       hrep.Healed,
-		Unrepairable: hrep.Unrepairable,
+		Healed:       hrep.Count(store.Healed),
+		Unrepairable: unrepairable(hrep),
 		HealedBy:     bySourceNames(hrep),
 	}
-	if hrep.Healed < rot || hrep.Unrepairable != 0 {
-		t.Errorf("group heal bench: %d healed (want >= %d), %d unrepairable:\n%s", hrep.Healed, rot, hrep.Unrepairable, hrep.Format())
+	if hrep.Count(store.Healed) < rot || unrepairable(hrep) != 0 {
+		t.Errorf("group heal bench: %d healed (want >= %d), %d unrepairable:\n%s", hrep.Count(store.Healed), rot, unrepairable(hrep), hrep.Format())
 	}
 
 	data, err := json.MarshalIndent(records, "", "  ")

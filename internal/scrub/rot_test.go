@@ -16,26 +16,35 @@ import (
 // byte-identical to the uncorrupted run. `make rot` sweeps CHAOS_SEED
 // over this file under -race.
 
-// memGroup builds an N-replica group over deterministic in-memory
-// stores, keeping each replica's MemFS for at-rest rot injection.
-func memGroup(t *testing.T, n int, seed int64) (*repl.Group, []*store.MemFS) {
+// testGroup is an N-replica group over deterministic in-memory stores:
+// each replica's MemFS for at-rest rot injection, and the countingFS
+// its store writes through.
+type testGroup struct {
+	*repl.Group
+	fss []*store.MemFS
+	cs  []*countingFS
+}
+
+func memGroup(t *testing.T, n int, seed int64) *testGroup {
 	t.Helper()
-	fss := make([]*store.MemFS, n)
+	tg := &testGroup{fss: make([]*store.MemFS, n), cs: make([]*countingFS, n)}
 	g, err := repl.New(repl.Options{Replicas: n, Seed: seed}, func(id int) store.VFS {
-		fss[id] = store.NewMemFS(seed + int64(id))
-		return fss[id]
+		tg.fss[id] = store.NewMemFS(seed + int64(id))
+		tg.cs[id] = &countingFS{VFS: tg.fss[id]}
+		return tg.cs[id]
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return g, fss
+	tg.Group = g
+	return tg
 }
 
 // buildGroup replays the canonical scenario through the replication
 // log so every replica holds the same committed tree.
-func buildGroup(t *testing.T, seed int64) (*repl.Group, []*store.MemFS) {
+func buildGroup(t *testing.T, seed int64) *testGroup {
 	t.Helper()
-	g, fss := memGroup(t, 3, seed)
+	g := memGroup(t, 3, seed)
 	for _, w := range []map[string][]byte{ws1(), ws2()} {
 		if _, err := g.Sync(w); err != nil {
 			t.Fatal(err)
@@ -44,12 +53,24 @@ func buildGroup(t *testing.T, seed int64) (*repl.Group, []*store.MemFS) {
 	if err := g.Put("exp/journal.csv", journalPayload); err != nil {
 		t.Fatal(err)
 	}
-	return g, fss
+	return g
+}
+
+// mustGroupConverged proves a group repair converged: on every live
+// replica a fresh verify plans nothing and the empty plan touches
+// nothing.
+func mustGroupConverged(t *testing.T, g *testGroup, when string) {
+	t.Helper()
+	for id := 0; id < g.Size(); id++ {
+		if !g.Down(id) {
+			mustConverged(t, g.Store(id), g.cs[id], g.Group, fmt.Sprintf("%s (replica %d)", when, id))
+		}
+	}
 }
 
 // wantConvergedGroup asserts every live replica's tree is
 // byte-identical to the reference image.
-func wantConvergedGroup(t *testing.T, g *repl.Group, ref map[string][]byte, when string) {
+func wantConvergedGroup(t *testing.T, g *testGroup, ref map[string][]byte, when string) {
 	t.Helper()
 	for id := 0; id < g.Size(); id++ {
 		if g.Down(id) {
@@ -77,26 +98,27 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 	for _, class := range classes {
 		for round := 1; round <= 3; round++ {
 			t.Run(fmt.Sprintf("%s/round-%d", class.name, round), func(t *testing.T) {
-				g, fss := buildGroup(t, seed)
+				g := buildGroup(t, seed)
 				ref := mustImage(t, g.Store(0))
 
-				hit := fss[0].Rot(class.pattern, round)
+				hit := g.fss[0].Rot(class.pattern, round)
 				if len(hit) == 0 {
 					t.Fatalf("rot pattern %q touched nothing", class.pattern)
 				}
 
-				sc := New(nil, Options{Repair: true, Group: g})
+				sc := New(nil, Options{Repair: true, Group: g.Group})
 				rep := mustScrub(t, sc)
-				if rep.Healed == 0 {
+				if rep.Count(store.Healed) == 0 {
 					t.Fatalf("nothing healed:\n%s", rep.Format())
 				}
-				if rep.Unrepairable != 0 {
+				if unrepairable(rep) != 0 {
 					t.Fatalf("healthy quorum left damage unrepairable:\n%s", rep.Format())
 				}
 				// A live quorum is the highest-priority rung: every heal must
 				// name it, never a lower local rung.
-				onlySource(t, rep, SourceReplica)
+				onlySource(t, rep, store.RungReplica)
 				wantConvergedGroup(t, g, ref, "after quorum heal")
+				mustGroupConverged(t, g, "after quorum heal")
 				if rep2 := mustScrub(t, sc); !rep2.Clean() {
 					t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 				}
@@ -111,45 +133,46 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 // next live rung instead of trusting the majority's garbage.
 func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 	seed := chaosSeed(t)
-	g, fss := buildGroup(t, seed)
+	g := buildGroup(t, seed)
 	ref := mustImage(t, g.Store(0))
 	objPath := store.ObjectFile(sha256.Sum256(journalPayload))
 
 	// The quorum holds the rot: replicas 1 and 2 rot their loose object,
 	// replica 0 rots its workspace copy of the same content.
 	for _, id := range []int{1, 2} {
-		if got := fss[id].Rot(objPath, 1); len(got) != 1 {
+		if got := g.fss[id].Rot(objPath, 1); len(got) != 1 {
 			t.Fatalf("replica %d rot touched %v", id, got)
 		}
 	}
-	if got := fss[0].Rot("exp/journal.csv", 1); len(got) != 1 {
+	if got := g.fss[0].Rot("exp/journal.csv", 1); len(got) != 1 {
 		t.Fatalf("rot touched %v", got)
 	}
 
-	sc := New(nil, Options{Repair: true, Group: g})
+	sc := New(nil, Options{Repair: true, Group: g.Group})
 	rep := mustScrub(t, sc)
-	if rep.Unrepairable != 0 {
+	if unrepairable(rep) != 0 {
 		t.Fatalf("degraded quorum left damage unrepairable:\n%s", rep.Format())
 	}
 	// The chain cascades deterministically, replica by replica:
 	//   - replica 0's workspace file heals from its own intact loose
-	//     object (SourceLoose) — the rotted quorum fell short and never
+	//     object (loose) — the rotted quorum fell short and never
 	//     vouched bytes;
 	//   - replica 1's rotted loose object cannot reach a quorum either
 	//     (only replica 0 attests) and reconstructs from its intact
-	//     workspace copy (SourceReseal);
+	//     workspace copy (reseal);
 	//   - that heal restores the quorum, so replica 2 heals from the
-	//     now-live quorum rung (SourceReplica).
-	want := map[Source]int{SourceLoose: 1, SourceReseal: 1, SourceReplica: 1}
-	for src, n := range want {
-		if rep.BySource[src] != n {
-			t.Fatalf("expected cascade %v, got %v:\n%s", want, rep.BySource, rep.Format())
+	//     now-live quorum rung (replica).
+	want := map[store.Rung]int{store.RungLoose: 1, store.RungReseal: 1, store.RungReplica: 1}
+	for rung, n := range want {
+		if healedFrom(rep, rung) != n {
+			t.Fatalf("expected cascade %v, got %d from %s:\n%s", want, healedFrom(rep, rung), rung, rep.Format())
 		}
 	}
-	if rep.Healed != 3 {
-		t.Fatalf("expected 3 heals, got %d:\n%s", rep.Healed, rep.Format())
+	if n := rep.Count(store.Healed); n != 3 {
+		t.Fatalf("expected 3 heals, got %d:\n%s", n, rep.Format())
 	}
 	wantConvergedGroup(t, g, ref, "after degraded heal")
+	mustGroupConverged(t, g, "after degraded heal")
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {
 		t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 	}
@@ -160,22 +183,23 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 // byte-exactly in one pass.
 func TestRotMatrixMultiSiteRot(t *testing.T) {
 	seed := chaosSeed(t)
-	g, fss := buildGroup(t, seed)
+	g := buildGroup(t, seed)
 	ref := mustImage(t, g.Store(0))
 
-	if hit := fss[0].Rot("exp/*", 2); len(hit) < 3 {
+	if hit := g.fss[0].Rot("exp/*", 2); len(hit) < 3 {
 		t.Fatalf("workspace rot touched only %v", hit)
 	}
-	if hit := fss[0].Rot(store.MerklePath, 2); len(hit) != 1 {
+	if hit := g.fss[0].Rot(store.MerklePath, 2); len(hit) != 1 {
 		t.Fatalf("seal rot touched %v", hit)
 	}
 
-	sc := New(nil, Options{Repair: true, Group: g})
+	sc := New(nil, Options{Repair: true, Group: g.Group})
 	rep := mustScrub(t, sc)
-	if rep.Unrepairable != 0 || rep.Healed == 0 {
+	if unrepairable(rep) != 0 || rep.Count(store.Healed) == 0 {
 		t.Fatalf("multi-site heal failed:\n%s", rep.Format())
 	}
 	wantConvergedGroup(t, g, ref, "after multi-site heal")
+	mustGroupConverged(t, g, "after multi-site heal")
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {
 		t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 	}
@@ -187,20 +211,21 @@ func TestRotMatrixMultiSiteRot(t *testing.T) {
 // layout is lost but every tracked byte survives, and the store
 // converges.
 func TestRotExtentWithoutQuorumDegrades(t *testing.T) {
-	st, fs := buildStore(t, chaosSeed(t))
+	st, fs, c := countedStore(t, chaosSeed(t))
 	refTracked := trackedView(t, st)
 	if hit := fs.Rot(".popper/extents/*", 1); len(hit) == 0 {
 		t.Fatal("no extents to rot")
 	}
 	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
-	if rep.Unrepairable != 0 {
+	mustConverged(t, st, c, nil, "after extent salvage")
+	if unrepairable(rep) != 0 {
 		t.Fatalf("extent rot with intact workspace should never quarantine:\n%s", rep.Format())
 	}
 	if got := trackedView(t, st); !sameView(got, refTracked) {
 		t.Fatalf("tracked content changed across extent salvage:\n got %v\nwant %v", paths(got), paths(refTracked))
 	}
-	mustCleanFsck(t, st, "after extent salvage")
+	mustCleanVerify(t, st, "after extent salvage")
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {
 		t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 	}
@@ -211,20 +236,21 @@ func TestRotExtentWithoutQuorumDegrades(t *testing.T) {
 // rebuilt by adopting the tree — content survives byte-exactly,
 // generation history restarts.
 func TestRotManifestWithoutQuorumRebuilds(t *testing.T) {
-	st, fs := buildStore(t, chaosSeed(t))
+	st, fs, c := countedStore(t, chaosSeed(t))
 	refTracked := trackedView(t, st)
 	if hit := fs.Rot(store.ManifestFile, 1); len(hit) != 1 {
 		t.Fatalf("rot touched %v", hit)
 	}
 	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
-	if rep.Unrepairable != 0 {
+	mustConverged(t, st, c, nil, "after manifest rebuild")
+	if unrepairable(rep) != 0 {
 		t.Fatalf("manifest rot quarantined content:\n%s", rep.Format())
 	}
 	if got := trackedView(t, st); !sameView(got, refTracked) {
 		t.Fatalf("tracked content changed across manifest rebuild:\n got %v\nwant %v", paths(got), paths(refTracked))
 	}
-	mustCleanFsck(t, st, "after manifest rebuild")
+	mustCleanVerify(t, st, "after manifest rebuild")
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {
 		t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 	}

@@ -6,12 +6,10 @@ import (
 	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
-	"popper/internal/cas"
-	"popper/internal/cluster"
 	"popper/internal/fault"
-	"popper/internal/gasnet"
 	"popper/internal/metrics"
 	"popper/internal/store"
 )
@@ -56,8 +54,16 @@ var journalPayload = []byte("config,status\n001,ok\n002,ok\n")
 // objects into extents) plus an incremental Put (a loose object).
 func buildStore(t *testing.T, seed int64) (*store.Store, *store.MemFS) {
 	t.Helper()
+	st, fs, _ := countedStore(t, seed)
+	return st, fs
+}
+
+// countedStore is buildStore over a countingFS.
+func countedStore(t *testing.T, seed int64) (*store.Store, *store.MemFS, *countingFS) {
+	t.Helper()
 	fs := store.NewMemFS(seed)
-	st := store.New(fs)
+	c := &countingFS{VFS: fs}
+	st := store.New(c)
 	for _, w := range []map[string][]byte{ws1(), ws2()} {
 		if _, err := st.Sync(w); err != nil {
 			t.Fatal(err)
@@ -66,7 +72,100 @@ func buildStore(t *testing.T, seed int64) (*store.Store, *store.MemFS) {
 	if err := st.Put("exp/journal.csv", journalPayload); err != nil {
 		t.Fatal(err)
 	}
-	return st, fs
+	return st, fs, c
+}
+
+// countingFS wraps a VFS, counting reads per path and every operation
+// that changes the tree.
+type countingFS struct {
+	store.VFS
+	mu        sync.Mutex
+	reads     map[string]int
+	mutations int
+}
+
+func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	c.mu.Lock()
+	if c.reads == nil {
+		c.reads = make(map[string]int)
+	}
+	c.reads[path]++
+	c.mu.Unlock()
+	return c.VFS.ReadFile(path)
+}
+
+func (c *countingFS) mutate() {
+	c.mu.Lock()
+	c.mutations++
+	c.mu.Unlock()
+}
+
+func (c *countingFS) WriteFile(path string, data []byte) error {
+	c.mutate()
+	return c.VFS.WriteFile(path, data)
+}
+
+func (c *countingFS) Rename(oldPath, newPath string) error {
+	c.mutate()
+	return c.VFS.Rename(oldPath, newPath)
+}
+
+func (c *countingFS) Remove(path string) error {
+	c.mutate()
+	return c.VFS.Remove(path)
+}
+
+func (c *countingFS) Sync(path string) error {
+	c.mutate()
+	return c.VFS.Sync(path)
+}
+
+func (c *countingFS) SyncDir(dir string) error {
+	c.mutate()
+	return c.VFS.SyncDir(dir)
+}
+
+// counts snapshots the read counts and the mutation count, resetting
+// the read counts.
+func (c *countingFS) counts() (map[string]int, int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	reads := c.reads
+	c.reads = nil
+	return reads, c.mutations
+}
+
+// mustConverged proves a repair converged on a store opened over c: a
+// fresh verify plans nothing (with q as the quorum rung), and applying
+// that empty plan writes, renames, removes and fsyncs nothing and keeps
+// the generation.
+func mustConverged(t *testing.T, st *store.Store, c *countingFS, q store.Quorum, when string) {
+	t.Helper()
+	gen0, err := st.Generation()
+	if err != nil {
+		t.Fatalf("%s: generation: %v", when, err)
+	}
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatalf("%s: verify: %v", when, err)
+	}
+	plan, err := st.Plan(rep, q)
+	if err != nil {
+		t.Fatalf("%s: plan: %v", when, err)
+	}
+	if len(plan.Actions) != 0 {
+		t.Fatalf("%s: a fresh verify still plans %v:\n%s", when, plan.Actions, rep.Format())
+	}
+	_, before := c.counts()
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatalf("%s: apply the empty plan: %v", when, err)
+	}
+	if _, after := c.counts(); after != before {
+		t.Fatalf("%s: the empty plan made %d disk mutation(s)", when, after-before)
+	}
+	if gen, err := st.Generation(); err != nil || gen != gen0 {
+		t.Fatalf("%s: the empty plan moved the generation %d -> %d (err %v)", when, gen0, gen, err)
+	}
 }
 
 func mustImage(t *testing.T, st *store.Store) map[string][]byte {
@@ -108,35 +207,50 @@ func mustScrub(t *testing.T, sc *Scrubber) *Report {
 	return rep
 }
 
-func mustCleanFsck(t *testing.T, st *store.Store, when string) {
+func mustCleanVerify(t *testing.T, st *store.Store, when string) {
 	t.Helper()
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
-		t.Fatalf("fsck %s: %v", when, err)
+		t.Fatalf("verify %s: %v", when, err)
 	}
 	if !rep.Clean() {
-		t.Fatalf("fsck %s not clean:\n%s", when, rep.Format())
+		t.Fatalf("verify %s not clean:\n%s", when, rep.Format())
 	}
+}
+
+// unrepairable counts the findings no rung could heal.
+func unrepairable(rep *Report) int {
+	return rep.Count(store.Quarantined) + rep.Count(store.Failed)
+}
+
+// healedFrom counts the findings the rung healed.
+func healedFrom(rep *Report, rung store.Rung) int {
+	n := 0
+	for _, f := range rep.Findings {
+		if f.Outcome == store.Healed && f.Rung == rung {
+			n++
+		}
+	}
+	return n
 }
 
 // onlySource asserts every healed finding in the report was served by
 // the expected rung.
-func onlySource(t *testing.T, rep *Report, want Source) {
+func onlySource(t *testing.T, rep *Report, want store.Rung) {
 	t.Helper()
-	if rep.Healed == 0 {
+	if rep.Count(store.Healed) == 0 {
 		t.Fatalf("nothing healed:\n%s", rep.Format())
 	}
 	for _, f := range rep.Findings {
-		if f.Healed && f.Source != want {
-			t.Fatalf("finding healed from %s, want %s: %s", f.Source, want, f)
+		if f.Outcome == store.Healed && f.Rung != want {
+			t.Fatalf("finding healed from %s, want %s: %s", f.Rung, want, f)
 		}
 	}
 }
 
 func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
 	st, _ := buildStore(t, chaosSeed(t))
-	clock := fault.NewClock()
-	sc := New(st, Options{Repair: true, Clock: clock})
+	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
 	if !rep.Clean() {
 		t.Fatalf("clean store reported findings:\n%s", rep.Format())
@@ -158,12 +272,7 @@ func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
 	if rep.Bytes <= 0 {
 		t.Fatal("no bytes accounted")
 	}
-	// The pass charged the virtual clock at the modeled throughput.
-	if clock.Now() <= 0 {
-		t.Fatal("scrub did not charge the virtual clock")
-	}
-	tot := sc.Totals()
-	if tot.Passes != 1 || tot.GBPerSec() <= 0 {
+	if tot := sc.Totals(); tot.Passes != 1 {
 		t.Fatalf("totals: %+v", tot)
 	}
 
@@ -190,12 +299,15 @@ func TestScrubDetectOnlyReportsWithoutMutating(t *testing.T) {
 	}
 	hit := false
 	for _, f := range rep.Findings {
-		if f.Site == "exp/vars.yml" {
+		if f.Path == "exp/vars.yml" {
 			hit = true
-			if f.Healed || f.Unrepairable {
+			if f.Outcome != store.Detected {
 				t.Fatalf("detection-only finding mutated state: %s", f)
 			}
 		}
+	}
+	if len(rep.Actions) != 0 {
+		t.Fatalf("detection-only pass acted: %v", rep.Actions)
 	}
 	if !hit {
 		t.Fatalf("rot not localized:\n%s", rep.Format())
@@ -214,12 +326,12 @@ func TestScrubHealsFromLocalRungs(t *testing.T) {
 	cases := []struct {
 		name string
 		site string
-		want Source
+		want store.Rung
 	}{
 		// vars.yml is small: its bytes live packed in an extent.
-		{"packed-backed file", "exp/vars.yml", SourceExtent},
+		{"packed-backed file", "exp/vars.yml", store.RungExtent},
 		// journal.csv arrived via Put: its object is loose.
-		{"loose-backed file", "exp/journal.csv", SourceLoose},
+		{"loose-backed file", "exp/journal.csv", store.RungLoose},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -230,12 +342,12 @@ func TestScrubHealsFromLocalRungs(t *testing.T) {
 			}
 			sc := New(st, Options{Repair: true})
 			rep := mustScrub(t, sc)
-			if rep.Healed == 0 || rep.Unrepairable != 0 {
+			if rep.Count(store.Healed) == 0 || unrepairable(rep) != 0 {
 				t.Fatalf("heal failed:\n%s", rep.Format())
 			}
 			onlySource(t, rep, tc.want)
 			wantSameImage(t, mustImage(t, st), ref, "after heal")
-			mustCleanFsck(t, st, "after heal")
+			mustCleanVerify(t, st, "after heal")
 			if rep2 := mustScrub(t, sc); !rep2.Clean() {
 				t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 			}
@@ -252,84 +364,66 @@ func TestScrubHealsRottedLooseObjectInPlace(t *testing.T) {
 	}
 	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
-	// No replica, tier or peer holds the bytes — but the intact
-	// workspace copy proves them: deterministic reconstruction.
-	onlySource(t, rep, SourceReseal)
+	// No replica, extent or loose copy holds the bytes — but the intact
+	// workspace copy proves them.
+	onlySource(t, rep, store.RungReseal)
 	wantSameImage(t, mustImage(t, st), ref, "after object heal")
-	mustCleanFsck(t, st, "after object heal")
+	mustCleanVerify(t, st, "after object heal")
+
+	// Every heal lands in exactly one per-rung gauge.
+	reg := metrics.NewRegistry(nil, nil)
+	sc.Record(reg)
+	sum := 0.0
+	for _, r := range store.Rungs {
+		sum += reg.Gauge("scrub_healed_" + r.String())
+	}
+	if healed := reg.Gauge("scrub_healed"); healed == 0 || sum != healed {
+		t.Fatalf("per-rung gauges sum to %v, scrub_healed is %v", sum, healed)
+	}
 }
 
-func TestScrubHealsFromCasTier(t *testing.T) {
-	st, fs := buildStore(t, chaosSeed(t))
-	ref := mustImage(t, st)
-	tier := cas.NewTier(cas.Options{})
-	tier.Put(journalPayload)
-
-	// Rot both the workspace copy and its loose object: every local
-	// store rung is dead, the tier is the highest live one.
-	hash := sha256.Sum256(journalPayload)
-	if got := fs.Rot("exp/journal.csv", 1); len(got) != 1 {
-		t.Fatalf("rot touched %v", got)
-	}
-	if got := fs.Rot(store.ObjectFile(hash), 1); len(got) != 1 {
-		t.Fatalf("rot touched %v", got)
-	}
-
-	sc := New(st, Options{Repair: true, Tier: tier})
-	rep := mustScrub(t, sc)
-	onlySource(t, rep, SourceExtent)
-	wantSameImage(t, mustImage(t, st), ref, "after tier heal")
-	mustCleanFsck(t, st, "after tier heal")
-}
-
-// testFederation builds a 2-host federation whose peer (host 1) serves
-// the journal payload under its content hash — the convention the
-// scrubber's peer rung resolves against.
-func testFederation(t *testing.T) *cas.Federation {
-	t.Helper()
-	c := cluster.New(21)
-	nodes, err := c.Provision("cloudlab-c220g1", 2)
+// TestScrubReadsEachTrackedFileOnce pins the single walk: a detect-only
+// pass reads every tracked file and the merkle seal once, and a pass
+// that heals a rotted file reads each tracked file at most twice — once
+// to verify it, once to prove the repair converged.
+func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
+	st, fs, c := countedStore(t, chaosSeed(t))
+	man, err := st.Manifest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
-	if err != nil {
-		t.Fatal(err)
+	c.counts()
+	if rep := mustScrub(t, New(st, Options{})); !rep.Clean() {
+		t.Fatalf("clean store reported findings:\n%s", rep.Format())
 	}
-	if err := w.AttachAll(4 << 20); err != nil {
-		t.Fatal(err)
+	reads, _ := c.counts()
+	for _, path := range append([]string{store.MerklePath}, entryPaths(man)...) {
+		if reads[path] != 1 {
+			t.Errorf("detect-only pass read %s %d times, want 1", path, reads[path])
+		}
 	}
-	profiles := []*cluster.MachineProfile{nodes[0].Profile(), nodes[1].Profile()}
-	tier := cas.NewTier(cas.Options{})
-	fed, err := cas.NewFederation(tier, w, profiles)
-	if err != nil {
-		t.Fatal(err)
+
+	if got := fs.Rot("exp/vars.yml", 1); len(got) != 1 {
+		t.Fatalf("rot touched %v", got)
 	}
-	refs := tier.PutChunked(journalPayload)
-	if err := fed.Publish(1, sha256.Sum256(journalPayload), refs); err != nil {
-		t.Fatal(err)
+	rep := mustScrub(t, New(st, Options{Repair: true}))
+	if rep.Count(store.Healed) != 1 {
+		t.Fatalf("repair pass did not heal the rot:\n%s", rep.Format())
 	}
-	return fed
+	reads, _ = c.counts()
+	for _, path := range entryPaths(man) {
+		if reads[path] < 1 || reads[path] > 2 {
+			t.Errorf("repair pass read %s %d times, want 1 or 2", path, reads[path])
+		}
+	}
 }
 
-func TestScrubHealsFromFederationPeer(t *testing.T) {
-	st, fs := buildStore(t, chaosSeed(t))
-	ref := mustImage(t, st)
-	fed := testFederation(t)
-
-	hash := sha256.Sum256(journalPayload)
-	if got := fs.Rot("exp/journal.csv", 1); len(got) != 1 {
-		t.Fatalf("rot touched %v", got)
+func entryPaths(man *store.Manifest) []string {
+	var out []string
+	for _, e := range man.Entries {
+		out = append(out, e.Path)
 	}
-	if got := fs.Rot(store.ObjectFile(hash), 1); len(got) != 1 {
-		t.Fatalf("rot touched %v", got)
-	}
-
-	sc := New(st, Options{Repair: true, Fed: fed, Host: 0})
-	rep := mustScrub(t, sc)
-	onlySource(t, rep, SourcePeer)
-	wantSameImage(t, mustImage(t, st), ref, "after peer heal")
-	mustCleanFsck(t, st, "after peer heal")
+	return out
 }
 
 func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
@@ -344,16 +438,16 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 
 	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
-	if rep.Unrepairable == 0 {
+	if unrepairable(rep) == 0 {
 		t.Fatalf("unprovable damage not reported:\n%s", rep.Format())
 	}
-	var unrep *Finding
+	var unrep *store.Finding
 	for i := range rep.Findings {
-		if rep.Findings[i].Site == "exp/journal.csv" {
+		if rep.Findings[i].Path == "exp/journal.csv" {
 			unrep = &rep.Findings[i]
 		}
 	}
-	if unrep == nil || !unrep.Unrepairable || unrep.Healed {
+	if unrep == nil || unrep.Outcome != store.Quarantined {
 		t.Fatalf("journal finding wrong: %+v\n%s", unrep, rep.Format())
 	}
 
@@ -383,7 +477,7 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {
 		t.Fatalf("second scrub not clean:\n%s", rep2.Format())
 	}
-	mustCleanFsck(t, st, "after quarantine")
+	mustCleanVerify(t, st, "after quarantine")
 }
 
 // TestScrubDetectsTransientReadRot pins the read-side fault site: rot
@@ -404,7 +498,7 @@ func TestScrubDetectsTransientReadRot(t *testing.T) {
 	}
 	found := false
 	for _, f := range rep.Findings {
-		if f.Site == "exp/vars.yml" && f.Healed {
+		if f.Path == "exp/vars.yml" && f.Outcome == store.Healed {
 			found = true
 		}
 	}
@@ -412,7 +506,7 @@ func TestScrubDetectsTransientReadRot(t *testing.T) {
 		t.Fatalf("read rot not healed:\n%s", rep.Format())
 	}
 	wantSameImage(t, mustImage(t, st), ref, "after transient read rot")
-	mustCleanFsck(t, st, "after transient read rot")
+	mustCleanVerify(t, st, "after transient read rot")
 }
 
 // TestScrubConcurrentWithSyncs runs detection passes while a writer
@@ -446,5 +540,5 @@ func TestScrubConcurrentWithSyncs(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("writer: %v", err)
 	}
-	mustCleanFsck(t, st, "after concurrent scrub+sync")
+	mustCleanVerify(t, st, "after concurrent scrub+sync")
 }

@@ -27,7 +27,7 @@ func TestCacheStateSidecarRoundTrip(t *testing.T) {
 	if got := st.LoadCacheState(); string(got) != string(image) {
 		t.Fatal("sync disturbed the sidecar")
 	}
-	mustCleanFsck(t, st, "with healthy sidecar")
+	mustCleanVerify(t, st, "with healthy sidecar")
 
 	// Saving empty state removes the sidecar.
 	if err := st.SaveCacheState(nil); err != nil {
@@ -39,7 +39,7 @@ func TestCacheStateSidecarRoundTrip(t *testing.T) {
 	if _, err := fs.ReadFile(CacheStatePath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("sidecar file should be gone, err=%v", err)
 	}
-	mustCleanFsck(t, st, "after sidecar removal")
+	mustCleanVerify(t, st, "after sidecar removal")
 }
 
 // TestCacheStateSidecarDamage: a damaged sidecar is debris — fsck
@@ -59,24 +59,16 @@ func TestCacheStateSidecarDamage(t *testing.T) {
 	if st.LoadCacheState() != nil {
 		t.Fatal("damaged sidecar must load as cold (nil)")
 	}
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	found := false
-	for _, f := range rep.Findings {
-		if f.Path == CacheStatePath && f.State == StateDebris {
-			found = true
-		}
-	}
-	if !found {
+	if f := findingAt(rep, CacheStatePath); f == nil || f.State != StateDebris {
 		t.Fatalf("damaged sidecar not flagged as debris:\n%s", rep.Format())
 	}
-	if _, err := st.Repair(rep); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
+	mustRepair(t, st, nil)
 	if _, err := fs.ReadFile(CacheStatePath); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("repair should remove the damaged sidecar, err=%v", err)
 	}
-	mustCleanFsck(t, st, "after repairing damaged sidecar")
+	mustCleanVerify(t, st, "after repairing damaged sidecar")
 }

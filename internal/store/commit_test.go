@@ -95,9 +95,12 @@ func TestSyncRefusesNewlinePathAndRepoStillOpens(t *testing.T) {
 	if err != nil || man == nil || man.Generation != 1 {
 		t.Fatalf("reopen: committed generation must still load: man %v err %v", man, err)
 	}
-	mustCleanFsck(t, reopened, "with an untracked newline path on disk")
-	if _, err := New(fs).Repair(&Report{ManifestMissing: true}); err != nil {
-		t.Fatalf("rebuild by adoption: %v", err)
+	mustCleanVerify(t, reopened, "with an untracked newline path on disk")
+	if err := fs.WriteFile(manifestPath, []byte("damaged")); err != nil {
+		t.Fatal(err)
+	}
+	if rep := mustRepair(t, New(fs), nil); verbs(rep)[manifestPath] != "rebuilt" {
+		t.Fatalf("rebuild by adoption did not run:\n%s", rep.Format())
 	}
 	man, err = New(fs).Manifest()
 	if err != nil {
@@ -131,10 +134,11 @@ func checkSealMatchesManifest(t *testing.T, fs VFS, when string) {
 }
 
 // TestMerkleSealMatchesManifestAfterRandomOps drives seeded random
-// sequences of Put, Sync, damage+Repair, RestoreRaw, InstallImage and
-// reopening through one repository. Whatever the store's cached tree
-// was seeded from, every commit must seal the same bytes a fresh build
-// over the committed manifest gives.
+// sequences of Put, Sync, damage+repair, a quorum install of an earlier
+// manifest, InstallImage and reopening through one repository. Whatever
+// the store's cached tree was seeded from, every commit must seal the
+// same bytes a fresh build over the committed manifest gives, and every
+// repair must converge: a fresh verify plans nothing.
 func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 	pool := []string{
 		".popper.yml", "exp/run.sh", "exp/vars.yml", "exp/journal.csv", "exp/results.csv",
@@ -146,7 +150,8 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed*1000 + run))
 		content := func() []byte { return []byte(fmt.Sprintf("v%d\n", rng.Intn(6))) }
 		fs := NewMemFS(seed + run)
-		st := New(fs)
+		cfs := &opCounter{VFS: fs}
+		st := New(cfs)
 		work := map[string][]byte{".popper.yml": []byte("experiments: [exp]\n")}
 		mustSync(t, st, work)
 		images := []map[string][]byte{}
@@ -179,25 +184,25 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 				case 3:
 					_ = fs.WriteFile(MerklePath, []byte("garbage"))
 				}
-				rep, err := st.Fsck()
-				if err != nil {
-					t.Fatalf("%s: fsck: %v", when, err)
-				}
-				if _, err := st.Repair(rep); err != nil {
-					t.Fatalf("%s: repair: %v", when, err)
-				}
+				mustRepair(t, st, nil)
+				mustConverged(t, st, cfs, when)
+				var err error
 				if work, err = st.Load(); err != nil {
 					t.Fatalf("%s: load: %v", when, err)
 				}
-			case 4: // a quorum heals manifest and seal to an earlier image's
+			case 4: // a damaged manifest heals to an earlier image's from a quorum
 				if len(images) == 0 {
 					continue
 				}
-				img := images[rng.Intn(len(images))]
-				for _, p := range []string{manifestPath, MerklePath} {
-					if err := st.RestoreRaw(p, img[p]); err != nil {
-						t.Fatalf("%s: restore-raw %s: %v", when, p, err)
-					}
+				_ = fs.WriteFile(manifestPath, []byte("garbage"))
+				rep := mustRepair(t, st, imageQuorum(images[rng.Intn(len(images))]))
+				if rep.Actions[0].Verb != VerbInstall || rep.Actions[0].Path != manifestPath {
+					t.Fatalf("%s: manifest not installed from the quorum:\n%s", when, rep.Format())
+				}
+				mustConverged(t, st, cfs, when)
+				var err error
+				if work, err = st.Load(); err != nil {
+					t.Fatalf("%s: load: %v", when, err)
 				}
 			case 5: // snapshot catch-up installs an earlier image
 				if len(images) == 0 {
@@ -211,7 +216,7 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 					t.Fatalf("%s: load: %v", when, err)
 				}
 			case 6: // a fresh process opens the repository
-				st = New(fs)
+				st = New(cfs)
 			}
 			checkSealMatchesManifest(t, fs, when)
 			if rng.Intn(4) == 0 {
@@ -223,6 +228,44 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 			}
 		}
 	}
+}
+
+// imageQuorum attests the store files of one earlier image, and no
+// objects.
+type imageQuorum map[string][]byte
+
+func (q imageQuorum) ObjectQuorum([sha256.Size]byte) ([]byte, int) { return nil, 0 }
+
+func (q imageQuorum) FileQuorum(path string) ([]byte, int) {
+	if data, ok := q[path]; ok {
+		return data, 3
+	}
+	return nil, 0
+}
+
+// TestRepairInstallsQuorumManifestOverIntent: with the manifest
+// damaged and an intent record left behind, a quorum copy of the
+// manifest is installed and the intent still rolled back, in one plan
+// that converges.
+func TestRepairInstallsQuorumManifestOverIntent(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	cfs := &opCounter{VFS: fs}
+	st := New(cfs)
+	mustSync(t, st, w1())
+	mustSync(t, st, w2())
+	img := mustImage(t, st)
+	for path, data := range map[string]string{manifestPath: "damaged", manifestNextPath: "torn intent"} {
+		if err := fs.WriteFile(path, []byte(data)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st = New(cfs)
+	rep := mustRepair(t, st, imageQuorum(img))
+	if v := verbs(rep); v[manifestPath] != "installed" || v[manifestNextPath] != "rolled-back" {
+		t.Fatalf("want the manifest installed and the intent rolled back:\n%s", rep.Format())
+	}
+	mustConverged(t, st, cfs, "after install")
+	wantSameImage(t, mustImage(t, st), img, "after install")
 }
 
 // putFixture returns a store whose committed manifest records n files,

@@ -54,7 +54,7 @@ func TestSyncPacksSmallObjectsIntoExtent(t *testing.T) {
 	if !bytes.Equal(got["exp/big.bin"], big) {
 		t.Error("large content round trip failed")
 	}
-	mustCleanFsck(t, st, "after packed sync")
+	mustCleanVerify(t, st, "after packed sync")
 }
 
 // TestTornExtentSalvageRestoresFiles: a torn extent is classified as
@@ -94,19 +94,11 @@ func TestTornExtentSalvageRestoresFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
-		t.Fatalf("fsck: %v", err)
+		t.Fatalf("verify: %v", err)
 	}
-	var extentF, runF *Finding
-	for i := range rep.Findings {
-		switch rep.Findings[i].Path {
-		case extentPath(1):
-			extentF = &rep.Findings[i]
-		case "exp/run.sh":
-			runF = &rep.Findings[i]
-		}
-	}
+	extentF, runF := findingAt(rep, extentPath(1)), findingAt(rep, "exp/run.sh")
 	if extentF == nil || extentF.State != StateTorn || !strings.Contains(extentF.Note, "salvageable") {
 		t.Fatalf("torn extent not classified as torn:\n%s", rep.Format())
 	}
@@ -114,14 +106,14 @@ func TestTornExtentSalvageRestoresFiles(t *testing.T) {
 		t.Fatalf("run.sh should be missing-but-restorable (its bytes salvage from the extent):\n%s", rep.Format())
 	}
 
-	acts, err := st.Repair(rep)
+	plan, err := st.Plan(rep, nil)
 	if err != nil {
-		t.Fatalf("repair: %v", err)
+		t.Fatalf("plan: %v", err)
 	}
-	verbs := make(map[string]string)
-	for _, a := range acts {
-		verbs[a.Path] = a.Verb
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatalf("apply: %v", err)
 	}
+	verbs := verbs(rep)
 	if verbs[extentPath(1)] != "salvaged" {
 		t.Errorf("extent should be salvaged, got %q", verbs[extentPath(1)])
 	}
@@ -135,7 +127,7 @@ func TestTornExtentSalvageRestoresFiles(t *testing.T) {
 	if _, err := fs.ReadFile(extentPath(1)); !errors.Is(err, os.ErrNotExist) {
 		t.Errorf("torn extent should be removed after salvage, err %v", err)
 	}
-	mustCleanFsck(t, st, "after extent salvage")
+	mustCleanVerify(t, st, "after extent salvage")
 }
 
 // wAllNew replaces every w1 file's content, leaving nothing in the
@@ -163,14 +155,14 @@ func TestExtentGCKeepsLiveGenerations(t *testing.T) {
 	if _, err := fs.ReadFile(extentPath(1)); err != nil {
 		t.Fatalf("gen-1 extent holds live objects and must survive gc: %v", err)
 	}
-	mustCleanFsck(t, st, "with a partially-referenced extent")
+	mustCleanVerify(t, st, "with a partially-referenced extent")
 	// Generation 3 replaces every remaining w1 content: the gen-1 extent
 	// is wholly unreferenced now and gc drops it.
 	mustSync(t, st, wAllNew())
 	if _, err := fs.ReadFile(extentPath(1)); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("wholly-unreferenced gen-1 extent should be gc'd, err %v", err)
 	}
-	mustCleanFsck(t, st, "after extent gc")
+	mustCleanVerify(t, st, "after extent gc")
 	got, err := st.Load()
 	if err != nil {
 		t.Fatalf("load: %v", err)
@@ -229,19 +221,15 @@ func TestExtentEvictionDiskCrashRepairConverges(t *testing.T) {
 			if err := scenario(st); !fault.IsDiskCrash(err) {
 				t.Fatalf("op %d: expected a disk crash, got %v", k, err)
 			}
-			st2 := New(fs)
-			rep, err := st2.Fsck()
-			if err != nil {
-				t.Fatalf("fsck after crash: %v", err)
-			}
-			if _, err := st2.Repair(rep); err != nil {
-				t.Fatalf("repair after crash: %v\n%s", err, rep.Format())
-			}
-			mustCleanFsck(t, st2, "after repair")
+			cfs := &opCounter{VFS: fs}
+			st2 := New(cfs)
+			mustRepair(t, st2, nil)
+			mustCleanVerify(t, st2, "after repair")
+			mustConverged(t, st2, cfs, "after repair")
 			if err := scenario(st2); err != nil {
 				t.Fatalf("replay after repair: %v", err)
 			}
-			mustCleanFsck(t, st2, "after replay")
+			mustCleanVerify(t, st2, "after replay")
 			got := trackedTree(t, fs)
 			if len(got) != len(ref) {
 				t.Fatalf("tree size differs: got %d files, want %d\ngot: %v", len(got), len(ref), got)

@@ -3,10 +3,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
-	"fmt"
-	"io/fs"
-	"strings"
 
 	"popper/internal/cas"
 )
@@ -16,22 +12,18 @@ import (
 // with the same atomic protocol as everything else. The sidecar is a
 // pure function of the manifest, so replicas and crash-replays produce
 // byte-identical copies and it participates in Image/TreeHash like any
-// other store metadata. The scrubber verifies repository integrity
-// against the sealed root — O(log n) reads for a clean repo via
-// proofs, O(k log n) localization for k rotted leaves via Diff —
-// instead of re-hashing every object on every pass.
+// other store metadata. Verify reads and hashes each tracked file once
+// and diffs those hashes, as the observed leaves, against the sealed
+// tree: the seal keeps the compare count at one on a clean tree and
+// names exactly the leaves that differ otherwise.
 
 // MerklePath is the sealed sidecar's location.
 const MerklePath = popperDir + "/merkle"
 
-// Exported layout names the scrubber addresses store artifacts by.
+// Exported layout names for addressing store artifacts.
 const (
 	// ManifestFile is the committed manifest's path.
 	ManifestFile = manifestPath
-	// ExtentsPrefix prefixes every packed extent's path.
-	ExtentsPrefix = extentsDir + "/"
-	// ObjectsPrefix prefixes every loose object's path.
-	ObjectsPrefix = objectsDir + "/"
 	// QuarantinePrefix prefixes everything repair quarantined.
 	QuarantinePrefix = quarantineDir + "/"
 )
@@ -88,42 +80,6 @@ func (s *Store) merkleLocked(man *Manifest) *cas.Merkle {
 	return cas.BuildMerkleFrom(tree, man.Generation, leaves)
 }
 
-// Merkle reads and verifies the sealed sidecar; (nil, nil) when the
-// repository has never sealed one.
-func (s *Store) Merkle() (*cas.Merkle, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	raw, err := s.read(MerklePath)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	return cas.ParseMerkle(raw)
-}
-
-// SealMerkle recomputes the sidecar from the committed manifest and
-// writes it atomically — repair's and scrub's way of restoring the
-// seal after damage.
-func (s *Store) SealMerkle() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return s.dead
-	}
-	man, err := s.loadManifest()
-	if err != nil {
-		return err
-	}
-	if man == nil {
-		return nil
-	}
-	tree, err := s.sealMerkleLocked(man)
-	s.tree = tree // built by the store for the cached manifest
-	return err
-}
-
 // sealMerkleLocked writes the sidecar for the manifest and returns the
 // tree it sealed; callers hold the lock.
 func (s *Store) sealMerkleLocked(man *Manifest) (*cas.Merkle, error) {
@@ -131,14 +87,7 @@ func (s *Store) sealMerkleLocked(man *Manifest) (*cas.Merkle, error) {
 	return tree, s.writeFileAtomic(MerklePath, tree.Encode())
 }
 
-// --- scrub support surface -------------------------------------------
-//
-// The scrubber heals through a prioritized chain of sources, each
-// digest-verified. These accessors expose the store's rungs — loose
-// objects and packed extents separately, so the chain can attribute a
-// repair to the exact source that served it — plus the raw-path
-// primitives whole-file healing (extent images, the manifest, the
-// sidecar, fetched from a replica quorum) needs.
+// --- verification support -------------------------------------------
 
 // Generation returns the committed manifest generation (0 when none).
 func (s *Store) Generation() (int, error) {
@@ -151,96 +100,11 @@ func (s *Store) Generation() (int, error) {
 	return man.Generation, nil
 }
 
-// ObjectLoose returns the hash's bytes from the loose object pool
-// only, digest-verified.
-func (s *Store) ObjectLoose(hash [sha256.Size]byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return nil, false
-	}
-	obj, err := s.read(objectPath(hash))
-	if err != nil || sha256.Sum256(obj) != hash {
-		return nil, false
-	}
-	return obj, true
-}
-
-// ObjectPacked returns the hash's bytes from the packed extents only,
-// digest-verified.
-func (s *Store) ObjectPacked(hash [sha256.Size]byte) ([]byte, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return nil, false
-	}
-	obj, ok := s.loadExtentsLocked()[hash]
-	if !ok || sha256.Sum256(obj) != hash {
-		return nil, false
-	}
-	return obj, true
-}
-
-// PutObject seeds recovered bytes into the loose object pool after
-// verifying they are the content the hash names — the write side of
-// every repair-chain rung. A no-op when the pool already proves the
-// content (loose or packed); a rotted loose object is overwritten in
-// place, so healing restores the tree byte-exactly instead of leaving
-// a removed-and-reseeded layout.
-func (s *Store) PutObject(hash [sha256.Size]byte, data []byte) error {
-	if sha256.Sum256(data) != hash {
-		return fmt.Errorf("store: put object: bytes do not hash to %x", hash[:8])
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return s.dead
-	}
-	if obj, err := s.read(objectPath(hash)); err == nil {
-		if sha256.Sum256(obj) == hash {
-			return nil
-		}
-		// A loose copy exists but rotted: heal it in place, before fsck
-		// repair would sweep it away as debris.
-		return s.writeFileAtomic(objectPath(hash), data)
-	}
-	if obj, ok := s.loadExtentsLocked()[hash]; ok && sha256.Sum256(obj) == hash {
-		return nil // packed content is proven; do not grow a loose twin
-	}
-	return s.writeFileAtomic(objectPath(hash), data)
-}
-
-// ReadRaw reads one store file through the instrumented read path —
-// the scrubber's content walk, subject to the same injected rot as any
-// consumer.
+// ReadRaw reads one store file through the instrumented read path,
+// subject to the same injected rot as any consumer — how a replica
+// quorum compares whole store files.
 func (s *Store) ReadRaw(path string) ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.read(path)
-}
-
-// RestoreRaw atomically replaces one store-internal file with
-// replacement bytes a higher authority (a replica quorum) verified —
-// whole-file healing for extent images, the manifest and the sidecar.
-// Only .popper/ metadata may be restored this way; workspace files
-// heal through the manifest-driven Repair path.
-func (s *Store) RestoreRaw(path string, data []byte) error {
-	if !strings.HasPrefix(path, popperDir+"/") {
-		return fmt.Errorf("store: restore-raw %s: not store metadata", path)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dead != nil {
-		return s.dead
-	}
-	if err := s.writeFileAtomic(path, data); err != nil {
-		return err
-	}
-	if strings.HasPrefix(path, extentsDir+"/") {
-		s.invalidateExtents()
-	}
-	if path == manifestPath {
-		s.man, s.tree, s.got = nil, nil, false
-	}
-	return nil
 }

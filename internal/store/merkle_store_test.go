@@ -55,14 +55,18 @@ func TestCommitSealsMerkleSidecar(t *testing.T) {
 	}
 	// Every commit reseals: the root must move with the tree.
 	mustSync(t, st, w2())
-	m2, err := st.Merkle()
+	sealed2, err := fs.ReadFile(MerklePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := cas.ParseMerkle(sealed2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m2.Root() == m.Root() {
 		t.Fatal("second generation sealed the same root")
 	}
-	mustCleanFsck(t, st, "after sealed syncs")
+	mustCleanVerify(t, st, "after sealed syncs")
 
 	// The seal is deterministic store metadata: a second store applying
 	// the same syncs produces a byte-identical sidecar.
@@ -97,7 +101,7 @@ func TestFsckFlagsAndRepairsMerkleStates(t *testing.T) {
 				t.Fatal(err)
 			}
 			mustSync(t, st, w2())
-			if err := st.RestoreRaw(MerklePath, old); err != nil {
+			if err := fs.WriteFile(MerklePath, old); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -114,26 +118,21 @@ func TestFsckFlagsAndRepairsMerkleStates(t *testing.T) {
 			}
 			ref := mustImage(t, st)
 
-			rep, err := st.Fsck()
+			rep, err := st.Verify()
 			if err != nil {
 				t.Fatal(err)
 			}
-			found := false
-			for _, f := range rep.Findings {
-				if f.Path == MerklePath {
-					found = true
-					if !f.Repairable {
-						t.Fatalf("merkle finding not repairable: %s", f.Note)
-					}
-				}
+			f := findingAt(rep, MerklePath)
+			if f == nil || f.State != StateSeal {
+				t.Fatalf("verify missed the %s seal:\n%s", name, rep.Format())
 			}
-			if !found {
-				t.Fatalf("fsck missed the %s seal:\n%s", name, rep.Format())
+			if !f.Repairable {
+				t.Fatalf("merkle finding not repairable: %s", f.Note)
 			}
-			if _, err := st.Repair(rep); err != nil {
-				t.Fatalf("repair: %v", err)
+			if rep = mustRepair(t, st, nil); verbs(rep)[MerklePath] != "resealed" {
+				t.Fatalf("seal not resealed:\n%s", rep.Format())
 			}
-			mustCleanFsck(t, st, "after reseal")
+			mustCleanVerify(t, st, "after reseal")
 			genAfter, err := st.Generation()
 			if err != nil {
 				t.Fatal(err)
@@ -172,37 +171,22 @@ func TestRepairTwiceIsNoOp(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := st.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep := mustRepair(t, st, nil)
 	if rep.Clean() {
 		t.Fatal("damage went undetected")
 	}
-	acts, err := st.Repair(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts) == 0 {
+	if len(rep.Actions) == 0 {
 		t.Fatal("first repair took no action")
 	}
-	mustCleanFsck(t, st, "after first repair")
+	mustCleanVerify(t, st, "after first repair")
 	gen1, err := st.Generation()
 	if err != nil {
 		t.Fatal(err)
 	}
 	img1 := mustImage(t, st)
 
-	rep2, err := st.Fsck()
-	if err != nil {
-		t.Fatal(err)
-	}
-	acts2, err := st.Repair(rep2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(acts2) != 0 {
-		t.Fatalf("second repair acted: %v", acts2)
+	if rep2 := mustRepair(t, st, nil); len(rep2.Actions) != 0 {
+		t.Fatalf("second repair acted: %v", rep2.Actions)
 	}
 	gen2, err := st.Generation()
 	if err != nil {
@@ -318,26 +302,25 @@ func TestAtRestRotDetectedAndHealed(t *testing.T) {
 	if _, err := st.ReadRaw("exp/results.csv"); err != nil {
 		t.Fatalf("silent rot was not silent: %v", err)
 	}
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var hit *Finding
-	for i := range rep.Findings {
-		if rep.Findings[i].Path == "exp/results.csv" {
-			hit = &rep.Findings[i]
-		}
-	}
+	hit := findingAt(rep, "exp/results.csv")
 	if hit == nil {
-		t.Fatalf("fsck missed the rot:\n%s", rep.Format())
+		t.Fatalf("verify missed the rot:\n%s", rep.Format())
 	}
 	if !hit.Repairable {
 		t.Fatal("rot with an intact object cache should be restorable")
 	}
-	if _, err := st.Repair(rep); err != nil {
+	plan, err := st.Plan(rep, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	mustCleanFsck(t, st, "after rot repair")
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatal(err)
+	}
+	mustCleanVerify(t, st, "after rot repair")
 	if gen, _ := st.Generation(); gen != genBefore {
 		t.Fatalf("healing rot moved the generation %d -> %d", genBefore, gen)
 	}

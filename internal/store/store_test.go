@@ -104,15 +104,115 @@ func mustSync(t *testing.T, st *Store, files map[string][]byte) SyncStats {
 	return stats
 }
 
-func mustCleanFsck(t *testing.T, st *Store, when string) {
+func mustCleanVerify(t *testing.T, st *Store, when string) {
 	t.Helper()
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
-		t.Fatalf("fsck %s: %v", when, err)
+		t.Fatalf("verify %s: %v", when, err)
 	}
 	if !rep.Clean() {
-		t.Fatalf("fsck %s not clean:\n%s", when, rep.Format())
+		t.Fatalf("verify %s not clean:\n%s", when, rep.Format())
 	}
+}
+
+// mustRepair runs one repair pass: verify, plan, apply. It returns the
+// report with every finding's outcome and the applied actions.
+func mustRepair(t *testing.T, st *Store, q Quorum) *Report {
+	t.Helper()
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatalf("verify: %v", err)
+	}
+	plan, err := st.Plan(rep, q)
+	if err != nil {
+		t.Fatalf("plan: %v\n%s", err, rep.Format())
+	}
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatalf("apply: %v\n%s", err, rep.Format())
+	}
+	return rep
+}
+
+// opCounter wraps a VFS and counts the operations that change it.
+type opCounter struct {
+	VFS
+	mutations int
+}
+
+func (c *opCounter) WriteFile(path string, data []byte) error {
+	c.mutations++
+	return c.VFS.WriteFile(path, data)
+}
+
+func (c *opCounter) Rename(oldPath, newPath string) error {
+	c.mutations++
+	return c.VFS.Rename(oldPath, newPath)
+}
+
+func (c *opCounter) Remove(path string) error {
+	c.mutations++
+	return c.VFS.Remove(path)
+}
+
+func (c *opCounter) Sync(path string) error {
+	c.mutations++
+	return c.VFS.Sync(path)
+}
+
+func (c *opCounter) SyncDir(dir string) error {
+	c.mutations++
+	return c.VFS.SyncDir(dir)
+}
+
+// mustConverged proves a repair converged on a store opened over c: a
+// fresh verify plans nothing, and applying that empty plan writes,
+// renames, removes and fsyncs nothing and keeps the generation.
+func mustConverged(t *testing.T, st *Store, c *opCounter, when string) {
+	t.Helper()
+	gen0, err := st.Generation()
+	if err != nil {
+		t.Fatalf("%s: generation: %v", when, err)
+	}
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatalf("%s: verify: %v", when, err)
+	}
+	plan, err := st.Plan(rep, nil)
+	if err != nil {
+		t.Fatalf("%s: plan: %v", when, err)
+	}
+	if len(plan.Actions) != 0 {
+		t.Fatalf("%s: a fresh verify still plans %d action(s):\n%s", when, len(plan.Actions), rep.Format())
+	}
+	before := c.mutations
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatalf("%s: apply the empty plan: %v", when, err)
+	}
+	if c.mutations != before {
+		t.Fatalf("%s: the empty plan made %d disk mutation(s)", when, c.mutations-before)
+	}
+	if gen, err := st.Generation(); err != nil || gen != gen0 {
+		t.Fatalf("%s: the empty plan moved the generation %d -> %d (err %v)", when, gen0, gen, err)
+	}
+}
+
+// findingAt returns the report's finding for a path, or nil.
+func findingAt(rep *Report, path string) *Finding {
+	for i := range rep.Findings {
+		if rep.Findings[i].Path == path {
+			return &rep.Findings[i]
+		}
+	}
+	return nil
+}
+
+// verbs maps each acted-on path to its action's verb.
+func verbs(rep *Report) map[string]string {
+	out := make(map[string]string)
+	for _, a := range rep.Actions {
+		out[a.Path] = a.Verb.String()
+	}
+	return out
 }
 
 func TestSyncLoadRoundTrip(t *testing.T) {
@@ -135,7 +235,7 @@ func TestSyncLoadRoundTrip(t *testing.T) {
 	if !again.Clean || again.Generation != 1 {
 		t.Fatalf("second sync should be clean: %+v", again)
 	}
-	mustCleanFsck(t, st, "after sync")
+	mustCleanVerify(t, st, "after sync")
 }
 
 func TestSyncPrunesStaleFiles(t *testing.T) {
@@ -149,7 +249,7 @@ func TestSyncPrunesStaleFiles(t *testing.T) {
 	if _, err := fs.ReadFile("exp/stale.txt"); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("stale file should be pruned, err=%v", err)
 	}
-	mustCleanFsck(t, st, "after prune")
+	mustCleanVerify(t, st, "after prune")
 }
 
 func TestPutLeavesRepoClean(t *testing.T) {
@@ -172,7 +272,7 @@ func TestPutLeavesRepoClean(t *testing.T) {
 	}
 	// Incremental puts must not strand the superseded journal's object:
 	// a healthy repo fscks clean mid-sweep too.
-	mustCleanFsck(t, st, "after incremental puts")
+	mustCleanVerify(t, st, "after incremental puts")
 	if err := st.Put(".popper/evil", []byte("x")); err == nil {
 		t.Fatal("put of an untracked path must refuse")
 	}
@@ -207,9 +307,9 @@ func TestFsckTaxonomyAndRepair(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rep, err := st.Fsck()
+	rep, err := st.Verify()
 	if err != nil {
-		t.Fatalf("fsck: %v", err)
+		t.Fatalf("verify: %v", err)
 	}
 	want := map[string]State{
 		"exp/results.csv":       StateTorn,
@@ -240,14 +340,14 @@ func TestFsckTaxonomyAndRepair(t *testing.T) {
 		}
 	}
 
-	acts, err := st.Repair(rep)
+	plan, err := st.Plan(rep, nil)
 	if err != nil {
-		t.Fatalf("repair: %v\nactions so far: %v", err, acts)
+		t.Fatalf("plan: %v", err)
 	}
-	verbs := make(map[string]string)
-	for _, a := range acts {
-		verbs[a.Path] = a.Verb
+	if err := st.Apply(rep, plan); err != nil {
+		t.Fatalf("apply: %v\nactions: %v", err, plan.Actions)
 	}
+	verbs := verbs(rep)
 	if verbs["exp/results.csv"] != "restored" || verbs["exp/run.sh"] != "restored" {
 		t.Errorf("torn/missing files should be restored: %v", verbs)
 	}
@@ -260,6 +360,9 @@ func TestFsckTaxonomyAndRepair(t *testing.T) {
 	if verbs["exp/leftover.csv.ptmp"] != "removed" {
 		t.Errorf("debris should be removed, got %q", verbs["exp/leftover.csv.ptmp"])
 	}
+	if f := findingAt(rep, "exp/vars.yml"); f == nil || f.Outcome != Quarantined {
+		t.Errorf("vars.yml outcome: %+v", f)
+	}
 
 	restored, _ := fs.ReadFile("exp/results.csv")
 	if !bytes.Equal(restored, full) {
@@ -269,7 +372,7 @@ func TestFsckTaxonomyAndRepair(t *testing.T) {
 	if err != nil || string(q) != "alpha: 9\n" {
 		t.Errorf("quarantine should preserve the damaged bytes verbatim: %q err %v", q, err)
 	}
-	mustCleanFsck(t, st, "after repair")
+	mustCleanVerify(t, st, "after repair")
 }
 
 // destroyObject erases one hash's bytes from the object cache
@@ -335,17 +438,18 @@ func TestFsckRebuildsMissingManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := New(fs)
-	rep, err := st2.Fsck()
+	rep, err := st2.Verify()
 	if err != nil {
-		t.Fatalf("fsck: %v", err)
+		t.Fatalf("verify: %v", err)
 	}
-	if !rep.ManifestMissing {
-		t.Fatalf("want ManifestMissing:\n%s", rep.Format())
+	if f := findingAt(rep, manifestPath); f == nil || f.State != StateManifest || !strings.Contains(f.Note, "missing") {
+		t.Fatalf("want a missing-manifest finding:\n%s", rep.Format())
 	}
-	if _, err := st2.Repair(rep); err != nil {
-		t.Fatalf("repair: %v", err)
+	rep = mustRepair(t, st2, nil)
+	if verbs(rep)[manifestPath] != "rebuilt" {
+		t.Fatalf("manifest not rebuilt:\n%s", rep.Format())
 	}
-	mustCleanFsck(t, st2, "after manifest rebuild")
+	mustCleanVerify(t, st2, "after manifest rebuild")
 	man := mustManifest(t, st2)
 	if man.Len() != len(w1()) {
 		t.Fatalf("rebuilt manifest tracks %d files, want %d", man.Len(), len(w1()))
@@ -369,14 +473,17 @@ func TestInterruptedSyncRefusesNewWrites(t *testing.T) {
 	if !strings.Contains(rerr.Error(), "popper fsck") {
 		t.Fatalf("recovery error should point at fsck: %v", rerr)
 	}
-	rep, err := st.Fsck()
-	if err != nil || !rep.Pending {
-		t.Fatalf("fsck should flag the pending intent (err %v):\n%s", err, rep.Format())
+	rep, err := st.Verify()
+	if err != nil {
+		t.Fatalf("verify: %v", err)
 	}
-	if _, err := st.Repair(rep); err != nil {
-		t.Fatalf("repair: %v", err)
+	if f := findingAt(rep, manifestNextPath); f == nil || f.State != StatePending {
+		t.Fatalf("verify should flag the pending intent:\n%s", rep.Format())
 	}
-	mustCleanFsck(t, st, "after rollback")
+	if rep = mustRepair(t, st, nil); verbs(rep)[manifestNextPath] != "rolled-back" {
+		t.Fatalf("intent not rolled back:\n%s", rep.Format())
+	}
+	mustCleanVerify(t, st, "after rollback")
 	mustSync(t, st, w2())
 }
 
@@ -421,21 +528,17 @@ func TestCrashMatrixConvergence(t *testing.T) {
 			}
 
 			// Reboot: fresh store over the settled disk, no faults.
-			st2 := New(fs)
-			rep, err := st2.Fsck()
-			if err != nil {
-				t.Fatalf("fsck after crash: %v", err)
-			}
-			if _, err := st2.Repair(rep); err != nil {
-				t.Fatalf("repair after crash: %v\n%s", err, rep.Format())
-			}
-			mustCleanFsck(t, st2, "after repair")
+			cfs := &opCounter{VFS: fs}
+			st2 := New(cfs)
+			mustRepair(t, st2, nil)
+			mustCleanVerify(t, st2, "after repair")
+			mustConverged(t, st2, cfs, "after repair")
 
 			// Re-run the interrupted work end to end.
 			if err := crashScenario(st2); err != nil {
 				t.Fatalf("replay after repair: %v", err)
 			}
-			mustCleanFsck(t, st2, "after replay")
+			mustCleanVerify(t, st2, "after replay")
 			got := trackedTree(t, fs)
 			if len(got) != len(ref) {
 				t.Fatalf("tree size differs: got %d files, want %d\ngot: %v", len(got), len(ref), got)
@@ -455,7 +558,8 @@ func TestCrashMatrixConvergence(t *testing.T) {
 func TestDiskErrorFaultConverges(t *testing.T) {
 	seed := chaosSeed(t)
 	fs := NewMemFS(seed)
-	st := New(fs)
+	cfs := &opCounter{VFS: fs}
+	st := New(cfs)
 	mustSync(t, st, w1())
 	st.SetFaults(fault.NewInjector(seed, []fault.Rule{{
 		Site: "disk/write/exp/vars.yml*", Kind: fault.Error, Times: 1, Prob: 1, Msg: "EIO",
@@ -468,14 +572,9 @@ func TestDiskErrorFaultConverges(t *testing.T) {
 	if _, err := st.Sync(w2()); !errors.As(err, &rerr) {
 		t.Fatalf("want RecoveryError on retry, got %v", err)
 	}
-	rep, err := st.Fsck()
-	if err != nil {
-		t.Fatalf("fsck: %v", err)
-	}
-	if _, err := st.Repair(rep); err != nil {
-		t.Fatalf("repair: %v", err)
-	}
-	mustCleanFsck(t, st, "after repair")
+	mustRepair(t, st, nil)
+	mustCleanVerify(t, st, "after repair")
+	mustConverged(t, st, cfs, "after repair")
 	mustSync(t, st, w2())
 	refFS := NewMemFS(seed)
 	refStore := New(refFS)
@@ -567,7 +666,7 @@ func TestDirFSEndToEnd(t *testing.T) {
 	st := Open(dir)
 	mustSync(t, st, w1())
 	mustSync(t, st, w2())
-	mustCleanFsck(t, st, "on a real directory")
+	mustCleanVerify(t, st, "on a real directory")
 	content, err := os.ReadFile(dir + "/exp/results.csv")
 	if err != nil || string(content) != string(w2()["exp/results.csv"]) {
 		t.Fatalf("results on disk: %q err %v", content, err)

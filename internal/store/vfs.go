@@ -14,9 +14,11 @@
 //   - a content-addressed object cache (.popper/objects/<hash>) holding
 //     every manifested file's bytes, which is what makes damaged files
 //     repairable;
-//   - Fsck/Repair: verify the tree against the manifest — torn,
-//     missing, extra and corrupted files — restore what the object
-//     cache can prove, adopt complete strays, quarantine the rest;
+//   - Verify, Plan and Apply: one walk classifies every deviation from
+//     the manifest — torn, missing, extra and corrupted files, debris,
+//     a damaged seal — and a typed repair plan restores what a replica
+//     quorum or the object cache can prove, adopts complete strays and
+//     quarantines the rest;
 //   - deterministic disk-crash injection: every write/rename/fsync/
 //     remove boundary is a fault site ("disk/<op>/<path>"), and a
 //     seeded crash-disk rule kills the sync at exactly that operation,
