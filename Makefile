@@ -51,16 +51,16 @@ chaos:
 	done
 
 # Disk-crash convergence suite: for every write/rename/fsync boundary
-# in the artifact store's sync path, crash exactly there and prove that
-# `popper fsck --repair` + `popper run -resume` reproduces a repository
-# byte-identical to one that never crashed — under the race detector,
-# once per seed (see docs/RESILIENCE.md, "Durability and crash
-# recovery").
+# in the artifact store's sync and put-record paths, crash exactly
+# there and prove that `popper fsck --repair` + `popper run -resume`
+# reproduces a repository byte-identical to one that never crashed —
+# under the race detector, once per seed (see docs/RESILIENCE.md,
+# "Durability and crash recovery").
 crash:
 	@for seed in $(CRASH_SEEDS); do \
 		echo "-- disk-crash suite, seed $$seed"; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'DiskCrash|CrashMatrix|Fsck|Repair|Durable|Store|Sync|Manifest|Tracked|MemFS|DirFS|Resume|Recovery|Interrupted' \
+			-run 'DiskCrash|CrashMatrix|Fsck|Repair|Durable|Store|Sync|Manifest|Tracked|MemFS|DirFS|Resume|Recovery|Interrupted|Put|Journal' \
 			./internal/store/ ./internal/fault/ ./internal/core/ ./cmd/popper/ \
 			|| exit 1; \
 	done
@@ -82,14 +82,14 @@ split:
 	done
 
 # Bit-rot matrix: seeded silent corruption across every artifact class
-# (workspace files, loose objects, packed extents, manifest, merkle
-# seal) x every repair rung (replica quorum, cas, loose pool, intact
-# workspace copy) — each injection must be detected by the one verify
-# walk, healed from the highest-priority live rung, and leave the tree
-# byte-identical to an uncorrupted run, after which a fresh verify plans
-# nothing; quorum-holds-the-rot degradation and unrepairable quarantine
-# included. Under the race detector, once per seed (see
-# docs/RESILIENCE.md, "Integrity verification and repair").
+# (workspace files, loose objects, packed extents, put records,
+# manifest, merkle seal) x every repair rung (replica quorum, cas,
+# loose pool, intact workspace copy) — each injection must be detected
+# by the one verify walk, healed from the highest-priority live rung,
+# and leave the tree byte-identical to an uncorrupted run, after which
+# a fresh verify plans nothing; quorum-holds-the-rot degradation and
+# unrepairable quarantine included. Under the race detector, once per
+# seed (see docs/RESILIENCE.md, "Integrity verification and repair").
 rot:
 	@for seed in $(ROT_SEEDS); do \
 		echo "-- bit-rot suite, seed $$seed"; \
@@ -128,7 +128,9 @@ bench-aver:
 # hit-rate at 1/16/256 simulated hosts, peer-fetch vs recompute virtual
 # cost) into BENCH_cache.json (see docs/SCHEDULING.md, docs/CACHE.md),
 # and the gassyfs family (compile-git scaling curve, host-parallel
-# drive) into BENCH_gassyfs.json.
+# drive) into BENCH_gassyfs.json, and the durable journal path's exact
+# I/O (a 114-entry sync, 32 journal puts, the sync after them) into
+# BENCH_store.json.
 bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_sched.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/sched/
 	@echo "-- wrote BENCH_sched.json"
@@ -140,6 +142,8 @@ bench-json:
 	@echo "-- wrote BENCH_gassyfs.json"
 	BENCH_JSON=$(CURDIR)/BENCH_scrub.json $(GO) test -run TestWriteScrubBenchJSON -count=1 ./internal/scrub/
 	@echo "-- wrote BENCH_scrub.json"
+	BENCH_JSON=$(CURDIR)/BENCH_store.json $(GO) test -run TestWriteStoreBenchJSON -count=1 ./internal/store/
+	@echo "-- wrote BENCH_store.json"
 
 # Vet and test the end-to-end benchmark (e2ebench/README.md). It is its
 # own Go module, so `go test ./...` above never builds it; this catches
@@ -156,4 +160,5 @@ bench-json-smoke:
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteAverBenchJSON -count=1 ./internal/core/ || { rm -f $$out; exit 1; }; \
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteGassyfsBenchJSON -count=1 . || { rm -f $$out; exit 1; }; \
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteScrubBenchJSON -count=1 ./internal/scrub/ || { rm -f $$out; exit 1; }; \
+	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteStoreBenchJSON -count=1 ./internal/store/ || { rm -f $$out; exit 1; }; \
 	rm -f $$out

@@ -300,8 +300,10 @@ func run(args []string) error {
 						Stream: *stream || *failFast, FailFast: *failFast,
 						RecordMetrics: recordMetrics,
 						// Journal durability: every completed configuration's
-						// outcome is committed to the artifact store immediately,
-						// so a crash mid-sweep is resumable from the last config.
+						// outcome reaches the artifact store immediately as a put
+						// record, which the final workspace sync folds into its
+						// commit, so a crash mid-sweep is resumable from the last
+						// config.
 						Durable: st.Put,
 					})
 					if err != nil {

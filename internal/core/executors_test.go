@@ -109,6 +109,13 @@ func TestRunMPIVariabilityTemplate(t *testing.T) {
 	if table.CoeffVar(nt) <= table.CoeffVar(qt) {
 		t.Fatalf("noisy CV %v should exceed quiet CV %v", table.CoeffVar(nt), table.CoeffVar(qt))
 	}
+	// A share of the elapsed time: never negative, never above one.
+	fractions, _ := tb.Floats("mpi_fraction")
+	for i, f := range fractions {
+		if f < 0 || f > 1 {
+			t.Fatalf("row %d: mpi_fraction %v outside [0, 1]", i, f)
+		}
+	}
 }
 
 func TestRunBWWTemplateSynthetic(t *testing.T) {

@@ -77,9 +77,10 @@ type SweepOptions struct {
 	// path + full content) after every configuration completes, so
 	// progress reaches stable storage mid-sweep instead of only at the
 	// final workspace sync. `popper run` wires this to the artifact
-	// store's Put: a crash between configurations loses at most the
-	// in-flight ones. Calls are serialized; the first error stops
-	// further calls and fails the sweep.
+	// store's Put, which writes the journal as one put record that the
+	// final sync folds into its commit: a crash between configurations
+	// loses at most the in-flight ones. Calls are serialized; the first
+	// error stops further calls and fails the sweep.
 	Durable func(path string, data []byte) error
 	// Hosts, when > 0, fans the sweep across that many simulated
 	// cluster hosts through the cluster scheduler (locality-aware

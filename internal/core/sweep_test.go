@@ -301,7 +301,7 @@ func TestDurableJournalIncremental(t *testing.T) {
 		}
 	}
 	// The last incremental write is byte-identical to the journal the
-	// final sync persists: the store sees it as already clean.
+	// final sync persists: that sync commits it unchanged.
 	if want := string(p.Files[journalPath]); string(calls[len(calls)-1]) != want {
 		t.Fatalf("final incremental journal differs from synced journal:\n--- incremental\n%s\n--- synced\n%s",
 			calls[len(calls)-1], want)

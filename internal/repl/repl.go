@@ -221,6 +221,10 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 		return nil, err
 	}
 	g := &Group{opts: opts, world: world, nodes: nodes}
+	// frontier[id] is replica id's put-record frontier: Puts do not move
+	// the generation, so it breaks generation ties at election. A
+	// replica whose records cannot be listed counts as holding none.
+	frontier := make([]int, opts.Replicas)
 	for id := 0; id < opts.Replicas; id++ {
 		st := store.New(mkfs(id))
 		r := &replica{
@@ -234,6 +238,7 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 		// quorum's manifest on it while anti-entropy catches it up.
 		if man, err := st.Manifest(); err == nil && man != nil {
 			r.base = man.Generation
+			frontier[id], _ = st.PutFrontier()
 		}
 		var err error
 		r.baseDigest, err = st.TreeHash()
@@ -243,11 +248,12 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 		r.commit, r.applied = r.base, r.base
 		g.reps = append(g.reps, r)
 	}
-	// A pre-existing repository elects the most advanced replica; a
-	// fresh one starts at replica 0. Ties break toward the lowest id.
+	// A pre-existing repository elects the most advanced replica — the
+	// highest generation, then the furthest put record in it; a fresh one
+	// starts at replica 0. Ties break toward the lowest id.
 	lead := 0
 	for id, r := range g.reps {
-		if r.base > g.reps[lead].base {
+		if base := g.reps[lead].base; r.base > base || r.base == base && frontier[id] > frontier[lead] {
 			lead = id
 		}
 	}
@@ -275,8 +281,9 @@ func ReplicaRoot(dir string, id int) string {
 // OpenDir opens a replicated store over a real repository directory:
 // replica 0 is the directory itself, replicas 1..N-1 live under
 // .popper-replicas/. A group reopened over an existing tree elects the
-// replica with the highest committed generation, and anti-entropy
-// (log replay or snapshot install) heals the rest.
+// replica with the highest committed generation (then the furthest put
+// record in it), and anti-entropy (log replay or snapshot install)
+// heals the rest.
 func OpenDir(dir string, opts Options) (*Group, error) {
 	opts.defaults()
 	return New(opts, func(id int) store.VFS {

@@ -577,3 +577,51 @@ func TestAuditFormatNamesRoles(t *testing.T) {
 		}
 	}
 }
+
+// TestReplReopenElectsReplicaHoldingPuts: a put record does not move
+// the manifest generation, so a replica that missed a committed Put
+// reopens at the same generation as the peers that hold it. Reopen
+// must elect a replica holding the Put and heal the laggard to it,
+// never the reverse.
+func TestReplReopenElectsReplicaHoldingPuts(t *testing.T) {
+	seed := chaosSeed(t)
+	fss := make([]*store.MemFS, 3)
+	mkfs := func(id int) store.VFS {
+		if fss[id] == nil {
+			fss[id] = store.NewMemFS(seed + int64(id))
+		}
+		return fss[id]
+	}
+	opts := Options{Replicas: 3, Seed: seed}
+	g, err := New(opts, mkfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := g.Sync(ws(1)); err != nil {
+		t.Fatal(err)
+	}
+	// Replica 0 — the lowest id, which wins generation ties — misses
+	// the journal put the quorum commits.
+	g.Crash(0)
+	g.Tick(3.0)
+	journal := []byte("gen,done\n1,true\n")
+	if err := g.Put("exp/journal.csv", journal); err != nil {
+		t.Fatal(err)
+	}
+	// A fresh process reopens the repository.
+	g2, err := New(opts, mkfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := g2.Primary(); p == 0 {
+		t.Fatal("reopen elected the replica that missed the put")
+	}
+	if err := g2.Heal(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := g2.Read("exp/journal.csv")
+	if err != nil || !bytes.Equal(got, journal) {
+		t.Fatalf("committed put lost across the reopen: %q (err %v)", got, err)
+	}
+	wantIdenticalTrees(t, g2, g2.Primary())
+}

@@ -26,11 +26,11 @@ func memGroupFS(t *testing.T, n int, seed int64) (*Group, []*store.MemFS) {
 func TestObjectQuorumDegradesWhenTheQuorumRots(t *testing.T) {
 	seed := chaosSeed(t)
 	g, fss := memGroupFS(t, 3, seed)
-	if _, err := g.Sync(ws(1)); err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("config,status\n001,ok\n")
-	if err := g.Put("exp/journal.csv", payload); err != nil {
+	// A payload over the 4 KiB packing threshold stays a loose object.
+	payload := bytes.Repeat([]byte("config,status\n001,ok\n"), 200)
+	files := ws(1)
+	files["exp/results.csv"] = payload
+	if _, err := g.Sync(files); err != nil {
 		t.Fatal(err)
 	}
 	hash := sha256.Sum256(payload)

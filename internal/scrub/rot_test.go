@@ -2,8 +2,8 @@ package scrub
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
+	"strings"
 	"testing"
 
 	"popper/internal/repl"
@@ -41,7 +41,8 @@ func memGroup(t *testing.T, n int, seed int64) *testGroup {
 }
 
 // buildGroup replays the canonical scenario through the replication
-// log so every replica holds the same committed tree.
+// log so every replica holds the same committed tree and the same live
+// put record.
 func buildGroup(t *testing.T, seed int64) *testGroup {
 	t.Helper()
 	g := memGroup(t, 3, seed)
@@ -87,8 +88,9 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 		pattern string
 	}{
 		{"workspace-packed", "exp/vars.yml"},
-		{"workspace-loose", "exp/journal.csv"},
-		{"loose-object", store.ObjectFile(sha256.Sum256(journalPayload))},
+		{"workspace-loose", "exp/results.csv"},
+		{"loose-object", looseObject()},
+		{"put-record", ".popper/put-*"},
 		{"extent", ".popper/extents/*"},
 		{"manifest", store.ManifestFile},
 		{"merkle-seal", store.MerklePath},
@@ -135,7 +137,7 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 	seed := chaosSeed(t)
 	g := buildGroup(t, seed)
 	ref := mustImage(t, g.Store(0))
-	objPath := store.ObjectFile(sha256.Sum256(journalPayload))
+	objPath := looseObject()
 
 	// The quorum holds the rot: replicas 1 and 2 rot their loose object,
 	// replica 0 rots its workspace copy of the same content.
@@ -144,7 +146,7 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 			t.Fatalf("replica %d rot touched %v", id, got)
 		}
 	}
-	if got := g.fss[0].Rot("exp/journal.csv", 1); len(got) != 1 {
+	if got := g.fss[0].Rot("exp/results.csv", 1); len(got) != 1 {
 		t.Fatalf("rot touched %v", got)
 	}
 
@@ -256,16 +258,64 @@ func TestRotManifestWithoutQuorumRebuilds(t *testing.T) {
 	}
 }
 
-// trackedView reads the tracked (workspace) slice of a store's tree.
+// trackedView reads a store's logical workspace: the tracked files
+// with the live put records overlaid.
 func trackedView(t *testing.T, st *store.Store) map[string][]byte {
 	t.Helper()
-	out := make(map[string][]byte)
-	for path, content := range mustImage(t, st) {
-		if store.Tracked(path) {
-			out[path] = content
+	files, err := st.Load()
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	return files
+}
+
+// TestRotPutRecordWithoutQuorumFallsBack pins the single-store contract
+// for a damaged live put record: no rung can prove its bytes, so repair
+// removes it and Load falls back to the committed content. (A Put
+// removes the record it supersedes, so there is no earlier record to
+// fall back to.)
+func TestRotPutRecordWithoutQuorumFallsBack(t *testing.T) {
+	st, fs, c := countedStore(t, chaosSeed(t))
+	committed, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Sync(committed); err != nil { // commits journalPayload
+		t.Fatal(err)
+	}
+	newer := append(bytes.Clone(journalPayload), "003,ok\n"...)
+	if err := st.Put("exp/journal.csv", newer); err != nil {
+		t.Fatal(err)
+	}
+	var records []string
+	all, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range all {
+		if strings.HasPrefix(p, ".popper/put-") {
+			records = append(records, p)
 		}
 	}
-	return out
+	if len(records) != 1 {
+		t.Fatalf("want one live record, have %v", records)
+	}
+	victim := records[0]
+	if got := fs.Rot(victim, 1); len(got) != 1 {
+		t.Fatalf("rot touched %v", got)
+	}
+	rep := mustScrub(t, New(st, Options{Repair: true}))
+	removed := false
+	for _, a := range rep.Actions {
+		removed = removed || a.Path == victim && a.Verb == store.VerbRemove
+	}
+	if !removed || unrepairable(rep) != 0 {
+		t.Fatalf("rotted record %s not removed:\n%s", victim, rep.Format())
+	}
+	mustConverged(t, st, c, nil, "after record removal")
+	if got := trackedView(t, st)["exp/journal.csv"]; !bytes.Equal(got, journalPayload) {
+		t.Fatalf("after removing %s, Load's journal is %q, want the committed %q", victim, got, journalPayload)
+	}
 }
 
 func sameView(got, want map[string][]byte) bool {

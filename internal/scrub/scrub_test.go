@@ -50,8 +50,13 @@ func ws2() map[string][]byte {
 
 var journalPayload = []byte("config,status\n001,ok\n002,ok\n")
 
+// looseObject is the path of ws2's results.csv object: over the
+// packing threshold, so it stays loose.
+func looseObject() string { return store.ObjectFile(sha256.Sum256(ws2()["exp/results.csv"])) }
+
 // buildStore runs the canonical scenario: two syncs (packing small
-// objects into extents) plus an incremental Put (a loose object).
+// objects into extents, the large results file loose) plus an
+// incremental Put (a live put record awaiting the next commit).
 func buildStore(t *testing.T, seed int64) (*store.Store, *store.MemFS) {
 	t.Helper()
 	st, fs, _ := countedStore(t, seed)
@@ -330,8 +335,8 @@ func TestScrubHealsFromLocalRungs(t *testing.T) {
 	}{
 		// vars.yml is small: its bytes live packed in an extent.
 		{"packed-backed file", "exp/vars.yml", store.RungExtent},
-		// journal.csv arrived via Put: its object is loose.
-		{"loose-backed file", "exp/journal.csv", store.RungLoose},
+		// results.csv is over the packing threshold: its object is loose.
+		{"loose-backed file", "exp/results.csv", store.RungLoose},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -358,7 +363,7 @@ func TestScrubHealsFromLocalRungs(t *testing.T) {
 func TestScrubHealsRottedLooseObjectInPlace(t *testing.T) {
 	st, fs := buildStore(t, chaosSeed(t))
 	ref := mustImage(t, st)
-	objPath := store.ObjectFile(sha256.Sum256(journalPayload))
+	objPath := looseObject()
 	if got := fs.Rot(objPath, 1); len(got) != 1 {
 		t.Fatalf("rot touched %v", got)
 	}
@@ -428,11 +433,10 @@ func entryPaths(man *store.Manifest) []string {
 
 func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 	st, fs := buildStore(t, chaosSeed(t))
-	hash := sha256.Sum256(journalPayload)
-	if got := fs.Rot("exp/journal.csv", 1); len(got) != 1 {
+	if got := fs.Rot("exp/results.csv", 1); len(got) != 1 {
 		t.Fatalf("rot touched %v", got)
 	}
-	if err := fs.Remove(store.ObjectFile(hash)); err != nil {
+	if err := fs.Remove(looseObject()); err != nil {
 		t.Fatal(err)
 	}
 
@@ -443,24 +447,24 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 	}
 	var unrep *store.Finding
 	for i := range rep.Findings {
-		if rep.Findings[i].Path == "exp/journal.csv" {
+		if rep.Findings[i].Path == "exp/results.csv" {
 			unrep = &rep.Findings[i]
 		}
 	}
 	if unrep == nil || unrep.Outcome != store.Quarantined {
-		t.Fatalf("journal finding wrong: %+v\n%s", unrep, rep.Format())
+		t.Fatalf("results finding wrong: %+v\n%s", unrep, rep.Format())
 	}
 
 	// Never guessed at: the damaged bytes are preserved in quarantine,
 	// the entry is dropped, and the tree converges — a second scrub is
 	// clean.
 	img := mustImage(t, st)
-	if _, still := img["exp/journal.csv"]; still {
+	if _, still := img["exp/results.csv"]; still {
 		t.Fatal("unrepairable file still tracked in the workspace")
 	}
 	quarantined := false
 	for p := range img {
-		if strings.HasPrefix(p, store.QuarantinePrefix) && strings.HasSuffix(p, "exp/journal.csv") {
+		if strings.HasPrefix(p, store.QuarantinePrefix) && strings.HasSuffix(p, "exp/results.csv") {
 			quarantined = true
 		}
 	}
@@ -471,7 +475,7 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := man.Lookup("exp/journal.csv"); ok {
+	if _, ok := man.Lookup("exp/results.csv"); ok {
 		t.Fatal("manifest still records the quarantined entry")
 	}
 	if rep2 := mustScrub(t, sc); !rep2.Clean() {

@@ -15,8 +15,9 @@ import (
 // Tests for the commit path's cost and its equivalence to the plain
 // definitions: the one-pass manifest encoder against the fmt encoder it
 // replaced, the incrementally sealed Merkle sidecar against a fresh
-// MerkleForManifest, and a replacing Put whose allocations do not grow
-// with the manifest.
+// MerkleForManifest, the disk I/O of a Put and of the commit that folds
+// it, and a replacing Put whose allocations do not grow with the
+// manifest.
 
 // encodeFmt is the manifest encoder the one-pass Encode replaced, kept
 // as the reference it must match byte for byte.
@@ -219,6 +220,12 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 				st = New(cfs)
 			}
 			checkSealMatchesManifest(t, fs, when)
+			// Read-your-writes across Put, Sync, repair and reopen.
+			got, err := st.Load()
+			if err != nil {
+				t.Fatalf("%s: load: %v", when, err)
+			}
+			wantSameImage(t, got, work, when+": load")
 			if rng.Intn(4) == 0 {
 				img, err := st.Image()
 				if err != nil {
@@ -268,6 +275,162 @@ func TestRepairInstallsQuorumManifestOverIntent(t *testing.T) {
 	wantSameImage(t, mustImage(t, st), img, "after install")
 }
 
+// TestPutIOBound pins the disk cost of the durable journal path: a Put
+// is exactly one write (O(data) bytes), one file fsync and one
+// directory fsync, with no rename and no manifest commit, and removes
+// the record it supersedes. A Sync whose files and records all equal
+// the committed tree — the warm re-run — does no I/O and leaves the
+// newest record in place. A Sync that folds records over unchanged
+// files is one commit of six flushes — intent, seal, rename, the
+// records' durable removal — and writes no workspace file.
+func TestPutIOBound(t *testing.T) {
+	c := &opCounter{VFS: NewMemFS(chaosSeed(t))}
+	st := New(c)
+	gen := mustSync(t, st, w2()).Generation
+	records := func() []string {
+		t.Helper()
+		paths, err := c.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, p := range paths {
+			if isPutRecord(p) {
+				out = append(out, p)
+			}
+		}
+		return out
+	}
+	putAll := func(journals ...string) {
+		t.Helper()
+		for i, j := range journals {
+			superseded := len(records())
+			before := c.ioCounts
+			if err := st.Put("exp/journal.csv", []byte(j)); err != nil {
+				t.Fatal(err)
+			}
+			got := c.since(before)
+			if got.writes != 1 || got.fsyncs != 1 || got.dirSyncs != 1 || got.renames != 0 || got.commits != 0 || got.removes != superseded {
+				t.Fatalf("Put %d did %+v, want one write, one fsync, one dir fsync, no rename, %d removal(s)", i+1, got, superseded)
+			}
+			if got.bytes > len(j)+512 {
+				t.Fatalf("a Put of %d bytes wrote %d", len(j), got.bytes)
+			}
+		}
+		if r := records(); len(r) != 1 {
+			t.Fatalf("%d Puts of one path left records %v, want one", len(journals), r)
+		}
+	}
+
+	putAll(j1, j2, j3)
+	before := c.mutations
+	if stats := mustSync(t, st, w2()); !stats.Clean || stats.Generation != gen || c.mutations != before {
+		t.Fatalf("a sync of the committed tree with committed records is %+v after %d mutation(s), want clean at generation %d with none",
+			stats, c.mutations-before, gen)
+	}
+	if r := records(); len(r) != 1 || r[0] != putRecordPath(gen, 3) {
+		t.Fatalf("the clean sync left records %v, want %s", r, putRecordPath(gen, 3))
+	}
+	mustCleanVerify(t, st, "with a committed record at rest")
+
+	putAll(j1, j2)
+	before2 := c.ioCounts
+	stats := mustSync(t, st, w2())
+	got := c.since(before2)
+	if stats.Clean || stats.Written != 0 || got.commits != 1 || got.flushes() != 6 || got.writes != 2 {
+		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 6 flushes, 2 writes", got, stats)
+	}
+	if r := records(); len(r) != 0 {
+		t.Fatalf("records %v survived their fold", r)
+	}
+	if files, err := st.Load(); err != nil || string(files["exp/journal.csv"]) != j3 {
+		t.Fatalf("after the fold Load's journal is %q (err %v), want the synced %q", files["exp/journal.csv"], err, j3)
+	}
+	if again := mustSync(t, st, w2()); !again.Clean {
+		t.Fatalf("a sync after the fold is not clean: %+v", again)
+	}
+}
+
+// TestRepairCarriesLivePutRecords: the manifest is damaged while put
+// records are live and no quorum holds a copy. The rebuild commits a
+// new generation that carries the records in, so Load still returns the
+// put bytes — before and after a reopen — and the repair converges.
+func TestRepairCarriesLivePutRecords(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	cfs := &opCounter{VFS: fs}
+	st := New(cfs)
+	mustSync(t, st, w2())
+	puts := map[string]string{"exp/journal.csv": j1, "exp/new.csv": "fresh,row\n"}
+	for _, path := range []string{"exp/journal.csv", "exp/new.csv"} {
+		if err := st.Put(path, []byte(puts[path])); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := fs.WriteFile(manifestPath, []byte("damaged")); err != nil {
+		t.Fatal(err)
+	}
+	st = New(cfs)
+	// Which records are live depends on the committed generation.
+	if _, err := st.Load(); err == nil || !strings.Contains(err.Error(), "popper fsck --repair") {
+		t.Fatalf("load over a damaged manifest with live records: want the fsck hint, got %v", err)
+	}
+	if rep := mustRepair(t, st, nil); verbs(rep)[manifestPath] != "rebuilt" {
+		t.Fatalf("manifest not rebuilt:\n%s", rep.Format())
+	}
+	mustConverged(t, st, cfs, "after rebuild")
+	for _, s := range []*Store{st, New(cfs)} {
+		got, err := s.Load()
+		if err != nil {
+			t.Fatalf("load: %v", err)
+		}
+		for path, want := range w2() {
+			if w, ok := puts[path]; ok {
+				want = []byte(w)
+			}
+			if !bytes.Equal(got[path], want) {
+				t.Fatalf("%s after rebuild: %q, want %q", path, got[path], want)
+			}
+		}
+		if string(got["exp/new.csv"]) != puts["exp/new.csv"] {
+			t.Fatalf("a put of a new path was lost by the rebuild: %q", got["exp/new.csv"])
+		}
+	}
+}
+
+// TestFoldedPutRecordsStayGoneAfterManifestLoss: a fold removes the
+// records it superseded durably. Power is lost right after the fold,
+// then the manifest is damaged with no quorum to restore it; the
+// rebuild, which has no manifest to date records by, must find none
+// and keep the folded content. Each seed settles the crash differently.
+func TestFoldedPutRecordsStayGoneAfterManifestLoss(t *testing.T) {
+	for i := int64(0); i < 16; i++ {
+		fs := NewMemFS(chaosSeed(t) + i)
+		st := New(fs)
+		mustSync(t, st, w1())
+		for _, j := range []string{j1, j2} {
+			if err := st.Put("exp/journal.csv", []byte(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		mustSync(t, st, w2()) // folds the records; its journal is j3
+		fs.Crash()
+		if err := fs.WriteFile(manifestPath, []byte("damaged")); err != nil {
+			t.Fatal(err)
+		}
+		cfs := &opCounter{VFS: fs}
+		st = New(cfs)
+		mustRepair(t, st, nil)
+		mustConverged(t, st, cfs, "after rebuild")
+		got, err := st.Load()
+		if err != nil {
+			t.Fatalf("seed +%d: load: %v", i, err)
+		}
+		if string(got["exp/journal.csv"]) != j3 {
+			t.Fatalf("seed +%d: after the rebuild Load's journal is %q, want the folded %q", i, got["exp/journal.csv"], j3)
+		}
+	}
+}
+
 // putFixture returns a store whose committed manifest records n files,
 // plus the path of one of them, ready for replacing Puts. The manifest
 // and seal are written straight to the filesystem; Put reads nothing
@@ -293,10 +456,10 @@ func putFixture(tb testing.TB, n int) (*Store, string) {
 var putReplaceContents = [2][]byte{[]byte("config,status\n0,ok\n"), []byte("config,status\n0,ok\n1,ok\n")}
 
 // TestPutReplaceAllocsIndependentOfManifestSize pins the cost of a
-// replacing Put — the sweep journal's durable commit — to O(1)
-// allocations in the manifest size: one copy of the entries, one
-// encoding, one tree. At most one extra allocation per extra tree level
-// is tolerated between a 100- and a 10,000-entry manifest.
+// replacing Put — the sweep journal's durable record — to O(1)
+// allocations in the manifest size: one record encoding, whatever the
+// manifest holds. At most one extra allocation per extra tree level is
+// tolerated between a 100- and a 10,000-entry manifest.
 func TestPutReplaceAllocsIndependentOfManifestSize(t *testing.T) {
 	allocs := func(n int) float64 {
 		st, path := putFixture(t, n)

@@ -14,9 +14,9 @@ import (
 // fsync, rename, dir fsync — per object. Sync instead packs every new
 // small object of a generation into one append-only extent
 // (.popper/extents/gen-<N>.extent, the cas extent format), one durable
-// write for the lot. Loose objects remain the home of large content
-// and of incremental Put, and fsck treats a damaged extent like a set
-// of loose objects: salvage what each record's own digest proves.
+// write for the lot. Loose objects remain the home of large content,
+// and fsck treats a damaged extent like a set of loose objects: salvage
+// what each record's own digest proves.
 const (
 	// smallObjectMax is the largest object packed into an extent; bigger
 	// content stays a loose object file.

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -67,28 +66,6 @@ func NewManifest(generation int, files map[string][]byte) *Manifest {
 func sortEntries(m *Manifest) {
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Path < m.Entries[j].Path })
 	m.index()
-}
-
-// with returns the next generation of m with e recorded, leaving m
-// untouched, plus the entry e superseded (nil for a new path). A
-// replace copies the entries once and shares m's path index; a new
-// path is inserted at its binary-search position and indexed afresh.
-func (m *Manifest) with(gen int, e Entry) (next *Manifest, replaced *Entry) {
-	next = &Manifest{Generation: gen}
-	if i, ok := m.byPath[e.Path]; ok {
-		old := m.Entries[i]
-		next.Entries = slices.Clone(m.Entries)
-		next.Entries[i] = e
-		next.byPath = m.byPath
-		return next, &old
-	}
-	i := sort.Search(len(m.Entries), func(i int) bool { return m.Entries[i].Path >= e.Path })
-	next.Entries = make([]Entry, len(m.Entries)+1)
-	copy(next.Entries, m.Entries[:i])
-	next.Entries[i] = e
-	copy(next.Entries[i+1:], m.Entries[i:])
-	next.index()
-	return next, nil
 }
 
 // find returns the index at which m records exactly e: i itself when

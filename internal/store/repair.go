@@ -135,6 +135,9 @@ type Plan struct {
 	// gen the generation a Rebuild commits.
 	man *Manifest
 	gen int
+	// puts holds the put records: a Rebuild carries the live ones into
+	// its generation, which passes every record's, then removes them all.
+	puts *putLog
 }
 
 // add appends an action and returns its index.
@@ -148,7 +151,7 @@ func (p *Plan) add(a Action) int {
 // looked up, and every byte an action will write is verified now. A
 // clean report plans nothing.
 func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
-	p := &Plan{man: rep.man}
+	p := &Plan{man: rep.man, puts: rep.puts}
 	if rep.Clean() {
 		return p, nil
 	}
@@ -177,7 +180,7 @@ func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
 				if err != nil {
 					return nil, err
 				}
-				p.man, findings, subFix = man, sub.Findings, make([]int, len(sub.Findings))
+				p.man, p.puts, findings, subFix = man, sub.puts, sub.Findings, make([]int, len(sub.Findings))
 			}
 		}
 	}
@@ -195,9 +198,9 @@ func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
 // writes back objects whose only local copy the damage took.
 func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) error {
 	man := p.man
-	p.gen = 1
+	p.gen = p.puts.maxGen + 1
 	if man != nil {
-		p.gen = man.Generation + 1
+		p.gen = max(p.gen, man.Generation+1)
 	}
 	rebuild := -1
 	needRebuild := func() int {
@@ -220,6 +223,18 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 		case f.State == StateExtra:
 			fix[i] = p.add(Action{Verb: VerbAdopt, Path: f.Path, Rung: RungReseal, Note: "tracked into the new manifest generation"})
 			needRebuild()
+		case f.Note == noteDamagedPut:
+			// A damaged live record: the quorum's intact copy, else removal —
+			// its Put never returned, or no rung can prove its bytes.
+			if data, _ := fileQuorum(q, f.Path); data != nil {
+				if rec, err := decodePutRecord(f.Path, data); err == nil {
+					fix[i] = p.add(Action{Verb: VerbInstall, Path: f.Path, Rung: RungReplica, data: data,
+						Note: fmt.Sprintf("%d bytes from the replica quorum", len(data))})
+					p.puts.keep(rec)
+					continue
+				}
+			}
+			fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
 		case strings.HasPrefix(f.Path, extentsDir+"/") && !strings.HasSuffix(f.Path, tmpSuffix) && f.Note != noteUnreferencedExtent:
 			// A damaged extent: the quorum's intact image, else what its
 			// own record digests still prove (torn), else removal.
@@ -398,6 +413,7 @@ func (s *Store) Apply(rep *Report, p *Plan) error {
 		return s.dead
 	}
 	s.invalidateExtents()
+	s.puts = nil // records may be installed, removed or carried in
 	man := p.man
 	var dropped []string
 	var adopted []Entry
@@ -441,9 +457,11 @@ func (s *Store) Apply(rep *Report, p *Plan) error {
 		case VerbReseal:
 			_, err = s.sealMerkleLocked(man)
 		case VerbRebuild:
-			man, err = s.commitRebuilt(man, p.gen, dropped, adopted)
+			man, err = s.commitRebuilt(man, p.gen, dropped, adopted, p.puts.live)
 			if err == nil {
 				a.Note = fmt.Sprintf("generation %d, %d file(s)", man.Generation, man.Len())
+				// Post-commit: every record is superseded.
+				err = s.dropPutsLocked(p.puts, man.Generation)
 			}
 		}
 		if err != nil {
@@ -484,9 +502,10 @@ func (s *Store) quarantine(path, dest string) error {
 }
 
 // commitRebuilt commits the manifest a repair leaves: the surviving
-// entries minus the dropped, plus the adopted, as generation gen, with
-// its seal. Callers hold the lock.
-func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted []Entry) (*Manifest, error) {
+// entries minus the dropped, plus the adopted, plus the live put
+// records carried in — each record's bytes become its path's committed
+// content — as generation gen, with its seal. Callers hold the lock.
+func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted []Entry, puts map[string]putRecord) (*Manifest, error) {
 	next := &Manifest{Generation: gen}
 	if man != nil {
 	keep:
@@ -496,10 +515,31 @@ func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted 
 					continue keep
 				}
 			}
+			if _, ok := puts[e.Path]; !ok {
+				next.Entries = append(next.Entries, e)
+			}
+		}
+	}
+	for _, e := range adopted {
+		if _, ok := puts[e.Path]; !ok {
 			next.Entries = append(next.Entries, e)
 		}
 	}
-	next.Entries = append(next.Entries, adopted...)
+	paths := make([]string, 0, len(puts))
+	for path := range puts {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	for _, path := range paths {
+		rec := puts[path]
+		if _, err := s.ensureObject(rec.hash, rec.data); err != nil {
+			return nil, err
+		}
+		if err := s.writeFileAtomic(path, rec.data); err != nil {
+			return nil, err
+		}
+		next.Entries = append(next.Entries, Entry{Path: path, Size: int64(len(rec.data)), Hash: rec.hash})
+	}
 	sortEntries(next)
 	if err := s.writeFileAtomic(manifestPath, next.Encode()); err != nil {
 		return nil, err

@@ -105,7 +105,7 @@ func (s *Store) InstallImage(img map[string][]byte) error {
 			return err
 		}
 	}
-	s.man, s.tree, s.got = nil, nil, false
+	s.man, s.tree, s.got, s.puts = nil, nil, false, nil
 	s.invalidateExtents()
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"slices"
 	"strings"
 	"sync"
 
@@ -33,6 +34,9 @@ type Store struct {
 	// extents is the lazily-built index over packed extents
 	// (hash → payload); nil means rebuild on next object lookup.
 	extents map[[sha256.Size]byte][]byte
+	// puts caches the put records on disk (see put.go); nil means
+	// rescan on next use.
+	puts *putLog
 }
 
 // Open returns a store over a real directory tree.
@@ -72,10 +76,11 @@ func (e *RecoveryError) Error() string {
 	return fmt.Sprintf("store: %s refused: an interrupted sync left %s behind; run `popper fsck --repair` first", e.Op, manifestNextPath)
 }
 
-// Load reads the tracked workspace from disk into a flat path map —
-// the inverse of Sync. Reads go through the instrumented disk/read/*
-// sites, so injected rot reaches consumers exactly the way latent
-// media corruption would.
+// Load reads the logical workspace into a flat path map — the inverse
+// of Sync: the tracked files on disk, overlaid with the live put
+// records. Reads go through the instrumented disk/read/* sites, so
+// injected rot reaches consumers exactly the way latent media
+// corruption would.
 func (s *Store) Load() (map[string][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -87,7 +92,11 @@ func (s *Store) Load() (map[string][]byte, error) {
 		return nil, err
 	}
 	files := make(map[string][]byte, len(paths))
+	puts := false
 	for _, path := range paths {
+		if isPutRecord(path) {
+			puts = true
+		}
 		if !Tracked(path) {
 			continue
 		}
@@ -96,6 +105,23 @@ func (s *Store) Load() (map[string][]byte, error) {
 			return nil, fmt.Errorf("store: load %s: %w", path, err)
 		}
 		files[path] = content
+	}
+	if !puts {
+		s.puts = &putLog{next: 1}
+		return files, nil
+	}
+	// Which records are live depends on the committed generation.
+	man, err := s.loadManifest()
+	if err != nil {
+		return nil, err
+	}
+	p, err := s.scanPutsLocked(man, paths)
+	if err != nil {
+		return nil, err
+	}
+	s.puts = p
+	for path, rec := range p.live {
+		files[path] = rec.data
 	}
 	return files, nil
 }
@@ -106,12 +132,15 @@ func (s *Store) Load() (map[string][]byte, error) {
 // changed file is stored in the object cache and written atomically
 // (temp → fsync → rename → dir fsync), stale files are pruned by the
 // manifest diff, and finally the intent record is renamed over the
-// committed manifest — the single commit point. A crash anywhere
+// committed manifest — the single commit point. The commit folds the
+// put records: they are removed once it is durable. A crash anywhere
 // leaves either the old committed generation (plus repairable debris)
 // or the new one; `popper fsck --repair` restores the invariant.
 //
-// The clean path — workspace already matching the committed manifest —
-// performs no writes and no allocations.
+// A workspace that matches the committed manifest, with every live put
+// record holding its path's committed content, is clean: the logical
+// tree is already committed, so the records stay where they are. The
+// clean path performs no writes and no allocations.
 func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -128,6 +157,10 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	if err != nil {
 		return stats, err
 	}
+	puts, err := s.putLogLocked(man)
+	if err != nil {
+		return stats, err
+	}
 	if man != nil {
 		stats.Generation = man.Generation
 		tracked, clean := 0, true
@@ -141,7 +174,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 				break
 			}
 		}
-		if clean && tracked == man.Len() {
+		if clean && tracked == man.Len() && puts.committed(man) {
 			stats.Clean = true
 			return stats, nil
 		}
@@ -150,12 +183,14 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 		return stats, err
 	}
 
-	gen := 1
+	// The next generation also passes every record's, so no record on
+	// disk can name a generation this or a later commit makes live.
+	gen := puts.maxGen + 1
 	if man != nil {
-		gen = man.Generation + 1
+		gen = max(gen, man.Generation+1)
 	}
-	next := NewManifest(gen, files)
 	stats.Generation = gen
+	next := NewManifest(gen, files)
 
 	// Phase 1: intent. After this record is durable, fsck knows exactly
 	// what the sync was about to do.
@@ -225,15 +260,23 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	if err := s.commitManifest(next); err != nil {
 		return stats, err
 	}
-	// Post-commit: drop cache objects no generation references anymore.
+	// Post-commit: drop the folded records and the cache objects no
+	// generation references anymore.
+	if err := s.dropPutsLocked(puts, gen); err != nil {
+		return stats, err
+	}
 	return stats, s.gc(next)
 }
 
-// Put durably writes one artifact now, mid-command: object, atomic
-// file write and a committed manifest update, so a crash a moment
-// later still finds it recorded. The sweep journal rides this path —
-// each completed configuration is recoverable even if the process
-// never reaches its final sync.
+// Put durably writes one artifact now, mid-command, as one put record
+// (see put.go): write, fsync, and an fsync of .popper — O(data) bytes
+// and two flushes, whatever the manifest's size — then removes the
+// path's previous record. From then on Load returns data for path, and
+// a crash a moment later still finds it; the tracked file on disk keeps
+// its committed bytes until the next manifest commit folds the record
+// in. A Put of the path's current logical content writes nothing. The
+// sweep journal rides this path — each completed configuration is
+// recoverable even if the process never reaches its final sync.
 func (s *Store) Put(path string, data []byte) error {
 	if err := CheckPath(path); err != nil {
 		return err
@@ -250,39 +293,43 @@ func (s *Store) Put(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	e := Entry{Path: path, Size: int64(len(data)), Hash: sha256.Sum256(data)}
-	gen := 1
-	if man != nil {
-		if cur, ok := man.Lookup(path); ok && cur == e {
+	p, err := s.putLogLocked(man)
+	if err != nil {
+		return err
+	}
+	rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, path: path, hash: sha256.Sum256(data)}
+	prev, superseding := p.live[path]
+	if superseding {
+		if prev.hash == rec.hash {
 			return nil
 		}
-		gen = man.Generation + 1
-	} else {
-		man = &Manifest{}
+	} else if man != nil {
+		if e, ok := man.Lookup(path); ok && e.Hash == rec.hash && e.Size == int64(len(data)) {
+			return nil
+		}
 	}
 	if err := s.refuseIfInterrupted("put"); err != nil {
 		return err
 	}
-	next, replaced := man.with(gen, e)
-	if err := s.writeFileAtomic(manifestNextPath, next.Encode()); err != nil {
+	if err := s.write(rec.name, encodePutRecord(p.gen, rec.seq, path, data)); err != nil {
 		return err
 	}
-	if _, err := s.ensureObject(e.Hash, data); err != nil {
+	p.names = append(p.names, rec.name)
+	p.maxGen = max(p.maxGen, p.gen)
+	p.next++
+	p.keep(rec)
+	if err := s.sync(rec.name); err != nil {
 		return err
 	}
-	if err := s.writeFileAtomic(path, data); err != nil {
+	if err := s.syncDir(popperDir); err != nil || !superseding {
 		return err
 	}
-	if err := s.commitManifest(next); err != nil {
+	// No fsync: a crash that undoes the removal brings back a lower
+	// sequence, and the next fsync of .popper makes it durable anyway.
+	if err := s.remove(prev.name); err != nil {
 		return err
 	}
-	// Post-commit: the replaced content's object is garbage unless some
-	// other entry shares it.
-	if replaced != nil && !referencesHash(next, replaced.Hash) {
-		if err := s.remove(objectPath(replaced.Hash)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return err
-		}
-	}
+	p.names = slices.DeleteFunc(p.names, func(name string) bool { return name == prev.name })
 	return nil
 }
 

@@ -42,6 +42,7 @@ func w1() map[string][]byte {
 const (
 	j1 = "config,status\n001,ok\n"
 	j2 = "config,status\n001,ok\n002,ok\n"
+	j3 = "config,status\n001,ok\n002,ok\n003,ok\n"
 )
 
 func w2() map[string][]byte {
@@ -49,29 +50,64 @@ func w2() map[string][]byte {
 		".popper.yml":     []byte("experiments:\n  - exp\n"),
 		"exp/run.sh":      []byte("#!/bin/sh\necho run\n"),
 		"exp/vars.yml":    []byte("alpha: 2\n"),
-		"exp/journal.csv": []byte(j2),
+		"exp/journal.csv": []byte(j3),
 		"exp/results.csv": []byte("metric,value\nthroughput,812\n"),
 	}
 }
 
-// crashScenario is the canonical mutation sequence the crash matrix
-// enumerates: an initial committed generation, two incremental durable
-// journal writes, and a final sync that changes, adds and prunes
-// files.
-func crashScenario(st *Store) error {
-	if _, err := st.Sync(w1()); err != nil {
-		return err
+// crashSteps is the canonical mutation sequence the crash matrix
+// enumerates: an initial committed generation; a journal growing row
+// by row through durable writes, folded by a sync that changes, adds
+// and prunes files; a second round in the warm-rerun shape — the same
+// journal writes, then a sync whose files and newest record equal the
+// committed tree, which commits nothing; and a third round cut short,
+// whose records are folded by a sync of the unchanged committed tree.
+var crashSteps = []func(st *Store) error{
+	func(st *Store) error { _, err := st.Sync(w1()); return err },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j2)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
+	func(st *Store) error { _, err := st.Sync(w2()); return err },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j2)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
+	func(st *Store) error { _, err := st.Sync(w2()); return err },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j2)) },
+	func(st *Store) error { _, err := st.Sync(w2()); return err },
+}
+
+// crashJournal is the journal Load returns once each step returned
+// ("" while there is none).
+var crashJournal = []string{"", j1, j2, j3, j3, j1, j2, j3, j3, j1, j2, j3}
+
+// crashScenario runs the steps and reports how many returned.
+func crashScenario(st *Store) (int, error) {
+	for i, step := range crashSteps {
+		if err := step(st); err != nil {
+			return i, err
+		}
 	}
-	if err := st.Put("exp/journal.csv", []byte(j1)); err != nil {
-		return err
+	return len(crashSteps), nil
+}
+
+// wantDurableJournal asserts Load's journal is one a crash during step
+// done may leave: what the last returned step left, or what the step in
+// flight wrote. Nothing a Put returned from is lost before its fold
+// commits, and no record a crash resurrects after the fold shows.
+func wantDurableJournal(t *testing.T, st *Store, done int, when string) {
+	t.Helper()
+	files, err := st.Load()
+	if err != nil {
+		t.Fatalf("%s: load: %v", when, err)
 	}
-	if err := st.Put("exp/journal.csv", []byte(j2)); err != nil {
-		return err
+	got, prev := string(files["exp/journal.csv"]), ""
+	if done > 0 {
+		prev = crashJournal[done-1]
 	}
-	if _, err := st.Sync(w2()); err != nil {
-		return err
+	if got != prev && got != crashJournal[done] {
+		t.Fatalf("%s: crash in step %d: Load's journal is %q, want %q or %q", when, done, got, prev, crashJournal[done])
 	}
-	return nil
 }
 
 // trackedTree reads every tracked file from a VFS.
@@ -133,35 +169,64 @@ func mustRepair(t *testing.T, st *Store, q Quorum) *Report {
 	return rep
 }
 
-// opCounter wraps a VFS and counts the operations that change it.
+// opCounter wraps a VFS and counts the operations that change it, in
+// all and by kind; a commit is a rename onto the committed manifest.
 type opCounter struct {
 	VFS
 	mutations int
+	ioCounts
 }
+
+// ioCounts tallies disk I/O by kind.
+type ioCounts struct {
+	writes, bytes, fsyncs, dirSyncs, renames, removes, commits int
+}
+
+// flushes is the file plus directory fsync count.
+func (c ioCounts) flushes() int { return c.fsyncs + c.dirSyncs }
 
 func (c *opCounter) WriteFile(path string, data []byte) error {
 	c.mutations++
+	c.writes++
+	c.bytes += len(data)
 	return c.VFS.WriteFile(path, data)
 }
 
 func (c *opCounter) Rename(oldPath, newPath string) error {
 	c.mutations++
+	c.renames++
+	if newPath == manifestPath {
+		c.commits++
+	}
 	return c.VFS.Rename(oldPath, newPath)
 }
 
 func (c *opCounter) Remove(path string) error {
 	c.mutations++
+	c.removes++
 	return c.VFS.Remove(path)
 }
 
 func (c *opCounter) Sync(path string) error {
 	c.mutations++
+	c.fsyncs++
 	return c.VFS.Sync(path)
 }
 
 func (c *opCounter) SyncDir(dir string) error {
 	c.mutations++
+	c.dirSyncs++
 	return c.VFS.SyncDir(dir)
+}
+
+// since returns the I/O done after an earlier snapshot.
+func (c *opCounter) since(before ioCounts) ioCounts {
+	return ioCounts{
+		writes: c.writes - before.writes, bytes: c.bytes - before.bytes,
+		fsyncs: c.fsyncs - before.fsyncs, dirSyncs: c.dirSyncs - before.dirSyncs,
+		renames: c.renames - before.renames, removes: c.removes - before.removes,
+		commits: c.commits - before.commits,
+	}
 }
 
 // mustConverged proves a repair converged on a store opened over c: a
@@ -254,7 +319,8 @@ func TestSyncPrunesStaleFiles(t *testing.T) {
 
 func TestPutLeavesRepoClean(t *testing.T) {
 	fs := NewMemFS(1)
-	st := New(fs)
+	cfs := &opCounter{VFS: fs}
+	st := New(cfs)
 	mustSync(t, st, w1())
 	if err := st.Put("exp/journal.csv", []byte(j1)); err != nil {
 		t.Fatalf("put: %v", err)
@@ -262,17 +328,38 @@ func TestPutLeavesRepoClean(t *testing.T) {
 	if err := st.Put("exp/journal.csv", []byte(j2)); err != nil {
 		t.Fatalf("put: %v", err)
 	}
-	// Repeating an identical Put is a no-op.
+	// Repeating an identical Put writes nothing.
+	before := cfs.mutations
 	if err := st.Put("exp/journal.csv", []byte(j2)); err != nil {
 		t.Fatalf("idempotent put: %v", err)
 	}
+	if cfs.mutations != before {
+		t.Fatalf("an identical Put made %d disk mutation(s)", cfs.mutations-before)
+	}
+	// Load returns the put bytes, from this store and from a fresh one;
+	// the tracked file on disk waits for the next commit.
+	for _, s := range []*Store{st, New(fs)} {
+		got, err := s.Load()
+		if err != nil || string(got["exp/journal.csv"]) != j2 {
+			t.Fatalf("load: journal %q err %v", got["exp/journal.csv"], err)
+		}
+	}
+	if _, err := fs.ReadFile("exp/journal.csv"); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("the journal reached the workspace before a commit: err %v", err)
+	}
+	// Incremental puts must not strand anything: a healthy repo fscks
+	// clean mid-sweep too.
+	mustCleanVerify(t, st, "after incremental puts")
+	files, err := st.Load()
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustSync(t, st, files)
 	content, err := fs.ReadFile("exp/journal.csv")
 	if err != nil || string(content) != j2 {
-		t.Fatalf("journal content %q err %v", content, err)
+		t.Fatalf("journal content after the commit %q err %v", content, err)
 	}
-	// Incremental puts must not strand the superseded journal's object:
-	// a healthy repo fscks clean mid-sweep too.
-	mustCleanVerify(t, st, "after incremental puts")
+	mustCleanVerify(t, st, "after the folding sync")
 	if err := st.Put(".popper/evil", []byte("x")); err == nil {
 		t.Fatal("put of an untracked path must refuse")
 	}
@@ -496,7 +583,7 @@ func TestCrashMatrixConvergence(t *testing.T) {
 
 	// Reference run: no faults.
 	refFS := NewMemFS(seed)
-	if err := crashScenario(New(refFS)); err != nil {
+	if _, err := crashScenario(New(refFS)); err != nil {
 		t.Fatalf("reference scenario: %v", err)
 	}
 	ref := trackedTree(t, refFS)
@@ -506,7 +593,7 @@ func TestCrashMatrixConvergence(t *testing.T) {
 	probeFS := NewMemFS(seed)
 	probeStore := New(probeFS)
 	probeStore.SetFaults(probe)
-	if err := crashScenario(probeStore); err != nil {
+	if _, err := crashScenario(probeStore); err != nil {
 		t.Fatalf("probe scenario: %v", err)
 	}
 	ops := probe.Occurrences("disk/*")
@@ -522,7 +609,7 @@ func TestCrashMatrixConvergence(t *testing.T) {
 			st.SetFaults(fault.NewInjector(seed, []fault.Rule{{
 				Site: "disk/*", Kind: fault.DiskCrash, Global: true, After: k, Times: 1, Prob: 1,
 			}}))
-			err := crashScenario(st)
+			done, err := crashScenario(st)
 			if !fault.IsDiskCrash(err) {
 				t.Fatalf("op %d: expected a disk crash, got %v", k, err)
 			}
@@ -530,12 +617,14 @@ func TestCrashMatrixConvergence(t *testing.T) {
 			// Reboot: fresh store over the settled disk, no faults.
 			cfs := &opCounter{VFS: fs}
 			st2 := New(cfs)
+			wantDurableJournal(t, st2, done, "after the crash")
 			mustRepair(t, st2, nil)
 			mustCleanVerify(t, st2, "after repair")
 			mustConverged(t, st2, cfs, "after repair")
+			wantDurableJournal(t, st2, done, "after repair")
 
 			// Re-run the interrupted work end to end.
-			if err := crashScenario(st2); err != nil {
+			if _, err := crashScenario(st2); err != nil {
 				t.Fatalf("replay after repair: %v", err)
 			}
 			mustCleanVerify(t, st2, "after replay")

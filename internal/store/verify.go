@@ -159,6 +159,8 @@ type Report struct {
 	// man and next are the manifest and intent record the pass verified
 	// against: the planner's input.
 	man, next *Manifest
+	// puts is what the pass found of the put records.
+	puts *putLog
 }
 
 // Clean reports whether the pass found nothing wrong.
@@ -301,6 +303,19 @@ func (s *Store) verifyLocked(rep *Report) error {
 		return err
 	}
 	hashRefs := referencedHashes(man, next)
+	// Put records: a live one is healthy state awaiting the next commit.
+	if rep.puts, err = s.scanPutsLocked(man, paths); err != nil {
+		return err
+	}
+	for _, name := range rep.puts.names {
+		if gen, _, _ := parsePutName(name); gen != rep.puts.gen {
+			rep.Findings = append(rep.Findings, Finding{Path: name, State: StateDebris,
+				Note: fmt.Sprintf("stale put record (generation %d, live %d)", gen, rep.puts.gen)})
+		}
+	}
+	for _, name := range rep.puts.damaged {
+		rep.Findings = append(rep.Findings, Finding{Path: name, State: StateTorn, Note: noteDamagedPut})
+	}
 	sealed := false
 	for _, path := range paths {
 		switch {
@@ -308,6 +323,8 @@ func (s *Store) verifyLocked(rep *Report) error {
 			rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: "in-flight temp file"})
 		case path == manifestPath || path == manifestNextPath:
 			// Reported above, not re-classified here.
+		case isPutRecord(path):
+			// Classified with the put records above.
 		case strings.HasPrefix(path, quarantineDir+"/"):
 			// Quarantined files are deliberately preserved; never re-flagged.
 		case strings.HasPrefix(path, objectsDir+"/"):

@@ -14,11 +14,15 @@
 //   - a content-addressed object cache (.popper/objects/<hash>) holding
 //     every manifested file's bytes, which is what makes damaged files
 //     repairable;
+//   - durable mid-command writes (Put) as self-checking put records
+//     (.popper/put-<generation>-<seq>): one file and two flushes each,
+//     overlaid on the committed tree by Load and folded into the next
+//     manifest commit;
 //   - Verify, Plan and Apply: one walk classifies every deviation from
 //     the manifest — torn, missing, extra and corrupted files, debris,
-//     a damaged seal — and a typed repair plan restores what a replica
-//     quorum or the object cache can prove, adopts complete strays and
-//     quarantines the rest;
+//     damaged put records, a damaged seal — and a typed repair plan
+//     restores what a replica quorum or the object cache can prove,
+//     adopts complete strays and quarantines the rest;
 //   - deterministic disk-crash injection: every write/rename/fsync/
 //     remove boundary is a fault site ("disk/<op>/<path>"), and a
 //     seeded crash-disk rule kills the sync at exactly that operation,
@@ -26,7 +30,7 @@
 //     state the way a power loss would.
 //
 // The governing invariant, enforced by the crash-matrix golden suite:
-// for every crash point in the sync path, `popper fsck --repair`
+// for every crash point in the sync and put paths, `popper fsck --repair`
 // followed by re-running the interrupted command (`popper run
 // -resume`) converges to a repository byte-identical to one that never
 // crashed. See docs/RESILIENCE.md.

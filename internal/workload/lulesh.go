@@ -97,8 +97,10 @@ func RunLulesh(cm *mpi.Comm, spec LuleshSpec) (LuleshResult, error) {
 	elemsPerRank := float64(s * s * s)
 	faceBytes := int64(s*s) * int64(spec.FieldsPerElement) * 8
 
-	cm.Profiler().Reset()
+	// Settle the ranks first, then profile: the opening barrier's wait
+	// falls before start, so it must not count as MPI time either.
 	cm.Barrier()
+	cm.Profiler().Reset()
 	start := cm.MaxClock()
 
 	work := cluster.Work{
