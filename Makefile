@@ -12,10 +12,16 @@ SPLIT_SEEDS ?= 42 7 1337
 # Seed matrix for the bit-rot suite; override with ROT_SEEDS="...".
 ROT_SEEDS ?= 42 7 1337
 
-.PHONY: build test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
+.PHONY: build fmt-check test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
 
 build:
 	$(GO) build ./...
+
+# gofmt over every tracked Go file: any file it lists is a failure.
+fmt-check:
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt-check: no tracked Go files"; exit 1; }; \
+	out=$$(gofmt -l $$files) || exit 1; \
+	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -27,13 +33,13 @@ race:
 	$(GO) test -race ./...
 
 # The full verification loop: tier-1 (build + test) plus static
-# analysis, the race detector over the concurrent sweep/cache/Aver
+# analysis and formatting, the race detector over the concurrent sweep/cache/Aver
 # paths, the seeded chaos suite, the disk-crash matrix, and a one-
 # iteration smoke of the scheduler benchmark recorder so regressions in
 # the scaling path fail the loop, plus the bit-rot matrix proving
 # silent corruption stays detectable and healable, plus a smoke of the
 # end-to-end benchmark.
-verify: build vet test race chaos crash split rot bench-json-smoke e2e-smoke
+verify: build fmt-check vet test race chaos crash split rot bench-json-smoke e2e-smoke
 
 # Chaos determinism suite: the fault-injection golden tests under the
 # race detector, once per seed in the matrix. Each seed is a different
@@ -130,7 +136,9 @@ bench-aver:
 # and the gassyfs family (compile-git scaling curve, host-parallel
 # drive) into BENCH_gassyfs.json, and the durable journal path's exact
 # I/O (a 114-entry sync, 32 journal puts, the sync after them) into
-# BENCH_store.json.
+# BENCH_store.json, and the simulator's host time per simulated message
+# step (the LULESH proxy, blocking and overlapped, at 8 and 27 ranks)
+# into BENCH_sim.json.
 bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_sched.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/sched/
 	@echo "-- wrote BENCH_sched.json"
@@ -144,6 +152,8 @@ bench-json:
 	@echo "-- wrote BENCH_scrub.json"
 	BENCH_JSON=$(CURDIR)/BENCH_store.json $(GO) test -run TestWriteStoreBenchJSON -count=1 ./internal/store/
 	@echo "-- wrote BENCH_store.json"
+	BENCH_JSON=$(CURDIR)/BENCH_sim.json $(GO) test -run TestWriteSimBenchJSON -count=1 .
+	@echo "-- wrote BENCH_sim.json"
 
 # Vet and test the end-to-end benchmark (e2ebench/README.md). It is its
 # own Go module, so `go test ./...` above never builds it; this catches
@@ -161,4 +171,5 @@ bench-json-smoke:
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteGassyfsBenchJSON -count=1 . || { rm -f $$out; exit 1; }; \
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteScrubBenchJSON -count=1 ./internal/scrub/ || { rm -f $$out; exit 1; }; \
 	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteStoreBenchJSON -count=1 ./internal/store/ || { rm -f $$out; exit 1; }; \
+	BENCH_JSON=$$out BENCH_SMOKE=1 $(GO) test -run TestWriteSimBenchJSON -count=1 . || { rm -f $$out; exit 1; }; \
 	rm -f $$out

@@ -7,9 +7,12 @@
 package popper
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
+	"os"
 	"testing"
+	"time"
 
 	"popper/internal/aver"
 	"popper/internal/baseliner"
@@ -386,19 +389,8 @@ func BenchmarkFigMPIVariability(b *testing.B) {
 // the message path a cloverleaf sweep spends its time in.
 func BenchmarkRunLulesh(b *testing.B) {
 	for _, overlap := range []bool{false, true} {
-		name := "blocking"
-		if overlap {
-			name = "overlap"
-		}
-		b.Run(name, func(b *testing.B) {
-			nodes, err := cluster.New(42).Provision("probe-opteron", 8)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
-			if err != nil {
-				b.Fatal(err)
-			}
+		b.Run(haloName(overlap), func(b *testing.B) {
+			cm := luleshComm(b, 8)
 			spec := workload.DefaultLuleshSpec()
 			spec.Overlap = overlap
 			b.ReportAllocs()
@@ -410,6 +402,122 @@ func BenchmarkRunLulesh(b *testing.B) {
 			}
 		})
 	}
+}
+
+// haloName names a LULESH halo-exchange mode.
+func haloName(overlap bool) string {
+	if overlap {
+		return "overlap"
+	}
+	return "blocking"
+}
+
+// luleshComm is the communicator BenchmarkRunLulesh and its recorder
+// drive: `ranks` fresh probe-opteron nodes of a seed-42 cluster.
+func luleshComm(tb testing.TB, ranks int) *mpi.Comm {
+	tb.Helper()
+	nodes, err := cluster.New(42).Provision("probe-opteron", ranks)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	cm, err := mpi.NewComm(nodes, cluster.NewNetwork())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return cm
+}
+
+// clocked is one BENCH_sim.json measurement and the clock it was read
+// from: "wall" for host time, "virtual" for simulated time.
+type clocked struct {
+	Value float64 `json:"value"`
+	Clock string  `json:"clock"`
+}
+
+// simBenchRecord is one BENCH_sim.json entry: the host cost of one
+// LULESH-proxy run, per simulated point-to-point message step.
+type simBenchRecord struct {
+	Ranks        int `json:"ranks"`
+	Iterations   int `json:"iterations"`
+	MessageSteps int `json:"message_steps"`
+	// AllocsPerRun is exact: the simulator's allocations do not depend
+	// on the host.
+	AllocsPerRun     float64 `json:"allocs_per_run"`
+	NsPerMessageStep clocked `json:"ns_per_message_step"`
+	ElapsedS         clocked `json:"elapsed_s"`
+}
+
+// TestWriteSimBenchJSON records the simulator's host time per simulated
+// event when BENCH_JSON names an output file (`make bench-json`):
+// BenchmarkRunLulesh's run, blocking and overlapped, at 8 and 27 ranks.
+// message_steps counts the point-to-point calls of one run in its
+// profile: each halo pair's two sends and two receives (Send and Recv,
+// or Isend and the Wait that completes each Irecv). elapsed_s is the
+// first run's virtual makespan on a fresh communicator, so it depends
+// only on the model; ns_per_message_step is a run's wall time over its
+// message steps, averaged over the timed runs. BENCH_SMOKE=1 (wired
+// into `make verify`) times a single run per entry.
+func TestWriteSimBenchJSON(t *testing.T) {
+	out := os.Getenv("BENCH_JSON")
+	if out == "" {
+		t.Skip("set BENCH_JSON=<path> to record simulator benchmarks")
+	}
+	runs := 200
+	if os.Getenv("BENCH_SMOKE") != "" {
+		runs = 1
+	}
+	p2p := map[string]bool{"Send": true, "Recv": true, "Isend": true, "Wait": true}
+	records := make(map[string]simBenchRecord)
+	for _, overlap := range []bool{false, true} {
+		for _, ranks := range []int{8, 27} {
+			spec := workload.DefaultLuleshSpec()
+			spec.Overlap = overlap
+			cm := luleshComm(t, ranks)
+			res, err := workload.RunLulesh(cm, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			steps := 0
+			prof := cm.Profiler().Table()
+			for r := 0; r < prof.Len(); r++ {
+				if p2p[prof.MustCell(r, "call").Str] {
+					steps += int(prof.MustCell(r, "count").Num)
+				}
+			}
+			// A g0 x g1 x g2 grid has sum over d of (g_d - 1) * n/g_d
+			// neighbour pairs, each four message steps per iteration.
+			pairs := 0
+			for _, g := range res.Grid {
+				pairs += (g - 1) * ranks / g
+			}
+			if want := 4 * pairs * spec.Iterations; steps != want {
+				t.Fatalf("%s at %d ranks: %d message steps per run, want %d", haloName(overlap), ranks, steps, want)
+			}
+			run := func() {
+				if _, err := workload.RunLulesh(cm, spec); err != nil {
+					t.Fatal(err)
+				}
+			}
+			allocs := testing.AllocsPerRun(runs, run)
+			start := time.Now()
+			for i := 0; i < runs; i++ {
+				run()
+			}
+			ns := float64(time.Since(start).Nanoseconds()) / float64(runs*steps)
+			records[fmt.Sprintf("RunLulesh/%s/ranks=%d", haloName(overlap), ranks)] = simBenchRecord{
+				Ranks: ranks, Iterations: spec.Iterations, MessageSteps: steps, AllocsPerRun: allocs,
+				NsPerMessageStep: clocked{ns, "wall"}, ElapsedS: clocked{res.Elapsed, "virtual"},
+			}
+		}
+	}
+	data, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d benchmark records to %s", len(records), out)
 }
 
 // --- E8: Figure bww-airtemp ---------------------------------------------

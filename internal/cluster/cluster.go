@@ -24,7 +24,7 @@ func New(seed int64) *Cluster {
 	return &Cluster{seed: seed, nodes: make(map[string]*Node)}
 }
 
-// Provision leases n fresh nodes of the named builtin profile.
+// Provision allocates n fresh nodes of the named builtin profile.
 func (c *Cluster) Provision(profile string, n int) ([]*Node, error) {
 	p, err := Profile(profile)
 	if err != nil {
@@ -33,7 +33,7 @@ func (c *Cluster) Provision(profile string, n int) ([]*Node, error) {
 	return c.ProvisionProfile(p, n)
 }
 
-// ProvisionProfile leases n fresh nodes with an explicit profile.
+// ProvisionProfile allocates n fresh nodes with an explicit profile.
 func (c *Cluster) ProvisionProfile(p *MachineProfile, n int) ([]*Node, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -58,17 +58,19 @@ func (c *Cluster) ProvisionProfile(p *MachineProfile, n int) ([]*Node, error) {
 	return out, nil
 }
 
-// Release returns nodes to the provider; using a released node panics.
+// Release returns nodes to the provider; writing a released node's
+// clock, load or jitter RNG panics. Releasing a leased node panics: the
+// node belongs to its lease holder.
 func (c *Cluster) Release(nodes ...*Node) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, n := range nodes {
-		n.released = true
+		n.release()
 		delete(c.nodes, n.id)
 	}
 }
 
-// Nodes lists currently leased nodes sorted by id.
+// Nodes lists the provisioned nodes not yet released, sorted by id.
 func (c *Cluster) Nodes() []*Node {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -82,12 +84,16 @@ func (c *Cluster) Nodes() []*Node {
 
 // Node is one simulated machine with a logical clock.
 //
-// Clock contract: every clock write (Run, RunParallel, RunThenAdvance,
-// AdvanceToThenRun, Advance, AdvanceTo) holds mu, which also guards the
-// jitter RNG, the background load and the RAM accounting, so concurrent
-// writers serialize. Now (and so MaxClock) reads the clock with one
-// atomic load and takes no lock: a reader racing a writer sees the clock
-// from just before or just after that write, never a torn value.
+// Clock contract: a node's clock, jitter RNG and background load have
+// one writer at a time. A free node's writers (Run, RunParallel,
+// Advance, AdvanceTo, SetBackgroundLoad) hold mu, so concurrent writers
+// serialize. A leased node's only writer is its Lease, whose steps take
+// no lock: while the lease holds the node, those Node writers panic, as
+// they do on a released node, and so does Release. Either way each step
+// publishes the clock with one atomic store, and Now (and so MaxClock)
+// reads it with one atomic load and no lock: a reader racing a writer
+// sees the clock from just before or just after that step, never a torn
+// value. mu also guards the node's state and its RAM accounting.
 type Node struct {
 	mu        sync.Mutex
 	id        string
@@ -95,9 +101,18 @@ type Node struct {
 	clock     atomic.Uint64 // Float64bits of virtual seconds since provisioning
 	bgLoad    float64       // background ("noisy neighbour") load in [0,1)
 	rng       *rand.Rand
-	released  bool
+	state     nodeState
 	usedBytes int64 // allocated simulated RAM
 }
+
+// nodeState says who may write a node's clock, load and RNG.
+type nodeState uint8
+
+const (
+	nodeFree     nodeState = iota // the locked Node writers
+	nodeLeased                    // its Lease alone
+	nodeReleased                  // nobody
+)
 
 // ID returns the node's identifier.
 func (n *Node) ID() string { return n.id }
@@ -109,16 +124,38 @@ func (n *Node) Profile() *MachineProfile { return n.profile }
 // lock.
 func (n *Node) Now() float64 { return math.Float64frombits(n.clock.Load()) }
 
-// setClock publishes a new clock value; the caller holds n.mu.
+// setClock publishes a new clock value; the caller is the node's writer.
 func (n *Node) setClock(t float64) { n.clock.Store(math.Float64bits(t)) }
+
+// lockForWrite takes mu for a locked writer. Unless the node is free
+// it releases mu and panics. The caller defers n.mu.Unlock.
+func (n *Node) lockForWrite() {
+	n.mu.Lock()
+	switch n.state {
+	case nodeLeased:
+		n.mu.Unlock()
+		panic(fmt.Sprintf("cluster: node %s written while leased", n.id))
+	case nodeReleased:
+		n.mu.Unlock()
+		panic(fmt.Sprintf("cluster: node %s used after release", n.id))
+	}
+}
+
+// release marks the node released; it panics on a leased node.
+func (n *Node) release() {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if n.state == nodeLeased {
+		panic(fmt.Sprintf("cluster: release of leased node %s", n.id))
+	}
+	n.state = nodeReleased
+}
 
 // AdvanceTo moves the clock forward to at least t (never backwards).
 func (n *Node) AdvanceTo(t float64) {
-	n.mu.Lock()
-	if t > n.Now() {
-		n.setClock(t)
-	}
-	n.mu.Unlock()
+	n.lockForWrite()
+	defer n.mu.Unlock()
+	n.advanceTo(t)
 }
 
 // Advance moves the clock forward by d seconds (d must be >= 0).
@@ -126,9 +163,9 @@ func (n *Node) Advance(d float64) {
 	if d < 0 {
 		panic(fmt.Sprintf("cluster: negative advance %g on %s", d, n.id))
 	}
-	n.mu.Lock()
+	n.lockForWrite()
+	defer n.mu.Unlock()
 	n.setClock(n.Now() + d)
-	n.mu.Unlock()
 }
 
 // SetBackgroundLoad models noisy neighbours: a fraction of the machine's
@@ -137,9 +174,9 @@ func (n *Node) SetBackgroundLoad(load float64) error {
 	if load < 0 || load > 0.95 {
 		return fmt.Errorf("cluster: background load %g out of range [0,0.95]", load)
 	}
-	n.mu.Lock()
+	n.lockForWrite()
+	defer n.mu.Unlock()
 	n.bgLoad = load
-	n.mu.Unlock()
 	return nil
 }
 
@@ -150,15 +187,11 @@ func (n *Node) BackgroundLoad() float64 {
 	return n.bgLoad
 }
 
-// inflate turns a nominal duration into the node's actual one: it
-// panics on a released node, then slows d by the background load and by
-// a half-normal jitter draw — most runs near nominal, occasional runs
-// slower, the shape real systems show. The caller holds n.mu (the draw
-// advances the RNG).
+// inflate turns a nominal duration into the node's actual one: it slows
+// d by the background load and by a half-normal jitter draw — most runs
+// near nominal, occasional runs slower, the shape real systems show.
+// The caller is the node's writer (the draw advances the RNG).
 func (n *Node) inflate(d float64) float64 {
-	if n.released {
-		panic(fmt.Sprintf("cluster: node %s used after release", n.id))
-	}
 	if n.bgLoad > 0 {
 		d /= 1 - n.bgLoad
 	}
@@ -168,46 +201,31 @@ func (n *Node) inflate(d float64) float64 {
 	return d
 }
 
-// Run executes work on the node: the duration is computed from the
-// profile, inflated by background load and jitter, the clock advances,
-// and the elapsed virtual seconds are returned.
-func (n *Node) Run(w Work) float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	d := n.inflate(n.profile.Duration(w))
+// The clock steps. Each runs for the node's writer: a Node method
+// holding mu, or the lease holder.
+
+// run spends the nominal duration d, inflated, and returns the
+// inflated duration.
+func (n *Node) run(d float64) float64 {
+	d = n.inflate(d)
 	n.setClock(n.Now() + d)
 	return d
 }
 
-// RunThenAdvance is Run(w) followed by Advance(wait) in one clock
-// update: the sending side of a blocking message, which pays its
-// software overhead and then blocks for the wire. It returns the clock
-// before and after.
-func (n *Node) RunThenAdvance(w Work, wait float64) (start, end float64) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	start = n.Now()
-	end = start + n.inflate(n.profile.Duration(w))
-	end += wait
-	n.setClock(end)
-	return start, end
+// advanceTo moves the clock forward to t unless it is already past it.
+func (n *Node) advanceTo(t float64) {
+	if t > n.Now() {
+		n.setClock(t)
+	}
 }
 
-// AdvanceToThenRun is AdvanceTo(t) followed by Run(w) in one clock
-// update: the receiving side of a message, which waits for the arrival
-// and then pays its software overhead. It returns the clock before and
-// after.
-func (n *Node) AdvanceToThenRun(t float64, w Work) (start, end float64) {
-	n.mu.Lock()
+// Run executes work on the node: the duration is computed from the
+// profile, inflated by background load and jitter, the clock advances,
+// and the elapsed virtual seconds are returned.
+func (n *Node) Run(w Work) float64 {
+	n.lockForWrite()
 	defer n.mu.Unlock()
-	start = n.Now()
-	end = start
-	if t > end {
-		end = t
-	}
-	end += n.inflate(n.profile.Duration(w))
-	n.setClock(end)
-	return start, end
+	return n.run(n.profile.Duration(w))
 }
 
 // RunParallel executes work that parallelizes over up to `threads` cores
@@ -227,11 +245,97 @@ func (n *Node) RunParallel(w Work, threads int, serialFrac float64) float64 {
 	}
 	speedup := 1 / (serialFrac + (1-serialFrac)/float64(threads))
 	serial := n.profile.Duration(w)
+	n.lockForWrite()
+	defer n.mu.Unlock()
+	return n.run(serial / speedup)
+}
+
+// Lease is one goroutine's exclusive use of a node, from LeaseAll on.
+// Its clock steps take no lock: while the node is leased, every Node
+// method that writes its clock, load or jitter RNG panics, and so does
+// Release, so the lease holder is the only writer. Each step still
+// publishes the clock with the atomic store Now reads, so Now and
+// MaxClock see every step from any goroutine. The steps are the ones
+// the locked writers run, so a leased node's clock and draws are bit
+// for bit what the same calls on a free node give. A Lease is not safe
+// for concurrent use, and nothing ends one: the node stays leased.
+type Lease struct{ n *Node }
+
+// LeaseAll leases every node, in order, or none: it fails if a node is
+// released, already leased or listed twice.
+func LeaseAll(nodes []*Node) ([]*Lease, error) {
+	leases := make([]*Lease, 0, len(nodes))
+	for _, n := range nodes {
+		if err := n.lease(); err != nil {
+			for _, l := range leases {
+				l.n.unlease()
+			}
+			return nil, err
+		}
+		leases = append(leases, &Lease{n: n})
+	}
+	return leases, nil
+}
+
+// lease marks a free node leased.
+func (n *Node) lease() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	d := n.inflate(serial / speedup)
-	n.setClock(n.Now() + d)
-	return d
+	switch n.state {
+	case nodeLeased:
+		return fmt.Errorf("cluster: node %s is already leased", n.id)
+	case nodeReleased:
+		return fmt.Errorf("cluster: node %s is released", n.id)
+	}
+	n.state = nodeLeased
+	return nil
+}
+
+// unlease frees a node whose lease was never handed out.
+func (n *Node) unlease() {
+	n.mu.Lock()
+	n.state = nodeFree
+	n.mu.Unlock()
+}
+
+// Now returns the leased node's clock.
+func (l *Lease) Now() float64 { return l.n.Now() }
+
+// Run is Node.Run on the leased node.
+func (l *Lease) Run(w Work) float64 { return l.n.run(l.n.profile.Duration(w)) }
+
+// AdvanceTo is Node.AdvanceTo on the leased node.
+func (l *Lease) AdvanceTo(t float64) { l.n.advanceTo(t) }
+
+// RunThenAdvance spends the nominal duration d, inflated, and then
+// blocks for wait seconds, in one clock update: the sending side of a
+// blocking message, which pays its software overhead and then waits for
+// the wire. Given d = Profile().Duration(w), it is Run(w) followed by
+// Advance(wait). It returns the clock before and after.
+func (l *Lease) RunThenAdvance(d, wait float64) (start, end float64) {
+	n := l.n
+	start = n.Now()
+	end = start + n.inflate(d)
+	end += wait
+	n.setClock(end)
+	return start, end
+}
+
+// AdvanceToThenRun waits until t and then spends the nominal duration
+// d, inflated, in one clock update: the receiving side of a message,
+// which waits for the arrival and then pays its software overhead.
+// Given d = Profile().Duration(w), it is AdvanceTo(t) followed by
+// Run(w). It returns the clock before and after.
+func (l *Lease) AdvanceToThenRun(t, d float64) (start, end float64) {
+	n := l.n
+	start = n.Now()
+	end = start
+	if t > end {
+		end = t
+	}
+	end += n.inflate(d)
+	n.setClock(end)
+	return start, end
 }
 
 // Alloc reserves simulated RAM on the node (for GassyFS segments).

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"sync"
@@ -458,39 +459,46 @@ func TestNetworkSendIsStateless(t *testing.T) {
 	}
 }
 
-// The clock contract: Now and MaxClock take no lock while every clock
-// write serializes on the node. Readers poll every node while one
-// writer per node applies a seeded sequence; each reader must see every
-// clock only move forward, and the final clocks must equal a serial
-// replay of the same sequences. A second phase has many writers share
-// one node with exactly representable steps, where a lost update would
-// show as a short total.
+// The clock contract: Now and MaxClock take no lock while each node has
+// one writer at a time. In phase 1 readers poll every node while one
+// writer per node steps its lease through a seeded sequence; each
+// reader must see every clock only move forward, and the final clocks
+// must equal a serial replay of the same sequences. Phase 2 has many
+// locked writers share one free node with exactly representable steps,
+// where a lost update would show as a short total.
 func TestClockConcurrentReadersAndWriters(t *testing.T) {
 	// units is large enough that an unlocked Advance loses updates.
 	const writers, steps, units = 4, 2000, 100000
-	apply := func(n *Node, i, step int) {
+	apply := func(l *Lease, i, step int) {
 		w := Work{CPUOps: float64(1000 + 37*step)}
-		switch (i + step) % 5 {
+		d := MustProfile("ec2-m4").Duration(w)
+		switch (i + step) % 4 {
 		case 0:
-			n.Run(w)
+			l.Run(w)
 		case 1:
-			n.Advance(float64(step%7) * 1e-6)
+			l.AdvanceTo(l.Now() + 2e-6)
 		case 2:
-			n.AdvanceTo(n.Now() + 2e-6)
+			l.RunThenAdvance(d, 3e-6)
 		case 3:
-			n.RunThenAdvance(w, 3e-6)
-		case 4:
-			n.AdvanceToThenRun(n.Now()+1e-6, w)
+			l.AdvanceToThenRun(l.Now()+1e-6, d)
 		}
 	}
+	lease := func(nodes []*Node) []*Lease {
+		leases, err := LeaseAll(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leases
+	}
 	replay, _ := New(47).Provision("ec2-m4", writers)
-	for i, n := range replay {
+	for i, l := range lease(replay) {
 		for step := 0; step < steps; step++ {
-			apply(n, i, step)
+			apply(l, i, step)
 		}
 	}
 
 	nodes, _ := New(47).Provision("ec2-m4", writers)
+	leases := lease(nodes)
 	done := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 3; r++ {
@@ -523,14 +531,14 @@ func TestClockConcurrentReadersAndWriters(t *testing.T) {
 		}()
 	}
 	var ws sync.WaitGroup
-	for i, n := range nodes {
+	for i, l := range leases {
 		ws.Add(1)
-		go func(i int, n *Node) {
+		go func(i int, l *Lease) {
 			defer ws.Done()
 			for step := 0; step < steps; step++ {
-				apply(n, i, step)
+				apply(l, i, step)
 			}
-		}(i, n)
+		}(i, l)
 	}
 	ws.Wait()
 	close(done)
@@ -541,9 +549,8 @@ func TestClockConcurrentReadersAndWriters(t *testing.T) {
 		}
 	}
 
-	shared := nodes[0]
-	base := math.Ceil(shared.Now())
-	shared.AdvanceTo(base)
+	free, _ := New(47).Provision("ec2-m4", 1)
+	shared := free[0]
 	var sw sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		sw.Add(1)
@@ -555,15 +562,16 @@ func TestClockConcurrentReadersAndWriters(t *testing.T) {
 		}()
 	}
 	sw.Wait()
-	if want := base + writers*units; shared.Now() != want {
-		t.Fatalf("shared clock = %v after %d concurrent unit advances from %v, want %v",
-			shared.Now(), writers*units, base, want)
+	if want := float64(writers * units); shared.Now() != want {
+		t.Fatalf("shared clock = %v after %d concurrent unit advances, want %v",
+			shared.Now(), writers*units, want)
 	}
 }
 
-// The fused message steps are the two calls they replace, bit for bit:
-// same clocks, same jitter draws, on loaded and unloaded nodes, with the
-// arrival both ahead of and behind the receiver.
+// The leased message steps, given the precomputed nominal cost of the
+// work, are the two locked calls they replace, bit for bit: same clocks,
+// same jitter draws, on loaded and unloaded nodes, with the arrival both
+// ahead of and behind the receiver.
 func TestFusedMessageStepsMatchTwoCalls(t *testing.T) {
 	w := Work{CPUOps: 2e4}
 	for _, load := range []float64{0, 0.4} {
@@ -573,27 +581,130 @@ func TestFusedMessageStepsMatchTwoCalls(t *testing.T) {
 			fused[i].SetBackgroundLoad(load)
 			split[i].SetBackgroundLoad(load)
 		}
+		leases, err := LeaseAll(fused)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := fused[0].Profile().Duration(w)
 		for step := 0; step < 200; step++ {
 			wire := float64(step%5) * 3e-6
-			start, arrival := fused[0].RunThenAdvance(w, wire)
+			start, arrival := leases[0].RunThenAdvance(d, wire)
 			before := split[0].Now()
 			split[0].Run(w)
 			split[0].Advance(wire)
-			if start != before || arrival != split[0].Now() {
+			if start != before || arrival != split[0].Now() || arrival != fused[0].Now() {
 				t.Fatalf("load %v step %d: RunThenAdvance = (%v, %v), Run+Advance = (%v, %v)",
 					load, step, start, arrival, before, split[0].Now())
 			}
 			if step%3 == 0 {
 				arrival = 0 // the receiver is already past it
 			}
-			start, end := fused[1].AdvanceToThenRun(arrival, w)
+			start, end := leases[1].AdvanceToThenRun(arrival, d)
 			before = split[1].Now()
 			split[1].AdvanceTo(arrival)
 			split[1].Run(w)
-			if start != before || end != split[1].Now() {
+			if start != before || end != split[1].Now() || end != fused[1].Now() {
 				t.Fatalf("load %v step %d: AdvanceToThenRun = (%v, %v), AdvanceTo+Run = (%v, %v)",
 					load, step, start, end, before, split[1].Now())
 			}
 		}
+	}
+}
+
+// Every Node writer of a clock, load or jitter RNG refuses a released
+// node and a leased one, whose only writer is its lease; the refused
+// write changes nothing and leaves the node's lock free. Releasing a
+// leased node panics too.
+func TestWritersPanicOnReleasedAndLeasedNodes(t *testing.T) {
+	writers := []struct {
+		name  string
+		write func(*Node)
+	}{
+		{"Run", func(n *Node) { n.Run(Work{CPUOps: 1e6}) }},
+		{"RunParallel", func(n *Node) { n.RunParallel(Work{CPUOps: 1e6}, 2, 0.1) }},
+		{"Advance", func(n *Node) { n.Advance(1) }},
+		{"AdvanceTo", func(n *Node) { n.AdvanceTo(1) }},
+		{"SetBackgroundLoad", func(n *Node) { n.SetBackgroundLoad(0.5) }},
+	}
+	mustPanic := func(what, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), want) {
+				t.Errorf("%s: recovered %v, want a panic naming %q", what, r, want)
+			}
+		}()
+		f()
+	}
+	for _, state := range []struct{ name, want string }{
+		{"released", "used after release"},
+		{"leased", "written while leased"},
+	} {
+		c := New(61)
+		nodes, _ := c.Provision("ec2-m4", 1)
+		n := nodes[0]
+		if state.name == "released" {
+			c.Release(n)
+		} else if _, err := LeaseAll(nodes); err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range writers {
+			mustPanic(w.name+" on a "+state.name+" node", state.want, func() { w.write(n) })
+		}
+		if n.Now() != 0 || n.BackgroundLoad() != 0 {
+			t.Errorf("refused writes on a %s node moved it: clock %v, load %v", state.name, n.Now(), n.BackgroundLoad())
+		}
+		if state.name == "leased" {
+			mustPanic("Release of a leased node", "release of leased node", func() { c.Release(n) })
+			if got := len(c.Nodes()); got != 1 {
+				t.Errorf("a refused release left %d nodes in the cluster, want 1", got)
+			}
+		}
+	}
+}
+
+// LeaseAll leases all of its nodes or none.
+func TestLeaseAllIsAllOrNothing(t *testing.T) {
+	c := New(71)
+	nodes, _ := c.Provision("ec2-m4", 3)
+	c.Release(nodes[2])
+	for _, bad := range [][]*Node{
+		{nodes[0], nodes[1], nodes[0]},
+		{nodes[0], nodes[1], nodes[2]},
+	} {
+		if _, err := LeaseAll(bad); err == nil {
+			t.Fatal("LeaseAll over a duplicate or released node must fail")
+		}
+		nodes[0].Run(Work{CPUOps: 1}) // panics if the failed lease kept it
+		nodes[1].Run(Work{CPUOps: 1})
+	}
+	leases, err := LeaseAll(nodes[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LeaseAll(nodes[1:2]); err == nil {
+		t.Fatal("leasing a leased node must fail")
+	}
+	if d := leases[1].Run(Work{CPUOps: 1e6}); leases[1].Now() != nodes[1].Now() || d <= 0 {
+		t.Fatalf("lease clock %v, node clock %v after a %v run", leases[1].Now(), nodes[1].Now(), d)
+	}
+}
+
+// Release and a Run on another goroutine order on the node's lock: each
+// Run either completes before the release or panics after it (`make
+// race` checks the ordering).
+func TestReleaseRacesRun(t *testing.T) {
+	c := New(67)
+	nodes, _ := c.Provision("ec2-m4", 1)
+	n := nodes[0]
+	done := make(chan any)
+	go func() {
+		defer func() { done <- recover() }()
+		for {
+			n.Run(Work{CPUOps: 1e3})
+		}
+	}()
+	c.Release(n)
+	if r := <-done; !strings.Contains(fmt.Sprint(r), "used after release") {
+		t.Fatalf("Run racing Release ended with %v, want the used-after-release panic", r)
 	}
 }

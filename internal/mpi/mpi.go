@@ -23,15 +23,29 @@ import (
 )
 
 // Comm is an MPI communicator: one rank per cluster node. A Comm is
-// driven from one goroutine: its message queues and profiler take no
-// locks. (The nodes' clocks may still be read from other goroutines.)
+// driven from one goroutine: it leases its nodes for its lifetime, so
+// its clock steps, message queues and profiler take no locks. Other
+// goroutines may still read the nodes' clocks (Node.Now, MaxClock), but
+// writing one — Run, Advance, SetBackgroundLoad — panics from NewComm
+// on.
 type Comm struct {
 	nodes []*cluster.Node
+	ranks []rank
 	net   *cluster.Network
+	// maxLat and minBW are the collectives' per-round cost terms: the
+	// slowest NIC latency and the narrowest NIC bandwidth of any rank.
+	maxLat, minBW float64
 	// queues[src*Size()+dst] holds the in-flight messages from src to
 	// dst.
 	queues []fifo
 	prof   *Profiler
+}
+
+// rank is one rank's lease on its node and the nominal cost of the
+// per-message software overhead on the node's profile.
+type rank struct {
+	lease    *cluster.Lease
+	overhead float64
 }
 
 type pendingMsg struct {
@@ -71,7 +85,11 @@ func (q *fifo) pop() (pendingMsg, bool) {
 // queue returns the FIFO of messages from src to dst.
 func (c *Comm) queue(src, dst int) *fifo { return &c.queues[src*len(c.nodes)+dst] }
 
-// NewComm builds a communicator with one rank per node.
+// NewComm builds a communicator with one rank per node and leases the
+// nodes to it: set up a node (SetBackgroundLoad, Advance) before
+// NewComm, not after. It fails, leasing nothing, if a node is released,
+// already leased or listed twice. It reads each node's profile once, so
+// a profile changed afterwards does not change the Comm's costs.
 func NewComm(nodes []*cluster.Node, net *cluster.Network) (*Comm, error) {
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("mpi: communicator needs at least one rank")
@@ -79,12 +97,29 @@ func NewComm(nodes []*cluster.Node, net *cluster.Network) (*Comm, error) {
 	if net == nil {
 		return nil, fmt.Errorf("mpi: nil network")
 	}
-	return &Comm{
+	leases, err := cluster.LeaseAll(nodes)
+	if err != nil {
+		return nil, fmt.Errorf("mpi: %w", err)
+	}
+	c := &Comm{
 		nodes:  nodes,
+		ranks:  make([]rank, len(nodes)),
 		net:    net,
+		minBW:  math.Inf(1),
 		queues: make([]fifo, len(nodes)*len(nodes)),
 		prof:   NewProfiler(len(nodes)),
-	}, nil
+	}
+	for i, n := range nodes {
+		p := n.Profile()
+		c.ranks[i] = rank{lease: leases[i], overhead: p.Duration(overhead)}
+		if p.NICLatS > c.maxLat {
+			c.maxLat = p.NICLatS
+		}
+		if p.NICBWBps < c.minBW {
+			c.minBW = p.NICBWBps
+		}
+	}
+	return c, nil
 }
 
 // Size returns the number of ranks.
@@ -120,7 +155,8 @@ func (c *Comm) Send(src, dst int, bytes int64) error {
 		return fmt.Errorf("mpi: negative message size")
 	}
 	wire := c.net.TransferTime(c.nodes[src], c.nodes[dst], bytes)
-	start, arrival := c.nodes[src].RunThenAdvance(overhead, wire)
+	s := &c.ranks[src]
+	start, arrival := s.lease.RunThenAdvance(s.overhead, wire)
 	c.queue(src, dst).push(pendingMsg{arrival: arrival, bytes: bytes})
 	c.prof.record(src, callSend, arrival-start, bytes)
 	return nil
@@ -139,7 +175,8 @@ func (c *Comm) Recv(dst, src int) (int64, error) {
 	if !ok {
 		return 0, fmt.Errorf("mpi: rank %d has no message from %d (deadlock)", dst, src)
 	}
-	start, end := c.nodes[dst].AdvanceToThenRun(msg.arrival, overhead)
+	d := &c.ranks[dst]
+	start, end := d.lease.AdvanceToThenRun(msg.arrival, d.overhead)
 	c.prof.record(dst, callRecv, end-start, msg.bytes)
 	return msg.bytes, nil
 }
@@ -171,10 +208,10 @@ func (c *Comm) Isend(src, dst int, bytes int64) (*Request, error) {
 	if bytes < 0 {
 		return nil, fmt.Errorf("mpi: negative message size")
 	}
-	start := c.nodes[src].Now()
-	c.nodes[src].Run(overhead)
+	// No wait for the wire: the transfer proceeds in the background.
+	s := &c.ranks[src]
+	start, now := s.lease.RunThenAdvance(s.overhead, 0)
 	wire := c.net.TransferTime(c.nodes[src], c.nodes[dst], bytes)
-	now := c.nodes[src].Now()
 	c.queue(src, dst).push(pendingMsg{arrival: now + wire, bytes: bytes})
 	c.prof.record(src, callIsend, now-start, bytes)
 	return &Request{rank: src}, nil
@@ -196,7 +233,8 @@ func (c *Comm) Irecv(dst, src int) (*Request, error) {
 	if !ok {
 		return nil, fmt.Errorf("mpi: rank %d has no posted message from %d", dst, src)
 	}
-	c.nodes[dst].Run(overhead)
+	d := &c.ranks[dst]
+	d.lease.RunThenAdvance(d.overhead, 0)
 	return &Request{rank: dst, arrival: msg.arrival, bytes: msg.bytes, recv: true}, nil
 }
 
@@ -211,9 +249,10 @@ func (c *Comm) Wait(r *Request) error {
 	if !r.recv {
 		return nil
 	}
-	start := c.nodes[r.rank].Now()
-	c.nodes[r.rank].AdvanceTo(r.arrival)
-	c.prof.record(r.rank, callWait, c.nodes[r.rank].Now()-start, r.bytes)
+	l := c.ranks[r.rank].lease
+	start := l.Now()
+	l.AdvanceTo(r.arrival)
+	c.prof.record(r.rank, callWait, l.Now()-start, r.bytes)
 	return nil
 }
 
@@ -245,25 +284,13 @@ func (c *Comm) Sendrecv(a, b int, bytes int64) error {
 // collective advances every rank to the end of a tree collective that
 // moves `bytes` per round over `rounds` rounds.
 func (c *Comm) collective(call callID, bytes int64, rounds float64) {
-	start := 0.0
-	maxLat := 0.0
-	minBW := math.Inf(1)
-	for _, n := range c.nodes {
-		if t := n.Now(); t > start {
-			start = t
-		}
-		if l := n.Profile().NICLatS; l > maxLat {
-			maxLat = l
-		}
-		if b := n.Profile().NICBWBps; b < minBW {
-			minBW = b
-		}
-	}
-	perRound := 2*maxLat + float64(bytes)/minBW
+	start := cluster.MaxClock(c.nodes)
+	perRound := 2*c.maxLat + float64(bytes)/c.minBW
 	end := start + rounds*perRound
-	for r, n := range c.nodes {
-		before := n.Now()
-		n.AdvanceTo(end)
+	for r := range c.ranks {
+		l := c.ranks[r].lease
+		before := l.Now()
+		l.AdvanceTo(end)
 		c.prof.record(r, call, end-before, bytes)
 	}
 }
@@ -312,7 +339,7 @@ func (c *Comm) Compute(rank int, w cluster.Work) error {
 	if err := c.checkRank(rank); err != nil {
 		return err
 	}
-	c.nodes[rank].Run(w)
+	c.ranks[rank].lease.Run(w)
 	return nil
 }
 

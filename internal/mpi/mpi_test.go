@@ -11,12 +11,19 @@ import (
 )
 
 func comm(t *testing.T, n int, seed int64) (*Comm, []*cluster.Node) {
+	return commAfter(t, n, seed, func([]*cluster.Node) {})
+}
+
+// commAfter is comm with setup run on the nodes first: a Comm leases its
+// nodes, so a straggler is made before NewComm.
+func commAfter(t *testing.T, n int, seed int64, setup func([]*cluster.Node)) (*Comm, []*cluster.Node) {
 	t.Helper()
 	c := cluster.New(seed)
 	nodes, err := c.Provision("probe-opteron", n)
 	if err != nil {
 		t.Fatal(err)
 	}
+	setup(nodes)
 	cm, err := NewComm(nodes, cluster.NewNetwork())
 	if err != nil {
 		t.Fatal(err)
@@ -29,9 +36,30 @@ func TestNewCommValidation(t *testing.T) {
 		t.Fatal("empty comm must fail")
 	}
 	c := cluster.New(1)
-	nodes, _ := c.Provision("xeon-2005", 1)
-	if _, err := NewComm(nodes, nil); err == nil {
+	nodes, _ := c.Provision("xeon-2005", 3)
+	if _, err := NewComm(nodes[:1], nil); err == nil {
 		t.Fatal("nil network must fail")
+	}
+
+	// One rank per node: a node listed twice, a released node or a node
+	// another Comm holds is refused, and the failed NewComm leases
+	// nothing.
+	c.Release(nodes[2])
+	for _, bad := range [][]*cluster.Node{
+		{nodes[0], nodes[1], nodes[0]},
+		{nodes[0], nodes[1], nodes[2]},
+	} {
+		if _, err := NewComm(bad, cluster.NewNetwork()); err == nil {
+			t.Fatalf("NewComm over %d nodes with a duplicate or released one must fail", len(bad))
+		}
+		nodes[0].Run(cluster.Work{CPUOps: 1}) // still free: panics if leased
+		nodes[1].Run(cluster.Work{CPUOps: 1})
+	}
+	if _, err := NewComm(nodes[:2], cluster.NewNetwork()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewComm(nodes[1:2], cluster.NewNetwork()); err == nil {
+		t.Fatal("a node another Comm leases must be refused")
 	}
 }
 
@@ -106,8 +134,7 @@ func TestSendrecvExchange(t *testing.T) {
 }
 
 func TestBarrierSynchronizesRanks(t *testing.T) {
-	cm, nodes := comm(t, 8, 6)
-	nodes[3].Advance(5)
+	cm, nodes := commAfter(t, 8, 6, func(nodes []*cluster.Node) { nodes[3].Advance(5) })
 	cm.Barrier()
 	end := nodes[0].Now()
 	for _, n := range nodes {
@@ -155,8 +182,9 @@ func TestCollectives(t *testing.T) {
 }
 
 func TestStragglerDominatesCollective(t *testing.T) {
-	cm, nodes := comm(t, 4, 9)
-	nodes[2].SetBackgroundLoad(0.8) // noisy neighbour on rank 2
+	cm, nodes := commAfter(t, 4, 9, func(nodes []*cluster.Node) {
+		nodes[2].SetBackgroundLoad(0.8) // noisy neighbour on rank 2
+	})
 	for r := 0; r < 4; r++ {
 		cm.Compute(r, cluster.Work{CPUOps: 1e9})
 	}

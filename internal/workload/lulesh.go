@@ -70,6 +70,27 @@ func grid3(n int) [3]int {
 	return best
 }
 
+// halo is one neighbour pair of the decomposition: rank r and the rank
+// nb one step up from it along one dimension.
+type halo struct{ r, nb int }
+
+// haloPairs lists the neighbour pairs of a dims grid in exchange order:
+// by dimension, then by lower rank.
+func haloPairs(dims [3]int) []halo {
+	n := dims[0] * dims[1] * dims[2]
+	stride := [3]int{1, dims[0], dims[0] * dims[1]}
+	pairs := make([]halo, 0, n/dims[0]*(dims[0]-1)+n/dims[1]*(dims[1]-1)+n/dims[2]*(dims[2]-1))
+	for dim := 0; dim < 3; dim++ {
+		for r := 0; r < n; r++ {
+			c := [3]int{r % dims[0], (r / dims[0]) % dims[1], r / (dims[0] * dims[1])}
+			if c[dim]+1 < dims[dim] {
+				pairs = append(pairs, halo{r, r + stride[dim]})
+			}
+		}
+	}
+	return pairs
+}
+
 // LuleshResult summarizes one run of the proxy app.
 type LuleshResult struct {
 	Ranks       int
@@ -86,12 +107,7 @@ func RunLulesh(cm *mpi.Comm, spec LuleshSpec) (LuleshResult, error) {
 	}
 	n := cm.Size()
 	dims := grid3(n)
-	coord := func(rank int) [3]int {
-		return [3]int{rank % dims[0], (rank / dims[0]) % dims[1], rank / (dims[0] * dims[1])}
-	}
-	rankAt := func(c [3]int) int {
-		return c[0] + c[1]*dims[0] + c[2]*dims[0]*dims[1]
-	}
+	halos := haloPairs(dims)
 
 	s := spec.ProblemSize
 	elemsPerRank := float64(s * s * s)
@@ -114,46 +130,32 @@ func RunLulesh(cm *mpi.Comm, spec LuleshSpec) (LuleshResult, error) {
 			// nonblocking: post the halo sends, compute, then wait —
 			// wire time hides behind the stencil.
 			reqs = reqs[:0]
-			for dim := 0; dim < 3; dim++ {
-				for r := 0; r < n; r++ {
-					c := coord(r)
-					if c[dim]+1 < dims[dim] {
-						nb := c
-						nb[dim]++
-						s1, err := cm.Isend(r, rankAt(nb), faceBytes)
-						if err != nil {
-							return LuleshResult{}, err
-						}
-						s2, err := cm.Isend(rankAt(nb), r, faceBytes)
-						if err != nil {
-							return LuleshResult{}, err
-						}
-						reqs = append(reqs, s1, s2)
-					}
+			for _, h := range halos {
+				s1, err := cm.Isend(h.r, h.nb, faceBytes)
+				if err != nil {
+					return LuleshResult{}, err
 				}
+				s2, err := cm.Isend(h.nb, h.r, faceBytes)
+				if err != nil {
+					return LuleshResult{}, err
+				}
+				reqs = append(reqs, s1, s2)
 			}
 			for r := 0; r < n; r++ {
 				if err := cm.Compute(r, work); err != nil {
 					return LuleshResult{}, err
 				}
 			}
-			for dim := 0; dim < 3; dim++ {
-				for r := 0; r < n; r++ {
-					c := coord(r)
-					if c[dim]+1 < dims[dim] {
-						nb := c
-						nb[dim]++
-						r1, err := cm.Irecv(rankAt(nb), r)
-						if err != nil {
-							return LuleshResult{}, err
-						}
-						r2, err := cm.Irecv(r, rankAt(nb))
-						if err != nil {
-							return LuleshResult{}, err
-						}
-						reqs = append(reqs, r1, r2)
-					}
+			for _, h := range halos {
+				r1, err := cm.Irecv(h.nb, h.r)
+				if err != nil {
+					return LuleshResult{}, err
 				}
+				r2, err := cm.Irecv(h.r, h.nb)
+				if err != nil {
+					return LuleshResult{}, err
+				}
+				reqs = append(reqs, r1, r2)
 			}
 			if err := cm.Waitall(reqs); err != nil {
 				return LuleshResult{}, err
@@ -165,16 +167,9 @@ func RunLulesh(cm *mpi.Comm, spec LuleshSpec) (LuleshResult, error) {
 					return LuleshResult{}, err
 				}
 			}
-			for dim := 0; dim < 3; dim++ {
-				for r := 0; r < n; r++ {
-					c := coord(r)
-					if c[dim]+1 < dims[dim] {
-						nb := c
-						nb[dim]++
-						if err := cm.Sendrecv(r, rankAt(nb), faceBytes); err != nil {
-							return LuleshResult{}, err
-						}
-					}
+			for _, h := range halos {
+				if err := cm.Sendrecv(h.r, h.nb, faceBytes); err != nil {
+					return LuleshResult{}, err
 				}
 			}
 		}

@@ -140,9 +140,9 @@ func TestDataPathAllocationBounds(t *testing.T) {
 // The simulated message path holds the same bar: a LULESH-proxy run
 // allocates per run, never per message. The blocking path's allocations
 // do not grow with Iterations, and the Overlap path's grow by at most its
-// request handles. (Measured at 8 ranks: 0 allocs per blocking run at
-// 10 and 100 iterations, and 486 and 4806 on Overlap, exactly its 48
-// handles per iteration apart. The map-and-append message path took the
+// request handles. (Measured at 8 ranks: 1 alloc per blocking run, its
+// halo pair list, at 10 and 100 iterations, and 487 and 4807 on
+// Overlap, exactly its 48 handles per iteration apart. The map-and-append message path took the
 // blocking path from 288 to 2448 and Overlap from 828 to 7848 over the
 // same range.)
 func TestSimulatorAllocationBounds(t *testing.T) {
