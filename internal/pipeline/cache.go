@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"popper/internal/cas"
 	"popper/internal/metrics"
@@ -46,6 +47,13 @@ type Cache struct {
 	// warm counts entries restored from CacheOptions.State at
 	// construction (diagnostics only; set before concurrent use).
 	warm int
+	// image is the CacheOptions.State the cache restored in full;
+	// SaveState returns it while changes stands at imageChanges and the
+	// tier has evicted nothing.
+	image        []byte
+	imageChanges int64
+	// changes counts entries added or dropped.
+	changes atomic.Int64
 
 	shards [cacheShards]cacheShard
 }
@@ -114,7 +122,10 @@ func NewCacheOpts(opts CacheOptions) *Cache {
 		c.shards[i].entries = make(map[[sha256.Size]byte]*stageEntry)
 	}
 	if len(opts.State) > 0 {
-		c.warm, _ = c.RestoreState(opts.State)
+		var err error
+		if c.warm, err = c.RestoreState(opts.State); err == nil && c.warm > 0 && c.tier.Stats().Evictions == 0 {
+			c.image, c.imageChanges = opts.State, c.changes.Load()
+		}
 	}
 	return c
 }
@@ -253,6 +264,7 @@ func (c *Cache) lookup(key [sha256.Size]byte, host int) (*stageEntry, bool) {
 	if ok && !c.pinEntry(ent) {
 		// Chunks evicted: the entry is no longer replayable.
 		delete(s.entries, key)
+		c.changes.Add(1)
 		ok = false
 	}
 	if ok {
@@ -390,6 +402,7 @@ func (c *Cache) store(key [sha256.Size]byte, ent cacheEntry, host int) {
 	s.mu.Lock()
 	s.entries[key] = se
 	s.mu.Unlock()
+	c.changes.Add(1)
 
 	if c.fed != nil && host >= 0 {
 		// Best-effort: a failed publish (segment full, chunk evicted)

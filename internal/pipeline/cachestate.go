@@ -35,7 +35,15 @@ const cacheStateMagic = "popper-cache-state v1"
 // chunk payloads (deduplicated). Entries are emitted in key order, so
 // the image is deterministic for a given cache state. A cache with no
 // replayable entries serializes to nil (there is nothing to warm).
+//
+// A cache that restored CacheOptions.State and has since added or
+// dropped no entry (and lost no chunk to eviction) returns that image
+// as it is, neither re-encoding it nor copying it: it restores exactly
+// the entries the cache holds. The caller must not modify it.
 func (c *Cache) SaveState() []byte {
+	if c.image != nil && c.changes.Load() == c.imageChanges && c.tier.Stats().Evictions == 0 {
+		return c.image
+	}
 	type keyed struct {
 		key [sha256.Size]byte
 		ent *stageEntry
@@ -273,5 +281,6 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		}
 		s.mu.Unlock()
 	}
+	c.changes.Add(int64(n))
 	return n, nil
 }

@@ -84,6 +84,50 @@ func TestCacheStateDeterministic(t *testing.T) {
 	}
 }
 
+// TestCacheStateKeepsUnchangedImage: a cache restored from an image
+// that adds and drops no entry saves that very image, byte for byte
+// what re-encoding it would give; one new entry makes it re-encode.
+func TestCacheStateKeepsUnchangedImage(t *testing.T) {
+	var runs atomic.Int64
+	c1 := NewCache()
+	pl := countingPipeline("v1", &runs)
+	pl.Cache = c1
+	pl.CacheFilter = func(path string) bool { return path == "in.txt" }
+	for _, x := range []string{"1", "2"} {
+		if rec := pl.Run(ctxWith(x, "a")); rec.Failed() {
+			t.Fatal(rec.Err)
+		}
+	}
+	image := c1.SaveState()
+
+	c2 := NewCacheOpts(CacheOptions{State: image})
+	pl.Cache = c2
+	if rec := pl.Run(ctxWith("1", "a")); rec.Failed() || rec.CacheHits != 2 {
+		t.Fatalf("warm replay: failed=%v hits=%d", rec.Failed(), rec.CacheHits)
+	}
+	if got := c2.SaveState(); len(got) != len(image) || &got[0] != &image[0] {
+		t.Fatal("an unchanged cache did not return the image it restored")
+	}
+	reencoded := NewCache()
+	if _, err := reencoded.RestoreState(image); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(reencoded.SaveState(), image) {
+		t.Fatal("re-encoding the restored entries does not reproduce the image")
+	}
+
+	if rec := pl.Run(ctxWith("3", "a")); rec.Failed() || runs.Load() != 3 {
+		t.Fatalf("new config: failed=%v runs=%d", rec.Failed(), runs.Load())
+	}
+	grown := c2.SaveState()
+	if bytes.Equal(grown, image) {
+		t.Fatal("a cache that gained an entry saved the old image")
+	}
+	if n := NewCacheOpts(CacheOptions{State: grown}).WarmEntries(); n != c2.Len() {
+		t.Fatalf("the re-encoded image restores %d entries, want %d", n, c2.Len())
+	}
+}
+
 // TestCacheStateDamaged: corruption anywhere means a cold start, not an
 // error and not a partial cache.
 func TestCacheStateDamaged(t *testing.T) {

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strings"
+
+	"popper/internal/store"
 )
 
 // Replica agreement auditing — what `popper fsck` prints for a
@@ -72,10 +74,17 @@ func (a *AuditReport) Format() string {
 	return b.String()
 }
 
-// Audit inspects every replica and classifies disagreement. It reads
-// state only — no messages move, so a partitioned group can still be
-// audited from the outside.
-func (g *Group) Audit() (*AuditReport, error) {
+// Audit inspects every replica, reading each one's tree, and
+// classifies disagreement. It reads state only — no messages move, so a
+// partitioned group can still be audited from the outside.
+func (g *Group) Audit() (*AuditReport, error) { return g.AuditVerified(nil) }
+
+// AuditVerified is Audit over tree digests a verify pass already took:
+// trees[id], when present, stands in for reading replica id's tree as
+// long as that store has made no write since the pass read it (its
+// write count is the fence — a Put moves it, though not the
+// generation). Any other replica's tree is read as Audit reads it.
+func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	rep := &AuditReport{Quorum: g.quorum()}
@@ -91,7 +100,13 @@ func (g *Group) Audit() (*AuditReport, error) {
 		if man, err := r.st.Manifest(); err == nil && man != nil {
 			s.Generation = man.Generation
 		}
-		hash, err := r.st.TreeHash()
+		var hash [sha256.Size]byte
+		var err error
+		if r.id < len(trees) && trees[r.id] != nil && trees[r.id].Writes == r.st.Writes() {
+			hash = trees[r.id].Sum
+		} else {
+			hash, err = r.st.TreeHash()
+		}
 		if err != nil {
 			if r.applyErr == nil {
 				return nil, fmt.Errorf("repl: audit replica %d: %w", r.id, err)

@@ -1,5 +1,7 @@
 package repl
 
+import "fmt"
+
 // The state machine. Every transition below runs under the group lock
 // in a fixed order, so a (seed, fault-schedule) pair replays the exact
 // same history — determinism is what lets `make split` assert
@@ -219,7 +221,7 @@ func (g *Group) syncPeerLocked(ldr *replica, peer, target int) bool {
 			next = ldr.lastIndex() + 1
 		}
 		if next <= ldr.base {
-			if !g.installSnapshotLocked(ldr, peer) {
+			if g.installSnapshotLocked(ldr, peer) != nil {
 				return false
 			}
 			next = ldr.next[peer]
@@ -249,7 +251,7 @@ func (g *Group) syncPeerLocked(ldr *replica, peer, target int) bool {
 			return false
 		}
 		if resp.NeedSnapshot {
-			if !g.installSnapshotLocked(ldr, peer) {
+			if g.installSnapshotLocked(ldr, peer) != nil {
 				return false
 			}
 			next = ldr.next[peer]
@@ -259,7 +261,7 @@ func (g *Group) syncPeerLocked(ldr *replica, peer, target int) bool {
 			if resp.MatchIndex > ldr.lastIndex() {
 				// The follower holds state beyond our log — an orphaned
 				// tail from a previous life. Regress it to our image.
-				if !g.installSnapshotLocked(ldr, peer) {
+				if g.installSnapshotLocked(ldr, peer) != nil {
 					return false
 				}
 				next = ldr.next[peer]
@@ -283,12 +285,16 @@ func (g *Group) syncPeerLocked(ldr *replica, peer, target int) bool {
 	return false
 }
 
-// installSnapshotLocked ships the primary's full tree image (at its
-// applied index) to a peer log replay cannot reach.
-func (g *Group) installSnapshotLocked(ldr *replica, peer int) bool {
-	img, err := ldr.st.Image()
+// installSnapshotLocked ships the primary's committed tree image (at
+// its applied index) to a peer log replay cannot reach. Only verified
+// bytes ship (store.VerifiedImage): a primary whose tree holds damage it
+// cannot prove its way around refuses, so rot is never copied over a
+// peer. The peer then stays lagging until the primary is repaired, and
+// the quorum rule decides commits.
+func (g *Group) installSnapshotLocked(ldr *replica, peer int) error {
+	img, err := ldr.st.VerifiedImage()
 	if err != nil {
-		return false
+		return err
 	}
 	m := message{
 		Kind: msgSnapshot, From: ldr.id, Epoch: ldr.epoch,
@@ -298,18 +304,18 @@ func (g *Group) installSnapshotLocked(ldr *replica, peer int) bool {
 	}
 	resp, err := g.rpc(ldr.id, peer, m)
 	if err != nil {
-		return false
+		return err
 	}
 	if resp.Epoch > ldr.epoch {
 		g.stepDownLocked(ldr, resp.Epoch)
-		return false
+		return fmt.Errorf("replica %d is in a later epoch (%d)", peer, resp.Epoch)
 	}
 	if !resp.OK {
-		return false
+		return fmt.Errorf("replica %d did not install the snapshot", peer)
 	}
 	ldr.next[peer] = ldr.applied + 1
 	ldr.acked[peer] = ldr.applied
-	return true
+	return nil
 }
 
 // confirmLocked re-confirms leadership with a quorum round at the

@@ -40,15 +40,27 @@ type Record struct {
 	Data  []byte            // RecPut
 	Files map[string][]byte // RecSync
 
+	// body is the record's encoding: the bytes digest seals and every
+	// send ships as they are. A sealed or decoded record's Data and
+	// Files are read-only views into it.
+	body   []byte
 	digest [sha256.Size]byte
 }
 
-// seal computes the record's content digest. Called once when the
-// primary appends the record; the digest then travels with it.
+// seal encodes the record once and computes its content digest. Called
+// once when the primary appends the record; the body and digest then
+// travel with it. Data and Files become views into the body, so a
+// caller that later changes what it passed in cannot change the sealed
+// record.
 func (r *Record) seal() {
-	var e encoder
+	e := encoder{buf: make([]byte, 0, r.bodySize())}
 	r.encodeBody(&e)
-	r.digest = sha256.Sum256(e.buf)
+	d := decoder{buf: e.buf}
+	if *r = decodeBody(&d); d.err != nil {
+		panic("repl: a sealed record does not decode: " + d.err.Error())
+	}
+	r.body = e.buf
+	r.digest = sha256.Sum256(r.body)
 }
 
 // Digest returns the sealed content digest.
@@ -63,12 +75,33 @@ func (r *Record) encodeBody(e *encoder) {
 	e.fileMap(r.Files)
 }
 
+// bodySize is the length of the record's encoding.
+func (r *Record) bodySize() int {
+	return 8 + 8 + 1 + 8 + len(r.Path) + 8 + len(r.Data) + fileMapSize(r.Files)
+}
+
+// decodeBody parses a record's encoding; Data and Files are views into
+// the decoder's buffer.
+func decodeBody(d *decoder) Record {
+	return Record{
+		Index: int(d.u64()),
+		Epoch: int(d.u64()),
+		Kind:  recKind(d.u8()),
+		Path:  d.str(),
+		Data:  d.bytes(),
+		Files: d.fileMap(),
+	}
+}
+
 // --- wire format -----------------------------------------------------
 //
 // Messages are length-framed binary, trailed by a sha256 checksum of
 // the payload so a decoder never acts on torn or corrupted bytes. All
 // maps are encoded in sorted path order — the stream is a pure
-// function of the message value.
+// function of the message value — and decoding accepts only that one
+// encoding, so a message that decodes re-encodes to the same bytes.
+// Decoded byte fields are views into the received buffer, which is
+// never reused.
 
 type msgKind uint8
 
@@ -163,6 +196,15 @@ func (e *encoder) fileMap(m map[string][]byte) {
 	}
 }
 
+// fileMapSize is the length of a file map's encoding.
+func fileMapSize(m map[string][]byte) int {
+	n := 8
+	for p, c := range m {
+		n += 16 + len(p) + len(c)
+	}
+	return n
+}
+
 type decoder struct {
 	buf []byte
 	off int
@@ -195,16 +237,28 @@ func (d *decoder) u64() uint64 {
 	return v
 }
 
-func (d *decoder) bool() bool { return d.u8() != 0 }
+func (d *decoder) bool() bool {
+	v := d.u8()
+	if v > 1 {
+		d.fail("bool")
+	}
+	return v == 1
+}
 
+// bytes returns a view into the buffer (nil when empty), capped so an
+// append to it cannot reach the bytes after it.
 func (d *decoder) bytes() []byte {
 	n := d.u64()
 	if d.err != nil || uint64(len(d.buf)-d.off) < n {
 		d.fail("bytes")
 		return nil
 	}
-	v := append([]byte(nil), d.buf[d.off:d.off+int(n)]...)
-	d.off += int(n)
+	if n == 0 {
+		return nil
+	}
+	end := d.off + int(n)
+	v := d.buf[d.off:end:end]
+	d.off = end
 	return v
 }
 
@@ -220,50 +274,56 @@ func (d *decoder) hash() (h [sha256.Size]byte) {
 	return h
 }
 
+// fileMap decodes a file map; its paths must be strictly increasing,
+// as the encoder writes them.
 func (d *decoder) fileMap() map[string][]byte {
 	n := d.u64()
-	if d.err != nil {
+	// Every entry takes at least its two 8-byte length fields, so a count
+	// the rest of the buffer cannot hold fails before it sizes a map.
+	if d.err != nil || n > uint64(len(d.buf)-d.off)/16 {
+		d.fail("file map")
+		return nil
+	}
+	if n == 0 {
 		return nil
 	}
 	m := make(map[string][]byte, n)
+	prev := ""
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		p := d.str()
-		m[p] = d.bytes()
-	}
-	if len(m) == 0 {
-		return nil
+		if i > 0 && p <= prev && d.err == nil {
+			d.err = fmt.Errorf("repl: decode: file map path %q out of order at offset %d", p, d.off)
+		}
+		m[p], prev = d.bytes(), p
 	}
 	return m
 }
 
-func encodeRecord(e *encoder, r Record) {
-	r.encodeBody(e)
-	e.hash(r.digest)
-}
-
+// decodeRecord parses one sealed record and checks its digest over
+// the body bytes as received.
 func decodeRecord(d *decoder) Record {
-	r := Record{
-		Index: int(d.u64()),
-		Epoch: int(d.u64()),
-		Kind:  recKind(d.u8()),
-		Path:  d.str(),
-		Data:  d.bytes(),
-		Files: d.fileMap(),
-	}
+	start := d.off
+	r := decodeBody(d)
+	r.body = d.buf[start:d.off:d.off]
 	r.digest = d.hash()
-	if d.err == nil {
-		check := r
-		check.seal()
-		if check.digest != r.digest {
-			d.err = fmt.Errorf("repl: decode: record %d digest mismatch", r.Index)
-		}
+	if d.err == nil && sha256.Sum256(r.body) != r.digest {
+		d.err = fmt.Errorf("repl: decode: record %d digest mismatch", r.Index)
 	}
 	return r
 }
 
+// msgFixedSize is the length of an envelope's fixed-size fields,
+// checksum included.
+const msgFixedSize = 1 + 8*11 + 3 + 4*sha256.Size
+
 // encodeMessage renders the full envelope plus a trailing checksum.
+// Records go out as their sealed bodies.
 func encodeMessage(m message) []byte {
-	var e encoder
+	size := msgFixedSize + fileMapSize(m.Image)
+	for _, r := range m.Records {
+		size += len(r.body) + sha256.Size
+	}
+	e := encoder{buf: make([]byte, 0, size)}
 	e.u8(uint8(m.Kind))
 	e.u64(uint64(m.From))
 	e.u64(uint64(m.Epoch))
@@ -271,7 +331,8 @@ func encodeMessage(m message) []byte {
 	e.hash(m.PrevDigest)
 	e.u64(uint64(len(m.Records)))
 	for _, r := range m.Records {
-		encodeRecord(&e, r)
+		e.buf = append(e.buf, r.body...)
+		e.hash(r.digest)
 	}
 	e.u64(uint64(m.Commit))
 	e.u64(uint64(m.TruncateTo))
@@ -328,18 +389,11 @@ func decodeMessage(raw []byte) (message, error) {
 	m.Base = int(d.u64())
 	m.BaseEpoch = int(d.u64())
 	m.BaseDigest = d.hash()
+	if d.err == nil && d.off != len(body) {
+		d.err = fmt.Errorf("repl: decode: %d trailing bytes", len(body)-d.off)
+	}
 	if d.err != nil {
 		return message{}, d.err
 	}
 	return m, nil
-}
-
-// copyFiles snapshots a workspace map into a record payload, so later
-// caller mutations cannot retroactively change a sealed record.
-func copyFiles(files map[string][]byte) map[string][]byte {
-	out := make(map[string][]byte, len(files))
-	for p, c := range files {
-		out[p] = append([]byte(nil), c...)
-	}
-	return out
 }

@@ -134,8 +134,11 @@ type replica struct {
 
 	// Log state: records (base, base+len(log)] are in memory; the store
 	// tree incorporates everything through `applied`. base/baseEpoch/
-	// baseDigest identify the state the log grows from (a fresh group
-	// starts at 0/0/tree-hash; a snapshot install moves it forward).
+	// baseDigest identify the state the log grows from: an opened store
+	// starts at its committed generation, epoch 0 and its committed-state
+	// digest (store.StateDigest), so replicas that committed the same
+	// history agree at open whatever has rotted at rest; a snapshot
+	// install moves them forward.
 	log        []Record
 	base       int
 	baseEpoch  int
@@ -241,7 +244,7 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 			frontier[id], _ = st.PutFrontier()
 		}
 		var err error
-		r.baseDigest, err = st.TreeHash()
+		r.baseDigest, err = st.StateDigest()
 		if err != nil {
 			return nil, fmt.Errorf("repl: replica %d: %w", id, err)
 		}
@@ -249,8 +252,8 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 		g.reps = append(g.reps, r)
 	}
 	// A pre-existing repository elects the most advanced replica — the
-	// highest generation, then the furthest put record in it; a fresh one
-	// starts at replica 0. Ties break toward the lowest id.
+	// highest generation, then the furthest intact put record in it; a
+	// fresh one starts at replica 0. Ties break toward the lowest id.
 	lead := 0
 	for id, r := range g.reps {
 		if base := g.reps[lead].base; r.base > base || r.base == base && frontier[id] > frontier[lead] {
@@ -281,9 +284,9 @@ func ReplicaRoot(dir string, id int) string {
 // OpenDir opens a replicated store over a real repository directory:
 // replica 0 is the directory itself, replicas 1..N-1 live under
 // .popper-replicas/. A group reopened over an existing tree elects the
-// replica with the highest committed generation (then the furthest put
-// record in it), and anti-entropy (log replay or snapshot install)
-// heals the rest.
+// replica with the highest committed generation (then the furthest
+// intact put record in it), and anti-entropy (log replay or snapshot
+// install) heals the rest.
 func OpenDir(dir string, opts Options) (*Group, error) {
 	opts.defaults()
 	return New(opts, func(id int) store.VFS {
@@ -366,7 +369,7 @@ func (g *Group) Sync(files map[string][]byte) (store.SyncStats, error) {
 	if err != nil {
 		return store.SyncStats{}, err
 	}
-	rec := Record{Kind: RecSync, Files: copyFiles(files)}
+	rec := Record{Kind: RecSync, Files: files}
 	if err := g.commitLocked(ldr, rec, "sync"); err != nil {
 		return store.SyncStats{}, err
 	}
@@ -385,7 +388,7 @@ func (g *Group) Put(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec := Record{Kind: RecPut, Path: path, Data: append([]byte(nil), data...)}
+	rec := Record{Kind: RecPut, Path: path, Data: data}
 	return g.commitLocked(ldr, rec, "put "+path)
 }
 

@@ -100,7 +100,9 @@ func (g *Group) FileQuorum(path string) ([]byte, int) {
 // Reseed force-installs the primary's full tree image onto a live
 // replica — the repair for tree-level rot that log replay cannot see:
 // a replica whose store rotted at rest still has matching log digests,
-// so Heal's consistency probe passes right over the damage.
+// so Heal's consistency probe passes right over the damage. Like every
+// snapshot it ships only a verified image: a primary with findings of
+// its own refuses, and the error names them.
 func (g *Group) Reseed(id int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -117,8 +119,8 @@ func (g *Group) Reseed(id int) error {
 	if g.reps[id].down {
 		return fmt.Errorf("repl: reseed %d: replica is down", id)
 	}
-	if !g.installSnapshotLocked(ldr, id) {
-		return fmt.Errorf("repl: reseed %d: snapshot install failed", id)
+	if err := g.installSnapshotLocked(ldr, id); err != nil {
+		return fmt.Errorf("repl: reseed %d: %w", id, err)
 	}
 	return nil
 }

@@ -26,9 +26,13 @@ func benchWorkspace(n int) map[string][]byte {
 	return w
 }
 
-// scrubBenchRecord is one BENCH_scrub.json entry.
+// scrubBenchRecord is one BENCH_scrub.json entry. ns_per_op is
+// wall-clock time; the KiB read are exact counts.
 type scrubBenchRecord struct {
 	NsPerOp        float64        `json:"ns_per_op"`
+	Clock          string         `json:"clock"`
+	KiBRead        []float64      `json:"kib_read_per_replica,omitempty"`
+	TreeKiB        []float64      `json:"tree_kib_per_replica,omitempty"`
 	Entries        int            `json:"entries_verified,omitempty"`
 	Bytes          int64          `json:"bytes_verified,omitempty"`
 	MerkleCompares int            `json:"merkle_compares,omitempty"`
@@ -54,10 +58,12 @@ func bySourceNames(rep *Report) map[string]int {
 // TestWriteScrubBenchJSON records the scrubber's perf trajectory: when
 // BENCH_JSON names an output file (`make bench-json`), it times a
 // clean-tree verification pass (wall clock) with its entry, byte and
-// merkle compare counts (one compare on a clean tree), and a group heal
-// pass's findings-by-rung breakdown. BENCH_SMOKE=1 (wired
-// into `make verify`) shrinks the tree so regressions in the scrub
-// path fail the full loop without a long run.
+// merkle compare counts (one compare on a clean tree); on a 3-replica
+// group, the KiB each replica reads when the group is opened and in a
+// detect-only group pass, audit included, beside each replica tree's
+// size; and a group heal pass's findings-by-rung breakdown. BENCH_SMOKE=1
+// (wired into `make verify`) shrinks the tree so regressions in the
+// scrub path fail the full loop without a long run.
 func TestWriteScrubBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
@@ -87,6 +93,7 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	}
 	records["BenchmarkScrubCleanTree"] = scrubBenchRecord{
 		NsPerOp:        float64(time.Since(start).Nanoseconds()),
+		Clock:          "wall",
 		Entries:        rep.Scanned,
 		Bytes:          rep.Bytes,
 		MerkleCompares: rep.MerkleCompares,
@@ -96,12 +103,54 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 		t.Errorf("clean scrub burned %d merkle compares across %d entries — linear work", rep.MerkleCompares, rep.Scanned)
 	}
 
-	// Group heal: rot a slice of the primary's tree at rest, then time a
-	// repair pass healing everything from the quorum.
+	// Group open and clean group pass: the bytes each replica reads.
 	g := memGroup(t, 3, 11)
 	if _, err := g.Sync(benchWorkspace(files)); err != nil {
 		t.Fatal(err)
 	}
+	readKiB := func() []float64 {
+		out := make([]float64, len(g.cs))
+		for id, c := range g.cs {
+			out[id] = float64(c.takeReadBytes()) / 1024
+		}
+		return out
+	}
+	var treeKiB []float64
+	for id := 0; id < g.Size(); id++ {
+		n := 0
+		for _, content := range mustImage(t, g.Store(id)) {
+			n += len(content)
+		}
+		treeKiB = append(treeKiB, float64(n)/1024)
+	}
+	readKiB()
+	start = time.Now()
+	g2 := reopen(t, g, 11)
+	records["BenchmarkReplOpen"] = scrubBenchRecord{
+		NsPerOp: float64(time.Since(start).Nanoseconds()),
+		Clock:   "wall",
+		KiBRead: readKiB(),
+		TreeKiB: treeKiB,
+	}
+	start = time.Now()
+	crep, err := New(nil, Options{Group: g2.Group}).Scrub()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !crep.Clean() {
+		t.Fatalf("bench group is not clean:\n%s", crep.Format())
+	}
+	records["BenchmarkScrubGroupClean"] = scrubBenchRecord{
+		NsPerOp: float64(time.Since(start).Nanoseconds()),
+		Clock:   "wall",
+		KiBRead: readKiB(),
+		TreeKiB: treeKiB,
+		Entries: crep.Scanned,
+		Bytes:   crep.Bytes,
+	}
+
+	// Group heal: rot a slice of the primary's tree at rest, then time a
+	// repair pass healing everything from the quorum.
 	gsc := New(nil, Options{Repair: true, Group: g.Group})
 	rot := files / 8
 	for i := 0; i < rot; i++ {
@@ -117,6 +166,7 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	}
 	records["BenchmarkScrubGroupHeal"] = scrubBenchRecord{
 		NsPerOp:      float64(time.Since(start).Nanoseconds()),
+		Clock:        "wall",
 		Entries:      hrep.Scanned,
 		Bytes:        hrep.Bytes,
 		Findings:     len(hrep.Findings),

@@ -107,7 +107,7 @@ func (sc *Scrubber) Scrub() (*Report, error) {
 		if err := sc.scrubGroup(g, rep); err != nil {
 			return nil, err
 		}
-	} else if err := sc.scrubStore(sc.st, 0, nil, rep); err != nil {
+	} else if _, err := sc.scrubStore(sc.st, 0, nil, rep); err != nil {
 		return nil, err
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
@@ -138,8 +138,10 @@ func (sc *Scrubber) Scrub() (*Report, error) {
 const fenceRetries = 3
 
 // scrubStore runs the verify→plan→apply→re-verify cycle on one store,
-// restarting the verify while concurrent syncs move the generation.
-func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep *Report) error {
+// restarting the verify while concurrent syncs move the generation. It
+// returns the digest of the tree as the pass last read it (nil when the
+// pass left a file unread).
+func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep *Report) (*store.TreeDigest, error) {
 	for attempt := 0; ; attempt++ {
 		gen0, err := st.Generation()
 		if err != nil {
@@ -147,7 +149,7 @@ func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep
 		}
 		r, err := st.Verify()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Generation fence: a sync that committed while the pass read
 		// the tree may have left findings describing a tree that no
@@ -155,24 +157,26 @@ func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep
 		if gen1, err := st.Generation(); err == nil && gen0 >= 0 && gen1 != gen0 && attempt < fenceRetries {
 			continue
 		}
+		tree := r.Tree
 		if sc.opts.Repair && !r.Clean() {
 			plan, err := st.Plan(r, q)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if err := st.Apply(r, plan); err != nil {
-				return err
+				return nil, err
 			}
 			after, err := st.Verify()
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !after.Clean() {
-				return fmt.Errorf("store still unhealthy after repair:\n%s", after.Format())
+				return nil, fmt.Errorf("store still unhealthy after repair:\n%s", after.Format())
 			}
+			tree = after.Tree
 		}
 		merge(rep, r, replica)
-		return nil
+		return tree, nil
 	}
 }
 
@@ -197,17 +201,22 @@ func merge(rep, r *Report, replica int) {
 // scrubGroup scrubs every live replica's store, the group serving as
 // the quorum rung, then audits replica agreement: lagging replicas are
 // caught up by anti-entropy, and divergence log replay cannot see is
-// healed by reseeding from the primary's snapshot.
+// healed by reseeding from the primary's snapshot. The audit compares
+// the tree digests the verify passes took rather than reading every
+// replica again; a replica written to since its pass is read anew.
 func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
-	for id := 0; id < g.Size(); id++ {
+	trees := make([]*store.TreeDigest, g.Size())
+	for id := range trees {
 		if g.Down(id) {
 			continue
 		}
-		if err := sc.scrubStore(g.Store(id), id, g, rep); err != nil {
+		tree, err := sc.scrubStore(g.Store(id), id, g, rep)
+		if err != nil {
 			return fmt.Errorf("replica %d: %w", id, err)
 		}
+		trees[id] = tree
 	}
-	aud, err := g.Audit()
+	aud, err := g.AuditVerified(trees)
 	if err != nil {
 		return err
 	}

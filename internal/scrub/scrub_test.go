@@ -80,23 +80,35 @@ func countedStore(t *testing.T, seed int64) (*store.Store, *store.MemFS, *counti
 	return st, fs, c
 }
 
-// countingFS wraps a VFS, counting reads per path and every operation
-// that changes the tree.
+// countingFS wraps a VFS, counting reads per path, the bytes read and
+// every operation that changes the tree.
 type countingFS struct {
 	store.VFS
 	mu        sync.Mutex
 	reads     map[string]int
+	readBytes int64
 	mutations int
 }
 
 func (c *countingFS) ReadFile(path string) ([]byte, error) {
+	data, err := c.VFS.ReadFile(path)
 	c.mu.Lock()
 	if c.reads == nil {
 		c.reads = make(map[string]int)
 	}
 	c.reads[path]++
+	c.readBytes += int64(len(data))
 	c.mu.Unlock()
-	return c.VFS.ReadFile(path)
+	return data, err
+}
+
+// takeReadBytes returns the bytes read so far and restarts the count.
+func (c *countingFS) takeReadBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := c.readBytes
+	c.readBytes = 0
+	return n
 }
 
 func (c *countingFS) mutate() {
@@ -388,7 +400,8 @@ func TestScrubHealsRottedLooseObjectInPlace(t *testing.T) {
 }
 
 // TestScrubReadsEachTrackedFileOnce pins the single walk: a detect-only
-// pass reads every tracked file and the merkle seal once, and a pass
+// pass reads every tracked file and the merkle seal once — on every
+// replica of a group too, the agreement audit included — and a pass
 // that heals a rotted file reads each tracked file at most twice — once
 // to verify it, once to prove the repair converged.
 func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
@@ -419,6 +432,25 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 	for _, path := range entryPaths(man) {
 		if reads[path] < 1 || reads[path] > 2 {
 			t.Errorf("repair pass read %s %d times, want 1 or 2", path, reads[path])
+		}
+	}
+
+	g := buildGroup(t, chaosSeed(t))
+	if man, err = g.Store(0).Manifest(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range g.cs {
+		c.counts()
+	}
+	if rep := mustScrub(t, New(nil, Options{Group: g.Group})); !rep.Clean() {
+		t.Fatalf("clean group reported findings:\n%s", rep.Format())
+	}
+	for id, c := range g.cs {
+		reads, _ := c.counts()
+		for _, path := range append([]string{store.MerklePath}, entryPaths(man)...) {
+			if reads[path] != 1 {
+				t.Errorf("detect-only group pass read replica %d's %s %d times, want 1", id, path, reads[path])
+			}
 		}
 	}
 }

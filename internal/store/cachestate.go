@@ -9,8 +9,16 @@ package store
 // touch it; fsck verifies it is an intact extent and lets --repair
 // remove a damaged one (the cache then starts cold, which is always
 // correct).
+//
+// The store remembers the bytes it last read from or wrote to the
+// sidecar, so saving an unchanged image writes nothing; any other write,
+// rename or remove of the sidecar (a repair removing a damaged one)
+// makes it forget them. Rot that strikes the sidecar at rest in between
+// is left in place, which costs the next process a cold start.
 
 import (
+	"bytes"
+
 	"popper/internal/cas"
 )
 
@@ -18,8 +26,10 @@ import (
 const CacheStatePath = popperDir + "/cache.extent"
 
 // SaveCacheState durably writes the sidecar with the store's atomic
-// write protocol (temp → fsync → rename → dir fsync). Empty data
-// removes the sidecar instead — an empty cache warms nothing.
+// write protocol (temp → fsync → rename → dir fsync), unless it already
+// holds exactly data as this store last read or wrote it. Empty data
+// removes the sidecar instead — an empty cache warms nothing. The store
+// keeps data, so the caller must not modify it afterwards.
 func (s *Store) SaveCacheState(data []byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -32,12 +42,20 @@ func (s *Store) SaveCacheState(data []byte) error {
 		}
 		return s.syncDir(popperDir)
 	}
-	return s.writeFileAtomic(CacheStatePath, data)
+	if s.sidecar != nil && bytes.Equal(s.sidecar, data) {
+		return nil
+	}
+	if err := s.writeFileAtomic(CacheStatePath, data); err != nil {
+		return err
+	}
+	s.sidecar = data
+	return nil
 }
 
 // LoadCacheState returns the sidecar bytes, or nil when it is absent or
 // not an intact extent image (the pipeline would reject it anyway; nil
-// keeps the cold-start decision in one place).
+// keeps the cold-start decision in one place). The store keeps the
+// bytes it returns, so the caller must not modify them.
 func (s *Store) LoadCacheState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -48,5 +66,6 @@ func (s *Store) LoadCacheState() []byte {
 	if _, perr := cas.ParseExtent(raw); perr != nil {
 		return nil
 	}
+	s.sidecar = raw
 	return raw
 }

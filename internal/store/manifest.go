@@ -42,6 +42,9 @@ type Manifest struct {
 	// once built, so generations that differ only in entry contents
 	// share one.
 	byPath map[string]int
+	// digest is the SHA-256 of the bytes the manifest was read from;
+	// zero for one built in memory, whose bytes are Encode's.
+	digest [sha256.Size]byte
 }
 
 // manifestHeader versions the on-disk format.
@@ -110,6 +113,15 @@ func (m *Manifest) Matches(path string, content []byte) bool {
 	}
 	e := &m.Entries[i]
 	return e.Size == int64(len(content)) && e.Hash == sha256.Sum256(content)
+}
+
+// bytesDigest returns the SHA-256 of the manifest's bytes on disk:
+// those it was read from, or Encode's for one a commit wrote.
+func (m *Manifest) bytesDigest() [sha256.Size]byte {
+	if m.digest == ([sha256.Size]byte{}) {
+		return sha256.Sum256(m.Encode())
+	}
+	return m.digest
 }
 
 // Encode renders the manifest:

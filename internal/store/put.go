@@ -150,7 +150,7 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.scanPutsLocked(man, paths)
+	p, err := s.scanPutsLocked(man, paths, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -158,10 +158,11 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	return p, nil
 }
 
-// scanPutsLocked reads the record files in a listing. The live
-// generation is the committed manifest's, or — with no readable
-// manifest — the highest any record names. Callers hold the lock.
-func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
+// scanPutsLocked reads the record files in a listing, handing each
+// file it reads to seen when that is not nil. The live generation is
+// the committed manifest's, or — with no readable manifest — the
+// highest any record names. Callers hold the lock.
+func (s *Store) scanPutsLocked(man *Manifest, paths []string, seen func(name string, raw []byte)) (*putLog, error) {
 	p := &putLog{next: 1}
 	for _, path := range paths {
 		if gen, _, ok := parsePutName(path); ok {
@@ -182,6 +183,9 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 		raw, err := s.read(path)
 		if err != nil && s.dead != nil {
 			return nil, s.dead
+		}
+		if err == nil && seen != nil {
+			seen(path, raw)
 		}
 		rec, derr := decodePutRecord(path, raw)
 		if err != nil || derr != nil {
@@ -225,10 +229,12 @@ func (s *Store) dropPutsLocked(p *putLog, gen int) error {
 }
 
 // PutFrontier returns the highest sequence number among the committed
-// generation's put records (0 when there are none). With the generation
-// it measures how far a store got through a committed operation
-// sequence: a replica that applied more Puts of the same generation has
-// the higher frontier.
+// generation's intact put records (0 when there are none). With the
+// generation it measures how far a store got through a committed
+// operation sequence: a replica that applied more Puts of the same
+// generation has the higher frontier. A record that fails its checksum
+// does not count — a replica whose newest record rotted holds less of
+// the sequence than one that holds it whole.
 func (s *Store) PutFrontier() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -243,7 +249,11 @@ func (s *Store) PutFrontier() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return p.next - 1, nil
+	frontier := 0
+	for _, rec := range p.live {
+		frontier = max(frontier, rec.seq)
+	}
+	return frontier, nil
 }
 
 // noteDamagedPut marks a live-generation record that fails its

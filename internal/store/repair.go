@@ -175,7 +175,7 @@ func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
 					}
 				}
 				s.mu.Lock()
-				err := s.verifyLocked(sub)
+				err := s.verifyLocked(sub, make(map[string][sha256.Size]byte))
 				s.mu.Unlock()
 				if err != nil {
 					return nil, err

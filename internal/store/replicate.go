@@ -3,14 +3,18 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"fmt"
+	"hash"
 	"sort"
+	"strings"
 )
 
 // Replication support: internal/repl keeps N stores byte-identical by
 // applying the same committed operation sequence to each. The helpers
 // here are what the replication layer builds on — a full tree image
 // for snapshot catch-up, a raw image install for a rejoining replica
-// too far behind (or too divergent) to reach by log replay, and a
+// too far behind (or too divergent) to reach by log replay, a digest
+// of the committed state a reopened replica is identified by, and a
 // deterministic whole-tree digest replica audits compare.
 
 // Advisory reports paths that are node-local hints rather than part of
@@ -35,12 +39,60 @@ func (s *Store) Object(hash [sha256.Size]byte) ([]byte, bool) {
 }
 
 // Image returns every file in the tree — workspace and store metadata
-// alike, advisory sidecars excluded — as a flat path map. This is the
-// snapshot a replica streams to a peer that cannot be caught up by log
-// replay.
+// alike, advisory sidecars excluded — as a flat path map, raw: nothing
+// is verified.
 func (s *Store) Image() (map[string][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.imageLocked()
+}
+
+// VerifiedImage returns the snapshot a replica streams to a peer that
+// cannot be caught up by log replay: the committed tree with every byte
+// proven. Store metadata ships as Verify found it. A tracked file ships
+// its committed content — the workspace copy when it matches the
+// manifest, else the object pool's digest-verified copy — and a file
+// the manifest does not record is left out, being no part of the
+// committed state the snapshot stands for. Any other finding, or a
+// committed content the pool cannot prove, is an error naming it: rot
+// is never shipped.
+func (s *Store) VerifiedImage() (map[string][]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rep, err := s.verifyTreeLocked()
+	if err != nil {
+		return nil, err
+	}
+	img, err := s.imageLocked()
+	if err != nil {
+		return nil, err
+	}
+	var bad []string
+	for _, f := range rep.Findings {
+		switch f.State {
+		case StateExtra:
+			delete(img, f.Path)
+			continue
+		case StateCorrupted, StateTorn, StateMissing:
+			if e, ok := rep.man.Lookup(f.Path); ok {
+				if data, ok := s.readObjectAny(e.Hash); ok {
+					img[f.Path] = data
+					continue
+				}
+			}
+		}
+		if !Advisory(f.Path) {
+			bad = append(bad, f.String())
+		}
+	}
+	if len(bad) > 0 {
+		return nil, fmt.Errorf("store: the tree does not verify: %s", strings.Join(bad, "; "))
+	}
+	return img, nil
+}
+
+// imageLocked reads the raw tree image; callers hold the lock.
+func (s *Store) imageLocked() (map[string][]byte, error) {
 	if s.dead != nil {
 		return nil, s.dead
 	}
@@ -111,14 +163,22 @@ func (s *Store) InstallImage(img map[string][]byte) error {
 }
 
 // TreeHash is the deterministic digest of the whole tree (advisory
-// sidecars excluded): sorted paths, each contributing its name and
-// content with length framing. Two stores that applied the same
-// committed operation sequence have equal tree hashes — the property
-// replica audits and the split convergence matrix check.
+// sidecars excluded): sorted paths, each contributing its
+// length-framed name and the SHA-256 of its content. A verify pass that
+// read every file computes the same digest from the hashes it takes
+// anyway (Report.Tree). Two stores that applied the same committed
+// operation sequence have equal tree hashes — the property replica
+// audits and the split convergence matrix check.
 func (s *Store) TreeHash() ([sha256.Size]byte, error) {
-	var zero [sha256.Size]byte
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.treeHashLocked()
+}
+
+// treeHashLocked reads and digests the whole tree; callers hold the
+// lock.
+func (s *Store) treeHashLocked() ([sha256.Size]byte, error) {
+	var zero [sha256.Size]byte
 	if s.dead != nil {
 		return zero, s.dead
 	}
@@ -126,8 +186,7 @@ func (s *Store) TreeHash() ([sha256.Size]byte, error) {
 	if err != nil {
 		return zero, err
 	}
-	h := sha256.New()
-	var frame [8]byte
+	t := newTreeHasher()
 	for _, path := range paths {
 		if Advisory(path) {
 			continue
@@ -136,14 +195,90 @@ func (s *Store) TreeHash() ([sha256.Size]byte, error) {
 		if err != nil {
 			return zero, err
 		}
-		binary.BigEndian.PutUint64(frame[:], uint64(len(path)))
-		h.Write(frame[:])
-		h.Write([]byte(path))
-		binary.BigEndian.PutUint64(frame[:], uint64(len(content)))
-		h.Write(frame[:])
-		h.Write(content)
+		t.add(path, sha256.Sum256(content))
 	}
-	var sum [sha256.Size]byte
-	copy(sum[:], h.Sum(nil))
-	return sum, nil
+	return t.sum(), nil
+}
+
+// treeHasher folds (path, content digest) pairs, in path order, into
+// TreeHash's digest.
+type treeHasher struct {
+	h   hash.Hash
+	buf []byte
+}
+
+func newTreeHasher() *treeHasher { return &treeHasher{h: sha256.New()} }
+
+func (t *treeHasher) add(path string, sum [sha256.Size]byte) {
+	t.buf = binary.BigEndian.AppendUint64(t.buf[:0], uint64(len(path)))
+	t.buf = append(t.buf, path...)
+	t.buf = append(t.buf, sum[:]...)
+	t.h.Write(t.buf)
+}
+
+func (t *treeHasher) sum() (out [sha256.Size]byte) {
+	t.h.Sum(out[:0])
+	return out
+}
+
+// TreeDigest is a tree's digest (TreeHash's value) as one read of the
+// tree found it, stamped with the store's write count at that moment.
+type TreeDigest struct {
+	Sum    [sha256.Size]byte
+	Writes uint64
+}
+
+// Writes returns how many writes, renames and removes the store has
+// made. While it equals a TreeDigest's Writes, nothing this store did
+// has changed the tree the digest describes.
+func (s *Store) Writes() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.writes
+}
+
+// statePrefix domain-separates StateDigest from TreeHash.
+const statePrefix = "popper-state v1\x00"
+
+// StateDigest identifies the committed state: the manifest's bytes plus
+// the path, sequence and content hash of every intact live put record,
+// in path order. It reads the manifest and the put records, never a
+// tracked file, object or extent, so two replicas that committed the
+// same operation sequence agree whatever has rotted in their trees
+// since — finding and healing that is Verify's job. A store whose
+// manifest is missing or damaged has no committed state to name; its
+// digest is then TreeHash's, over the raw tree.
+func (s *Store) StateDigest() ([sha256.Size]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var zero [sha256.Size]byte
+	if s.dead != nil {
+		return zero, s.dead
+	}
+	man, err := s.loadManifest()
+	if s.dead != nil {
+		return zero, s.dead
+	}
+	if err != nil || man == nil {
+		return s.treeHashLocked()
+	}
+	p, err := s.putLogLocked(man)
+	if err != nil {
+		return zero, err
+	}
+	paths := make([]string, 0, len(p.live))
+	for path := range p.live {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
+	d := man.bytesDigest()
+	buf := append([]byte(statePrefix), d[:]...)
+	for _, path := range paths {
+		rec := p.live[path]
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(path)))
+		buf = append(buf, path...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.seq))
+		buf = append(buf, rec.hash[:]...)
+	}
+	return sha256.Sum256(buf), nil
 }

@@ -37,6 +37,13 @@ type Store struct {
 	// puts caches the put records on disk (see put.go); nil means
 	// rescan on next use.
 	puts *putLog
+	// writes counts the writes, renames and removes this store made: a
+	// TreeDigest stamped with the count still describes the tree while
+	// the count has not moved.
+	writes uint64
+	// sidecar is what the stage-cache sidecar held when this store last
+	// read or wrote it; nil when unknown (see cachestate.go).
+	sidecar []byte
 }
 
 // Open returns a store over a real directory tree.
@@ -115,7 +122,7 @@ func (s *Store) Load() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.scanPutsLocked(man, paths)
+	p, err := s.scanPutsLocked(man, paths, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -359,6 +366,7 @@ func (s *Store) loadManifest() (*Manifest, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w; run `popper fsck --repair`", err)
 	}
+	man.digest = sha256.Sum256(raw)
 	s.man, s.got = man, true
 	return man, nil
 }
@@ -494,6 +502,7 @@ func (s *Store) write(path string, data []byte) error {
 	if err := s.checkSite("write", path, data); err != nil {
 		return err
 	}
+	s.touch(path)
 	return s.fs.WriteFile(path, data)
 }
 
@@ -515,6 +524,8 @@ func (s *Store) rename(oldPath, newPath string) error {
 	if err := s.checkSite("rename", newPath, nil); err != nil {
 		return err
 	}
+	s.touch(oldPath)
+	s.touch(newPath)
 	return s.fs.Rename(oldPath, newPath)
 }
 
@@ -522,10 +533,21 @@ func (s *Store) remove(path string) error {
 	if err := s.checkSite("remove", path, nil); err != nil {
 		return err
 	}
+	s.touch(path)
 	if err := s.fs.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
 		return err
 	}
 	return nil
+}
+
+// touch notes a change to path about to be made: it moves the write
+// count, and a change to the stage-cache sidecar drops what the store
+// remembered of its bytes.
+func (s *Store) touch(path string) {
+	s.writes++
+	if path == CacheStatePath {
+		s.sidecar = nil
+	}
 }
 
 func (s *Store) checkSite(op, path string, data []byte) error {

@@ -155,6 +155,11 @@ type Report struct {
 	Findings       []Finding
 	// Actions is the repair plan that was applied, in execution order.
 	Actions []Action
+	// Tree is the digest of the tree the pass read — TreeHash's value
+	// for the same bytes — stamped with the store's write count; nil
+	// when the pass left a file unread (an extra, a quarantined or an
+	// unrecognized file).
+	Tree *TreeDigest
 
 	// man and next are the manifest and intent record the pass verified
 	// against: the planner's input.
@@ -212,16 +217,28 @@ func plural(n int, one, many string) string {
 // the committed manifest. Each tracked file is read and hashed once:
 // the hash classifies it (torn, corrupted, missing), and the same
 // hashes are the observed Merkle leaves diffed against the sealed tree,
-// so a clean tree costs one root compare. It never writes.
+// so a clean tree costs one root compare. They also make up, with the
+// digests of the store files the walk reads, the tree digest
+// (Report.Tree), so a caller that needs TreeHash need not read the tree
+// again. It never writes.
 func (s *Store) Verify() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.verifyTreeLocked()
+}
+
+// verifyTreeLocked is Verify; callers hold the lock.
+func (s *Store) verifyTreeLocked() (*Report, error) {
 	if s.dead != nil {
 		return nil, s.dead
 	}
 	s.invalidateExtents() // trust nothing cached: the tree may have mutated underneath
 	rep := &Report{}
+	sums := make(map[string][sha256.Size]byte)
 	raw, err := s.read(manifestPath)
+	if err == nil {
+		sums[manifestPath] = sha256.Sum256(raw)
+	}
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		rep.Findings = append(rep.Findings, Finding{Path: manifestPath, State: StateManifest, Note: "manifest missing (legacy or damaged repository)"})
@@ -236,12 +253,13 @@ func (s *Store) Verify() (*Report, error) {
 		}
 	}
 	if raw, err := s.read(manifestNextPath); err == nil {
+		sums[manifestNextPath] = sha256.Sum256(raw)
 		rep.Findings = append(rep.Findings, Finding{Path: manifestNextPath, State: StatePending, Note: "interrupted sync: uncommitted intent record"})
 		rep.next, _ = ParseManifest(raw) // a torn intent record is expected debris
 	} else if s.dead != nil {
 		return nil, s.dead
 	}
-	if err := s.verifyLocked(rep); err != nil {
+	if err := s.verifyLocked(rep, sums); err != nil {
 		return nil, err
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool { return rep.Findings[i].Path < rep.Findings[j].Path })
@@ -249,8 +267,11 @@ func (s *Store) Verify() (*Report, error) {
 }
 
 // verifyLocked classifies the tree against rep.man and rep.next,
-// appending findings. Callers hold the lock.
-func (s *Store) verifyLocked(rep *Report) error {
+// appending findings. sums holds the digests of the store files the
+// caller already read; the walk adds every file it reads, and sets
+// rep.Tree when that accounts for the whole tree. Callers hold the
+// lock.
+func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) error {
 	man, next := rep.man, rep.next
 	if man != nil {
 		rep.Generation, rep.Tracked = man.Generation, man.Len()
@@ -267,6 +288,9 @@ func (s *Store) verifyLocked(rep *Report) error {
 				return err
 			}
 			sum := sha256.Sum256(content)
+			if !missing {
+				sums[e.Path] = sum
+			}
 			rep.Scanned++
 			rep.Bytes += int64(len(content))
 			// A missing file hashes as an empty leaf: it differs from the
@@ -304,7 +328,9 @@ func (s *Store) verifyLocked(rep *Report) error {
 	}
 	hashRefs := referencedHashes(man, next)
 	// Put records: a live one is healthy state awaiting the next commit.
-	if rep.puts, err = s.scanPutsLocked(man, paths); err != nil {
+	if rep.puts, err = s.scanPutsLocked(man, paths, func(name string, raw []byte) {
+		sums[name] = sha256.Sum256(raw)
+	}); err != nil {
 		return err
 	}
 	for _, name := range rep.puts.names {
@@ -328,11 +354,11 @@ func (s *Store) verifyLocked(rep *Report) error {
 		case strings.HasPrefix(path, quarantineDir+"/"):
 			// Quarantined files are deliberately preserved; never re-flagged.
 		case strings.HasPrefix(path, objectsDir+"/"):
-			if note := s.objectProblem(path, hashRefs); note != "" {
+			if note := s.objectProblem(path, hashRefs, sums); note != "" {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: note})
 			}
 		case strings.HasPrefix(path, extentsDir+"/"):
-			if f, bad := s.extentFinding(path, hashRefs); bad {
+			if f, bad := s.extentFinding(path, hashRefs, sums); bad {
 				rep.Findings = append(rep.Findings, f)
 			}
 		case path == CacheStatePath:
@@ -352,7 +378,7 @@ func (s *Store) verifyLocked(rep *Report) error {
 			}
 		case path == MerklePath:
 			sealed = true
-			if note := s.checkSeal(man, leaves, rep); note != "" {
+			if note := s.checkSeal(man, leaves, rep, sums); note != "" {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateSeal, Note: note, Repairable: true})
 			}
 		case strings.HasPrefix(path, popperDir+"/"):
@@ -379,6 +405,18 @@ func (s *Store) verifyLocked(rep *Report) error {
 	if man != nil && !sealed {
 		rep.Findings = append(rep.Findings, Finding{Path: MerklePath, State: StateSeal, Note: "merkle seal missing", Repairable: true})
 	}
+	tree := newTreeHasher()
+	for _, path := range paths {
+		if Advisory(path) {
+			continue
+		}
+		sum, ok := sums[path]
+		if !ok {
+			return nil // a file the walk did not read: no tree digest
+		}
+		tree.add(path, sum)
+	}
+	rep.Tree = &TreeDigest{Sum: tree.sum(), Writes: s.writes}
 	return nil
 }
 
@@ -386,11 +424,12 @@ func (s *Store) verifyLocked(rep *Report) error {
 // committed manifest exactly, and a healthy seal is diffed against the
 // observed leaves. Returns the seal's problem, empty when healthy.
 // Callers hold the lock.
-func (s *Store) checkSeal(man *Manifest, leaves [][sha256.Size]byte, rep *Report) string {
+func (s *Store) checkSeal(man *Manifest, leaves [][sha256.Size]byte, rep *Report, sums map[string][sha256.Size]byte) string {
 	raw, err := s.read(MerklePath)
 	if err != nil {
 		return "unreadable merkle seal"
 	}
+	sums[MerklePath] = sha256.Sum256(raw)
 	sealed, perr := cas.ParseMerkle(raw)
 	switch {
 	case perr != nil:
@@ -430,11 +469,12 @@ func (s *Store) objectOK(e Entry) bool {
 
 // extentFinding classifies one packed extent; bad=false means healthy
 // (intact, with at least one record a live generation references).
-func (s *Store) extentFinding(path string, hashRefs map[[sha256.Size]byte]bool) (Finding, bool) {
+func (s *Store) extentFinding(path string, hashRefs map[[sha256.Size]byte]bool, sums map[string][sha256.Size]byte) (Finding, bool) {
 	raw, err := s.read(path)
 	if err != nil {
 		return Finding{Path: path, State: StateDebris, Note: "unreadable extent"}, true
 	}
+	sums[path] = sha256.Sum256(raw)
 	recs, perr := cas.ParseExtent(raw)
 	if perr != nil {
 		if !cas.IsExtent(raw) {
@@ -494,7 +534,7 @@ func objectHash(path string) ([sha256.Size]byte, bool) {
 }
 
 // objectProblem classifies a cache object path; empty means healthy.
-func (s *Store) objectProblem(path string, hashRefs map[[sha256.Size]byte]bool) string {
+func (s *Store) objectProblem(path string, hashRefs map[[sha256.Size]byte]bool, sums map[string][sha256.Size]byte) string {
 	want, ok := objectHash(path)
 	if !ok {
 		return "malformed object name"
@@ -503,7 +543,9 @@ func (s *Store) objectProblem(path string, hashRefs map[[sha256.Size]byte]bool) 
 	if rerr != nil {
 		return "unreadable object"
 	}
-	if sha256.Sum256(content) != want {
+	sum := sha256.Sum256(content)
+	sums[path] = sum
+	if sum != want {
 		return "object content does not match its name"
 	}
 	if !hashRefs[want] {
