@@ -164,6 +164,13 @@ func (e *Evaluator) CheckAll(src string, t *table.Table) ([]Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return e.CheckAssertions(asserts, t)
+}
+
+// CheckAssertions is CheckAll over a file ParseFile already parsed.
+// Checking only reads the assertions, so one parsed file may be
+// checked by any number of evaluators at once.
+func (e *Evaluator) CheckAssertions(asserts []*Assertion, t *table.Table) ([]Result, error) {
 	if e.Jobs > 1 && len(asserts) > 1 {
 		out := make([]Result, len(asserts))
 		errs := sched.NewPool(e.Jobs).Each(len(asserts), func(i int) error {

@@ -3,6 +3,7 @@ package aver
 import (
 	"fmt"
 	"strconv"
+	"strings"
 )
 
 // Assertion is one parsed `when ... expect ...` statement.
@@ -140,11 +141,23 @@ func ParseFile(src string) ([]*Assertion, error) {
 	return out, nil
 }
 
+// trimSpaceAll renders an assertion's text for Source: each run of
+// whitespace and comments between tokens becomes one space, and string
+// literals are kept verbatim, so Source parses back to the same
+// assertion. s has already been lexed: every literal is terminated.
 func trimSpaceAll(s string) string {
 	out := make([]byte, 0, len(s))
 	space := false
-	for _, c := range []byte(s) {
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		switch c {
+		case ' ', '\t', '\n', '\r':
+			space = true
+			continue
+		case '#':
+			for i+1 < len(s) && s[i+1] != '\n' {
+				i++
+			}
 			space = true
 			continue
 		}
@@ -152,6 +165,13 @@ func trimSpaceAll(s string) string {
 			out = append(out, ' ')
 		}
 		space = false
+		if c == '\'' || c == '"' {
+			if j := strings.IndexByte(s[i+1:], c); j >= 0 {
+				out = append(out, s[i:i+j+2]...)
+				i += j + 1
+				continue
+			}
+		}
 		out = append(out, c)
 	}
 	return string(out)

@@ -107,14 +107,19 @@ func (e *Evaluator) Stream(src string, opts StreamOptions) (*StreamEvaluator, er
 	if err != nil {
 		return nil, err
 	}
-	s := &StreamEvaluator{
+	return e.StreamAssertions(asserts, opts), nil
+}
+
+// StreamAssertions is Stream over a file ParseFile already parsed; the
+// assertions are only read, as in CheckAssertions.
+func (e *Evaluator) StreamAssertions(asserts []*Assertion, opts StreamOptions) *StreamEvaluator {
+	return &StreamEvaluator{
 		ev:           e,
 		asserts:      asserts,
 		colIdx:       make(map[string]int),
 		recheckEvery: opts.RecheckEvery,
 		nextRecheck:  1024,
 	}
-	return s, nil
 }
 
 // colRef registers a referenced column and returns its handle index.

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
 	"testing"
 	"time"
 
@@ -63,6 +64,49 @@ func timeCachedSweep(tb testing.TB, cache *pipeline.Cache, n, hosts int) time.Du
 		tb.Fatalf("bench sweep (hosts=%d): %v / %v", hosts, err, sr.Err())
 	}
 	return elapsed
+}
+
+// sweepAllocs counts the heap allocations of one n-configuration sweep
+// of p sharing cache, per configuration. GOMAXPROCS is 1 while it
+// counts, as in testing.AllocsPerRun, so no other goroutine's
+// allocations land in the count.
+func sweepAllocs(tb testing.TB, p *Project, cache *pipeline.Cache, n int) float64 {
+	tb.Helper()
+	configs := cacheBenchMatrix(n)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sr, err := p.RunSweep("sweep", &Env{Seed: 2}, configs, SweepOptions{Jobs: 1, Cache: cache})
+	runtime.ReadMemStats(&after)
+	if err != nil || !sr.Passed() {
+		tb.Fatalf("alloc-counted sweep: %v / %v", err, sr.Err())
+	}
+	return float64(after.Mallocs-before.Mallocs) / float64(n)
+}
+
+// warmAllocsPerConfigBound bounds what one configuration of a warm
+// sweep allocates. With every stage replayed, a configuration pays only
+// for its own key lookups, replays, validation of its own rows and its
+// journal line; the template, vars.yml, the validations.aver parse and
+// the base clone are resolved once per sweep. The sweep below measures
+// 203 (216 under the race detector).
+const warmAllocsPerConfigBound = 230
+
+// TestWarmSweepAllocsPerConfig pins the warm sweep's per-configuration
+// allocations: the third sweep of one project over one cache, the shape
+// of the CI re-check loop, where the project already holds the previous
+// sweep's per-configuration outputs.
+func TestWarmSweepAllocsPerConfig(t *testing.T) {
+	const n = 32
+	cache := pipeline.NewCache()
+	p := cacheBenchProject(t)
+	sweepAllocs(t, p, cache, n) // cold: populates the cache
+	sweepAllocs(t, p, cache, n)
+	got := sweepAllocs(t, p, cache, n)
+	if got > warmAllocsPerConfigBound {
+		t.Fatalf("warm sweep allocates %.1f per configuration, want <= %d", got, warmAllocsPerConfigBound)
+	}
+	t.Logf("warm sweep: %.1f allocations per configuration", got)
 }
 
 // TestWarmSweepSpeedupAtLeast5x is the overlapping-sweep acceptance
@@ -144,6 +188,8 @@ func peerFetchCost(tb testing.TB, hosts int) float64 {
 // cacheBenchRecord is one BENCH_cache.json entry.
 type cacheBenchRecord struct {
 	NsPerOp         float64 `json:"ns_per_op"`
+	Clock           string  `json:"clock"`
+	AllocsPerConfig float64 `json:"allocs_per_config,omitempty"`
 	Speedup         float64 `json:"warm_speedup,omitempty"`
 	HitRate         float64 `json:"hit_rate,omitempty"`
 	FetchVSeconds   float64 `json:"peer_fetch_vseconds,omitempty"`
@@ -191,11 +237,22 @@ func TestWriteCacheBenchJSON(t *testing.T) {
 	if st.BytesAdded+st.BytesDeduped > 0 {
 		dedup = float64(st.BytesDeduped) / float64(st.BytesAdded+st.BytesDeduped)
 	}
-	records["BenchmarkOverlappingSweep/cold"] = cacheBenchRecord{NsPerOp: float64(cold.Nanoseconds())}
+	// Exact allocations per configuration, each sweep on a fresh
+	// project as the timed ones: cold on an empty cache, warm on the
+	// cache the timed sweeps populated.
+	coldAllocs := sweepAllocs(t, cacheBenchProject(t), pipeline.NewCache(), sweepSize)
+	warmAllocs := sweepAllocs(t, cacheBenchProject(t), cache, sweepSize)
+	records["BenchmarkOverlappingSweep/cold"] = cacheBenchRecord{
+		NsPerOp:         float64(cold.Nanoseconds()),
+		Clock:           "wall",
+		AllocsPerConfig: coldAllocs,
+	}
 	records["BenchmarkOverlappingSweep/warm"] = cacheBenchRecord{
 		NsPerOp:         float64(warm.Nanoseconds()),
+		Clock:           "wall",
 		Speedup:         float64(cold) / float64(warm),
 		BytesDedupRatio: dedup,
+		AllocsPerConfig: warmAllocs,
 	}
 	if !smoke && warm*5 > cold {
 		t.Errorf("warm sweep speedup %.1fx below the 5x acceptance bar", float64(cold)/float64(warm))
@@ -213,6 +270,7 @@ func TestWriteCacheBenchJSON(t *testing.T) {
 		misses := ws.Misses - coldStats.Misses
 		rec := cacheBenchRecord{
 			NsPerOp:       float64(elapsed.Nanoseconds()),
+			Clock:         "wall",
 			RemoteFetches: ws.RemoteFetches,
 		}
 		if hits+misses > 0 {
@@ -232,6 +290,7 @@ func TestWriteCacheBenchJSON(t *testing.T) {
 		cost := peerFetchCost(t, hosts)
 		records[fmt.Sprintf("BenchmarkPeerFetchVsRecompute/hosts=%d", hosts)] = cacheBenchRecord{
 			NsPerOp:        float64(time.Since(start).Nanoseconds()),
+			Clock:          "wall",
 			FetchVSeconds:  cost,
 			RecomputeVSecs: recomputeSeconds,
 			FetchVsRecomp:  cost / recomputeSeconds,

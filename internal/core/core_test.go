@@ -133,6 +133,13 @@ func TestSetParam(t *testing.T) {
 	if params["nodes"] != "1,2" {
 		t.Fatalf("nodes = %q", params["nodes"])
 	}
+	// A value whose plain rendering would lose its trailing space.
+	if err := p.SetParam("e", "note", ":0 "); err != nil {
+		t.Fatal(err)
+	}
+	if params, _ := p.Params("e"); params["note"] != ":0 " {
+		t.Fatalf("note = %q, want %q", params["note"], ":0 ")
+	}
 	if err := p.SetParam("ghost", "k", "v"); err == nil {
 		t.Fatal("missing experiment must fail")
 	}

@@ -163,6 +163,16 @@ type RunResult struct {
 	// Cancelled is set when streaming validation cancelled the run
 	// mid-flight (fail-fast): the violation that doomed it.
 	Cancelled *aver.StreamViolation
+
+	// validated is the results.csv the validate stage parsed, so a
+	// sweep's merge need not parse the same bytes again.
+	validated validatedResults
+}
+
+// validatedResults is a results.csv and the table parsed from it.
+type validatedResults struct {
+	raw   []byte
+	table *table.Table
 }
 
 // Passed reports whether the pipeline and all validations succeeded.
@@ -216,9 +226,11 @@ type RunOptions struct {
 	// group is proven unsatisfiable: the run stage fails with
 	// ErrValidationCancelled instead of burning the remaining budget.
 	FailFast bool
-	// RecordMetrics, when set, publishes companion gauges into the
-	// run's metrics registry next to the cache_* family — `popper run
-	// -scrub-interval` wires the scrubber's scrub_* counters here.
+	// RecordMetrics, when set, is called once the run ends with the
+	// run's metrics registry, into which the Cache (when set) has just
+	// recorded its cache_* gauges — `popper run -scrub-interval` wires
+	// the scrubber's scrub_* counters here, so one registry holds both
+	// families. Without it no gauge is recorded.
 	RecordMetrics func(*metrics.Registry)
 }
 
@@ -233,16 +245,85 @@ func (p *Project) RunExperiment(name string, env *Env) (RunResult, error) {
 // RunExperimentOpts is RunExperiment with explicit options (stage
 // caching, validation concurrency, parameter overrides).
 func (p *Project) RunExperimentOpts(name string, env *Env, opts RunOptions) (RunResult, error) {
+	pr, err := p.prepare(name, env, false)
+	if err != nil {
+		return RunResult{}, err
+	}
+	return p.runPrepared(pr, opts)
+}
+
+// prepared is what every run of one experiment in one invocation
+// shares, resolved once by prepare: RunExperimentOpts prepares for its
+// one run, RunSweep once for all of its configurations. That is sound
+// because the project's files do not change while a sweep's pool runs.
+type prepared struct {
+	name string
+	env  *Env
+	tmpl *Template
+	// params is vars.yml, flattened; each run copies it before applying
+	// its overrides.
+	params map[string]string
+	// checks is validations.aver as parsed here; nil without the file.
+	checks *checks
+	// base is the workspace every sweep configuration attempt clones
+	// (sweepCloneFiles of the project); nil outside a sweep.
+	base map[string][]byte
+}
+
+// checks is a validations.aver source with its parse: the assertions,
+// or the parse error.
+type checks struct {
+	src     string
+	asserts []*aver.Assertion
+	err     error
+}
+
+// prepare resolves an experiment's template, vars.yml and
+// validations.aver once, and with sweep set the base clone of the
+// workspace the sweep's configurations run against.
+func (p *Project) prepare(name string, env *Env, sweep bool) (*prepared, error) {
 	if env == nil {
 		env = &Env{Seed: 1}
 	}
-	tmpl, err := p.TemplateOf(name)
-	if err != nil {
-		return RunResult{}, err
-	}
 	params, err := p.Params(name)
 	if err != nil {
-		return RunResult{}, err
+		return nil, err
+	}
+	tmpl, err := templateOfParams(name, params)
+	if err != nil {
+		return nil, err
+	}
+	pr := &prepared{name: name, env: env, tmpl: tmpl, params: params}
+	if raw, ok := p.ExperimentFile(name, "validations.aver"); ok {
+		asserts, err := aver.ParseFile(string(raw))
+		pr.checks = &checks{src: string(raw), asserts: asserts, err: err}
+	}
+	if sweep {
+		pr.base = sweepCloneFiles(p.Files, name)
+	}
+	return pr, nil
+}
+
+// assertions returns the parsed form of raw, a validations.aver as a
+// run reads it: the prepared parse while raw is the prepared source, a
+// fresh one when a stage rewrote the file.
+func (pr *prepared) assertions(raw []byte) ([]*aver.Assertion, error) {
+	if c := pr.checks; c != nil && string(raw) == c.src {
+		return c.asserts, c.err
+	}
+	return aver.ParseFile(string(raw))
+}
+
+// runPrepared executes one run of a prepared experiment, with p's
+// files as its workspace: setup (orchestration check + dataset
+// installation), run (the template's executable binding, which writes
+// results.csv and figures), post-run (results integrity), validate
+// (Aver over results.csv).
+func (p *Project) runPrepared(pr *prepared, opts RunOptions) (RunResult, error) {
+	name, env, tmpl := pr.name, pr.env, pr.tmpl
+	params := make(map[string]string, len(pr.params)+len(opts.Overrides))
+	for k, v := range pr.params {
+		params[k] = v
 	}
 	for k, v := range opts.Overrides {
 		params[k] = v
@@ -254,9 +335,9 @@ func (p *Project) RunExperimentOpts(name string, env *Env, opts RunOptions) (Run
 	}
 	state := &ExecState{Ctx: ctx, Env: env, Project: p, Name: name}
 	var validation []aver.Result
+	var validated validatedResults
 
 	pl := pipeline.New(name)
-	pl.RecordExtra = opts.RecordMetrics
 	if opts.Cache != nil {
 		pl.Cache = opts.Cache
 		pl.CacheSalt = fmt.Sprintf("env-seed=%d", env.Seed)
@@ -311,9 +392,8 @@ func (p *Project) RunExperimentOpts(name string, env *Env, opts RunOptions) (Run
 		state.stream, state.cancelled, state.failFast = nil, nil, opts.FailFast
 		if opts.Stream {
 			if raw, ok := p.ExperimentFile(name, "validations.aver"); ok {
-				st, err := aver.NewEvaluator().Stream(string(raw), aver.StreamOptions{})
-				if err == nil {
-					state.stream = st
+				if asserts, err := pr.assertions(raw); err == nil {
+					state.stream = aver.NewEvaluator().StreamAssertions(asserts, aver.StreamOptions{})
 				}
 				// A parse error is not reported here: the validate stage
 				// fails with the identical message whether or not the run
@@ -374,9 +454,14 @@ func (p *Project) RunExperimentOpts(name string, env *Env, opts RunOptions) (Run
 		if err != nil {
 			return err
 		}
+		validated = validatedResults{raw: resRaw, table: resultsTable}
+		asserts, err := pr.assertions(raw)
+		if err != nil {
+			return err
+		}
 		ev := aver.NewEvaluator()
 		ev.Jobs = opts.Jobs
-		results, err := ev.CheckAll(string(raw), resultsTable)
+		results, err := ev.CheckAssertions(asserts, resultsTable)
 		if err != nil {
 			return err
 		}
@@ -416,7 +501,15 @@ func (p *Project) RunExperimentOpts(name string, env *Env, opts RunOptions) (Run
 	}
 
 	rec := pl.Run(ctx)
-	return RunResult{Record: rec, Validation: validation, Cancelled: state.cancelled}, rec.Err
+	// The registry's one reader is the RecordMetrics hook, so the cache
+	// records its gauges only for it.
+	if opts.RecordMetrics != nil {
+		if opts.Cache != nil {
+			opts.Cache.Record(ctx.Metrics)
+		}
+		opts.RecordMetrics(ctx.Metrics)
+	}
+	return RunResult{Record: rec, Validation: validation, Cancelled: state.cancelled, validated: validated}, rec.Err
 }
 
 // experimentInputFilter admits the experiment's input files — its

@@ -69,9 +69,10 @@ type SweepOptions struct {
 	// finishes the rest).
 	Limit int
 	// RecordMetrics, when set, is passed through to every
-	// configuration's RunOptions: each pipeline publishes the caller's
-	// companion gauges (e.g. scrub_*) into its metrics registry
-	// alongside cache_*.
+	// configuration's RunOptions: at the end of each configuration's run
+	// it receives that run's metrics registry, which the shared Cache
+	// has just recorded its cache_* gauges into, to publish the caller's
+	// companion gauges (e.g. scrub_*) alongside.
 	RecordMetrics func(*metrics.Registry)
 	// Durable, when set, is called with the sweep journal (workspace
 	// path + full content) after every configuration completes, so
@@ -436,10 +437,8 @@ func sweepConfigPath(name string, idx int, rest string) string {
 // (see SweepResult.Err); the error return is reserved for sweep-level
 // problems such as an unknown experiment or a corrupt journal.
 func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, opts SweepOptions) (SweepResult, error) {
-	if env == nil {
-		env = &Env{Seed: 1}
-	}
-	if _, err := p.TemplateOf(name); err != nil {
+	pr, err := p.prepare(name, env, true)
+	if err != nil {
 		return SweepResult{}, err
 	}
 	if len(configs) == 0 {
@@ -531,12 +530,13 @@ func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, o
 				}
 			}
 			if err == nil {
-				// Every attempt starts from a fresh clone: a failed
-				// attempt can never leak partial state into the retry.
-				files := sweepCloneFiles(p.Files, name)
+				// Every attempt starts from a fresh clone of the sweep's
+				// base: a failed attempt can never leak partial state into
+				// the retry.
+				files := cloneFiles(pr.base)
 				clones[i] = files
 				proj := &Project{Files: files}
-				run.Result, err = proj.RunExperimentOpts(name, env, RunOptions{
+				run.Result, err = proj.runPrepared(pr, RunOptions{
 					Cache:         opts.Cache,
 					CacheHost:     host,
 					Overrides:     configs[i],
@@ -582,7 +582,7 @@ func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, o
 		// once per configuration in its dispatch order — same worker
 		// pool underneath, so artifacts match the flat path byte for
 		// byte; only sr.Sched differs.
-		rep, err := runSweepCluster(env, opts, todo, runConfig)
+		rep, err := runSweepCluster(pr.env, opts, todo, runConfig)
 		if err != nil {
 			return sr, fmt.Errorf("core: sweep %s: %w", name, err)
 		}
@@ -636,11 +636,15 @@ func (p *Project) RunSweep(name string, env *Env, configs []map[string]string, o
 				continue
 			}
 		}
-		t, err := table.ParseCSV(string(raw))
-		if err != nil {
-			run.Err = fmt.Errorf("core: sweep config %d results.csv: %w", i, err)
-			run.Quarantined = true
-			continue
+		// The validate stage already parsed these bytes: merge its table.
+		t := run.Result.validated.table
+		if t == nil || !bytes.Equal(run.Result.validated.raw, raw) {
+			var err error
+			if t, err = table.ParseCSV(string(raw)); err != nil {
+				run.Err = fmt.Errorf("core: sweep config %d results.csv: %w", i, err)
+				run.Quarantined = true
+				continue
+			}
 		}
 		var mergeErr error
 		merged, mergeErr = appendConfigRows(merged, t, configs[i])

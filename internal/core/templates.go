@@ -96,6 +96,12 @@ func (p *Project) TemplateOf(name string) (*Template, error) {
 	if err != nil {
 		return nil, err
 	}
+	return templateOfParams(name, params)
+}
+
+// templateOfParams resolves the template an experiment's flattened
+// vars.yml records.
+func templateOfParams(name string, params map[string]string) (*Template, error) {
 	tname, ok := params["template"]
 	if !ok {
 		return nil, fmt.Errorf("core: experiment %q does not record its template in vars.yml", name)

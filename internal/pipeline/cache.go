@@ -3,6 +3,7 @@ package pipeline
 import (
 	"bytes"
 	"crypto/sha256"
+	"hash"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -214,8 +215,10 @@ func (c *Cache) Stats() CacheStats {
 }
 
 // Record publishes the cache counters into a metrics registry as
-// cache_* gauges, so sweep reports and the CI service can chart the
-// tier alongside the other runtime metrics.
+// cache_* gauges, so a report can chart the tier alongside the other
+// runtime metrics. Pipeline.Run does not call it: a core run records
+// into its registry only when RunOptions.RecordMetrics is set, the
+// registry's one reader.
 func (c *Cache) Record(reg *metrics.Registry) {
 	st := c.Stats()
 	reg.Set("cache_hits", float64(st.Hits))
@@ -441,57 +444,94 @@ func diffWorkspace(before, after map[string][]byte) cacheEntry {
 	return ent
 }
 
-// cacheKey digests everything that may influence a cacheable stage.
-func (p *Pipeline) cacheKey(stage, id string, ctx *Context) [sha256.Size]byte {
-	h := sha256.New()
-	sep := []byte{0}
-	write := func(s string) {
-		h.Write([]byte(s))
-		h.Write(sep)
+// stageKeys carries what one pipeline run's stage keys share: the
+// sorted list of workspace paths the cache filter admits, the
+// parameter names, and one scratch buffer every string is staged in.
+// The path list is made at the first key and made again only once
+// listed is cleared — after a stage executes, or after a replay sets or
+// deletes an admitted path — so a key's bytes are exactly those of
+// listing the workspace afresh.
+type stageKeys struct {
+	paths  []string
+	listed bool
+	params []string
+	buf    []byte
+	h      hash.Hash
+}
+
+// replayMovesKeyPaths reports whether replaying ent sets or deletes a
+// path the cache filter admits, which may change the key path list.
+func (p *Pipeline) replayMovesKeyPaths(ent *stageEntry) bool {
+	for _, d := range ent.set {
+		if p.CacheFilter == nil || p.CacheFilter(d.path) {
+			return true
+		}
 	}
-	write("popper-stage-cache/v1")
-	write(p.CacheSalt)
-	write(stage)
-	write(id)
+	for _, path := range ent.del {
+		if p.CacheFilter == nil || p.CacheFilter(path) {
+			return true
+		}
+	}
+	return false
+}
+
+// cacheKey digests everything that may influence a cacheable stage:
+// each string NUL-terminated, then every admitted workspace path with
+// its content in path order.
+func (p *Pipeline) cacheKey(stage, id string, ctx *Context, k *stageKeys) [sha256.Size]byte {
+	if k.h == nil {
+		k.h = sha256.New()
+	}
+	h := k.h
+	h.Reset()
+	buf := k.buf[:0]
+	put := func(s string) { buf = append(append(buf, s...), 0) }
+	put("popper-stage-cache/v1")
+	put(p.CacheSalt)
+	put(stage)
+	put(id)
 
 	// Parameter material: the stage's declared dependencies, or every
 	// parameter when none were declared (nil deps).
 	deps := p.cacheDeps[stage]
-	var keys []string
+	keys := k.params[:0]
 	if deps == nil {
-		keys = make([]string, 0, len(ctx.Params))
-		for k := range ctx.Params {
-			keys = append(keys, k)
+		for name := range ctx.Params {
+			keys = append(keys, name)
 		}
 	} else {
 		keys = append(keys, deps...)
 	}
 	sort.Strings(keys)
-	write("params")
-	for _, k := range keys {
-		v, ok := ctx.Params[k]
-		write(k)
+	k.params = keys
+	put("params")
+	for _, name := range keys {
+		v, ok := ctx.Params[name]
+		put(name)
 		if ok {
-			write(v)
+			put(v)
 		} else {
-			write("\x01absent")
+			put("\x01absent")
 		}
 	}
 
 	// Workspace material: every path the filter admits, with content.
-	write("workspace")
-	paths := make([]string, 0, len(ctx.Workspace))
-	for path := range ctx.Workspace {
-		if p.CacheFilter == nil || p.CacheFilter(path) {
-			paths = append(paths, path)
+	put("workspace")
+	h.Write(buf)
+	if !k.listed {
+		k.paths = k.paths[:0]
+		for path := range ctx.Workspace {
+			if p.CacheFilter == nil || p.CacheFilter(path) {
+				k.paths = append(k.paths, path)
+			}
 		}
+		sort.Strings(k.paths)
+		k.listed = true
 	}
-	sort.Strings(paths)
-	for _, path := range paths {
-		write(path)
-		h.Write(ctx.Workspace[path])
-		h.Write(sep)
+	for _, path := range k.paths {
+		buf = writeEntry(h, buf, path, ctx.Workspace[path])
 	}
+	k.buf = buf
 	var out [sha256.Size]byte
 	h.Sum(out[:0])
 	return out

@@ -10,6 +10,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"sort"
 	"strings"
 	"sync"
@@ -140,12 +141,6 @@ type Pipeline struct {
 	// Sharing one clock across pipelines is allowed (it is internally
 	// locked) but forfeits per-run determinism under concurrency.
 	Clock *fault.Clock
-
-	// RecordExtra, when set, is invoked with the run's metrics registry
-	// right where the cache records its gauges, so callers can publish
-	// companion gauge families (e.g. the scrubber's scrub_*) into the
-	// same registry the report reads.
-	RecordExtra func(*metrics.Registry)
 
 	retries   map[string]fault.Retry
 	timeouts  map[string]float64
@@ -314,6 +309,7 @@ func (p *Pipeline) Run(ctx *Context) Record {
 	}
 	rec := Record{Pipeline: p.Name, Params: copyParams(ctx.Params)}
 	failed := false
+	var keys stageKeys
 	for _, name := range StageOrder {
 		fn, ok := p.stages[name]
 		if !ok {
@@ -325,8 +321,11 @@ func (p *Pipeline) Run(ctx *Context) Record {
 		}
 		id, cacheable := p.cacheIDs[name]
 		if p.Cache != nil && cacheable && !failed {
-			key := p.cacheKey(name, id, ctx)
+			key := p.cacheKey(name, id, ctx, &keys)
 			if ent, hit := p.Cache.lookup(key, p.CacheHost); hit {
+				if p.replayMovesKeyPaths(ent) {
+					keys.listed = false
+				}
 				ctx.Logf("--- stage %s (cached)", name)
 				ctx.appendLog(p.Cache.replay(ent, ctx.Workspace))
 				rec.Stages = append(rec.Stages, StageResult{Stage: name, Cached: true})
@@ -337,6 +336,7 @@ func (p *Pipeline) Run(ctx *Context) Record {
 			ctx.Logf("--- stage %s", name)
 			mark := ctx.logLen()
 			attempts, err := p.execStage(name, fn, ctx)
+			keys.listed = false
 			rec.Stages = append(rec.Stages, StageResult{Stage: name, Err: err, Ran: true, Attempts: attempts})
 			if err != nil {
 				ctx.Logf("stage %s failed: %v", name, err)
@@ -351,6 +351,7 @@ func (p *Pipeline) Run(ctx *Context) Record {
 		}
 		ctx.Logf("--- stage %s", name)
 		attempts, err := p.execStage(name, fn, ctx)
+		keys.listed = false
 		rec.Stages = append(rec.Stages, StageResult{Stage: name, Err: err, Ran: true, Attempts: attempts})
 		if err != nil {
 			ctx.Logf("stage %s failed: %v", name, err)
@@ -361,13 +362,7 @@ func (p *Pipeline) Run(ctx *Context) Record {
 		}
 	}
 	rec.Log = ctx.logString()
-	rec.ResultHash = hashWorkspace(ctx.Workspace)
-	if p.Cache != nil {
-		p.Cache.Record(ctx.Metrics)
-	}
-	if p.RecordExtra != nil {
-		p.RecordExtra(ctx.Metrics)
-	}
+	rec.ResultHash = hashWorkspace(ctx.Workspace, keys.buf)
 	return rec
 }
 
@@ -458,7 +453,9 @@ func copyParams(p map[string]string) map[string]string {
 	return out
 }
 
-func hashWorkspace(ws map[string][]byte) string {
+// hashWorkspace fingerprints a workspace: every path and its content,
+// NUL-terminated, in path order. buf is scratch space it may reuse.
+func hashWorkspace(ws map[string][]byte, buf []byte) string {
 	paths := make([]string, 0, len(ws))
 	for p := range ws {
 		paths = append(paths, p)
@@ -466,12 +463,20 @@ func hashWorkspace(ws map[string][]byte) string {
 	sort.Strings(paths)
 	h := sha256.New()
 	for _, p := range paths {
-		h.Write([]byte(p))
-		h.Write([]byte{0})
-		h.Write(ws[p])
-		h.Write([]byte{0})
+		buf = writeEntry(h, buf, p, ws[p])
 	}
-	return hex.EncodeToString(h.Sum(nil))[:16]
+	var sum [sha256.Size]byte
+	return hex.EncodeToString(h.Sum(sum[:0])[:8])
+}
+
+// writeEntry writes path, NUL, content, NUL to h, staging the path in
+// buf so no write allocates; it returns buf for reuse.
+func writeEntry(h hash.Hash, buf []byte, path string, content []byte) []byte {
+	buf = append(append(buf[:0], path...), 0)
+	h.Write(buf)
+	h.Write(content)
+	h.Write(buf[len(buf)-1:])
+	return buf
 }
 
 // Journal is the lab notebook: the chronological record of executions.

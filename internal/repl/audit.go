@@ -10,9 +10,12 @@ import (
 
 // Replica agreement auditing — what `popper fsck` prints for a
 // replicated repository. Agreement means: every live replica's tree at
-// its applied index is consistent with the primary's history (equal
+// its applied index is consistent with the reference history (equal
 // tree hash once caught up), and no two live replicas disagree about
-// the same log position.
+// the same log position. At the most advanced applied index the
+// reference tree is the one most live replicas there hold, so one
+// replica whose tree rotted at rest — the primary included — is the
+// one reported, never the healthy majority.
 
 // ReplicaStatus is one replica's audit line.
 type ReplicaStatus struct {
@@ -36,10 +39,25 @@ type AuditReport struct {
 	// Lagging lists live replicas whose applied index trails the most
 	// advanced live replica (anti-entropy will catch them up).
 	Lagging []int
-	// Divergent lists live replicas whose tree disagrees with the most
-	// advanced replica's at the same applied index — real divergence,
-	// which quorum commits should make impossible.
+	// Divergent lists live replicas whose tree disagrees with the
+	// reference tree at the same applied index — real divergence, which
+	// quorum commits should make impossible, or a tree that rotted at
+	// rest.
 	Divergent []int
+	// Reference is the replica the others are classified against: a
+	// live replica at the highest applied index holding the tree digest
+	// most live replicas there share, the primary's on a tie (-1 when
+	// no replica is live).
+	Reference int
+}
+
+// Against names what a Divergent replica disagrees with: the primary's
+// history while the primary is the reference, else the majority.
+func (a *AuditReport) Against() string {
+	if a.Reference >= 0 && a.Replicas[a.Reference].Role == primary.String() {
+		return "the primary history"
+	}
+	return "the replica majority"
 }
 
 // Agreement reports whether every live, caught-up replica agrees.
@@ -69,7 +87,7 @@ func (a *AuditReport) Format() string {
 		fmt.Fprintf(&b, "replica %d lags the quorum frontier (anti-entropy pending)\n", id)
 	}
 	for _, id := range a.Divergent {
-		fmt.Fprintf(&b, "replica %d DIVERGES from the primary history\n", id)
+		fmt.Fprintf(&b, "replica %d DIVERGES from %s\n", id, a.Against())
 	}
 	return b.String()
 }
@@ -87,10 +105,11 @@ func (g *Group) Audit() (*AuditReport, error) { return g.AuditVerified(nil) }
 func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rep := &AuditReport{Quorum: g.quorum()}
+	rep := &AuditReport{Quorum: g.quorum(), Reference: -1}
 	// Pass one: snapshot every replica's status. A store read failure on
 	// a replica that has not already stopped is an audit error, not a
 	// divergence verdict — a zero hash must never enter a comparison.
+	hashed := make([]bool, len(g.reps))
 	for _, r := range g.reps {
 		s := ReplicaStatus{
 			ID: r.id, Role: r.role.String(), Down: r.down,
@@ -113,10 +132,11 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 			}
 		} else {
 			s.TreeHash = hash
+			hashed[r.id] = true
 		}
 		rep.Replicas = append(rep.Replicas, s)
 	}
-	// The reference replica: the live one with the highest applied
+	// The reference position: the live replica with the highest applied
 	// index (ties toward the primary, then the lowest id).
 	ref := -1
 	for _, r := range g.reps {
@@ -131,6 +151,24 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 	if ref < 0 {
 		return rep, nil
 	}
+	// The reference tree: the digest most live replicas at that index
+	// hold. The position's own replica keeps the reference unless
+	// another digest outnumbers its own, so the primary's digest wins
+	// a tie.
+	top := g.reps[ref].applied
+	votes := make(map[[sha256.Size]byte]int, len(g.reps))
+	for _, r := range g.reps {
+		if !r.down && r.applied == top && hashed[r.id] {
+			votes[rep.Replicas[r.id].TreeHash]++
+		}
+	}
+	for _, r := range g.reps {
+		if h := rep.Replicas[r.id].TreeHash; !r.down && r.applied == top && hashed[r.id] &&
+			votes[h] > votes[rep.Replicas[ref].TreeHash] {
+			ref = r.id
+		}
+	}
+	rep.Reference = ref
 	// Pass two: classify each live replica against the reference using
 	// the hashes computed above.
 	refRep := g.reps[ref]
@@ -152,7 +190,7 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 				rep.Divergent = append(rep.Divergent, r.id)
 			}
 		default:
-			// Ahead of the reference primary: an orphaned tail.
+			// Ahead of the reference: an orphaned tail.
 			rep.Divergent = append(rep.Divergent, r.id)
 		}
 	}

@@ -129,6 +129,42 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 	}
 }
 
+// TestRotDetectOnlyBlamesOnlyTheRottedReplica: when the primary's own
+// copy of a tracked file rots, a detect-only group pass names the file
+// on the primary and nothing on the healthy replicas. The audit's
+// reference tree is the one most replicas hold, so the two intact
+// replicas are not called divergent for disagreeing with a rotted
+// primary.
+func TestRotDetectOnlyBlamesOnlyTheRottedReplica(t *testing.T) {
+	seed := chaosSeed(t)
+	for round := 1; round <= 3; round++ {
+		t.Run(fmt.Sprintf("round-%d", round), func(t *testing.T) {
+			g := buildGroup(t, seed)
+			if hit := g.fss[0].Rot("exp/vars.yml", round); len(hit) != 1 {
+				t.Fatalf("rot touched %v", hit)
+			}
+			rep := mustScrub(t, New(nil, Options{Group: g.Group}))
+			named := false
+			for _, f := range rep.Findings {
+				switch {
+				case f.Replica != 0:
+					t.Errorf("healthy replica %d blamed: %s", f.Replica, f)
+				case f.Path == "exp/vars.yml":
+					named = true
+				case f.State == store.StateDivergent && strings.Contains(f.Note, "primary"):
+					t.Errorf("the rotted primary is the minority, yet its finding says %q", f.Note)
+				}
+			}
+			if !named {
+				t.Fatalf("replica 0's rotted exp/vars.yml not reported:\n%s", rep.Format())
+			}
+			if len(rep.Actions) != 0 {
+				t.Fatalf("detect-only pass acted: %v", rep.Actions)
+			}
+		})
+	}
+}
+
 // TestRotMatrixQuorumHoldsTheRot pins the degradation contract: when a
 // majority of replicas hold rotted copies, their attestations fail
 // digest checks, the quorum rung falls short, and repair drops to the

@@ -225,7 +225,7 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 		rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateLagging, Note: "lags the quorum frontier"})
 	}
 	for _, id := range aud.Divergent {
-		rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from the primary history"})
+		rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from " + aud.Against()})
 	}
 	if !sc.opts.Repair || len(rep.Findings) == first {
 		return nil
@@ -240,7 +240,7 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 	}
 	for _, id := range aud.Divergent {
 		if !slices.ContainsFunc(rep.Findings[first:], func(f store.Finding) bool { return f.Replica == id }) {
-			rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from the primary history"})
+			rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from " + aud.Against()})
 		}
 	}
 	for i := first; i < len(rep.Findings); i++ {
@@ -248,6 +248,22 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 		a := store.Action{Verb: store.VerbHeal, Replica: f.Replica, Path: "tree", Rung: store.RungReplica, Note: "caught up by anti-entropy"}
 		f.Outcome, f.Rung = store.Healed, store.RungReplica
 		switch {
+		case slices.Contains(aud.Divergent, f.Replica) && f.Replica == g.Primary():
+			// The primary is the odd one out, yet its own pass has just
+			// verified, and where needed healed, every file it tracks.
+			// Reseeding installs the primary's snapshot, so the group
+			// converges on it: each follower whose tree differs is
+			// reseeded.
+			a.Verb, a.Note = store.VerbReseed, "followers reseeded from the primary snapshot"
+			for id, s := range aud.Replicas {
+				if id == f.Replica || s.Down || s.TreeHash == aud.Replicas[f.Replica].TreeHash {
+					continue
+				}
+				if err := g.Reseed(id); err != nil {
+					a.Note, f.Outcome = "reseed failed: "+err.Error(), store.Failed
+					break
+				}
+			}
 		case slices.Contains(aud.Divergent, f.Replica):
 			a.Verb, a.Note = store.VerbReseed, "primary snapshot installed"
 			if err := g.Reseed(f.Replica); err != nil {

@@ -43,8 +43,9 @@ const (
 	StateSeal
 	// StateLagging: a live replica trails the group's applied frontier.
 	StateLagging
-	// StateDivergent: a live replica's tree disagrees with the primary
-	// history.
+	// StateDivergent: a live replica's tree disagrees with the group's
+	// reference history (the tree most live replicas hold at the most
+	// advanced applied index).
 	StateDivergent
 )
 

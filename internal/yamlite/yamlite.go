@@ -104,6 +104,10 @@ func stripComment(s string) string {
 			if !inS {
 				inD = !inD
 			}
+		case '\\':
+			if inD {
+				i++ // an escape inside double quotes: the next byte is literal
+			}
 		case '#':
 			if !inS && !inD {
 				// YAML requires '#' to be preceded by whitespace (or BOL).
@@ -167,6 +171,10 @@ func keyEnd(s string) int {
 		case '"':
 			if !inS {
 				inD = !inD
+			}
+		case '\\':
+			if inD {
+				i++ // an escape inside double quotes: the next byte is literal
 			}
 		case '[', '{':
 			if !inS && !inD {
@@ -396,6 +404,10 @@ func splitFlow(s string, num int) ([]string, error) {
 			if !inS {
 				inD = !inD
 			}
+		case '\\':
+			if inD {
+				i++ // an escape inside double quotes: the next byte is literal
+			}
 		case '[', '{':
 			if !inS && !inD {
 				depth++
@@ -615,7 +627,9 @@ func encodeScalar(v any) string {
 		return strconv.FormatInt(t, 10)
 	case float64:
 		s := strconv.FormatFloat(t, 'g', -1, 64)
-		if !strings.ContainsAny(s, ".eE") {
+		// "NaN" and "±Inf" decode as floats already; a suffix would
+		// turn them into strings.
+		if !strings.ContainsAny(s, ".eEIN") {
 			s += ".0"
 		}
 		return s
@@ -637,15 +651,16 @@ func needsQuote(s string) bool {
 	if s == "" {
 		return false
 	}
-	if strings.ContainsAny(s, ":#\"'\n\t[]{},&*!|>%@`") {
-		// ':' only matters before space/EOL, but quoting is always safe.
-		if !strings.Contains(s, ": ") && !strings.HasSuffix(s, ":") &&
-			!strings.ContainsAny(s, "#\"'\n\t[]{},&*!|>%@`") {
-			return false
-		}
+	// The decoder trims surrounding whitespace and reads a leading '-'
+	// as a sequence item.
+	if strings.TrimSpace(s) != s || s[0] == '-' {
 		return true
 	}
-	return s[0] == ' ' || s[len(s)-1] == ' ' || s[0] == '-'
+	if strings.ContainsAny(s, "#\"'\n\t[]{},&*!|>%@`") {
+		return true
+	}
+	// ':' only matters before a space or at the end.
+	return strings.Contains(s, ": ") || strings.HasSuffix(s, ":")
 }
 
 // looksLikeOtherScalar reports whether a plain rendering of s would decode
