@@ -89,8 +89,8 @@ split:
 
 # Bit-rot matrix: seeded silent corruption across every artifact class
 # (workspace files, loose objects, packed extents, put records,
-# manifest, merkle seal) x every repair rung (replica quorum, cas,
-# loose pool, intact workspace copy) — each injection must be detected
+# manifest, merkle seal) x every repair rung (replica quorum, object
+# pool, intact workspace copy) — each injection must be detected
 # by the one verify walk, healed from the highest-priority live rung,
 # and leave the tree byte-identical to an uncorrupted run, after which
 # a fresh verify plans nothing; quorum-holds-the-rot degradation and

@@ -33,12 +33,14 @@
 //	popper build-paper               render paper/paper.tex
 //	popper fsck [--repair]           verify every tracked file, object,
 //	                                 extent and the merkle seal against
-//	                                 the manifest (every replica, plus
-//	                                 replica agreement, on a replicated
+//	                                 the manifest, and that the object
+//	                                 pool backs every committed content
+//	                                 (every replica, plus agreement on
+//	                                 committed state, on a replicated
 //	                                 repository); --repair applies a
 //	                                 plan whose every action names its
-//	                                 byte source — replica quorum, cas,
-//	                                 loose object, intact workspace copy
+//	                                 byte source — replica quorum,
+//	                                 object pool, intact workspace copy
 //	                                 — and quarantines only what no
 //	                                 source proves
 //	popper scrub [--repair]          the same command as fsck

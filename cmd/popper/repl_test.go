@@ -153,7 +153,10 @@ func TestCLIReplicatedFsckHealsTamperedReplica(t *testing.T) {
 // corrupted and its object destroyed, but replicas 1 and 2 still hold
 // the bytes. `popper fsck --repair` must heal it from that quorum —
 // nothing quarantined, the generation unmoved, every replica's tracked
-// tree back to its pre-damage bytes and all three trees equal.
+// tree back to its pre-damage bytes and all three committed states
+// equal. The primary may now hold the object loose beside a rewritten
+// extent: layout is each replica's own, so nothing is divergent and no
+// follower is reseeded.
 func TestCLIReplicatedFsckRepairHealsFromQuorum(t *testing.T) {
 	dir := replSweepRepo(t, "seed: [1, 2]\n")
 	if err := popper(t, dir, "-replicas", "3", "-jobs", "1", "run", "stm"); err != nil {
@@ -182,10 +185,16 @@ func TestCLIReplicatedFsckRepairHealsFromQuorum(t *testing.T) {
 	}
 	destroyObject(t, dir, vars)
 
-	if out, err := popperOut(t, dir, "fsck", "--repair"); err != nil {
+	out, err := popperOut(t, dir, "fsck", "--repair")
+	if err != nil {
 		t.Fatalf("fsck --repair: %v\n%s", err, out)
 	}
-	var hashes [][32]byte
+	for _, word := range []string{"divergent", "reseeded"} {
+		if strings.Contains(out, word) {
+			t.Errorf("the repair of one replica's file reported %q:\n%s", word, out)
+		}
+	}
+	var states [][32]byte
 	for id, root := range roots {
 		if _, err := os.Stat(filepath.Join(root, ".popper", "quarantine")); !os.IsNotExist(err) {
 			t.Errorf("replica %d: repair quarantined bytes a quorum holds (stat err %v)", id, err)
@@ -199,14 +208,14 @@ func TestCLIReplicatedFsckRepairHealsFromQuorum(t *testing.T) {
 			t.Fatal(err)
 		}
 		wantSameImage(t, "replica "+string(rune('0'+id))+" tracked tree", files, before[id])
-		hash, err := st.TreeHash()
+		state, err := st.StateDigest()
 		if err != nil {
 			t.Fatal(err)
 		}
-		hashes = append(hashes, hash)
+		states = append(states, state)
 	}
-	if hashes[1] != hashes[0] || hashes[2] != hashes[0] {
-		t.Fatalf("replica tree hashes differ after repair: %x %x %x", hashes[0][:6], hashes[1][:6], hashes[2][:6])
+	if states[1] != states[0] || states[2] != states[0] {
+		t.Fatalf("replica committed states differ after repair: %x %x %x", states[0][:6], states[1][:6], states[2][:6])
 	}
 	if out, err := popperOut(t, dir, "fsck"); err != nil {
 		t.Fatalf("fsck after repair: %v\n%s", err, out)

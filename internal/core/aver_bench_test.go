@@ -91,9 +91,11 @@ func averStreamSpeedup(tb testing.TB, n, reps int) (incNs, batchNs float64) {
 	return incNs, batchNs
 }
 
-// averBenchRecord is one BENCH_aver.json entry.
+// averBenchRecord is one BENCH_aver.json entry: every number is a
+// wall-clock measurement or an exact count.
 type averBenchRecord struct {
 	NsPerOp          float64 `json:"ns_per_op"`
+	Clock            string  `json:"clock"`
 	Speedup          float64 `json:"incremental_speedup,omitempty"`
 	RowsExecuted     int64   `json:"rows_executed,omitempty"`
 	ComputeSaved     float64 `json:"compute_saved,omitempty"`
@@ -149,9 +151,9 @@ func TestWriteAverBenchJSON(t *testing.T) {
 		inc, batch := averStreamSpeedup(t, sz.n, sz.reps)
 		lastSpeedup = batch / inc
 		records["BenchmarkAverStreaming/incremental-"+sz.name] = averBenchRecord{
-			NsPerOp: inc, Speedup: lastSpeedup,
+			NsPerOp: inc, Clock: "wall", Speedup: lastSpeedup,
 		}
-		records["BenchmarkAverStreaming/batch-"+sz.name] = averBenchRecord{NsPerOp: batch}
+		records["BenchmarkAverStreaming/batch-"+sz.name] = averBenchRecord{NsPerOp: batch, Clock: "wall"}
 	}
 	if !smoke && lastSpeedup < 10 {
 		t.Errorf("incremental streaming speedup %.1fx at 1M observations, want >= 10x", lastSpeedup)
@@ -185,11 +187,11 @@ func TestWriteAverBenchJSON(t *testing.T) {
 		t.Errorf("fail-fast executed %d rows vs batch %d — cancellation saved nothing", ffRows, batchRows)
 	}
 	records["BenchmarkFailFastSweep/batch"] = averBenchRecord{
-		NsPerOp: float64(batchTime.Nanoseconds()), RowsExecuted: batchRows,
+		NsPerOp: float64(batchTime.Nanoseconds()), Clock: "wall", RowsExecuted: batchRows,
 		Configs: len(configs), ViolatingConfigs: violating,
 	}
 	records["BenchmarkFailFastSweep/fail-fast"] = averBenchRecord{
-		NsPerOp: float64(ffTime.Nanoseconds()), RowsExecuted: ffRows,
+		NsPerOp: float64(ffTime.Nanoseconds()), Clock: "wall", RowsExecuted: ffRows,
 		ComputeSaved: 1 - float64(ffRows)/float64(batchRows),
 		Configs:      len(configs), ViolatingConfigs: violating,
 	}

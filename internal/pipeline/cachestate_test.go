@@ -5,6 +5,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"popper/internal/cas"
 )
 
 // TestCacheStateRoundTrip: a second "process" constructed from the
@@ -146,6 +148,10 @@ func TestCacheStateDamaged(t *testing.T) {
 		"bit-flip":    func(s []byte) []byte { s = append([]byte(nil), s...); s[len(s)/2] ^= 0x40; return s },
 		"not-extent":  func(s []byte) []byte { return []byte("junk") },
 		"empty-bytes": func(s []byte) []byte { return nil },
+		// An intact extent that is no cache state: a store hands over
+		// whatever its sidecar holds.
+		"foreign-extent": func(s []byte) []byte { return cas.EncodeExtent([][]byte{[]byte("meta")}) },
+		"no-records":     func(s []byte) []byte { return cas.EncodeExtent(nil) },
 	} {
 		warmed := NewCacheOpts(CacheOptions{State: mutate(state)})
 		if warmed.WarmEntries() != 0 || warmed.Len() != 0 {

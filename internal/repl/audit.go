@@ -4,18 +4,17 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"strings"
-
-	"popper/internal/store"
 )
 
 // Replica agreement auditing — what `popper fsck` prints for a
-// replicated repository. Agreement means: every live replica's tree at
-// its applied index is consistent with the reference history (equal
-// tree hash once caught up), and no two live replicas disagree about
-// the same log position. At the most advanced applied index the
-// reference tree is the one most live replicas there hold, so one
-// replica whose tree rotted at rest — the primary included — is the
-// one reported, never the healthy majority.
+// replicated repository. Agreement is about committed state, not about
+// how each replica stores it: every live replica's StateDigest (its
+// manifest's bytes and its live put records) at its applied index is
+// consistent with the primary's history — equal once caught up — and no
+// two live replicas disagree about the same log position. Each
+// replica's object pool layout (loose or packed, extent boundaries) is
+// its own; its own verify pass proves the pool can produce every
+// committed content, and finds whatever has rotted in its tree.
 
 // ReplicaStatus is one replica's audit line.
 type ReplicaStatus struct {
@@ -27,9 +26,9 @@ type ReplicaStatus struct {
 	LastIndex  int
 	Commit     int
 	Applied    int
-	Generation int // committed manifest generation of the store
-	TreeHash   [sha256.Size]byte
-	Err        error // terminal store failure, if any
+	Generation int               // committed manifest generation of the store
+	State      [sha256.Size]byte // the store's StateDigest
+	Err        error             // terminal store failure, if any
 }
 
 // AuditReport is the group-wide agreement picture.
@@ -39,25 +38,11 @@ type AuditReport struct {
 	// Lagging lists live replicas whose applied index trails the most
 	// advanced live replica (anti-entropy will catch them up).
 	Lagging []int
-	// Divergent lists live replicas whose tree disagrees with the
-	// reference tree at the same applied index — real divergence, which
-	// quorum commits should make impossible, or a tree that rotted at
-	// rest.
+	// Divergent lists live replicas whose committed state disagrees with
+	// the reference replica's at the same applied index, or whose log
+	// disagrees with it where both overlap — real divergence, which
+	// quorum commits should make impossible.
 	Divergent []int
-	// Reference is the replica the others are classified against: a
-	// live replica at the highest applied index holding the tree digest
-	// most live replicas there share, the primary's on a tie (-1 when
-	// no replica is live).
-	Reference int
-}
-
-// Against names what a Divergent replica disagrees with: the primary's
-// history while the primary is the reference, else the majority.
-func (a *AuditReport) Against() string {
-	if a.Reference >= 0 && a.Replicas[a.Reference].Role == primary.String() {
-		return "the primary history"
-	}
-	return "the replica majority"
 }
 
 // Agreement reports whether every live, caught-up replica agrees.
@@ -77,8 +62,8 @@ func (a *AuditReport) Format() string {
 		if s.Down {
 			state = "down"
 		}
-		fmt.Fprintf(&b, "replica %d: %-9s epoch %d, log [%d..%d], commit %d, applied %d, generation %d, tree %x\n",
-			s.ID, state, s.Epoch, s.Base, s.LastIndex, s.Commit, s.Applied, s.Generation, s.TreeHash[:6])
+		fmt.Fprintf(&b, "replica %d: %-9s epoch %d, log [%d..%d], commit %d, applied %d, generation %d, state %x\n",
+			s.ID, state, s.Epoch, s.Base, s.LastIndex, s.Commit, s.Applied, s.Generation, s.State[:6])
 		if s.Err != nil {
 			fmt.Fprintf(&b, "  stopped: %v\n", s.Err)
 		}
@@ -87,29 +72,23 @@ func (a *AuditReport) Format() string {
 		fmt.Fprintf(&b, "replica %d lags the quorum frontier (anti-entropy pending)\n", id)
 	}
 	for _, id := range a.Divergent {
-		fmt.Fprintf(&b, "replica %d DIVERGES from %s\n", id, a.Against())
+		fmt.Fprintf(&b, "replica %d DIVERGES from the primary history\n", id)
 	}
 	return b.String()
 }
 
-// Audit inspects every replica, reading each one's tree, and
-// classifies disagreement. It reads state only — no messages move, so a
-// partitioned group can still be audited from the outside.
-func (g *Group) Audit() (*AuditReport, error) { return g.AuditVerified(nil) }
-
-// AuditVerified is Audit over tree digests a verify pass already took:
-// trees[id], when present, stands in for reading replica id's tree as
-// long as that store has made no write since the pass read it (its
-// write count is the fence — a Put moves it, though not the
-// generation). Any other replica's tree is read as Audit reads it.
-func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
+// Audit classifies every replica by its committed state. It takes each
+// replica's StateDigest under the group lock, which reads the manifest
+// and put records a store has not cached, never a tracked file, object
+// or extent. It reads state only — no messages move, so a partitioned
+// group can still be audited from the outside.
+func (g *Group) Audit() (*AuditReport, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	rep := &AuditReport{Quorum: g.quorum(), Reference: -1}
+	rep := &AuditReport{Quorum: g.quorum()}
 	// Pass one: snapshot every replica's status. A store read failure on
 	// a replica that has not already stopped is an audit error, not a
-	// divergence verdict — a zero hash must never enter a comparison.
-	hashed := make([]bool, len(g.reps))
+	// divergence verdict — a zero digest must never enter a comparison.
 	for _, r := range g.reps {
 		s := ReplicaStatus{
 			ID: r.id, Role: r.role.String(), Down: r.down,
@@ -119,24 +98,14 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 		if man, err := r.st.Manifest(); err == nil && man != nil {
 			s.Generation = man.Generation
 		}
-		var hash [sha256.Size]byte
-		var err error
-		if r.id < len(trees) && trees[r.id] != nil && trees[r.id].Writes == r.st.Writes() {
-			hash = trees[r.id].Sum
-		} else {
-			hash, err = r.st.TreeHash()
+		state, err := r.st.StateDigest()
+		if err != nil && r.applyErr == nil {
+			return nil, fmt.Errorf("repl: audit replica %d: %w", r.id, err)
 		}
-		if err != nil {
-			if r.applyErr == nil {
-				return nil, fmt.Errorf("repl: audit replica %d: %w", r.id, err)
-			}
-		} else {
-			s.TreeHash = hash
-			hashed[r.id] = true
-		}
+		s.State = state
 		rep.Replicas = append(rep.Replicas, s)
 	}
-	// The reference position: the live replica with the highest applied
+	// The reference replica: the live one with the highest applied
 	// index (ties toward the primary, then the lowest id).
 	ref := -1
 	for _, r := range g.reps {
@@ -151,26 +120,7 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 	if ref < 0 {
 		return rep, nil
 	}
-	// The reference tree: the digest most live replicas at that index
-	// hold. The position's own replica keeps the reference unless
-	// another digest outnumbers its own, so the primary's digest wins
-	// a tie.
-	top := g.reps[ref].applied
-	votes := make(map[[sha256.Size]byte]int, len(g.reps))
-	for _, r := range g.reps {
-		if !r.down && r.applied == top && hashed[r.id] {
-			votes[rep.Replicas[r.id].TreeHash]++
-		}
-	}
-	for _, r := range g.reps {
-		if h := rep.Replicas[r.id].TreeHash; !r.down && r.applied == top && hashed[r.id] &&
-			votes[h] > votes[rep.Replicas[ref].TreeHash] {
-			ref = r.id
-		}
-	}
-	rep.Reference = ref
-	// Pass two: classify each live replica against the reference using
-	// the hashes computed above.
+	// Pass two: classify each live replica against the reference.
 	refRep := g.reps[ref]
 	for _, r := range g.reps {
 		if r.down || r.id == ref {
@@ -186,7 +136,7 @@ func (g *Group) AuditVerified(trees []*store.TreeDigest) (*AuditReport, error) {
 				rep.Lagging = append(rep.Lagging, r.id)
 			}
 		case r.applied == refRep.applied:
-			if rep.Replicas[r.id].TreeHash != rep.Replicas[ref].TreeHash {
+			if rep.Replicas[r.id].State != rep.Replicas[ref].State {
 				rep.Divergent = append(rep.Divergent, r.id)
 			}
 		default:

@@ -101,3 +101,48 @@ func TestReseedRefusesUnverifiedImage(t *testing.T) {
 		}
 	}
 }
+
+// TestReplAuditReadsOnlyCommittedState: the agreement audit of a group
+// that committed in-process compares each replica's committed state —
+// what its store already holds of the manifest and put records — and
+// reads no tracked file, object or extent.
+func TestReplAuditReadsOnlyCommittedState(t *testing.T) {
+	seed := chaosSeed(t)
+	fss := make([]*store.MemFS, 3)
+	logs := make([]*readLog, 3)
+	g, err := New(Options{Replicas: 3, Seed: seed}, func(id int) store.VFS {
+		fss[id] = store.NewMemFS(seed + int64(id))
+		logs[id] = &readLog{VFS: fss[id]}
+		return logs[id]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gen := 1; gen <= 2; gen++ {
+		if _, err := g.Sync(ws(gen)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Put("exp/journal.csv", []byte("gen,done\n2,true\n")); err != nil {
+		t.Fatal(err)
+	}
+	for _, l := range logs {
+		l.mu.Lock()
+		l.paths = nil
+		l.mu.Unlock()
+	}
+	aud, err := g.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !aud.Converged() {
+		t.Fatalf("a healthy group does not agree:\n%s", aud.Format())
+	}
+	for id, l := range logs {
+		for _, path := range l.paths {
+			if path != store.ManifestFile && !strings.HasPrefix(path, ".popper/put-") {
+				t.Errorf("replica %d: the audit read %s", id, path)
+			}
+		}
+	}
+}

@@ -8,8 +8,10 @@
 // puts) to a quorum-commit log and streams them to followers over
 // internal/gasnet mailboxes; an operation succeeds only once a
 // majority holds it, and every replica applies the committed prefix to
-// its own store in log order — so replica trees are byte-identical by
-// construction. Failover is epoch-bumping: when followers stop hearing
+// its own store in log order — so replicas agree on committed state by
+// construction, and their trees stay byte-identical until a repair
+// lays out one replica's object pool its own way. Agreement is judged
+// on committed state (store.StateDigest), never on pool layout. Failover is epoch-bumping: when followers stop hearing
 // heartbeats (virtual-clock timed), the first eligible replica
 // requests votes, and a candidate wins only if its log subsumes every
 // committed record. A primary cut off in a minority partition cannot

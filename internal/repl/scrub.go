@@ -11,11 +11,11 @@ import (
 // Repair support: the repair chain's highest-priority rung is a replica
 // quorum — bytes are trustworthy when a majority of live replicas
 // independently serve the same verified content. A Group is the
-// store.Quorum a replica's repair plan draws on. Anti-entropy alone
-// cannot heal silent rot (a replica whose tree rotted but whose log
-// digests still match probes clean), so repair also needs a forced
-// snapshot install (Reseed) for tree-level divergence that log replay
-// will never touch.
+// store.Quorum a replica's repair plan draws on. Silent rot is each
+// replica's own verify pass to find and heal through that chain. What
+// remains for the group is a replica whose committed state differs from
+// the primary's while log replay finds nothing to do, which a forced
+// snapshot install (Reseed) settles.
 
 var _ store.Quorum = (*Group)(nil)
 
@@ -98,9 +98,9 @@ func (g *Group) FileQuorum(path string) ([]byte, int) {
 }
 
 // Reseed force-installs the primary's full tree image onto a live
-// replica — the repair for tree-level rot that log replay cannot see:
-// a replica whose store rotted at rest still has matching log digests,
-// so Heal's consistency probe passes right over the damage. Like every
+// replica — the repair for a committed state that diverges where log
+// replay cannot see it: the replica's log digests still match, so
+// Heal's consistency probe passes right over the difference. Like every
 // snapshot it ships only a verified image: a primary with findings of
 // its own refuses, and the error names them.
 func (g *Group) Reseed(id int) error {

@@ -140,9 +140,9 @@ func TestRotSnapshotShipsOnlyVerifiedBytes(t *testing.T) {
 
 // TestScrubGroupConcurrentWithPutsAndSyncs runs detect-only group passes
 // while a writer puts and syncs through the group. A put moves no
-// generation, so only the audit's write-count fence keeps a pass from
-// comparing one replica's tree before the write with another's after
-// it.
+// generation; the audit takes every replica's committed state under the
+// group lock the writes hold too, so a pass never compares one replica
+// before a write with another after it.
 func TestScrubGroupConcurrentWithPutsAndSyncs(t *testing.T) {
 	g := buildGroup(t, chaosSeed(t))
 	sc := New(nil, Options{Group: g.Group})

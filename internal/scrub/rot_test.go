@@ -131,10 +131,10 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 
 // TestRotDetectOnlyBlamesOnlyTheRottedReplica: when the primary's own
 // copy of a tracked file rots, a detect-only group pass names the file
-// on the primary and nothing on the healthy replicas. The audit's
-// reference tree is the one most replicas hold, so the two intact
-// replicas are not called divergent for disagreeing with a rotted
-// primary.
+// on the primary and nothing on the healthy replicas. The audit
+// compares committed state, which rot at rest does not move, so the two
+// intact replicas are not called divergent for disagreeing with a
+// rotted primary.
 func TestRotDetectOnlyBlamesOnlyTheRottedReplica(t *testing.T) {
 	seed := chaosSeed(t)
 	for round := 1; round <= 3; round++ {
@@ -193,14 +193,14 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 	}
 	// The chain cascades deterministically, replica by replica:
 	//   - replica 0's workspace file heals from its own intact loose
-	//     object (loose) — the rotted quorum fell short and never
+	//     object (pool) — the rotted quorum fell short and never
 	//     vouched bytes;
 	//   - replica 1's rotted loose object cannot reach a quorum either
 	//     (only replica 0 attests) and reconstructs from its intact
 	//     workspace copy (reseal);
 	//   - that heal restores the quorum, so replica 2 heals from the
 	//     now-live quorum rung (replica).
-	want := map[store.Rung]int{store.RungLoose: 1, store.RungReseal: 1, store.RungReplica: 1}
+	want := map[store.Rung]int{store.RungPool: 1, store.RungReseal: 1, store.RungReplica: 1}
 	for rung, n := range want {
 		if healedFrom(rep, rung) != n {
 			t.Fatalf("expected cascade %v, got %d from %s:\n%s", want, healedFrom(rep, rung), rung, rep.Format())

@@ -8,12 +8,13 @@
 // Merkle tree; the seal keeps the compare count at one on a clean tree.
 // A repair pass then plans the fix with store.Plan — every action names
 // the rung that supplies its bytes, in the fixed chain replica quorum →
-// packed extent (cas) → loose object → intact workspace copy (reseal) →
-// quarantine — applies it with store.Apply, and verifies once more to
-// prove convergence. In a group the quorum is the top rung, so nothing
-// is quarantined while a majority of replicas still holds the bytes;
-// after the per-replica passes, the group's audit turns lagging and
-// divergent replicas into anti-entropy and reseed actions.
+// local object pool → intact workspace copy (reseal) → quarantine —
+// applies it with store.Apply, and verifies once more to prove
+// convergence. In a group the quorum is the top rung, so nothing is
+// quarantined while a majority of replicas still holds the bytes;
+// after the per-replica passes, the group's audit of committed state
+// turns lagging and divergent replicas into anti-entropy and reseed
+// actions.
 //
 // See docs/RESILIENCE.md ("Integrity verification and repair").
 package scrub
@@ -107,7 +108,7 @@ func (sc *Scrubber) Scrub() (*Report, error) {
 		if err := sc.scrubGroup(g, rep); err != nil {
 			return nil, err
 		}
-	} else if _, err := sc.scrubStore(sc.st, 0, nil, rep); err != nil {
+	} else if err := sc.scrubStore(sc.st, 0, nil, rep); err != nil {
 		return nil, err
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool {
@@ -138,10 +139,8 @@ func (sc *Scrubber) Scrub() (*Report, error) {
 const fenceRetries = 3
 
 // scrubStore runs the verify→plan→apply→re-verify cycle on one store,
-// restarting the verify while concurrent syncs move the generation. It
-// returns the digest of the tree as the pass last read it (nil when the
-// pass left a file unread).
-func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep *Report) (*store.TreeDigest, error) {
+// restarting the verify while concurrent syncs move the generation.
+func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep *Report) error {
 	for attempt := 0; ; attempt++ {
 		gen0, err := st.Generation()
 		if err != nil {
@@ -149,7 +148,7 @@ func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep
 		}
 		r, err := st.Verify()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Generation fence: a sync that committed while the pass read
 		// the tree may have left findings describing a tree that no
@@ -157,26 +156,24 @@ func (sc *Scrubber) scrubStore(st *store.Store, replica int, q store.Quorum, rep
 		if gen1, err := st.Generation(); err == nil && gen0 >= 0 && gen1 != gen0 && attempt < fenceRetries {
 			continue
 		}
-		tree := r.Tree
 		if sc.opts.Repair && !r.Clean() {
 			plan, err := st.Plan(r, q)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if err := st.Apply(r, plan); err != nil {
-				return nil, err
+				return err
 			}
 			after, err := st.Verify()
 			if err != nil {
-				return nil, err
+				return err
 			}
 			if !after.Clean() {
-				return nil, fmt.Errorf("store still unhealthy after repair:\n%s", after.Format())
+				return fmt.Errorf("store still unhealthy after repair:\n%s", after.Format())
 			}
-			tree = after.Tree
 		}
 		merge(rep, r, replica)
-		return tree, nil
+		return nil
 	}
 }
 
@@ -199,24 +196,20 @@ func merge(rep, r *Report, replica int) {
 }
 
 // scrubGroup scrubs every live replica's store, the group serving as
-// the quorum rung, then audits replica agreement: lagging replicas are
-// caught up by anti-entropy, and divergence log replay cannot see is
-// healed by reseeding from the primary's snapshot. The audit compares
-// the tree digests the verify passes took rather than reading every
-// replica again; a replica written to since its pass is read anew.
+// the quorum rung, then audits replica agreement on committed state:
+// lagging replicas are caught up by anti-entropy, and divergence log
+// replay cannot settle is healed by reseeding from the primary's
+// snapshot.
 func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
-	trees := make([]*store.TreeDigest, g.Size())
-	for id := range trees {
+	for id := 0; id < g.Size(); id++ {
 		if g.Down(id) {
 			continue
 		}
-		tree, err := sc.scrubStore(g.Store(id), id, g, rep)
-		if err != nil {
+		if err := sc.scrubStore(g.Store(id), id, g, rep); err != nil {
 			return fmt.Errorf("replica %d: %w", id, err)
 		}
-		trees[id] = tree
 	}
-	aud, err := g.AuditVerified(trees)
+	aud, err := g.Audit()
 	if err != nil {
 		return err
 	}
@@ -225,7 +218,7 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 		rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateLagging, Note: "lags the quorum frontier"})
 	}
 	for _, id := range aud.Divergent {
-		rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from " + aud.Against()})
+		rep.Findings = append(rep.Findings, divergent(id))
 	}
 	if !sc.opts.Repair || len(rep.Findings) == first {
 		return nil
@@ -240,7 +233,7 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 	}
 	for _, id := range aud.Divergent {
 		if !slices.ContainsFunc(rep.Findings[first:], func(f store.Finding) bool { return f.Replica == id }) {
-			rep.Findings = append(rep.Findings, store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "tree diverges from " + aud.Against()})
+			rep.Findings = append(rep.Findings, divergent(id))
 		}
 	}
 	for i := first; i < len(rep.Findings); i++ {
@@ -248,22 +241,6 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 		a := store.Action{Verb: store.VerbHeal, Replica: f.Replica, Path: "tree", Rung: store.RungReplica, Note: "caught up by anti-entropy"}
 		f.Outcome, f.Rung = store.Healed, store.RungReplica
 		switch {
-		case slices.Contains(aud.Divergent, f.Replica) && f.Replica == g.Primary():
-			// The primary is the odd one out, yet its own pass has just
-			// verified, and where needed healed, every file it tracks.
-			// Reseeding installs the primary's snapshot, so the group
-			// converges on it: each follower whose tree differs is
-			// reseeded.
-			a.Verb, a.Note = store.VerbReseed, "followers reseeded from the primary snapshot"
-			for id, s := range aud.Replicas {
-				if id == f.Replica || s.Down || s.TreeHash == aud.Replicas[f.Replica].TreeHash {
-					continue
-				}
-				if err := g.Reseed(id); err != nil {
-					a.Note, f.Outcome = "reseed failed: "+err.Error(), store.Failed
-					break
-				}
-			}
 		case slices.Contains(aud.Divergent, f.Replica):
 			a.Verb, a.Note = store.VerbReseed, "primary snapshot installed"
 			if err := g.Reseed(f.Replica); err != nil {
@@ -275,4 +252,10 @@ func (sc *Scrubber) scrubGroup(g *repl.Group, rep *Report) error {
 		rep.Actions = append(rep.Actions, a)
 	}
 	return nil
+}
+
+// divergent is the finding for a replica whose committed state the
+// audit found diverging.
+func divergent(id int) store.Finding {
+	return store.Finding{Replica: id, Path: "tree", State: store.StateDivergent, Note: "committed state diverges from the primary history"}
 }

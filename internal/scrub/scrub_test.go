@@ -346,9 +346,9 @@ func TestScrubHealsFromLocalRungs(t *testing.T) {
 		want store.Rung
 	}{
 		// vars.yml is small: its bytes live packed in an extent.
-		{"packed-backed file", "exp/vars.yml", store.RungExtent},
+		{"packed-backed file", "exp/vars.yml", store.RungPool},
 		// results.csv is over the packing threshold: its object is loose.
-		{"loose-backed file", "exp/results.csv", store.RungLoose},
+		{"loose-backed file", "exp/results.csv", store.RungPool},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

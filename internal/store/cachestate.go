@@ -7,8 +7,9 @@ package store
 // entries exist depends on what ran), so tracking it would make
 // otherwise byte-identical repositories diverge. Sync and gc never
 // touch it; fsck verifies it is an intact extent and lets --repair
-// remove a damaged one (the cache then starts cold, which is always
-// correct).
+// remove a damaged one. Loading hands over the bytes as stored: the
+// pipeline parses them and alone decides whether they warm the cache or
+// it starts cold, which is always correct.
 //
 // The store remembers the bytes it last read from or wrote to the
 // sidecar, so saving an unchanged image writes nothing; any other write,
@@ -16,11 +17,7 @@ package store
 // makes it forget them. Rot that strikes the sidecar at rest in between
 // is left in place, which costs the next process a cold start.
 
-import (
-	"bytes"
-
-	"popper/internal/cas"
-)
+import "bytes"
 
 // CacheStatePath is where the stage-cache sidecar lives.
 const CacheStatePath = popperDir + "/cache.extent"
@@ -52,18 +49,14 @@ func (s *Store) SaveCacheState(data []byte) error {
 	return nil
 }
 
-// LoadCacheState returns the sidecar bytes, or nil when it is absent or
-// not an intact extent image (the pipeline would reject it anyway; nil
-// keeps the cold-start decision in one place). The store keeps the
-// bytes it returns, so the caller must not modify them.
+// LoadCacheState returns the sidecar bytes as stored, or nil when it is
+// absent; it does not check them (pipeline.RestoreState does). The
+// store keeps the bytes it returns, so the caller must not modify them.
 func (s *Store) LoadCacheState() []byte {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	raw, err := s.read(CacheStatePath)
 	if err != nil {
-		return nil
-	}
-	if _, perr := cas.ParseExtent(raw); perr != nil {
 		return nil
 	}
 	s.sidecar = raw

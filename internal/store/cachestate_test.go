@@ -43,7 +43,9 @@ func TestCacheStateSidecarRoundTrip(t *testing.T) {
 }
 
 // TestCacheStateSidecarDamage: a damaged sidecar is debris — fsck
-// flags it, repair removes it, loads report cold.
+// flags it and repair removes it. Loading returns the bytes as stored:
+// the pipeline, which parses them, decides the cold start
+// (TestCacheStateDamaged).
 func TestCacheStateSidecarDamage(t *testing.T) {
 	fs := NewMemFS(1)
 	st := New(fs)
@@ -56,8 +58,8 @@ func TestCacheStateSidecarDamage(t *testing.T) {
 	if err := fs.WriteFile(CacheStatePath, image[:len(image)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if st.LoadCacheState() != nil {
-		t.Fatal("damaged sidecar must load as cold (nil)")
+	if got := st.LoadCacheState(); string(got) != string(image[:len(image)/2]) {
+		t.Fatalf("damaged sidecar loaded as %d bytes, want the %d torn bytes as stored", len(got), len(image)/2)
 	}
 	rep, err := st.Verify()
 	if err != nil {

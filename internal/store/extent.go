@@ -33,7 +33,9 @@ func extentPath(gen int) string {
 // blob index (hash → payload). A torn extent still contributes the
 // records its embedded per-record digests prove — that is what keeps a
 // file "restorable" in fsck's eyes while its only copy sits in a
-// damaged extent awaiting salvage. Callers hold the store lock.
+// damaged extent awaiting salvage. An in-flight temp file is debris
+// that repair removes, not pool, so its records never count: the
+// index holds what Verify proves. Callers hold the store lock.
 func (s *Store) loadExtentsLocked() map[[sha256.Size]byte][]byte {
 	if s.extents != nil {
 		return s.extents
@@ -41,7 +43,7 @@ func (s *Store) loadExtentsLocked() map[[sha256.Size]byte][]byte {
 	idx := make(map[[sha256.Size]byte][]byte)
 	if paths, err := s.fs.List(); err == nil {
 		for _, path := range paths {
-			if !strings.HasPrefix(path, extentsDir+"/") {
+			if !strings.HasPrefix(path, extentsDir+"/") || strings.HasSuffix(path, tmpSuffix) {
 				continue
 			}
 			raw, err := s.read(path)

@@ -42,8 +42,10 @@ type Manifest struct {
 	// once built, so generations that differ only in entry contents
 	// share one.
 	byPath map[string]int
-	// digest is the SHA-256 of the bytes the manifest was read from;
-	// zero for one built in memory, whose bytes are Encode's.
+	// digest is the SHA-256 of the manifest's bytes on disk: those it
+	// was read from, or those a commit wrote (encodeForCommit). Every
+	// manifest the store caches as committed carries it; one built in
+	// memory and never written has none.
 	digest [sha256.Size]byte
 }
 
@@ -115,13 +117,13 @@ func (m *Manifest) Matches(path string, content []byte) bool {
 	return e.Size == int64(len(content)) && e.Hash == sha256.Sum256(content)
 }
 
-// bytesDigest returns the SHA-256 of the manifest's bytes on disk:
-// those it was read from, or Encode's for one a commit wrote.
-func (m *Manifest) bytesDigest() [sha256.Size]byte {
-	if m.digest == ([sha256.Size]byte{}) {
-		return sha256.Sum256(m.Encode())
-	}
-	return m.digest
+// encodeForCommit renders the manifest a commit is about to write and
+// keeps the digest of those bytes, so naming the committed state
+// (StateDigest) never encodes it again.
+func (m *Manifest) encodeForCommit() []byte {
+	raw := m.Encode()
+	m.digest = sha256.Sum256(raw)
+	return raw
 }
 
 // Encode renders the manifest:

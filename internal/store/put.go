@@ -150,7 +150,7 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.scanPutsLocked(man, paths, nil)
+	p, err := s.scanPutsLocked(man, paths)
 	if err != nil {
 		return nil, err
 	}
@@ -158,11 +158,10 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	return p, nil
 }
 
-// scanPutsLocked reads the record files in a listing, handing each
-// file it reads to seen when that is not nil. The live generation is
-// the committed manifest's, or — with no readable manifest — the
-// highest any record names. Callers hold the lock.
-func (s *Store) scanPutsLocked(man *Manifest, paths []string, seen func(name string, raw []byte)) (*putLog, error) {
+// scanPutsLocked reads the record files in a listing. The live
+// generation is the committed manifest's, or — with no readable
+// manifest — the highest any record names. Callers hold the lock.
+func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 	p := &putLog{next: 1}
 	for _, path := range paths {
 		if gen, _, ok := parsePutName(path); ok {
@@ -183,9 +182,6 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string, seen func(name str
 		raw, err := s.read(path)
 		if err != nil && s.dead != nil {
 			return nil, s.dead
-		}
-		if err == nil && seen != nil {
-			seen(path, raw)
 		}
 		rec, derr := decodePutRecord(path, raw)
 		if err != nil || derr != nil {

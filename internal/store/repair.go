@@ -15,8 +15,8 @@ import (
 // a list of typed actions without writing anything; each action names
 // the rung of the repair chain that supplies its bytes:
 //
-//	replica quorum → packed extent (cas) → loose object →
-//	intact workspace copy (reseal) → quarantine
+//	replica quorum → local object pool → intact workspace copy (reseal)
+//	→ quarantine
 //
 // Every rung is digest-verified, and quarantine happens only after all
 // of them, the quorum included, failed. Store.Apply executes a plan
@@ -31,10 +31,9 @@ const (
 	RungNone Rung = iota
 	// RungReplica: bytes a quorum of live replicas attests.
 	RungReplica
-	// RungExtent: a packed extent of the local object pool.
-	RungExtent
-	// RungLoose: the local loose object pool.
-	RungLoose
+	// RungPool: the local object pool, loose or packed — how it stores
+	// the bytes is its own affair.
+	RungPool
 	// RungReseal: an intact workspace copy, or deterministic
 	// reconstruction that needs no stored bytes (a reseal, a manifest
 	// rebuild, debris removal, an intent rollback).
@@ -42,9 +41,9 @@ const (
 )
 
 // Rungs is the repair chain, highest priority first.
-var Rungs = [...]Rung{RungReplica, RungExtent, RungLoose, RungReseal}
+var Rungs = [...]Rung{RungReplica, RungPool, RungReseal}
 
-var rungNames = [...]string{"none", "replica", "cas", "loose", "reseal"}
+var rungNames = [...]string{"none", "replica", "pool", "reseal"}
 
 func (r Rung) String() string {
 	if int(r) < len(rungNames) {
@@ -175,7 +174,7 @@ func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
 					}
 				}
 				s.mu.Lock()
-				err := s.verifyLocked(sub, make(map[string][sha256.Size]byte))
+				err := s.verifyLocked(sub)
 				s.mu.Unlock()
 				if err != nil {
 					return nil, err
@@ -188,14 +187,18 @@ func (s *Store) Plan(rep *Report, q Quorum) (*Plan, error) {
 		return nil, err
 	}
 	for i, at := range fix {
-		p.Actions[at].findings = append(p.Actions[at].findings, i)
+		if at >= 0 {
+			p.Actions[at].findings = append(p.Actions[at].findings, i)
+		}
 	}
 	sort.SliceStable(p.Actions, func(i, j int) bool { return p.Actions[i].Verb < p.Actions[j].Verb })
 	return p, nil
 }
 
-// planFindings plans one action per finding (fix[i] records it), then
-// writes back objects whose only local copy the damage took.
+// planFindings plans one action per finding (fix[i] records it, -1 for
+// none), then writes back objects whose only local copy the damage
+// took; an unbacked finding resolves to the action that provides its
+// content.
 func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) error {
 	man := p.man
 	p.gen = p.puts.maxGen + 1
@@ -209,11 +212,14 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 		}
 		return rebuild
 	}
-	provides := make(map[[sha256.Size]byte]bool) // hashes the plan writes into the pool
-	restored := make(map[string]int)             // tracked path → its Restore or Quarantine
+	provides := make(map[[sha256.Size]byte]int) // hash → the action writing it into the pool
+	restored := make(map[string]int)            // tracked path → its Restore or Quarantine
+	var unbacked []int
 	seal := -1
 	for i, f := range findings {
 		switch {
+		case f.State == StateUnbacked:
+			unbacked = append(unbacked, i) // after the write-back below
 		case f.State == StateManifest:
 			fix[i] = needRebuild()
 		case f.State == StatePending:
@@ -243,13 +249,13 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 					fix[i] = p.add(Action{Verb: VerbInstall, Path: f.Path, Rung: RungReplica, data: data,
 						Note: fmt.Sprintf("%d bytes from the replica quorum", len(data))})
 					for _, r := range recs {
-						provides[r.Hash] = true
+						provides[r.Hash] = fix[i]
 					}
 					continue
 				}
 			}
 			if f.State == StateTorn {
-				fix[i] = p.add(Action{Verb: VerbSalvage, Path: f.Path, Rung: RungExtent})
+				fix[i] = p.add(Action{Verb: VerbSalvage, Path: f.Path, Rung: RungPool})
 			} else {
 				fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
 			}
@@ -276,7 +282,7 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 				if data, rung := s.chain(q, hash, intactCopy(man, hash, findings)); data != nil {
 					fix[i] = p.add(Action{Verb: VerbStore, Path: f.Path, Rung: rung, data: data,
 						Note: fmt.Sprintf("%d bytes from %s", len(data), rung)})
-					provides[hash] = true
+					provides[hash] = fix[i]
 					continue
 				}
 			}
@@ -293,12 +299,13 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 
 	// Every entry the plan keeps must end with its bytes in the pool:
 	// content whose only local copy the damage took (a rotted extent
-	// record, a destroyed object) is written back from the chain.
+	// record, a destroyed object), or that the pool never held, is
+	// written back from the chain.
 	if man == nil {
 		return nil
 	}
 	for _, e := range man.Entries {
-		if provides[e.Hash] {
+		if _, ok := provides[e.Hash]; ok {
 			continue
 		}
 		var data []byte
@@ -321,9 +328,16 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 		if data == nil {
 			continue
 		}
-		p.add(Action{Verb: VerbStore, Path: objectPath(e.Hash), Rung: rung, data: data,
+		provides[e.Hash] = p.add(Action{Verb: VerbStore, Path: objectPath(e.Hash), Rung: rung, data: data,
 			Note: fmt.Sprintf("%d bytes from %s", len(data), rung)})
-		provides[e.Hash] = true
+	}
+	for _, i := range unbacked {
+		e, _ := man.Lookup(findings[i].Path)
+		if at, ok := provides[e.Hash]; ok {
+			fix[i] = at
+		} else {
+			fix[i] = -1 // no rung holds the bytes now: the re-verify reports it
+		}
 	}
 	return nil
 }
@@ -341,8 +355,8 @@ func (s *Store) planSeal(p *Plan, q Quorum) int {
 }
 
 // chain resolves a content hash down the repair chain, highest rung
-// first, each digest-verified: the replica quorum, a packed extent, the
-// loose pool, then the intact workspace copy at path ("" skips it).
+// first, each digest-verified: the replica quorum, the local object
+// pool, then the intact workspace copy at path ("" skips it).
 func (s *Store) chain(q Quorum, hash [sha256.Size]byte, path string) ([]byte, Rung) {
 	if q != nil {
 		if data, _ := q.ObjectQuorum(hash); data != nil && sha256.Sum256(data) == hash {
@@ -354,11 +368,8 @@ func (s *Store) chain(q Quorum, hash [sha256.Size]byte, path string) ([]byte, Ru
 	if s.dead != nil {
 		return nil, RungNone
 	}
-	if data, ok := s.loadExtentsLocked()[hash]; ok && sha256.Sum256(data) == hash {
-		return data, RungExtent
-	}
-	if data, err := s.read(objectPath(hash)); err == nil && sha256.Sum256(data) == hash {
-		return data, RungLoose
+	if data, ok := s.readObjectAny(hash); ok {
+		return data, RungPool
 	}
 	if path != "" {
 		if data, err := s.read(path); err == nil && sha256.Sum256(data) == hash {
@@ -377,7 +388,8 @@ func fileQuorum(q Quorum, path string) ([]byte, int) {
 }
 
 // intactCopy returns a tracked path whose manifested content is hash
-// and which no finding names, or "".
+// and whose file no finding calls damaged, or "". (An unbacked finding
+// names a file the walk verified intact.)
 func intactCopy(man *Manifest, hash [sha256.Size]byte, findings []Finding) string {
 	if man == nil {
 		return ""
@@ -388,7 +400,7 @@ next:
 			continue
 		}
 		for _, f := range findings {
-			if f.Path == e.Path {
+			if f.Path == e.Path && f.State != StateUnbacked {
 				continue next
 			}
 		}
@@ -541,7 +553,7 @@ func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted 
 		next.Entries = append(next.Entries, Entry{Path: path, Size: int64(len(rec.data)), Hash: rec.hash})
 	}
 	sortEntries(next)
-	if err := s.writeFileAtomic(manifestPath, next.Encode()); err != nil {
+	if err := s.writeFileAtomic(manifestPath, next.encodeForCommit()); err != nil {
 		return nil, err
 	}
 	tree, err := s.sealMerkleLocked(next)

@@ -4,18 +4,18 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"hash"
 	"sort"
 	"strings"
 )
 
-// Replication support: internal/repl keeps N stores byte-identical by
+// Replication support: internal/repl keeps N stores in agreement by
 // applying the same committed operation sequence to each. The helpers
 // here are what the replication layer builds on — a full tree image
 // for snapshot catch-up, a raw image install for a rejoining replica
 // too far behind (or too divergent) to reach by log replay, a digest
-// of the committed state a reopened replica is identified by, and a
-// deterministic whole-tree digest replica audits compare.
+// of the committed state that identifies a replica at open and in
+// every audit, and a deterministic whole-tree digest the split
+// convergence matrix checks.
 
 // Advisory reports paths that are node-local hints rather than part of
 // the replicated repository state: the stage-cache sidecar is warm-
@@ -53,9 +53,11 @@ func (s *Store) Image() (map[string][]byte, error) {
 // its committed content — the workspace copy when it matches the
 // manifest, else the object pool's digest-verified copy — and a file
 // the manifest does not record is left out, being no part of the
-// committed state the snapshot stands for. Any other finding, or a
-// committed content the pool cannot prove, is an error naming it: rot
-// is never shipped.
+// committed state the snapshot stands for. A content the pool lacks
+// while its tracked file is intact ships as the tree holds it: the
+// peer's own verify finds the gap and heals it from its workspace
+// copy. Any other finding, or a damaged file whose committed content
+// the pool cannot prove, is an error naming it: rot is never shipped.
 func (s *Store) VerifiedImage() (map[string][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -72,6 +74,8 @@ func (s *Store) VerifiedImage() (map[string][]byte, error) {
 		switch f.State {
 		case StateExtra:
 			delete(img, f.Path)
+			continue
+		case StateUnbacked:
 			continue
 		case StateCorrupted, StateTorn, StateMissing:
 			if e, ok := rep.man.Lookup(f.Path); ok {
@@ -164,11 +168,11 @@ func (s *Store) InstallImage(img map[string][]byte) error {
 
 // TreeHash is the deterministic digest of the whole tree (advisory
 // sidecars excluded): sorted paths, each contributing its
-// length-framed name and the SHA-256 of its content. A verify pass that
-// read every file computes the same digest from the hashes it takes
-// anyway (Report.Tree). Two stores that applied the same committed
-// operation sequence have equal tree hashes — the property replica
-// audits and the split convergence matrix check.
+// length-framed name and the SHA-256 of its content. Two stores that
+// applied the same committed operation sequence, with no repair since,
+// have equal tree hashes — the property the split convergence matrix
+// checks. Replica audits compare StateDigest instead, so each
+// replica's object pool layout stays its own.
 func (s *Store) TreeHash() ([sha256.Size]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -177,64 +181,32 @@ func (s *Store) TreeHash() ([sha256.Size]byte, error) {
 
 // treeHashLocked reads and digests the whole tree; callers hold the
 // lock.
-func (s *Store) treeHashLocked() ([sha256.Size]byte, error) {
-	var zero [sha256.Size]byte
+func (s *Store) treeHashLocked() (out [sha256.Size]byte, err error) {
 	if s.dead != nil {
-		return zero, s.dead
+		return out, s.dead
 	}
 	paths, err := s.fs.List()
 	if err != nil {
-		return zero, err
+		return out, err
 	}
-	t := newTreeHasher()
+	h := sha256.New()
+	var buf []byte
 	for _, path := range paths {
 		if Advisory(path) {
 			continue
 		}
 		content, err := s.read(path)
 		if err != nil {
-			return zero, err
+			return out, err
 		}
-		t.add(path, sha256.Sum256(content))
+		sum := sha256.Sum256(content)
+		buf = binary.BigEndian.AppendUint64(buf[:0], uint64(len(path)))
+		buf = append(buf, path...)
+		buf = append(buf, sum[:]...)
+		h.Write(buf)
 	}
-	return t.sum(), nil
-}
-
-// treeHasher folds (path, content digest) pairs, in path order, into
-// TreeHash's digest.
-type treeHasher struct {
-	h   hash.Hash
-	buf []byte
-}
-
-func newTreeHasher() *treeHasher { return &treeHasher{h: sha256.New()} }
-
-func (t *treeHasher) add(path string, sum [sha256.Size]byte) {
-	t.buf = binary.BigEndian.AppendUint64(t.buf[:0], uint64(len(path)))
-	t.buf = append(t.buf, path...)
-	t.buf = append(t.buf, sum[:]...)
-	t.h.Write(t.buf)
-}
-
-func (t *treeHasher) sum() (out [sha256.Size]byte) {
-	t.h.Sum(out[:0])
-	return out
-}
-
-// TreeDigest is a tree's digest (TreeHash's value) as one read of the
-// tree found it, stamped with the store's write count at that moment.
-type TreeDigest struct {
-	Sum    [sha256.Size]byte
-	Writes uint64
-}
-
-// Writes returns how many writes, renames and removes the store has
-// made. While it equals a TreeDigest's Writes, nothing this store did
-// has changed the tree the digest describes.
-func (s *Store) Writes() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.writes
+	h.Sum(out[:0])
+	return out, nil
 }
 
 // statePrefix domain-separates StateDigest from TreeHash.
@@ -245,7 +217,8 @@ const statePrefix = "popper-state v1\x00"
 // in path order. It reads the manifest and the put records, never a
 // tracked file, object or extent, so two replicas that committed the
 // same operation sequence agree whatever has rotted in their trees
-// since — finding and healing that is Verify's job. A store whose
+// since, and however each one's object pool is laid out — finding and
+// healing rot, and proving the pool, is Verify's job. A store whose
 // manifest is missing or damaged has no committed state to name; its
 // digest is then TreeHash's, over the raw tree.
 func (s *Store) StateDigest() ([sha256.Size]byte, error) {
@@ -271,8 +244,7 @@ func (s *Store) StateDigest() ([sha256.Size]byte, error) {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
-	d := man.bytesDigest()
-	buf := append([]byte(statePrefix), d[:]...)
+	buf := append([]byte(statePrefix), man.digest[:]...)
 	for _, path := range paths {
 		rec := p.live[path]
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(path)))

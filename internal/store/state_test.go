@@ -51,49 +51,6 @@ func populated(t *testing.T, v VFS) *Store {
 	return st
 }
 
-func TestStoreVerifyDigestIsTreeHash(t *testing.T) {
-	fs := NewMemFS(chaosSeed(t))
-	st := populated(t, fs)
-	check := func(when string) *Report {
-		t.Helper()
-		rep, err := st.Verify()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := st.TreeHash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.Tree == nil || rep.Tree.Sum != want {
-			t.Fatalf("%s: verify digest %v, TreeHash %x", when, rep.Tree, want)
-		}
-		if rep.Tree.Writes != st.Writes() {
-			t.Fatalf("%s: digest stamped at write %d, store at %d", when, rep.Tree.Writes, st.Writes())
-		}
-		return rep
-	}
-	rep := check("clean tree")
-	// Rot at rest: both read the same rotted bytes.
-	if hit := fs.Rot("exp/vars.yml", 1); len(hit) != 1 {
-		t.Fatalf("rot touched %v", hit)
-	}
-	check("rotted tree")
-	// A Put moves the write count, though not the generation.
-	if err := st.Put("exp/journal.csv", []byte(j3+"004,ok\n005,ok\n")); err != nil {
-		t.Fatal(err)
-	}
-	if st.Writes() == rep.Tree.Writes {
-		t.Fatal("a put did not move the write count")
-	}
-	// A file the pass does not read leaves the digest unknown.
-	if err := fs.WriteFile(QuarantinePrefix+"gen-1/exp/old.txt", []byte("kept aside\n")); err != nil {
-		t.Fatal(err)
-	}
-	if rep, err := st.Verify(); err != nil || rep.Tree != nil {
-		t.Fatalf("verify with an unread quarantined file gave digest %v (err %v)", rep.Tree, err)
-	}
-}
-
 func TestStoreStateDigestReadsOnlyCommittedState(t *testing.T) {
 	seed := chaosSeed(t)
 	var fss [2]*MemFS
@@ -245,5 +202,35 @@ func TestStoreVerifiedImageShipsCommittedBytes(t *testing.T) {
 	}
 	if _, err := st.VerifiedImage(); err == nil || !strings.Contains(err.Error(), name) {
 		t.Fatalf("image with a rotted put record: err %v", err)
+	}
+}
+
+// TestStoreStateDigestNeverEncodesTheManifest: a store names the
+// manifest it committed in-process by the digest of the bytes the
+// commit wrote, as a reopened store names the bytes it read — neither
+// encodes the manifest again, so an audit costs the same allocations
+// on either.
+func TestStoreStateDigestNeverEncodesTheManifest(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	st := New(fs)
+	mustSync(t, st, w1())
+	mustSync(t, st, w2())
+	if st.man == nil || st.man.digest == ([32]byte{}) {
+		t.Fatal("the committed manifest carries no digest of the bytes the commit wrote")
+	}
+	stateAllocs := func(st *Store) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := st.StateDigest(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	committed, reopened := stateAllocs(st), stateAllocs(New(fs))
+	if committed != reopened || reopened != 1 {
+		t.Fatalf("StateDigest allocates %v times after an in-process commit, %v on a reopened store; want 1 on both", committed, reopened)
+	}
+	want, _ := New(fs).StateDigest()
+	if got, _ := st.StateDigest(); got != want {
+		t.Fatal("the committing store and a reopened one name different states")
 	}
 }

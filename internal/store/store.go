@@ -37,10 +37,6 @@ type Store struct {
 	// puts caches the put records on disk (see put.go); nil means
 	// rescan on next use.
 	puts *putLog
-	// writes counts the writes, renames and removes this store made: a
-	// TreeDigest stamped with the count still describes the tree while
-	// the count has not moved.
-	writes uint64
 	// sidecar is what the stage-cache sidecar held when this store last
 	// read or wrote it; nil when unknown (see cachestate.go).
 	sidecar []byte
@@ -122,7 +118,7 @@ func (s *Store) Load() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.scanPutsLocked(man, paths, nil)
+	p, err := s.scanPutsLocked(man, paths)
 	if err != nil {
 		return nil, err
 	}
@@ -201,7 +197,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 
 	// Phase 1: intent. After this record is durable, fsck knows exactly
 	// what the sync was about to do.
-	if err := s.writeFileAtomic(manifestNextPath, next.Encode()); err != nil {
+	if err := s.writeFileAtomic(manifestNextPath, next.encodeForCommit()); err != nil {
 		return stats, err
 	}
 	// Phase 2a: pack the generation's new small objects into one
@@ -540,11 +536,9 @@ func (s *Store) remove(path string) error {
 	return nil
 }
 
-// touch notes a change to path about to be made: it moves the write
-// count, and a change to the stage-cache sidecar drops what the store
-// remembered of its bytes.
+// touch notes a change to path about to be made: a change to the
+// stage-cache sidecar drops what the store remembered of its bytes.
 func (s *Store) touch(path string) {
-	s.writes++
 	if path == CacheStatePath {
 		s.sidecar = nil
 	}

@@ -41,15 +41,19 @@ const (
 	// StateSeal: the Merkle seal is missing, damaged, stale, or does not
 	// describe the committed manifest.
 	StateSeal
+	// StateUnbacked: the object pool cannot produce a committed content
+	// whose tracked file is intact — no loose object or extent record
+	// proves it, so the workspace copy is its only one.
+	StateUnbacked
 	// StateLagging: a live replica trails the group's applied frontier.
 	StateLagging
-	// StateDivergent: a live replica's tree disagrees with the group's
-	// reference history (the tree most live replicas hold at the most
-	// advanced applied index).
+	// StateDivergent: a live replica's committed state (StateDigest)
+	// differs from the primary history's: at the most advanced applied
+	// index, or at the last log position both hold.
 	StateDivergent
 )
 
-var stateNames = [...]string{"unknown", "torn", "corrupted", "missing", "extra", "debris", "manifest", "intent", "seal", "lagging", "divergent"}
+var stateNames = [...]string{"unknown", "torn", "corrupted", "missing", "extra", "debris", "manifest", "intent", "seal", "unbacked", "lagging", "divergent"}
 
 func (st State) String() string {
 	if int(st) < len(stateNames) {
@@ -86,7 +90,8 @@ type Finding struct {
 	// (where each applies).
 	Size     int64
 	WantSize int64
-	// Repairable: the local object cache holds the manifested bytes.
+	// Repairable: a local copy holds the manifested bytes — the object
+	// pool, or for an unbacked content the intact workspace file.
 	Repairable bool
 	Note       string
 	// Outcome and Rung are set from the finding's action when a repair
@@ -119,7 +124,7 @@ func (f Finding) String() string {
 	case Failed:
 		b.WriteString(" [UNREPAIRABLE]")
 	default:
-		if f.State == StateTorn || f.State == StateCorrupted || f.State == StateMissing {
+		if f.State == StateTorn || f.State == StateCorrupted || f.State == StateMissing || f.State == StateUnbacked {
 			if f.Repairable {
 				b.WriteString(" [restorable]")
 			} else {
@@ -156,11 +161,6 @@ type Report struct {
 	Findings       []Finding
 	// Actions is the repair plan that was applied, in execution order.
 	Actions []Action
-	// Tree is the digest of the tree the pass read — TreeHash's value
-	// for the same bytes — stamped with the store's write count; nil
-	// when the pass left a file unread (an extra, a quarantined or an
-	// unrecognized file).
-	Tree *TreeDigest
 
 	// man and next are the manifest and intent record the pass verified
 	// against: the planner's input.
@@ -218,10 +218,10 @@ func plural(n int, one, many string) string {
 // the committed manifest. Each tracked file is read and hashed once:
 // the hash classifies it (torn, corrupted, missing), and the same
 // hashes are the observed Merkle leaves diffed against the sealed tree,
-// so a clean tree costs one root compare. They also make up, with the
-// digests of the store files the walk reads, the tree digest
-// (Report.Tree), so a caller that needs TreeHash need not read the tree
-// again. It never writes.
+// so a clean tree costs one root compare. The same walk reads every
+// loose object and extent, and from what those prove it checks that
+// the object pool can produce every committed content. It never
+// writes.
 func (s *Store) Verify() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -235,11 +235,7 @@ func (s *Store) verifyTreeLocked() (*Report, error) {
 	}
 	s.invalidateExtents() // trust nothing cached: the tree may have mutated underneath
 	rep := &Report{}
-	sums := make(map[string][sha256.Size]byte)
 	raw, err := s.read(manifestPath)
-	if err == nil {
-		sums[manifestPath] = sha256.Sum256(raw)
-	}
 	switch {
 	case errors.Is(err, fs.ErrNotExist):
 		rep.Findings = append(rep.Findings, Finding{Path: manifestPath, State: StateManifest, Note: "manifest missing (legacy or damaged repository)"})
@@ -254,13 +250,12 @@ func (s *Store) verifyTreeLocked() (*Report, error) {
 		}
 	}
 	if raw, err := s.read(manifestNextPath); err == nil {
-		sums[manifestNextPath] = sha256.Sum256(raw)
 		rep.Findings = append(rep.Findings, Finding{Path: manifestNextPath, State: StatePending, Note: "interrupted sync: uncommitted intent record"})
 		rep.next, _ = ParseManifest(raw) // a torn intent record is expected debris
 	} else if s.dead != nil {
 		return nil, s.dead
 	}
-	if err := s.verifyLocked(rep, sums); err != nil {
+	if err := s.verifyLocked(rep); err != nil {
 		return nil, err
 	}
 	sort.SliceStable(rep.Findings, func(i, j int) bool { return rep.Findings[i].Path < rep.Findings[j].Path })
@@ -268,11 +263,8 @@ func (s *Store) verifyTreeLocked() (*Report, error) {
 }
 
 // verifyLocked classifies the tree against rep.man and rep.next,
-// appending findings. sums holds the digests of the store files the
-// caller already read; the walk adds every file it reads, and sets
-// rep.Tree when that accounts for the whole tree. Callers hold the
-// lock.
-func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) error {
+// appending findings. Callers hold the lock.
+func (s *Store) verifyLocked(rep *Report) error {
 	man, next := rep.man, rep.next
 	if man != nil {
 		rep.Generation, rep.Tracked = man.Generation, man.Len()
@@ -289,9 +281,6 @@ func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) err
 				return err
 			}
 			sum := sha256.Sum256(content)
-			if !missing {
-				sums[e.Path] = sum
-			}
 			rep.Scanned++
 			rep.Bytes += int64(len(content))
 			// A missing file hashes as an empty leaf: it differs from the
@@ -322,16 +311,16 @@ func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) err
 		}
 	}
 
-	// Pass 2: everything on disk the manifest does not explain.
+	// Pass 2: everything on disk the manifest does not explain. The
+	// loose objects and extents it reads prove the contents in pool.
 	paths, err := s.fs.List()
 	if err != nil {
 		return err
 	}
 	hashRefs := referencedHashes(man, next)
+	pool := make(map[[sha256.Size]byte]bool, len(hashRefs))
 	// Put records: a live one is healthy state awaiting the next commit.
-	if rep.puts, err = s.scanPutsLocked(man, paths, func(name string, raw []byte) {
-		sums[name] = sha256.Sum256(raw)
-	}); err != nil {
+	if rep.puts, err = s.scanPutsLocked(man, paths); err != nil {
 		return err
 	}
 	for _, name := range rep.puts.names {
@@ -355,11 +344,11 @@ func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) err
 		case strings.HasPrefix(path, quarantineDir+"/"):
 			// Quarantined files are deliberately preserved; never re-flagged.
 		case strings.HasPrefix(path, objectsDir+"/"):
-			if note := s.objectProblem(path, hashRefs, sums); note != "" {
+			if note := s.objectProblem(path, hashRefs, pool); note != "" {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: note})
 			}
 		case strings.HasPrefix(path, extentsDir+"/"):
-			if f, bad := s.extentFinding(path, hashRefs, sums); bad {
+			if f, bad := s.extentFinding(path, hashRefs, pool); bad {
 				rep.Findings = append(rep.Findings, f)
 			}
 		case path == CacheStatePath:
@@ -379,7 +368,7 @@ func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) err
 			}
 		case path == MerklePath:
 			sealed = true
-			if note := s.checkSeal(man, leaves, rep, sums); note != "" {
+			if note := s.checkSeal(man, leaves, rep); note != "" {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateSeal, Note: note, Repairable: true})
 			}
 		case strings.HasPrefix(path, popperDir+"/"):
@@ -406,31 +395,43 @@ func (s *Store) verifyLocked(rep *Report, sums map[string][sha256.Size]byte) err
 	if man != nil && !sealed {
 		rep.Findings = append(rep.Findings, Finding{Path: MerklePath, State: StateSeal, Note: "merkle seal missing", Repairable: true})
 	}
-	tree := newTreeHasher()
-	for _, path := range paths {
-		if Advisory(path) {
+	if man == nil {
+		return nil
+	}
+	// Pass 3: every committed content the pool cannot produce, once per
+	// digest, on a tracked file that holds it intact. Damage the walk
+	// already flagged — the file itself, or the object that should back
+	// it — is planned from those findings.
+	for _, e := range man.Entries {
+		if pool[e.Hash] || flagged(rep.Findings, e.Path) || flagged(rep.Findings, objectPath(e.Hash)) {
 			continue
 		}
-		sum, ok := sums[path]
-		if !ok {
-			return nil // a file the walk did not read: no tree digest
-		}
-		tree.add(path, sum)
+		pool[e.Hash] = true
+		rep.Findings = append(rep.Findings, Finding{Path: e.Path, State: StateUnbacked, WantSize: e.Size,
+			Repairable: true, Note: "no loose object or extent record holds its committed content"})
 	}
-	rep.Tree = &TreeDigest{Sum: tree.sum(), Writes: s.writes}
 	return nil
+}
+
+// flagged reports whether a finding names path.
+func flagged(findings []Finding, path string) bool {
+	for _, f := range findings {
+		if f.Path == path {
+			return true
+		}
+	}
+	return false
 }
 
 // checkSeal reads the Merkle seal once: it must parse and describe the
 // committed manifest exactly, and a healthy seal is diffed against the
 // observed leaves. Returns the seal's problem, empty when healthy.
 // Callers hold the lock.
-func (s *Store) checkSeal(man *Manifest, leaves [][sha256.Size]byte, rep *Report, sums map[string][sha256.Size]byte) string {
+func (s *Store) checkSeal(man *Manifest, leaves [][sha256.Size]byte, rep *Report) string {
 	raw, err := s.read(MerklePath)
 	if err != nil {
 		return "unreadable merkle seal"
 	}
-	sums[MerklePath] = sha256.Sum256(raw)
 	sealed, perr := cas.ParseMerkle(raw)
 	switch {
 	case perr != nil:
@@ -468,14 +469,15 @@ func (s *Store) objectOK(e Entry) bool {
 	return ok
 }
 
-// extentFinding classifies one packed extent; bad=false means healthy
+// extentFinding classifies one packed extent, adding the contents it
+// proves to pool — every record of an intact extent, the referenced
+// records a torn one's repair will salvage; bad=false means healthy
 // (intact, with at least one record a live generation references).
-func (s *Store) extentFinding(path string, hashRefs map[[sha256.Size]byte]bool, sums map[string][sha256.Size]byte) (Finding, bool) {
+func (s *Store) extentFinding(path string, hashRefs, pool map[[sha256.Size]byte]bool) (Finding, bool) {
 	raw, err := s.read(path)
 	if err != nil {
 		return Finding{Path: path, State: StateDebris, Note: "unreadable extent"}, true
 	}
-	sums[path] = sha256.Sum256(raw)
 	recs, perr := cas.ParseExtent(raw)
 	if perr != nil {
 		if !cas.IsExtent(raw) {
@@ -484,6 +486,7 @@ func (s *Store) extentFinding(path string, hashRefs map[[sha256.Size]byte]bool, 
 		salvageable := 0
 		for _, r := range cas.SalvageExtent(raw) {
 			if hashRefs[r.Hash] {
+				pool[r.Hash] = true
 				salvageable++
 			}
 		}
@@ -492,6 +495,9 @@ func (s *Store) extentFinding(path string, hashRefs map[[sha256.Size]byte]bool, 
 			Repairable: true,
 			Note:       fmt.Sprintf("torn extent: %d referenced record(s) salvageable", salvageable),
 		}, true
+	}
+	for _, r := range recs {
+		pool[r.Hash] = true
 	}
 	if anyRecordReferenced(recs, hashRefs) {
 		return Finding{}, false // live records pin the whole extent
@@ -534,8 +540,9 @@ func objectHash(path string) ([sha256.Size]byte, bool) {
 	return hash, err == nil
 }
 
-// objectProblem classifies a cache object path; empty means healthy.
-func (s *Store) objectProblem(path string, hashRefs map[[sha256.Size]byte]bool, sums map[string][sha256.Size]byte) string {
+// objectProblem classifies a cache object path, adding the content an
+// intact object proves to pool; empty means healthy.
+func (s *Store) objectProblem(path string, hashRefs, pool map[[sha256.Size]byte]bool) string {
 	want, ok := objectHash(path)
 	if !ok {
 		return "malformed object name"
@@ -544,11 +551,10 @@ func (s *Store) objectProblem(path string, hashRefs map[[sha256.Size]byte]bool, 
 	if rerr != nil {
 		return "unreadable object"
 	}
-	sum := sha256.Sum256(content)
-	sums[path] = sum
-	if sum != want {
+	if sha256.Sum256(content) != want {
 		return "object content does not match its name"
 	}
+	pool[want] = true
 	if !hashRefs[want] {
 		return "unreferenced object"
 	}
