@@ -89,7 +89,7 @@ split:
 
 # Bit-rot matrix: seeded silent corruption across every artifact class
 # (workspace files, loose objects, packed extents, put records,
-# manifest, merkle seal) x every repair rung (replica quorum, object
+# manifest) x every repair rung (replica quorum, object
 # pool, intact workspace copy) — each injection must be detected
 # by the one verify walk, healed from the highest-priority live rung,
 # and leave the tree byte-identical to an uncorrupted run, after which
@@ -100,7 +100,7 @@ rot:
 	@for seed in $(ROT_SEEDS); do \
 		echo "-- bit-rot suite, seed $$seed"; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Rot|Scrub|Merkle|Corrupt|Quorum|Reseed|Salvage|Quarantine' \
+			-run 'Rot|Scrub|Corrupt|Quorum|Reseed|Salvage|Quarantine' \
 			./internal/scrub/ ./internal/store/ ./internal/cas/ \
 			./internal/fault/ ./internal/repl/ ./cmd/popper/ \
 			|| exit 1; \

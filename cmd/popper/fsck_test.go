@@ -277,13 +277,14 @@ func TestCLIResumeTornJournalSuggestsFsck(t *testing.T) {
 // -resume` finishes the sweep; and the final workspace is
 // byte-identical to a run that never crashed. The operations, from a
 // probe run of this two-config sweep: 2 fsyncs the first journal put
-// record, 4 writes the second (tearing it), and 69 is the final sync's
-// commit rename, which folds the second record.
+// record, 4 writes the second (tearing it), 65 is the final sync's
+// commit rename, which folds the second record, and 69 is the first
+// read of the garbage collection after that commit.
 func TestCLICrashRepairResume(t *testing.T) {
 	faultsFor := func(k int) string {
 		return fmt.Sprintf("seed: 7\nfaults:\n  - site: disk/*\n    kind: crash-disk\n    global: true\n    after: %d\n    times: 1\n", k)
 	}
-	for _, k := range []int{2, 4, 69} {
+	for _, k := range []int{2, 4, 65, 69} {
 		k := k
 		t.Run(fmt.Sprintf("crash-at-disk-op-%02d", k), func(t *testing.T) {
 			// Reference: identical repository (including the faults.yml

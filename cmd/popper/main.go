@@ -31,10 +31,10 @@
 //	popper machines                  list simulated machine profiles
 //	popper report                    render report.html from the repo
 //	popper build-paper               render paper/paper.tex
-//	popper fsck [--repair]           verify every tracked file, object,
-//	                                 extent and the merkle seal against
-//	                                 the manifest, and that the object
-//	                                 pool backs every committed content
+//	popper fsck [--repair]           verify every tracked file, object
+//	                                 and extent against the manifest,
+//	                                 and that the object pool backs
+//	                                 every committed content
 //	                                 (every replica, plus agreement on
 //	                                 committed state, on a replicated
 //	                                 repository); --repair applies a

@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,7 +11,7 @@ import (
 )
 
 // healthyRepo builds and runs one experiment so the tree carries a
-// sealed manifest generation with loose and packed objects.
+// committed manifest generation with loose and packed objects.
 func healthyRepo(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -96,6 +98,37 @@ func TestCLIRunScrubInterval(t *testing.T) {
 	}
 	if !strings.Contains(out, "0 finding(s), 0 healed, 0 unrepairable") {
 		t.Fatalf("healthy run reported findings:\n%s", out)
+	}
+}
+
+// TestCLIFsckAndScrubRunPassOverLegacySeal: a repository an earlier
+// version committed holds a hash-tree seal at .popper/merkle. `popper
+// fsck` is clean with it in place, a `-scrub-interval` run — whose
+// final pass verifies the tree before the run's own commit — passes,
+// and that commit removes the file.
+func TestCLIFsckAndScrubRunPassOverLegacySeal(t *testing.T) {
+	dir := t.TempDir()
+	for _, args := range [][]string{{"init"}, {"add", "proteustm", "stm"}} {
+		if _, err := popperOut(t, dir, args...); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	seal := filepath.Join(dir, ".popper", "merkle")
+	if err := os.WriteFile(seal, []byte("a seal an earlier version wrote\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if out, err := popperOut(t, dir, "fsck"); err != nil || !strings.Contains(out, "scrub: clean") {
+		t.Fatalf("fsck beside a legacy seal: %v\n%s", err, out)
+	}
+	out, err := popperOut(t, dir, "-scrub-interval", "1s", "run", "stm")
+	if err != nil || !strings.Contains(out, "0 finding(s), 0 healed, 0 unrepairable") {
+		t.Fatalf("run with -scrub-interval beside a legacy seal: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(seal); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("the run's commit left the legacy seal behind (stat: %v)", err)
+	}
+	if out, err := popperOut(t, dir, "fsck"); err != nil {
+		t.Fatalf("fsck after the run: %v\n%s", err, out)
 	}
 }
 

@@ -235,29 +235,6 @@ func (t *Tier) View(ref Ref) ([]byte, bool) {
 	return data, true
 }
 
-// Lookup returns the resident bytes for a content hash,
-// digest-verified, without consulting the fallback and without
-// perturbing the hit/miss counters — the scrub repair chain's cas-tier
-// rung, which must attribute a heal to the tier only when the tier
-// itself held the content (and must not skew cache statistics while
-// probing).
-func (t *Tier) Lookup(hash [sha256.Size]byte) ([]byte, bool) {
-	s := t.shardFor(hash)
-	s.mu.Lock()
-	obj, ok := s.objects[hash]
-	if !ok {
-		s.mu.Unlock()
-		return nil, false
-	}
-	s.moveFront(obj)
-	data := obj.data
-	s.mu.Unlock()
-	if sha256.Sum256(data) != hash {
-		return nil, false
-	}
-	return data, true
-}
-
 // fromFallback consults the second-chance source for a missed ref and
 // admits the bytes after verifying the digest. With pin set the
 // admitted object is pinned before the shard lock drops, so the

@@ -9,9 +9,9 @@ import (
 	"popper/internal/fault"
 )
 
-// Fuzz targets for the two decoders that sit directly under silent
-// corruption: the extent parser/salvager and the merkle-seal parser.
-// The corpus is seeded with pristine images plus the same seeded
+// Fuzz targets for the decoder that sits directly under silent
+// corruption: the extent parser/salvager. The corpus is seeded with
+// pristine images plus the same seeded
 // bit-rot the crash and rot matrices inject (fault.CorruptBytes with
 // the matrix seeds), so the fuzzer starts from realistic damage.
 
@@ -34,28 +34,6 @@ func fuzzExtentImages() [][]byte {
 		for _, seed := range fuzzRotSeeds {
 			for round := 1; round <= 3; round++ {
 				rotted, _ := fault.CorruptBytes(seed, fmt.Sprintf("fuzz-extent-%d", i), round, img)
-				out = append(out, rotted)
-			}
-		}
-	}
-	return out
-}
-
-func fuzzMerkleImages() [][]byte {
-	var images [][]byte
-	for _, n := range []int{0, 1, 5, 64} {
-		leaves := make([][sha256.Size]byte, n)
-		for i := range leaves {
-			leaves[i] = sha256.Sum256([]byte(fmt.Sprintf("fuzz-leaf-%d", i)))
-		}
-		images = append(images, BuildMerkle(n+1, leaves).Encode())
-	}
-	var out [][]byte
-	for i, img := range images {
-		out = append(out, img)
-		for _, seed := range fuzzRotSeeds {
-			for round := 1; round <= 3; round++ {
-				rotted, _ := fault.CorruptBytes(seed, fmt.Sprintf("fuzz-merkle-%d", i), round, img)
 				out = append(out, rotted)
 			}
 		}
@@ -112,70 +90,6 @@ func FuzzSalvageExtent(f *testing.F) {
 		// parser accepts whole, the salvager recovers whole.
 		if parsed, err := ParseExtent(raw); err == nil && len(recs) < len(parsed) {
 			t.Fatalf("salvage recovered %d records from a pristine extent of %d", len(recs), len(parsed))
-		}
-	})
-}
-
-func FuzzParseMerkle(f *testing.F) {
-	for _, img := range fuzzMerkleImages() {
-		f.Add(img)
-	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
-		m, err := ParseMerkle(raw)
-		if err != nil {
-			return
-		}
-		// Accepted seals are internally consistent: the stored root must
-		// equal the root recomputed from the leaves, and the encoding is
-		// canonical.
-		leaves := make([][sha256.Size]byte, m.Len())
-		for i := range leaves {
-			leaves[i] = m.Leaf(i)
-		}
-		if BuildMerkle(m.Gen, leaves).Root() != m.Root() {
-			t.Fatal("accepted seal's root does not reduce from its leaves")
-		}
-		again, err := ParseMerkle(m.Encode())
-		if err != nil || again.Root() != m.Root() || again.Gen != m.Gen {
-			t.Fatalf("accepted seal does not round-trip: %v", err)
-		}
-	})
-}
-
-// fuzzLeaves reads raw bytes as consecutive leaf digests; a trailing
-// partial digest is dropped.
-func fuzzLeaves(raw []byte) [][sha256.Size]byte {
-	leaves := make([][sha256.Size]byte, len(raw)/sha256.Size)
-	for i := range leaves {
-		copy(leaves[i][:], raw[i*sha256.Size:])
-	}
-	return leaves
-}
-
-// FuzzBuildMerkleFrom checks the incremental builder against a fresh
-// build for arbitrary (previous, next) leaf lists. The corpus pairs each
-// seal image from fuzzMerkleImages — pristine and rotted, so leaves are
-// flipped, scattered and truncated — with its pristine original and
-// with every other image (unrelated, shorter and longer trees).
-func FuzzBuildMerkleFrom(f *testing.F) {
-	images := fuzzMerkleImages()
-	per := 1 + 3*len(fuzzRotSeeds) // one pristine image, then its rotted copies
-	for i, img := range images {
-		orig := images[i-i%per]
-		f.Add(orig, img)
-		f.Add(img, orig)
-		if i%per == 0 {
-			for j := 0; j < len(images); j += per {
-				f.Add(images[j], img)
-			}
-		}
-	}
-	f.Fuzz(func(t *testing.T, prevRaw, nextRaw []byte) {
-		prev := BuildMerkle(1, fuzzLeaves(prevRaw))
-		leaves := fuzzLeaves(nextRaw)
-		got, want := BuildMerkleFrom(prev, 2, leaves), BuildMerkle(2, leaves)
-		if !sameTree(got, want) || !bytes.Equal(got.Encode(), want.Encode()) {
-			t.Fatalf("incremental build over %d leaves (prev %d) differs from a fresh build", len(leaves), prev.Len())
 		}
 	})
 }

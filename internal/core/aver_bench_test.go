@@ -3,6 +3,7 @@ package core
 import (
 	"encoding/json"
 	"os"
+	"slices"
 	"testing"
 	"time"
 
@@ -44,8 +45,9 @@ func averBenchTable(n int) *table.Table {
 }
 
 // averStreamSpeedup times validating one appended batch at window size
-// n, both ways: the streaming evaluator's incremental step vs a full
-// CheckAll over the window.
+// n, both ways: the streaming evaluator's incremental step (the mean
+// over reps batches) vs a full CheckAll over the window (the median of
+// five calls).
 func averStreamSpeedup(tb testing.TB, n, reps int) (incNs, batchNs float64) {
 	tb.Helper()
 	grow := averBenchTable(n)
@@ -75,20 +77,25 @@ func averStreamSpeedup(tb testing.TB, n, reps int) (incNs, batchNs float64) {
 	}
 	incNs = float64(time.Since(start).Nanoseconds()) / float64(reps)
 
+	// The full re-scan: one untimed warm-up call, then the median of
+	// batchReps timed calls, so one slow call (a GC cycle, a preempted
+	// core) does not move the figure.
 	ev := aver.NewEvaluator()
 	base := averBenchTable(n)
 	if _, err := ev.CheckAll(averBenchSrc, base); err != nil {
 		tb.Fatal(err)
 	}
-	const batchReps = 3
-	start = time.Now()
-	for i := 0; i < batchReps; i++ {
+	const batchReps = 5
+	var calls [batchReps]float64
+	for i := range calls {
+		start = time.Now()
 		if _, err := ev.CheckAll(averBenchSrc, base); err != nil {
 			tb.Fatal(err)
 		}
+		calls[i] = float64(time.Since(start).Nanoseconds())
 	}
-	batchNs = float64(time.Since(start).Nanoseconds()) / float64(batchReps)
-	return incNs, batchNs
+	slices.Sort(calls[:])
+	return incNs, calls[batchReps/2]
 }
 
 // averBenchRecord is one BENCH_aver.json entry: every number is a

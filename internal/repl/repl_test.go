@@ -117,6 +117,48 @@ func TestReplicatedSyncKeepsTreesIdentical(t *testing.T) {
 	}
 }
 
+// TestReplicatedSyncDropsLegacySeal: every replica of a group an
+// earlier version committed holds a hash-tree seal at .popper/merkle.
+// The group audits clean and every replica verifies clean with it in
+// place, and the next replicated commit removes it from every replica.
+func TestReplicatedSyncDropsLegacySeal(t *testing.T) {
+	const legacySeal = ".popper/merkle"
+	g, fss := memGroupFS(t, 3, chaosSeed(t))
+	if _, err := g.Sync(ws(1)); err != nil {
+		t.Fatal(err)
+	}
+	for id, fs := range fss {
+		if err := fs.WriteFile(legacySeal, []byte(fmt.Sprintf("seal of replica %d", id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	aud, err := g.Audit()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(aud.Lagging)+len(aud.Divergent) != 0 {
+		t.Fatalf("legacy seals split the group: lagging %v, divergent %v", aud.Lagging, aud.Divergent)
+	}
+	for id := 0; id < g.Size(); id++ {
+		rep, err := g.Store(id).Verify()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Clean() {
+			t.Fatalf("replica %d beside a legacy seal:\n%s", id, rep.Format())
+		}
+	}
+	if _, err := g.Sync(ws(2)); err != nil {
+		t.Fatal(err)
+	}
+	for id, fs := range fss {
+		if _, err := fs.Stat(legacySeal); err == nil {
+			t.Errorf("replica %d kept its legacy seal past the commit", id)
+		}
+	}
+	wantIdenticalTrees(t, g, 0)
+}
+
 // TestReplicatedSyncRefusesNewlinePath: a path no manifest can record
 // is refused by name before it is proposed, so it never reaches the
 // log, no replica goes down applying it, and the group keeps

@@ -93,7 +93,6 @@ func TestRotMatrixGroupHealsEveryArtifactClass(t *testing.T) {
 		{"put-record", ".popper/put-*"},
 		{"extent", ".popper/extents/*"},
 		{"manifest", store.ManifestFile},
-		{"merkle-seal", store.MerklePath},
 	}
 	// Three rot rounds per class: the seeded damage coin walks through
 	// single-bit flips, multi-bit scatters and truncations.
@@ -217,8 +216,8 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 }
 
 // TestRotMatrixMultiSiteRot rots several artifact classes at once on
-// the primary — tracked files, the seal — and the chain still converges
-// byte-exactly in one pass.
+// the primary — tracked files and the live put record — and the chain
+// still converges byte-exactly in one pass.
 func TestRotMatrixMultiSiteRot(t *testing.T) {
 	seed := chaosSeed(t)
 	g := buildGroup(t, seed)
@@ -227,8 +226,8 @@ func TestRotMatrixMultiSiteRot(t *testing.T) {
 	if hit := g.fss[0].Rot("exp/*", 2); len(hit) < 3 {
 		t.Fatalf("workspace rot touched only %v", hit)
 	}
-	if hit := g.fss[0].Rot(store.MerklePath, 2); len(hit) != 1 {
-		t.Fatalf("seal rot touched %v", hit)
+	if hit := g.fss[0].Rot(".popper/put-*", 2); len(hit) != 1 {
+		t.Fatalf("put record rot touched %v", hit)
 	}
 
 	sc := New(nil, Options{Repair: true, Group: g.Group})

@@ -4,8 +4,8 @@
 // (`popper run -scrub-interval`).
 //
 // Each pass verifies a store with store.Verify, which reads and hashes
-// every tracked file once and diffs those hashes against the sealed
-// Merkle tree; the seal keeps the compare count at one on a clean tree.
+// every tracked file once, compares each hash with the file's manifest
+// entry, and checks that the object pool backs every committed content.
 // A repair pass then plans the fix with store.Plan — every action names
 // the rung that supplies its bytes, in the fixed chain replica quorum →
 // local object pool → intact workspace copy (reseal) → quarantine —
@@ -184,7 +184,6 @@ func merge(rep, r *Report, replica int) {
 	}
 	rep.Scanned += r.Scanned
 	rep.Bytes += r.Bytes
-	rep.MerkleCompares += r.MerkleCompares
 	for _, f := range r.Findings {
 		f.Replica = replica
 		rep.Findings = append(rep.Findings, f)

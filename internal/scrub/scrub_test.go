@@ -265,7 +265,7 @@ func onlySource(t *testing.T, rep *Report, want store.Rung) {
 	}
 }
 
-func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
+func TestScrubCleanStoreVerifiesEveryEntry(t *testing.T) {
 	st, _ := buildStore(t, chaosSeed(t))
 	sc := New(st, Options{Repair: true})
 	rep := mustScrub(t, sc)
@@ -281,10 +281,6 @@ func TestScrubCleanStoreVerifiesLogarithmically(t *testing.T) {
 	}
 	if rep.Scanned != man.Len() {
 		t.Fatalf("scanned %d entries, manifest holds %d", rep.Scanned, man.Len())
-	}
-	// A clean tree settles at the sealed root: exactly one compare.
-	if rep.MerkleCompares != 1 {
-		t.Fatalf("clean verification spent %d merkle compares, want 1", rep.MerkleCompares)
 	}
 	if rep.Bytes <= 0 {
 		t.Fatal("no bytes accounted")
@@ -329,8 +325,7 @@ func TestScrubDetectOnlyReportsWithoutMutating(t *testing.T) {
 	if !hit {
 		t.Fatalf("rot not localized:\n%s", rep.Format())
 	}
-	// Localization is sub-linear: well under one compare per entry pair,
-	// and the damaged tree is untouched.
+	// The damaged tree is untouched.
 	wantSameImage(t, mustImage(t, st), before, "after detection-only scrub")
 	rep2 := mustScrub(t, sc)
 	if rep2.Clean() {
@@ -400,8 +395,9 @@ func TestScrubHealsRottedLooseObjectInPlace(t *testing.T) {
 }
 
 // TestScrubReadsEachTrackedFileOnce pins the single walk: a detect-only
-// pass reads every tracked file and the merkle seal once — on every
-// replica of a group too, the agreement audit included — and a pass
+// pass reads every tracked file and every extent once — over a rotted
+// file too, whose finding looks its content up in the pool, and on
+// every replica of a group, the agreement audit included — and a pass
 // that heals a rotted file reads each tracked file at most twice — once
 // to verify it, once to prove the repair converged.
 func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
@@ -410,12 +406,13 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	once := append(entryPaths(man), extentFiles(t, fs)...)
 	c.counts()
 	if rep := mustScrub(t, New(st, Options{})); !rep.Clean() {
 		t.Fatalf("clean store reported findings:\n%s", rep.Format())
 	}
 	reads, _ := c.counts()
-	for _, path := range append([]string{store.MerklePath}, entryPaths(man)...) {
+	for _, path := range once {
 		if reads[path] != 1 {
 			t.Errorf("detect-only pass read %s %d times, want 1", path, reads[path])
 		}
@@ -424,6 +421,16 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 	if got := fs.Rot("exp/vars.yml", 1); len(got) != 1 {
 		t.Fatalf("rot touched %v", got)
 	}
+	if rep := mustScrub(t, New(st, Options{})); !names(rep, "exp/vars.yml") {
+		t.Fatalf("detect-only pass missed the rot:\n%s", rep.Format())
+	}
+	reads, _ = c.counts()
+	for _, path := range once {
+		if reads[path] != 1 {
+			t.Errorf("detect-only pass over a rotted file read %s %d times, want 1", path, reads[path])
+		}
+	}
+
 	rep := mustScrub(t, New(st, Options{Repair: true}))
 	if rep.Count(store.Healed) != 1 {
 		t.Fatalf("repair pass did not heal the rot:\n%s", rep.Format())
@@ -447,7 +454,7 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 	}
 	for id, c := range g.cs {
 		reads, _ := c.counts()
-		for _, path := range append([]string{store.MerklePath}, entryPaths(man)...) {
+		for _, path := range append(entryPaths(man), extentFiles(t, g.fss[id])...) {
 			if reads[path] != 1 {
 				t.Errorf("detect-only group pass read replica %d's %s %d times, want 1", id, path, reads[path])
 			}
@@ -461,6 +468,36 @@ func entryPaths(man *store.Manifest) []string {
 		out = append(out, e.Path)
 	}
 	return out
+}
+
+// extentFiles lists the packed extents in a tree; the canonical
+// scenario's two syncs leave two.
+func extentFiles(t *testing.T, fs store.VFS) []string {
+	t.Helper()
+	all, err := fs.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, p := range all {
+		if strings.HasPrefix(p, ".popper/extents/") {
+			out = append(out, p)
+		}
+	}
+	if len(out) != 2 {
+		t.Fatalf("want the scenario's two extents, have %v", out)
+	}
+	return out
+}
+
+// names reports whether a finding names path.
+func names(rep *Report, path string) bool {
+	for _, f := range rep.Findings {
+		if f.Path == path {
+			return true
+		}
+	}
+	return false
 }
 
 func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
@@ -517,7 +554,7 @@ func TestScrubQuarantinesTheUnrepairable(t *testing.T) {
 }
 
 // TestScrubDetectsTransientReadRot pins the read-side fault site: rot
-// injected at disk/read/* poisons one read, the merkle walk catches
+// injected at disk/read/* poisons one read, the verify walk catches
 // the mismatch, and the heal converges on the (undamaged) at-rest
 // bytes.
 func TestScrubDetectsTransientReadRot(t *testing.T) {

@@ -14,10 +14,10 @@ import (
 
 // Tests for the commit path's cost and its equivalence to the plain
 // definitions: the one-pass manifest encoder against the fmt encoder it
-// replaced, the incrementally sealed Merkle sidecar against a fresh
-// MerkleForManifest, the disk I/O of a Put and of the commit that folds
-// it, and a replacing Put whose allocations do not grow with the
-// manifest.
+// replaced, convergence over random operation sequences, the disk I/O
+// of a Put and of the commit that folds it, a replacing Put whose
+// allocations do not grow with the manifest, and what a commit does
+// with the seal file an earlier version left.
 
 // encodeFmt is the manifest encoder the one-pass Encode replaced, kept
 // as the reference it must match byte for byte.
@@ -112,35 +112,12 @@ func TestSyncRefusesNewlinePathAndRepoStillOpens(t *testing.T) {
 	}
 }
 
-// checkSealMatchesManifest asserts the invariant every commit path
-// keeps: the on-disk seal is exactly the fresh tree of the on-disk
-// committed manifest.
-func checkSealMatchesManifest(t *testing.T, fs VFS, when string) {
-	t.Helper()
-	raw, err := fs.ReadFile(manifestPath)
-	if err != nil {
-		t.Fatalf("%s: read manifest: %v", when, err)
-	}
-	man, err := ParseManifest(raw)
-	if err != nil {
-		t.Fatalf("%s: %v", when, err)
-	}
-	seal, err := fs.ReadFile(MerklePath)
-	if err != nil {
-		t.Fatalf("%s: read seal: %v", when, err)
-	}
-	if !bytes.Equal(seal, MerkleForManifest(man).Encode()) {
-		t.Fatalf("%s: sealed sidecar differs from MerkleForManifest(committed) at generation %d", when, man.Generation)
-	}
-}
-
-// TestMerkleSealMatchesManifestAfterRandomOps drives seeded random
-// sequences of Put, Sync, damage+repair, a quorum install of an earlier
-// manifest, InstallImage and reopening through one repository. Whatever
-// the store's cached tree was seeded from, every commit must seal the
-// same bytes a fresh build over the committed manifest gives, and every
-// repair must converge: a fresh verify plans nothing.
-func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
+// TestStoreConvergesAfterRandomOps drives seeded random sequences of
+// Put, Sync, damage+repair, a quorum install of an earlier manifest,
+// InstallImage and reopening through one repository. Every repair must
+// converge — a fresh verify plans nothing — and Load must return what
+// was last written, across every step.
+func TestStoreConvergesAfterRandomOps(t *testing.T) {
 	pool := []string{
 		".popper.yml", "exp/run.sh", "exp/vars.yml", "exp/journal.csv", "exp/results.csv",
 		"exp/with space.csv", "exp/sweep/000/results.csv", "exp/sweep/001/results.csv",
@@ -182,8 +159,8 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 					_ = fs.WriteFile(path, []byte("hand edit\n"))
 				case 2:
 					_ = fs.WriteFile(manifestPath, []byte("garbage"))
-				case 3:
-					_ = fs.WriteFile(MerklePath, []byte("garbage"))
+				case 3: // an earlier version's seal: no finding
+					_ = fs.WriteFile(legacyMerklePath, []byte("garbage"))
 				}
 				mustRepair(t, st, nil)
 				mustConverged(t, st, cfs, when)
@@ -219,7 +196,6 @@ func TestMerkleSealMatchesManifestAfterRandomOps(t *testing.T) {
 			case 6: // a fresh process opens the repository
 				st = New(cfs)
 			}
-			checkSealMatchesManifest(t, fs, when)
 			// Read-your-writes across Put, Sync, repair and reopen.
 			got, err := st.Load()
 			if err != nil {
@@ -281,8 +257,8 @@ func TestRepairInstallsQuorumManifestOverIntent(t *testing.T) {
 // the record it supersedes. A Sync whose files and records all equal
 // the committed tree — the warm re-run — does no I/O and leaves the
 // newest record in place. A Sync that folds records over unchanged
-// files is one commit of six flushes — intent, seal, rename, the
-// records' durable removal — and writes no workspace file.
+// files is one commit of four flushes — intent, rename, the records'
+// durable removal — and writes no workspace file.
 func TestPutIOBound(t *testing.T) {
 	c := &opCounter{VFS: NewMemFS(chaosSeed(t))}
 	st := New(c)
@@ -337,8 +313,8 @@ func TestPutIOBound(t *testing.T) {
 	before2 := c.ioCounts
 	stats := mustSync(t, st, w2())
 	got := c.since(before2)
-	if stats.Clean || stats.Written != 0 || got.commits != 1 || got.flushes() != 6 || got.writes != 2 {
-		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 6 flushes, 2 writes", got, stats)
+	if stats.Clean || stats.Written != 0 || got.commits != 1 || got.flushes() != 4 || got.writes != 1 {
+		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 4 flushes, 1 write", got, stats)
 	}
 	if r := records(); len(r) != 0 {
 		t.Fatalf("records %v survived their fold", r)
@@ -431,10 +407,36 @@ func TestFoldedPutRecordsStayGoneAfterManifestLoss(t *testing.T) {
 	}
 }
 
+// TestLegacySealVerifiesCleanAndSyncRemovesIt: a repository an earlier
+// version committed holds a hash-tree seal at .popper/merkle. Whatever
+// its bytes, the store verifies clean with it in place, a clean sync
+// leaves it where it is, and the next commit removes it.
+func TestLegacySealVerifiesCleanAndSyncRemovesIt(t *testing.T) {
+	for _, seal := range []string{"\x00", "garbage", strings.Repeat("\xff", 4096)} {
+		fs := NewMemFS(chaosSeed(t))
+		mustSync(t, New(fs), w1())
+		if err := fs.WriteFile(legacyMerklePath, []byte(seal)); err != nil {
+			t.Fatal(err)
+		}
+		st := New(fs)
+		mustCleanVerify(t, st, "with a legacy seal")
+		if stats := mustSync(t, st, w1()); !stats.Clean {
+			t.Fatalf("a sync of the committed tree beside a legacy seal is %+v, want clean", stats)
+		}
+		if _, err := fs.Stat(legacyMerklePath); err != nil {
+			t.Fatalf("a clean sync touched the legacy seal: %v", err)
+		}
+		mustSync(t, st, w2())
+		if _, err := fs.Stat(legacyMerklePath); err == nil {
+			t.Fatalf("the commit of generation %d left the legacy seal (%d bytes) behind", mustManifest(t, st).Generation, len(seal))
+		}
+		mustCleanVerify(t, st, "after the commit")
+	}
+}
+
 // putFixture returns a store whose committed manifest records n files,
 // plus the path of one of them, ready for replacing Puts. The manifest
-// and seal are written straight to the filesystem; Put reads nothing
-// else.
+// is written straight to the filesystem; Put reads nothing else.
 func putFixture(tb testing.TB, n int) (*Store, string) {
 	tb.Helper()
 	files := make(map[string][]byte, n)
@@ -443,10 +445,8 @@ func putFixture(tb testing.TB, n int) (*Store, string) {
 	}
 	man := NewManifest(1, files)
 	fs := NewMemFS(1)
-	for path, data := range map[string][]byte{manifestPath: man.Encode(), MerklePath: MerkleForManifest(man).Encode()} {
-		if err := fs.WriteFile(path, data); err != nil {
-			tb.Fatal(err)
-		}
+	if err := fs.WriteFile(manifestPath, man.Encode()); err != nil {
+		tb.Fatal(err)
 	}
 	return New(fs), man.Entries[n/2].Path
 }
@@ -482,7 +482,7 @@ func BenchmarkStorePutReplace(b *testing.B) {
 	for _, n := range []int{100, 1000, 10000} {
 		b.Run(fmt.Sprintf("entries=%d", n), func(b *testing.B) {
 			st, path := putFixture(b, n)
-			if err := st.Put(path, putReplaceContents[0]); err != nil { // loads the manifest, seeds the tree
+			if err := st.Put(path, putReplaceContents[0]); err != nil { // loads the manifest
 				b.Fatal(err)
 			}
 			b.ReportAllocs()

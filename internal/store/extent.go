@@ -29,40 +29,57 @@ func extentPath(gen int) string {
 	return extentsDir + "/gen-" + strconv.Itoa(gen) + ".extent"
 }
 
-// loadExtentsLocked lazily parses every extent into the in-memory
-// blob index (hash → payload). A torn extent still contributes the
-// records its embedded per-record digests prove — that is what keeps a
-// file "restorable" in fsck's eyes while its only copy sits in a
-// damaged extent awaiting salvage. An in-flight temp file is debris
-// that repair removes, not pool, so its records never count: the
-// index holds what Verify proves. Callers hold the store lock.
+// loadExtentsLocked lazily builds the in-memory blob index (hash →
+// payload) over every extent. Callers hold the store lock.
 func (s *Store) loadExtentsLocked() map[[sha256.Size]byte][]byte {
-	if s.extents != nil {
-		return s.extents
+	if s.extents == nil {
+		paths, _ := s.fs.List() // an unlistable tree indexes nothing
+		s.readExtentsLocked(paths)
 	}
+	return s.extents
+}
+
+// extentRead is one extent as read: its bytes and the records they
+// prove — all of them when it parses, else what salvage recovers.
+type extentRead struct {
+	raw  []byte
+	recs []cas.ExtentRecord
+	torn bool // the extent does not parse whole
+}
+
+// readExtentsLocked reads every extent among paths once, makes the
+// records they prove the store's extent index, and returns the reads by
+// path (an unreadable extent has none). A torn extent still contributes
+// the records its embedded per-record digests prove — that is what
+// keeps a file "restorable" in fsck's eyes while its only copy sits in
+// a damaged extent awaiting salvage. An in-flight temp file is debris
+// that repair removes, not pool, so its records never count: the index
+// holds what Verify proves. Callers hold the store lock.
+func (s *Store) readExtentsLocked(paths []string) map[string]extentRead {
 	idx := make(map[[sha256.Size]byte][]byte)
-	if paths, err := s.fs.List(); err == nil {
-		for _, path := range paths {
-			if !strings.HasPrefix(path, extentsDir+"/") || strings.HasSuffix(path, tmpSuffix) {
-				continue
-			}
-			raw, err := s.read(path)
-			if err != nil {
-				continue
-			}
-			recs, perr := cas.ParseExtent(raw)
-			if perr != nil {
-				recs = cas.SalvageExtent(raw) // each surviving record self-verifies
-			}
-			for _, r := range recs {
-				if _, ok := idx[r.Hash]; !ok {
-					idx[r.Hash] = raw[r.Offset : r.Offset+r.Size]
-				}
+	reads := make(map[string]extentRead)
+	for _, path := range paths {
+		if !strings.HasPrefix(path, extentsDir+"/") || strings.HasSuffix(path, tmpSuffix) {
+			continue
+		}
+		raw, err := s.read(path)
+		if err != nil {
+			continue
+		}
+		x := extentRead{raw: raw}
+		if x.recs, err = cas.ParseExtent(raw); err != nil {
+			x.torn = true
+			x.recs = cas.SalvageExtent(raw) // each surviving record self-verifies
+		}
+		for _, r := range x.recs {
+			if _, ok := idx[r.Hash]; !ok {
+				idx[r.Hash] = raw[r.Offset : r.Offset+r.Size]
 			}
 		}
+		reads[path] = x
 	}
 	s.extents = idx
-	return idx
+	return reads
 }
 
 // invalidateExtents drops the cached extent index; called whenever an

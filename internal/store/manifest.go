@@ -21,7 +21,22 @@ const (
 	// tmpSuffix marks the store's in-flight atomic-write temp files; a
 	// surviving one is debris from an interrupted sync.
 	tmpSuffix = ".ptmp"
+	// legacyMerklePath is the hash-tree sidecar earlier versions sealed
+	// beside every manifest. Nothing reads it: verify passes over it,
+	// and the next commit's gc removes it.
+	legacyMerklePath = ".popper/merkle"
 )
+
+// Exported layout names for addressing store artifacts.
+const (
+	// ManifestFile is the committed manifest's path.
+	ManifestFile = manifestPath
+	// QuarantinePrefix prefixes everything repair quarantined.
+	QuarantinePrefix = quarantineDir + "/"
+)
+
+// ObjectFile returns the loose-object path for a content hash.
+func ObjectFile(hash [sha256.Size]byte) string { return objectPath(hash) }
 
 // Entry is one manifest line: a tracked file's path, size and content
 // hash.
@@ -71,20 +86,6 @@ func NewManifest(generation int, files map[string][]byte) *Manifest {
 func sortEntries(m *Manifest) {
 	sort.Slice(m.Entries, func(i, j int) bool { return m.Entries[i].Path < m.Entries[j].Path })
 	m.index()
-}
-
-// find returns the index at which m records exactly e: i itself when
-// nothing shifted, else wherever e's path sits. A nil m records
-// nothing.
-func (m *Manifest) find(i int, e Entry) (int, bool) {
-	if m == nil {
-		return 0, false
-	}
-	if i < len(m.Entries) && m.Entries[i] == e {
-		return i, true
-	}
-	j, ok := m.byPath[e.Path]
-	return j, ok && m.Entries[j] == e
 }
 
 func (m *Manifest) index() {

@@ -1,7 +1,6 @@
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"fmt"
 	"sort"
@@ -35,8 +34,8 @@ const (
 	// the bytes is its own affair.
 	RungPool
 	// RungReseal: an intact workspace copy, or deterministic
-	// reconstruction that needs no stored bytes (a reseal, a manifest
-	// rebuild, debris removal, an intent rollback).
+	// reconstruction that needs no stored bytes (a manifest rebuild,
+	// debris removal, an intent rollback).
 	RungReseal
 )
 
@@ -58,8 +57,8 @@ func (r Rung) String() string {
 type Verb uint8
 
 const (
-	// VerbInstall writes a quorum-attested store file (manifest, seal,
-	// extent) byte for byte.
+	// VerbInstall writes a quorum-attested store file (manifest, extent,
+	// put record) byte for byte.
 	VerbInstall Verb = iota + 1
 	// VerbStore writes an object's proven bytes into the loose pool.
 	VerbStore
@@ -77,8 +76,6 @@ const (
 	VerbAdopt
 	// VerbRollback discards an uncommitted intent record.
 	VerbRollback
-	// VerbReseal rewrites the Merkle seal from the manifest.
-	VerbReseal
 	// VerbRebuild commits a new manifest generation: entry surgery
 	// (quarantine, adoption) or a manifest lost with no quorum copy.
 	VerbRebuild
@@ -88,7 +85,7 @@ const (
 	VerbReseed
 )
 
-var verbNames = [...]string{"", "installed", "stored", "salvaged", "removed", "restored", "quarantined", "adopted", "rolled-back", "resealed", "rebuilt", "healed", "reseeded"}
+var verbNames = [...]string{"", "installed", "stored", "salvaged", "removed", "restored", "quarantined", "adopted", "rolled-back", "rebuilt", "healed", "reseeded"}
 
 func (v Verb) String() string {
 	if int(v) < len(verbNames) {
@@ -215,7 +212,6 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 	provides := make(map[[sha256.Size]byte]int) // hash → the action writing it into the pool
 	restored := make(map[string]int)            // tracked path → its Restore or Quarantine
 	var unbacked []int
-	seal := -1
 	for i, f := range findings {
 		switch {
 		case f.State == StateUnbacked:
@@ -224,8 +220,6 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 			fix[i] = needRebuild()
 		case f.State == StatePending:
 			fix[i] = p.add(Action{Verb: VerbRollback, Path: f.Path, Rung: RungReseal, Note: "uncommitted sync intent discarded"})
-		case f.State == StateSeal:
-			seal = i // after the loop: a rebuild reseals anyway
 		case f.State == StateExtra:
 			fix[i] = p.add(Action{Verb: VerbAdopt, Path: f.Path, Rung: RungReseal, Note: "tracked into the new manifest generation"})
 			needRebuild()
@@ -289,14 +283,6 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 			fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
 		}
 	}
-	if seal >= 0 {
-		if rebuild >= 0 {
-			fix[seal] = rebuild
-		} else {
-			fix[seal] = s.planSeal(p, q)
-		}
-	}
-
 	// Every entry the plan keeps must end with its bytes in the pool:
 	// content whose only local copy the damage took (a rotted extent
 	// record, a destroyed object), or that the pool never held, is
@@ -340,18 +326,6 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 		}
 	}
 	return nil
-}
-
-// planSeal plans the seal's repair: the quorum's copy when it is
-// exactly the seal of the manifest, else a reseal.
-func (s *Store) planSeal(p *Plan, q Quorum) int {
-	want := MerkleForManifest(p.man).Encode()
-	if data, _ := fileQuorum(q, MerklePath); bytes.Equal(data, want) {
-		return p.add(Action{Verb: VerbInstall, Path: MerklePath, Rung: RungReplica, data: data,
-			Note: fmt.Sprintf("generation %d seal from the replica quorum", p.man.Generation)})
-	}
-	return p.add(Action{Verb: VerbReseal, Path: MerklePath, Rung: RungReseal,
-		Note: fmt.Sprintf("generation %d", p.man.Generation)})
 }
 
 // chain resolves a content hash down the repair chain, highest rung
@@ -436,7 +410,7 @@ func (s *Store) Apply(rep *Report, p *Plan) error {
 		case VerbInstall, VerbStore, VerbRestore:
 			err = s.writeFileAtomic(a.Path, a.data)
 			if a.Path == manifestPath {
-				s.man, s.tree, s.got = nil, nil, false
+				s.man, s.got = nil, false
 			}
 		case VerbSalvage:
 			var n int
@@ -466,8 +440,6 @@ func (s *Store) Apply(rep *Report, p *Plan) error {
 			if err = s.remove(manifestNextPath); err == nil {
 				err = s.syncDir(popperDir)
 			}
-		case VerbReseal:
-			_, err = s.sealMerkleLocked(man)
 		case VerbRebuild:
 			man, err = s.commitRebuilt(man, p.gen, dropped, adopted, p.puts.live)
 			if err == nil {
@@ -516,7 +488,7 @@ func (s *Store) quarantine(path, dest string) error {
 // commitRebuilt commits the manifest a repair leaves: the surviving
 // entries minus the dropped, plus the adopted, plus the live put
 // records carried in — each record's bytes become its path's committed
-// content — as generation gen, with its seal. Callers hold the lock.
+// content — as generation gen. Callers hold the lock.
 func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted []Entry, puts map[string]putRecord) (*Manifest, error) {
 	next := &Manifest{Generation: gen}
 	if man != nil {
@@ -556,10 +528,6 @@ func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted 
 	if err := s.writeFileAtomic(manifestPath, next.encodeForCommit()); err != nil {
 		return nil, err
 	}
-	tree, err := s.sealMerkleLocked(next)
-	if err != nil {
-		return nil, err
-	}
-	s.man, s.tree, s.got = next, tree, true
+	s.man, s.got = next, true
 	return next, nil
 }

@@ -161,7 +161,7 @@ func (s *Store) InstallImage(img map[string][]byte) error {
 			return err
 		}
 	}
-	s.man, s.tree, s.got, s.puts = nil, nil, false, nil
+	s.man, s.got, s.puts = nil, false, nil
 	s.invalidateExtents()
 	return nil
 }

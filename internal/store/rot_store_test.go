@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"popper/internal/cas"
 	"popper/internal/fault"
 )
 
@@ -31,128 +30,6 @@ func wantSameImage(t *testing.T, got, want map[string][]byte, when string) {
 	}
 }
 
-func TestCommitSealsMerkleSidecar(t *testing.T) {
-	fs := NewMemFS(chaosSeed(t))
-	st := New(fs)
-	mustSync(t, st, w1())
-	raw, err := fs.ReadFile(MerklePath)
-	if err != nil {
-		t.Fatalf("no merkle seal after sync: %v", err)
-	}
-	m, err := cas.ParseMerkle(raw)
-	if err != nil {
-		t.Fatalf("seal does not parse: %v", err)
-	}
-	man, err := st.Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Gen != man.Generation {
-		t.Fatalf("seal generation %d, manifest %d", m.Gen, man.Generation)
-	}
-	if m.Root() != MerkleForManifest(man).Root() {
-		t.Fatal("sealed root does not match the manifest")
-	}
-	// Every commit reseals: the root must move with the tree.
-	mustSync(t, st, w2())
-	sealed2, err := fs.ReadFile(MerklePath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := cas.ParseMerkle(sealed2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m2.Root() == m.Root() {
-		t.Fatal("second generation sealed the same root")
-	}
-	mustCleanVerify(t, st, "after sealed syncs")
-
-	// The seal is deterministic store metadata: a second store applying
-	// the same syncs produces a byte-identical sidecar.
-	fs2 := NewMemFS(chaosSeed(t) + 99)
-	st2 := New(fs2)
-	mustSync(t, st2, w1())
-	mustSync(t, st2, w2())
-	raw1, _ := fs.ReadFile(MerklePath)
-	raw2, err := fs2.ReadFile(MerklePath)
-	if err != nil || !bytes.Equal(raw1, raw2) {
-		t.Fatalf("merkle seal is not a pure function of the manifest (err %v)", err)
-	}
-}
-
-func TestFsckFlagsAndRepairsMerkleStates(t *testing.T) {
-	seed := chaosSeed(t)
-
-	damage := map[string]func(t *testing.T, fs *MemFS, st *Store){
-		"rotted": func(t *testing.T, fs *MemFS, st *Store) {
-			if got := fs.Rot(MerklePath, 1); len(got) != 1 {
-				t.Fatalf("rot touched %v", got)
-			}
-		},
-		"missing": func(t *testing.T, fs *MemFS, st *Store) {
-			if err := fs.Remove(MerklePath); err != nil {
-				t.Fatal(err)
-			}
-		},
-		"stale": func(t *testing.T, fs *MemFS, st *Store) {
-			old, err := fs.ReadFile(MerklePath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mustSync(t, st, w2())
-			if err := fs.WriteFile(MerklePath, old); err != nil {
-				t.Fatal(err)
-			}
-		},
-	}
-	for name, hurt := range damage {
-		t.Run(name, func(t *testing.T) {
-			fs := NewMemFS(seed)
-			st := New(fs)
-			mustSync(t, st, w1())
-			hurt(t, fs, st)
-			genBefore, err := st.Generation()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := mustImage(t, st)
-
-			rep, err := st.Verify()
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := findingAt(rep, MerklePath)
-			if f == nil || f.State != StateSeal {
-				t.Fatalf("verify missed the %s seal:\n%s", name, rep.Format())
-			}
-			if !f.Repairable {
-				t.Fatalf("merkle finding not repairable: %s", f.Note)
-			}
-			if rep = mustRepair(t, st, nil); verbs(rep)[MerklePath] != "resealed" {
-				t.Fatalf("seal not resealed:\n%s", rep.Format())
-			}
-			mustCleanVerify(t, st, "after reseal")
-			genAfter, err := st.Generation()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if genAfter != genBefore {
-				t.Fatalf("resealing moved the generation %d -> %d", genBefore, genAfter)
-			}
-			// Resealing restores the exact sidecar: everything but the
-			// damaged seal was already identical, so the whole tree must be.
-			got := mustImage(t, st)
-			man, err := st.Manifest()
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref[MerklePath] = MerkleForManifest(man).Encode()
-			wantSameImage(t, got, ref, "after reseal")
-		})
-	}
-}
-
 // TestRepairTwiceIsNoOp pins repair idempotency: the second of two
 // back-to-back fsck+repair cycles must not act, move the generation, or
 // touch a byte of the tree.
@@ -164,9 +41,11 @@ func TestRepairTwiceIsNoOp(t *testing.T) {
 	mustSync(t, st, w2())
 
 	// Damage spanning the repair verbs: a rotted tracked file (restore),
-	// a rotted seal (reseal), and in-flight debris (remove).
+	// an untracked one (adopt, rebuild), and in-flight debris (remove).
 	fs.Rot("exp/vars.yml", 1)
-	fs.Rot(MerklePath, 1)
+	if err := fs.WriteFile("exp/extra.txt", []byte("placed by hand\n")); err != nil {
+		t.Fatal(err)
+	}
 	if err := fs.WriteFile(".popper/objects/zz.ptmp", []byte("junk")); err != nil {
 		t.Fatal(err)
 	}

@@ -26,11 +26,6 @@ type Store struct {
 	dead error
 	man  *Manifest // cached committed manifest
 	got  bool      // manifest cache populated
-	// tree is nil or the Merkle tree this store built and sealed for
-	// man, which the next seal starts from (see merkleLocked). It is
-	// never parsed from the on-disk sidecar, whose leaves need not
-	// describe man.
-	tree *cas.Merkle
 	// extents is the lazily-built index over packed extents
 	// (hash → payload); nil means rebuild on next object lookup.
 	extents map[[sha256.Size]byte][]byte
@@ -343,13 +338,32 @@ func (s *Store) Manifest() (*Manifest, error) {
 	return s.loadManifest()
 }
 
+// Generation returns the committed manifest generation (0 when none).
+func (s *Store) Generation() (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	man, err := s.loadManifest()
+	if err != nil || man == nil {
+		return 0, err
+	}
+	return man.Generation, nil
+}
+
+// ReadRaw reads one store file through the instrumented read path,
+// subject to the same injected rot as any consumer — how a replica
+// quorum compares whole store files.
+func (s *Store) ReadRaw(path string) ([]byte, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.read(path)
+}
+
 // loadManifest reads and caches the committed manifest; callers hold
 // the lock.
 func (s *Store) loadManifest() (*Manifest, error) {
 	if s.got {
 		return s.man, nil
 	}
-	s.tree = nil // no tree the store sealed describes a manifest read off disk
 	raw, err := s.read(manifestPath)
 	if errors.Is(err, fs.ErrNotExist) {
 		s.got = true
@@ -377,23 +391,15 @@ func (s *Store) refuseIfInterrupted(op string) error {
 }
 
 // commitManifest renames the intent record over the committed manifest
-// — the sync's single atomic commit point — and makes it durable. The
-// Merkle sidecar for the new generation is sealed first, so a
-// committed manifest always has its seal on disk; a crash between the
-// two leaves a next-generation sidecar beside the old manifest, which
-// fsck flags as stale and repair reseals.
+// — the sync's single atomic commit point — and makes it durable.
 func (s *Store) commitManifest(next *Manifest) error {
-	tree, err := s.sealMerkleLocked(next)
-	if err != nil {
-		return err
-	}
 	if err := s.rename(manifestNextPath, manifestPath); err != nil {
 		return err
 	}
 	if err := s.syncDir(popperDir); err != nil {
 		return err
 	}
-	s.man, s.tree, s.got = next, tree, true
+	s.man, s.got = next, true
 	return nil
 }
 
@@ -429,7 +435,8 @@ func (s *Store) ensureObject(hash [sha256.Size]byte, content []byte) (bool, erro
 // object either one references must never be evicted. Loose objects
 // are removed individually; an extent is removed only when every
 // record in it is unreferenced (a partially-live extent stays whole —
-// bounded slack traded for never rewriting committed bytes).
+// bounded slack traded for never rewriting committed bytes). A seal an
+// earlier version left goes too.
 func (s *Store) gc(man *Manifest) error {
 	live := []*Manifest{man}
 	if raw, err := s.read(manifestNextPath); err == nil {
@@ -453,6 +460,10 @@ func (s *Store) gc(man *Manifest) error {
 	}
 	for _, path := range paths {
 		switch {
+		case path == legacyMerklePath:
+			if err := s.remove(path); err != nil {
+				return err
+			}
 		case strings.HasPrefix(path, objectsDir+"/"):
 			if refs[path] {
 				continue

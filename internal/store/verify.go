@@ -38,9 +38,6 @@ const (
 	// StatePending: an intent record (.popper/manifest.next) survives —
 	// the last sync never committed.
 	StatePending
-	// StateSeal: the Merkle seal is missing, damaged, stale, or does not
-	// describe the committed manifest.
-	StateSeal
 	// StateUnbacked: the object pool cannot produce a committed content
 	// whose tracked file is intact — no loose object or extent record
 	// proves it, so the workspace copy is its only one.
@@ -53,7 +50,7 @@ const (
 	StateDivergent
 )
 
-var stateNames = [...]string{"unknown", "torn", "corrupted", "missing", "extra", "debris", "manifest", "intent", "seal", "unbacked", "lagging", "divergent"}
+var stateNames = [...]string{"unknown", "torn", "corrupted", "missing", "extra", "debris", "manifest", "intent", "unbacked", "lagging", "divergent"}
 
 func (st State) String() string {
 	if int(st) < len(stateNames) {
@@ -153,12 +150,9 @@ type Report struct {
 	Tracked    int
 	// Scanned counts manifest entries read and hashed; Bytes the content
 	// bytes hashed.
-	Scanned int
-	Bytes   int64
-	// MerkleCompares counts hash-tree node compares spent diffing the
-	// observed leaves against the sealed tree: 1 on a clean tree.
-	MerkleCompares int
-	Findings       []Finding
+	Scanned  int
+	Bytes    int64
+	Findings []Finding
 	// Actions is the repair plan that was applied, in execution order.
 	Actions []Action
 
@@ -187,8 +181,8 @@ func (r *Report) Count(o Outcome) int {
 // print it.
 func (r *Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "scrub: generation %d, %d tracked file(s), %d entr%s verified (%d bytes), %d merkle compare(s)\n",
-		r.Generation, r.Tracked, r.Scanned, plural(r.Scanned, "y", "ies"), r.Bytes, r.MerkleCompares)
+	fmt.Fprintf(&b, "scrub: generation %d, %d tracked file(s), %d entr%s verified (%d bytes)\n",
+		r.Generation, r.Tracked, r.Scanned, plural(r.Scanned, "y", "ies"), r.Bytes)
 	for _, f := range r.Findings {
 		b.WriteString("  " + f.String() + "\n")
 	}
@@ -197,7 +191,7 @@ func (r *Report) Format() string {
 	}
 	switch {
 	case r.Clean():
-		b.WriteString("scrub: clean — every tracked file matches the manifest and its sealed merkle root\n")
+		b.WriteString("scrub: clean — every tracked file matches the manifest\n")
 	case len(r.Actions) == 0:
 		fmt.Fprintf(&b, "scrub: %d finding(s)\n", len(r.Findings))
 	default:
@@ -215,13 +209,11 @@ func plural(n int, one, many string) string {
 }
 
 // Verify walks the repository once and classifies every deviation from
-// the committed manifest. Each tracked file is read and hashed once:
-// the hash classifies it (torn, corrupted, missing), and the same
-// hashes are the observed Merkle leaves diffed against the sealed tree,
-// so a clean tree costs one root compare. The same walk reads every
-// loose object and extent, and from what those prove it checks that
-// the object pool can produce every committed content. It never
-// writes.
+// the committed manifest. Each tracked file is read and hashed once,
+// and comparing that hash with the file's manifest entry classifies it
+// (torn, corrupted, missing). The same walk reads every loose object
+// and extent once, and from what those prove it checks that the object
+// pool can produce every committed content. It never writes.
 func (s *Store) Verify() (*Report, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -269,11 +261,16 @@ func (s *Store) verifyLocked(rep *Report) error {
 	if man != nil {
 		rep.Generation, rep.Tracked = man.Generation, man.Len()
 	}
+	// The extents first, each read once: what they prove is the index
+	// pass 1's pool lookups consult and what pass 2 classifies.
+	paths, err := s.fs.List()
+	if err != nil {
+		return err
+	}
+	extents := s.readExtentsLocked(paths)
 
 	// Pass 1: every manifested file, read and hashed once.
-	var leaves [][sha256.Size]byte
 	if man != nil {
-		leaves = make([][sha256.Size]byte, 0, man.Len())
 		for _, e := range man.Entries {
 			content, err := s.read(e.Path)
 			missing := errors.Is(err, fs.ErrNotExist)
@@ -283,9 +280,6 @@ func (s *Store) verifyLocked(rep *Report) error {
 			sum := sha256.Sum256(content)
 			rep.Scanned++
 			rep.Bytes += int64(len(content))
-			// A missing file hashes as an empty leaf: it differs from the
-			// sealed leaf like any other damage.
-			leaves = append(leaves, MerkleLeaf(e.Path, int64(len(content)), sum))
 			if missing {
 				rep.Findings = append(rep.Findings, Finding{
 					Path: e.Path, State: StateMissing, WantSize: e.Size,
@@ -313,10 +307,6 @@ func (s *Store) verifyLocked(rep *Report) error {
 
 	// Pass 2: everything on disk the manifest does not explain. The
 	// loose objects and extents it reads prove the contents in pool.
-	paths, err := s.fs.List()
-	if err != nil {
-		return err
-	}
 	hashRefs := referencedHashes(man, next)
 	pool := make(map[[sha256.Size]byte]bool, len(hashRefs))
 	// Put records: a live one is healthy state awaiting the next commit.
@@ -332,7 +322,6 @@ func (s *Store) verifyLocked(rep *Report) error {
 	for _, name := range rep.puts.damaged {
 		rep.Findings = append(rep.Findings, Finding{Path: name, State: StateTorn, Note: noteDamagedPut})
 	}
-	sealed := false
 	for _, path := range paths {
 		switch {
 		case strings.HasSuffix(path, tmpSuffix):
@@ -348,7 +337,7 @@ func (s *Store) verifyLocked(rep *Report) error {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: note})
 			}
 		case strings.HasPrefix(path, extentsDir+"/"):
-			if f, bad := s.extentFinding(path, hashRefs, pool); bad {
+			if f, bad := extentFinding(path, extents, hashRefs, pool); bad {
 				rep.Findings = append(rep.Findings, f)
 			}
 		case path == CacheStatePath:
@@ -366,11 +355,9 @@ func (s *Store) verifyLocked(rep *Report) error {
 			if _, perr := cas.ParseExtent(raw); perr != nil {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: "damaged stage-cache sidecar (cold start after removal)"})
 			}
-		case path == MerklePath:
-			sealed = true
-			if note := s.checkSeal(man, leaves, rep); note != "" {
-				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateSeal, Note: note, Repairable: true})
-			}
+		case path == legacyMerklePath:
+			// No finding: a -scrub-interval run's final pass precedes the
+			// commit whose gc removes it.
 		case strings.HasPrefix(path, popperDir+"/"):
 			rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: "unrecognized store metadata"})
 		case Tracked(path):
@@ -391,9 +378,6 @@ func (s *Store) verifyLocked(rep *Report) error {
 			}
 			rep.Findings = append(rep.Findings, f)
 		}
-	}
-	if man != nil && !sealed {
-		rep.Findings = append(rep.Findings, Finding{Path: MerklePath, State: StateSeal, Note: "merkle seal missing", Repairable: true})
 	}
 	if man == nil {
 		return nil
@@ -423,31 +407,6 @@ func flagged(findings []Finding, path string) bool {
 	return false
 }
 
-// checkSeal reads the Merkle seal once: it must parse and describe the
-// committed manifest exactly, and a healthy seal is diffed against the
-// observed leaves. Returns the seal's problem, empty when healthy.
-// Callers hold the lock.
-func (s *Store) checkSeal(man *Manifest, leaves [][sha256.Size]byte, rep *Report) string {
-	raw, err := s.read(MerklePath)
-	if err != nil {
-		return "unreadable merkle seal"
-	}
-	sealed, perr := cas.ParseMerkle(raw)
-	switch {
-	case perr != nil:
-		return "damaged merkle seal"
-	case man == nil:
-		return "merkle seal without a manifest"
-	case sealed.Gen != man.Generation:
-		return fmt.Sprintf("stale merkle seal (generation %d, manifest %d)", sealed.Gen, man.Generation)
-	case sealed.Root() != MerkleForManifest(man).Root():
-		return "merkle seal does not match the manifest"
-	}
-	_, compares := sealed.Diff(cas.BuildMerkle(man.Generation, leaves))
-	rep.MerkleCompares += compares
-	return ""
-}
-
 // isTorn reports whether content is a strict prefix of the manifested
 // bytes (verified against the cache object — loose or packed — when
 // available, else by size alone).
@@ -469,37 +428,37 @@ func (s *Store) objectOK(e Entry) bool {
 	return ok
 }
 
-// extentFinding classifies one packed extent, adding the contents it
-// proves to pool — every record of an intact extent, the referenced
-// records a torn one's repair will salvage; bad=false means healthy
-// (intact, with at least one record a live generation references).
-func (s *Store) extentFinding(path string, hashRefs, pool map[[sha256.Size]byte]bool) (Finding, bool) {
-	raw, err := s.read(path)
-	if err != nil {
+// extentFinding classifies one packed extent from what the pass read
+// of it, adding the contents it proves to pool — every record of an
+// intact extent, the referenced records a torn one's repair will
+// salvage; bad=false means healthy (intact, with at least one record a
+// live generation references).
+func extentFinding(path string, extents map[string]extentRead, hashRefs, pool map[[sha256.Size]byte]bool) (Finding, bool) {
+	x, ok := extents[path]
+	if !ok {
 		return Finding{Path: path, State: StateDebris, Note: "unreadable extent"}, true
 	}
-	recs, perr := cas.ParseExtent(raw)
-	if perr != nil {
-		if !cas.IsExtent(raw) {
+	if x.torn {
+		if !cas.IsExtent(x.raw) {
 			return Finding{Path: path, State: StateDebris, Note: "not an extent (damaged beyond the magic)"}, true
 		}
 		salvageable := 0
-		for _, r := range cas.SalvageExtent(raw) {
+		for _, r := range x.recs {
 			if hashRefs[r.Hash] {
 				pool[r.Hash] = true
 				salvageable++
 			}
 		}
 		return Finding{
-			Path: path, State: StateTorn, Size: int64(len(raw)),
+			Path: path, State: StateTorn, Size: int64(len(x.raw)),
 			Repairable: true,
 			Note:       fmt.Sprintf("torn extent: %d referenced record(s) salvageable", salvageable),
 		}, true
 	}
-	for _, r := range recs {
+	for _, r := range x.recs {
 		pool[r.Hash] = true
 	}
-	if anyRecordReferenced(recs, hashRefs) {
+	if anyRecordReferenced(x.recs, hashRefs) {
 		return Finding{}, false // live records pin the whole extent
 	}
 	return Finding{Path: path, State: StateDebris, Note: noteUnreferencedExtent}, true

@@ -20,7 +20,7 @@
 //     manifest commit;
 //   - Verify, Plan and Apply: one walk classifies every deviation from
 //     the manifest — torn, missing, extra and corrupted files, debris,
-//     damaged put records, a damaged seal — and a typed repair plan
+//     damaged put records, an unbacked content — and a typed repair plan
 //     restores what a replica quorum or the object cache can prove,
 //     adopts complete strays and quarantines the rest;
 //   - deterministic disk-crash injection: every write/rename/fsync/
