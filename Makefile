@@ -12,7 +12,16 @@ SPLIT_SEEDS ?= 42 7 1337
 # Seed matrix for the bit-rot suite; override with ROT_SEEDS="...".
 ROT_SEEDS ?= 42 7 1337
 
-.PHONY: build fmt-check test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
+# Architectures whose compilers fuse x*y + z into one rounding, for
+# fma-check.
+FMA_ARCHS = arm64 ppc64le riscv64 s390x
+
+# The fused multiply-add mnemonics the compiler prints: FMADDD, FMSUBD,
+# FNMADDD, FNMSUBD and their single-precision ...S forms on arm64 and
+# riscv64; FMADD, FMSUB, FNMADD, FNMSUB and ...S on ppc64le and s390x.
+FMA_RE = [[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]
+
+.PHONY: build fmt-check fma-check test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
 
 build:
 	$(GO) build ./...
@@ -22,6 +31,29 @@ fmt-check:
 	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "fmt-check: no tracked Go files"; exit 1; }; \
 	out=$$(gofmt -l $$files) || exit 1; \
 	if [ -n "$$out" ]; then echo "fmt-check: gofmt -l lists files that need formatting:"; echo "$$out"; exit 1; fi
+
+# No fused multiply-add in popper code. For each architecture in
+# FMA_ARCHS, cross-compile every package with the assembly listing on
+# and fail on any fused instruction in a popper function, naming its
+# file:line. amd64 never fuses, so each fused instruction is a place
+# where another architecture computes other bits than the ones amd64's
+# goldens pin (DESIGN.md, "Determinism"); `float64(x*y) + z` rounds the
+# product and keeps the compiler from fusing it. The fixture under testdata/ holds x*y + z in
+# both precisions and must trip on every architecture, or the check is
+# blind there.
+fma-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT; \
+	for arch in $(FMA_ARCHS); do \
+		echo "-- fma-check, GOARCH=$$arch"; \
+		GOARCH=$$arch $(GO) build -gcflags='popper/...=-S' ./... >"$$tmp" 2>&1 \
+			|| { grep -E '\.go:[0-9]+:[0-9]+: ' "$$tmp"; echo "fma-check: GOARCH=$$arch build failed"; exit 1; }; \
+		hits=$$(grep -E '$(FMA_RE)' "$$tmp" | sed -E 's|.*\((.*)\)[[:space:]]+([A-Z]+).*|\1: \2|; s|^$(CURDIR)/||' | sort -u); \
+		if [ -n "$$hits" ]; then echo "fma-check: fused multiply-add in popper code on $$arch:"; echo "$$hits"; exit 1; fi; \
+		GOARCH=$$arch $(GO) build -gcflags='popper/...=-S' ./testdata/fmafixture >"$$tmp" 2>&1 \
+			|| { grep -E '\.go:[0-9]+:[0-9]+: ' "$$tmp"; echo "fma-check: GOARCH=$$arch fixture build failed"; exit 1; }; \
+		if [ "$$(grep -cE '$(FMA_RE)' "$$tmp")" -lt 2 ]; then \
+			echo "fma-check: testdata/fmafixture shows no fused multiply-add on $$arch; the check cannot see them"; exit 1; fi; \
+	done
 
 test:
 	$(GO) test ./...
@@ -33,13 +65,14 @@ race:
 	$(GO) test -race ./...
 
 # The full verification loop: tier-1 (build + test) plus static
-# analysis and formatting, the race detector over the concurrent sweep/cache/Aver
-# paths, the seeded chaos suite, the disk-crash matrix, and a one-
-# iteration smoke of the scheduler benchmark recorder so regressions in
-# the scaling path fail the loop, plus the bit-rot matrix proving
-# silent corruption stays detectable and healable, plus a smoke of the
-# end-to-end benchmark.
-verify: build fmt-check vet test race chaos crash split rot bench-json-smoke e2e-smoke
+# analysis and formatting, the fused multiply-add check that keeps
+# popper code rounding alike on every architecture, the race detector
+# over the concurrent sweep/cache/Aver paths, the seeded chaos suite,
+# the disk-crash matrix, and a one-iteration smoke of the scheduler
+# benchmark recorder so regressions in the scaling path fail the loop,
+# plus the bit-rot matrix proving silent corruption stays detectable
+# and healable, plus a smoke of the end-to-end benchmark.
+verify: build fmt-check fma-check vet test race chaos crash split rot bench-json-smoke e2e-smoke
 
 # Chaos determinism suite: the fault-injection golden tests under the
 # race detector, once per seed in the matrix. Each seed is a different
@@ -138,7 +171,8 @@ bench-aver:
 # I/O (a 114-entry sync, 32 journal puts, the sync after them) into
 # BENCH_store.json, and the simulator's host time per simulated message
 # step (the LULESH proxy, blocking and overlapped, at 8 and 27 ranks)
-# into BENCH_sim.json.
+# and a 15-node Provision's allocations and host time per node into
+# BENCH_sim.json.
 bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_sched.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/sched/
 	@echo "-- wrote BENCH_sched.json"

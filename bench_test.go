@@ -447,6 +447,19 @@ type simBenchRecord struct {
 	ElapsedS         clocked `json:"elapsed_s"`
 }
 
+// provisionBenchRecord is BENCH_sim.json's set-up entry: the host cost
+// of provisioning a cluster, which seeds one jitter generator per node.
+type provisionBenchRecord struct {
+	Nodes int `json:"nodes"`
+	// AllocsPerProvision is exact, like AllocsPerRun.
+	AllocsPerProvision float64 `json:"allocs_per_provision"`
+	NsPerNode          clocked `json:"ns_per_node"`
+}
+
+// provisionBenchNodes is a cloverleaf config's cluster: its nodes axis,
+// 1+2+4+8 nodes.
+const provisionBenchNodes = 15
+
 // TestWriteSimBenchJSON records the simulator's host time per simulated
 // event when BENCH_JSON names an output file (`make bench-json`):
 // BenchmarkRunLulesh's run, blocking and overlapped, at 8 and 27 ranks.
@@ -455,8 +468,10 @@ type simBenchRecord struct {
 // or Isend and the Wait that completes each Irecv). elapsed_s is the
 // first run's virtual makespan on a fresh communicator, so it depends
 // only on the model; ns_per_message_step is a run's wall time over its
-// message steps, averaged over the timed runs. BENCH_SMOKE=1 (wired
-// into `make verify`) times a single run per entry.
+// message steps, averaged over the timed runs. Provision/nodes=15 is a
+// 15-node Provision on a new cluster (the nodes of one cloverleaf
+// config), timed per node. BENCH_SMOKE=1 (wired into `make verify`)
+// times a single run per entry.
 func TestWriteSimBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
@@ -467,7 +482,7 @@ func TestWriteSimBenchJSON(t *testing.T) {
 		runs = 1
 	}
 	p2p := map[string]bool{"Send": true, "Recv": true, "Isend": true, "Wait": true}
-	records := make(map[string]simBenchRecord)
+	records := make(map[string]any)
 	for _, overlap := range []bool{false, true} {
 		for _, ranks := range []int{8, 27} {
 			spec := workload.DefaultLuleshSpec()
@@ -509,6 +524,20 @@ func TestWriteSimBenchJSON(t *testing.T) {
 				NsPerMessageStep: clocked{ns, "wall"}, ElapsedS: clocked{res.Elapsed, "virtual"},
 			}
 		}
+	}
+	provision := func() {
+		if _, err := cluster.New(42).Provision("probe-opteron", provisionBenchNodes); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(runs, provision)
+	start := time.Now()
+	for i := 0; i < runs; i++ {
+		provision()
+	}
+	records[fmt.Sprintf("Provision/nodes=%d", provisionBenchNodes)] = provisionBenchRecord{
+		Nodes: provisionBenchNodes, AllocsPerProvision: allocs,
+		NsPerNode: clocked{float64(time.Since(start).Nanoseconds()) / float64(runs*provisionBenchNodes), "wall"},
 	}
 	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {

@@ -14,10 +14,10 @@ package main
 import (
 	"fmt"
 	"log"
-	"math/rand"
 
 	"popper/internal/baseliner"
 	"popper/internal/cluster"
+	"popper/internal/detrand"
 	"popper/internal/metrics"
 	"popper/internal/mpi"
 	"popper/internal/table"
@@ -77,7 +77,7 @@ func main() {
 				log.Fatal(err)
 			}
 			if noisy {
-				rng := rand.New(rand.NewSource(seed + int64(r)*7919))
+				rng := detrand.New(seed + int64(r)*7919)
 				for v := 0; v < 1+rng.Intn(2); v++ {
 					nodes[rng.Intn(len(nodes))].SetBackgroundLoad(0.7 * rng.Float64())
 				}

@@ -589,8 +589,8 @@ func (e *Evaluator) scalingSlope(t *table.Table, xcol, ycol string) (float64, er
 		mx, my := table.Mean(lx), table.Mean(ly)
 		num, den := 0.0, 0.0
 		for i := range lx {
-			num += (lx[i] - mx) * (ly[i] - my)
-			den += (lx[i] - mx) * (lx[i] - mx)
+			num += float64((lx[i] - mx) * (ly[i] - my))
+			den += float64((lx[i] - mx) * (lx[i] - mx))
 		}
 		if den == 0 {
 			return 0, fmt.Errorf("aver: all %s values identical", xcol)

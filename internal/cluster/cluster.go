@@ -3,10 +3,11 @@ package cluster
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"popper/internal/detrand"
 )
 
 // Cluster is a pool of simulated machines, provisioned by profile name
@@ -47,11 +48,8 @@ func (c *Cluster) ProvisionProfile(p *MachineProfile, n int) ([]*Node, error) {
 	for i := range out {
 		id := fmt.Sprintf("%s-%d", p.Name, c.next)
 		c.next++
-		node := &Node{
-			id:      id,
-			profile: p,
-			rng:     rand.New(rand.NewSource(c.seed ^ int64(c.next)*0x5851f42d4c957f2d)),
-		}
+		node := &Node{id: id, profile: p}
+		node.rng.Seed(c.seed ^ int64(c.next)*0x5851f42d4c957f2d)
 		c.nodes[id] = node
 		out[i] = node
 	}
@@ -100,7 +98,7 @@ type Node struct {
 	profile   *MachineProfile
 	clock     atomic.Uint64 // Float64bits of virtual seconds since provisioning
 	bgLoad    float64       // background ("noisy neighbour") load in [0,1)
-	rng       *rand.Rand
+	rng       detrand.Rand
 	state     nodeState
 	usedBytes int64 // allocated simulated RAM
 }
@@ -196,7 +194,7 @@ func (n *Node) inflate(d float64) float64 {
 		d /= 1 - n.bgLoad
 	}
 	if sigma := n.profile.JitterSigma; sigma > 0 {
-		d *= 1 + math.Abs(n.rng.NormFloat64())*sigma
+		d *= 1 + float64(math.Abs(n.rng.NormFloat64())*sigma)
 	}
 	return d
 }
@@ -464,7 +462,7 @@ func (net *Network) Barrier(nodes []*Node) float64 {
 	if rounds < 1 {
 		rounds = 1
 	}
-	end := maxT + 2*maxLat*rounds
+	end := maxT + float64(2*maxLat*rounds)
 	for _, n := range nodes {
 		n.AdvanceTo(end)
 	}

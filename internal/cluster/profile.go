@@ -196,10 +196,10 @@ func (p *MachineProfile) Duration(w Work) float64 {
 	t += w.CPUOps / (p.ClockHz * p.IPC)
 	t += w.VecOps / (p.ClockHz * p.IPC * p.VectorWidth)
 	t += w.MemBytes / p.MemBWBps
-	t += w.RandAccess * p.MemLatS
-	t += w.BranchMiss * p.BranchCostS
-	t += w.Syscalls * p.SyscallS
+	t += float64(w.RandAccess * p.MemLatS)
+	t += float64(w.BranchMiss * p.BranchCostS)
+	t += float64(w.Syscalls * p.SyscallS)
 	t += w.DiskBytes / p.DiskBWBps
-	t += w.DiskOps * p.DiskLatS
+	t += float64(w.DiskOps * p.DiskLatS)
 	return t
 }

@@ -3,11 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sort"
 	"strings"
 
 	"popper/internal/cluster"
+	"popper/internal/detrand"
 	"popper/internal/gasnet"
 	"popper/internal/gassyfs"
 	"popper/internal/mpi"
@@ -217,7 +217,7 @@ func runMPIVariability(x *ExecState) error {
 				// Tenancy varies run to run: a random placement gives a
 				// few nodes a co-located tenant of random intensity; the
 				// straggler then pins the whole job (collectives).
-				rng := rand.New(rand.NewSource(x.Seed() + int64(r)*7919))
+				rng := detrand.New(x.Seed() + int64(r)*7919)
 				victims := 1 + rng.Intn(2)
 				for v := 0; v < victims; v++ {
 					node := ns[rng.Intn(len(ns))]
@@ -418,7 +418,7 @@ func runSpark(x *ExecState) error {
 	if err != nil {
 		return err
 	}
-	totalWords := float64(wordsM) * 1e6
+	totalWords := float64(float64(wordsM) * 1e6)
 	const bytesPerWord = 8
 	const opsPerWord = 150
 
@@ -786,7 +786,7 @@ func runAdhoc(x *ExecState) error {
 		content := x.Project.Files[prefix+rel]
 		start := node.Now()
 		node.Run(cluster.Work{
-			CPUOps:   float64(trials) * (1e5 + 50*float64(len(content))),
+			CPUOps:   float64(trials) * (1e5 + float64(50*float64(len(content)))),
 			Syscalls: float64(trials),
 		})
 		elapsed := node.Now() - start

@@ -4,6 +4,8 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"maps"
+	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -37,58 +39,57 @@ func TestGassyfsExecutorHostJobsInvariant(t *testing.T) {
 	}
 }
 
-// commTemplateDigests are the SHA-256 digests of every experiment file
-// the two templates that drive an mpi.Comm write, keyed by case and
-// path: cloverleaf at the end-to-end benchmark's sizes (per-config
-// clusters seeded seed+nodes) at two seeds, and mpi-comm-variability at
-// its defaults (quiet and noisy clusters). They were recorded before
-// the communicator leased its nodes; any change to a simulated float
-// operation's order or inputs, or to an RNG draw, shows here.
-var commTemplateDigests = map[string]string{
-	"cloverleaf seed=501: README.md":          "adb90f431739267a441a08480c88056916fe6e93871ff2b1a0c44bba5f54623e",
-	"cloverleaf seed=501: datasets/.gitkeep":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"cloverleaf seed=501: figure.svg":         "ff5bc50bd8982206a856e4998b1e8bfee6e4f78e594a4089e56d7be5903ca774",
-	"cloverleaf seed=501: figure.txt":         "74a4f658e4faa671d3def794729fb8a84ae9100d4823d94950ff4e07160e396e",
-	"cloverleaf seed=501: results.csv":        "37836bdd390dfef1cfa4a674428a0c6836c25f92f02a9ac39d55b505001efe4e",
-	"cloverleaf seed=501: run.sh":             "46ac09bd81c5f0eec3666a9357e0c161b0a6d61c9df6c3615d1006eb981b58dc",
-	"cloverleaf seed=501: setup.yml":          "80db0e834bf932198f96fe02388de5c9c92e6ba01cb2df8b6a5f672f3550e7f7",
-	"cloverleaf seed=501: validations.aver":   "e24a62c4d96af6f0470af5859afb6d8282605c6a1ed4cbb814992b9abd9786e3",
-	"cloverleaf seed=501: vars.yml":           "e5a865b596f47830c2f849ff5995f58f9255859432a771d22485913c6c27052d",
-	"cloverleaf seed=611: README.md":          "adb90f431739267a441a08480c88056916fe6e93871ff2b1a0c44bba5f54623e",
-	"cloverleaf seed=611: datasets/.gitkeep":  "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"cloverleaf seed=611: figure.svg":         "ff5bc50bd8982206a856e4998b1e8bfee6e4f78e594a4089e56d7be5903ca774",
-	"cloverleaf seed=611: figure.txt":         "74a4f658e4faa671d3def794729fb8a84ae9100d4823d94950ff4e07160e396e",
-	"cloverleaf seed=611: results.csv":        "d9078739f81eee471bfb0b13303dd0bde0526f7b0eaf94414d7c563258bd2714",
-	"cloverleaf seed=611: run.sh":             "46ac09bd81c5f0eec3666a9357e0c161b0a6d61c9df6c3615d1006eb981b58dc",
-	"cloverleaf seed=611: setup.yml":          "80db0e834bf932198f96fe02388de5c9c92e6ba01cb2df8b6a5f672f3550e7f7",
-	"cloverleaf seed=611: validations.aver":   "e24a62c4d96af6f0470af5859afb6d8282605c6a1ed4cbb814992b9abd9786e3",
-	"cloverleaf seed=611: vars.yml":           "9048d53acb4983810a9bea8c666e933537588a1edc624f5c93beaf929cec915e",
-	"mpi-comm-variability: README.md":         "c2e0f57506a00382b0ca84a891575e188cfbf7d60c68feb8e22ff4a9bdc067b4",
-	"mpi-comm-variability: datasets/.gitkeep": "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
-	"mpi-comm-variability: figure.svg":        "77c8ebe5bfd9f67c1b197c449304c50e55a23399b2bf4d0fc3f105cd12fd441a",
-	"mpi-comm-variability: figure.txt":        "024ea8ea39e8cdb92c2db9669dd68cf4c5e6ae62604b69c5400e451d54276eda",
-	"mpi-comm-variability: results.csv":       "7005abf99ac64de7c5b06c8b42cb8342f043b667d6aad9e5a1f4754fb042e799",
-	"mpi-comm-variability: run.sh":            "46ac09bd81c5f0eec3666a9357e0c161b0a6d61c9df6c3615d1006eb981b58dc",
-	"mpi-comm-variability: setup.yml":         "80db0e834bf932198f96fe02388de5c9c92e6ba01cb2df8b6a5f672f3550e7f7",
-	"mpi-comm-variability: validations.aver":  "2c372396f2359a249abd67c8d1267d810e025a3d26346905710baea0352c59b7",
-	"mpi-comm-variability: vars.yml":          "e63580832e3fc33b6b01c877c211a7f944f27667ea1bd1da79c644805898d648",
+// templateDigestsFile lists the SHA-256 of every experiment file each
+// template writes, one "<sha256>  <case>: <path>" line per file, under a
+// "# GOARCH <arch>" header naming the architecture it was recorded on.
+// The cases are every template at its default parameters at seeds 1, 7
+// and 42, plus cloverleaf at the end-to-end benchmark's sizes
+// (per-config clusters seeded seed+nodes) at two vars.yml seeds. Any
+// change to a simulated float operation's order or inputs, or to an RNG
+// draw, shows here; an intended output change re-pins the list in the
+// same change.
+const templateDigestsFile = "testdata/template_digests.txt"
+
+type digestCase struct {
+	name, template string
+	seed           int64
+	params         map[string]string
 }
 
-func TestCommTemplateDigests(t *testing.T) {
+func digestCases() []digestCase {
+	var cases []digestCase
+	for _, template := range Templates() {
+		for _, seed := range []int64{1, 7, 42} {
+			cases = append(cases, digestCase{fmt.Sprintf("%s -seed %d", template, seed), template, seed, nil})
+		}
+	}
 	cloverleaf := func(seed string) map[string]string {
 		return map[string]string{"nodes": "1,2,4,8", "iterations": "200", "problem_size": "24", "seed": seed}
 	}
-	cases := []struct {
-		name, template string
-		params         map[string]string
-	}{
-		{"cloverleaf seed=501", "cloverleaf", cloverleaf("501")},
-		{"cloverleaf seed=611", "cloverleaf", cloverleaf("611")},
-		{"mpi-comm-variability", "mpi-comm-variability", nil},
-	}
+	return append(cases,
+		digestCase{"cloverleaf -seed 1 vars.seed=501", "cloverleaf", 1, cloverleaf("501")},
+		digestCase{"cloverleaf -seed 1 vars.seed=611", "cloverleaf", 1, cloverleaf("611")},
+	)
+}
+
+// templateDigests runs every case and returns its files' digests, keyed
+// "<case>: <path>".
+func templateDigests(t *testing.T) map[string]string {
+	t.Helper()
 	got := make(map[string]string)
-	for _, c := range cases {
-		p, _ := runTemplate(t, c.template, c.params)
+	for _, c := range digestCases() {
+		p := Init()
+		if err := p.AddExperiment(c.template, "exp"); err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range c.params {
+			if err := p.SetParam("exp", k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res, err := p.RunExperiment("exp", &Env{Seed: c.seed}); err != nil {
+			t.Fatalf("%s failed: %v\nlog:\n%s", c.name, err, res.Record.Log)
+		}
 		prefix := expPath("exp", "")
 		for path, data := range p.Files {
 			if rel, ok := strings.CutPrefix(path, prefix); ok {
@@ -96,21 +97,75 @@ func TestCommTemplateDigests(t *testing.T) {
 			}
 		}
 	}
-	if !maps.Equal(got, commTemplateDigests) {
-		keys := make([]string, 0, len(got))
-		for k := range got {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		var sb strings.Builder
-		for _, k := range keys {
-			fmt.Fprintf(&sb, "\t%q: %q,\n", k, got[k])
-		}
-		for k, want := range commTemplateDigests {
-			if got[k] != want {
-				t.Errorf("%s: digest %s, recorded %s", k, got[k], want)
-			}
-		}
-		t.Fatalf("output digests differ from the recorded ones; this build's:\n%s", sb.String())
+	return got
+}
+
+func sortedKeys(m map[string]string) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
 	}
+	sort.Strings(keys)
+	return keys
+}
+
+// formatDigests renders digests in templateDigestsFile's format.
+func formatDigests(arch string, digests map[string]string) string {
+	var sb strings.Builder
+	fmt.Fprintf(&sb, "# GOARCH %s\n", arch)
+	for _, k := range sortedKeys(digests) {
+		fmt.Fprintf(&sb, "%s  %s\n", digests[k], k)
+	}
+	return sb.String()
+}
+
+// parseDigests reads templateDigestsFile's format back.
+func parseDigests(t *testing.T, text string) (arch string, digests map[string]string) {
+	t.Helper()
+	digests = make(map[string]string)
+	for i, line := range strings.Split(strings.TrimSuffix(text, "\n"), "\n") {
+		if a, ok := strings.CutPrefix(line, "# GOARCH "); ok && i == 0 {
+			arch = a
+			continue
+		}
+		sum, key, ok := strings.Cut(line, "  ")
+		if !ok || len(sum) != 64 {
+			t.Fatalf("%s line %d: malformed %q", templateDigestsFile, i+1, line)
+		}
+		digests[key] = sum
+	}
+	if arch == "" {
+		t.Fatalf("%s: no \"# GOARCH\" header", templateDigestsFile)
+	}
+	return arch, digests
+}
+
+func TestTemplateDigests(t *testing.T) {
+	raw, err := os.ReadFile(templateDigestsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch, want := parseDigests(t, string(raw))
+	got := templateDigests(t)
+	if maps.Equal(got, want) {
+		return
+	}
+	var diff strings.Builder
+	for _, k := range sortedKeys(want) {
+		if got[k] != want[k] {
+			fmt.Fprintf(&diff, "%s: digest %q, recorded %s\n", k, got[k], want[k])
+		}
+	}
+	for _, k := range sortedKeys(got) {
+		if _, ok := want[k]; !ok {
+			fmt.Fprintf(&diff, "%s: digest %s, not recorded\n", k, got[k])
+		}
+	}
+	if runtime.GOARCH != arch {
+		// The math package's own code still differs across
+		// architectures (DESIGN.md, "Determinism").
+		t.Skipf("recorded on %s, running on %s; differing entries:\n%s", arch, runtime.GOARCH, diff.String())
+	}
+	t.Fatalf("output digests differ from %s:\n%sthis build's list:\n%s",
+		templateDigestsFile, diff.String(), formatDigests(runtime.GOARCH, got))
 }

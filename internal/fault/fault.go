@@ -459,7 +459,7 @@ func (r Retry) Delay(seed int64, key string, attempt int) float64 {
 	}
 	d := r.Backoff * float64(int64(1)<<uint(attempt-1))
 	if r.Jitter > 0 {
-		d *= 1 + r.Jitter*(2*Hash01(seed, key, attempt)-1)
+		d *= 1 + float64(r.Jitter*(2*Hash01(seed, key, attempt)-1))
 	}
 	return d
 }

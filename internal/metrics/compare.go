@@ -2,9 +2,9 @@ package metrics
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 
+	"popper/internal/detrand"
 	"popper/internal/table"
 )
 
@@ -49,7 +49,7 @@ func BootstrapCI(samples []float64, stat func([]float64) float64, iters int, con
 	if conf <= 0 || conf >= 1 {
 		return 0, 0, fmt.Errorf("metrics: confidence %g out of (0,1)", conf)
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	stats := make([]float64, iters)
 	resample := make([]float64, len(samples))
 	for i := 0; i < iters; i++ {
@@ -59,7 +59,7 @@ func BootstrapCI(samples []float64, stat func([]float64) float64, iters int, con
 		stats[i] = stat(resample)
 	}
 	sort.Float64s(stats)
-	alpha := (1 - conf) / 2
+	alpha := float64((1 - conf) / 2)
 	loIdx := int(alpha * float64(iters))
 	hiIdx := int((1 - alpha) * float64(iters))
 	if hiIdx >= iters {
@@ -84,7 +84,7 @@ func CompareSystems(a, b []float64, conf float64, seed int64) (Comparison, error
 		return Comparison{}, fmt.Errorf("metrics: confidence %g out of (0,1)", conf)
 	}
 	const iters = 2000
-	rng := rand.New(rand.NewSource(seed))
+	rng := detrand.New(seed)
 	ratios := make([]float64, iters)
 	ra := make([]float64, len(a))
 	rb := make([]float64, len(b))
@@ -102,7 +102,7 @@ func CompareSystems(a, b []float64, conf float64, seed int64) (Comparison, error
 		ratios[i] = table.Mean(ra) / denom
 	}
 	sort.Float64s(ratios)
-	alpha := (1 - conf) / 2
+	alpha := float64((1 - conf) / 2)
 	c := Comparison{
 		Factor:     table.Mean(a) / mb,
 		Lo:         ratios[int(alpha*iters)],

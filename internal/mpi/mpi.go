@@ -286,7 +286,7 @@ func (c *Comm) Sendrecv(a, b int, bytes int64) error {
 func (c *Comm) collective(call callID, bytes int64, rounds float64) {
 	start := cluster.MaxClock(c.nodes)
 	perRound := 2*c.maxLat + float64(bytes)/c.minBW
-	end := start + rounds*perRound
+	end := start + float64(rounds*perRound)
 	for r := range c.ranks {
 		l := c.ranks[r].lease
 		before := l.Now()

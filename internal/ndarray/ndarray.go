@@ -299,7 +299,7 @@ func reduce(op string, vals []float64) float64 {
 		mean := reduce("mean", vals)
 		ss := 0.0
 		for _, v := range vals {
-			ss += (v - mean) * (v - mean)
+			ss += float64((v - mean) * (v - mean))
 		}
 		if len(vals) < 2 {
 			return 0

@@ -3,6 +3,7 @@ package orchestrate
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"popper/internal/cluster"
@@ -299,9 +300,9 @@ func TestStopsAtFirstFailure(t *testing.T) {
 func TestCustomModule(t *testing.T) {
 	inv, _ := testInventory(t, 11)
 	r := NewRunner(inv)
-	called := 0
+	var called atomic.Int32 // the runner calls the module for both hosts at once
 	r.RegisterModule("benchmark", func(h *Host, args map[string]string) (string, cluster.Work, error) {
-		called++
+		called.Add(1)
 		return "bench " + args["suite"], cluster.Work{CPUOps: 1e9}, nil
 	})
 	pb, _ := ParsePlaybook("- name: p\n  hosts: storage\n  tasks:\n    - benchmark: {suite: stress-ng}")
@@ -309,8 +310,8 @@ func TestCustomModule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if called != 2 || len(results) != 2 {
-		t.Fatalf("called = %d, results = %d", called, len(results))
+	if called.Load() != 2 || len(results) != 2 {
+		t.Fatalf("called = %d, results = %d", called.Load(), len(results))
 	}
 	if results[0].Elapsed <= 0 {
 		t.Fatal("elapsed should be positive for node hosts")

@@ -134,13 +134,13 @@ func (h *Histogram) SVG() string {
 	n := len(h.Buckets)
 	barW := float64(w-2*pad) / float64(n)
 	for i, b := range h.Buckets {
-		barH := float64(b.Count) / float64(maxCount) * float64(ht-2*pad)
-		x := float64(pad) + float64(i)*barW
+		barH := float64(float64(b.Count) / float64(maxCount) * float64(ht-2*pad))
+		x := float64(pad) + float64(float64(i)*barW)
 		y := float64(ht-pad) - barH
 		fmt.Fprintf(&sb, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="#4878a8" stroke="#ffffff"/>`+"\n",
 			x, y, barW, barH)
 		fmt.Fprintf(&sb, `<text x="%.1f" y="%d" font-size="9" text-anchor="middle">%.1f</text>`+"\n",
-			x+barW/2, ht-pad+14, b.Hi)
+			x+float64(barW/2), ht-pad+14, b.Hi)
 	}
 	axis(&sb, w, ht, pad, h.XLabel, "count")
 	sb.WriteString("</svg>\n")
@@ -263,8 +263,8 @@ func (c *LineChart) SVG() (string, error) {
 		sort.Slice(pts, func(i, j int) bool { return pts[i].x < pts[j].x })
 		var coords []string
 		for _, p := range pts {
-			px := float64(pad) + (p.x-xmin)/(xmax-xmin)*float64(w-2*pad)
-			py := float64(ht-pad) - (p.y-ymin)/(ymax-ymin)*float64(ht-2*pad)
+			px := float64(pad) + float64((p.x-xmin)/(xmax-xmin)*float64(w-2*pad))
+			py := float64(ht-pad) - float64((p.y-ymin)/(ymax-ymin)*float64(ht-2*pad))
 			coords = append(coords, fmt.Sprintf("%.1f,%.1f", px, py))
 		}
 		color := colors[si%len(colors)]
@@ -352,10 +352,10 @@ func (h *Heatmap) SVG() (string, error) {
 		for j, v := range row {
 			frac := (v - lo) / (hi - lo)
 			// blue (cold) to red (hot)
-			r := int(40 + 200*frac)
-			b := int(240 - 200*frac)
+			r := int(40 + float64(200*frac))
+			b := int(240 - float64(200*frac))
 			fmt.Fprintf(&sb, `<rect x="%.1f" y="%.1f" width="%.1f" height="%.1f" fill="rgb(%d,64,%d)"/>`+"\n",
-				float64(pad)+float64(j)*cellW, float64(pad)+float64(i)*cellH, cellW+0.5, cellH+0.5, r, b)
+				float64(pad)+float64(float64(j)*cellW), float64(pad)+float64(float64(i)*cellH), cellW+0.5, cellH+0.5, r, b)
 		}
 	}
 	axis(&sb, w, ht, pad, h.XLabel, h.YLabel)

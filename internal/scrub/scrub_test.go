@@ -407,6 +407,7 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	once := append(entryPaths(man), extentFiles(t, fs)...)
+	once = append(once, looseObject())
 	c.counts()
 	if rep := mustScrub(t, New(st, Options{})); !rep.Clean() {
 		t.Fatalf("clean store reported findings:\n%s", rep.Format())
@@ -439,6 +440,30 @@ func TestScrubReadsEachTrackedFileOnce(t *testing.T) {
 	for _, path := range entryPaths(man) {
 		if reads[path] < 1 || reads[path] > 2 {
 			t.Errorf("repair pass read %s %d times, want 1 or 2", path, reads[path])
+		}
+	}
+
+	// A truncated file whose committed content is a loose object: the
+	// one read that proves the object also shows the file torn and
+	// restorable.
+	results := ws2()["exp/results.csv"]
+	if err := fs.WriteFile("exp/results.csv", results[:len(results)/2]); err != nil {
+		t.Fatal(err)
+	}
+	rep = mustScrub(t, New(st, Options{}))
+	var torn *store.Finding
+	for i := range rep.Findings {
+		if rep.Findings[i].Path == "exp/results.csv" {
+			torn = &rep.Findings[i]
+		}
+	}
+	if torn == nil || torn.State != store.StateTorn || !torn.Repairable {
+		t.Fatalf("detect-only pass over a truncated loose-backed file:\n%s", rep.Format())
+	}
+	reads, _ = c.counts()
+	for _, path := range once {
+		if reads[path] != 1 {
+			t.Errorf("detect-only pass over a truncated file read %s %d times, want 1", path, reads[path])
 		}
 	}
 

@@ -269,7 +269,13 @@ func (s *Store) verifyLocked(rep *Report) error {
 	}
 	extents := s.readExtentsLocked(paths)
 
-	// Pass 1: every manifested file, read and hashed once.
+	// Pass 1: every manifested file, read and hashed once. Whether a
+	// damaged file is repairable, and whether short content is torn,
+	// depends on the pool, so its finding is settled after pass 2 has
+	// proved the loose objects.
+	var damaged []damage
+	want := make(map[[sha256.Size]byte]bool)    // the contents damaged files need
+	loose := make(map[[sha256.Size]byte][]byte) // those pass 2 proves as loose objects
 	if man != nil {
 		for _, e := range man.Entries {
 			content, err := s.read(e.Path)
@@ -281,21 +287,17 @@ func (s *Store) verifyLocked(rep *Report) error {
 			rep.Scanned++
 			rep.Bytes += int64(len(content))
 			if missing {
-				rep.Findings = append(rep.Findings, Finding{
-					Path: e.Path, State: StateMissing, WantSize: e.Size,
-					Repairable: s.objectOK(e),
-				})
+				want[e.Hash] = true
+				damaged = append(damaged, damage{finding: len(rep.Findings), entry: e})
+				rep.Findings = append(rep.Findings, Finding{Path: e.Path, State: StateMissing, WantSize: e.Size})
 				continue
 			}
 			if sum == e.Hash {
 				continue
 			}
-			f := Finding{Path: e.Path, Size: int64(len(content)), WantSize: e.Size, Repairable: s.objectOK(e)}
-			if s.isTorn(e, content) {
-				f.State = StateTorn
-			} else {
-				f.State = StateCorrupted
-			}
+			want[e.Hash] = true
+			damaged = append(damaged, damage{finding: len(rep.Findings), entry: e, content: content})
+			f := Finding{Path: e.Path, Size: int64(len(content)), WantSize: e.Size, State: StateCorrupted}
 			if next != nil {
 				if ne, ok := next.Lookup(e.Path); ok && ne.Hash == sum {
 					f.Note = "matches the interrupted sync's intent"
@@ -333,7 +335,7 @@ func (s *Store) verifyLocked(rep *Report) error {
 		case strings.HasPrefix(path, quarantineDir+"/"):
 			// Quarantined files are deliberately preserved; never re-flagged.
 		case strings.HasPrefix(path, objectsDir+"/"):
-			if note := s.objectProblem(path, hashRefs, pool); note != "" {
+			if note := s.objectProblem(path, hashRefs, pool, want, loose); note != "" {
 				rep.Findings = append(rep.Findings, Finding{Path: path, State: StateDebris, Note: note})
 			}
 		case strings.HasPrefix(path, extentsDir+"/"):
@@ -379,6 +381,9 @@ func (s *Store) verifyLocked(rep *Report) error {
 			rep.Findings = append(rep.Findings, f)
 		}
 	}
+	for _, d := range damaged {
+		settle(&rep.Findings[d.finding], d, loose, s.loadExtentsLocked())
+	}
 	if man == nil {
 		return nil
 	}
@@ -407,25 +412,28 @@ func flagged(findings []Finding, path string) bool {
 	return false
 }
 
-// isTorn reports whether content is a strict prefix of the manifested
-// bytes (verified against the cache object — loose or packed — when
-// available, else by size alone).
-func (s *Store) isTorn(e Entry, content []byte) bool {
-	if int64(len(content)) >= e.Size {
-		return false
-	}
-	obj, ok := s.readObjectAny(e.Hash)
-	if !ok {
-		return true // object unavailable: short content is presumed torn
-	}
-	return bytes.HasPrefix(obj, content)
+// damage is a manifested file pass 1 found missing or differing from
+// its entry: the index of its finding, and the file's content.
+type damage struct {
+	finding int
+	entry   Entry
+	content []byte
 }
 
-// objectOK reports whether the cache — loose objects or packed extents
-// — holds the entry's exact bytes.
-func (s *Store) objectOK(e Entry) bool {
-	_, ok := s.readObjectAny(e.Hash)
-	return ok
+// settle completes a damaged file's finding from the pool the pass
+// proved: the loose objects pass 2 read and the extents' records. The
+// file is repairable when the pool holds its committed bytes, and short
+// content is torn when it is a strict prefix of them, or when the pool
+// cannot say (short content is presumed torn).
+func settle(f *Finding, d damage, loose, extents map[[sha256.Size]byte][]byte) {
+	obj, ok := loose[d.entry.Hash]
+	if !ok {
+		obj, ok = extents[d.entry.Hash]
+	}
+	f.Repairable = ok
+	if f.State == StateCorrupted && int64(len(d.content)) < d.entry.Size && (!ok || bytes.HasPrefix(obj, d.content)) {
+		f.State = StateTorn
+	}
 }
 
 // extentFinding classifies one packed extent from what the pass read
@@ -500,9 +508,11 @@ func objectHash(path string) ([sha256.Size]byte, bool) {
 }
 
 // objectProblem classifies a cache object path, adding the content an
-// intact object proves to pool; empty means healthy.
-func (s *Store) objectProblem(path string, hashRefs, pool map[[sha256.Size]byte]bool) string {
-	want, ok := objectHash(path)
+// intact object proves to pool, and its bytes to loose when want asks
+// for them and the object sits at the path Store reads it from; empty
+// means healthy.
+func (s *Store) objectProblem(path string, hashRefs, pool, want map[[sha256.Size]byte]bool, loose map[[sha256.Size]byte][]byte) string {
+	hash, ok := objectHash(path)
 	if !ok {
 		return "malformed object name"
 	}
@@ -510,11 +520,14 @@ func (s *Store) objectProblem(path string, hashRefs, pool map[[sha256.Size]byte]
 	if rerr != nil {
 		return "unreadable object"
 	}
-	if sha256.Sum256(content) != want {
+	if sha256.Sum256(content) != hash {
 		return "object content does not match its name"
 	}
-	pool[want] = true
-	if !hashRefs[want] {
+	pool[hash] = true
+	if want[hash] && path == objectPath(hash) {
+		loose[hash] = content
+	}
+	if !hashRefs[hash] {
 		return "unreferenced object"
 	}
 	return ""

@@ -226,7 +226,7 @@ func nativeTriad(n int) float64 {
 	for r := 0; r < rounds; r++ {
 		s := float64(r + 1)
 		for i := range a {
-			a[i] = b[i] + s*c[i]
+			a[i] = b[i] + float64(s*c[i])
 		}
 	}
 	return a[0] + a[size-1]
@@ -319,7 +319,7 @@ func nativeMatmul(n int) float64 {
 			for k := 0; k < dim; k++ {
 				aik := a[i*dim+k]
 				for j := 0; j < dim; j++ {
-					c[i*dim+j] += aik * b[k*dim+j]
+					c[i*dim+j] += float64(aik * b[k*dim+j])
 				}
 			}
 		}
@@ -338,7 +338,7 @@ func nativeSaxpy(n int) float64 {
 	for r := 0; r < rounds; r++ {
 		alpha := float64(r+1) * 0.5
 		for i := range y {
-			y[i] += alpha * x[i]
+			y[i] += float64(alpha * x[i])
 		}
 	}
 	return y[size-1]
@@ -357,7 +357,7 @@ func nativeDot(n int) float64 {
 	for r := 0; r < rounds; r++ {
 		dot := 0.0
 		for i := range x {
-			dot += x[i] * y[i]
+			dot += float64(x[i] * y[i])
 		}
 		acc += dot
 	}

@@ -256,7 +256,7 @@ func aggregateRows(op string, c *column, d *dict, rows []int32, scratch []float6
 				continue
 			}
 			dv := c.nums[r] - m
-			ss += dv * dv
+			ss += float64(dv * dv)
 		}
 		return Number(math.Sqrt(ss / float64(nnum-1))), scratch
 	case "median":

@@ -17,9 +17,9 @@ import (
 	"bytes"
 	"fmt"
 	"math"
-	"math/rand"
 	"strconv"
 
+	"popper/internal/detrand"
 	"popper/internal/ndarray"
 	"popper/internal/plot"
 	"popper/internal/table"
@@ -57,7 +57,7 @@ func (s ReanalysisSpec) validate() error {
 // swing.
 func landFraction(lat float64) float64 {
 	if lat > 0 {
-		return 0.45 + 0.25*math.Sin(lat*math.Pi/180)
+		return 0.45 + float64(0.25*math.Sin(lat*math.Pi/180))
 	}
 	return 0.25
 }
@@ -65,12 +65,12 @@ func landFraction(lat float64) float64 {
 // meanTemp is the annual-mean temperature at a latitude (Kelvin).
 func meanTemp(lat float64) float64 {
 	rad := lat * math.Pi / 180
-	return 250 + 49*math.Cos(rad)*math.Cos(rad)
+	return 250 + float64(49*math.Cos(rad)*math.Cos(rad))
 }
 
 // seasonalAmplitude is the half peak-to-peak annual swing at a latitude.
 func seasonalAmplitude(lat float64) float64 {
-	return (2 + 26*math.Abs(lat)/90) * landFraction(lat) * 2
+	return float64((2+26*math.Abs(lat)/90)*landFraction(lat)) * 2
 }
 
 // Generate builds the synthetic reanalysis array with dimensions
@@ -96,20 +96,20 @@ func Generate(spec ReanalysisSpec) (*ndarray.Array, error) {
 	if err != nil {
 		return nil, err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := detrand.New(spec.Seed)
 	arr.Fill(func(idx []int) float64 {
 		day := days[idx[0]]
 		lat := lats[idx[1]]
 		lon := lons[idx[2]]
 		// Seasonal phase: NH coldest near day 15, SH in antiphase.
 		phase := 2 * math.Pi * (day - 196) / 365.25
-		season := seasonalAmplitude(lat) * math.Cos(phase)
+		season := float64(seasonalAmplitude(lat) * math.Cos(phase))
 		if lat < 0 {
 			season = -season
 		}
 		// A weak stationary wave pattern in longitude (continents).
-		wave := 3 * math.Cos(2*lon*math.Pi/180) * landFraction(lat)
-		return meanTemp(lat) + season + wave + rng.NormFloat64()*spec.NoiseK
+		wave := float64(3 * math.Cos(2*lon*math.Pi/180) * landFraction(lat))
+		return meanTemp(lat) + season + wave + float64(rng.NormFloat64()*spec.NoiseK)
 	})
 	return arr, nil
 }
@@ -298,7 +298,7 @@ func areaWeightedMean(byLat *ndarray.Array, lats []float64) (float64, error) {
 		if w < 0 {
 			w = 0
 		}
-		num += vals[i] * w
+		num += float64(vals[i] * w)
 		den += w
 	}
 	if den == 0 {

@@ -7,9 +7,9 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
 	"popper/internal/cluster"
+	"popper/internal/detrand"
 	"popper/internal/gassyfs"
 	"popper/internal/sched"
 )
@@ -83,7 +83,7 @@ func GenerateTree(cl *gassyfs.Client, spec CompileSpec) error {
 	if err := spec.validate(); err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := detrand.New(spec.Seed)
 	for _, d := range []string{"/src", "/src/c", "/src/include", "/src/obj", "/src/bin"} {
 		if err := cl.MkdirAll(d); err != nil {
 			return err
@@ -103,7 +103,7 @@ func GenerateTree(cl *gassyfs.Client, spec CompileSpec) error {
 	return nil
 }
 
-func synthBytes(rng *rand.Rand, n int) []byte {
+func synthBytes(rng *detrand.Rand, n int) []byte {
 	out := make([]byte, n)
 	const chars = "abcdefghijklmnopqrstuvwxyz(){};/* */\n\t#include int return"
 	for i := range out {
@@ -151,7 +151,7 @@ func compileShard(fs *gassyfs.FS, spec CompileSpec, rank int) error {
 			return fmt.Errorf("workload: reading source: %w", err)
 		}
 		unitBytes := float64(len(src)) + float64(headerBytes)
-		shardCPU += unitBytes * spec.CompileOpsPerByte
+		shardCPU += float64(unitBytes * spec.CompileOpsPerByte)
 		obj := make([]byte, int(float64(len(src))*spec.ObjRatio))
 		if err := cl.WriteFile(objPath(i), obj); err != nil {
 			return fmt.Errorf("workload: writing object: %w", err)

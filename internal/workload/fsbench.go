@@ -2,8 +2,8 @@ package workload
 
 import (
 	"fmt"
-	"math/rand"
 
+	"popper/internal/detrand"
 	"popper/internal/gassyfs"
 )
 
@@ -46,7 +46,7 @@ func RunFSBench(cl *gassyfs.Client, path string, spec FSBenchSpec) (FSBenchResul
 	if err != nil {
 		return FSBenchResult{}, err
 	}
-	rng := rand.New(rand.NewSource(spec.Seed))
+	rng := detrand.New(spec.Seed)
 	if err := cl.Create(path); err != nil {
 		return FSBenchResult{}, err
 	}
