@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -271,26 +272,55 @@ func TestCLIResumeTornJournalSuggestsFsck(t *testing.T) {
 	}
 }
 
+// putRecords lists the put records under dir/.popper.
+func putRecords(t *testing.T, dir string) []string {
+	t.Helper()
+	names, err := filepath.Glob(filepath.Join(dir, ".popper", "put-*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return names
+}
+
 // TestCLICrashRepairResume is the end-to-end acceptance scenario: a
 // seeded crash-disk fault kills `popper run` at an exact disk
 // operation; `popper fsck --repair` heals the tree; `popper run
 // -resume` finishes the sweep; and the final workspace is
-// byte-identical to a run that never crashed. The operations, from a
-// probe run of this two-config sweep: 2 fsyncs the first journal put
-// record, 4 writes the second (tearing it), 65 is the final sync's
-// commit rename, which folds the second record, and 69 is the first
-// read of the garbage collection after that commit.
+// byte-identical to a run that never crashed. Each case checks that
+// the crash struck the site it names, so a change in how many disk
+// operations a step takes fails here instead of moving the crash
+// point. On this two-config sweep op 2 fsyncs the first journal put
+// record; op 4 writes the second, tearing it (fsck names it torn, and
+// the resumed run's commit leaves no record); the final sync's commit
+// rename is struck by a rule on its own site, so its index never
+// matters (the intent record is left behind, and repair rolls it
+// back); op 65 is the directory fsync after that rename (the commit
+// took effect, and repair removes the folded records still on disk);
+// and op 69 is the first read of the garbage collection after the
+// records' durable removal.
 func TestCLICrashRepairResume(t *testing.T) {
-	faultsFor := func(k int) string {
+	atOp := func(k int) string {
 		return fmt.Sprintf("seed: 7\nfaults:\n  - site: disk/*\n    kind: crash-disk\n    global: true\n    after: %d\n    times: 1\n", k)
 	}
-	for _, k := range []int{2, 4, 65, 69} {
-		k := k
-		t.Run(fmt.Sprintf("crash-at-disk-op-%02d", k), func(t *testing.T) {
+	cases := []struct {
+		name, faults, site string
+		torn               bool   // the crash tears the second put record
+		repair             string // a pattern fsck --repair's report must match
+	}{
+		{"crash-at-disk-op-02", atOp(2), `disk/fsync/.popper/put-2-1#2`, false, ""},
+		{"crash-at-disk-op-04", atOp(4), `disk/write/.popper/put-2-2#4`, true, ""},
+		{"crash-at-commit-rename", "seed: 7\nfaults:\n  - site: disk/rename/.popper/manifest\n    kind: crash-disk\n    times: 1\n",
+			`disk/rename/.popper/manifest#0`, false, `rolled-back\s+\.popper/manifest\.next`},
+		{"crash-at-disk-op-65", atOp(65), `disk/syncdir/.popper#65`, false, `removed\s+\.popper/put-2-2 — stale put record`},
+		{"crash-at-disk-op-69", atOp(69), `disk/read/.popper/manifest.next#69`, false, ""},
+	}
+	for _, c := range cases {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
 			// Reference: identical repository (including the faults.yml
 			// bytes), run without fault injection.
 			ref := sweepRepo(t)
-			if err := os.WriteFile(filepath.Join(ref, "faults.yml"), []byte(faultsFor(k)), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(ref, "faults.yml"), []byte(c.faults), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := popperOut(t, ref, "run", "sw"); err != nil {
@@ -298,21 +328,34 @@ func TestCLICrashRepairResume(t *testing.T) {
 			}
 
 			dir := sweepRepo(t)
-			if err := os.WriteFile(filepath.Join(dir, "faults.yml"), []byte(faultsFor(k)), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, "faults.yml"), []byte(c.faults), 0o644); err != nil {
 				t.Fatal(err)
 			}
 			_, crashErr := popperOut(t, dir, "-faults", "faults.yml", "run", "sw")
-			if crashErr == nil {
-				t.Fatalf("crash at disk op %d never fired", k)
+			if crashErr == nil || !strings.Contains(crashErr.Error(), "crash-disk at "+c.site+":") {
+				t.Fatalf("want the crash at %s, got: %v", c.site, crashErr)
 			}
-			if _, err := popperOut(t, dir, "fsck", "--repair"); err != nil {
+			if c.torn {
+				out, err := popperOut(t, dir, "fsck")
+				if err == nil || !regexp.MustCompile(`torn\s+\.popper/put-2-2 — put record fails its checksum`).MatchString(out) {
+					t.Fatalf("fsck after the crash does not report the second record torn (err %v):\n%s", err, out)
+				}
+			}
+			out, err := popperOut(t, dir, "fsck", "--repair")
+			if err != nil {
 				t.Fatalf("fsck --repair after crash: %v", err)
+			}
+			if c.repair != "" && !regexp.MustCompile(c.repair).MatchString(out) {
+				t.Fatalf("fsck --repair does not report %q:\n%s", c.repair, out)
 			}
 			if out, err := popperOut(t, dir, "fsck"); err != nil {
 				t.Fatalf("fsck not clean after repair: %v\n%s", err, out)
 			}
 			if _, err := popperOut(t, dir, "-resume", "run", "sw"); err != nil {
 				t.Fatalf("run -resume after repair: %v", err)
+			}
+			if r := putRecords(t, dir); c.torn && len(r) != 0 {
+				t.Fatalf("the resumed run's commit left records %v", r)
 			}
 
 			got := mustLoadDir(dir)
@@ -326,5 +369,35 @@ func TestCLICrashRepairResume(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCLIPutRecordsRerunLeavesOneRecord walks the sweep journal's put
+// records through the CLI on a 3-config sweep. The first run's final
+// sync folds its records, so none is left. A re-run of the unchanged
+// sweep ends at the committed journal: its last Put writes the empty
+// committed record, which is the one record left at rest, and fsck is
+// clean. (A torn record is TestCLICrashRepairResume's op-4 case.)
+func TestCLIPutRecordsRerunLeavesOneRecord(t *testing.T) {
+	dir := sweepRepo(t)
+	if err := os.WriteFile(filepath.Join(dir, "experiments/sw/sweep.yml"), []byte("seed:\n  - 1\n  - 2\n  - 3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := popperOut(t, dir, "run", "sw"); err != nil {
+		t.Fatalf("first run: %v", err)
+	}
+	if r := putRecords(t, dir); len(r) != 0 {
+		t.Fatalf("the first run's final sync left records %v", r)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := popperOut(t, dir, "run", "sw"); err != nil {
+			t.Fatalf("re-run: %v", err)
+		}
+		if r := putRecords(t, dir); len(r) != 1 {
+			t.Fatalf("re-run %d of the unchanged sweep left records %v, want exactly one", i+1, r)
+		}
+		if out, err := popperOut(t, dir, "fsck"); err != nil {
+			t.Fatalf("fsck after re-run %d: %v\n%s", i+1, err, out)
+		}
 	}
 }

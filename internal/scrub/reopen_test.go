@@ -39,14 +39,15 @@ func TestRotReopenLeavesHealthyReplicasIntact(t *testing.T) {
 			}
 			return nil
 		}},
-		// The newest put record rots: the replicas that hold it whole
-		// lead, and the acknowledged journal survives everywhere.
+		// The newest put record — the journal's head, a link on the full
+		// record buildGroup's Put wrote — rots: the replicas that hold it
+		// whole lead, and the acknowledged journal survives everywhere.
 		{"newest-put-record", func(t *testing.T, g *testGroup) []byte {
 			if err := g.Put("exp/journal.csv", newer); err != nil {
 				t.Fatal(err)
 			}
-			if hit := g.fss[0].Rot(".popper/put-*", 1); len(hit) != 1 {
-				t.Fatalf("rot touched %v (want the one live record)", hit)
+			if hit := g.fss[0].Rot(".popper/put-2-2", 1); len(hit) != 1 {
+				t.Fatalf("rot touched %v (want the head)", hit)
 			}
 			return newer
 		}},

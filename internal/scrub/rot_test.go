@@ -215,6 +215,43 @@ func TestRotMatrixQuorumHoldsTheRot(t *testing.T) {
 	}
 }
 
+// TestRotMatrixGroupInstallsMiddlePutLink: the journal's chain is a
+// full record and two links, and replica 0's middle link rots. The
+// group repair installs the link from the replica quorum, which lets
+// the link after it replay again: both findings heal from the replica
+// rung, every tree is byte-identical to the uncorrupted run, and each
+// replica's Load returns the newest journal.
+func TestRotMatrixGroupInstallsMiddlePutLink(t *testing.T) {
+	seed := chaosSeed(t)
+	newest := append(bytes.Clone(journalPayload), "003,ok\n004,ok\n"...)
+	for round := 1; round <= 3; round++ {
+		g := buildGroup(t, seed)
+		for _, j := range [][]byte{append(bytes.Clone(journalPayload), "003,ok\n"...), newest} {
+			if err := g.Put("exp/journal.csv", j); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ref := mustImage(t, g.Store(0))
+		// buildGroup's Put wrote the full record put-2-1; the links are
+		// put-2-2 and put-2-3.
+		if hit := g.fss[0].Rot(".popper/put-2-2", round); len(hit) != 1 {
+			t.Fatalf("rot touched %v", hit)
+		}
+		rep := mustScrub(t, New(nil, Options{Repair: true, Group: g.Group}))
+		if n := healedFrom(rep, store.RungReplica); n != 2 || unrepairable(rep) != 0 {
+			t.Fatalf("round %d: want the link and the one after it healed from the replica quorum:\n%s", round, rep.Format())
+		}
+		onlySource(t, rep, store.RungReplica)
+		wantConvergedGroup(t, g, ref, "after the link's install")
+		mustGroupConverged(t, g, "after the link's install")
+		for id := 0; id < g.Size(); id++ {
+			if got := trackedView(t, g.Store(id))["exp/journal.csv"]; !bytes.Equal(got, newest) {
+				t.Fatalf("round %d: replica %d Load's journal is %q, want %q", round, id, got, newest)
+			}
+		}
+	}
+}
+
 // TestRotMatrixMultiSiteRot rots several artifact classes at once on
 // the primary — tracked files and the live put record — and the chain
 // still converges byte-exactly in one pass.

@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
+	"slices"
 	"testing"
 	"time"
 )
@@ -25,30 +27,46 @@ type storeBenchRecord struct {
 
 // benchJournal returns a sweep journal of n rows.
 func benchJournal(n int) []byte {
-	journal := []byte("config,params,status,attempts,detail\n")
-	for i := 0; i < n; i++ {
-		journal = fmt.Appendf(journal, "%d,iterations=200 problem_size=24 seed=%d,ok,1,%x\n", i, 1000+i*37, sha256.Sum256([]byte{byte(i)}))
+	done := make([]int, n)
+	for i := range done {
+		done[i] = i
+	}
+	return benchJournalOf(done)
+}
+
+// benchJournalOf returns the sweep journal once the given configurations
+// finished, in any order: their rows, in index order.
+func benchJournalOf(done []int) []byte {
+	done = slices.Clone(done)
+	slices.Sort(done)
+	journal := []byte(benchJournalHeader)
+	for _, i := range done {
+		journal = append(journal, benchRow(i)...)
 	}
 	return journal
 }
 
-// TestWriteStoreBenchJSON records the durable journal path's cost in
-// the warm-rerun shape: when BENCH_JSON names an output file (`make
-// bench-json`), it commits a 114-entry workspace holding a 32-row sweep
-// journal, Puts the journal again row by row, then runs the Sync whose
-// files, and newest record, equal the committed tree — clean, so it
-// does no I/O. Each phase records its exact I/O and its wall-clock ns
-// per operation.
-// BENCH_SMOKE=1 (wired into `make verify`) shrinks it to 16 entries and
-// 4 rows.
-func TestWriteStoreBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<path> to record store benchmarks")
-	}
-	entries, rows := 114, 32
-	if os.Getenv("BENCH_SMOKE") != "" {
-		entries, rows = 16, 4
+const benchJournalHeader = "config,params,status,attempts,detail\n"
+
+// benchRow renders configuration i's journal row.
+func benchRow(i int) []byte {
+	return fmt.Appendf(nil, "%d,iterations=200 problem_size=24 seed=%d,ok,1,%x\n", i, 1000+i*37, sha256.Sum256([]byte{byte(i)}))
+}
+
+// storeBenchPhases runs the durable journal path's phases and returns
+// each one's exact I/O and wall-clock ns per operation. It commits a
+// 114-entry workspace holding a 32-row sweep journal, Puts the journal
+// again row by row (the warm re-run: the last Put is the committed
+// journal), runs the Sync whose files and heads equal the committed
+// tree — clean, so it does no I/O — then Puts the 32 rows again in a
+// fixed shuffled order, as workers finish them, and last grows a
+// 1,000-row journal in a fixed shuffled order. smoke shrinks it to 16
+// entries, 4 rows and 16.
+func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
+	t.Helper()
+	entries, rows, big := 114, 32, 1000
+	if smoke {
+		entries, rows, big = 16, 4, 16
 	}
 	const journalPath = "experiments/clover/sweep/journal.csv"
 	files := map[string][]byte{".popper.yml": []byte("experiments:\n  - clover\n"), journalPath: benchJournal(rows)}
@@ -71,24 +89,76 @@ func TestWriteStoreBenchJSON(t *testing.T) {
 			NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(ops), Clock: "wall",
 		}
 	}
+	// putRows Puts the journal as each configuration in order finishes,
+	// rendering each row once, as the sweep's journal does.
+	putRows := func(order []int) func() error {
+		rendered := make([][]byte, len(order))
+		for _, i := range order {
+			rendered[i] = benchRow(i)
+		}
+		return func() error {
+			var done []int
+			size := len(benchJournalHeader)
+			for _, i := range order {
+				at, _ := slices.BinarySearch(done, i)
+				done = slices.Insert(done, at, i)
+				size += len(rendered[i])
+				journal := make([]byte, 0, size)
+				journal = append(journal, benchJournalHeader...)
+				for _, j := range done {
+					journal = append(journal, rendered[j]...)
+				}
+				if err := st.Put(journalPath, journal); err != nil {
+					return err
+				}
+			}
+			return nil
+		}
+	}
+	inOrder := make([]int, rows)
+	for i := range inOrder {
+		inOrder[i] = i
+	}
 	sync := func() error { _, err := st.Sync(files); return err }
 	phase(fmt.Sprintf("Sync/entries=%d", entries), 1, sync)
-	phase(fmt.Sprintf("Put/journal-rows=%d", rows), rows, func() error {
-		for n := 1; n <= rows; n++ {
-			if err := st.Put(journalPath, benchJournal(n)); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
+	phase(fmt.Sprintf("Put/journal-rows=%d", rows), rows, putRows(inOrder))
 	phase("Sync/after-puts", 1, sync)
+	phase(fmt.Sprintf("Put/journal-rows=%d/shuffled", rows), rows, putRows(rand.New(rand.NewSource(1)).Perm(rows)))
 	if got, err := st.Load(); err != nil || !bytes.Equal(got[journalPath], files[journalPath]) {
 		t.Fatalf("after the puts, Load's journal differs (err %v)", err)
 	}
 	if r := records["Sync/after-puts"]; r.Writes != 0 || r.Fsyncs != 0 || r.Commits != 0 {
 		t.Errorf("the sync after the puts made %d write(s), %d fsync(s), %d commit(s), want none", r.Writes, r.Fsyncs, r.Commits)
 	}
+	order := rand.New(rand.NewSource(2)).Perm(big)
+	phase(fmt.Sprintf("Put/journal-rows=%d/shuffled", big), big, putRows(order))
+	// A reopened store replays the whole chain the shuffled puts left.
+	const loads = 8
+	want := benchJournal(big)
+	phase(fmt.Sprintf("Load/journal-rows=%d/shuffled", big), loads, func() error {
+		for i := 0; i < loads; i++ {
+			got, err := New(c).Load()
+			if err != nil {
+				return err
+			}
+			if !bytes.Equal(got[journalPath], want) {
+				return fmt.Errorf("after the %d-row puts, Load's journal differs", big)
+			}
+		}
+		return nil
+	})
+	return records
+}
 
+// TestWriteStoreBenchJSON records the durable journal path's phases
+// (storeBenchPhases) when BENCH_JSON names an output file (`make
+// bench-json`). BENCH_SMOKE=1 (wired into `make verify`) shrinks them.
+func TestWriteStoreBenchJSON(t *testing.T) {
+	out := os.Getenv("BENCH_JSON")
+	if out == "" {
+		t.Skip("set BENCH_JSON=<path> to record store benchmarks")
+	}
+	records := storeBenchPhases(t, os.Getenv("BENCH_SMOKE") != "")
 	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {
 		t.Fatal(err)
@@ -97,4 +167,35 @@ func TestWriteStoreBenchJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Logf("wrote %d benchmark records to %s", len(records), out)
+}
+
+// TestStoreBenchJSONExactCounts runs the recorder's phases and requires
+// each one's exact fields — ops, writes, kb_written, fsyncs and commits
+// — to equal the committed BENCH_store.json's. Only ns_per_op is left
+// to the wall clock: a change to the journal path's I/O fails here until
+// `make bench-json` records it.
+func TestStoreBenchJSONExactCounts(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_store.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed map[string]storeBenchRecord
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	got := storeBenchPhases(t, false)
+	if len(got) != len(committed) {
+		t.Errorf("the recorder has %d phases, BENCH_store.json %d", len(got), len(committed))
+	}
+	for name, want := range committed {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("BENCH_store.json records %s, which the recorder does not run", name)
+			continue
+		}
+		g.NsPerOp, g.Clock = want.NsPerOp, want.Clock
+		if g != want {
+			t.Errorf("%s: the recorder measures %+v, BENCH_store.json holds %+v", name, g, want)
+		}
+	}
 }

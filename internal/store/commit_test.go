@@ -251,18 +251,24 @@ func TestRepairInstallsQuorumManifestOverIntent(t *testing.T) {
 	wantSameImage(t, mustImage(t, st), img, "after install")
 }
 
-// TestPutIOBound pins the disk cost of the durable journal path: a Put
-// is exactly one write (O(data) bytes), one file fsync and one
-// directory fsync, with no rename and no manifest commit, and removes
-// the record it supersedes. A Sync whose files and records all equal
-// the committed tree — the warm re-run — does no I/O and leaves the
-// newest record in place. A Sync that folds records over unchanged
-// files is one commit of four flushes — intent, rename, the records'
-// durable removal — and writes no workspace file.
+// TestPutIOBound pins the disk cost of the durable journal path. Each
+// Put is exactly one write, one file fsync and one directory fsync, with
+// no rename and no manifest commit, and it writes at most the bytes it
+// inserts plus a fixed frame: the whole content for the first Put since
+// the committed content, the new row for each later one — at the end or
+// in the middle — and nothing for a Put of the committed content. A link
+// removes nothing; a full or committed record removes the path's older
+// records. The re-run shape, whose last Put is the committed journal,
+// leaves one record at rest, and the Sync after it is clean and does no
+// I/O. A Sync of the committed tree over a chain cut short puts the
+// committed journal back with one record and commits nothing. A Sync
+// that folds a changed journal is one commit and leaves no record.
 func TestPutIOBound(t *testing.T) {
 	c := &opCounter{VFS: NewMemFS(chaosSeed(t))}
 	st := New(c)
 	gen := mustSync(t, st, w2()).Generation
+	const journal = "exp/journal.csv"
+	frame := putFrame + len(journal)
 	records := func() []string {
 		t.Helper()
 		paths, err := c.List()
@@ -277,54 +283,91 @@ func TestPutIOBound(t *testing.T) {
 		}
 		return out
 	}
-	putAll := func(journals ...string) {
+	// put checks one Put: inserted is what it may write besides the
+	// frame, removes the records it supersedes.
+	put := func(j string, inserted, removes int) {
 		t.Helper()
-		for i, j := range journals {
-			superseded := len(records())
-			before := c.ioCounts
-			if err := st.Put("exp/journal.csv", []byte(j)); err != nil {
-				t.Fatal(err)
-			}
-			got := c.since(before)
-			if got.writes != 1 || got.fsyncs != 1 || got.dirSyncs != 1 || got.renames != 0 || got.commits != 0 || got.removes != superseded {
-				t.Fatalf("Put %d did %+v, want one write, one fsync, one dir fsync, no rename, %d removal(s)", i+1, got, superseded)
-			}
-			if got.bytes > len(j)+512 {
-				t.Fatalf("a Put of %d bytes wrote %d", len(j), got.bytes)
-			}
+		before := c.ioCounts
+		if err := st.Put(journal, []byte(j)); err != nil {
+			t.Fatal(err)
 		}
-		if r := records(); len(r) != 1 {
-			t.Fatalf("%d Puts of one path left records %v, want one", len(journals), r)
+		got := c.since(before)
+		if got.writes != 1 || got.fsyncs != 1 || got.dirSyncs != 1 || got.renames != 0 || got.commits != 0 || got.removes != removes {
+			t.Fatalf("Put of %q did %+v, want one write, one fsync, one dir fsync, no rename, %d removal(s)", j, got, removes)
+		}
+		if got.bytes > frame+inserted {
+			t.Fatalf("Put of %q wrote %d bytes, want at most %d inserted + %d of frame", j, got.bytes, inserted, frame)
 		}
 	}
+	const j134, j1234 = "config,status\n001,ok\n003,ok\n004,ok\n", "config,status\n001,ok\n002,ok\n003,ok\n004,ok\n"
 
-	putAll(j1, j2, j3)
+	// The re-run: rows finish out of order, the last Put is the
+	// committed journal.
+	put(j1, len(j1), 0)
+	put(j13, len(j13)-len(j1), 0)
+	put(j3, 0, 2)
+	if r := records(); len(r) != 1 {
+		t.Fatalf("the re-run left records %v, want one", r)
+	}
 	before := c.mutations
 	if stats := mustSync(t, st, w2()); !stats.Clean || stats.Generation != gen || c.mutations != before {
-		t.Fatalf("a sync of the committed tree with committed records is %+v after %d mutation(s), want clean at generation %d with none",
+		t.Fatalf("a sync of the committed tree with a committed record is %+v after %d mutation(s), want clean at generation %d with none",
 			stats, c.mutations-before, gen)
-	}
-	if r := records(); len(r) != 1 || r[0] != putRecordPath(gen, 3) {
-		t.Fatalf("the clean sync left records %v, want %s", r, putRecordPath(gen, 3))
 	}
 	mustCleanVerify(t, st, "with a committed record at rest")
 
-	putAll(j1, j2)
+	// Cut short, then a sync of the committed tree.
+	put(j1, len(j1), 1)
+	put(j2, len(j2)-len(j1), 0)
 	before2 := c.ioCounts
 	stats := mustSync(t, st, w2())
 	got := c.since(before2)
-	if stats.Clean || stats.Written != 0 || got.commits != 1 || got.flushes() != 4 || got.writes != 1 {
-		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 4 flushes, 1 write", got, stats)
+	if !stats.Clean || stats.Generation != gen || got.commits != 0 || got.writes != 1 || got.flushes() != 2 || got.removes != 2 {
+		t.Fatalf("the sync over a chain cut short did %+v (stats %+v), want the committed journal put back: 1 write, 2 flushes, 2 removals, no commit", got, stats)
+	}
+	if r := records(); len(r) != 1 {
+		t.Fatalf("the put-back left records %v, want one", r)
+	}
+	if files, err := st.Load(); err != nil || string(files[journal]) != j3 {
+		t.Fatalf("after the put-back Load's journal is %q (err %v), want the committed %q", files[journal], err, j3)
+	}
+	if got, want := mustStateDigest(t, st), mustStateDigest(t, New(c)); got != want {
+		t.Fatal("after the put-back the writing store and a reopened one name different states")
+	}
+
+	// A fold: full, appending link, middle-inserting link, then a sync
+	// that commits the journal.
+	put(j13, len(j13), 1)
+	put(j134, len(j134)-len(j13), 0)
+	put(j1234, len(j1234)-len(j134), 0)
+	w := w2()
+	w[journal] = []byte(j1234)
+	before3 := c.ioCounts
+	stats = mustSync(t, st, w)
+	got = c.since(before3)
+	// Intent, packed extent and journal: three atomic writes of two
+	// flushes each; then the commit's and the removals' directory fsyncs.
+	if stats.Clean || stats.Written != 1 || got.commits != 1 || got.writes != 3 || got.flushes() != 8 || got.removes != 3 {
+		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 3 writes, 8 flushes, 3 removals", got, stats)
 	}
 	if r := records(); len(r) != 0 {
 		t.Fatalf("records %v survived their fold", r)
 	}
-	if files, err := st.Load(); err != nil || string(files["exp/journal.csv"]) != j3 {
-		t.Fatalf("after the fold Load's journal is %q (err %v), want the synced %q", files["exp/journal.csv"], err, j3)
+	if files, err := st.Load(); err != nil || string(files[journal]) != j1234 {
+		t.Fatalf("after the fold Load's journal is %q (err %v), want the synced %q", files[journal], err, j1234)
 	}
-	if again := mustSync(t, st, w2()); !again.Clean {
+	if again := mustSync(t, st, w); !again.Clean {
 		t.Fatalf("a sync after the fold is not clean: %+v", again)
 	}
+}
+
+func mustStateDigest(t *testing.T, st *Store) [sha256.Size]byte {
+	t.Helper()
+	d, err := st.StateDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 // TestRepairCarriesLivePutRecords: the manifest is damaged while put

@@ -2,10 +2,11 @@ package store
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"testing"
 
+	"popper/internal/cas"
 	"popper/internal/fault"
 )
 
@@ -83,51 +84,64 @@ func FuzzParseManifest(f *testing.F) {
 	})
 }
 
-// fuzzPutRecords writes a sweep journal through Put, row by row, and
-// returns each record file with its name, read before the next Put
-// supersedes and removes it.
+// encodePutRecordV1 is the version-1 record encoder, kept as the
+// reference for records an earlier version left at rest: a two-blob cas
+// extent of a header naming the generation, sequence and path, then the
+// full content.
+func encodePutRecordV1(gen, seq int, path string, data []byte) []byte {
+	header := fmt.Sprintf("%s%d %d %s", putHeaderV1, gen, seq, path)
+	return cas.EncodeExtent([][]byte{[]byte(header), data})
+}
+
+// fuzzPutRecords writes a 32-row sweep journal through Put, the rows
+// finishing out of order, commits it, then re-runs the sweep so its
+// last Put writes a committed record. It returns each record as it was
+// written — full, links that insert at the end and in the middle, the
+// committed record — plus version-1 records of the same journals.
 func fuzzPutRecords(tb testing.TB) (names []string, images [][]byte) {
 	tb.Helper()
 	fs := NewMemFS(1)
 	st := New(fs)
-	stats, err := st.Sync(w1())
-	if err != nil {
+	files := w1()
+	if _, err := st.Sync(files); err != nil {
 		tb.Fatal(err)
 	}
-	journal := []byte("config,params,status,attempts,detail\n")
-	for i := 0; i < 32; i++ {
-		journal = fmt.Appendf(journal, "%d,seed=%d,ok,1,%x\n", i, 1000+i, sha256.Sum256([]byte{byte(i)}))
-		if err := st.Put("experiments/clover/sweep/journal.csv", bytes.Clone(journal)); err != nil {
+	const path = "experiments/clover/sweep/journal.csv"
+	order := rand.New(rand.NewSource(7)).Perm(32)
+	for round := 0; round < 2; round++ {
+		for k := range order {
+			if err := st.Put(path, benchJournalOf(order[:k+1])); err != nil {
+				tb.Fatal(err)
+			}
+			name := putRecordPath(st.puts.gen, st.puts.next-1)
+			raw, err := fs.ReadFile(name)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			names, images = append(names, name), append(images, raw)
+		}
+		files[path] = benchJournalOf(order)
+		if _, err := st.Sync(files); err != nil {
 			tb.Fatal(err)
 		}
-		name := putRecordPath(stats.Generation, i+1)
-		raw, err := fs.ReadFile(name)
-		if err != nil {
-			tb.Fatal(err)
-		}
-		names, images = append(names, name), append(images, raw)
 	}
-	paths, err := fs.List()
-	if err != nil {
-		tb.Fatal(err)
+	if last := images[len(images)-1]; last[len(putMagic)] != putCommitted {
+		tb.Fatalf("the re-run's last Put wrote a %q record, want a committed one", last[len(putMagic)])
 	}
-	var rest []string
-	for _, p := range paths {
-		if isPutRecord(p) {
-			rest = append(rest, p)
-		}
-	}
-	if len(rest) != 1 || rest[0] != names[31] {
-		tb.Fatalf("32 puts of one path left records %v, want only %s", rest, names[31])
+	for _, n := range []int{1, 32} {
+		names = append(names, putRecordPath(3, n))
+		images = append(images, encodePutRecordV1(3, n, path, benchJournalOf(order[:n])))
 	}
 	return names, images
 }
 
 func FuzzDecodePutRecord(f *testing.F) {
 	names, images := fuzzPutRecords(f)
-	// The first, a middle and the last record, each under its own name
+	// A full record, an appending and a middle-inserting link, the
+	// committed record and two version-1 records, each under its own name
 	// and under a neighbor's.
-	for _, i := range []int{0, 15, 31} {
+	picks := []int{0, 1, 2, 31, 63, 64, 65}
+	for _, i := range picks {
 		for _, raw := range withDamage("fuzz-put", images[i]) {
 			f.Add(names[i], raw)
 		}
@@ -139,16 +153,24 @@ func FuzzDecodePutRecord(f *testing.F) {
 			return
 		}
 		// An accepted record is exactly the encoding of what it decodes
-		// to, under its own name, for a tracked path.
+		// to, under its own name, for a tracked path, and under any other
+		// name it fails.
 		gen, seq, ok := parsePutName(name)
 		if !ok || rec.seq != seq || rec.name != name || !Tracked(rec.path) {
 			t.Fatalf("accepted record %q decodes to %+v", name, rec)
 		}
-		if sha256.Sum256(rec.data) != rec.hash {
-			t.Fatal("accepted record's content does not match its digest")
+		again := rec
+		enc := again.encode()
+		if rec.v1 {
+			enc = encodePutRecordV1(gen, seq, rec.path, rec.data)
+		} else if again.sum != rec.sum {
+			t.Fatal("accepted record's checksum does not re-encode")
 		}
-		if !bytes.Equal(encodePutRecord(gen, seq, rec.path, rec.data), raw) {
+		if !bytes.Equal(enc, raw) {
 			t.Fatal("accepted record is not the canonical encoding of its content")
+		}
+		if _, err := decodePutRecord(putRecordPath(gen, seq+1), raw); err == nil {
+			t.Fatalf("record %s also decodes under %s", name, putRecordPath(gen, seq+1))
 		}
 	})
 }

@@ -72,7 +72,7 @@ func (m *MemFS) WriteFile(path string, data []byte) error {
 		// (Re)creating the entry is a namespace change.
 		f.pending = true
 	}
-	f.data = append([]byte(nil), data...)
+	f.data = append([]byte{}, data...) // non-nil: a zero-byte file exists
 	f.synced = nil
 	return nil
 }

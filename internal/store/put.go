@@ -1,9 +1,14 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -12,24 +17,50 @@ import (
 
 // Put records: a durable Put writes one self-checking record file,
 // .popper/put-<generation>-<sequence>, instead of committing a manifest
-// generation. The record is a two-blob cas extent — a header naming the
-// generation, sequence and path, then the full content — so its own
-// checksum proves it whole and it needs no temp file or rename: write,
-// fsync, fsync of .popper. The logical tree is the committed manifest's
-// files overlaid, per path, with the highest-sequence intact record of
-// the committed generation. Once a record is durable, Put removes the
-// record it supersedes, so a path holds one record at rest; a removal a
-// crash undoes brings back a lower sequence, which loses. The next
-// manifest commit folds the records in (their paths' content is part of
-// the workspace it commits) and removes them durably, so none survives
-// to be mistaken for live state if the manifest is later lost. A Sync
-// whose files and records all equal the committed tree commits nothing
-// and leaves the records where they are.
+// generation: write, fsync, fsync of .popper, no temp file or rename.
+// A path's records form a chain. The first Put since the path's
+// committed content writes the content whole (a full record); each
+// later one writes only a splice — offset, cut and inserted bytes —
+// against the path's previous content (a link), so a journal that gains
+// a row per Put writes that row plus a fixed frame. A Put of the
+// committed content writes an empty committed record, after which the
+// older records are removed without an fsync.
+//
+// The frame holds no counter: a record is bound to its name by its
+// checksum, a SHA-256 over the name and the record's bytes, and a link
+// names its base by that checksum. So a record's size depends only on
+// its path and its splice, never on how many Puts came before it.
+//
+// The logical tree is the committed manifest's files overlaid, per
+// path, with the newest record of the committed generation whose chain
+// replays back to a full or committed record. A chain's first record
+// carries the path's committed digest when it was written ("none" when
+// the path had no committed content; with no manifest, the digest of
+// the path's tracked file), which is what lets a manifest rebuild tell
+// a live chain from one a commit folded. The next manifest commit folds
+// the records in and removes them durably. A Sync whose files and heads
+// all equal the committed tree commits nothing and leaves the records
+// where they are. A record of version 1 — a cas extent holding a header
+// and the full content — still decodes, as a full record that carries
+// no committed digest; nothing writes one.
 
 const (
 	putPrefix = popperDir + "/put-"
-	putHeader = "popper-put v1 "
+	putMagic  = "popper-put v2\n"
+	// putHeaderV1 opens a version-1 record's header blob.
+	putHeaderV1 = "popper-put v1 "
 )
+
+// Record kinds.
+const (
+	putFull      = 'f' // the content whole
+	putLink      = 'l' // a splice against the record base names
+	putCommitted = 'c' // the path's committed content, base (zero: none)
+)
+
+// putFrame is a record's size without its path and inserted bytes:
+// magic, kind, path length, base, offset, cut and checksum.
+const putFrame = len(putMagic) + 1 + 2 + sha256.Size + 16 + sha256.Size
 
 // putRecordPath names the record of a generation's seq-th Put.
 func putRecordPath(gen, seq int) string {
@@ -59,31 +90,93 @@ func isPutRecord(path string) bool {
 type putRecord struct {
 	name string // the record file
 	seq  int
+	kind byte
 	path string // the tracked path it writes
-	hash [sha256.Size]byte
-	data []byte
+	// base is, for a full or committed record, the path's committed
+	// digest when it was written (zero: the path had none); for a link,
+	// the checksum of the record whose content it splices.
+	base     [sha256.Size]byte
+	off, cut int    // a link replaces base content [off, off+cut) ...
+	data     []byte // ... with data; a full record's data is its content
+	sum      [sha256.Size]byte
+	v1       bool // a version-1 record: full, with no committed digest
 }
 
-// putHeaderPrefix is a record header up to its path.
-func putHeaderPrefix(gen, seq int) string {
-	return putHeader + strconv.Itoa(gen) + " " + strconv.Itoa(seq) + " "
+// putSum is a record's checksum: SHA-256 over its name and its bytes
+// before the checksum.
+func putSum(name string, body []byte) [sha256.Size]byte {
+	h := sha256.New()
+	h.Write([]byte(name))
+	h.Write(body)
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
 }
 
-// encodePutRecord renders a record: a cas extent of the header and the
-// content.
-func encodePutRecord(gen, seq int, path string, data []byte) []byte {
-	return cas.EncodeExtent([][]byte{[]byte(putHeaderPrefix(gen, seq) + path), data})
+// encode renders the record and sets its checksum.
+func (r *putRecord) encode() []byte {
+	buf := make([]byte, 0, putFrame+len(r.path)+len(r.data))
+	buf = append(buf, putMagic...)
+	buf = append(buf, r.kind)
+	buf = binary.BigEndian.AppendUint16(buf, uint16(len(r.path)))
+	buf = append(buf, r.path...)
+	buf = append(buf, r.base[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(r.off))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(r.cut))
+	buf = append(buf, r.data...)
+	r.sum = putSum(r.name, buf)
+	return append(buf, r.sum[:]...)
 }
 
-// decodePutRecord verifies the record stored at name: an intact
-// two-blob extent whose header matches the name and names a tracked
-// path. Any deviation — a torn tail, rot, a record copied under
-// another name — is an error.
+// decodePutRecord verifies the record stored at name: an intact record
+// whose checksum covers its name, for a tracked path. Any deviation — a
+// torn tail, rot, a record copied under another name — is an error.
 func decodePutRecord(name string, raw []byte) (putRecord, error) {
 	gen, seq, ok := parsePutName(name)
 	if !ok {
 		return putRecord{}, errors.New("store: put record: malformed name")
 	}
+	if !bytes.HasPrefix(raw, []byte(putMagic)) {
+		return decodePutRecordV1(name, gen, seq, raw)
+	}
+	if len(raw) < putFrame {
+		return putRecord{}, errors.New("store: put record: shorter than its frame")
+	}
+	body := raw[:len(raw)-sha256.Size]
+	rec := putRecord{name: name, seq: seq, sum: putSum(name, body)}
+	if !bytes.Equal(rec.sum[:], raw[len(body):]) {
+		return putRecord{}, errors.New("store: put record: checksum mismatch")
+	}
+	rest := body[len(putMagic):]
+	rec.kind = rest[0]
+	plen := int(binary.BigEndian.Uint16(rest[1:]))
+	rest = rest[3:]
+	if len(rest) < plen+sha256.Size+16 {
+		return putRecord{}, errors.New("store: put record: path overruns the frame")
+	}
+	rec.path, rest = string(rest[:plen]), rest[plen:]
+	copy(rec.base[:], rest)
+	off, cut := binary.BigEndian.Uint64(rest[sha256.Size:]), binary.BigEndian.Uint64(rest[sha256.Size+8:])
+	rec.data = rest[sha256.Size+16:]
+	if off > math.MaxInt || cut > math.MaxInt {
+		return putRecord{}, errors.New("store: put record: splice out of range")
+	}
+	rec.off, rec.cut = int(off), int(cut)
+	switch {
+	case !Tracked(rec.path):
+		return putRecord{}, errors.New("store: put record: path is not tracked")
+	case rec.kind != putFull && rec.kind != putLink && rec.kind != putCommitted:
+		return putRecord{}, fmt.Errorf("store: put record: unknown kind %q", rec.kind)
+	case rec.kind != putLink && (rec.off != 0 || rec.cut != 0),
+		rec.kind == putCommitted && len(rec.data) != 0:
+		return putRecord{}, errors.New("store: put record: a splice on a record that carries none")
+	}
+	return rec, nil
+}
+
+// decodePutRecordV1 verifies a version-1 record: an intact two-blob cas
+// extent whose header names its generation, sequence and path.
+func decodePutRecordV1(name string, gen, seq int, raw []byte) (putRecord, error) {
 	recs, err := cas.ParseExtent(raw)
 	if err != nil {
 		return putRecord{}, err
@@ -100,34 +193,197 @@ func decodePutRecord(name string, raw []byte) (putRecord, error) {
 	if !hok || !dok {
 		return putRecord{}, errors.New("store: put record: blob digest mismatch")
 	}
-	path, ok := strings.CutPrefix(string(header), putHeaderPrefix(gen, seq))
+	prefix := putHeaderV1 + strconv.Itoa(gen) + " " + strconv.Itoa(seq) + " "
+	path, ok := strings.CutPrefix(string(header), prefix)
 	if !ok || !Tracked(path) {
 		return putRecord{}, errors.New("store: put record: header does not match its name")
 	}
-	return putRecord{name: name, seq: seq, path: path, hash: recs[1].Hash, data: data}, nil
+	return putRecord{name: name, seq: seq, kind: putFull, path: path, data: data, v1: true}, nil
+}
+
+// splice returns base with [off, off+cut) replaced by ins. With reuse
+// the caller gives up base: the splice is made in base's array when it
+// has room, and a new array gets a quarter more room, so a chain of
+// appends copies its content O(log n) times. Without reuse the result
+// is a new array of the exact size.
+func splice(base []byte, off, cut int, ins []byte, reuse bool) []byte {
+	n := len(base) - cut + len(ins)
+	if reuse && n <= cap(base) {
+		out := base[:n]
+		copy(out[off+len(ins):], base[off+cut:])
+		copy(out[off:], ins)
+		return out
+	}
+	room := n
+	if reuse {
+		room += n / 4
+	}
+	out := make([]byte, 0, room)
+	out = append(out, base[:off]...)
+	out = append(out, ins...)
+	return append(out, base[off+cut:]...)
+}
+
+// spliceOf returns the smallest single splice that turns prev into next:
+// the common prefix and suffix stay, the rest is cut and inserted. A
+// pure insertion's splice is exactly the inserted bytes, wherever they
+// land.
+func spliceOf(prev, next []byte) (off, cut int, ins []byte) {
+	n := min(len(prev), len(next))
+	for off < n && prev[off] == next[off] {
+		off++
+	}
+	tail := 0
+	for tail < n-off && prev[len(prev)-1-tail] == next[len(next)-1-tail] {
+		tail++
+	}
+	return off, len(prev) - off - tail, next[off : len(next)-tail]
+}
+
+// putHead is a path's newest replayable record and the content it
+// makes the path hold.
+type putHead struct {
+	name string
+	seq  int
+	path string
+	sum  [sha256.Size]byte // the record's checksum: the next link's base
+	// root is the committed digest the chain began from (zero: none);
+	// dated is false for a version-1 record, which carries none.
+	root  [sha256.Size]byte
+	dated bool
+	// committed: the content is the committed content root names, not
+	// held here; otherwise data is the content.
+	committed bool
+	data      []byte
+	// owned: data is an array replay made, not a record's bytes, so
+	// the link that is its last reference may splice it in place.
+	owned  bool
+	hash   [sha256.Size]byte
+	hashed bool
+}
+
+// committedHead is the head a committed record for digest makes.
+func committedHead(digest [sha256.Size]byte) *putHead {
+	return &putHead{root: digest, dated: true, committed: true, hash: digest, hashed: true}
+}
+
+// digest returns the content's SHA-256, hashing it at most once.
+func (h *putHead) digest() [sha256.Size]byte {
+	if !h.hashed {
+		h.hash, h.hashed = sha256.Sum256(h.data), true
+	}
+	return h.hash
+}
+
+// committedDigest returns path's committed digest in man, or zero when
+// man records no content for it.
+func committedDigest(man *Manifest, path string) [sha256.Size]byte {
+	e, _ := man.Lookup(path)
+	return e.Hash
+}
+
+// atCommitted reports whether the head holds path's committed content
+// in man.
+func (h *putHead) atCommitted(man *Manifest, path string) bool {
+	if h.committed {
+		return h.root == committedDigest(man, path)
+	}
+	e, ok := man.Lookup(path)
+	return ok && int64(len(h.data)) == e.Size && h.digest() == e.Hash
+}
+
+// replay resolves intact records, in sequence order, into each path's
+// head: its newest record whose chain reaches a full or committed
+// record. A committed record resolves only when its digest is its
+// path's committed digest in man (with no manifest, always). A link
+// needs its base resolved, on the same path, holding bytes, and the
+// splice in range.
+// The intact records newer than their path's head that do not resolve
+// are dangling. Content is kept only while a later link may still
+// splice it, and a link that is its base's last reference splices the
+// base's content in place. So a chain of n links over content of size
+// c replays in O(c) space and, at worst (each link inserting near the
+// front), O(n·c) time; a chain of appends replays in O(chain bytes).
+func replay(recs []putRecord, man *Manifest) (map[string]*putHead, []string) {
+	refs := make(map[[sha256.Size]byte]int)
+	for _, r := range recs {
+		if r.kind == putLink {
+			refs[r.base]++
+		}
+	}
+	heads := make(map[string]*putHead)
+	bySum := make(map[[sha256.Size]byte]*putHead)
+	release := func(h *putHead) {
+		if refs[h.sum] == 0 && heads[h.path] != h {
+			delete(bySum, h.sum)
+		}
+	}
+	var unresolved []putRecord
+	for _, r := range recs {
+		var h, base *putHead
+		switch r.kind {
+		case putFull:
+			h = &putHead{root: r.base, dated: !r.v1, data: r.data}
+		case putCommitted:
+			if man == nil || r.base == committedDigest(man, r.path) {
+				h = committedHead(r.base)
+			}
+		case putLink:
+			if base = bySum[r.base]; base == nil {
+				break
+			}
+			refs[r.base]--
+			if !base.committed && base.path == r.path && r.off <= len(base.data) && r.cut <= len(base.data)-r.off {
+				// A base no later link needs is dropped once h replaces
+				// it, so h may take its array over.
+				reuse := base.owned && refs[r.base] == 0
+				h = &putHead{root: base.root, dated: base.dated, owned: true, data: splice(base.data, r.off, r.cut, r.data, reuse)}
+			}
+		}
+		if h != nil {
+			h.name, h.seq, h.path, h.sum = r.name, r.seq, r.path, r.sum
+			if !r.v1 {
+				bySum[r.sum] = h
+			}
+			prev := heads[r.path]
+			heads[r.path] = h
+			if prev != nil {
+				release(prev)
+			}
+		} else {
+			unresolved = append(unresolved, r)
+		}
+		if base != nil {
+			release(base)
+		}
+	}
+	var dangling []string
+	for _, r := range unresolved {
+		if h := heads[r.path]; h == nil || r.seq > h.seq {
+			dangling = append(dangling, r.name)
+		}
+	}
+	return heads, dangling
 }
 
 // putLog is what a scan of the record files found; the store caches it
 // between scans. A log with no names is valid for any generation;
 // otherwise it describes the records of gen.
 type putLog struct {
-	gen     int                  // the generation whose records are live
-	maxGen  int                  // the highest generation any record names
-	next    int                  // the next free sequence number in gen
-	names   []string             // every record file, removed at the next commit
-	damaged []string             // records of gen that fail their checksum
-	live    map[string]putRecord // path → its highest-sequence intact record of gen
-}
-
-// keep files an intact record of gen unless a higher sequence already
-// holds its path. A record this store wrote is kept without its data.
-func (p *putLog) keep(rec putRecord) {
-	if p.live == nil {
-		p.live = make(map[string]putRecord)
-	}
-	if cur, ok := p.live[rec.path]; !ok || rec.seq > cur.seq {
-		p.live[rec.path] = rec
-	}
+	gen    int // the generation whose records are live
+	maxGen int // the highest generation any record names
+	next   int // the next free sequence number in gen
+	// byContent: with no manifest and no intent record to name the
+	// committed generation, each chain is dated by its path's tracked
+	// file (see datePutsLocked).
+	byContent bool
+	names     []string            // every record file, removed at the next commit
+	damaged   []string            // records of gen that fail their checksum
+	dangling  []string            // intact records of gen newer than their path's head that do not replay
+	folded    []string            // records of gen whose chain a later commit folded (no manifest only)
+	recs      []putRecord         // the intact records of gen as scanned, in sequence order
+	live      map[string]*putHead // path → head
+	byPath    map[string][]string // path → its intact record files of gen, superseded by the next full or committed record
 }
 
 // putLogLocked returns the record cache for the committed manifest,
@@ -158,9 +414,12 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	return p, nil
 }
 
-// scanPutsLocked reads the record files in a listing. The live
-// generation is the committed manifest's, or — with no readable
-// manifest — the highest any record names. Callers hold the lock.
+// scanPutsLocked reads the record files in a listing and replays their
+// chains. The live generation is the committed manifest's; with no
+// readable manifest, the one an intact intent record was to succeed
+// (the sync it records never committed); otherwise the highest any
+// record names, whose chains are then dated by their paths' tracked
+// files. Callers hold the lock.
 func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 	p := &putLog{next: 1}
 	for _, path := range paths {
@@ -172,6 +431,17 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 	p.gen = p.maxGen
 	if man != nil {
 		p.gen = man.Generation
+	} else if len(p.names) > 0 {
+		raw, err := s.read(manifestNextPath)
+		if s.dead != nil {
+			return nil, s.dead
+		}
+		next, perr := ParseManifest(raw)
+		if err == nil && perr == nil && next.Generation > 0 {
+			p.gen = next.Generation - 1
+		} else {
+			p.byContent = true
+		}
 	}
 	for _, path := range p.names {
 		gen, seq, _ := parsePutName(path)
@@ -188,20 +458,210 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 			p.damaged = append(p.damaged, path)
 			continue
 		}
-		p.keep(rec)
+		p.recs = append(p.recs, rec)
+	}
+	sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].seq < p.recs[j].seq })
+	if err := s.resolvePutsLocked(p, man); err != nil {
+		return nil, err
 	}
 	return p, nil
 }
 
-// committed reports whether every live record holds its path's
-// committed content, so the logical tree is the manifest's.
+// resolvePutsLocked replays p.recs into the live heads, the dangling
+// records and each path's record files, then dates the chains when the
+// log says so. Callers hold the lock.
+func (s *Store) resolvePutsLocked(p *putLog, man *Manifest) error {
+	p.live, p.dangling = replay(p.recs, man)
+	p.byPath = make(map[string][]string)
+	for _, r := range p.recs {
+		p.byPath[r.path] = append(p.byPath[r.path], r.name)
+	}
+	p.folded = nil
+	if man == nil && p.byContent {
+		return s.datePutsLocked(p)
+	}
+	return nil
+}
+
+// datePutsLocked drops the chains a later commit folded, for a
+// generation named by no manifest or intent record. A chain is live
+// while its path's tracked file still holds the committed content the
+// chain began from (or is absent when it began from none), or holds
+// bytes the object pool cannot produce — damage, which the chain's
+// content should replace. A file holding other content the pool proves
+// was committed later: the chain was folded, and a crash brought its
+// records back. A version-1 record carries no committed digest, so its
+// chain stays live. Callers hold the lock.
+func (s *Store) datePutsLocked(p *putLog) error {
+	for path, h := range p.live {
+		if !h.dated {
+			continue
+		}
+		content, err := s.read(path)
+		if s.dead != nil {
+			return s.dead
+		}
+		if err != nil {
+			continue // absent, or unreadable: not evidence of a fold
+		}
+		if sum := sha256.Sum256(content); sum == h.root || !s.hasObject(sum) {
+			continue
+		}
+		delete(p.live, path)
+		p.folded = append(p.folded, p.byPath[path]...)
+		p.dangling = slices.DeleteFunc(p.dangling, func(name string) bool { return slices.Contains(p.byPath[path], name) })
+	}
+	sort.Strings(p.folded)
+	return nil
+}
+
+// committed reports whether every live head holds its path's committed
+// content, so the logical tree is the manifest's.
 func (p *putLog) committed(man *Manifest) bool {
-	for path, rec := range p.live {
-		if e, ok := man.Lookup(path); !ok || e.Hash != rec.hash {
+	for path, h := range p.live {
+		if !h.atCommitted(man, path) {
 			return false
 		}
 	}
 	return true
+}
+
+// putLocked makes data path's logical content with one record: a
+// committed record when data is the committed content, a full record
+// when the path has no chain to extend, a link splicing the head's
+// content otherwise. It writes nothing when data already is the path's
+// content. Callers hold the lock.
+func (s *Store) putLocked(p *putLog, man *Manifest, path string, data []byte) error {
+	var e Entry
+	hasEntry := false
+	if man != nil {
+		e, hasEntry = man.Lookup(path)
+	}
+	var sum [sha256.Size]byte
+	if hasEntry && e.Size == int64(len(data)) {
+		sum = sha256.Sum256(data)
+	}
+	atCommitted := hasEntry && e.Size == int64(len(data)) && sum == e.Hash
+	prev := p.live[path]
+	switch {
+	case prev == nil && atCommitted,
+		prev != nil && prev.committed && atCommitted,
+		prev != nil && !prev.committed && bytes.Equal(prev.data, data):
+		return nil
+	}
+	if err := s.refuseIfInterrupted("put"); err != nil {
+		return err
+	}
+	rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, path: path}
+	if atCommitted {
+		rec.kind, rec.base = putCommitted, e.Hash
+		return s.writePutLocked(p, rec, committedHead(e.Hash))
+	}
+	head := &putHead{dated: true, data: bytes.Clone(data), hash: sum, hashed: hasEntry && e.Size == int64(len(data))}
+	if prev == nil || prev.committed || !prev.dated {
+		rec.kind, rec.data = putFull, data
+		switch {
+		case hasEntry:
+			rec.base = e.Hash
+		case man == nil:
+			// With no manifest a rebuild dates the chain by the path's
+			// tracked file, so the chain begins from what that holds.
+			content, err := s.read(path)
+			if s.dead != nil {
+				return s.dead
+			}
+			if err == nil {
+				rec.base = sha256.Sum256(content)
+			}
+		}
+		head.root = rec.base
+	} else {
+		rec.kind, rec.base = putLink, prev.sum
+		rec.off, rec.cut, rec.data = spliceOf(prev.data, data)
+		head.root = prev.root
+	}
+	return s.writePutLocked(p, rec, head)
+}
+
+// writePutLocked writes rec durably as its path's new head: write,
+// fsync, fsync of .popper. A full or committed record needs no older
+// one, so once it is durable the path's older records are removed
+// without an fsync: a crash that undoes a removal brings back records
+// the newer one outranks, and the next fsync of .popper makes the
+// removals durable anyway. Callers hold the lock.
+func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead) error {
+	if len(rec.path) > math.MaxUint16 {
+		return fmt.Errorf("store: put %s: path longer than a record can name", rec.path)
+	}
+	if err := s.write(rec.name, rec.encode()); err != nil {
+		return err
+	}
+	head.name, head.seq, head.path, head.sum = rec.name, rec.seq, rec.path, rec.sum
+	if p.live == nil {
+		p.live = make(map[string]*putHead)
+		p.byPath = make(map[string][]string)
+	}
+	p.live[rec.path] = head
+	p.names = append(p.names, rec.name)
+	p.maxGen = max(p.maxGen, p.gen)
+	p.next++
+	superseded := p.byPath[rec.path]
+	if rec.kind == putLink {
+		p.byPath[rec.path] = append(superseded, rec.name)
+		superseded = nil
+	} else {
+		p.byPath[rec.path] = []string{rec.name}
+	}
+	if err := s.sync(rec.name); err != nil {
+		return err
+	}
+	if err := s.syncDir(popperDir); err != nil || len(superseded) == 0 {
+		return err
+	}
+	for _, name := range superseded {
+		if err := s.remove(name); err != nil {
+			return err
+		}
+	}
+	p.names = slices.DeleteFunc(p.names, func(name string) bool { return slices.Contains(superseded, name) })
+	return nil
+}
+
+// putBackLocked writes a committed record for every path whose head is
+// not its committed content while the workspace files hold the
+// committed content there (or, like the manifest, hold none), in path
+// order. The Sync that follows leaves those paths as committed, so
+// their chains are superseded first, durably, by a record that outranks
+// them. Without it a crash that undid the commit's removals would leave
+// a chain that begins at the very content the manifest still records,
+// which a rebuild after the manifest's loss would take for live.
+// Callers hold the lock.
+func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte) error {
+	var back []string
+	for path, h := range p.live {
+		if h.atCommitted(man, path) {
+			continue
+		}
+		_, hasEntry := man.Lookup(path)
+		content, inFiles := files[path]
+		if hasEntry == inFiles && (!inFiles || man.Matches(path, content)) {
+			back = append(back, path)
+		}
+	}
+	if len(back) == 0 {
+		return nil
+	}
+	if err := s.refuseIfInterrupted("sync"); err != nil {
+		return err
+	}
+	sort.Strings(back)
+	for _, path := range back {
+		rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, kind: putCommitted, path: path, base: committedDigest(man, path)}
+		if err := s.writePutLocked(p, rec, committedHead(rec.base)); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // dropPutsLocked removes the records a commit of gen superseded, then
@@ -225,12 +685,12 @@ func (s *Store) dropPutsLocked(p *putLog, gen int) error {
 }
 
 // PutFrontier returns the highest sequence number among the committed
-// generation's intact put records (0 when there are none). With the
-// generation it measures how far a store got through a committed
-// operation sequence: a replica that applied more Puts of the same
-// generation has the higher frontier. A record that fails its checksum
-// does not count — a replica whose newest record rotted holds less of
-// the sequence than one that holds it whole.
+// generation's live heads (0 when there are none). With the generation
+// it measures how far a store got through a committed operation
+// sequence: a replica that applied more Puts of the same generation has
+// the higher frontier. A record that does not replay does not count — a
+// replica whose newest link rotted, or one it needs, holds less of the
+// sequence than one that holds the chain whole.
 func (s *Store) PutFrontier() (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -246,12 +706,20 @@ func (s *Store) PutFrontier() (int, error) {
 		return 0, err
 	}
 	frontier := 0
-	for _, rec := range p.live {
-		frontier = max(frontier, rec.seq)
+	for _, h := range p.live {
+		frontier = max(frontier, h.seq)
 	}
 	return frontier, nil
 }
 
-// noteDamagedPut marks a live-generation record that fails its
-// checksum: a Put that never returned, or rot.
-const noteDamagedPut = "put record fails its checksum"
+const (
+	// noteDamagedPut marks a live-generation record that fails its
+	// checksum: a Put that never returned, or rot.
+	noteDamagedPut = "put record fails its checksum"
+	// noteDanglingPut marks an intact record newer than its path's head
+	// that does not replay: a record it needs is damaged or gone.
+	noteDanglingPut = "put record does not replay (a record it needs is damaged or gone)"
+	// noteFoldedPut marks a record whose chain a later commit folded,
+	// found with no manifest.
+	noteFoldedPut = "put record folded by a later commit (its path holds newer committed content)"
+)

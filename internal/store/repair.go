@@ -3,6 +3,7 @@ package store
 import (
 	"crypto/sha256"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -211,7 +212,7 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 	}
 	provides := make(map[[sha256.Size]byte]int) // hash → the action writing it into the pool
 	restored := make(map[string]int)            // tracked path → its Restore or Quarantine
-	var unbacked []int
+	var unbacked, puts []int
 	for i, f := range findings {
 		switch {
 		case f.State == StateUnbacked:
@@ -223,18 +224,8 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 		case f.State == StateExtra:
 			fix[i] = p.add(Action{Verb: VerbAdopt, Path: f.Path, Rung: RungReseal, Note: "tracked into the new manifest generation"})
 			needRebuild()
-		case f.Note == noteDamagedPut:
-			// A damaged live record: the quorum's intact copy, else removal —
-			// its Put never returned, or no rung can prove its bytes.
-			if data, _ := fileQuorum(q, f.Path); data != nil {
-				if rec, err := decodePutRecord(f.Path, data); err == nil {
-					fix[i] = p.add(Action{Verb: VerbInstall, Path: f.Path, Rung: RungReplica, data: data,
-						Note: fmt.Sprintf("%d bytes from the replica quorum", len(data))})
-					p.puts.keep(rec)
-					continue
-				}
-			}
-			fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
+		case f.Note == noteDamagedPut || f.Note == noteDanglingPut:
+			puts = append(puts, i) // planned together below
 		case strings.HasPrefix(f.Path, extentsDir+"/") && !strings.HasSuffix(f.Path, tmpSuffix) && f.Note != noteUnreferencedExtent:
 			// A damaged extent: the quorum's intact image, else what its
 			// own record digests still prove (torn), else removal.
@@ -283,6 +274,9 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 			fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
 		}
 	}
+	if err := s.planPuts(p, findings, fix, puts, q); err != nil {
+		return err
+	}
 	// Every entry the plan keeps must end with its bytes in the pool:
 	// content whose only local copy the damage took (a rotted extent
 	// record, a destroyed object), or that the pool never held, is
@@ -323,6 +317,66 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 			fix[i] = at
 		} else {
 			fix[i] = -1 // no rung holds the bytes now: the re-verify reports it
+		}
+	}
+	return nil
+}
+
+// planPuts plans the put records that do not replay. A damaged record
+// is installed from the replica quorum when the quorum holds an intact
+// copy; then the chains are replayed again with those copies in, and
+// every record that still does not replay — a damaged one no quorum
+// holds, a copy that replays no better, a link that needs one of them —
+// is removed. A record the copies let replay again resolves to the
+// first install. The replayed log is what a rebuild carries in.
+func (s *Store) planPuts(p *Plan, findings []Finding, fix, idx []int, q Quorum) error {
+	if len(idx) == 0 {
+		return nil
+	}
+	installs := make(map[string][]byte)
+	log := *p.puts
+	log.recs = slices.Clone(p.puts.recs)
+	for _, i := range idx {
+		if findings[i].Note != noteDamagedPut {
+			continue
+		}
+		if data, _ := fileQuorum(q, findings[i].Path); data != nil {
+			if rec, err := decodePutRecord(findings[i].Path, data); err == nil {
+				installs[rec.name] = data
+				log.recs = append(log.recs, rec)
+			}
+		}
+	}
+	if len(installs) > 0 {
+		sort.Slice(log.recs, func(i, j int) bool { return log.recs[i].seq < log.recs[j].seq })
+		s.mu.Lock()
+		err := s.resolvePutsLocked(&log, p.man)
+		s.mu.Unlock()
+		if err != nil {
+			return err
+		}
+		p.puts = &log
+	}
+	first := -1
+	var rest []int
+	for _, i := range idx {
+		name := findings[i].Path
+		data, ok := installs[name]
+		if !ok || slices.Contains(log.dangling, name) {
+			rest = append(rest, i)
+			continue
+		}
+		fix[i] = p.add(Action{Verb: VerbInstall, Path: name, Rung: RungReplica, data: data,
+			Note: fmt.Sprintf("%d bytes from the replica quorum", len(data))})
+		if first < 0 {
+			first = fix[i]
+		}
+	}
+	for _, i := range rest {
+		if f := findings[i]; f.Note == noteDanglingPut && first >= 0 && !slices.Contains(log.dangling, f.Path) {
+			fix[i] = first
+		} else {
+			fix[i] = p.add(Action{Verb: VerbRemove, Path: f.Path, Rung: RungReseal, Note: f.Note})
 		}
 	}
 	return nil
@@ -486,43 +540,54 @@ func (s *Store) quarantine(path, dest string) error {
 }
 
 // commitRebuilt commits the manifest a repair leaves: the surviving
-// entries minus the dropped, plus the adopted, plus the live put
-// records carried in — each record's bytes become its path's committed
-// content — as generation gen. Callers hold the lock.
-func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted []Entry, puts map[string]putRecord) (*Manifest, error) {
-	next := &Manifest{Generation: gen}
+// entries minus the dropped, plus the adopted, plus the live heads
+// carried in — each head's content becomes its path's committed
+// content — as generation gen. A committed head carries the committed
+// content it names only where the entries kept hold other content and
+// the pool holds its bytes. Callers hold the lock.
+func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted []Entry, puts map[string]*putHead) (*Manifest, error) {
+	var kept []Entry
 	if man != nil {
-	keep:
 		for _, e := range man.Entries {
-			for _, d := range dropped {
-				if d == e.Path {
-					continue keep
-				}
-			}
-			if _, ok := puts[e.Path]; !ok {
-				next.Entries = append(next.Entries, e)
+			if !slices.Contains(dropped, e.Path) {
+				kept = append(kept, e)
 			}
 		}
 	}
-	for _, e := range adopted {
-		if _, ok := puts[e.Path]; !ok {
+	kept = append(kept, adopted...)
+	carry := make(map[string][]byte, len(puts))
+	for path, h := range puts {
+		switch {
+		case !h.committed:
+			carry[path] = h.data
+		case h.root == [sha256.Size]byte{} || slices.ContainsFunc(kept, func(e Entry) bool { return e.Path == path && e.Hash == h.root }):
+		default:
+			if data, ok := s.readObjectAny(h.root); ok {
+				carry[path] = data
+			}
+		}
+	}
+	next := &Manifest{Generation: gen}
+	for _, e := range kept {
+		if _, ok := carry[e.Path]; !ok {
 			next.Entries = append(next.Entries, e)
 		}
 	}
-	paths := make([]string, 0, len(puts))
-	for path := range puts {
+	paths := make([]string, 0, len(carry))
+	for path := range carry {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
 	for _, path := range paths {
-		rec := puts[path]
-		if _, err := s.ensureObject(rec.hash, rec.data); err != nil {
+		data := carry[path]
+		hash := sha256.Sum256(data)
+		if _, err := s.ensureObject(hash, data); err != nil {
 			return nil, err
 		}
-		if err := s.writeFileAtomic(path, rec.data); err != nil {
+		if err := s.writeFileAtomic(path, data); err != nil {
 			return nil, err
 		}
-		next.Entries = append(next.Entries, Entry{Path: path, Size: int64(len(rec.data)), Hash: rec.hash})
+		next.Entries = append(next.Entries, Entry{Path: path, Size: int64(len(data)), Hash: hash})
 	}
 	sortEntries(next)
 	if err := s.writeFileAtomic(manifestPath, next.encodeForCommit()); err != nil {

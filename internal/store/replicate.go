@@ -213,8 +213,9 @@ func (s *Store) treeHashLocked() (out [sha256.Size]byte, err error) {
 const statePrefix = "popper-state v1\x00"
 
 // StateDigest identifies the committed state: the manifest's bytes plus
-// the path, sequence and content hash of every intact live put record,
-// in path order. It reads the manifest and the put records, never a
+// the path, sequence and content hash of every live put-record head, in
+// path order (each head's content is hashed once, however often the
+// state is named). It reads the manifest and the put records, never a
 // tracked file, object or extent, so two replicas that committed the
 // same operation sequence agree whatever has rotted in their trees
 // since, and however each one's object pool is laid out — finding and
@@ -246,11 +247,12 @@ func (s *Store) StateDigest() ([sha256.Size]byte, error) {
 	sort.Strings(paths)
 	buf := append([]byte(statePrefix), man.digest[:]...)
 	for _, path := range paths {
-		rec := p.live[path]
+		h := p.live[path]
+		sum := h.digest()
 		buf = binary.BigEndian.AppendUint64(buf, uint64(len(path)))
 		buf = append(buf, path...)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rec.seq))
-		buf = append(buf, rec.hash[:]...)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(h.seq))
+		buf = append(buf, sum[:]...)
 	}
 	return sha256.Sum256(buf), nil
 }

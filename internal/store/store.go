@@ -1,11 +1,11 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"errors"
 	"fmt"
 	"io/fs"
-	"slices"
 	"strings"
 	"sync"
 
@@ -57,7 +57,10 @@ func (s *Store) SetFaults(inj *fault.Injector) {
 // SyncStats describes what one Sync did.
 type SyncStats struct {
 	// Clean means the workspace already matched the committed manifest:
-	// nothing was written, the generation did not move.
+	// nothing was committed and no tracked file was written, so the
+	// generation did not move. A clean Sync may still write one
+	// committed put record for each path whose chain it put back (and
+	// remove the records that record supersedes).
 	Clean      bool
 	Generation int
 	Written    int // workspace files (re)written
@@ -75,8 +78,8 @@ func (e *RecoveryError) Error() string {
 }
 
 // Load reads the logical workspace into a flat path map — the inverse
-// of Sync: the tracked files on disk, overlaid with the live put
-// records. Reads go through the instrumented disk/read/* sites, so
+// of Sync: the tracked files on disk, overlaid with the content each
+// live put-record chain replays to. Reads go through the instrumented disk/read/* sites, so
 // injected rot reaches consumers exactly the way latent media
 // corruption would.
 func (s *Store) Load() (map[string][]byte, error) {
@@ -118,8 +121,10 @@ func (s *Store) Load() (map[string][]byte, error) {
 		return nil, err
 	}
 	s.puts = p
-	for path, rec := range p.live {
-		files[path] = rec.data
+	for path, h := range p.live {
+		if !h.committed {
+			files[path] = bytes.Clone(h.data)
+		}
 	}
 	return files, nil
 }
@@ -135,10 +140,13 @@ func (s *Store) Load() (map[string][]byte, error) {
 // leaves either the old committed generation (plus repairable debris)
 // or the new one; `popper fsck --repair` restores the invariant.
 //
-// A workspace that matches the committed manifest, with every live put
-// record holding its path's committed content, is clean: the logical
-// tree is already committed, so the records stay where they are. The
-// clean path performs no writes and no allocations.
+// A workspace path left at its committed content while its put-record
+// chain says otherwise is first put back with one committed record, so
+// the chain is outranked durably before anything commits (see
+// putBackLocked). A workspace that matches the committed manifest, with
+// every live head holding its path's committed content, is clean: the
+// logical tree is already committed, so the records stay where they
+// are. The clean path performs no writes and no allocations.
 func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -161,6 +169,9 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	}
 	if man != nil {
 		stats.Generation = man.Generation
+		if err := s.putBackLocked(puts, man, files); err != nil {
+			return stats, err
+		}
 		tracked, clean := 0, true
 		for path, content := range files {
 			if !Tracked(path) {
@@ -267,13 +278,14 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 }
 
 // Put durably writes one artifact now, mid-command, as one put record
-// (see put.go): write, fsync, and an fsync of .popper — O(data) bytes
-// and two flushes, whatever the manifest's size — then removes the
-// path's previous record. From then on Load returns data for path, and
-// a crash a moment later still finds it; the tracked file on disk keeps
-// its committed bytes until the next manifest commit folds the record
-// in. A Put of the path's current logical content writes nothing. The
-// sweep journal rides this path — each completed configuration is
+// (see put.go): write, fsync, and an fsync of .popper, whatever the
+// manifest's size. A Put that extends the path's chain writes only the
+// splice from the previous content (for a journal, the new row) plus a
+// fixed frame. From then on Load returns data for path, and a crash a
+// moment later still finds it; the tracked file on disk keeps its
+// committed bytes until the next manifest commit folds the chain in. A
+// Put of the path's current logical content writes nothing. The sweep
+// journal rides this path — each completed configuration is
 // recoverable even if the process never reaches its final sync.
 func (s *Store) Put(path string, data []byte) error {
 	if err := CheckPath(path); err != nil {
@@ -295,40 +307,7 @@ func (s *Store) Put(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, path: path, hash: sha256.Sum256(data)}
-	prev, superseding := p.live[path]
-	if superseding {
-		if prev.hash == rec.hash {
-			return nil
-		}
-	} else if man != nil {
-		if e, ok := man.Lookup(path); ok && e.Hash == rec.hash && e.Size == int64(len(data)) {
-			return nil
-		}
-	}
-	if err := s.refuseIfInterrupted("put"); err != nil {
-		return err
-	}
-	if err := s.write(rec.name, encodePutRecord(p.gen, rec.seq, path, data)); err != nil {
-		return err
-	}
-	p.names = append(p.names, rec.name)
-	p.maxGen = max(p.maxGen, p.gen)
-	p.next++
-	p.keep(rec)
-	if err := s.sync(rec.name); err != nil {
-		return err
-	}
-	if err := s.syncDir(popperDir); err != nil || !superseding {
-		return err
-	}
-	// No fsync: a crash that undoes the removal brings back a lower
-	// sequence, and the next fsync of .popper makes it durable anyway.
-	if err := s.remove(prev.name); err != nil {
-		return err
-	}
-	p.names = slices.DeleteFunc(p.names, func(name string) bool { return name == prev.name })
-	return nil
+	return s.putLocked(p, man, path, data)
 }
 
 // Manifest returns the committed manifest (nil when none exists).

@@ -40,9 +40,10 @@ func w1() map[string][]byte {
 }
 
 const (
-	j1 = "config,status\n001,ok\n"
-	j2 = "config,status\n001,ok\n002,ok\n"
-	j3 = "config,status\n001,ok\n002,ok\n003,ok\n"
+	j1  = "config,status\n001,ok\n"
+	j2  = "config,status\n001,ok\n002,ok\n"
+	j13 = "config,status\n001,ok\n003,ok\n" // 003 finished before 002
+	j3  = "config,status\n001,ok\n002,ok\n003,ok\n"
 )
 
 func w2() map[string][]byte {
@@ -57,15 +58,21 @@ func w2() map[string][]byte {
 
 // crashSteps is the canonical mutation sequence the crash matrix
 // enumerates: an initial committed generation; a journal growing row
-// by row through durable writes, folded by a sync that changes, adds
-// and prunes files; a second round in the warm-rerun shape — the same
-// journal writes, then a sync whose files and newest record equal the
-// committed tree, which commits nothing; and a third round cut short,
-// whose records are folded by a sync of the unchanged committed tree.
+// by row through durable writes — a full record, then links, the last
+// one inserting a row in the middle, as when rows finish out of order —
+// folded by a sync that changes, adds and prunes files; a second round
+// in the warm-rerun shape — the same journal writes, the last of which
+// is the committed journal and so writes the empty committed record,
+// then a sync whose files and heads equal the committed tree, which
+// commits nothing; a third round cut short, then a sync of the
+// unchanged committed tree, which puts the committed journal back; and
+// a fourth, another re-run whose rows finish out of order and whose
+// last Put, the committed journal again, writes the empty committed
+// record over a chain of a full record and a link.
 var crashSteps = []func(st *Store) error{
 	func(st *Store) error { _, err := st.Sync(w1()); return err },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
-	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j2)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j13)) },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
 	func(st *Store) error { _, err := st.Sync(w2()); return err },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
@@ -74,12 +81,16 @@ var crashSteps = []func(st *Store) error{
 	func(st *Store) error { _, err := st.Sync(w2()); return err },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j2)) },
+	func(st *Store) error { _, err := st.Sync(w2()); return err },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j13)) },
+	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
 	func(st *Store) error { _, err := st.Sync(w2()); return err },
 }
 
 // crashJournal is the journal Load returns once each step returned
 // ("" while there is none).
-var crashJournal = []string{"", j1, j2, j3, j3, j1, j2, j3, j3, j1, j2, j3}
+var crashJournal = []string{"", j1, j13, j3, j3, j1, j2, j3, j3, j1, j2, j3, j1, j13, j3, j3}
 
 // crashScenario runs the steps and reports how many returned.
 func crashScenario(st *Store) (int, error) {
@@ -604,15 +615,7 @@ func TestCrashMatrixConvergence(t *testing.T) {
 	for k := 0; k < ops; k++ {
 		k := k
 		t.Run(fmt.Sprintf("crash-at-op-%03d", k), func(t *testing.T) {
-			fs := NewMemFS(seed + int64(k)*7919)
-			st := New(fs)
-			st.SetFaults(fault.NewInjector(seed, []fault.Rule{{
-				Site: "disk/*", Kind: fault.DiskCrash, Global: true, After: k, Times: 1, Prob: 1,
-			}}))
-			done, err := crashScenario(st)
-			if !fault.IsDiskCrash(err) {
-				t.Fatalf("op %d: expected a disk crash, got %v", k, err)
-			}
+			fs, done := crashAt(t, seed, k)
 
 			// Reboot: fresh store over the settled disk, no faults.
 			cfs := &opCounter{VFS: fs}
@@ -638,6 +641,139 @@ func TestCrashMatrixConvergence(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// crashAt runs crashScenario on a fresh MemFS whose store crashes at
+// disk operation k, and returns the filesystem with how many steps
+// returned.
+func crashAt(t *testing.T, seed int64, k int) (*MemFS, int) {
+	t.Helper()
+	fs := NewMemFS(seed + int64(k)*7919)
+	st := New(fs)
+	st.SetFaults(fault.NewInjector(seed, []fault.Rule{{
+		Site: "disk/*", Kind: fault.DiskCrash, Global: true, After: k, Times: 1, Prob: 1,
+	}}))
+	done, err := crashScenario(st)
+	if !fault.IsDiskCrash(err) {
+		t.Fatalf("op %d: expected a disk crash, got %v", k, err)
+	}
+	return fs, done
+}
+
+// TestCrashMatrixManifestLossKeepsJournal: after every crash point of
+// the canonical scenario, a reader reopens and notes Load's journal.
+// Then the manifest is damaged and repaired with no quorum to restore
+// it. The rebuild has no committed generation to date the put records
+// by, so it dates each chain by what its path's tracked file holds; it
+// must carry in exactly the chains that were live, and Load must return
+// the journal the reader saw.
+func TestCrashMatrixManifestLossKeepsJournal(t *testing.T) {
+	seed := chaosSeed(t)
+	probe := fault.NewInjector(seed, nil)
+	probeStore := New(NewMemFS(seed))
+	probeStore.SetFaults(probe)
+	if _, err := crashScenario(probeStore); err != nil {
+		t.Fatalf("probe scenario: %v", err)
+	}
+	for k := 0; k < probe.Occurrences("disk/*"); k++ {
+		fs, done := crashAt(t, seed, k)
+		when := fmt.Sprintf("crash at op %d (step %d)", k, done)
+		files, err := New(fs).Load()
+		if err != nil {
+			t.Fatalf("%s: load: %v", when, err)
+		}
+		seen := string(files["exp/journal.csv"])
+		if err := fs.WriteFile(manifestPath, []byte("damaged")); err != nil {
+			t.Fatal(err)
+		}
+		cfs := &opCounter{VFS: fs}
+		st := New(cfs)
+		rep := mustRepair(t, st, nil)
+		mustConverged(t, st, cfs, when)
+		files, err = st.Load()
+		if err != nil {
+			t.Fatalf("%s: load after the rebuild: %v", when, err)
+		}
+		if got := string(files["exp/journal.csv"]); got != seen {
+			t.Fatalf("%s: after the manifest's loss the rebuild's journal is %q, want the %q a reader saw\n%s", when, got, seen, rep.Format())
+		}
+	}
+}
+
+// TestFoldedPutRecordsDatedAfterCrashAndManifestLoss: a crash just
+// after a fold's commit point, before its removals, leaves the folded
+// records on disk. A reader reopens and sees the folded journal, and a
+// clean sync leaves the records where they are. The manifest is then
+// lost with no quorum: the rebuild must keep the journal the reader
+// saw, not roll it back to the older chain. Each seed settles the crash
+// differently.
+func TestFoldedPutRecordsDatedAfterCrashAndManifestLoss(t *testing.T) {
+	for i := int64(0); i < 16; i++ {
+		seed := chaosSeed(t) + i
+		fs := NewMemFS(seed)
+		st := New(fs)
+		mustSync(t, st, w1())
+		for _, j := range []string{j1, j2} {
+			if err := st.Put("exp/journal.csv", []byte(j)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		st.SetFaults(fault.NewInjector(seed, []fault.Rule{{
+			Site: "disk/remove/.popper/put-*", Kind: fault.DiskCrash, Times: 1, Prob: 1,
+		}}))
+		if _, err := st.Sync(w2()); !fault.IsDiskCrash(err) {
+			t.Fatalf("seed +%d: the fold did not crash at its removals: %v", i, err)
+		}
+		st = New(fs)
+		if got, err := st.Load(); err != nil || string(got["exp/journal.csv"]) != j3 {
+			t.Fatalf("seed +%d: after the crash Load's journal is %q (err %v), want the folded %q", i, got["exp/journal.csv"], err, j3)
+		}
+		if stats := mustSync(t, st, w2()); !stats.Clean {
+			t.Fatalf("seed +%d: the sync of the committed tree is %+v, want clean", i, stats)
+		}
+		if err := fs.WriteFile(manifestPath, []byte("damaged")); err != nil {
+			t.Fatal(err)
+		}
+		cfs := &opCounter{VFS: fs}
+		st = New(cfs)
+		mustRepair(t, st, nil)
+		mustConverged(t, st, cfs, "after the rebuild")
+		if got, err := st.Load(); err != nil || string(got["exp/journal.csv"]) != j3 {
+			t.Fatalf("seed +%d: after the rebuild Load's journal is %q (err %v), want the %q a reader saw", i, got["exp/journal.csv"], err, j3)
+		}
+	}
+}
+
+// TestPutWithManifestGoneStaysLive: with the manifest gone, a chain is
+// dated by its path's tracked file, so a chain begun then must begin
+// from what the file holds. Otherwise a committed journal the pool
+// still holds makes every Put look folded: Load, in the writing store
+// and a reopened one, would return the old journal, and a rebuild would
+// drop the chain.
+func TestPutWithManifestGoneStaysLive(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	mustSync(t, New(fs), w2())
+	if err := fs.Remove(manifestPath); err != nil {
+		t.Fatal(err)
+	}
+	st := New(fs)
+	for _, j := range []string{j1, j2} {
+		if err := st.Put("exp/journal.csv", []byte(j)); err != nil {
+			t.Fatal(err)
+		}
+		for name, s := range map[string]*Store{"the writing store": st, "a reopened store": New(fs)} {
+			if got, err := s.Load(); err != nil || string(got["exp/journal.csv"]) != j {
+				t.Fatalf("after Put %q, %s loads %q (err %v)", j, name, got["exp/journal.csv"], err)
+			}
+		}
+	}
+	cfs := &opCounter{VFS: fs}
+	st = New(cfs)
+	mustRepair(t, st, nil)
+	mustConverged(t, st, cfs, "after the rebuild")
+	if got, err := st.Load(); err != nil || string(got["exp/journal.csv"]) != j2 {
+		t.Fatalf("after the rebuild Load's journal is %q (err %v), want %q", got["exp/journal.csv"], err, j2)
 	}
 }
 

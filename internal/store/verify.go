@@ -321,8 +321,14 @@ func (s *Store) verifyLocked(rep *Report) error {
 				Note: fmt.Sprintf("stale put record (generation %d, live %d)", gen, rep.puts.gen)})
 		}
 	}
+	for _, name := range rep.puts.folded {
+		rep.Findings = append(rep.Findings, Finding{Path: name, State: StateDebris, Note: noteFoldedPut})
+	}
 	for _, name := range rep.puts.damaged {
 		rep.Findings = append(rep.Findings, Finding{Path: name, State: StateTorn, Note: noteDamagedPut})
+	}
+	for _, name := range rep.puts.dangling {
+		rep.Findings = append(rep.Findings, Finding{Path: name, State: StateTorn, Note: noteDanglingPut})
 	}
 	for _, path := range paths {
 		switch {

@@ -16,8 +16,9 @@
 //     repairable;
 //   - durable mid-command writes (Put) as self-checking put records
 //     (.popper/put-<generation>-<seq>): one file and two flushes each,
-//     overlaid on the committed tree by Load and folded into the next
-//     manifest commit;
+//     holding a path's content whole or only the splice from its
+//     previous record, replayed and overlaid on the committed tree by
+//     Load and folded into the next manifest commit;
 //   - Verify, Plan and Apply: one walk classifies every deviation from
 //     the manifest — torn, missing, extra and corrupted files, debris,
 //     damaged put records, an unbacked content — and a typed repair plan
