@@ -291,12 +291,13 @@ func putRecords(t *testing.T, dir string) []string {
 // operations a step takes fails here instead of moving the crash
 // point. On this two-config sweep op 2 fsyncs the first journal put
 // record; op 4 writes the second, tearing it (fsck names it torn, and
-// the resumed run's commit leaves no record); the final sync's commit
-// rename is struck by a rule on its own site, so its index never
-// matters (the intent record is left behind, and repair rolls it
-// back); op 65 is the directory fsync after that rename (the commit
+// the resumed run's commit leaves no record); the final sync's batched
+// flush of a sweep directory and its commit rename are struck by rules
+// on their own sites, so their indexes never matter (every staged file
+// is in place but the intent record is left behind, and repair rolls
+// it back); op 60 is the directory fsync after that rename (the commit
 // took effect, and repair removes the folded records still on disk);
-// and op 69 is the first read of the garbage collection after the
+// and op 64 is the first read of the garbage collection after the
 // records' durable removal.
 func TestCLICrashRepairResume(t *testing.T) {
 	atOp := func(k int) string {
@@ -309,10 +310,12 @@ func TestCLICrashRepairResume(t *testing.T) {
 	}{
 		{"crash-at-disk-op-02", atOp(2), `disk/fsync/.popper/put-2-1#2`, false, ""},
 		{"crash-at-disk-op-04", atOp(4), `disk/write/.popper/put-2-2#4`, true, ""},
+		{"crash-at-sweep-dir-flush", "seed: 7\nfaults:\n  - site: disk/syncdir/experiments/sw/sweep/001\n    kind: crash-disk\n    times: 1\n",
+			`disk/syncdir/experiments/sw/sweep/001#0`, false, `rolled-back\s+\.popper/manifest\.next`},
 		{"crash-at-commit-rename", "seed: 7\nfaults:\n  - site: disk/rename/.popper/manifest\n    kind: crash-disk\n    times: 1\n",
 			`disk/rename/.popper/manifest#0`, false, `rolled-back\s+\.popper/manifest\.next`},
-		{"crash-at-disk-op-65", atOp(65), `disk/syncdir/.popper#65`, false, `removed\s+\.popper/put-2-2 — stale put record`},
-		{"crash-at-disk-op-69", atOp(69), `disk/read/.popper/manifest.next#69`, false, ""},
+		{"crash-at-disk-op-60", atOp(60), `disk/syncdir/.popper#60`, false, `removed\s+\.popper/put-2-2 — stale put record`},
+		{"crash-at-disk-op-64", atOp(64), `disk/read/.popper/manifest.next#64`, false, ""},
 	}
 	for _, c := range cases {
 		c := c

@@ -5,9 +5,11 @@ import (
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 )
@@ -53,20 +55,23 @@ func benchRow(i int) []byte {
 	return fmt.Appendf(nil, "%d,iterations=200 problem_size=24 seed=%d,ok,1,%x\n", i, 1000+i*37, sha256.Sum256([]byte{byte(i)}))
 }
 
-// storeBenchPhases runs the durable journal path's phases and returns
-// each one's exact I/O and wall-clock ns per operation. It commits a
-// 114-entry workspace holding a 32-row sweep journal, Puts the journal
-// again row by row (the warm re-run: the last Put is the committed
-// journal), runs the Sync whose files and heads equal the committed
-// tree — clean, so it does no I/O — then Puts the 32 rows again in a
-// fixed shuffled order, as workers finish them, and last grows a
-// 1,000-row journal in a fixed shuffled order. smoke shrinks it to 16
-// entries, 4 rows and 16.
+// storeBenchPhases runs the store's commit and durable journal phases
+// and returns each one's exact I/O and wall-clock ns per operation. It
+// commits a 114-entry workspace holding a 32-row sweep journal, one
+// file per directory, Puts the journal again row by row (the warm
+// re-run: the last Put is the committed journal), runs the Sync whose
+// files and heads equal the committed tree — clean, so it does no I/O
+// — then Puts the 32 rows again in a fixed shuffled order, as workers
+// finish them, and last grows a 1,000-row journal in a fixed shuffled
+// order. Beside them, on a store of its own, it commits a sweep's
+// outputs in cold-sweep's layout: three files in each of 32
+// configuration directories. smoke shrinks it to 16 entries, 4 rows, 16
+// and 4 configurations.
 func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 	t.Helper()
-	entries, rows, big := 114, 32, 1000
+	entries, rows, big, configs := 114, 32, 1000, 32
 	if smoke {
-		entries, rows, big = 16, 4, 16
+		entries, rows, big, configs = 16, 4, 16, 4
 	}
 	const journalPath = "experiments/clover/sweep/journal.csv"
 	files := map[string][]byte{".popper.yml": []byte("experiments:\n  - clover\n"), journalPath: benchJournal(rows)}
@@ -76,7 +81,7 @@ func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 	c := &opCounter{VFS: NewMemFS(1)}
 	st := New(c)
 	records := make(map[string]storeBenchRecord)
-	phase := func(name string, ops int, run func() error) {
+	phase := func(c *opCounter, name string, ops int, run func() error) {
 		before := c.ioCounts
 		start := time.Now()
 		if err := run(); err != nil {
@@ -120,10 +125,10 @@ func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 		inOrder[i] = i
 	}
 	sync := func() error { _, err := st.Sync(files); return err }
-	phase(fmt.Sprintf("Sync/entries=%d", entries), 1, sync)
-	phase(fmt.Sprintf("Put/journal-rows=%d", rows), rows, putRows(inOrder))
-	phase("Sync/after-puts", 1, sync)
-	phase(fmt.Sprintf("Put/journal-rows=%d/shuffled", rows), rows, putRows(rand.New(rand.NewSource(1)).Perm(rows)))
+	phase(c, fmt.Sprintf("Sync/entries=%d", entries), 1, sync)
+	phase(c, fmt.Sprintf("Put/journal-rows=%d", rows), rows, putRows(inOrder))
+	phase(c, "Sync/after-puts", 1, sync)
+	phase(c, fmt.Sprintf("Put/journal-rows=%d/shuffled", rows), rows, putRows(rand.New(rand.NewSource(1)).Perm(rows)))
 	if got, err := st.Load(); err != nil || !bytes.Equal(got[journalPath], files[journalPath]) {
 		t.Fatalf("after the puts, Load's journal differs (err %v)", err)
 	}
@@ -131,11 +136,11 @@ func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 		t.Errorf("the sync after the puts made %d write(s), %d fsync(s), %d commit(s), want none", r.Writes, r.Fsyncs, r.Commits)
 	}
 	order := rand.New(rand.NewSource(2)).Perm(big)
-	phase(fmt.Sprintf("Put/journal-rows=%d/shuffled", big), big, putRows(order))
+	phase(c, fmt.Sprintf("Put/journal-rows=%d/shuffled", big), big, putRows(order))
 	// A reopened store replays the whole chain the shuffled puts left.
 	const loads = 8
 	want := benchJournal(big)
-	phase(fmt.Sprintf("Load/journal-rows=%d/shuffled", big), loads, func() error {
+	phase(c, fmt.Sprintf("Load/journal-rows=%d/shuffled", big), loads, func() error {
 		for i := 0; i < loads; i++ {
 			got, err := New(c).Load()
 			if err != nil {
@@ -147,6 +152,42 @@ func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 		}
 		return nil
 	})
+
+	// cold-sweep's final commit: over the committed experiment, the
+	// sweep's 32 configuration directories of figure.svg, figure.txt
+	// and results.csv, plus the merged results, the journal and
+	// sweep.yml — small files, all packed into the generation's extent.
+	const exp = "experiments/clover/"
+	base := map[string][]byte{
+		".popper.yml":             []byte("experiments:\n  - clover\n"),
+		exp + "README.md":         []byte("# clover\n"),
+		exp + "run.sh":            []byte("#!/bin/sh\nexec popper-run cloverleaf\n"),
+		exp + "setup.yml":         []byte("- name: setup\n"),
+		exp + "vars.yml":          []byte("iterations: 200\nproblem_size: 24\n"),
+		exp + "validations.aver":  []byte("expect time > 0\n"),
+		exp + "datasets/.gitkeep": {},
+	}
+	sc := &opCounter{VFS: NewMemFS(1)}
+	sweepStore := New(sc)
+	if _, err := sweepStore.Sync(base); err != nil {
+		t.Fatalf("commit the experiment: %v", err)
+	}
+	sweep := maps.Clone(base)
+	sweep[exp+"sweep/journal.csv"] = benchJournal(configs)
+	seeds := make([]string, configs)
+	merged := []byte("config,seed,metric,value\n")
+	for i := 0; i < configs; i++ {
+		seeds[i] = fmt.Sprint(1000 + i*37)
+		dir := fmt.Sprintf("%ssweep/%03d/", exp, i)
+		row := fmt.Sprintf("throughput,%d\n", 800+i)
+		merged = fmt.Appendf(merged, "%03d,%s,%s", i, seeds[i], row)
+		sweep[dir+"results.csv"] = []byte("metric,value\n" + row)
+		sweep[dir+"figure.txt"] = bytes.Repeat([]byte(fmt.Sprintf("%03d |%s\n", i, strings.Repeat("#", 40))), 40)
+		sweep[dir+"figure.svg"] = fmt.Appendf(nil, "<svg><rect width=\"%d\"/>%s</svg>\n", 800+i, strings.Repeat("<g/>", 160))
+	}
+	sweep[exp+"results.csv"] = merged
+	sweep[exp+"sweep.yml"] = []byte("seed: [" + strings.Join(seeds, ", ") + "]\niterations: 200\nproblem_size: 24\n")
+	phase(sc, fmt.Sprintf("Sync/sweep-configs=%d", configs), 1, func() error { _, err := sweepStore.Sync(sweep); return err })
 	return records
 }
 

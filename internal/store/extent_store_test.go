@@ -176,18 +176,18 @@ func TestExtentGCKeepsLiveGenerations(t *testing.T) {
 
 // TestExtentEvictionDiskCrashRepairConverges is the chaos half of the
 // eviction invariant: crash at EVERY disk operation of a scenario
-// whose final sync gc-evicts a wholly-unreferenced extent, and prove
-// fsck --repair plus a re-run converges on the uncrashed tree — in
+// whose syncs gc-evict wholly-unreferenced extents, and prove fsck
+// --repair plus a re-run converges on the uncrashed tree — in
 // particular, no object referenced by a live generation is ever lost
-// to the eviction.
+// to the eviction. The last sync, of w3, flushes six directories in
+// one batch.
 func TestExtentEvictionDiskCrashRepairConverges(t *testing.T) {
 	seed := chaosSeed(t)
 	scenario := func(st *Store) error {
-		if _, err := st.Sync(w1()); err != nil {
-			return err
-		}
-		if _, err := st.Sync(wAllNew()); err != nil {
-			return err
+		for _, files := range []map[string][]byte{w1(), wAllNew(), w3()} {
+			if _, err := st.Sync(files); err != nil {
+				return err
+			}
 		}
 		return nil
 	}

@@ -36,7 +36,7 @@ type memFile struct {
 // change is resolved by a seeded coin — lost, applied, or (for
 // unsynced content) torn to a prefix. The settle is a pure function of
 // (seed, path, crash epoch), so a crash schedule replays
-// bit-identically.
+// bit-identically. CrashWith settles by an explicit plan instead.
 type MemFS struct {
 	mu    sync.Mutex
 	seed  int64
@@ -175,6 +175,36 @@ func (m *MemFS) List() ([]string, error) {
 	return out, nil
 }
 
+// SettlePlan decides how a crash resolves each path's uncommitted
+// state. Crash uses the seeded coin; CrashWith takes any plan, so a
+// test can enumerate every state a crash point can leave.
+type SettlePlan interface {
+	// KeepEntry reports whether path's pending namespace change — a
+	// create, a replace by rename or a removal — survives.
+	KeepEntry(path string) bool
+	// KeepBytes returns how many of the n new bytes a surviving entry's
+	// unsynced content holds survive; -1 keeps its last fsynced content
+	// instead.
+	KeepBytes(path string, n int) int
+}
+
+// coinPlan is Crash's plan: one seeded coin per path, crash epoch and
+// aspect.
+type coinPlan struct{ m *MemFS }
+
+func (c coinPlan) KeepEntry(path string) bool { return c.m.coin(path, 0) < 0.5 }
+
+func (c coinPlan) KeepBytes(path string, n int) int {
+	switch x := c.m.coin(path, 1); {
+	case x < 1.0/3:
+		return -1
+	case x < 2.0/3:
+		return int(c.m.coin(path, 2) * float64(n)) // torn write
+	default:
+		return n // the write made it out in full
+	}
+}
+
 // Crash settles the filesystem the way a power loss would, then
 // remounts: the durable view becomes the current view. Uncommitted
 // state resolves deterministically per path:
@@ -186,7 +216,10 @@ func (m *MemFS) List() ([]string, error) {
 //     the full new bytes — again by seeded coin;
 //   - fully committed state (content fsynced, entry dir-fsynced)
 //     always survives exactly.
-func (m *MemFS) Crash() {
+func (m *MemFS) Crash() { m.CrashWith(coinPlan{m}) }
+
+// CrashWith is Crash with the plan deciding each uncommitted path.
+func (m *MemFS) CrashWith(plan SettlePlan) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.epoch++
@@ -196,11 +229,11 @@ func (m *MemFS) Crash() {
 		present := false
 		entryNew := !f.pending // does the entry reflect the current state?
 		if f.pending {
-			entryNew = m.coin(path, 0) < 0.5
+			entryNew = plan.KeepEntry(path)
 		}
 		if entryNew {
 			if f.data != nil {
-				present, surviving = true, m.settleContent(path, f)
+				present, surviving = true, settleContent(plan, path, f)
 			}
 		} else if f.hasDur {
 			present, surviving = true, f.dur
@@ -218,19 +251,14 @@ func (m *MemFS) Crash() {
 
 // settleContent resolves what a surviving entry's content looks like
 // after the crash.
-func (m *MemFS) settleContent(path string, f *memFile) []byte {
+func settleContent(plan SettlePlan, path string, f *memFile) []byte {
 	if f.synced != nil && string(f.synced) == string(f.data) {
 		return f.data // content fully fsynced: survives exactly
 	}
-	switch c := m.coin(path, 1); {
-	case c < 1.0/3:
-		return f.synced // last fsynced content (nil → empty file)
-	case c < 2.0/3:
-		n := int(m.coin(path, 2) * float64(len(f.data)))
-		return f.data[:n] // torn write
-	default:
-		return f.data // the write made it out in full
+	if n := plan.KeepBytes(path, len(f.data)); n >= 0 {
+		return f.data[:n]
 	}
+	return f.synced // last fsynced content (nil → empty file)
 }
 
 // coin is the seeded settle coin: deterministic in (seed, path, crash

@@ -373,6 +373,10 @@ type putLog struct {
 	gen    int // the generation whose records are live
 	maxGen int // the highest generation any record names
 	next   int // the next free sequence number in gen
+	// bare: scanned with no manifest. Such a log stays valid while every
+	// change goes through this store: its Puts keep it current, and a
+	// Sync, a repair or an image install drops it.
+	bare bool
 	// byContent: with no manifest and no intent record to name the
 	// committed generation, each chain is dated by its path's tracked
 	// file (see datePutsLocked).
@@ -387,8 +391,9 @@ type putLog struct {
 }
 
 // putLogLocked returns the record cache for the committed manifest,
-// scanning the disk when it is cold or describes another generation.
-// Callers hold the lock.
+// scanning the disk when it is cold or describes another generation,
+// or, with no manifest, when no scan since this store's last commit or
+// repair made it. Callers hold the lock.
 func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 	if p := s.puts; p != nil {
 		if len(p.names) == 0 {
@@ -398,7 +403,7 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 			}
 			return p, nil
 		}
-		if man != nil && p.gen == man.Generation {
+		if man != nil && p.gen == man.Generation || man == nil && p.bare {
 			return p, nil
 		}
 	}
@@ -421,7 +426,7 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 // record names, whose chains are then dated by their paths' tracked
 // files. Callers hold the lock.
 func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
-	p := &putLog{next: 1}
+	p := &putLog{next: 1, bare: man == nil}
 	for _, path := range paths {
 		if gen, _, ok := parsePutName(path); ok {
 			p.names = append(p.names, path)

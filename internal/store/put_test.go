@@ -287,3 +287,55 @@ func TestRotMiddlePutLinkOnPlainStore(t *testing.T) {
 		t.Fatalf("after the repair Load's journal is %q (err %v), want %q", got["exp/journal.csv"], err, j1)
 	}
 }
+
+// TestPutWithNoManifestReadsEachRecordOnce: with no manifest, the
+// writing store keeps its record cache between Puts, so 200 Puts read
+// each record file at most once in all, not once per later Put. At
+// several points the writing store and a freshly opened one must load
+// the same tree.
+func TestPutWithNoManifestReadsEachRecordOnce(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	c := &opCounter{VFS: fs}
+	st := New(c)
+	const journalPath = "exp/journal.csv"
+	reads := make(map[string]int)
+	for i := 1; i <= 200; i++ {
+		c.reads = make(map[string]int)
+		if err := st.Put(journalPath, benchJournal(i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+		for path, n := range c.reads {
+			reads[path] += n
+		}
+		c.reads = nil
+		if i != 1 && i != 2 && i%50 != 0 && i != 137 {
+			continue
+		}
+		got, err := st.Load()
+		if err != nil {
+			t.Fatalf("after put %d: load: %v", i, err)
+		}
+		fresh, err := New(fs).Load()
+		if err != nil {
+			t.Fatalf("after put %d: load in a fresh store: %v", i, err)
+		}
+		if !bytes.Equal(got[journalPath], benchJournal(i)) || len(got) != len(fresh) || !bytes.Equal(got[journalPath], fresh[journalPath]) {
+			t.Fatalf("after put %d: the writing store loads %d file(s), a fresh one %d; journals equal: %v, the last put's: %v",
+				i, len(got), len(fresh), bytes.Equal(got[journalPath], fresh[journalPath]), bytes.Equal(got[journalPath], benchJournal(i)))
+		}
+	}
+	records := 0
+	for path, n := range reads {
+		if !isPutRecord(path) {
+			continue
+		}
+		records++
+		if n > 1 {
+			t.Errorf("the puts read %s %d times, want at most once", path, n)
+		}
+	}
+	if recs := putRecordsIn(t, fs); len(recs) != 200 {
+		t.Fatalf("200 puts left %d records", len(recs))
+	}
+	t.Logf("the puts read %d of 200 record files", records)
+}

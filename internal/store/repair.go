@@ -487,8 +487,10 @@ func (s *Store) Apply(rep *Report, p *Plan) error {
 				break
 			}
 			e := Entry{Path: a.Path, Size: int64(len(content)), Hash: sha256.Sum256(content)}
-			if _, err = s.ensureObject(e.Hash, content); err == nil {
+			dirs := flushSet{}
+			if _, err = s.ensureObject(e.Hash, content, dirs); err == nil {
 				adopted = append(adopted, e)
+				err = s.flushDirs(dirs)
 			}
 		case VerbRollback:
 			if err = s.remove(manifestNextPath); err == nil {
@@ -578,16 +580,20 @@ func (s *Store) commitRebuilt(man *Manifest, gen int, dropped []string, adopted 
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
+	dirs := flushSet{}
 	for _, path := range paths {
 		data := carry[path]
 		hash := sha256.Sum256(data)
-		if _, err := s.ensureObject(hash, data); err != nil {
+		if _, err := s.ensureObject(hash, data, dirs); err != nil {
 			return nil, err
 		}
-		if err := s.writeFileAtomic(path, data); err != nil {
+		if err := s.stageFile(path, data, dirs); err != nil {
 			return nil, err
 		}
 		next.Entries = append(next.Entries, Entry{Path: path, Size: int64(len(data)), Hash: hash})
+	}
+	if err := s.flushDirs(dirs); err != nil {
+		return nil, err
 	}
 	sortEntries(next)
 	if err := s.writeFileAtomic(manifestPath, next.encodeForCommit()); err != nil {

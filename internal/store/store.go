@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io/fs"
+	"sort"
 	"strings"
 	"sync"
 
@@ -132,13 +133,15 @@ func (s *Store) Load() (map[string][]byte, error) {
 // Sync makes the on-disk tree match the workspace, atomically and
 // durably. The protocol is two-phase: the next manifest is written
 // first as an intent record (.popper/manifest.next), then every
-// changed file is stored in the object cache and written atomically
-// (temp → fsync → rename → dir fsync), stale files are pruned by the
-// manifest diff, and finally the intent record is renamed over the
-// committed manifest — the single commit point. The commit folds the
-// put records: they are removed once it is durable. A crash anywhere
-// leaves either the old committed generation (plus repairable debris)
-// or the new one; `popper fsck --repair` restores the invariant.
+// changed file is stored in the object cache and staged (temp → fsync
+// → rename), stale files are pruned by the manifest diff, each
+// directory those renames and removals changed is fsynced once, and
+// finally the intent record is renamed over the committed manifest —
+// the single commit point. The commit folds the put records: they are
+// removed once it is durable. A crash anywhere leaves either the old
+// committed generation (plus repairable debris, or a tracked file
+// already holding its intended content) or the new one; `popper fsck
+// --repair` restores the invariant.
 //
 // A workspace path left at its committed content while its put-record
 // chain says otherwise is first put back with one committed record, so
@@ -202,13 +205,17 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	next := NewManifest(gen, files)
 
 	// Phase 1: intent. After this record is durable, fsck knows exactly
-	// what the sync was about to do.
+	// what the sync was about to do. With no manifest it also dates the
+	// put records, so the record cache is rescanned after it.
+	s.puts = nil
 	if err := s.writeFileAtomic(manifestNextPath, next.encodeForCommit()); err != nil {
 		return stats, err
 	}
 	// Phase 2a: pack the generation's new small objects into one
 	// append-only extent — a single durable write instead of one
-	// atomic-write cycle per tiny artifact.
+	// atomic-write cycle per tiny artifact. Phases 2 and 3 stage: each
+	// rename and removal notes its directory in dirs, flushed in phase 4.
+	dirs := flushSet{}
 	var packed [][]byte
 	packSeen := make(map[[sha256.Size]byte]bool)
 	for _, e := range next.Entries {
@@ -224,7 +231,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	}
 	if len(packed) > 0 {
 		s.invalidateExtents()
-		if err := s.writeFileAtomic(extentPath(gen), cas.EncodeExtent(packed)); err != nil {
+		if err := s.stageFile(extentPath(gen), cas.EncodeExtent(packed), dirs); err != nil {
 			return stats, err
 		}
 		stats.Objects += len(packed)
@@ -235,22 +242,19 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 		if man != nil && man.Matches(e.Path, content) {
 			continue
 		}
-		added, err := s.ensureObject(e.Hash, content)
+		added, err := s.ensureObject(e.Hash, content, dirs)
 		if err != nil {
 			return stats, err
 		}
 		if added {
 			stats.Objects++
 		}
-		if err := s.writeFileAtomic(e.Path, content); err != nil {
+		if err := s.stageFile(e.Path, content, dirs); err != nil {
 			return stats, err
 		}
 		stats.Written++
 	}
 	// Phase 3: the manifest diff prunes files that left the workspace.
-	// Each removal is made namespace-durable before the commit point —
-	// otherwise a crash after commit could resurrect a pruned file,
-	// which repair would then (wrongly) adopt into the new generation.
 	if man != nil {
 		for _, e := range man.Entries {
 			if _, ok := next.Lookup(e.Path); ok {
@@ -259,13 +263,21 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 			if err := s.remove(e.Path); err != nil {
 				return stats, err
 			}
-			if err := s.syncDir(parentDir(e.Path)); err != nil {
-				return stats, err
-			}
+			dirs[parentDir(e.Path)] = true
 			stats.Pruned++
 		}
 	}
-	// Phase 4: commit.
+	// Phase 4: flush. Every entry the new manifest names, and every
+	// removal, is made namespace-durable before the commit point —
+	// otherwise a crash after commit could lose a committed file, or
+	// resurrect a pruned one, which repair would then (wrongly) adopt
+	// into the new generation. A crash before it may keep or lose each
+	// staged rename and removal on its own; each tracked file is then
+	// still judged alone, against the manifest and the intent record.
+	if err := s.flushDirs(dirs); err != nil {
+		return stats, err
+	}
+	// Phase 5: commit.
 	if err := s.commitManifest(next); err != nil {
 		return stats, err
 	}
@@ -382,9 +394,14 @@ func (s *Store) commitManifest(next *Manifest) error {
 	return nil
 }
 
-// writeFileAtomic is the durable write primitive: temp file → fsync →
-// rename over the target → parent directory fsync.
-func (s *Store) writeFileAtomic(path string, data []byte) error {
+// flushSet is the directories a batch of staged renames and removals
+// changed: none of those changes is durable until flushDirs fsyncs it.
+type flushSet map[string]bool
+
+// stageFile is the durable write primitive's first half: temp file →
+// fsync → rename over the target. The content is durable, the new
+// entry is not until its directory, noted in dirs, is fsynced.
+func (s *Store) stageFile(path string, data []byte, dirs flushSet) error {
 	tmp := path + tmpSuffix
 	if err := s.write(tmp, data); err != nil {
 		return err
@@ -392,20 +409,43 @@ func (s *Store) writeFileAtomic(path string, data []byte) error {
 	if err := s.sync(tmp); err != nil {
 		return err
 	}
-	if err := s.rename(tmp, path); err != nil {
-		return err
-	}
-	return s.syncDir(parentDir(path))
+	dirs[parentDir(path)] = true
+	return s.rename(tmp, path)
 }
 
-// ensureObject stores content in the object cache unless it is already
-// there — loose or packed in an extent; reports whether a new loose
-// object was written.
-func (s *Store) ensureObject(hash [sha256.Size]byte, content []byte) (bool, error) {
+// flushDirs fsyncs each directory in dirs once, in sorted order.
+func (s *Store) flushDirs(dirs flushSet) error {
+	sorted := make([]string, 0, len(dirs))
+	for dir := range dirs {
+		sorted = append(sorted, dir)
+	}
+	sort.Strings(sorted)
+	for _, dir := range sorted {
+		if err := s.syncDir(dir); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// writeFileAtomic is the durable write primitive: stageFile, then an
+// fsync of the target's directory.
+func (s *Store) writeFileAtomic(path string, data []byte) error {
+	dirs := flushSet{}
+	if err := s.stageFile(path, data, dirs); err != nil {
+		return err
+	}
+	return s.flushDirs(dirs)
+}
+
+// ensureObject stages content into the object cache unless it is
+// already there — loose or packed in an extent; reports whether a new
+// loose object was staged.
+func (s *Store) ensureObject(hash [sha256.Size]byte, content []byte, dirs flushSet) (bool, error) {
 	if s.hasObject(hash) {
 		return false, nil
 	}
-	return true, s.writeFileAtomic(objectPath(hash), content)
+	return true, s.stageFile(objectPath(hash), content, dirs)
 }
 
 // gc removes cache objects no live manifest generation references;

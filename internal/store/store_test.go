@@ -5,7 +5,9 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -56,6 +58,23 @@ func w2() map[string][]byte {
 	}
 }
 
+// w3 is a sweep-shaped generation. Against w2 and wAllNew it changes
+// files in the root and in exp, adds two configurations' outputs in
+// new directories, one of them too big to pack into the extent, and
+// prunes exp/run.sh: its sync flushes six directories in one batch.
+func w3() map[string][]byte {
+	return map[string][]byte{
+		".popper.yml":               []byte("experiments:\n  - exp\n  - sweep\n"),
+		"exp/vars.yml":              []byte("alpha: 4\n"),
+		"exp/journal.csv":           []byte(j3),
+		"exp/results.csv":           []byte("config,metric,value\n000,throughput,810\n001,throughput,815\n"),
+		"exp/sweep/000/results.csv": []byte("metric,value\nthroughput,810\n"),
+		"exp/sweep/000/figure.txt":  []byte("throughput 810 |#########\n"),
+		"exp/sweep/001/results.csv": []byte("metric,value\nthroughput,815\n"),
+		"exp/sweep/001/figure.svg":  bytes.Repeat([]byte("<rect/>\n"), smallObjectMax/8+1),
+	}
+}
+
 // crashSteps is the canonical mutation sequence the crash matrix
 // enumerates: an initial committed generation; a journal growing row
 // by row through durable writes — a full record, then links, the last
@@ -68,7 +87,9 @@ func w2() map[string][]byte {
 // unchanged committed tree, which puts the committed journal back; and
 // a fourth, another re-run whose rows finish out of order and whose
 // last Put, the committed journal again, writes the empty committed
-// record over a chain of a full record and a link.
+// record over a chain of a full record and a link; and a fifth, the
+// sync of w3, which stages its files, its extent and a loose object
+// into six directories and flushes each once before it commits.
 var crashSteps = []func(st *Store) error{
 	func(st *Store) error { _, err := st.Sync(w1()); return err },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
@@ -86,11 +107,12 @@ var crashSteps = []func(st *Store) error{
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j13)) },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
 	func(st *Store) error { _, err := st.Sync(w2()); return err },
+	func(st *Store) error { _, err := st.Sync(w3()); return err },
 }
 
 // crashJournal is the journal Load returns once each step returned
 // ("" while there is none).
-var crashJournal = []string{"", j1, j13, j3, j3, j1, j2, j3, j3, j1, j2, j3, j1, j13, j3, j3}
+var crashJournal = []string{"", j1, j13, j3, j3, j1, j2, j3, j3, j1, j2, j3, j1, j13, j3, j3, j3}
 
 // crashScenario runs the steps and reports how many returned.
 func crashScenario(st *Store) (int, error) {
@@ -182,10 +204,19 @@ func mustRepair(t *testing.T, st *Store, q Quorum) *Report {
 
 // opCounter wraps a VFS and counts the operations that change it, in
 // all and by kind; a commit is a rename onto the committed manifest.
+// While reads is non-nil it also counts each path's reads.
 type opCounter struct {
 	VFS
 	mutations int
 	ioCounts
+	reads map[string]int
+}
+
+func (c *opCounter) ReadFile(path string) ([]byte, error) {
+	if c.reads != nil {
+		c.reads[path]++
+	}
+	return c.VFS.ReadFile(path)
 }
 
 // ioCounts tallies disk I/O by kind.
@@ -661,6 +692,87 @@ func crashAt(t *testing.T, seed int64, k int) (*MemFS, int) {
 	return fs, done
 }
 
+// maskPlan settles each path in order by one bit of mask: set keeps
+// its pending namespace change, clear loses it. It records the paths a
+// crash asked about; every content it meets must already be fsynced.
+type maskPlan struct {
+	t     *testing.T
+	order map[string]int
+	mask  int
+	asked []string
+}
+
+func (p *maskPlan) KeepEntry(path string) bool {
+	p.asked = append(p.asked, path)
+	i, ok := p.order[path]
+	return ok && p.mask&(1<<i) != 0
+}
+
+func (p *maskPlan) KeepBytes(path string, n int) int {
+	p.t.Errorf("%s: a crash at the batched flush met unsynced content", path)
+	return n
+}
+
+// TestSyncCrashAtBatchedFlushEveryState enumerates, as ALICE does
+// (Pillai et al., OSDI 2014), every state a crash at a multi-directory
+// sync's first batched directory flush can leave: each staged rename —
+// tracked files, the extent, a loose object — and the prune is kept or
+// lost on its own. Every state must heal every finding, with nothing
+// quarantined, to a clean store and re-sync to a tree byte-identical to
+// one that never crashed.
+func TestSyncCrashAtBatchedFlushEveryState(t *testing.T) {
+	seed := chaosSeed(t)
+	refFS := NewMemFS(seed)
+	ref := New(refFS)
+	mustSync(t, ref, w2())
+	mustSync(t, ref, w3())
+	want := trackedTree(t, refFS)
+
+	// crashed runs the sync of w3 over w2 to a process crash at its
+	// first batched flush (the root directory's), so nothing has
+	// settled yet.
+	crashed := func() *MemFS {
+		fs := NewMemFS(seed)
+		st := New(fs)
+		mustSync(t, st, w2())
+		st.SetFaults(fault.NewInjector(seed, []fault.Rule{{Site: "disk/syncdir/.", Kind: fault.Crash, Times: 1, Prob: 1}}))
+		if _, err := st.Sync(w3()); !fault.IsCrash(err) {
+			t.Fatalf("the sync did not stop at its first batched flush: %v", err)
+		}
+		return fs
+	}
+	probe := &maskPlan{t: t}
+	crashed().CrashWith(probe)
+	pending := probe.asked
+	slices.Sort(pending)
+	// Seven changed files, the extent, a loose object and the prune.
+	if len(pending) != 10 || !slices.Contains(pending, "exp/run.sh") || !slices.Contains(pending, "exp/sweep/001/figure.svg") {
+		t.Fatalf("the crash left %d pending entries, want the 10 staged renames and removals: %v", len(pending), pending)
+	}
+	order := make(map[string]int, len(pending))
+	for i, path := range pending {
+		order[path] = i
+	}
+	for mask := 0; mask < 1<<len(pending); mask++ {
+		fs := crashed()
+		fs.CrashWith(&maskPlan{t: t, order: order, mask: mask})
+		when := fmt.Sprintf("state %0*b", len(pending), mask)
+		cfs := &opCounter{VFS: fs}
+		st := New(cfs)
+		if rep := mustRepair(t, st, nil); rep.Count(Healed) != len(rep.Findings) {
+			t.Fatalf("%s: repair could not heal every finding:\n%s", when, rep.Format())
+		}
+		mustCleanVerify(t, st, when+" after repair")
+		mustConverged(t, st, cfs, when+" after repair")
+		mustSync(t, st, w3())
+		mustCleanVerify(t, st, when+" after the re-sync")
+		if got := trackedTree(t, fs); !maps.Equal(got, want) {
+			t.Fatalf("%s: the re-synced tree differs from one that never crashed:\ngot  %v\nwant %v", when, got, want)
+		}
+	}
+	t.Logf("%d crash states, %d pending entries: %v", 1<<len(pending), len(pending), pending)
+}
+
 // TestCrashMatrixManifestLossKeepsJournal: after every crash point of
 // the canonical scenario, a reader reopens and notes Load's journal.
 // Then the manifest is damaged and repaired with no quorum to restore
@@ -904,5 +1016,55 @@ func TestDirFSEndToEnd(t *testing.T) {
 	stats := mustSync(t, st2, w2())
 	if !stats.Clean {
 		t.Fatalf("reopened store should find the tree clean: %+v", stats)
+	}
+}
+
+// TestDirFSSyncDirSettlesCreatedDirectories: a directory DirFS creates
+// for a write is a new entry in its parent, so flushing the files in it
+// first flushes the parent of each created directory on the way, top
+// down, once; a flush of a directory settles the directories created in
+// it.
+func TestDirFSSyncDirSettlesCreatedDirectories(t *testing.T) {
+	d := NewDirFS(t.TempDir())
+	var got []string
+	d.fsynced = func(path string) { got = append(got, path) }
+	step := func(want ...string) {
+		t.Helper()
+		if strings.Join(got, " ") != strings.Join(want, " ") {
+			t.Fatalf("fsyncs %q, want %q", got, want)
+		}
+		got = nil
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(d.WriteFile("top.txt", []byte("x")))
+	must(d.SyncDir("."))
+	step(".")
+	must(d.WriteFile("a/b/c/f.txt.ptmp", []byte("f")))
+	must(d.Sync("a/b/c/f.txt.ptmp"))
+	must(d.Rename("a/b/c/f.txt.ptmp", "a/b/c/f.txt"))
+	step("a/b/c/f.txt.ptmp")
+	must(d.SyncDir("a/b/c"))
+	step(".", "a", "a/b", "a/b/c")
+	must(d.SyncDir("a/b/c"))
+	step("a/b/c")
+	// A flush of a/b settles d, created in it; e, created in d, is not.
+	must(d.Rename("top.txt", "a/b/d/e/g.txt"))
+	must(d.SyncDir("a/b"))
+	step("a/b")
+	must(d.SyncDir("a/b/d/e"))
+	step("a/b/d", "a/b/d/e")
+	must(d.SyncDir("a/b/d/e"))
+	step("a/b/d/e")
+	// A directory that already existed is no new entry.
+	must(d.WriteFile("a/h.txt", []byte("h")))
+	must(d.SyncDir("a"))
+	step("a")
+	if content, err := os.ReadFile(d.abs("a/b/d/e/g.txt")); err != nil || string(content) != "x" {
+		t.Fatalf("renamed file: %q, %v", content, err)
 	}
 }

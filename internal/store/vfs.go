@@ -4,13 +4,16 @@
 // failure quarantines and the sweep journal are only evidence if a
 // crash mid-write cannot tear them. The store provides:
 //
-//   - atomic durable writes: temp file → fsync → rename → parent-dir
-//     fsync, behind a small VFS interface (DirFS for a real directory,
-//     MemFS for deterministic crash simulation);
+//   - atomic durable writes: temp file → fsync → rename, then an fsync
+//     of each directory the renames changed — once per directory per
+//     commit, before the commit point — behind a small VFS interface
+//     (DirFS for a real directory, MemFS for deterministic crash
+//     simulation);
 //   - a write-ahead manifest (.popper/manifest) recording a generation
 //     number and per-file content hashes, committed two-phase
 //     (.popper/manifest.next is the intent record) so a workspace sync
-//     is all-or-nothing;
+//     is all-or-nothing: a crash before the commit may keep or lose
+//     each staged file on its own, and repair judges each alone;
 //   - a content-addressed object cache (.popper/objects/<hash>) holding
 //     every manifested file's bytes, which is what makes damaged files
 //     repairable;
@@ -38,11 +41,13 @@
 package store
 
 import (
+	"errors"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // VFS is the filesystem boundary the store writes through. Paths are
@@ -89,13 +94,23 @@ func parentDir(path string) string {
 }
 
 // DirFS is the production VFS: a real directory tree with genuine
-// fsync durability.
+// fsync durability. A directory it creates for a write or rename is an
+// entry in its parent like any other, so it records each one until
+// that parent is fsynced: SyncDir makes the entries of the created
+// directories on the way to the directory it flushes durable first.
 type DirFS struct {
 	root string
+	mu   sync.Mutex
+	// created holds the directories this DirFS made whose own entries
+	// no fsync of their parent has made durable yet.
+	created map[string]bool
+	// fsynced, when set, sees the slash path of every file and directory
+	// fsync that succeeded.
+	fsynced func(path string)
 }
 
 // NewDirFS returns a VFS rooted at dir.
-func NewDirFS(dir string) *DirFS { return &DirFS{root: dir} }
+func NewDirFS(dir string) *DirFS { return &DirFS{root: dir, created: make(map[string]bool)} }
 
 func (d *DirFS) abs(path string) string {
 	return filepath.Join(d.root, filepath.FromSlash(path))
@@ -106,42 +121,81 @@ func (d *DirFS) ReadFile(path string) ([]byte, error) {
 }
 
 func (d *DirFS) WriteFile(path string, data []byte) error {
-	abs := d.abs(path)
-	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
+	if err := d.mkdirs(parentDir(path)); err != nil {
 		return err
 	}
-	return os.WriteFile(abs, data, 0o644)
+	return os.WriteFile(d.abs(path), data, 0o644)
 }
 
 func (d *DirFS) Rename(oldPath, newPath string) error {
-	abs := d.abs(newPath)
-	if err := os.MkdirAll(filepath.Dir(abs), 0o755); err != nil {
+	if err := d.mkdirs(parentDir(newPath)); err != nil {
 		return err
 	}
-	return os.Rename(d.abs(oldPath), abs)
+	return os.Rename(d.abs(oldPath), d.abs(newPath))
+}
+
+// mkdirs creates dir and any missing parents, as os.MkdirAll does, and
+// records each directory it creates below the root.
+func (d *DirFS) mkdirs(dir string) error {
+	if dir == "." {
+		return os.MkdirAll(d.root, 0o755)
+	}
+	// Anything already at dir, a file included, is left for the write
+	// itself to meet.
+	if _, err := os.Stat(d.abs(dir)); !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	if err := d.mkdirs(parentDir(dir)); err != nil {
+		return err
+	}
+	if err := os.Mkdir(d.abs(dir), 0o755); err != nil {
+		if errors.Is(err, fs.ErrExist) {
+			return nil // made meanwhile by another writer
+		}
+		return err
+	}
+	d.mu.Lock()
+	d.created[dir] = true
+	d.mu.Unlock()
+	return nil
 }
 
 func (d *DirFS) Remove(path string) error { return os.Remove(d.abs(path)) }
 
 func (d *DirFS) Sync(path string) error {
-	f, err := os.Open(d.abs(path))
-	if err != nil {
-		return err
-	}
-	serr := f.Sync()
-	cerr := f.Close()
-	if serr != nil {
-		return serr
-	}
-	return cerr
+	return d.fsync(path, false)
 }
 
+// SyncDir fsyncs dir. It first fsyncs the parent of each directory on
+// the way to dir, dir included, that this DirFS created and whose entry
+// is not yet durable, top down, so a crash cannot lose the directory
+// the flushed entries live in.
 func (d *DirFS) SyncDir(dir string) error {
-	f, err := os.Open(d.abs(dir))
+	var pending []string
+	d.mu.Lock()
+	for a := dir; a != "."; a = parentDir(a) {
+		if d.created[a] {
+			pending = append(pending, a)
+		}
+	}
+	d.mu.Unlock()
+	for i := len(pending) - 1; i >= 0; i-- {
+		if err := d.fsync(parentDir(pending[i]), true); err != nil {
+			return err
+		}
+	}
+	return d.fsync(dir, true)
+}
+
+// fsync makes one file's content, or one directory's entries, durable;
+// a directory fsync settles the entries of the directories created in
+// it.
+func (d *DirFS) fsync(path string, dir bool) error {
+	f, err := os.Open(d.abs(path))
 	if err != nil {
 		// A parent that never materialized (nothing was written under
 		// it) has nothing to make durable.
-		if os.IsNotExist(err) {
+		if dir && os.IsNotExist(err) {
 			return nil
 		}
 		return err
@@ -151,7 +205,22 @@ func (d *DirFS) SyncDir(dir string) error {
 	if serr != nil {
 		return serr
 	}
-	return cerr
+	if cerr != nil {
+		return cerr
+	}
+	if dir {
+		d.mu.Lock()
+		for c := range d.created {
+			if parentDir(c) == path {
+				delete(d.created, c)
+			}
+		}
+		d.mu.Unlock()
+	}
+	if d.fsynced != nil {
+		d.fsynced(path)
+	}
+	return nil
 }
 
 func (d *DirFS) Stat(path string) (int64, error) {
