@@ -460,9 +460,9 @@ type provisionBenchRecord struct {
 // 1+2+4+8 nodes.
 const provisionBenchNodes = 15
 
-// TestWriteSimBenchJSON records the simulator's host time per simulated
-// event when BENCH_JSON names an output file (`make bench-json`):
-// BenchmarkRunLulesh's run, blocking and overlapped, at 8 and 27 ranks.
+// simBenchRecords runs the BENCH_sim.json recorder's entries, timing
+// `runs` runs of each: BenchmarkRunLulesh's run, blocking and
+// overlapped, at 8 and 27 ranks, and a 15-node Provision.
 // message_steps counts the point-to-point calls of one run in its
 // profile: each halo pair's two sends and two receives (Send and Recv,
 // or Isend and the Wait that completes each Irecv). elapsed_s is the
@@ -470,19 +470,11 @@ const provisionBenchNodes = 15
 // only on the model; ns_per_message_step is a run's wall time over its
 // message steps, averaged over the timed runs. Provision/nodes=15 is a
 // 15-node Provision on a new cluster (the nodes of one cloverleaf
-// config), timed per node. BENCH_SMOKE=1 (wired into `make verify`)
-// times a single run per entry.
-func TestWriteSimBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<path> to record simulator benchmarks")
-	}
-	runs := 200
-	if os.Getenv("BENCH_SMOKE") != "" {
-		runs = 1
-	}
+// config), timed per node.
+func simBenchRecords(t *testing.T, runs int) (map[string]simBenchRecord, provisionBenchRecord) {
+	t.Helper()
 	p2p := map[string]bool{"Send": true, "Recv": true, "Isend": true, "Wait": true}
-	records := make(map[string]any)
+	records := make(map[string]simBenchRecord)
 	for _, overlap := range []bool{false, true} {
 		for _, ranks := range []int{8, 27} {
 			spec := workload.DefaultLuleshSpec()
@@ -535,9 +527,32 @@ func TestWriteSimBenchJSON(t *testing.T) {
 	for i := 0; i < runs; i++ {
 		provision()
 	}
-	records[fmt.Sprintf("Provision/nodes=%d", provisionBenchNodes)] = provisionBenchRecord{
+	return records, provisionBenchRecord{
 		Nodes: provisionBenchNodes, AllocsPerProvision: allocs,
 		NsPerNode: clocked{float64(time.Since(start).Nanoseconds()) / float64(runs*provisionBenchNodes), "wall"},
+	}
+}
+
+// provisionBenchName is BENCH_sim.json's key for the Provision entry.
+var provisionBenchName = fmt.Sprintf("Provision/nodes=%d", provisionBenchNodes)
+
+// TestWriteSimBenchJSON records the simulator's host time per simulated
+// event when BENCH_JSON names an output file (`make bench-json`); see
+// simBenchRecords for the entries. BENCH_SMOKE=1 (wired into `make
+// verify`) times a single run per entry.
+func TestWriteSimBenchJSON(t *testing.T) {
+	out := os.Getenv("BENCH_JSON")
+	if out == "" {
+		t.Skip("set BENCH_JSON=<path> to record simulator benchmarks")
+	}
+	runs := 200
+	if os.Getenv("BENCH_SMOKE") != "" {
+		runs = 1
+	}
+	runsRec, prov := simBenchRecords(t, runs)
+	records := map[string]any{provisionBenchName: prov}
+	for name, rec := range runsRec {
+		records[name] = rec
 	}
 	data, err := json.MarshalIndent(records, "", "  ")
 	if err != nil {

@@ -252,10 +252,12 @@ func (n *Node) RunParallel(w Work, threads int, serialFrac float64) float64 {
 // Its clock steps take no lock: while the node is leased, every Node
 // method that writes its clock, load or jitter RNG panics, and so does
 // Release, so the lease holder is the only writer. Each step still
-// publishes the clock with the atomic store Now reads, so Now and
-// MaxClock see every step from any goroutine. The steps are the ones
-// the locked writers run, so a leased node's clock and draws are bit
-// for bit what the same calls on a free node give. A Lease is not safe
+// publishes the clock with the atomic store Now reads, once per node it
+// moves, so Now and MaxClock see every step from any goroutine. The
+// steps take a precomputed nominal duration d = Profile().Duration(w)
+// and do the float operations of the locked writers they stand for, so
+// a leased node's clock and draws are bit for bit what those calls on a
+// free node give: RunThenAdvance(d, 0) is Run(w). A Lease is not safe
 // for concurrent use, and nothing ends one: the node stays leased.
 type Lease struct{ n *Node }
 
@@ -299,9 +301,6 @@ func (n *Node) unlease() {
 // Now returns the leased node's clock.
 func (l *Lease) Now() float64 { return l.n.Now() }
 
-// Run is Node.Run on the leased node.
-func (l *Lease) Run(w Work) float64 { return l.n.run(l.n.profile.Duration(w)) }
-
 // AdvanceTo is Node.AdvanceTo on the leased node.
 func (l *Lease) AdvanceTo(t float64) { l.n.advanceTo(t) }
 
@@ -334,6 +333,40 @@ func (l *Lease) AdvanceToThenRun(t, d float64) (start, end float64) {
 	end += n.inflate(d)
 	n.setClock(end)
 	return start, end
+}
+
+// Exchange is a blocking message exchange between the leased node and
+// peer's, another node: each side sends, spending its nominal overhead
+// (d here, peerD on the peer), inflated, then blocking for wire, and
+// then receives the other side's message, waiting for its arrival and
+// spending its overhead again. It is RunThenAdvance(d, wire) here and
+// RunThenAdvance(peerD, wire) on the peer, then AdvanceToThenRun on
+// each side with the other's arrival, in one clock update per node:
+// the same float operations and, per node, the same draws in the same
+// order, send first. It returns each side's time in its send and in its
+// receive.
+func (l *Lease) Exchange(peer *Lease, d, peerD, wire float64) (send, recv, peerSend, peerRecv float64) {
+	a, b := l.n, peer.n
+	if a == b {
+		panic(fmt.Sprintf("cluster: node %s exchanging with itself", a.id))
+	}
+	startA, startB := a.Now(), b.Now()
+	arrA := startA + a.inflate(d)
+	arrA += wire
+	arrB := startB + b.inflate(peerD)
+	arrB += wire
+	endA, endB := arrA, arrB
+	if arrB > endA {
+		endA = arrB
+	}
+	if arrA > endB {
+		endB = arrA
+	}
+	endA += a.inflate(d)
+	endB += b.inflate(peerD)
+	a.setClock(endA)
+	b.setClock(endB)
+	return arrA - startA, endA - arrA, arrB - startB, endB - arrB
 }
 
 // Alloc reserves simulated RAM on the node (for GassyFS segments).

@@ -474,7 +474,7 @@ func TestClockConcurrentReadersAndWriters(t *testing.T) {
 		d := MustProfile("ec2-m4").Duration(w)
 		switch (i + step) % 4 {
 		case 0:
-			l.Run(w)
+			l.RunThenAdvance(d, 0)
 		case 1:
 			l.AdvanceTo(l.Now() + 2e-6)
 		case 2:
@@ -611,6 +611,107 @@ func TestFusedMessageStepsMatchTwoCalls(t *testing.T) {
 	}
 }
 
+// Exchange is the four message steps it fuses, bit for bit: each
+// side's RunThenAdvance, then each side's AdvanceToThenRun with the
+// other's arrival. Twin pairs run 200 exchanges each way, on unloaded
+// and loaded nodes and against a peer of another profile, with one side
+// or the other pushed ahead now and then, so each side's arrival lands
+// both before and after the other's clock. Both clocks, the four
+// elapsed times and each node's next draw must match.
+func TestFusedExchangeMatchesFourSteps(t *testing.T) {
+	w := Work{CPUOps: 2e4}
+	pair := func(profiles [2]string, loads [2]float64) []*Node {
+		c := New(59)
+		var nodes []*Node
+		for i, p := range profiles {
+			ns, err := c.Provision(p, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ns[0].SetBackgroundLoad(loads[i]); err != nil {
+				t.Fatal(err)
+			}
+			nodes = append(nodes, ns[0])
+		}
+		return nodes
+	}
+	lease := func(nodes []*Node) []*Lease {
+		leases, err := LeaseAll(nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return leases
+	}
+	bits := math.Float64bits
+	for _, tc := range []struct {
+		profiles [2]string
+		loads    [2]float64
+	}{
+		{[2]string{"ec2-m4", "ec2-m4"}, [2]float64{0, 0}},
+		{[2]string{"ec2-m4", "ec2-m4"}, [2]float64{0.4, 0.4}},
+		{[2]string{"ec2-m4", "probe-opteron"}, [2]float64{0.4, 0}},
+		{[2]string{"probe-opteron", "ec2-m4"}, [2]float64{0, 0.3}},
+	} {
+		fusedNodes, splitNodes := pair(tc.profiles, tc.loads), pair(tc.profiles, tc.loads)
+		fused, split := lease(fusedNodes), lease(splitNodes)
+		d := [2]float64{fusedNodes[0].Profile().Duration(w), fusedNodes[1].Profile().Duration(w)}
+		var late [2]int // [0]: node 0's message lands after node 1's clock; [1]: the reverse
+		for step := 0; step < 200; step++ {
+			if k := step % 3; k < 2 {
+				ahead := fused[k].Now() + float64(step%7)*2e-6
+				fused[k].AdvanceTo(ahead)
+				split[k].AdvanceTo(ahead)
+			}
+			wire := float64(step%5) * 3e-6
+			send, recv, peerSend, peerRecv := fused[0].Exchange(fused[1], d[0], d[1], wire)
+
+			s0, arr0 := split[0].RunThenAdvance(d[0], wire)
+			s1, arr1 := split[1].RunThenAdvance(d[1], wire)
+			r1, end1 := split[1].AdvanceToThenRun(arr0, d[1])
+			r0, end0 := split[0].AdvanceToThenRun(arr1, d[0])
+			if arr0 > arr1 {
+				late[0]++
+			} else if arr1 > arr0 {
+				late[1]++
+			}
+			got := [6]float64{fusedNodes[0].Now(), fusedNodes[1].Now(), send, recv, peerSend, peerRecv}
+			want := [6]float64{end0, end1, arr0 - s0, end0 - r0, arr1 - s1, end1 - r1}
+			for i := range got {
+				if bits(got[i]) != bits(want[i]) {
+					t.Fatalf("%v loads %v step %d: Exchange gives (clocks, elapsed) %v, the four steps %v",
+						tc.profiles, tc.loads, step, got, want)
+				}
+			}
+		}
+		if late[0] == 0 || late[1] == 0 {
+			t.Fatalf("%v loads %v: late arrivals %v, want some each way", tc.profiles, tc.loads, late)
+		}
+		for i := range fused {
+			_, f := fused[i].RunThenAdvance(d[i], 0)
+			_, s := split[i].RunThenAdvance(d[i], 0)
+			if bits(f) != bits(s) {
+				t.Fatalf("%v loads %v: node %d's next draw ends at %v after Exchange, %v after the four steps",
+					tc.profiles, tc.loads, i, f, s)
+			}
+		}
+	}
+}
+
+// Exchange refuses a node exchanging with itself.
+func TestExchangeWithItselfPanics(t *testing.T) {
+	nodes, _ := New(73).Provision("ec2-m4", 1)
+	leases, err := LeaseAll(nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "exchanging with itself") {
+			t.Fatalf("recovered %v, want the self-exchange panic", r)
+		}
+	}()
+	leases[0].Exchange(leases[0], 1e-6, 1e-6, 1e-6)
+}
+
 // Every Node writer of a clock, load or jitter RNG refuses a released
 // node and a leased one, whose only writer is its lease; the refused
 // write changes nothing and leaves the node's lock free. Releasing a
@@ -684,8 +785,9 @@ func TestLeaseAllIsAllOrNothing(t *testing.T) {
 	if _, err := LeaseAll(nodes[1:2]); err == nil {
 		t.Fatal("leasing a leased node must fail")
 	}
-	if d := leases[1].Run(Work{CPUOps: 1e6}); leases[1].Now() != nodes[1].Now() || d <= 0 {
-		t.Fatalf("lease clock %v, node clock %v after a %v run", leases[1].Now(), nodes[1].Now(), d)
+	start, end := leases[1].RunThenAdvance(nodes[1].Profile().Duration(Work{CPUOps: 1e6}), 0)
+	if leases[1].Now() != nodes[1].Now() || end <= start {
+		t.Fatalf("lease clock %v, node clock %v after a run from %v to %v", leases[1].Now(), nodes[1].Now(), start, end)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"popper/internal/fault"
+	"popper/internal/yamlite"
 )
 
 // fuzzJournals returns real sweep journals to seed the parser fuzzer: a
@@ -93,6 +94,62 @@ func FuzzParseSweepJournal(f *testing.F) {
 		}
 		if !reflect.DeepEqual(again, ents) {
 			t.Fatalf("journal does not round-trip:\n got %v\nwant %v", again, ents)
+		}
+	})
+}
+
+// FuzzParseSweep fuzzes the sweep.yml parser. It must never panic, and
+// a document it accepts must expand to the cross product of its axes:
+// as many configurations as the product of the axes' value counts (a
+// scalar axis counts one), each holding exactly the document's axes.
+// ParseSweep materializes the whole product, so the target decodes the
+// document first and skips one whose product exceeds 4,096.
+func FuzzParseSweep(f *testing.F) {
+	for _, src := range []string{
+		"seed: [1, 2]\nproblem_size: 8\n",
+		"seed:\n  - 1\n  - 2\n  - 3\n",
+		"seed: [1, 2, 3]\niterations: 200\nproblem_size: 24\n",
+		"nodes: [1, 2, 4, 8]\n",
+		"nodes: [2, bogus]\n",
+		"iterations: [3, 5]\nseed: 7\n",
+		"",
+		"axis: []\n",
+	} {
+		f.Add(src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		doc, err := yamlite.DecodeMap(src)
+		if err != nil {
+			if _, err := ParseSweep(src); err == nil {
+				t.Fatalf("ParseSweep accepts %q, which yamlite rejects", src)
+			}
+			return
+		}
+		product := 1
+		for _, v := range doc {
+			if list, ok := v.([]any); ok {
+				product *= len(list)
+			}
+			if product > 4096 {
+				return
+			}
+		}
+		configs, err := ParseSweep(src)
+		if err != nil {
+			return
+		}
+		if len(configs) != product {
+			t.Fatalf("%q: %d configurations, want the axes' product %d", src, len(configs), product)
+		}
+		for i, cfg := range configs {
+			if len(cfg) != len(doc) {
+				t.Fatalf("%q: configuration %d has %d axes, the document %d", src, i, len(cfg), len(doc))
+			}
+			for axis := range doc {
+				if _, ok := cfg[axis]; !ok {
+					t.Fatalf("%q: configuration %d lacks axis %q", src, i, axis)
+				}
+			}
 		}
 	})
 }

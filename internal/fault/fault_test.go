@@ -214,7 +214,8 @@ faults:
 		"",                                       // no faults
 		"faults:\n  - kind: error\n",             // no site
 		"faults:\n  - site: a\n    kind: warp\n", // unknown kind
-		"faults:\n  - site: a\n    kind: latency\n", // latency without delay
+		"faults:\n  - site: a\n    kind: latency\n",                 // latency without delay
+		"faults:\n  - site: a\n    kind: latency\n    delay: nan\n", // NaN is no positive delay
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)

@@ -69,7 +69,7 @@ func ParseSpec(src string) (*Spec, error) {
 			return nil, fmt.Errorf("fault: faults.yml: fault %d (site %q): %w", i, rule.Site, err)
 		}
 		rule.Kind = kind
-		if rule.Kind == Latency && rule.Delay <= 0 {
+		if rule.Kind == Latency && !(rule.Delay > 0) { // NaN too
 			return nil, fmt.Errorf("fault: faults.yml: latency fault %d (site %q) needs delay > 0", i, rule.Site)
 		}
 		spec.Rules = append(spec.Rules, rule)

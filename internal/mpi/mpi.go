@@ -41,11 +41,15 @@ type Comm struct {
 	prof   *Profiler
 }
 
-// rank is one rank's lease on its node and the nominal cost of the
-// per-message software overhead on the node's profile.
+// rank is one rank's lease on its node, the nominal cost of the
+// per-message software overhead on the node's profile, and the last
+// Work the rank computed (Work{} before the first) with its nominal
+// cost.
 type rank struct {
 	lease    *cluster.Lease
 	overhead float64
+	work     cluster.Work
+	workCost float64
 }
 
 type pendingMsg struct {
@@ -70,8 +74,10 @@ func (q *fifo) push(m pendingMsg) {
 	q.msgs = append(q.msgs, m)
 }
 
+func (q *fifo) empty() bool { return q.head == len(q.msgs) }
+
 func (q *fifo) pop() (pendingMsg, bool) {
-	if q.head == len(q.msgs) {
+	if q.empty() {
 		return pendingMsg{}, false
 	}
 	m := q.msgs[q.head]
@@ -111,7 +117,7 @@ func NewComm(nodes []*cluster.Node, net *cluster.Network) (*Comm, error) {
 	}
 	for i, n := range nodes {
 		p := n.Profile()
-		c.ranks[i] = rank{lease: leases[i], overhead: p.Duration(overhead)}
+		c.ranks[i] = rank{lease: leases[i], overhead: p.Duration(overhead), workCost: p.Duration(cluster.Work{})}
 		if p.NICLatS > c.maxLat {
 			c.maxLat = p.NICLatS
 		}
@@ -266,8 +272,28 @@ func (c *Comm) Waitall(reqs []*Request) error {
 	return nil
 }
 
-// Sendrecv exchanges messages between two ranks (halo-exchange pattern).
+// Sendrecv exchanges messages between two ranks (halo-exchange
+// pattern): Send(a, b), Send(b, a), Recv(b, a), Recv(a, b). When no
+// message is pending between the two ranks, which is always so in a
+// blocking halo loop, it is one Lease.Exchange step per rank, with the
+// clocks, draws and profile of those four calls. It falls back to the
+// four calls when a message is pending, so the receives keep FIFO
+// order, and on a bad argument, so the errors are Send's.
 func (c *Comm) Sendrecv(a, b int, bytes int64) error {
+	n := len(c.nodes)
+	if a >= 0 && a < n && b >= 0 && b < n && a != b && bytes >= 0 &&
+		c.queue(a, b).empty() && c.queue(b, a).empty() {
+		ra, rb := &c.ranks[a], &c.ranks[b]
+		// TransferTime is symmetric to the bit, so one call serves
+		// both directions.
+		wire := c.net.TransferTime(c.nodes[a], c.nodes[b], bytes)
+		sendA, recvA, sendB, recvB := ra.lease.Exchange(rb.lease, ra.overhead, rb.overhead, wire)
+		c.prof.record(a, callSend, sendA, bytes)
+		c.prof.record(b, callSend, sendB, bytes)
+		c.prof.record(b, callRecv, recvB, bytes)
+		c.prof.record(a, callRecv, recvA, bytes)
+		return nil
+	}
 	if err := c.Send(a, b, bytes); err != nil {
 		return err
 	}
@@ -334,12 +360,18 @@ func (c *Comm) Allgather(bytes int64) {
 	c.collective(callAllgather, bytes*int64(len(c.nodes)), c.rounds())
 }
 
-// Compute runs application (non-MPI) work on a rank.
+// Compute runs application (non-MPI) work on a rank: Node.Run on its
+// leased node. The rank keeps the nominal cost of the last Work it ran
+// and reuses it while the Work repeats, as a stencil loop's does.
 func (c *Comm) Compute(rank int, w cluster.Work) error {
 	if err := c.checkRank(rank); err != nil {
 		return err
 	}
-	c.ranks[rank].lease.Run(w)
+	r := &c.ranks[rank]
+	if w != r.work {
+		r.work, r.workCost = w, c.nodes[rank].Profile().Duration(w)
+	}
+	r.lease.RunThenAdvance(r.workCost, 0)
 	return nil
 }
 

@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -133,6 +134,132 @@ func TestSendrecvExchange(t *testing.T) {
 	}
 }
 
+// sendrecvByFour is Sendrecv as the four calls it stands for.
+func sendrecvByFour(cm *Comm, a, b int, bytes int64) error {
+	if err := cm.Send(a, b, bytes); err != nil {
+		return err
+	}
+	if err := cm.Send(b, a, bytes); err != nil {
+		return err
+	}
+	if _, err := cm.Recv(b, a); err != nil {
+		return err
+	}
+	_, err := cm.Recv(a, b)
+	return err
+}
+
+// sameState fails unless the twin communicators' nodes hold the same
+// clock bits and their profiles the same table.
+func sameState(t *testing.T, what string, fused, split *Comm) {
+	t.Helper()
+	for r := range fused.nodes {
+		f, s := fused.nodes[r].Now(), split.nodes[r].Now()
+		if math.Float64bits(f) != math.Float64bits(s) {
+			t.Fatalf("%s: rank %d's clock is %v after Sendrecv, %v after the four calls", what, r, f, s)
+		}
+	}
+	if f, s := fused.Profiler().Table().CSV(), split.Profiler().Table().CSV(); f != s {
+		t.Fatalf("%s: profiles differ\nSendrecv:\n%s\nfour calls:\n%s", what, f, s)
+	}
+}
+
+// Sendrecv between two ranks with no message pending is one Exchange
+// step per side, and that must be the four calls it stands for, bit for
+// bit: twin communicators, one calling Sendrecv and the other Send,
+// Send, Recv, Recv, over rotating pairs, sizes from 0 bytes up, a
+// loaded rank and ranks pushed ahead by Compute, hold the same clock
+// bits and the same profile after every exchange.
+func TestSendrecvMatchesFourCalls(t *testing.T) {
+	setup := func(nodes []*cluster.Node) {
+		nodes[2].SetBackgroundLoad(0.5)
+		nodes[5].Advance(3e-5)
+	}
+	fused, _ := commAfter(t, 6, 31, setup)
+	split, _ := commAfter(t, 6, 31, setup)
+	for step := 0; step < 300; step++ {
+		a, b := step%6, (step*5+1)%6
+		if a == b {
+			b = (a + 1) % 6
+		}
+		bytes := int64(step%4) << (step % 17)
+		if step%4 == 0 {
+			w := cluster.Work{CPUOps: float64(1e5 * (1 + step%3))}
+			for _, cm := range []*Comm{fused, split} {
+				if err := cm.Compute((step/4)%6, w); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := fused.Sendrecv(a, b, bytes); err != nil {
+			t.Fatal(err)
+		}
+		if err := sendrecvByFour(split, a, b, bytes); err != nil {
+			t.Fatal(err)
+		}
+		sameState(t, fmt.Sprintf("step %d, Sendrecv(%d, %d, %d)", step, a, b, bytes), fused, split)
+	}
+}
+
+// A message pending between the two ranks sends Sendrecv down the four
+// calls, so receives keep FIFO order on both twins: after an Isend the
+// Sendrecv's receive on the Isend's destination takes the Isend's
+// message, and its own message waits for the next receive.
+func TestSendrecvWithPendingMessageKeepsFIFO(t *testing.T) {
+	for _, pending := range [][2]int{{0, 1}, {1, 0}} {
+		fused, _ := comm(t, 2, 33)
+		split, _ := comm(t, 2, 33)
+		for _, cm := range []*Comm{fused, split} {
+			if _, err := cm.Isend(pending[0], pending[1], 100); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := fused.Sendrecv(0, 1, 200); err != nil {
+			t.Fatal(err)
+		}
+		if err := sendrecvByFour(split, 0, 1, 200); err != nil {
+			t.Fatal(err)
+		}
+		what := fmt.Sprintf("Isend(%d, %d) then Sendrecv(0, 1)", pending[0], pending[1])
+		sameState(t, what, fused, split)
+		for _, cm := range []*Comm{fused, split} {
+			if got := cm.prof.stats[pending[1]][callRecv].Bytes; got != 100 {
+				t.Fatalf("%s: rank %d received %d bytes, want the Isend's 100", what, pending[1], got)
+			}
+			if got, err := cm.Recv(pending[1], pending[0]); err != nil || got != 200 {
+				t.Fatalf("%s: the next receive got %d, %v; want the Sendrecv's 200 bytes", what, got, err)
+			}
+			if _, err := cm.Recv(pending[1], pending[0]); err == nil {
+				t.Fatalf("%s: a third message is queued", what)
+			}
+		}
+		sameState(t, what+" and a Recv", fused, split)
+	}
+}
+
+// Sendrecv's bad arguments return Send's errors and move no clock.
+func TestSendrecvErrors(t *testing.T) {
+	cm, nodes := comm(t, 2, 35)
+	for _, c := range []struct {
+		a, b  int
+		bytes int64
+		want  string
+	}{
+		{0, 9, 8, "mpi: rank 9 out of range [0,2)"},
+		{-1, 1, 8, "mpi: rank -1 out of range [0,2)"},
+		{1, 1, 8, "mpi: rank 1 sending to itself"},
+		{0, 1, -1, "mpi: negative message size"},
+	} {
+		if err := cm.Sendrecv(c.a, c.b, c.bytes); err == nil || err.Error() != c.want {
+			t.Errorf("Sendrecv(%d, %d, %d) = %v, want %q", c.a, c.b, c.bytes, err, c.want)
+		}
+	}
+	if nodes[0].Now() != 0 || nodes[1].Now() != 0 || cm.Profiler().Table().Len() != 0 {
+		t.Fatalf("refused exchanges moved clocks to %v, %v or profiled\n%s",
+			nodes[0].Now(), nodes[1].Now(), cm.Profiler().Table().Format())
+	}
+}
+
 func TestBarrierSynchronizesRanks(t *testing.T) {
 	cm, nodes := commAfter(t, 8, 6, func(nodes []*cluster.Node) { nodes[3].Advance(5) })
 	cm.Barrier()
@@ -245,6 +372,31 @@ func TestComputeAdvancesOnlyThatRank(t *testing.T) {
 	}
 	if cm.Size() != 3 {
 		t.Fatal("size mismatch")
+	}
+}
+
+// Compute is Node.Run on the rank's node, bit for bit, while a rank
+// repeats its Work, switches to another and back, and while ranks
+// interleave: a free twin cluster running the same Work through
+// Node.Run ends every step at the same clock bits.
+func TestComputeMatchesNodeRun(t *testing.T) {
+	setup := func(nodes []*cluster.Node) { nodes[1].SetBackgroundLoad(0.3) }
+	cm, nodes := commAfter(t, 3, 37, setup)
+	free, err := cluster.New(37).Provision("probe-opteron", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	setup(free)
+	works := []cluster.Work{{CPUOps: 1e6}, {CPUOps: 1e6}, {VecOps: 3e6, MemBytes: 1e5}, {CPUOps: 1e6}, {}}
+	for step := 0; step < 60; step++ {
+		r, w := step%3, works[(step/3)%len(works)]
+		if err := cm.Compute(r, w); err != nil {
+			t.Fatal(err)
+		}
+		free[r].Run(w)
+		if got, want := nodes[r].Now(), free[r].Now(); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("step %d: rank %d's clock is %v after Compute(%+v), %v after Node.Run", step, r, got, w, want)
+		}
 	}
 }
 

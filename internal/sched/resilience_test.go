@@ -3,8 +3,10 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"popper/internal/fault"
 )
@@ -35,13 +37,29 @@ func TestEachOptsFailFastSerial(t *testing.T) {
 	}
 }
 
+// Parallel fail-fast stops dispatch at the first failure. Tasks after
+// task 0 wait until the pool has stored its stop flag (the
+// failFastStopped hook opens their gate), so the schedule cannot
+// outrun the stop: while task 0 runs, the other worker holds task 1 and
+// the dispatcher at most task 2, and every later task is skipped. A
+// pool that ignored FailFast never opens the gate; the timer opens it
+// instead, every task runs, and the test fails.
 func TestEachOptsFailFastParallel(t *testing.T) {
+	gate := make(chan struct{})
+	var once sync.Once
+	open := func() { once.Do(func() { close(gate) }) }
+	failFastStopped = open
+	defer func() { failFastStopped = nil }()
+	timer := time.AfterFunc(10*time.Second, open)
+	defer timer.Stop()
+
 	var ran atomic.Int32
 	errs := NewPool(2).EachOpts(200, func(i int) error {
 		ran.Add(1)
 		if i == 0 {
 			return errors.New("early failure")
 		}
+		<-gate
 		return nil
 	}, Options{FailFast: true})
 	skipped := 0
@@ -50,12 +68,8 @@ func TestEachOptsFailFastParallel(t *testing.T) {
 			skipped++
 		}
 	}
-	// Which tasks were in flight when the failure landed is
-	// scheduling-dependent, but dispatch must stop: with 200 tasks and
-	// 2 workers, at least one task is skipped and skipped + ran covers
-	// every slot.
-	if skipped == 0 {
-		t.Fatal("parallel fail-fast dispatched every task")
+	if skipped < 197 {
+		t.Fatalf("parallel fail-fast skipped %d of 200 tasks (ran %d), want at least 197", skipped, ran.Load())
 	}
 	if int(ran.Load())+skipped != 200 {
 		t.Fatalf("ran %d + skipped %d != 200", ran.Load(), skipped)

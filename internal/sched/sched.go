@@ -97,6 +97,11 @@ func (p *Pool) Each(n int, fn func(i int) error) []error {
 	return p.EachOpts(n, fn, Options{})
 }
 
+// failFastStopped, when set, runs on the worker whose task failed,
+// right after a parallel fail-fast EachOpts stops dispatch. Tests hook
+// it to order their tasks after the stop.
+var failFastStopped func()
+
 // EachOpts is Each with dispatch options (fail-fast, cancellation).
 func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	errs := make([]error, n)
@@ -134,6 +139,9 @@ func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 				errs[i] = fn(i)
 				if errs[i] != nil && opts.FailFast {
 					stopped.Store(true)
+					if failFastStopped != nil {
+						failFastStopped()
+					}
 				}
 			}
 		}()
