@@ -295,10 +295,11 @@ func putRecords(t *testing.T, dir string) []string {
 // flush of a sweep directory and its commit rename are struck by rules
 // on their own sites, so their indexes never matter (every staged file
 // is in place but the intent record is left behind, and repair rolls
-// it back); op 60 is the directory fsync after that rename (the commit
+// it back); op 57 is the directory fsync after that rename (the commit
 // took effect, and repair removes the folded records still on disk);
-// and op 64 is the first read of the garbage collection after the
-// records' durable removal.
+// and op 61 is the first read of the garbage collection after the
+// records' durable removal (the extent index the commit kept decides
+// every extent without reading it).
 func TestCLICrashRepairResume(t *testing.T) {
 	atOp := func(k int) string {
 		return fmt.Sprintf("seed: 7\nfaults:\n  - site: disk/*\n    kind: crash-disk\n    global: true\n    after: %d\n    times: 1\n", k)
@@ -314,8 +315,8 @@ func TestCLICrashRepairResume(t *testing.T) {
 			`disk/syncdir/experiments/sw/sweep/001#0`, false, `rolled-back\s+\.popper/manifest\.next`},
 		{"crash-at-commit-rename", "seed: 7\nfaults:\n  - site: disk/rename/.popper/manifest\n    kind: crash-disk\n    times: 1\n",
 			`disk/rename/.popper/manifest#0`, false, `rolled-back\s+\.popper/manifest\.next`},
-		{"crash-at-disk-op-60", atOp(60), `disk/syncdir/.popper#60`, false, `removed\s+\.popper/put-2-2 — stale put record`},
-		{"crash-at-disk-op-64", atOp(64), `disk/read/.popper/manifest.next#64`, false, ""},
+		{"crash-at-disk-op-57", atOp(57), `disk/syncdir/.popper#57`, false, `removed\s+\.popper/put-2-2 — stale put record`},
+		{"crash-at-disk-op-61", atOp(61), `disk/read/.popper/manifest.next#61`, false, ""},
 	}
 	for _, c := range cases {
 		c := c

@@ -50,16 +50,27 @@ type ExtentRecord struct {
 // duplicate content is the caller's concern (the store never packs the
 // same hash twice).
 func EncodeExtent(blobs [][]byte) []byte {
+	hashes := make([][sha256.Size]byte, len(blobs))
+	for i, b := range blobs {
+		hashes[i] = sha256.Sum256(b)
+	}
+	img, _ := EncodeHashedExtent(blobs, hashes)
+	return img
+}
+
+// EncodeHashedExtent is EncodeExtent for a caller that already holds
+// each blob's SHA-256: hashes[i] must be the digest of exactly
+// blobs[i]. It also returns the image's records, as ParseExtent would.
+func EncodeHashedExtent(blobs [][]byte, hashes [][sha256.Size]byte) ([]byte, []ExtentRecord) {
 	var buf bytes.Buffer
 	buf.WriteString(extentMagic)
 	recs := make([]ExtentRecord, 0, len(blobs))
 	var hdr [8]byte
-	for _, b := range blobs {
+	for i, b := range blobs {
 		binary.BigEndian.PutUint64(hdr[:], uint64(len(b)))
 		buf.Write(hdr[:])
-		h := sha256.Sum256(b)
-		buf.Write(h[:])
-		recs = append(recs, ExtentRecord{Hash: h, Offset: int64(buf.Len()), Size: int64(len(b))})
+		buf.Write(hashes[i][:])
+		recs = append(recs, ExtentRecord{Hash: hashes[i], Offset: int64(buf.Len()), Size: int64(len(b))})
 		buf.Write(b)
 	}
 	indexOff := buf.Len()
@@ -69,7 +80,7 @@ func EncodeExtent(blobs [][]byte) []byte {
 	}
 	sum := sha256.Sum256(buf.Bytes())
 	fmt.Fprintf(&buf, "%s %d %s\n", extentFooterWord, indexOff, hex.EncodeToString(sum[:]))
-	return buf.Bytes()
+	return buf.Bytes(), recs
 }
 
 // ParseExtent decodes an intact extent via its footer and index,

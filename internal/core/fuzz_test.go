@@ -99,17 +99,18 @@ func FuzzParseSweepJournal(f *testing.F) {
 }
 
 // FuzzParseSweep fuzzes the sweep.yml parser. It must never panic, and
-// a document it accepts must expand to the cross product of its axes:
-// as many configurations as the product of the axes' value counts (a
-// scalar axis counts one), each holding exactly the document's axes.
-// ParseSweep materializes the whole product, so the target decodes the
-// document first and skips one whose product exceeds 4,096.
+// a document it accepts must ask for at most maxSweepConfigs
+// configurations and expand to the cross product of its axes: as many
+// configurations as the product of the axes' value counts (a scalar
+// axis counts one), each holding exactly the document's axes.
 func FuzzParseSweep(f *testing.F) {
 	for _, src := range []string{
 		"seed: [1, 2]\nproblem_size: 8\n",
 		"seed:\n  - 1\n  - 2\n  - 3\n",
 		"seed: [1, 2, 3]\niterations: 200\nproblem_size: 24\n",
 		"nodes: [1, 2, 4, 8]\n",
+		"ax: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\nay: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\naz: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n" +
+			"ba: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\nbb: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n", // 100,000 configurations: refused
 		"nodes: [2, bogus]\n",
 		"iterations: [3, 5]\nseed: 7\n",
 		"",
@@ -125,18 +126,18 @@ func FuzzParseSweep(f *testing.F) {
 			}
 			return
 		}
-		product := 1
+		product := 1 // saturates past the bound
 		for _, v := range doc {
-			if list, ok := v.([]any); ok {
+			if list, ok := v.([]any); ok && product <= maxSweepConfigs {
 				product *= len(list)
-			}
-			if product > 4096 {
-				return
 			}
 		}
 		configs, err := ParseSweep(src)
 		if err != nil {
 			return
+		}
+		if product > maxSweepConfigs {
+			t.Fatalf("%q: accepted, though its axes multiply past %d", src, maxSweepConfigs)
 		}
 		if len(configs) != product {
 			t.Fatalf("%q: %d configurations, want the axes' product %d", src, len(configs), product)

@@ -5,6 +5,7 @@ import (
 	"encoding/csv"
 	"errors"
 	"fmt"
+	"math/big"
 	"slices"
 	"sort"
 	"strconv"
@@ -755,9 +756,16 @@ func sweepCloneFiles(files map[string][]byte, name string) map[string][]byte {
 	return out
 }
 
+// maxSweepConfigs bounds the cross product one sweep.yml may ask for.
+// ParseSweep materializes every configuration, so without it a few
+// hundred bytes of sweep.yml could exhaust memory before one ran.
+const maxSweepConfigs = 65536
+
 // ParseSweep decodes a sweep.yml document — a mapping from parameter
 // name to the list of values to sweep (scalars mean a single value) —
 // into the cross-product configuration matrix, in deterministic order.
+// A document whose axes multiply to more than maxSweepConfigs
+// configurations is refused before any is built.
 func ParseSweep(src string) ([]map[string]string, error) {
 	doc, err := yamlite.DecodeMap(src)
 	if err != nil {
@@ -781,6 +789,13 @@ func ParseSweep(src string) ([]map[string]string, error) {
 		default:
 			axes[key] = []string{scalarText(val)}
 		}
+	}
+	product := big.NewInt(1) // exact, however many axes
+	for _, values := range axes {
+		product.Mul(product, big.NewInt(int64(len(values))))
+	}
+	if product.Cmp(big.NewInt(maxSweepConfigs)) > 0 {
+		return nil, fmt.Errorf("core: sweep.yml's axes multiply to %s configurations, more than the %d one sweep may run", product, maxSweepConfigs)
 	}
 	return sched.MatrixFromMap(axes), nil
 }

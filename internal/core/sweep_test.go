@@ -222,6 +222,38 @@ func TestParseSweep(t *testing.T) {
 	}
 }
 
+// TestParseSweepBoundsTheProduct: a sweep.yml whose axes multiply past
+// maxSweepConfigs is refused, naming its product and the bound, before
+// a configuration is built — 175 bytes of five ten-value axes would
+// otherwise materialize 100,000 of them.
+func TestParseSweepBoundsTheProduct(t *testing.T) {
+	doc := func(axes int) string {
+		var b strings.Builder
+		for i := 0; i < axes; i++ {
+			fmt.Fprintf(&b, "a%c: [0, 1, 2, 3, 4, 5, 6, 7, 8, 9]\n", 'a'+i)
+		}
+		return b.String()
+	}
+	if configs, err := ParseSweep(doc(4)); err != nil || len(configs) != 10000 {
+		t.Fatalf("four ten-value axes: %d configurations, err %v", len(configs), err)
+	}
+	five := doc(5)
+	if len(five) != 175 {
+		t.Fatalf("the five-axis document is %d bytes, want 175", len(five))
+	}
+	for _, c := range []struct {
+		src, product string
+	}{
+		{five, "100000"},
+		{doc(20), "100000000000000000000"}, // past 2^64: never buildable
+	} {
+		_, err := ParseSweep(c.src)
+		if err == nil || !strings.Contains(err.Error(), " "+c.product+" configurations") || !strings.Contains(err.Error(), "65536") {
+			t.Errorf("a product of %s: err %v, want it refused naming the product and the bound", c.product, err)
+		}
+	}
+}
+
 func TestFormatOverrides(t *testing.T) {
 	if got := FormatOverrides(nil); got != "defaults" {
 		t.Fatalf("nil overrides = %q", got)

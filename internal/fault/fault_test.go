@@ -216,6 +216,8 @@ faults:
 		"faults:\n  - site: a\n    kind: warp\n", // unknown kind
 		"faults:\n  - site: a\n    kind: latency\n",                 // latency without delay
 		"faults:\n  - site: a\n    kind: latency\n    delay: nan\n", // NaN is no positive delay
+		"faults:\n  - site: a\n    kind: latency\n    delay: inf\n", // a delay must be finite
+		"faults:\n  - site: a\n    kind: error\n    delay: -inf\n",  // whatever the kind
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("ParseSpec(%q) should fail", bad)

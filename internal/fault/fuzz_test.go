@@ -1,10 +1,13 @@
 package fault
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 // FuzzParseSpec fuzzes the faults.yml parser. It must never panic, and
-// every rule of a spec it accepts has a site and a known kind, and a
-// latency rule a positive delay.
+// every rule of a spec it accepts has a site, a known kind and a finite
+// delay, and a latency rule a positive one.
 func FuzzParseSpec(f *testing.F) {
 	for _, src := range []string{
 		"\nseed: 99\nfaults:\n  - site: pipeline/*/run\n    kind: error\n    prob: 0.5\n    times: 2\n    msg: flaky stage\n" +
@@ -17,6 +20,7 @@ func FuzzParseSpec(f *testing.F) {
 		"faults:\n  - site: a\n    kind: warp\n",
 		"faults:\n  - site: a\n    kind: latency\n",
 		"faults:\n  - site: a\n    kind: latency\n    delay: nan\n",
+		"faults:\n  - site: a\n    kind: latency\n    delay: inf\n",
 	} {
 		f.Add(src)
 	}
@@ -31,6 +35,9 @@ func FuzzParseSpec(f *testing.F) {
 			}
 			if k, err := ParseKind(r.Kind.String()); err != nil || k != r.Kind {
 				t.Fatalf("%q: rule %d has unknown kind %v", src, i, r.Kind)
+			}
+			if math.IsNaN(r.Delay) || math.IsInf(r.Delay, 0) {
+				t.Fatalf("%q: rule %d has delay %v, want a finite one", src, i, r.Delay)
 			}
 			if r.Kind == Latency && !(r.Delay > 0) {
 				t.Fatalf("%q: latency rule %d has delay %v, want > 0", src, i, r.Delay)

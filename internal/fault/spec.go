@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"math"
 	"strconv"
 
 	"popper/internal/yamlite"
@@ -69,7 +70,10 @@ func ParseSpec(src string) (*Spec, error) {
 			return nil, fmt.Errorf("fault: faults.yml: fault %d (site %q): %w", i, rule.Site, err)
 		}
 		rule.Kind = kind
-		if rule.Kind == Latency && !(rule.Delay > 0) { // NaN too
+		switch {
+		case math.IsNaN(rule.Delay) || math.IsInf(rule.Delay, 0):
+			return nil, fmt.Errorf("fault: faults.yml: fault %d (site %q) has delay %v, which is not a finite number", i, rule.Site, rule.Delay)
+		case rule.Kind == Latency && rule.Delay <= 0:
 			return nil, fmt.Errorf("fault: faults.yml: latency fault %d (site %q) needs delay > 0", i, rule.Site)
 		}
 		spec.Rules = append(spec.Rules, rule)

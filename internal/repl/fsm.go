@@ -333,7 +333,7 @@ func (g *Group) applyLocked(r *replica) {
 		rec := r.recordAt(r.applied + 1)
 		switch rec.Kind {
 		case RecSync:
-			stats, err := r.st.Sync(rec.Files)
+			stats, err := r.st.SyncHashed(rec.Files, rec.sums)
 			if err != nil {
 				r.applyErr = err
 				r.down = true

@@ -3,6 +3,7 @@ package repl
 import (
 	"bytes"
 	"crypto/sha256"
+	"strings"
 	"testing"
 )
 
@@ -29,25 +30,59 @@ func seedMessages() [][]byte {
 	for i, m := range msgs {
 		out[i] = encodeMessage(m)
 	}
-	return out
+	return append(out, tamperedSync())
+}
+
+// tamperedSync is an append whose RecSync record has one byte of a
+// file changed and its envelope checksum recomputed: only the record
+// digest stands between it and the store.
+func tamperedSync() []byte {
+	rec := Record{Index: 4, Epoch: 2, Kind: RecSync, Files: ws(4)}
+	rec.seal()
+	raw := encodeMessage(message{Kind: msgAppend, From: 0, Epoch: 2, PrevIndex: 3, Records: []Record{rec}, Commit: 4})
+	at := bytes.Index(raw, rec.Files["exp/vars.yml"])
+	raw[at] ^= 0x01
+	return resum(raw)
+}
+
+// resum recomputes an encoded message's envelope checksum over the
+// bytes the envelope covers; it returns raw as it is when raw does not
+// parse.
+func resum(raw []byte) []byte {
+	if len(raw) < sha256.Size {
+		return raw
+	}
+	body := raw[:len(raw)-sha256.Size]
+	_, sum, err := decodeEnvelope(body)
+	if err != nil {
+		return raw
+	}
+	return append(append([]byte(nil), body...), sum[:]...)
 }
 
 // FuzzReplMessage: decoding never panics; a message that decodes
 // re-encodes to the same bytes; and a single flipped byte in a valid
-// encoding never decodes. Each input is also decoded with its checksum
-// recomputed, so the parser behind the checksum sees arbitrary bytes.
+// encoding never decodes. Each input is also decoded with its envelope
+// checksum recomputed, so the parser and the record digests behind the
+// checksum see arbitrary bytes.
 func FuzzReplMessage(f *testing.F) {
 	for _, raw := range seedMessages() {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		checkDecoded(t, raw)
-		if len(raw) >= sha256.Size {
-			body := raw[:len(raw)-sha256.Size]
-			sum := sha256.Sum256(body)
-			checkDecoded(t, append(append([]byte(nil), body...), sum[:]...))
-		}
+		checkDecoded(t, resum(raw))
 	})
+}
+
+// TestTamperedRecordFailsItsDigest: a changed file byte inside a record
+// body passes the envelope checksum, which does not cover bodies, and
+// fails on the record digest.
+func TestTamperedRecordFailsItsDigest(t *testing.T) {
+	_, err := decodeMessage(tamperedSync())
+	if err == nil || !strings.Contains(err.Error(), "record 4 digest mismatch") {
+		t.Fatalf("a tampered record body decodes with %v, want its digest mismatch", err)
+	}
 }
 
 // checkDecoded applies the properties to one input.

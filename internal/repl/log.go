@@ -1,6 +1,7 @@
 package repl
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
@@ -40,18 +41,22 @@ type Record struct {
 	Data  []byte            // RecPut
 	Files map[string][]byte // RecSync
 
-	// body is the record's encoding: the bytes digest seals and every
-	// send ships as they are. A sealed or decoded record's Data and
-	// Files are read-only views into it.
-	body   []byte
+	// body is the record's encoding, which every send ships as it is.
+	// A sealed or decoded record's Data and Files are read-only views
+	// into it.
+	body []byte
+	// digest identifies the record (identify); sums holds the SHA-256 of
+	// each of its files, hashed once from the bytes this copy holds —
+	// sealed or received, never taken from the wire. The store commits
+	// with them instead of hashing the files again.
 	digest [sha256.Size]byte
+	sums   map[string][sha256.Size]byte
 }
 
-// seal encodes the record once and computes its content digest. Called
-// once when the primary appends the record; the body and digest then
-// travel with it. Data and Files become views into the body, so a
-// caller that later changes what it passed in cannot change the sealed
-// record.
+// seal encodes the record once and computes its digest. Called once
+// when the primary appends the record; the body and digest then travel
+// with it. Data and Files become views into the body, so a caller that
+// later changes what it passed in cannot change the sealed record.
 func (r *Record) seal() {
 	e := encoder{buf: make([]byte, 0, r.bodySize())}
 	r.encodeBody(&e)
@@ -60,11 +65,42 @@ func (r *Record) seal() {
 		panic("repl: a sealed record does not decode: " + d.err.Error())
 	}
 	r.body = e.buf
-	r.digest = sha256.Sum256(r.body)
+	r.digest = r.identify()
 }
 
 // Digest returns the sealed content digest.
 func (r *Record) Digest() [sha256.Size]byte { return r.digest }
+
+// identify hashes each file once, keeps the sums, and returns the
+// record digest: SHA-256 over the index, epoch, kind and path, the
+// SHA-256 of Data, then each file's path, size and SHA-256 in path
+// order. It covers every field of the body, so a received body whose
+// digest matches the one the sender carried is the body it sealed.
+func (r *Record) identify() [sha256.Size]byte {
+	paths := make([]string, 0, len(r.Files))
+	size := 8 + 8 + 1 + 8 + len(r.Path) + sha256.Size
+	for p := range r.Files {
+		paths = append(paths, p)
+		size += 8 + len(p) + 8 + sha256.Size
+	}
+	sort.Strings(paths)
+	e := encoder{buf: make([]byte, 0, size)}
+	e.u64(uint64(r.Index))
+	e.u64(uint64(r.Epoch))
+	e.u8(uint8(r.Kind))
+	e.str(r.Path)
+	e.hash(sha256.Sum256(r.Data))
+	r.sums = make(map[string][sha256.Size]byte, len(paths))
+	for _, p := range paths {
+		content := r.Files[p]
+		sum := sha256.Sum256(content)
+		r.sums[p] = sum
+		e.str(p)
+		e.u64(uint64(len(content)))
+		e.hash(sum)
+	}
+	return sha256.Sum256(e.buf)
+}
 
 func (r *Record) encodeBody(e *encoder) {
 	e.u64(uint64(r.Index))
@@ -95,11 +131,16 @@ func decodeBody(d *decoder) Record {
 
 // --- wire format -----------------------------------------------------
 //
-// Messages are length-framed binary, trailed by a sha256 checksum of
-// the payload so a decoder never acts on torn or corrupted bytes. All
-// maps are encoded in sorted path order — the stream is a pure
-// function of the message value — and decoding accepts only that one
-// encoding, so a message that decodes re-encodes to the same bytes.
+// Messages are length-framed binary. All maps are encoded in sorted
+// path order — the stream is a pure function of the message value —
+// and decoding accepts only that one encoding, so a message that
+// decodes re-encodes to the same bytes. Every received byte is
+// verified exactly once before a decoder acts on it:
+//   - a record body (the bulk of an append) by its record digest, which
+//     the receiver recomputes from the body's bytes and compares with
+//     the digest the sender carried after it (Record.identify);
+//   - every other byte, those carried digests included, by the
+//     envelope's trailing SHA-256 checksum.
 // Decoded byte fields are views into the received buffer, which is
 // never reused.
 
@@ -299,16 +340,13 @@ func (d *decoder) fileMap() map[string][]byte {
 	return m
 }
 
-// decodeRecord parses one sealed record and checks its digest over
-// the body bytes as received.
+// decodeRecord parses one record and the digest its sender carried
+// after the body; decodeMessage checks the one against the other.
 func decodeRecord(d *decoder) Record {
 	start := d.off
 	r := decodeBody(d)
 	r.body = d.buf[start:d.off:d.off]
 	r.digest = d.hash()
-	if d.err == nil && sha256.Sum256(r.body) != r.digest {
-		d.err = fmt.Errorf("repl: decode: record %d digest mismatch", r.Index)
-	}
 	return r
 }
 
@@ -316,14 +354,17 @@ func decodeRecord(d *decoder) Record {
 // checksum included.
 const msgFixedSize = 1 + 8*11 + 3 + 4*sha256.Size
 
-// encodeMessage renders the full envelope plus a trailing checksum.
-// Records go out as their sealed bodies.
+// encodeMessage renders the full envelope plus a trailing checksum
+// over every byte but the record bodies. Records go out as their
+// sealed bodies, each followed by its digest.
 func encodeMessage(m message) []byte {
 	size := msgFixedSize + fileMapSize(m.Image)
 	for _, r := range m.Records {
 		size += len(r.body) + sha256.Size
 	}
 	e := encoder{buf: make([]byte, 0, size)}
+	sum := sha256.New()
+	covered := 0 // e.buf[covered:] is not yet summed
 	e.u8(uint8(m.Kind))
 	e.u64(uint64(m.From))
 	e.u64(uint64(m.Epoch))
@@ -331,7 +372,9 @@ func encodeMessage(m message) []byte {
 	e.hash(m.PrevDigest)
 	e.u64(uint64(len(m.Records)))
 	for _, r := range m.Records {
+		sum.Write(e.buf[covered:])
 		e.buf = append(e.buf, r.body...)
+		covered = len(e.buf)
 		e.hash(r.digest)
 	}
 	e.u64(uint64(m.Commit))
@@ -347,23 +390,39 @@ func encodeMessage(m message) []byte {
 	e.u64(uint64(m.Base))
 	e.u64(uint64(m.BaseEpoch))
 	e.hash(m.BaseDigest)
-	sum := sha256.Sum256(e.buf)
-	e.hash(sum)
-	return e.buf
+	sum.Write(e.buf[covered:])
+	return sum.Sum(e.buf)
 }
 
-// decodeMessage parses and verifies one envelope.
+// decodeMessage parses and verifies one envelope: its checksum first,
+// then each record's digest.
 func decodeMessage(raw []byte) (message, error) {
 	if len(raw) < sha256.Size {
 		return message{}, fmt.Errorf("repl: decode: message shorter than its checksum")
 	}
-	body, tail := raw[:len(raw)-sha256.Size], raw[len(raw)-sha256.Size:]
-	var want [sha256.Size]byte
-	copy(want[:], tail)
-	if sha256.Sum256(body) != want {
+	m, sum, err := decodeEnvelope(raw[:len(raw)-sha256.Size])
+	if err != nil {
+		return message{}, err
+	}
+	if !bytes.Equal(sum[:], raw[len(raw)-sha256.Size:]) {
 		return message{}, fmt.Errorf("repl: decode: message checksum mismatch")
 	}
+	for i := range m.Records {
+		if r := &m.Records[i]; r.identify() != r.digest {
+			return message{}, fmt.Errorf("repl: decode: record %d digest mismatch", r.Index)
+		}
+	}
+	return m, nil
+}
+
+// decodeEnvelope parses an envelope without its trailing checksum and
+// returns the checksum of the bytes it covers: all but the record
+// bodies. It verifies nothing.
+func decodeEnvelope(body []byte) (message, [sha256.Size]byte, error) {
+	var out [sha256.Size]byte
 	d := &decoder{buf: body}
+	sum := sha256.New()
+	covered := 0 // body[covered:d.off] is not yet summed
 	m := message{
 		Kind:       msgKind(d.u8()),
 		From:       int(d.u64()),
@@ -373,7 +432,9 @@ func decodeMessage(raw []byte) (message, error) {
 	}
 	if n := d.u64(); d.err == nil {
 		for i := uint64(0); i < n && d.err == nil; i++ {
+			sum.Write(body[covered:d.off])
 			m.Records = append(m.Records, decodeRecord(d))
+			covered = d.off - sha256.Size
 		}
 	}
 	m.Commit = int(d.u64())
@@ -393,7 +454,9 @@ func decodeMessage(raw []byte) (message, error) {
 		d.err = fmt.Errorf("repl: decode: %d trailing bytes", len(body)-d.off)
 	}
 	if d.err != nil {
-		return message{}, d.err
+		return message{}, out, d.err
 	}
-	return m, nil
+	sum.Write(body[covered:])
+	sum.Sum(out[:0])
+	return m, out, nil
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"reflect"
 	"testing"
 	"time"
 
@@ -54,24 +55,71 @@ func bySourceNames(rep *Report) map[string]int {
 	return out
 }
 
-// TestWriteScrubBenchJSON records the scrubber's perf trajectory: when
-// BENCH_JSON names an output file (`make bench-json`), it times a
-// clean-tree verification pass (wall clock) with its entry and byte
-// counts; on a 3-replica group, the KiB each replica reads when the group is opened and in a
-// detect-only group pass, audit included, beside each replica tree's
-// size; and a group heal pass's findings-by-rung breakdown. BENCH_SMOKE=1
-// (wired into `make verify`) shrinks the tree so regressions in the
-// scrub path fail the full loop without a long run.
+// TestWriteScrubBenchJSON records the scrubber's perf trajectory
+// (scrubBenchRecords over a 256-file tree) when BENCH_JSON names an
+// output file (`make bench-json`). BENCH_SMOKE=1 (wired into `make
+// verify`) shrinks the tree to 24 files so regressions in the scrub
+// path fail the full loop without a long run.
 func TestWriteScrubBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
 		t.Skip("set BENCH_JSON=<path> to record scrub benchmarks")
 	}
-	smoke := os.Getenv("BENCH_SMOKE") != ""
 	files := 256
-	if smoke {
+	if os.Getenv("BENCH_SMOKE") != "" {
 		files = 24
 	}
+	data, err := json.MarshalIndent(scrubBenchRecords(t, files), "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote benchmark records to %s", out)
+}
+
+// TestScrubBenchJSONExactCounts runs the recorder's passes and requires
+// each one's exact fields — the entries and bytes verified, the
+// findings, heals and unrepairables, the heals by source, and the KiB
+// each replica reads beside its tree's size — to equal the committed
+// BENCH_scrub.json's. Only ns_per_op is left to the wall clock: a
+// change to what a scrub, heal or group open reads or finds fails here
+// until `make bench-json` records it.
+func TestScrubBenchJSONExactCounts(t *testing.T) {
+	raw, err := os.ReadFile("../../BENCH_scrub.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed map[string]scrubBenchRecord
+	if err := json.Unmarshal(raw, &committed); err != nil {
+		t.Fatal(err)
+	}
+	got := scrubBenchRecords(t, 256)
+	if len(got) != len(committed) {
+		t.Errorf("the recorder has %d passes, BENCH_scrub.json %d", len(got), len(committed))
+	}
+	for name, want := range committed {
+		g, ok := got[name]
+		if !ok {
+			t.Errorf("BENCH_scrub.json records %s, which the recorder does not run", name)
+			continue
+		}
+		g.NsPerOp, g.Clock = want.NsPerOp, want.Clock
+		if !reflect.DeepEqual(g, want) {
+			t.Errorf("%s: the recorder measures %+v, BENCH_scrub.json holds %+v", name, g, want)
+		}
+	}
+}
+
+// scrubBenchRecords runs the recorder's passes over an n-file tree: a
+// clean-tree verification pass (wall clock) with its entry and byte
+// counts; on a 3-replica group, the KiB each replica reads when the
+// group is opened and in a detect-only group pass, audit included,
+// beside each replica tree's size; and a group heal pass's
+// findings-by-rung breakdown.
+func scrubBenchRecords(t *testing.T, files int) map[string]scrubBenchRecord {
+	t.Helper()
 	records := make(map[string]scrubBenchRecord)
 
 	// Clean-tree scrub: detect-only walk of a committed store.
@@ -170,13 +218,5 @@ func TestWriteScrubBenchJSON(t *testing.T) {
 	if hrep.Count(store.Healed) < rot || unrepairable(hrep) != 0 {
 		t.Errorf("group heal bench: %d healed (want >= %d), %d unrepairable:\n%s", hrep.Count(store.Healed), rot, unrepairable(hrep), hrep.Format())
 	}
-
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d benchmark records to %s", len(records), out)
+	return records
 }

@@ -16,13 +16,16 @@ import (
 
 // storeBenchRecord is one BENCH_store.json entry: one phase's exact
 // disk I/O (bytes passed to WriteFile, file plus directory fsyncs,
-// renames onto the manifest) and its wall-clock time per operation.
+// renames onto the manifest, files read and their bytes) and its
+// wall-clock time per operation.
 type storeBenchRecord struct {
 	Ops       int     `json:"ops"`
 	Writes    int     `json:"writes"`
 	KBWritten float64 `json:"kb_written"`
 	Fsyncs    int     `json:"fsyncs"`
 	Commits   int     `json:"commits"`
+	Reads     int     `json:"reads"`
+	KBRead    float64 `json:"kb_read"`
 	NsPerOp   float64 `json:"ns_per_op"`
 	Clock     string  `json:"clock"`
 }
@@ -91,6 +94,7 @@ func storeBenchPhases(t *testing.T, smoke bool) map[string]storeBenchRecord {
 		records[name] = storeBenchRecord{
 			Ops: ops, Writes: d.writes, KBWritten: float64(d.bytes) / 1024,
 			Fsyncs: d.flushes(), Commits: d.commits,
+			Reads: d.fileReads, KBRead: float64(d.readBytes) / 1024,
 			NsPerOp: float64(time.Since(start).Nanoseconds()) / float64(ops), Clock: "wall",
 		}
 	}
@@ -211,8 +215,8 @@ func TestWriteStoreBenchJSON(t *testing.T) {
 }
 
 // TestStoreBenchJSONExactCounts runs the recorder's phases and requires
-// each one's exact fields — ops, writes, kb_written, fsyncs and commits
-// — to equal the committed BENCH_store.json's. Only ns_per_op is left
+// each one's exact fields — ops, writes, kb_written, fsyncs, commits,
+// reads and kb_read — to equal the committed BENCH_store.json's. Only ns_per_op is left
 // to the wall clock: a change to the journal path's I/O fails here until
 // `make bench-json` records it.
 func TestStoreBenchJSONExactCounts(t *testing.T) {

@@ -29,9 +29,22 @@ func extentPath(gen int) string {
 	return extentsDir + "/gen-" + strconv.Itoa(gen) + ".extent"
 }
 
-// loadExtentsLocked lazily builds the in-memory blob index (hash →
-// payload) over every extent. Callers hold the store lock.
-func (s *Store) loadExtentsLocked() map[[sha256.Size]byte][]byte {
+// extentIndex is the in-memory index over the packed extents. A commit
+// keeps it current across the extent it writes, so a commit reads each
+// extent at most once; any other change to the extents drops it
+// (invalidateExtents).
+type extentIndex struct {
+	// blobs maps each record an extent proves to its payload: a view
+	// into extent bytes the store read or encoded itself.
+	blobs map[[sha256.Size]byte][]byte
+	// whole holds the records of each extent that parsed whole, by
+	// path: what gc decides that extent from. A torn extent is absent.
+	whole map[string][]cas.ExtentRecord
+}
+
+// loadExtentsLocked lazily builds the extent index. Callers hold the
+// store lock.
+func (s *Store) loadExtentsLocked() *extentIndex {
 	if s.extents == nil {
 		paths, _ := s.fs.List() // an unlistable tree indexes nothing
 		s.readExtentsLocked(paths)
@@ -56,7 +69,7 @@ type extentRead struct {
 // that repair removes, not pool, so its records never count: the index
 // holds what Verify proves. Callers hold the store lock.
 func (s *Store) readExtentsLocked(paths []string) map[string]extentRead {
-	idx := make(map[[sha256.Size]byte][]byte)
+	idx := &extentIndex{blobs: make(map[[sha256.Size]byte][]byte), whole: make(map[string][]cas.ExtentRecord)}
 	reads := make(map[string]extentRead)
 	for _, path := range paths {
 		if !strings.HasPrefix(path, extentsDir+"/") || strings.HasSuffix(path, tmpSuffix) {
@@ -70,20 +83,49 @@ func (s *Store) readExtentsLocked(paths []string) map[string]extentRead {
 		if x.recs, err = cas.ParseExtent(raw); err != nil {
 			x.torn = true
 			x.recs = cas.SalvageExtent(raw) // each surviving record self-verifies
+		} else {
+			idx.whole[path] = x.recs
 		}
-		for _, r := range x.recs {
-			if _, ok := idx[r.Hash]; !ok {
-				idx[r.Hash] = raw[r.Offset : r.Offset+r.Size]
-			}
-		}
+		idx.add(raw, x.recs)
 		reads[path] = x
 	}
 	s.extents = idx
 	return reads
 }
 
+// add indexes records as views into the extent bytes raw.
+func (x *extentIndex) add(raw []byte, recs []cas.ExtentRecord) {
+	for _, r := range recs {
+		if _, ok := x.blobs[r.Hash]; !ok {
+			end := r.Offset + r.Size
+			x.blobs[r.Hash] = raw[r.Offset:end:end]
+		}
+	}
+}
+
+// packExtentLocked encodes blobs, whose SHA-256s are hashes, as the
+// extent at path and stages it into dirs. A built index takes the new
+// records as views into the image the store encoded — never the
+// caller's slices, which a repair may later restore from — so the
+// commit need not read the extent back. Callers hold the lock.
+func (s *Store) packExtentLocked(path string, blobs [][]byte, hashes [][sha256.Size]byte, dirs flushSet) error {
+	if _, err := s.fs.Stat(path); err == nil {
+		s.invalidateExtents() // the index may hold the records of the extent this replaces
+	}
+	img, recs := cas.EncodeHashedExtent(blobs, hashes)
+	if err := s.stageFile(path, img, dirs); err != nil {
+		s.invalidateExtents()
+		return err
+	}
+	if s.extents != nil {
+		s.extents.whole[path] = recs
+		s.extents.add(img, recs)
+	}
+	return nil
+}
+
 // invalidateExtents drops the cached extent index; called whenever an
-// extent file is written or removed, and at the top of Fsck/Repair,
+// extent file is removed or repaired, and at the top of Fsck/Repair,
 // which trust nothing cached.
 func (s *Store) invalidateExtents() { s.extents = nil }
 
@@ -93,7 +135,7 @@ func (s *Store) hasObject(hash [sha256.Size]byte) bool {
 	if _, err := s.fs.Stat(objectPath(hash)); err == nil {
 		return true
 	}
-	_, ok := s.loadExtentsLocked()[hash]
+	_, ok := s.loadExtentsLocked().blobs[hash]
 	return ok
 }
 
@@ -103,7 +145,7 @@ func (s *Store) readObjectAny(hash [sha256.Size]byte) ([]byte, bool) {
 	if obj, err := s.read(objectPath(hash)); err == nil && sha256.Sum256(obj) == hash {
 		return obj, true
 	}
-	obj, ok := s.loadExtentsLocked()[hash]
+	obj, ok := s.loadExtentsLocked().blobs[hash]
 	return obj, ok
 }
 
@@ -142,6 +184,28 @@ func (s *Store) salvageExtent(path string, refHash map[[sha256.Size]byte]bool) (
 	}
 	s.invalidateExtents()
 	return n, nil
+}
+
+// extentDroppable reports whether gc may remove the extent at path: it
+// parses whole and no live generation references a record in it. An
+// extent idx (nil for none) holds whole is decided from its records,
+// unread; any other is read and parsed, and a damaged one is fsck's to
+// salvage, never gc's to drop. Callers hold the lock.
+func (s *Store) extentDroppable(idx *extentIndex, path string, hashRefs map[[sha256.Size]byte]bool) (bool, error) {
+	if idx != nil {
+		if recs, ok := idx.whole[path]; ok {
+			return !anyRecordReferenced(recs, hashRefs), nil
+		}
+	}
+	raw, err := s.read(path)
+	if err != nil {
+		// An unreadable extent is fsck's problem — but a terminal fault
+		// at the read boundary must not be swallowed, or a crash
+		// scheduled at this point would silently vanish.
+		return false, s.dead
+	}
+	recs, perr := cas.ParseExtent(raw)
+	return perr == nil && !anyRecordReferenced(recs, hashRefs), nil
 }
 
 // anyRecordReferenced reports whether a live manifest generation pins

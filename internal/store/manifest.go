@@ -70,15 +70,30 @@ const manifestHeader = "popper-manifest v1"
 // NewManifest builds a manifest over a workspace snapshot: every
 // tracked path, hashed, at the given generation.
 func NewManifest(generation int, files map[string][]byte) *Manifest {
+	return newManifest(generation, files, nil)
+}
+
+// newManifest is NewManifest taking each file's hash from hashes where
+// it has one (see SyncHashed).
+func newManifest(generation int, files map[string][]byte, hashes map[string][sha256.Size]byte) *Manifest {
 	m := &Manifest{Generation: generation}
 	for path, content := range files {
 		if !Tracked(path) {
 			continue
 		}
-		m.Entries = append(m.Entries, Entry{Path: path, Size: int64(len(content)), Hash: sha256.Sum256(content)})
+		m.Entries = append(m.Entries, Entry{Path: path, Size: int64(len(content)), Hash: hashOf(path, content, hashes)})
 	}
 	sortEntries(m)
 	return m
+}
+
+// hashOf returns content's SHA-256: hashes[path] when the caller proved
+// it, else computed.
+func hashOf(path string, content []byte, hashes map[string][sha256.Size]byte) [sha256.Size]byte {
+	if sum, ok := hashes[path]; ok {
+		return sum
+	}
+	return sha256.Sum256(content)
 }
 
 // sortEntries sorts and indexes a manifest built from entries in no
@@ -107,15 +122,27 @@ func (m *Manifest) Lookup(path string) (Entry, bool) {
 	return m.Entries[i], true
 }
 
-// Matches reports whether content is exactly what the manifest records
-// for path. Allocation-free: this is the clean-sync hot path.
-func (m *Manifest) Matches(path string, content []byte) bool {
+// matches reports whether content is exactly what the manifest records
+// for path, taking content's hash from hashes where it has one (see
+// SyncHashed); content is hashed only when its size matches.
+// Allocation-free: this is the clean-sync hot path.
+func (m *Manifest) matches(path string, content []byte, hashes map[string][sha256.Size]byte) bool {
 	i, ok := m.byPath[path]
 	if !ok {
 		return false
 	}
 	e := &m.Entries[i]
-	return e.Size == int64(len(content)) && e.Hash == sha256.Sum256(content)
+	return e.Size == int64(len(content)) && e.Hash == hashOf(path, content, hashes)
+}
+
+// holds reports whether a manifest — nil for none — records e's path
+// with e's size and hash: the committed content is already e's.
+func (m *Manifest) holds(e Entry) bool {
+	if m == nil {
+		return false
+	}
+	c, ok := m.Lookup(e.Path)
+	return ok && c.Size == e.Size && c.Hash == e.Hash
 }
 
 // encodeForCommit renders the manifest a commit is about to write and

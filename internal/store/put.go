@@ -641,7 +641,7 @@ func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead) error {
 // a chain that begins at the very content the manifest still records,
 // which a rebuild after the manifest's loss would take for live.
 // Callers hold the lock.
-func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte) error {
+func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte, hashes map[string][sha256.Size]byte) error {
 	var back []string
 	for path, h := range p.live {
 		if h.atCommitted(man, path) {
@@ -649,7 +649,7 @@ func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte)
 		}
 		_, hasEntry := man.Lookup(path)
 		content, inFiles := files[path]
-		if hasEntry == inFiles && (!inFiles || man.Matches(path, content)) {
+		if hasEntry == inFiles && (!inFiles || man.matches(path, content, hashes)) {
 			back = append(back, path)
 		}
 	}

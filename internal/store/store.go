@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 
-	"popper/internal/cas"
 	"popper/internal/fault"
 )
 
@@ -27,9 +26,9 @@ type Store struct {
 	dead error
 	man  *Manifest // cached committed manifest
 	got  bool      // manifest cache populated
-	// extents is the lazily-built index over packed extents
-	// (hash → payload); nil means rebuild on next object lookup.
-	extents map[[sha256.Size]byte][]byte
+	// extents is the lazily-built index over packed extents; nil means
+	// rebuild on next object lookup.
+	extents *extentIndex
 	// puts caches the put records on disk (see put.go); nil means
 	// rescan on next use.
 	puts *putLog
@@ -151,6 +150,15 @@ func (s *Store) Load() (map[string][]byte, error) {
 // logical tree is already committed, so the records stay where they
 // are. The clean path performs no writes and no allocations.
 func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
+	return s.SyncHashed(files, nil)
+}
+
+// SyncHashed is Sync for a caller that already holds each file's
+// SHA-256 — the replication log, which hashed every file once when it
+// sealed or received the record. hashes[path] must be the SHA-256 of
+// exactly files[path]: the commit records it as that content's address
+// without hashing the bytes again. A path hashes lacks is hashed here.
+func (s *Store) SyncHashed(files map[string][]byte, hashes map[string][sha256.Size]byte) (SyncStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var stats SyncStats
@@ -172,7 +180,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	}
 	if man != nil {
 		stats.Generation = man.Generation
-		if err := s.putBackLocked(puts, man, files); err != nil {
+		if err := s.putBackLocked(puts, man, files, hashes); err != nil {
 			return stats, err
 		}
 		tracked, clean := 0, true
@@ -181,7 +189,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 				continue
 			}
 			tracked++
-			if !man.Matches(path, content) {
+			if !man.matches(path, content, hashes) {
 				clean = false
 				break
 			}
@@ -202,7 +210,7 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 		gen = max(gen, man.Generation+1)
 	}
 	stats.Generation = gen
-	next := NewManifest(gen, files)
+	next := newManifest(gen, files, hashes)
 
 	// Phase 1: intent. After this record is durable, fsck knows exactly
 	// what the sync was about to do. With no manifest it also dates the
@@ -215,33 +223,31 @@ func (s *Store) Sync(files map[string][]byte) (SyncStats, error) {
 	// append-only extent — a single durable write instead of one
 	// atomic-write cycle per tiny artifact. Phases 2 and 3 stage: each
 	// rename and removal notes its directory in dirs, flushed in phase 4.
+	// An entry the committed manifest holds as it is needs neither.
 	dirs := flushSet{}
 	var packed [][]byte
+	var packedHashes [][sha256.Size]byte
 	packSeen := make(map[[sha256.Size]byte]bool)
 	for _, e := range next.Entries {
-		content := files[e.Path]
-		if man != nil && man.Matches(e.Path, content) {
-			continue
-		}
-		if int64(len(content)) > smallObjectMax || packSeen[e.Hash] || s.hasObject(e.Hash) {
+		if man.holds(e) || e.Size > smallObjectMax || packSeen[e.Hash] || s.hasObject(e.Hash) {
 			continue
 		}
 		packSeen[e.Hash] = true
-		packed = append(packed, content)
+		packed = append(packed, files[e.Path])
+		packedHashes = append(packedHashes, e.Hash)
 	}
 	if len(packed) > 0 {
-		s.invalidateExtents()
-		if err := s.stageFile(extentPath(gen), cas.EncodeExtent(packed), dirs); err != nil {
+		if err := s.packExtentLocked(extentPath(gen), packed, packedHashes, dirs); err != nil {
 			return stats, err
 		}
 		stats.Objects += len(packed)
 	}
 	// Phase 2b: remaining objects and workspace files, in path order.
 	for _, e := range next.Entries {
-		content := files[e.Path]
-		if man != nil && man.Matches(e.Path, content) {
+		if man.holds(e) {
 			continue
 		}
+		content := files[e.Path]
 		added, err := s.ensureObject(e.Hash, content, dirs)
 		if err != nil {
 			return stats, err
@@ -454,9 +460,12 @@ func (s *Store) ensureObject(hash [sha256.Size]byte, content []byte, dirs flushS
 // object either one references must never be evicted. Loose objects
 // are removed individually; an extent is removed only when every
 // record in it is unreferenced (a partially-live extent stays whole —
-// bounded slack traded for never rewriting committed bytes). A seal an
-// earlier version left goes too.
+// bounded slack traded for never rewriting committed bytes). The extent
+// index as gc found it decides every extent it holds whole, so a commit
+// that built or kept the index reads no extent here. A seal an earlier
+// version left goes too.
 func (s *Store) gc(man *Manifest) error {
+	idx := s.extents // a removal drops s.extents, not what idx knows of the others
 	live := []*Manifest{man}
 	if raw, err := s.read(manifestNextPath); err == nil {
 		if next, perr := ParseManifest(raw); perr == nil {
@@ -491,19 +500,11 @@ func (s *Store) gc(man *Manifest) error {
 				return err
 			}
 		case strings.HasPrefix(path, extentsDir+"/"):
-			raw, err := s.read(path)
+			drop, err := s.extentDroppable(idx, path, hashRefs)
 			if err != nil {
-				// An unreadable extent is fsck's problem — but a terminal
-				// fault at the read boundary must not be swallowed, or a
-				// crash scheduled at this point would silently vanish.
-				if s.dead != nil {
-					return s.dead
-				}
-				continue
+				return err
 			}
-			// Damaged extents are fsck's to salvage, never gc's to drop.
-			recs, perr := cas.ParseExtent(raw)
-			if perr != nil || anyRecordReferenced(recs, hashRefs) {
+			if !drop {
 				continue
 			}
 			s.invalidateExtents()

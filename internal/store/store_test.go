@@ -87,9 +87,12 @@ func w3() map[string][]byte {
 // unchanged committed tree, which puts the committed journal back; and
 // a fourth, another re-run whose rows finish out of order and whose
 // last Put, the committed journal again, writes the empty committed
-// record over a chain of a full record and a link; and a fifth, the
-// sync of w3, which stages its files, its extent and a loose object
-// into six directories and flushes each once before it commits.
+// record over a chain of a full record and a link; a fifth, the sync
+// of w3, which stages its files, its extent and a loose object into six
+// directories and flushes each once before it commits, and whose gc
+// evicts the first generation's extent, which drops the store's extent
+// index; and last the sync back to w2, which rebuilds that index by
+// reading every extent and re-packs the content the eviction took.
 var crashSteps = []func(st *Store) error{
 	func(st *Store) error { _, err := st.Sync(w1()); return err },
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j1)) },
@@ -108,11 +111,12 @@ var crashSteps = []func(st *Store) error{
 	func(st *Store) error { return st.Put("exp/journal.csv", []byte(j3)) },
 	func(st *Store) error { _, err := st.Sync(w2()); return err },
 	func(st *Store) error { _, err := st.Sync(w3()); return err },
+	func(st *Store) error { _, err := st.Sync(w2()); return err },
 }
 
 // crashJournal is the journal Load returns once each step returned
 // ("" while there is none).
-var crashJournal = []string{"", j1, j13, j3, j3, j1, j2, j3, j3, j1, j2, j3, j1, j13, j3, j3, j3}
+var crashJournal = []string{"", j1, j13, j3, j3, j1, j2, j3, j3, j1, j2, j3, j1, j13, j3, j3, j3, j3}
 
 // crashScenario runs the steps and reports how many returned.
 func crashScenario(st *Store) (int, error) {
@@ -203,8 +207,9 @@ func mustRepair(t *testing.T, st *Store, q Quorum) *Report {
 }
 
 // opCounter wraps a VFS and counts the operations that change it, in
-// all and by kind; a commit is a rename onto the committed manifest.
-// While reads is non-nil it also counts each path's reads.
+// all and by kind, and the reads; a commit is a rename onto the
+// committed manifest. While reads is non-nil it also counts each path's
+// reads.
 type opCounter struct {
 	VFS
 	mutations int
@@ -216,12 +221,19 @@ func (c *opCounter) ReadFile(path string) ([]byte, error) {
 	if c.reads != nil {
 		c.reads[path]++
 	}
-	return c.VFS.ReadFile(path)
+	data, err := c.VFS.ReadFile(path)
+	if err == nil {
+		c.fileReads++
+		c.readBytes += len(data)
+	}
+	return data, err
 }
 
-// ioCounts tallies disk I/O by kind.
+// ioCounts tallies disk I/O by kind: fileReads and readBytes count the
+// reads that found a file.
 type ioCounts struct {
 	writes, bytes, fsyncs, dirSyncs, renames, removes, commits int
+	fileReads, readBytes                                       int
 }
 
 // flushes is the file plus directory fsync count.
@@ -267,7 +279,8 @@ func (c *opCounter) since(before ioCounts) ioCounts {
 		writes: c.writes - before.writes, bytes: c.bytes - before.bytes,
 		fsyncs: c.fsyncs - before.fsyncs, dirSyncs: c.dirSyncs - before.dirSyncs,
 		renames: c.renames - before.renames, removes: c.removes - before.removes,
-		commits: c.commits - before.commits,
+		commits:   c.commits - before.commits,
+		fileReads: c.fileReads - before.fileReads, readBytes: c.readBytes - before.readBytes,
 	}
 }
 
@@ -931,23 +944,68 @@ func TestDiskErrorFaultConverges(t *testing.T) {
 
 // TestSyncCleanHotPathZeroAlloc pins the no-fault, already-clean sync
 // — the path every read-only popper command exits through — at zero
-// heap allocations.
+// heap allocations, with the store hashing the files itself and with
+// the caller's digests (a replica applying a record).
 func TestSyncCleanHotPathZeroAlloc(t *testing.T) {
 	fs := NewMemFS(1)
 	st := New(fs)
 	files := w1()
 	mustSync(t, st, files)
-	var stats SyncStats
-	var err error
-	allocs := testing.AllocsPerRun(200, func() {
-		stats, err = st.Sync(files)
-	})
-	if err != nil || !stats.Clean {
-		t.Fatalf("clean sync failed: %+v err %v", stats, err)
+	sums := fileSums(files)
+	for _, hashes := range []map[string][sha256.Size]byte{nil, sums} {
+		var stats SyncStats
+		var err error
+		allocs := testing.AllocsPerRun(200, func() {
+			stats, err = st.SyncHashed(files, hashes)
+		})
+		if err != nil || !stats.Clean {
+			t.Fatalf("clean sync failed: %+v err %v", stats, err)
+		}
+		if allocs != 0 {
+			t.Fatalf("clean sync hot path allocates: %.1f allocs/op, want 0 (digests given: %v)", allocs, hashes != nil)
+		}
 	}
-	if allocs != 0 {
-		t.Fatalf("clean sync hot path allocates: %.1f allocs/op, want 0", allocs)
+}
+
+// fileSums returns each file's SHA-256, as a replication record holds
+// them.
+func fileSums(files map[string][]byte) map[string][sha256.Size]byte {
+	sums := make(map[string][sha256.Size]byte, len(files))
+	for path, content := range files {
+		sums[path] = sha256.Sum256(content)
 	}
+	return sums
+}
+
+// TestSyncHashedCommitsWhatSyncCommits: a store handed the files'
+// digests commits the same manifests, objects and tree as one that
+// hashes the files itself, generation after generation.
+func TestSyncHashedCommitsWhatSyncCommits(t *testing.T) {
+	plain, hashed := NewMemFS(1), NewMemFS(1)
+	ps, hs := New(plain), New(hashed)
+	for _, files := range []map[string][]byte{w1(), w2(), w3(), w2()} {
+		mustSync(t, ps, files)
+		if _, err := hs.SyncHashed(files, fileSums(files)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := ps.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := hs.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("the hashed store holds %d files, the plain one %d", len(got), len(want))
+	}
+	for path, content := range want {
+		if !bytes.Equal(got[path], content) {
+			t.Errorf("%s differs between the two stores", path)
+		}
+	}
+	mustCleanVerify(t, hs, "after the hashed syncs")
 }
 
 func TestManifestEncodeParseRoundTrip(t *testing.T) {

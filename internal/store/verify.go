@@ -388,7 +388,7 @@ func (s *Store) verifyLocked(rep *Report) error {
 		}
 	}
 	for _, d := range damaged {
-		settle(&rep.Findings[d.finding], d, loose, s.loadExtentsLocked())
+		settle(&rep.Findings[d.finding], d, loose, s.loadExtentsLocked().blobs)
 	}
 	if man == nil {
 		return nil

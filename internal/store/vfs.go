@@ -14,9 +14,13 @@
 //     (.popper/manifest.next is the intent record) so a workspace sync
 //     is all-or-nothing: a crash before the commit may keep or lose
 //     each staged file on its own, and repair judges each alone;
-//   - a content-addressed object cache (.popper/objects/<hash>) holding
-//     every manifested file's bytes, which is what makes damaged files
-//     repairable;
+//   - a content-addressed object cache holding every manifested file's
+//     bytes, which is what makes damaged files repairable: loose
+//     objects (.popper/objects/<hash>) and, for small content, one
+//     packed extent per generation (.popper/extents). A commit reads
+//     each extent at most once, to build the index it looks contents
+//     up in; the index takes the extent the commit writes from the
+//     image it encoded, and the garbage collection decides from it;
 //   - durable mid-command writes (Put) as self-checking put records
 //     (.popper/put-<generation>-<seq>): one file and two flushes each,
 //     holding a path's content whole or only the splice from its
