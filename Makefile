@@ -12,6 +12,9 @@ SPLIT_SEEDS ?= 42 7 1337
 # Seed matrix for the bit-rot suite; override with ROT_SEEDS="...".
 ROT_SEEDS ?= 42 7 1337
 
+# How long `make fuzz` runs each fuzz target; override with FUZZTIME=1m.
+FUZZTIME ?= 10s
+
 # Architectures whose compilers fuse x*y + z into one rounding, for
 # fma-check.
 FMA_ARCHS = arm64 ppc64le riscv64 s390x
@@ -21,7 +24,7 @@ FMA_ARCHS = arm64 ppc64le riscv64 s390x
 # riscv64; FMADD, FMSUB, FNMADD, FNMSUB and ...S on ppc64le and s390x.
 FMA_RE = [[:space:]]FN?M(ADD|SUB)[DS]?[[:space:]]
 
-.PHONY: build fmt-check fma-check test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke
+.PHONY: build fmt-check fma-check test vet race verify bench bench-gassyfs bench-cache bench-aver bench-json bench-json-smoke chaos crash split rot e2e-smoke fuzz
 
 build:
 	$(GO) build ./...
@@ -139,6 +142,20 @@ rot:
 			|| exit 1; \
 	done
 
+# Every fuzz target in the tree, found by its `func Fuzz...` line, run
+# for FUZZTIME each, one at a time; the first crasher fails the target
+# and `go test` saves it under the package's testdata/fuzz/ as a
+# regression seed. Not part of verify: what a fuzzing run explores
+# differs from run to run.
+fuzz:
+	@git grep -E '^func Fuzz[A-Za-z0-9_]+\(' -- '*_test.go' ':!e2ebench' | \
+	sed -E 's|^(.*):func (Fuzz[A-Za-z0-9_]+)\(.*|\1 \2|' | \
+	while read -r file fn; do \
+		dir=$$(dirname "$$file"); \
+		echo "-- fuzz $$fn in ./$$dir for $(FUZZTIME)"; \
+		$(GO) test -run '^$$' -fuzz "^$$fn\$$" -fuzztime $(FUZZTIME) "./$$dir/" || exit 1; \
+	done
+
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem
 
@@ -168,11 +185,17 @@ bench-aver:
 # cost) into BENCH_cache.json (see docs/SCHEDULING.md, docs/CACHE.md),
 # and the gassyfs family (compile-git scaling curve, host-parallel
 # drive) into BENCH_gassyfs.json, and the durable journal path's exact
-# I/O (a 114-entry sync, 32 journal puts, the sync after them) into
-# BENCH_store.json, and the simulator's host time per simulated message
-# step (the LULESH proxy, blocking and overlapped, at 8 and 27 ranks)
-# and a 15-node Provision's allocations and host time per node into
-# BENCH_sim.json.
+# I/O (a 114-entry sync; 32 journal puts in order, the clean sync after
+# them, 32 more in a shuffled order; 1,000 journal puts in a shuffled
+# order and 8 loads of them by a reopened store; the 32-configuration
+# sweep's commit) into BENCH_store.json, and the simulator's host time
+# per simulated message step (the LULESH proxy, blocking and overlapped,
+# at 8 and 27 ranks) and a 15-node Provision's allocations and host
+# time per node into BENCH_sim.json. TestStoreBenchJSONExactCounts,
+# TestSchedBenchJSONExactCounts, TestGassyfsBenchJSONExactCounts,
+# TestSimBenchJSONExactCounts and TestScrubBenchJSONExactCounts hold
+# each file's exact fields to the recorder, so a change that moves one
+# re-records its file here.
 bench-json:
 	BENCH_JSON=$(CURDIR)/BENCH_sched.json $(GO) test -run TestWriteBenchJSON -count=1 ./internal/sched/
 	@echo "-- wrote BENCH_sched.json"

@@ -53,19 +53,32 @@ type gassyfsBenchRecord struct {
 	HostSpeedup float64 `json:"host_speedup,omitempty"`
 }
 
-// TestWriteGassyfsBenchJSON records the gassyfs benchmark family when
-// BENCH_JSON names an output file (`make bench-json`): the compile-git
-// scaling curve (virtual elapsed per node count plus the speedup the
-// paper's gassyfs figure is built on) and the host-side serial vs
-// parallel drive of the same simulated build. BENCH_SMOKE=1 (wired into
-// `make verify`) shrinks the matrix so regressions fail the full loop
-// quickly.
+// TestWriteGassyfsBenchJSON records the gassyfs benchmark family
+// (gassyfsBenchRecords) when BENCH_JSON names an output file (`make
+// bench-json`). BENCH_SMOKE=1 (wired into `make verify`) shrinks the
+// matrix so regressions fail the full loop quickly.
 func TestWriteGassyfsBenchJSON(t *testing.T) {
 	out := os.Getenv("BENCH_JSON")
 	if out == "" {
 		t.Skip("set BENCH_JSON=<path> to record gassyfs benchmarks")
 	}
-	smoke := os.Getenv("BENCH_SMOKE") != ""
+	records := gassyfsBenchRecords(t, os.Getenv("BENCH_SMOKE") != "")
+	data, err := json.MarshalIndent(records, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("wrote %d benchmark records to %s", len(records), out)
+}
+
+// gassyfsBenchRecords runs the gassyfs benchmark family: the compile-git
+// scaling curve (virtual elapsed per node count plus the speedup the
+// paper's gassyfs figure is built on) and the host-side serial vs
+// parallel drive of the same simulated build. smoke shrinks the matrix.
+func gassyfsBenchRecords(t *testing.T, smoke bool) map[string]gassyfsBenchRecord {
+	t.Helper()
 	nodeCounts := []int{1, 2, 4, 8}
 	sources, parallelSources, parallelRanks := 48, 96, 8
 	if smoke {
@@ -129,12 +142,5 @@ func TestWriteGassyfsBenchJSON(t *testing.T) {
 		HostSpeedup: serial / parallel,
 	}
 
-	data, err := json.MarshalIndent(records, "", "  ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(out, append(data, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	t.Logf("wrote %d benchmark records to %s", len(records), out)
+	return records
 }

@@ -151,6 +151,28 @@ type benchRecord struct {
 	Recovery      float64 `json:"virtual_straggler_recovery,omitempty"`
 }
 
+// schedBenchCase is one BENCH_sched.json entry's sweep: a fleet of
+// hosts, with the fault rules and stealing it runs under.
+type schedBenchCase struct {
+	name    string
+	hosts   int
+	rules   []fault.Rule
+	noSteal bool
+}
+
+// schedBenchCases lists the recorder's sweeps: the scaling curve over
+// hostCounts, then the straggler-recovery triple.
+func schedBenchCases(hostCounts []int) []schedBenchCase {
+	var cases []schedBenchCase
+	for _, hosts := range hostCounts {
+		cases = append(cases, schedBenchCase{name: fmt.Sprintf("BenchmarkSweepScaling/hosts=%d", hosts), hosts: hosts})
+	}
+	return append(cases,
+		schedBenchCase{name: "BenchmarkStragglerRecovery/healthy", hosts: 16},
+		schedBenchCase{name: "BenchmarkStragglerRecovery/straggler-nosteal", hosts: 16, rules: stragglerRules(), noSteal: true},
+		schedBenchCase{name: "BenchmarkStragglerRecovery/straggler-steal", hosts: 16, rules: stragglerRules()})
+}
+
 // TestWriteBenchJSON records the scheduler's perf trajectory: when
 // BENCH_JSON names an output file (`make bench-json`), it benchmarks
 // the scaling curve and the straggler-recovery triple and writes
@@ -170,40 +192,32 @@ func TestWriteBenchJSON(t *testing.T) {
 	}
 
 	records := make(map[string]benchRecord)
-	bench := func(name string, fleet int, rules []fault.Rule, noSteal bool) *ClusterReport {
-		rep := scheduleFleet(t, fleet, rules, noSteal)
+	for _, c := range schedBenchCases(hostCounts) {
+		rep := scheduleFleet(t, c.hosts, c.rules, c.noSteal)
 		var res testing.BenchmarkResult
 		if smoke {
 			// One hand-timed iteration: verify the scheduling path end
 			// to end without testing.Benchmark's auto-scaling (the
 			// output file is a throwaway).
 			start := time.Now()
-			scheduleFleet(t, fleet, rules, noSteal)
+			scheduleFleet(t, c.hosts, c.rules, c.noSteal)
 			res = testing.BenchmarkResult{N: 1, T: time.Since(start)}
 		} else {
 			res = testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					scheduleFleet(b, fleet, rules, noSteal)
+					scheduleFleet(b, c.hosts, c.rules, c.noSteal)
 				}
 				b.ReportAllocs()
 			})
 		}
-		records[name] = benchRecord{
+		records[c.name] = benchRecord{
 			NsPerOp:       float64(res.NsPerOp()),
 			Clock:         "wall",
 			AllocsPerOp:   res.AllocsPerOp(),
 			ConfigsPerSec: rep.ConfigsPerSec(),
 			Makespan:      rep.Makespan,
 		}
-		return rep
 	}
-
-	for _, hosts := range hostCounts {
-		bench(fmt.Sprintf("BenchmarkSweepScaling/hosts=%d", hosts), hosts, nil, false)
-	}
-	bench("BenchmarkStragglerRecovery/healthy", 16, nil, false)
-	bench("BenchmarkStragglerRecovery/straggler-nosteal", 16, stragglerRules(), true)
-	bench("BenchmarkStragglerRecovery/straggler-steal", 16, stragglerRules(), false)
 
 	recovery, _, _, _ := stragglerRecovery(t)
 	rec := records["BenchmarkStragglerRecovery/straggler-steal"]

@@ -251,64 +251,68 @@ func TestRepairInstallsQuorumManifestOverIntent(t *testing.T) {
 	wantSameImage(t, mustImage(t, st), img, "after install")
 }
 
-// TestPutIOBound pins the disk cost of the durable journal path. Each
-// Put is exactly one write, one file fsync and one directory fsync, with
-// no rename and no manifest commit, and it writes at most the bytes it
-// inserts plus a fixed frame: the whole content for the first Put since
-// the committed content, the new row for each later one — at the end or
-// in the middle — and nothing for a Put of the committed content. A link
+// TestPutIOBound pins the disk cost of the durable journal path. A Put
+// into a free slot is exactly one write and one file fsync, with no
+// directory fsync, no rename and no manifest commit. A Put that finds no
+// free slot reserves a batch: its record and the free slots, one write
+// each, its record's fsync and one directory fsync. A link's batch is
+// its chain's length, a full or committed record's is one. Each Put
+// writes at most the bytes it inserts plus a fixed frame (plus the free
+// slots' markers): the whole content for the first Put since the
+// committed content, the new row for each later one — at the end or in
+// the middle — and nothing for a Put of the committed content. A link
 // removes nothing; a full or committed record removes the path's older
-// records. The re-run shape, whose last Put is the committed journal,
-// leaves one record at rest, and the Sync after it is clean and does no
-// I/O. A Sync of the committed tree over a chain cut short puts the
-// committed journal back with one record and commits nothing. A Sync
-// that folds a changed journal is one commit and leaves no record.
+// records and every free slot. The re-run shape, whose last Put is the
+// committed journal, leaves one record at rest, and the Sync after it is
+// clean and does no I/O. A Sync of the committed tree over a chain cut
+// short puts the committed journal back with one record, in a free slot
+// when there is one and never reserving one, and commits nothing. A
+// Sync that folds a changed journal is one commit and leaves no record
+// and no slot.
 func TestPutIOBound(t *testing.T) {
 	c := &opCounter{VFS: NewMemFS(chaosSeed(t))}
 	st := New(c)
 	gen := mustSync(t, st, w2()).Generation
 	const journal = "exp/journal.csv"
 	frame := putFrame + len(journal)
-	records := func() []string {
+	// files checks the record files at rest: records that are not free
+	// slots, and free slots.
+	files := func(when string, records, free int) {
 		t.Helper()
-		paths, err := c.List()
-		if err != nil {
-			t.Fatal(err)
+		r, f := putFilesIn(t, c)
+		if len(r) != records || len(f) != free {
+			t.Fatalf("%s: records %v and free slots %v, want %d and %d", when, r, f, records, free)
 		}
-		var out []string
-		for _, p := range paths {
-			if isPutRecord(p) {
-				out = append(out, p)
-			}
-		}
-		return out
 	}
 	// put checks one Put: inserted is what it may write besides the
-	// frame, removes the records it supersedes.
-	put := func(j string, inserted, removes int) {
+	// frame; slots is the batch it reserves (0: it writes a free slot);
+	// removes the records and slots it supersedes.
+	put := func(j string, inserted, slots, removes int) {
 		t.Helper()
 		before := c.ioCounts
 		if err := st.Put(journal, []byte(j)); err != nil {
 			t.Fatal(err)
 		}
 		got := c.since(before)
-		if got.writes != 1 || got.fsyncs != 1 || got.dirSyncs != 1 || got.renames != 0 || got.commits != 0 || got.removes != removes {
-			t.Fatalf("Put of %q did %+v, want one write, one fsync, one dir fsync, no rename, %d removal(s)", j, got, removes)
+		writes, dirSyncs, markers := 1, 0, 0
+		if slots > 0 {
+			writes, dirSyncs, markers = slots, 1, slots-1
 		}
-		if got.bytes > frame+inserted {
-			t.Fatalf("Put of %q wrote %d bytes, want at most %d inserted + %d of frame", j, got.bytes, inserted, frame)
+		if got.writes != writes || got.fsyncs != 1 || got.dirSyncs != dirSyncs || got.renames != 0 || got.commits != 0 || got.removes != removes {
+			t.Fatalf("Put of %q did %+v, want %d write(s), one fsync, %d dir fsync(s), no rename, %d removal(s)", j, got, writes, dirSyncs, removes)
+		}
+		if got.bytes > frame+inserted+markers*len(putFree) {
+			t.Fatalf("Put of %q wrote %d bytes, want at most %d inserted + %d of frame + %d free slot(s)", j, got.bytes, inserted, frame, markers)
 		}
 	}
 	const j134, j1234 = "config,status\n001,ok\n003,ok\n004,ok\n", "config,status\n001,ok\n002,ok\n003,ok\n004,ok\n"
 
 	// The re-run: rows finish out of order, the last Put is the
 	// committed journal.
-	put(j1, len(j1), 0)
-	put(j13, len(j13)-len(j1), 0)
-	put(j3, 0, 2)
-	if r := records(); len(r) != 1 {
-		t.Fatalf("the re-run left records %v, want one", r)
-	}
+	put(j1, len(j1), 1, 0)
+	put(j13, len(j13)-len(j1), 1, 0)
+	put(j3, 0, 1, 2)
+	files("after the re-run", 1, 0)
 	before := c.mutations
 	if stats := mustSync(t, st, w2()); !stats.Clean || stats.Generation != gen || c.mutations != before {
 		t.Fatalf("a sync of the committed tree with a committed record is %+v after %d mutation(s), want clean at generation %d with none",
@@ -316,18 +320,17 @@ func TestPutIOBound(t *testing.T) {
 	}
 	mustCleanVerify(t, st, "with a committed record at rest")
 
-	// Cut short, then a sync of the committed tree.
-	put(j1, len(j1), 1)
-	put(j2, len(j2)-len(j1), 0)
+	// Cut short, then a sync of the committed tree: no slot is free, and
+	// the put-back writes a file of its own.
+	put(j1, len(j1), 1, 1)
+	put(j2, len(j2)-len(j1), 1, 0)
 	before2 := c.ioCounts
 	stats := mustSync(t, st, w2())
 	got := c.since(before2)
 	if !stats.Clean || stats.Generation != gen || got.commits != 0 || got.writes != 1 || got.flushes() != 2 || got.removes != 2 {
 		t.Fatalf("the sync over a chain cut short did %+v (stats %+v), want the committed journal put back: 1 write, 2 flushes, 2 removals, no commit", got, stats)
 	}
-	if r := records(); len(r) != 1 {
-		t.Fatalf("the put-back left records %v, want one", r)
-	}
+	files("after the put-back", 1, 0)
 	if files, err := st.Load(); err != nil || string(files[journal]) != j3 {
 		t.Fatalf("after the put-back Load's journal is %q (err %v), want the committed %q", files[journal], err, j3)
 	}
@@ -335,11 +338,26 @@ func TestPutIOBound(t *testing.T) {
 		t.Fatal("after the put-back the writing store and a reopened one name different states")
 	}
 
-	// A fold: full, appending link, middle-inserting link, then a sync
-	// that commits the journal.
-	put(j13, len(j13), 1)
-	put(j134, len(j134)-len(j13), 0)
-	put(j1234, len(j1234)-len(j134), 0)
+	// Cut short with a slot free: the put-back writes it in place.
+	put(j1, len(j1), 1, 1)
+	put(j13, len(j13)-len(j1), 1, 0)
+	put(j134, len(j134)-len(j13), 2, 0)
+	files("with a slot free", 3, 1)
+	before2 = c.ioCounts
+	stats = mustSync(t, st, w2())
+	got = c.since(before2)
+	if !stats.Clean || got.commits != 0 || got.writes != 1 || got.fsyncs != 1 || got.dirSyncs != 0 || got.removes != 3 {
+		t.Fatalf("the put-back into a free slot did %+v (stats %+v), want 1 write, 1 fsync, no dir fsync, 3 removals, no commit", got, stats)
+	}
+	files("after the put-back into a free slot", 1, 0)
+	mustCleanVerify(t, st, "after the put-back into a free slot")
+
+	// A fold: full, appending link, middle-inserting link (which reserves
+	// a slot it leaves free), then a sync that commits the journal.
+	put(j13, len(j13), 1, 1)
+	put(j134, len(j134)-len(j13), 1, 0)
+	put(j1234, len(j1234)-len(j134), 2, 0)
+	files("before the fold", 3, 1)
 	w := w2()
 	w[journal] = []byte(j1234)
 	before3 := c.ioCounts
@@ -347,17 +365,38 @@ func TestPutIOBound(t *testing.T) {
 	got = c.since(before3)
 	// Intent, packed extent and journal: three atomic writes of two
 	// flushes each; then the commit's and the removals' directory fsyncs.
-	if stats.Clean || stats.Written != 1 || got.commits != 1 || got.writes != 3 || got.flushes() != 8 || got.removes != 3 {
-		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 3 writes, 8 flushes, 3 removals", got, stats)
+	if stats.Clean || stats.Written != 1 || got.commits != 1 || got.writes != 3 || got.flushes() != 8 || got.removes != 4 {
+		t.Fatalf("the folding sync did %+v (stats %+v), want one commit, 3 writes, 8 flushes, 4 removals", got, stats)
 	}
-	if r := records(); len(r) != 0 {
-		t.Fatalf("records %v survived their fold", r)
-	}
+	files("after the fold", 0, 0)
 	if files, err := st.Load(); err != nil || string(files[journal]) != j1234 {
 		t.Fatalf("after the fold Load's journal is %q (err %v), want the synced %q", files[journal], err, j1234)
 	}
 	if again := mustSync(t, st, w); !again.Clean {
 		t.Fatalf("a sync after the fold is not clean: %+v", again)
+	}
+
+	// A chain of five links doubles its reservations (1, 1, 2, 4 slots);
+	// the committed record takes a free slot and removes the chain and
+	// the slots left free.
+	row := func(n int) string {
+		j := "config,status\n"
+		for i := 1; i <= n; i++ {
+			j += fmt.Sprintf("%03d,ok\n", i)
+		}
+		return j
+	}
+	put(row(1), len(row(1)), 1, 0)
+	put(row(2), 7, 1, 0)
+	put(row(3), 7, 2, 0)
+	put(row(5), 14, 0, 0)
+	put(row(6), 7, 4, 0)
+	files("after five Puts", 5, 3)
+	put(j1234, 0, 0, 7)
+	files("after the committed record", 1, 0)
+	mustCleanVerify(t, st, "after the committed record")
+	if got, want := mustStateDigest(t, st), mustStateDigest(t, New(c)); got != want {
+		t.Fatal("after the committed record the writing store and a reopened one name different states")
 	}
 }
 

@@ -113,7 +113,7 @@ func fuzzPutRecords(tb testing.TB) (names []string, images [][]byte) {
 			if err := st.Put(path, benchJournalOf(order[:k+1])); err != nil {
 				tb.Fatal(err)
 			}
-			name := putRecordPath(st.puts.gen, st.puts.next-1)
+			name := st.puts.live[path].name
 			raw, err := fs.ReadFile(name)
 			if err != nil {
 				tb.Fatal(err)
@@ -147,6 +147,11 @@ func FuzzDecodePutRecord(f *testing.F) {
 		}
 		f.Add(names[(i+1)%len(names)], images[i])
 	}
+	// A free slot, an emptied record, and a Put into a slot cut short:
+	// none of them is a record.
+	f.Add(names[2], []byte(putFree))
+	f.Add(names[2], []byte{})
+	f.Add(names[2], images[2][:len(images[2])/2])
 	f.Fuzz(func(t *testing.T, name string, raw []byte) {
 		rec, err := decodePutRecord(name, raw)
 		if err != nil {

@@ -258,7 +258,10 @@ func settleContent(plan SettlePlan, path string, f *memFile) []byte {
 	if n := plan.KeepBytes(path, len(f.data)); n >= 0 {
 		return f.data[:n]
 	}
-	return f.synced // last fsynced content (nil → empty file)
+	if !f.pending {
+		return f.dur // overwritten in place: the entry's last fsynced bytes
+	}
+	return f.synced // the new inode's last fsynced content (nil → empty file)
 }
 
 // coin is the seeded settle coin: deterministic in (seed, path, crash

@@ -17,14 +17,33 @@ import (
 
 // Put records: a durable Put writes one self-checking record file,
 // .popper/put-<generation>-<sequence>, instead of committing a manifest
-// generation: write, fsync, fsync of .popper, no temp file or rename.
+// generation. Record files are slots the store creates ahead of use.
+// A Put that finds a free slot overwrites it in place and fsyncs only
+// that file: the slot's name is already durable. A Put that finds none
+// reserves a batch: its record in the first new slot, the free-slot
+// marker (putFree) in the rest, an fsync of its record and one of
+// .popper for the whole batch. A link's batch holds as many slots as its
+// chain has records, so a chain of n links reserves about log2(n) times
+// and leaves fewer free slots than it has records; a full or committed
+// record, which starts a chain, reserves only its own. A Sync never
+// reserves.
+//
 // A path's records form a chain. The first Put since the path's
 // committed content writes the content whole (a full record); each
 // later one writes only a splice — offset, cut and inserted bytes —
 // against the path's previous content (a link), so a journal that gains
 // a row per Put writes that row plus a fixed frame. A Put of the
-// committed content writes an empty committed record, after which the
-// older records are removed without an fsync.
+// committed content writes an empty committed record. Once a full or
+// committed record is durable, the path's older records and every free
+// slot are removed without an fsync.
+//
+// A free slot holds exactly putFree, which no record, whole, torn or
+// emptied, equals, so a record a returned Put wrote never reads as free.
+// Its marker is never fsynced on its own: a crash may leave a free slot
+// empty or torn, and it then reads as a torn record, as the record of a
+// Put still in flight does. A Put writes only a free slot past every
+// other record file of its generation, so a new record outranks every
+// one already there and never overwrites one.
 //
 // The frame holds no counter: a record is bound to its name by its
 // checksum, a SHA-256 over the name and the record's bytes, and a link
@@ -38,17 +57,21 @@ import (
 // the path had no committed content; with no manifest, the digest of
 // the path's tracked file), which is what lets a manifest rebuild tell
 // a live chain from one a commit folded. The next manifest commit folds
-// the records in and removes them durably. A Sync whose files and heads
-// all equal the committed tree commits nothing and leaves the records
-// where they are. A record of version 1 — a cas extent holding a header
-// and the full content — still decodes, as a full record that carries
-// no committed digest; nothing writes one.
+// the records in and removes them, with the free slots, durably. A Sync
+// whose files and heads all equal the committed tree commits nothing
+// and leaves the records where they are. A record of version 1 — a cas
+// extent holding a header and the full content — still decodes, as a
+// full record that carries no committed digest; nothing writes one.
 
 const (
 	putPrefix = popperDir + "/put-"
 	putMagic  = "popper-put v2\n"
 	// putHeaderV1 opens a version-1 record's header blob.
 	putHeaderV1 = "popper-put v1 "
+	// putFree is a free slot's whole content. It is shorter than a
+	// record's frame and differs from a record's magic, so no record,
+	// whole or cut short, equals it.
+	putFree = "popper-slot\n"
 )
 
 // Record kinds.
@@ -371,8 +394,11 @@ func replay(recs []putRecord, man *Manifest) (map[string]*putHead, []string) {
 // otherwise it describes the records of gen.
 type putLog struct {
 	gen    int // the generation whose records are live
-	maxGen int // the highest generation any record names
-	next   int // the next free sequence number in gen
+	maxGen int // the highest generation any record file names
+	next   int // the sequence the next reservation starts at: past every record file of gen
+	// free is the free slots of gen past every other record file of gen,
+	// in sequence order: where the next Puts write.
+	free []int
 	// bare: scanned with no manifest. Such a log stays valid while every
 	// change goes through this store: its Puts keep it current, and a
 	// Sync, a repair or an image install drops it.
@@ -381,8 +407,8 @@ type putLog struct {
 	// committed generation, each chain is dated by its path's tracked
 	// file (see datePutsLocked).
 	byContent bool
-	names     []string            // every record file, removed at the next commit
-	damaged   []string            // records of gen that fail their checksum
+	names     []string            // every record and slot file, removed at the next commit
+	damaged   []string            // record files of gen that are neither a record nor a free slot
 	dangling  []string            // intact records of gen newer than their path's head that do not replay
 	folded    []string            // records of gen whose chain a later commit folded (no manifest only)
 	recs      []putRecord         // the intact records of gen as scanned, in sequence order
@@ -393,8 +419,9 @@ type putLog struct {
 // putLogLocked returns the record cache for the committed manifest,
 // scanning the disk when it is cold or describes another generation,
 // or, with no manifest, when no scan since this store's last commit or
-// repair made it. Callers hold the lock.
-func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
+// repair made it. paths is a listing of the tree the caller already
+// holds, or nil. Callers hold the lock.
+func (s *Store) putLogLocked(man *Manifest, paths []string) (*putLog, error) {
 	if p := s.puts; p != nil {
 		if len(p.names) == 0 {
 			p.gen = 0
@@ -407,9 +434,11 @@ func (s *Store) putLogLocked(man *Manifest) (*putLog, error) {
 			return p, nil
 		}
 	}
-	paths, err := s.fs.List()
-	if err != nil {
-		return nil, err
+	if paths == nil {
+		var err error
+		if paths, err = s.fs.List(); err != nil {
+			return nil, err
+		}
 	}
 	p, err := s.scanPutsLocked(man, paths)
 	if err != nil {
@@ -448,6 +477,7 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 			p.byContent = true
 		}
 	}
+	top := 0 // the highest sequence of a record file of gen that is not free
 	for _, path := range p.names {
 		gen, seq, _ := parsePutName(path)
 		if gen != p.gen {
@@ -458,6 +488,11 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 		if err != nil && s.dead != nil {
 			return nil, s.dead
 		}
+		if err == nil && string(raw) == putFree {
+			p.free = append(p.free, seq)
+			continue
+		}
+		top = max(top, seq)
 		rec, derr := decodePutRecord(path, raw)
 		if err != nil || derr != nil {
 			p.damaged = append(p.damaged, path)
@@ -465,6 +500,10 @@ func (s *Store) scanPutsLocked(man *Manifest, paths []string) (*putLog, error) {
 		}
 		p.recs = append(p.recs, rec)
 	}
+	// A free slot below another record file stays unwritten until the
+	// next commit removes it: a new record must outrank every one there.
+	p.free = slices.DeleteFunc(p.free, func(seq int) bool { return seq < top })
+	slices.Sort(p.free)
 	sort.Slice(p.recs, func(i, j int) bool { return p.recs[i].seq < p.recs[j].seq })
 	if err := s.resolvePutsLocked(p, man); err != nil {
 		return nil, err
@@ -557,10 +596,10 @@ func (s *Store) putLocked(p *putLog, man *Manifest, path string, data []byte) er
 	if err := s.refuseIfInterrupted("put"); err != nil {
 		return err
 	}
-	rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, path: path}
+	rec := putRecord{path: path}
 	if atCommitted {
 		rec.kind, rec.base = putCommitted, e.Hash
-		return s.writePutLocked(p, rec, committedHead(e.Hash))
+		return s.writePutLocked(p, rec, committedHead(e.Hash), 1)
 	}
 	head := &putHead{dated: true, data: bytes.Clone(data), hash: sum, hashed: hasEntry && e.Size == int64(len(data))}
 	if prev == nil || prev.committed || !prev.dated {
@@ -580,25 +619,50 @@ func (s *Store) putLocked(p *putLog, man *Manifest, path string, data []byte) er
 			}
 		}
 		head.root = rec.base
-	} else {
-		rec.kind, rec.base = putLink, prev.sum
-		rec.off, rec.cut, rec.data = spliceOf(prev.data, data)
-		head.root = prev.root
+		return s.writePutLocked(p, rec, head, 1)
 	}
-	return s.writePutLocked(p, rec, head)
+	rec.kind, rec.base = putLink, prev.sum
+	rec.off, rec.cut, rec.data = spliceOf(prev.data, data)
+	head.root = prev.root
+	return s.writePutLocked(p, rec, head, len(p.byPath[path]))
 }
 
-// writePutLocked writes rec durably as its path's new head: write,
-// fsync, fsync of .popper. A full or committed record needs no older
-// one, so once it is durable the path's older records are removed
-// without an fsync: a crash that undoes a removal brings back records
-// the newer one outranks, and the next fsync of .popper makes the
-// removals durable anyway. Callers hold the lock.
-func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead) error {
+// writePutLocked writes rec durably as its path's new head, in the
+// first free slot: write and fsync, in place. With no slot free it
+// reserves batch slots, at least one: rec in the first, putFree in the
+// rest, then an fsync of rec and one of .popper for them all. A full or
+// committed record needs no older one, so once it is durable the path's
+// older records and the free slots are removed without an fsync: a
+// crash that undoes a removal brings back records the newer one
+// outranks and slots no Put wrote, and the next fsync of .popper makes
+// the removals durable anyway. A failed write drops the record cache:
+// what it left is for the next scan to read. Callers hold the lock.
+func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead, batch int) error {
 	if len(rec.path) > math.MaxUint16 {
 		return fmt.Errorf("store: put %s: path longer than a record can name", rec.path)
 	}
-	if err := s.write(rec.name, rec.encode()); err != nil {
+	reserve, batch := len(p.free) == 0, max(batch, 1)
+	rec.seq = p.next
+	if !reserve {
+		rec.seq = p.free[0]
+	}
+	rec.name = putRecordPath(p.gen, rec.seq)
+	var slots []string
+	err := s.write(rec.name, rec.encode())
+	if err == nil {
+		err = s.sync(rec.name)
+	}
+	if err == nil && reserve {
+		for seq := rec.seq + 1; seq < rec.seq+batch && err == nil; seq++ {
+			slots = append(slots, putRecordPath(p.gen, seq))
+			err = s.write(slots[len(slots)-1], []byte(putFree))
+		}
+		if err == nil {
+			err = s.syncDir(popperDir)
+		}
+	}
+	if err != nil {
+		s.puts = nil
 		return err
 	}
 	head.name, head.seq, head.path, head.sum = rec.name, rec.seq, rec.path, rec.sum
@@ -607,24 +671,30 @@ func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead) error {
 		p.byPath = make(map[string][]string)
 	}
 	p.live[rec.path] = head
-	p.names = append(p.names, rec.name)
 	p.maxGen = max(p.maxGen, p.gen)
-	p.next++
-	superseded := p.byPath[rec.path]
-	if rec.kind == putLink {
-		p.byPath[rec.path] = append(superseded, rec.name)
-		superseded = nil
+	if reserve {
+		p.names = append(append(p.names, rec.name), slots...)
+		for i := range slots {
+			p.free = append(p.free, rec.seq+1+i)
+		}
+		p.next = rec.seq + batch
 	} else {
-		p.byPath[rec.path] = []string{rec.name}
+		p.free = p.free[1:]
 	}
-	if err := s.sync(rec.name); err != nil {
-		return err
+	if rec.kind == putLink {
+		p.byPath[rec.path] = append(p.byPath[rec.path], rec.name)
+		return nil
 	}
-	if err := s.syncDir(popperDir); err != nil || len(superseded) == 0 {
-		return err
+	superseded := p.byPath[rec.path]
+	p.byPath[rec.path] = []string{rec.name}
+	for _, seq := range p.free {
+		superseded = append(superseded, putRecordPath(p.gen, seq))
 	}
+	// Every record file past rec was a free slot.
+	p.free, p.next = nil, rec.seq+1
 	for _, name := range superseded {
 		if err := s.remove(name); err != nil {
+			s.puts = nil
 			return err
 		}
 	}
@@ -639,8 +709,9 @@ func (s *Store) writePutLocked(p *putLog, rec putRecord, head *putHead) error {
 // their chains are superseded first, durably, by a record that outranks
 // them. Without it a crash that undid the commit's removals would leave
 // a chain that begins at the very content the manifest still records,
-// which a rebuild after the manifest's loss would take for live.
-// Callers hold the lock.
+// which a rebuild after the manifest's loss would take for live. Each
+// record takes a free slot, or a file of its own: a Sync reserves no
+// slot. Callers hold the lock.
 func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte, hashes map[string][sha256.Size]byte) error {
 	var back []string
 	for path, h := range p.live {
@@ -661,8 +732,8 @@ func (s *Store) putBackLocked(p *putLog, man *Manifest, files map[string][]byte,
 	}
 	sort.Strings(back)
 	for _, path := range back {
-		rec := putRecord{name: putRecordPath(p.gen, p.next), seq: p.next, kind: putCommitted, path: path, base: committedDigest(man, path)}
-		if err := s.writePutLocked(p, rec, committedHead(rec.base)); err != nil {
+		rec := putRecord{kind: putCommitted, path: path, base: committedDigest(man, path)}
+		if err := s.writePutLocked(p, rec, committedHead(rec.base), 1); err != nil {
 			return err
 		}
 	}
@@ -706,7 +777,7 @@ func (s *Store) PutFrontier() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	p, err := s.putLogLocked(man)
+	p, err := s.putLogLocked(man, nil)
 	if err != nil {
 		return 0, err
 	}

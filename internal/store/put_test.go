@@ -12,20 +12,37 @@ import (
 // repository a version-1 store left, and a link that rots in the middle
 // of a chain.
 
-// putRecordsIn lists the put records on a VFS.
+// putRecordsIn lists the put record files on a VFS that are not free
+// slots.
 func putRecordsIn(t *testing.T, v VFS) []string {
+	t.Helper()
+	recs, _ := putFilesIn(t, v)
+	return recs
+}
+
+// putFilesIn lists the put record files on a VFS: those that are not
+// free slots, and the free slots.
+func putFilesIn(t *testing.T, v VFS) (recs, free []string) {
 	t.Helper()
 	paths, err := v.List()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var out []string
 	for _, p := range paths {
-		if isPutRecord(p) {
-			out = append(out, p)
+		if !isPutRecord(p) {
+			continue
+		}
+		raw, err := v.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(raw) == putFree {
+			free = append(free, p)
+		} else {
+			recs = append(recs, p)
 		}
 	}
-	return out
+	return recs, free
 }
 
 // TestPutChainReplaysRandomSplices drives seeded random edits of two
@@ -334,8 +351,62 @@ func TestPutWithNoManifestReadsEachRecordOnce(t *testing.T) {
 			t.Errorf("the puts read %s %d times, want at most once", path, n)
 		}
 	}
-	if recs := putRecordsIn(t, fs); len(recs) != 200 {
-		t.Fatalf("200 puts left %d records", len(recs))
+	// The chain's reservations doubled: 1, 1, 2, ..., 128 slots.
+	if recs, free := putFilesIn(t, fs); len(recs) != 200 || len(free) != 56 {
+		t.Fatalf("200 puts left %d records and %d free slots, want 200 and 56", len(recs), len(free))
 	}
 	t.Logf("the puts read %d of 200 record files", records)
+}
+
+// TestLoadServesPutCache: after a commit and 50 journal Puts, the
+// writing store's Load takes the chains from its record cache, so three
+// Loads in a row read no record file, and each equals a freshly opened
+// store's Load, which reads each record once.
+func TestLoadServesPutCache(t *testing.T) {
+	fs := NewMemFS(chaosSeed(t))
+	c := &opCounter{VFS: fs}
+	st := New(c)
+	mustSync(t, st, w2())
+	const journalPath = "exp/journal.csv"
+	for i := 1; i <= 50; i++ {
+		if err := st.Put(journalPath, benchJournal(i)); err != nil {
+			t.Fatalf("put %d: %v", i, err)
+		}
+	}
+	records := putRecordsIn(t, fs)
+	if len(records) != 50 {
+		t.Fatalf("50 puts left %d records", len(records))
+	}
+	for i := 1; i <= 3; i++ {
+		c.reads = make(map[string]int)
+		got, err := st.Load()
+		if err != nil {
+			t.Fatalf("load %d: %v", i, err)
+		}
+		for path, n := range c.reads {
+			if isPutRecord(path) {
+				t.Fatalf("load %d on the writing store read %s %d time(s), want no record read", i, path, n)
+			}
+		}
+		c.reads = make(map[string]int)
+		fresh, err := New(c).Load()
+		if err != nil {
+			t.Fatalf("load %d in a fresh store: %v", i, err)
+		}
+		for _, name := range records {
+			if c.reads[name] != 1 {
+				t.Fatalf("load %d in a fresh store read %s %d time(s), want once", i, name, c.reads[name])
+			}
+		}
+		c.reads = nil
+		if len(got) != len(fresh) || !bytes.Equal(got[journalPath], benchJournal(50)) {
+			t.Fatalf("load %d: the writing store loads %d file(s), a fresh one %d; the journal is the last put's: %v",
+				i, len(got), len(fresh), bytes.Equal(got[journalPath], benchJournal(50)))
+		}
+		for path, content := range fresh {
+			if !bytes.Equal(got[path], content) {
+				t.Fatalf("load %d: %s differs between the writing store and a fresh one", i, path)
+			}
+		}
+	}
 }

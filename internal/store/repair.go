@@ -324,7 +324,8 @@ func (s *Store) planFindings(p *Plan, findings []Finding, fix []int, q Quorum) e
 
 // planPuts plans the put records that do not replay. A damaged record
 // is installed from the replica quorum when the quorum holds an intact
-// copy; then the chains are replayed again with those copies in, and
+// copy — a record, or a free slot, which keeps the replicas' slots
+// alike; then the chains are replayed again with those copies in, and
 // every record that still does not replay — a damaged one no quorum
 // holds, a copy that replays no better, a link that needs one of them —
 // is removed. A record the copies let replay again resolves to the
@@ -340,11 +341,12 @@ func (s *Store) planPuts(p *Plan, findings []Finding, fix, idx []int, q Quorum) 
 		if findings[i].Note != noteDamagedPut {
 			continue
 		}
-		if data, _ := fileQuorum(q, findings[i].Path); data != nil {
-			if rec, err := decodePutRecord(findings[i].Path, data); err == nil {
-				installs[rec.name] = data
-				log.recs = append(log.recs, rec)
-			}
+		data, _ := fileQuorum(q, findings[i].Path)
+		if string(data) == putFree {
+			installs[findings[i].Path] = data
+		} else if rec, err := decodePutRecord(findings[i].Path, data); err == nil {
+			installs[rec.name] = data
+			log.recs = append(log.recs, rec)
 		}
 	}
 	if len(installs) > 0 {

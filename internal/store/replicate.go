@@ -236,7 +236,7 @@ func (s *Store) StateDigest() ([sha256.Size]byte, error) {
 	if err != nil || man == nil {
 		return s.treeHashLocked()
 	}
-	p, err := s.putLogLocked(man)
+	p, err := s.putLogLocked(man, nil)
 	if err != nil {
 		return zero, err
 	}

@@ -79,9 +79,12 @@ func (e *RecoveryError) Error() string {
 
 // Load reads the logical workspace into a flat path map — the inverse
 // of Sync: the tracked files on disk, overlaid with the content each
-// live put-record chain replays to. Reads go through the instrumented disk/read/* sites, so
-// injected rot reaches consumers exactly the way latent media
-// corruption would.
+// live put-record chain replays to. The chains come from the record
+// cache when it describes the committed generation, so a store that
+// wrote the records reads none of them again: like Put and Sync, Load
+// takes this store for the repository's only writer. Reads go through
+// the instrumented disk/read/* sites, so injected rot reaches consumers
+// exactly the way latent media corruption would.
 func (s *Store) Load() (map[string][]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -116,11 +119,10 @@ func (s *Store) Load() (map[string][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := s.scanPutsLocked(man, paths)
+	p, err := s.putLogLocked(man, paths)
 	if err != nil {
 		return nil, err
 	}
-	s.puts = p
 	for path, h := range p.live {
 		if !h.committed {
 			files[path] = bytes.Clone(h.data)
@@ -174,7 +176,7 @@ func (s *Store) SyncHashed(files map[string][]byte, hashes map[string][sha256.Si
 	if err != nil {
 		return stats, err
 	}
-	puts, err := s.putLogLocked(man)
+	puts, err := s.putLogLocked(man, nil)
 	if err != nil {
 		return stats, err
 	}
@@ -296,14 +298,15 @@ func (s *Store) SyncHashed(files map[string][]byte, hashes map[string][sha256.Si
 }
 
 // Put durably writes one artifact now, mid-command, as one put record
-// (see put.go): write, fsync, and an fsync of .popper, whatever the
-// manifest's size. A Put that extends the path's chain writes only the
-// splice from the previous content (for a journal, the new row) plus a
-// fixed frame. From then on Load returns data for path, and a crash a
-// moment later still finds it; the tracked file on disk keeps its
-// committed bytes until the next manifest commit folds the chain in. A
-// Put of the path's current logical content writes nothing. The sweep
-// journal rides this path — each completed configuration is
+// (see put.go): a write and an fsync of a free slot, or, when none is
+// free, a reservation of slots, which adds an fsync of .popper —
+// whatever the manifest's size. A Put that extends the path's chain
+// writes only the splice from the previous content (for a journal, the
+// new row) plus a fixed frame. From then on Load returns data for path,
+// and a crash a moment later still finds it; the tracked file on disk
+// keeps its committed bytes until the next manifest commit folds the
+// chain in. A Put of the path's current logical content writes nothing.
+// The sweep journal rides this path — each completed configuration is
 // recoverable even if the process never reaches its final sync.
 func (s *Store) Put(path string, data []byte) error {
 	if err := CheckPath(path); err != nil {
@@ -321,7 +324,7 @@ func (s *Store) Put(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	p, err := s.putLogLocked(man)
+	p, err := s.putLogLocked(man, nil)
 	if err != nil {
 		return err
 	}

@@ -22,10 +22,12 @@
 //     up in; the index takes the extent the commit writes from the
 //     image it encoded, and the garbage collection decides from it;
 //   - durable mid-command writes (Put) as self-checking put records
-//     (.popper/put-<generation>-<seq>): one file and two flushes each,
-//     holding a path's content whole or only the splice from its
-//     previous record, replayed and overlaid on the committed tree by
-//     Load and folded into the next manifest commit;
+//     (.popper/put-<generation>-<seq>), each written into a slot file
+//     reserved ahead of use with one write and one flush (a reservation
+//     adds one flush of .popper), holding a path's content whole or
+//     only the splice from its previous record, replayed and overlaid
+//     on the committed tree by Load and folded into the next manifest
+//     commit;
 //   - Verify, Plan and Apply: one walk classifies every deviation from
 //     the manifest — torn, missing, extra and corrupted files, debris,
 //     damaged put records, an unbacked content — and a typed repair plan
