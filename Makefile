@@ -86,7 +86,7 @@ chaos:
 	@for seed in $(CHAOS_SEEDS); do \
 		echo "-- chaos suite, seed $$seed"; \
 		CHAOS_SEED=$$seed $(GO) test -race -count=1 \
-			-run 'Chaos|Fault|Retry|Quarantine|Resilien|Partition|Crash|Deadline|FailFast|Resume' \
+			-run 'Chaos|Fault|Retry|Quarantine|Resilien|Partition|Crash|FailFast|Resume' \
 			./internal/fault/ ./internal/sched/ ./internal/pipeline/ \
 			./internal/core/ ./internal/orchestrate/ ./internal/gasnet/ ./internal/gassyfs/ \
 			|| exit 1; \
@@ -192,7 +192,8 @@ bench-aver:
 # per simulated message step (the LULESH proxy, blocking and overlapped,
 # at 8 and 27 ranks) and a 15-node Provision's allocations and host
 # time per node into BENCH_sim.json. TestStoreBenchJSONExactCounts,
-# TestSchedBenchJSONExactCounts, TestGassyfsBenchJSONExactCounts,
+# TestSchedBenchJSONExactCounts, TestCacheBenchJSONExactCounts,
+# TestAverBenchJSONExactCounts, TestGassyfsBenchJSONExactCounts,
 # TestSimBenchJSONExactCounts and TestScrubBenchJSONExactCounts hold
 # each file's exact fields to the recorder, so a change that moves one
 # re-records its file here.

@@ -1,7 +1,6 @@
 package popper
 
 import (
-	"errors"
 	"strings"
 	"testing"
 
@@ -10,9 +9,7 @@ import (
 	"popper/internal/container"
 	"popper/internal/core"
 	"popper/internal/dataset"
-	"popper/internal/metrics"
 	"popper/internal/pipeline"
-	"popper/internal/table"
 	"popper/internal/vcs"
 	"popper/internal/weather"
 )
@@ -20,9 +17,9 @@ import (
 // TestFullPopperLifecycle drives the entire reproduction end to end the
 // way the paper's reader/reviewer/collaborator workflow describes it:
 // an author popperizes an exploration, CI guards every commit, a
-// collaborator adds an experiment on a branch that gets merged, a
-// regression turns CI red, and the journal proves bit-for-bit
-// re-execution.
+// collaborator builds on the author's latest commit with an experiment
+// of their own, a regression turns CI red, and the journal proves
+// bit-for-bit re-execution.
 func TestFullPopperLifecycle(t *testing.T) {
 	// --- the author bootstraps the repository -------------------------
 	store, ref := publishWeather(t)
@@ -60,10 +57,13 @@ func TestFullPopperLifecycle(t *testing.T) {
 		t.Fatalf("results CI: %s\n%s", b.Status, b.Log)
 	}
 
-	// --- a collaborator adds a systems experiment on a branch ---------
-	if err := repo.CreateBranch("add-zlog", true); err != nil {
-		t.Fatal(err)
-	}
+	// --- the author tweaks the paper ------------------------------------
+	author, _ := core.Load(mustCheckout(t, repo))
+	author.Files["paper/paper.tex"] = []byte(
+		"\\documentclass{article}\n\\begin{document}\nNow with a shared-log study.\n\\end{document}\n")
+	repo.Commit(author.Files, "author", "revise prose")
+
+	// --- a collaborator adds a systems experiment; CI builds it -------
 	collab, err := core.Load(mustCheckout(t, repo))
 	if err != nil {
 		t.Fatal(err)
@@ -72,37 +72,25 @@ func TestFullPopperLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	collab.SetParam("shared-log", "appends", "128")
-	if _, err := repo.Commit(collab.Files, "collaborator", "add zlog experiment"); err != nil {
-		t.Fatal(err)
-	}
-
-	// meanwhile the author tweaks the paper on master
-	repo.SwitchBranch("master")
-	author, _ := core.Load(mustCheckout(t, repo))
-	author.Files["paper/paper.tex"] = []byte(
-		"\\documentclass{article}\n\\begin{document}\nNow with a shared-log study.\n\\end{document}\n")
-	repo.Commit(author.Files, "author", "revise prose")
-
-	// --- merge the collaborator's branch; CI builds the merge ---------
-	merged, err := repo.Merge("add-zlog", "author")
+	c3, err := repo.Commit(collab.Files, "collaborator", "add zlog experiment")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b, ok := svc.LatestFor(merged.Hash); !ok || b.Status != ci.StatusPassed {
-		t.Fatalf("merge CI: %+v\n%s", b.Status, b.Log)
+	if b, ok := svc.LatestFor(c3.Hash); !ok || b.Status != ci.StatusPassed {
+		t.Fatalf("collaborator CI: %+v\n%s", b.Status, b.Log)
 	}
-	mergedTree := mustCheckout(t, repo)
-	mergedProj, _ := core.Load(mergedTree)
-	exps := mergedProj.Experiments()
+	sharedTree := mustCheckout(t, repo)
+	sharedProj, _ := core.Load(sharedTree)
+	exps := sharedProj.Experiments()
 	if len(exps) != 2 {
-		t.Fatalf("merged experiments = %v", exps)
+		t.Fatalf("shared experiments = %v", exps)
 	}
-	if !strings.Contains(string(mergedTree["paper/paper.tex"]), "shared-log study") {
-		t.Fatal("author's prose lost in merge")
+	if !strings.Contains(string(sharedTree["paper/paper.tex"]), "shared-log study") {
+		t.Fatal("author's prose lost")
 	}
 
-	// --- the merged experiment runs and validates ---------------------
-	runRes, err := mergedProj.RunExperiment("shared-log", env)
+	// --- the collaborator's experiment runs and validates -------------
+	runRes, err := sharedProj.RunExperiment("shared-log", env)
 	if err != nil {
 		t.Fatalf("%v\n%s", err, runRes.Record.Log)
 	}
@@ -111,15 +99,15 @@ func TestFullPopperLifecycle(t *testing.T) {
 	}
 
 	// --- a regression turns CI red -------------------------------------
-	mergedProj.Files[core.CIFile] = []byte(
+	sharedProj.Files[core.CIFile] = []byte(
 		"script:\n  - popper check\n  - ./experiments/shared-log/run.sh\n")
-	repo.Commit(mergedProj.Files, "author", "gate the experiment in CI")
+	repo.Commit(sharedProj.Files, "author", "gate the experiment in CI")
 	if b, _ := svc.Latest(); b.Status != ci.StatusPassed {
 		t.Fatalf("gated CI should pass first: %s\n%s", b.Status, b.Log)
 	}
 	// someone makes batching pointless, breaking the increasing() claim
-	mergedProj.SetParam("shared-log", "batches", "8,8,8")
-	repo.Commit(mergedProj.Files, "author", "accidental regression")
+	sharedProj.SetParam("shared-log", "batches", "8,8,8")
+	repo.Commit(sharedProj.Files, "author", "accidental regression")
 	if b, _ := svc.Latest(); b.Status != ci.StatusFailed {
 		t.Fatalf("regression must fail CI: %s\n%s", b.Status, b.Log)
 	}
@@ -136,71 +124,6 @@ func TestFullPopperLifecycle(t *testing.T) {
 		t.Fatal("re-execution from the committed tree must reproduce results.csv bit-for-bit")
 	}
 	_ = res2
-}
-
-// TestMergeConflictSurfacesInWorkflow shows that conflicting edits to
-// the same experiment parameterization are caught, not silently merged.
-func TestMergeConflictSurfacesInWorkflow(t *testing.T) {
-	proj := core.Init()
-	proj.AddExperiment("proteustm", "stm")
-	repo := vcs.NewRepository()
-	repo.Commit(proj.Files, "author", "base")
-
-	repo.CreateBranch("tune-a", true)
-	a, _ := core.Load(mustCheckout(t, repo))
-	a.SetParam("stm", "threads", "1,2,4")
-	repo.Commit(a.Files, "alice", "narrow sweep")
-
-	repo.SwitchBranch("master")
-	b, _ := core.Load(mustCheckout(t, repo))
-	b.SetParam("stm", "threads", "8,16,32")
-	repo.Commit(b.Files, "bob", "wide sweep")
-
-	_, err := repo.Merge("tune-a", "bob")
-	var conflict *vcs.ErrMergeConflict
-	if !errors.As(err, &conflict) {
-		t.Fatalf("want merge conflict, got %v", err)
-	}
-	if conflict.Conflicts[0].Path != "experiments/stm/vars.yml" {
-		t.Fatalf("conflict path = %s", conflict.Conflicts[0].Path)
-	}
-}
-
-// TestStatisticalClaim forms the paper's statistical-reproducibility
-// statement over two systems measured on the simulated platform.
-func TestStatisticalClaim(t *testing.T) {
-	// Run the zlog experiment at two batch sizes many times with
-	// different seeds; treat batch=1 as system A and batch=64 as B.
-	var a, b []float64
-	for seed := int64(0); seed < 8; seed++ {
-		proj := core.Init()
-		proj.AddExperiment("zlog", "log")
-		proj.SetParam("log", "batches", "1,64")
-		proj.SetParam("log", "appends", "128")
-		proj.SetParam("log", "seed", "1")
-		if _, err := proj.RunExperiment("log", &core.Env{Seed: seed}); err != nil {
-			t.Fatal(err)
-		}
-		raw, _ := proj.ExperimentFile("log", "results.csv")
-		tb, err := table.ParseCSV(string(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		rates, _ := tb.Floats("appends_per_sec")
-		// lower-is-better framing: per-append latency
-		a = append(a, 1/rates[0])
-		b = append(b, 1/rates[1])
-	}
-	c, err := compareSystems(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !c.Better() {
-		t.Fatalf("batched appends should be confidently better: %s", c.String())
-	}
-	if c.Factor < 2 {
-		t.Fatalf("batching should win by a clear factor, got %s", c.String())
-	}
 }
 
 func publishWeather(t *testing.T) (*dataset.Store, dataset.Ref) {
@@ -239,12 +162,6 @@ func mustCheckoutAt(t *testing.T, repo *vcs.Repository, h vcs.Hash) map[string][
 		t.Fatal(err)
 	}
 	return files
-}
-
-// compareSystems wraps metrics.CompareSystems with the fixed seed the
-// integration suite uses.
-func compareSystems(a, b []float64) (metrics.Comparison, error) {
-	return metrics.CompareSystems(a, b, 0.95, 1)
 }
 
 // TestImageThroughArtifactStore ships a packaged experiment image

@@ -291,28 +291,6 @@ func (f *Federation) Fetch(caller int, key [sha256.Size]byte) (FetchResult, erro
 	return FetchResult{Kind: FetchRemote, From: best.host, Cost: cost, Bytes: ent.size}, nil
 }
 
-// FetchBlob is Fetch plus reassembly of the entry's chunk stream into
-// one buffer read from the tier — the test-facing convenience for
-// proving transfer fidelity.
-func (f *Federation) FetchBlob(caller int, key [sha256.Size]byte) ([]byte, FetchResult, error) {
-	res, err := f.Fetch(caller, key)
-	if err != nil || res.Kind == FetchMiss {
-		return nil, res, err
-	}
-	f.mu.Lock()
-	ent := f.entries[key]
-	f.mu.Unlock()
-	var out []byte
-	for _, ref := range ent.refs {
-		data, ok := f.tier.View(ref)
-		if !ok {
-			return nil, res, fmt.Errorf("cas: chunk evicted between fetch and read")
-		}
-		out = append(out, data...)
-	}
-	return out, res, nil
-}
-
 // Present reports whether host holds entry key.
 func (f *Federation) Present(host int, key [sha256.Size]byte) bool {
 	f.mu.Lock()

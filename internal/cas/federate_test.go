@@ -54,12 +54,20 @@ func TestFederationPublishFetchFidelity(t *testing.T) {
 
 	// Remote fetch from host 2 moves the bytes and charges its clock.
 	before := nodes[2].Now()
-	got, res, err := fed.FetchBlob(2, key)
+	res, err := fed.Fetch(2, key)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Kind != FetchRemote || res.From != 0 {
 		t.Fatalf("want remote fetch from host 0, got %v from %d", res.Kind, res.From)
+	}
+	var got []byte
+	for _, ref := range fed.entries[key].refs {
+		data, ok := tier.View(ref)
+		if !ok {
+			t.Fatal("fetched chunk missing from the tier")
+		}
+		got = append(got, data...)
 	}
 	if !bytes.Equal(got, content) {
 		t.Fatal("fetched bytes differ from published content")

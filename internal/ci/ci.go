@@ -13,7 +13,6 @@ package ci
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -254,36 +253,4 @@ func (s *Service) Summary() string {
 			b.Number, b.Commit.Short(), b.Branch, b.Status, len(b.Steps))
 	}
 	return sb.String()
-}
-
-// FailedSteps extracts the failing steps of a build, for reports.
-func (b Build) FailedSteps() []StepResult {
-	var out []StepResult
-	for _, s := range b.Steps {
-		if s.Err != nil {
-			out = append(out, s)
-		}
-	}
-	return out
-}
-
-// StatusCounts aggregates history by status (for dashboards).
-func (s *Service) StatusCounts() map[Status]int {
-	out := make(map[Status]int)
-	for _, b := range s.Builds() {
-		out[b.Status]++
-	}
-	return out
-}
-
-// Statuses returns the distinct statuses seen, sorted (helper for tests
-// and dashboards).
-func (s *Service) Statuses() []Status {
-	counts := s.StatusCounts()
-	out := make([]Status, 0, len(counts))
-	for st := range counts {
-		out = append(out, st)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

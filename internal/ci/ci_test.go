@@ -127,9 +127,8 @@ func TestFailingStepStopsMatrixEntry(t *testing.T) {
 	if len(b.Steps) != 2 { // good + bad; never skipped
 		t.Fatalf("steps = %+v", b.Steps)
 	}
-	failed := b.FailedSteps()
-	if len(failed) != 1 || failed[0].Cmd != "bad" {
-		t.Fatalf("failed = %+v", failed)
+	if b.Steps[0].Err != nil || b.Steps[1].Err == nil || b.Steps[1].Cmd != "bad" {
+		t.Fatalf("steps = %+v, want only bad failed", b.Steps)
 	}
 	if svc.Badge() != "[build: failed]" {
 		t.Fatalf("badge = %q", svc.Badge())
@@ -199,12 +198,10 @@ func TestHistoryAcrossCommits(t *testing.T) {
 	if strings.Count(sum, "\n") != 2 {
 		t.Fatalf("summary:\n%s", sum)
 	}
-	counts := svc.StatusCounts()
-	if counts[StatusPassed] != 2 {
-		t.Fatalf("counts = %v", counts)
-	}
-	if got := svc.Statuses(); len(got) != 1 || got[0] != StatusPassed {
-		t.Fatalf("statuses = %v", got)
+	for _, b := range svc.Builds() {
+		if b.Status != StatusPassed {
+			t.Fatalf("build #%d = %s, want %s", b.Number, b.Status, StatusPassed)
+		}
 	}
 }
 

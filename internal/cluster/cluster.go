@@ -178,13 +178,6 @@ func (n *Node) SetBackgroundLoad(load float64) error {
 	return nil
 }
 
-// BackgroundLoad reports the current noisy-neighbour load.
-func (n *Node) BackgroundLoad() float64 {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.bgLoad
-}
-
 // inflate turns a nominal duration into the node's actual one: it slows
 // d by the background load and by a half-normal jitter draw — most runs
 // near nominal, occasional runs slower, the shape real systems show.
@@ -382,16 +375,6 @@ func (n *Node) Alloc(bytes int64) error {
 	}
 	n.usedBytes += bytes
 	return nil
-}
-
-// Free releases previously allocated simulated RAM.
-func (n *Node) Free(bytes int64) {
-	n.mu.Lock()
-	n.usedBytes -= bytes
-	if n.usedBytes < 0 {
-		n.usedBytes = 0
-	}
-	n.mu.Unlock()
 }
 
 // UsedBytes reports currently allocated simulated RAM.

@@ -251,10 +251,6 @@ func TestMemoryAccounting(t *testing.T) {
 	if n.UsedBytes() != ram/2 {
 		t.Fatalf("used = %d", n.UsedBytes())
 	}
-	n.Free(ram) // over-free clamps at zero
-	if n.UsedBytes() != 0 {
-		t.Fatalf("used after free = %d", n.UsedBytes())
-	}
 	if err := n.Alloc(-1); err == nil {
 		t.Fatal("negative alloc should fail")
 	}
@@ -751,8 +747,8 @@ func TestWritersPanicOnReleasedAndLeasedNodes(t *testing.T) {
 		for _, w := range writers {
 			mustPanic(w.name+" on a "+state.name+" node", state.want, func() { w.write(n) })
 		}
-		if n.Now() != 0 || n.BackgroundLoad() != 0 {
-			t.Errorf("refused writes on a %s node moved it: clock %v, load %v", state.name, n.Now(), n.BackgroundLoad())
+		if n.Now() != 0 || n.bgLoad != 0 {
+			t.Errorf("refused writes on a %s node moved it: clock %v, load %v", state.name, n.Now(), n.bgLoad)
 		}
 		if state.name == "leased" {
 			mustPanic("Release of a leased node", "release of leased node", func() { c.Release(n) })

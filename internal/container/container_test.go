@@ -316,9 +316,6 @@ func TestCoreutils(t *testing.T) {
 	if _, err := e.Run("c:1", "cat", "/nope"); err == nil {
 		t.Fatal("cat missing should fail")
 	}
-	if cmds := e.Commands(); len(cmds) < 6 {
-		t.Fatalf("commands = %v", cmds)
-	}
 }
 
 func TestWorkdirResolution(t *testing.T) {
@@ -410,55 +407,6 @@ func keysOf(m map[string][]byte) []string {
 		out = append(out, k)
 	}
 	return out
-}
-
-func TestExecInContainer(t *testing.T) {
-	e, _ := newEngine()
-	baseImage(t, e)
-	ctr, err := e.Run("base:v1", "touch", "/state/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// exec sees earlier changes and can add more
-	if err := e.Exec(ctr, "cp", "/state/a", "/state/b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ctr.ReadFile("/state/b"); err != nil {
-		t.Fatal("exec change not visible")
-	}
-	if err := e.Exec(ctr, "echo", "hi"); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(ctr.Logs(), "hi") {
-		t.Fatalf("logs = %q", ctr.Logs())
-	}
-	if err := e.Exec(ctr); err == nil {
-		t.Fatal("empty exec must fail")
-	}
-	if err := e.Exec(ctr, "no-such-bin"); err == nil {
-		t.Fatal("unknown exec binary must fail")
-	}
-}
-
-func TestInspect(t *testing.T) {
-	e, _ := newEngine()
-	img, err := e.Build(`
-FROM scratch
-COPY f /f
-ENV MODE fast
-LABEL maintainer popper
-WORKDIR /exp
-CMD echo run
-`, map[string][]byte{"f": []byte("x")}, "tool", "v2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := img.Inspect()
-	for _, want := range []string{"tool:v2", "layers: 1", "MODE=fast", "maintainer=popper", "workdir /exp", "cmd echo run"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("inspect missing %q:\n%s", want, out)
-		}
-	}
 }
 
 func TestCopyWholeContext(t *testing.T) {

@@ -2,7 +2,6 @@ package container
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -101,16 +100,6 @@ func (e *Engine) RegisterCommand(name string, fn CommandFunc) {
 	e.commands[name] = fn
 }
 
-// Commands lists registered command names, sorted.
-func (e *Engine) Commands() []string {
-	out := make([]string, 0, len(e.commands))
-	for c := range e.commands {
-		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Container is one running (or exited) instance of an image.
 type Container struct {
 	ID      string
@@ -171,49 +160,8 @@ func (e *Engine) exec(ctr *Container, cmd []string) error {
 	return err
 }
 
-// Exec runs an additional command inside an existing container (docker
-// exec): the command sees the container's current filesystem and
-// environment, and its changes persist in the container's upper layer
-// (but never in the image).
-func (e *Engine) Exec(ctr *Container, cmd ...string) error {
-	if len(cmd) == 0 {
-		return fmt.Errorf("container: exec needs a command")
-	}
-	return e.exec(ctr, cmd)
-}
-
 // Logs returns everything the container wrote to stdout.
 func (ctr *Container) Logs() string { return ctr.logs.String() }
-
-// Inspect renders image metadata (docker inspect, abbreviated).
-func (img *Image) Inspect() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "image %s (id %s)\n", img.Ref(), img.ID()[:12])
-	fmt.Fprintf(&sb, "layers: %d, stored bytes: %d\n", len(img.Layers), img.Size())
-	envKeys := make([]string, 0, len(img.Env))
-	for k := range img.Env {
-		envKeys = append(envKeys, k)
-	}
-	sort.Strings(envKeys)
-	for _, k := range envKeys {
-		fmt.Fprintf(&sb, "env %s=%s\n", k, img.Env[k])
-	}
-	if len(img.Cmd) > 0 {
-		fmt.Fprintf(&sb, "cmd %s\n", strings.Join(img.Cmd, " "))
-	}
-	if img.Workdir != "" {
-		fmt.Fprintf(&sb, "workdir %s\n", img.Workdir)
-	}
-	labelKeys := make([]string, 0, len(img.Labels))
-	for k := range img.Labels {
-		labelKeys = append(labelKeys, k)
-	}
-	sort.Strings(labelKeys)
-	for _, k := range labelKeys {
-		fmt.Fprintf(&sb, "label %s=%s\n", k, img.Labels[k])
-	}
-	return sb.String()
-}
 
 // ReadFile reads from the container's (possibly mutated) filesystem.
 func (ctr *Container) ReadFile(path string) ([]byte, error) {

@@ -110,6 +110,9 @@ type averBenchRecord struct {
 	ViolatingConfigs int     `json:"violating_configs,omitempty"`
 }
 
+// failFastBenchSweep is the fail-fast benchmark's sweep size.
+const failFastBenchSweep = 20
+
 // failFastBenchConfigs enumerates n configurations of which every
 // fifth (seeded by position — deterministic across runs) violates
 // `expect nodes < 16` at its second executor iteration.
@@ -125,50 +128,14 @@ func failFastBenchConfigs(n int) (configs []map[string]string, violating int) {
 	return configs, violating
 }
 
-// TestWriteAverBenchJSON records the streaming-validation perf
-// trajectory when BENCH_JSON names an output file (`make bench-json`):
-// incremental vs full-table per-batch validation cost at 1k/100k/1M
-// observations, and the compute saved by fail-fast cancellation on a
-// 20%-violating sweep. BENCH_SMOKE=1 (wired into `make verify`)
-// shrinks the matrix so regressions fail the full loop quickly.
-func TestWriteAverBenchJSON(t *testing.T) {
-	out := os.Getenv("BENCH_JSON")
-	if out == "" {
-		t.Skip("set BENCH_JSON=<path> to record streaming-validation benchmarks")
-	}
-	smoke := os.Getenv("BENCH_SMOKE") != ""
-	sizes := []struct {
-		name string
-		n    int
-		reps int
-	}{{"1k", 1_000, 200}, {"100k", 100_000, 100}, {"1M", 1_000_000, 50}}
-	sweepConfigs := 20
-	if smoke {
-		sizes = []struct {
-			name string
-			n    int
-			reps int
-		}{{"1k", 1_000, 10}, {"10k", 10_000, 10}}
-		sweepConfigs = 5
-	}
-	records := make(map[string]averBenchRecord)
-
-	var lastSpeedup float64
-	for _, sz := range sizes {
-		inc, batch := averStreamSpeedup(t, sz.n, sz.reps)
-		lastSpeedup = batch / inc
-		records["BenchmarkAverStreaming/incremental-"+sz.name] = averBenchRecord{
-			NsPerOp: inc, Clock: "wall", Speedup: lastSpeedup,
-		}
-		records["BenchmarkAverStreaming/batch-"+sz.name] = averBenchRecord{NsPerOp: batch, Clock: "wall"}
-	}
-	if !smoke && lastSpeedup < 10 {
-		t.Errorf("incremental streaming speedup %.1fx at 1M observations, want >= 10x", lastSpeedup)
-	}
-
-	// Fail-fast compute saved: every config runs to its verdict — no
-	// pool-level stop — so the saving is purely cancelled iterations.
-	configs, violating := failFastBenchConfigs(sweepConfigs)
+// failFastBenchRecords runs n configurations of the fail-fast sweep
+// twice, batch and streaming with fail-fast, and returns
+// BENCH_aver.json's two BenchmarkFailFastSweep entries. Every config
+// runs to its verdict — no pool-level stop — so the saving is purely
+// cancelled iterations. ns_per_op is wall-clock; rows_executed,
+// compute_saved, configs and violating_configs are exact.
+func failFastBenchRecords(t *testing.T, n int) map[string]averBenchRecord {
+	configs, violating := failFastBenchConfigs(n)
 	runAll := func(failFast bool) (rows int64, elapsed time.Duration) {
 		start := time.Now()
 		for i, cfg := range configs {
@@ -193,14 +160,62 @@ func TestWriteAverBenchJSON(t *testing.T) {
 	if ffRows >= batchRows {
 		t.Errorf("fail-fast executed %d rows vs batch %d — cancellation saved nothing", ffRows, batchRows)
 	}
-	records["BenchmarkFailFastSweep/batch"] = averBenchRecord{
-		NsPerOp: float64(batchTime.Nanoseconds()), Clock: "wall", RowsExecuted: batchRows,
-		Configs: len(configs), ViolatingConfigs: violating,
+	return map[string]averBenchRecord{
+		"BenchmarkFailFastSweep/batch": {
+			NsPerOp: float64(batchTime.Nanoseconds()), Clock: "wall", RowsExecuted: batchRows,
+			Configs: len(configs), ViolatingConfigs: violating,
+		},
+		"BenchmarkFailFastSweep/fail-fast": {
+			NsPerOp: float64(ffTime.Nanoseconds()), Clock: "wall", RowsExecuted: ffRows,
+			ComputeSaved: 1 - float64(ffRows)/float64(batchRows),
+			Configs:      len(configs), ViolatingConfigs: violating,
+		},
 	}
-	records["BenchmarkFailFastSweep/fail-fast"] = averBenchRecord{
-		NsPerOp: float64(ffTime.Nanoseconds()), Clock: "wall", RowsExecuted: ffRows,
-		ComputeSaved: 1 - float64(ffRows)/float64(batchRows),
-		Configs:      len(configs), ViolatingConfigs: violating,
+}
+
+// TestWriteAverBenchJSON records the streaming-validation perf
+// trajectory when BENCH_JSON names an output file (`make bench-json`):
+// incremental vs full-table per-batch validation cost at 1k/100k/1M
+// observations, and the compute saved by fail-fast cancellation on a
+// 20%-violating sweep. BENCH_SMOKE=1 (wired into `make verify`)
+// shrinks the matrix so regressions fail the full loop quickly.
+func TestWriteAverBenchJSON(t *testing.T) {
+	out := os.Getenv("BENCH_JSON")
+	if out == "" {
+		t.Skip("set BENCH_JSON=<path> to record streaming-validation benchmarks")
+	}
+	smoke := os.Getenv("BENCH_SMOKE") != ""
+	sizes := []struct {
+		name string
+		n    int
+		reps int
+	}{{"1k", 1_000, 200}, {"100k", 100_000, 100}, {"1M", 1_000_000, 50}}
+	sweepConfigs := failFastBenchSweep
+	if smoke {
+		sizes = []struct {
+			name string
+			n    int
+			reps int
+		}{{"1k", 1_000, 10}, {"10k", 10_000, 10}}
+		sweepConfigs = 5
+	}
+	records := make(map[string]averBenchRecord)
+
+	var lastSpeedup float64
+	for _, sz := range sizes {
+		inc, batch := averStreamSpeedup(t, sz.n, sz.reps)
+		lastSpeedup = batch / inc
+		records["BenchmarkAverStreaming/incremental-"+sz.name] = averBenchRecord{
+			NsPerOp: inc, Clock: "wall", Speedup: lastSpeedup,
+		}
+		records["BenchmarkAverStreaming/batch-"+sz.name] = averBenchRecord{NsPerOp: batch, Clock: "wall"}
+	}
+	if !smoke && lastSpeedup < 10 {
+		t.Errorf("incremental streaming speedup %.1fx at 1M observations, want >= 10x", lastSpeedup)
+	}
+
+	for name, rec := range failFastBenchRecords(t, sweepConfigs) {
+		records[name] = rec
 	}
 
 	data, err := json.MarshalIndent(records, "", "  ")

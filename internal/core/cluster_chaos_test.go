@@ -141,15 +141,3 @@ func TestClusterSweepLocalityPlacement(t *testing.T) {
 		t.Fatalf("sweep failed: %v", sr.Err())
 	}
 }
-
-// TestClusterSweepUnknownProfile surfaces a bad -hosts profile as a
-// sweep-level error, not a silent fallback.
-func TestClusterSweepUnknownProfile(t *testing.T) {
-	p := sweepProject(t)
-	_, err := p.RunSweep("sweep", &Env{Seed: 5}, chaosConfigs(), SweepOptions{
-		Hosts: 2, HostProfile: "not-a-machine",
-	})
-	if err == nil {
-		t.Fatal("unknown host profile must fail the sweep")
-	}
-}

@@ -17,8 +17,8 @@ import (
 	"popper/internal/sched"
 )
 
-// DefaultHostProfile is the machine profile sweeps fan across when
-// SweepOptions.HostProfile is empty.
+// DefaultHostProfile is the machine profile a cluster sweep's simulated
+// hosts are built from.
 const DefaultHostProfile = "cloudlab-c220g1"
 
 // fedSegmentBytes is the per-host gasnet segment a federated sweep
@@ -32,14 +32,7 @@ const fedSegmentBytes = 32 << 20
 // dispatch order. The schedule consumes virtual time only; runConfig's
 // side effects are exactly those of the flat worker-pool path.
 func runSweepCluster(env *Env, opts SweepOptions, todo []int, runConfig func(k, host int) error) (*sched.ClusterReport, error) {
-	profName := opts.HostProfile
-	if profName == "" {
-		profName = DefaultHostProfile
-	}
-	prof, err := cluster.Profile(profName)
-	if err != nil {
-		return nil, err
-	}
+	prof := cluster.MustProfile(DefaultHostProfile)
 	seed := env.Seed
 	if opts.Faults != nil {
 		seed = opts.Faults.Seed()

@@ -212,10 +212,6 @@ type RunOptions struct {
 	// Retry is the per-stage retry policy applied to every defined
 	// stage except teardown (Max 0 disables retrying).
 	Retry fault.Retry
-	// StageDeadline bounds each stage's virtual elapsed seconds (0 =
-	// unbounded). Only injected latency moves the virtual clock, so
-	// deadlines are deterministic functions of the fault schedule.
-	StageDeadline float64
 	// Stream evaluates validations.aver incrementally while the
 	// experiment runs: executors that Checkpoint their partial results
 	// get each appended batch checked in O(delta). The final batch
@@ -480,9 +476,9 @@ func (p *Project) runPrepared(pr *prepared, opts RunOptions) (RunResult, error) 
 	pl.CacheStage("run", "core/run/"+tmpl.Name+"@v1", nil)
 	pl.CacheStage("post-run", "core/post-run@v1", nil)
 
-	// Resilience envelope: chaos injection, per-stage retry and
-	// deadlines. Teardown is exempt from retrying — it must run exactly
-	// once whatever happened before it.
+	// Resilience envelope: chaos injection and per-stage retry.
+	// Teardown is exempt from retrying — it must run exactly once
+	// whatever happened before it.
 	if opts.Faults != nil {
 		pl.Faults = opts.Faults
 		pl.FaultScope = opts.FaultScope
@@ -494,9 +490,6 @@ func (p *Project) runPrepared(pr *prepared, opts RunOptions) (RunResult, error) 
 		}
 		if opts.Retry.Max > 0 {
 			pl.RetryStage(st, opts.Retry)
-		}
-		if opts.StageDeadline > 0 {
-			pl.StageDeadline(st, opts.StageDeadline)
 		}
 	}
 

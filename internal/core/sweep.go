@@ -88,13 +88,10 @@ type SweepOptions struct {
 	// cluster hosts through the cluster scheduler (locality-aware
 	// placement, work stealing, speculative straggler re-execution —
 	// see docs/SCHEDULING.md). The fleet is provisioned elastically via
-	// orchestrate.Runner.ScaleGroup from HostProfile machines. The
+	// orchestrate.Runner.ScaleGroup from DefaultHostProfile machines. The
 	// virtual schedule shapes SweepResult.Sched only: results, journal
 	// and failures stay byte-identical to a Hosts == 0 run.
 	Hosts int
-	// HostProfile names the cluster.MachineProfile the simulated fleet
-	// is built from; empty means "cloudlab-c220g1".
-	HostProfile string
 	// Placement selects how configurations are assigned to hosts
 	// (sched.PlaceRoundRobin or sched.PlaceLocality).
 	Placement sched.PlacementPolicy

@@ -89,16 +89,6 @@ func (p *Project) AddExperiment(template, name string) error {
 	return nil
 }
 
-// TemplateOf returns the template an experiment was instantiated from
-// (recorded in its vars.yml).
-func (p *Project) TemplateOf(name string) (*Template, error) {
-	params, err := p.Params(name)
-	if err != nil {
-		return nil, err
-	}
-	return templateOfParams(name, params)
-}
-
 // templateOfParams resolves the template an experiment's flattened
 // vars.yml records.
 func templateOfParams(name string, params map[string]string) (*Template, error) {

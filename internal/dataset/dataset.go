@@ -261,15 +261,6 @@ func (m *Manager) Install(ref Ref, workspace map[string][]byte) (Ref, error) {
 	return pinned, nil
 }
 
-// InstallByName is Install for a "name@version" string reference.
-func (m *Manager) InstallByName(spec string, workspace map[string][]byte) (Ref, error) {
-	ref, err := ParseRef(spec)
-	if err != nil {
-		return Ref{}, err
-	}
-	return m.Install(ref, workspace)
-}
-
 // Verify checks every installed resource of a package against the
 // manifest in the workspace; it is the pre-run integrity gate.
 func (m *Manager) Verify(name string, workspace map[string][]byte) error {

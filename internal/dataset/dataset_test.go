@@ -146,7 +146,7 @@ func TestManagerInstallAndVerify(t *testing.T) {
 	publishSample(t, s)
 	m := NewManager(s)
 	ws := map[string][]byte{}
-	pinned, err := m.InstallByName("air-temperature", ws)
+	pinned, err := m.Install(Ref{Name: "air-temperature", Version: "latest"}, ws)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestManagerVerifyFailures(t *testing.T) {
 	publishSample(t, s)
 	m := NewManager(s)
 	ws := map[string][]byte{}
-	if _, err := m.InstallByName("air-temperature@1.0.0", ws); err != nil {
+	if _, err := m.Install(Ref{Name: "air-temperature", Version: "1.0.0"}, ws); err != nil {
 		t.Fatal(err)
 	}
 	// tamper with a resource
@@ -201,11 +201,8 @@ func TestManagerVerifyFailures(t *testing.T) {
 
 func TestManagerInstallUnknown(t *testing.T) {
 	m := NewManager(NewStore())
-	if _, err := m.InstallByName("ghost@1.0", map[string][]byte{}); err == nil {
+	if _, err := m.Install(Ref{Name: "ghost", Version: "1.0"}, map[string][]byte{}); err == nil {
 		t.Fatal("unknown install should fail")
-	}
-	if _, err := m.InstallByName("", map[string][]byte{}); err == nil {
-		t.Fatal("empty spec should fail")
 	}
 }
 
@@ -274,7 +271,7 @@ func TestQuickCorruptionAlwaysDetected(t *testing.T) {
 		}
 		m := NewManager(s)
 		ws := map[string][]byte{}
-		if _, err := m.InstallByName("p@1", ws); err != nil {
+		if _, err := m.Install(Ref{Name: "p", Version: "1"}, ws); err != nil {
 			return false
 		}
 		buf := ws["datasets/p/f"]

@@ -19,10 +19,9 @@
 // layers maintain — or when a rule's decision is occurrence-independent
 // (probability 0 or 1 with no Times cap).
 //
-// The same seeded hash drives retry backoff jitter (Retry.Delay) and
-// the virtual Clock that deadlines and latency faults are measured on,
-// which is what makes a whole chaos run — failures, backoff delays,
-// timeouts — reproducible byte for byte. See docs/RESILIENCE.md.
+// The same seeded hash drives retry backoff jitter (Retry.Delay), which
+// is what makes a whole chaos run — failures and backoff delays —
+// reproducible byte for byte. See docs/RESILIENCE.md.
 package fault
 
 import (
@@ -38,7 +37,7 @@ const (
 	// retry policies may absorb.
 	Error Kind = iota
 	// Latency delays the site by Delay virtual seconds without failing
-	// it — the fault that exercises deadlines.
+	// it — a straggler host or a slow transfer.
 	Latency
 	// Partition models a network partition: RDMA-layer operations fail
 	// with a typed, retryable error.
@@ -462,32 +461,4 @@ func (r Retry) Delay(seed int64, key string, attempt int) float64 {
 		d *= 1 + float64(r.Jitter*(2*Hash01(seed, key, attempt)-1))
 	}
 	return d
-}
-
-// Clock is a virtual monotonic clock: the time base deadlines, latency
-// faults and backoff delays share. Safe for concurrent use.
-type Clock struct {
-	mu sync.Mutex
-	t  float64
-}
-
-// NewClock creates a clock at time 0.
-func NewClock() *Clock { return &Clock{} }
-
-// Now returns the current virtual time in seconds.
-func (c *Clock) Now() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.t
-}
-
-// Advance moves the clock forward by d seconds (negative values are
-// ignored) and returns the new time.
-func (c *Clock) Advance(d float64) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if d > 0 {
-		c.t += d
-	}
-	return c.t
 }

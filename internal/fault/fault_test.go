@@ -252,27 +252,6 @@ func TestRetryDelay(t *testing.T) {
 	}
 }
 
-func TestClock(t *testing.T) {
-	c := NewClock()
-	if c.Now() != 0 {
-		t.Fatal("clocks start at zero")
-	}
-	c.Advance(1.5)
-	c.Advance(-3) // ignored
-	if got := c.Advance(0.5); got != 2 {
-		t.Fatalf("clock = %g, want 2", got)
-	}
-	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
-		wg.Add(1)
-		go func() { defer wg.Done(); c.Advance(0.125) }()
-	}
-	wg.Wait()
-	if got := c.Now(); got != 3 {
-		t.Fatalf("concurrent advance lost time: %g", got)
-	}
-}
-
 func TestCheckNoAllocWhenNil(t *testing.T) {
 	// The guard callers use: `if inj != nil { ... }`. With a nil
 	// injector the hot path must not allocate at all; this pins the

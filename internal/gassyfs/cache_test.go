@@ -120,8 +120,8 @@ func TestCacheCorrectnessRandomOps(t *testing.T) {
 			cached.WriteFile(p, buf)
 			plain.WriteFile(p, buf)
 		case 1:
-			cached.Truncate(p, int64(op)%1000)
-			plain.Truncate(p, int64(op)%1000)
+			cached.Remove(p)
+			plain.Remove(p)
 		case 2:
 			buf := bytes.Repeat([]byte{byte(i)}, int(op)%300)
 			cached.Append(p, buf)

@@ -707,42 +707,6 @@ func (c *Client) Append(p string, data []byte) error {
 	return c.WriteAt(p, st.Size, data)
 }
 
-// Truncate shrinks or grows a file to the given size; blocks past the
-// new end are returned to the allocator.
-func (c *Client) Truncate(p string, size int64) error {
-	cp, err := clean(p)
-	if err != nil {
-		return err
-	}
-	if size < 0 {
-		return fmt.Errorf("gassyfs: negative size")
-	}
-	c.metaCost()
-	fs := c.fs
-	ino, ok := fs.lookup(cp)
-	if !ok {
-		return fmt.Errorf("gassyfs: %s: not a file", cp)
-	}
-	ino.mu.Lock()
-	defer ino.mu.Unlock()
-	if ino.isDir {
-		return fmt.Errorf("gassyfs: %s: not a file", cp)
-	}
-	bs := fs.opts.BlockSize
-	keep := int((size + bs - 1) / bs)
-	if keep < len(ino.blocks) {
-		for _, b := range ino.blocks[keep:] {
-			fs.freeBlock(b)
-		}
-		ino.blocks = ino.blocks[:keep]
-	}
-	if err := fs.extendLocked(ino, c.rank, size); err != nil {
-		return err
-	}
-	ino.size = size
-	return nil
-}
-
 // Remove deletes a file or an empty directory.
 func (c *Client) Remove(p string) error {
 	cp, err := clean(p)

@@ -175,39 +175,6 @@ func TestCreateTruncatesAndFreesBlocks(t *testing.T) {
 	}
 }
 
-func TestTruncate(t *testing.T) {
-	fs, cl := mount(t, 2, Options{BlockSize: 1024})
-	cl.WriteFile("/f", bytes.Repeat([]byte("z"), 3000))
-	if err := cl.Truncate("/f", 1000); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := cl.Stat("/f")
-	if st.Size != 1000 || st.Blocks != 1 {
-		t.Fatalf("stat = %+v", st)
-	}
-	if got := sum(fs.UsedBlocks()); got != 1 {
-		t.Fatalf("used = %d", got)
-	}
-	got, _ := cl.ReadFile("/f")
-	if len(got) != 1000 || got[999] != 'z' {
-		t.Fatalf("content after truncate: %d bytes", len(got))
-	}
-	// grow
-	if err := cl.Truncate("/f", 5000); err != nil {
-		t.Fatal(err)
-	}
-	st, _ = cl.Stat("/f")
-	if st.Size != 5000 || st.Blocks != 5 {
-		t.Fatalf("grown stat = %+v", st)
-	}
-	if err := cl.Truncate("/f", -1); err == nil {
-		t.Fatal("negative truncate must fail")
-	}
-	if err := cl.Truncate("/nope", 0); err == nil {
-		t.Fatal("truncate of missing file must fail")
-	}
-}
-
 func TestDirectoryOps(t *testing.T) {
 	_, cl := mount(t, 1, Options{})
 	if err := cl.Mkdir("/a/b"); err == nil {
@@ -560,7 +527,6 @@ func TestFsckCleanFS(t *testing.T) {
 	cl.MkdirAll("/a/b")
 	cl.WriteFile("/a/b/f", make([]byte, 5000))
 	cl.WriteFile("/a/g", []byte("x"))
-	cl.Truncate("/a/b/f", 1500)
 	cl.Remove("/a/g")
 	if err := fs.Fsck(); err != nil {
 		t.Fatal(err)
@@ -575,16 +541,14 @@ func TestQuickFsckAfterRandomOps(t *testing.T) {
 		cl.MkdirAll("/q")
 		for i, op := range ops {
 			p := fmt.Sprintf("/q/f%d", int(op)%7)
-			switch op % 5 {
+			switch op % 4 {
 			case 0:
 				cl.WriteFile(p, make([]byte, int(op)%3000))
 			case 1:
-				cl.Truncate(p, int64(op)%2000)
-			case 2:
 				cl.Remove(p)
-			case 3:
+			case 2:
 				cl.Append(p, make([]byte, int(op)%700))
-			case 4:
+			case 3:
 				cl.Rename(p, fmt.Sprintf("/q/r%d", i))
 			}
 		}

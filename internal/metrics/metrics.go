@@ -1,7 +1,7 @@
 // Package metrics implements the performance-monitoring substrate of the
 // Popper toolchain (the role Nagios/CollectD/StatD play in the paper).
 //
-// Experiments register counters, gauges and timers in a Registry; sampled
+// Experiments register counters, gauges and samples in a Registry; sampled
 // observations accumulate into time series. At the end of a run the
 // registry exports a flat metrics table (one row per observation, with
 // experiment context labels) that post-processing scripts and the Aver
@@ -80,16 +80,6 @@ func NewRegistry(base Labels, clock func() int64) *Registry {
 // the base set. Observations still land in the parent registry.
 func (r *Registry) WithLabels(extra Labels) *View {
 	return &View{reg: r, labels: extra.clone()}
-}
-
-// now advances the logical clock under the lock. The default clock is a
-// mutating sequence counter, so every caller outside the write path
-// (timers in particular) must go through here rather than calling
-// r.clock directly.
-func (r *Registry) now() int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.clock()
 }
 
 // record appends an observation under the lock.
@@ -369,25 +359,6 @@ func (v *View) Observe(name string, val float64) { v.reg.record(name, val, v.lab
 // WithLabels stacks more labels on top of the view.
 func (v *View) WithLabels(extra Labels) *View {
 	return &View{reg: v.reg, labels: v.labels.merged(extra)}
-}
-
-// Timer measures an interval on the registry's logical clock.
-type Timer struct {
-	view  *View
-	name  string
-	start int64
-}
-
-// StartTimer begins timing; Stop records the elapsed ticks as a sample.
-func (v *View) StartTimer(name string) *Timer {
-	return &Timer{view: v, name: name, start: v.reg.now()}
-}
-
-// Stop records the elapsed logical time and returns it.
-func (t *Timer) Stop() float64 {
-	elapsed := float64(t.view.reg.now() - t.start)
-	t.view.Observe(t.name, elapsed)
-	return elapsed
 }
 
 // Summary describes the distribution of a metric series.

@@ -81,21 +81,6 @@ func TestViewLabelsDoNotLeak(t *testing.T) {
 	}
 }
 
-func TestTimer(t *testing.T) {
-	var now int64
-	r := NewRegistry(nil, func() int64 { return now })
-	v := r.WithLabels(nil)
-	now = 100
-	tm := v.StartTimer("elapsed")
-	now = 250
-	if got := tm.Stop(); got != 150 {
-		t.Fatalf("elapsed = %v", got)
-	}
-	if s := r.Series("elapsed", nil); len(s) != 1 || s[0] != 150 {
-		t.Fatalf("series = %v", s)
-	}
-}
-
 func TestTableExport(t *testing.T) {
 	r := NewRegistry(Labels{"workload": "compile"}, nil)
 	r.WithLabels(Labels{"nodes": "2"}).Observe("time", 55)
@@ -255,92 +240,10 @@ func TestQuickSeriesFaithful(t *testing.T) {
 	}
 }
 
-func TestBootstrapCI(t *testing.T) {
-	samples := []float64{10, 11, 9, 10.5, 9.5, 10, 10.2, 9.8}
-	lo, hi, err := BootstrapCI(samples, func(xs []float64) float64 {
-		s := 0.0
-		for _, x := range xs {
-			s += x
-		}
-		return s / float64(len(xs))
-	}, 1000, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lo >= hi {
-		t.Fatalf("interval [%v, %v]", lo, hi)
-	}
-	if lo > 10 || hi < 10 {
-		t.Fatalf("true mean 10 outside [%v, %v]", lo, hi)
-	}
-	// deterministic in the seed
-	lo2, hi2, _ := BootstrapCI(samples, func(xs []float64) float64 { return xs[0] }, 1000, 0.95, 7)
-	lo3, hi3, _ := BootstrapCI(samples, func(xs []float64) float64 { return xs[0] }, 1000, 0.95, 7)
-	if lo2 != lo3 || hi2 != hi3 {
-		t.Fatal("bootstrap must be deterministic for a seed")
-	}
-}
-
-func TestBootstrapValidation(t *testing.T) {
-	id := func(xs []float64) float64 { return xs[0] }
-	if _, _, err := BootstrapCI([]float64{1}, id, 1000, 0.95, 1); err == nil {
-		t.Fatal("too few samples must fail")
-	}
-	if _, _, err := BootstrapCI([]float64{1, 2}, id, 10, 0.95, 1); err == nil {
-		t.Fatal("too few iterations must fail")
-	}
-	if _, _, err := BootstrapCI([]float64{1, 2}, id, 1000, 1.5, 1); err == nil {
-		t.Fatal("bad confidence must fail")
-	}
-}
-
-func TestCompareSystems(t *testing.T) {
-	// B is clearly ~10x faster than A (lower is better).
-	a := []float64{100, 104, 96, 99, 101, 103, 97, 100}
-	b := []float64{10, 10.3, 9.6, 10.1, 9.9, 10.2, 9.8, 10}
-	c, err := CompareSystems(a, b, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Factor < 9 || c.Factor > 11 {
-		t.Fatalf("factor = %v", c.Factor)
-	}
-	if !c.Better() {
-		t.Fatalf("B should be confidently better: %s", c.String())
-	}
-	if c.Lo > c.Factor || c.Hi < c.Factor {
-		t.Fatalf("point estimate outside CI: %s", c.String())
-	}
-	if c.String() == "" {
-		t.Fatal("empty statement")
-	}
-	// overlapping systems are not confidently different
-	c2, err := CompareSystems(a, []float64{98, 102, 95, 105, 99, 101}, 0.95, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c2.Better() {
-		t.Fatalf("similar systems must not be confidently different: %s", c2.String())
-	}
-}
-
-func TestCompareSystemsValidation(t *testing.T) {
-	if _, err := CompareSystems([]float64{1}, []float64{1, 2}, 0.95, 1); err == nil {
-		t.Fatal("too few samples must fail")
-	}
-	if _, err := CompareSystems([]float64{0, 0}, []float64{0, 0}, 0.95, 1); err == nil {
-		t.Fatal("zero means must fail")
-	}
-	if _, err := CompareSystems([]float64{1, 2}, []float64{1, 2}, 2, 1); err == nil {
-		t.Fatal("bad confidence must fail")
-	}
-}
-
 // TestConcurrentStages drives the registry the way parallel pipeline
-// stages do — timers, counters, gauges and raw samples from many
-// goroutines, with readers interleaved — and relies on the race
-// detector to catch unguarded access (the timer path used to call the
-// mutating logical clock without the lock).
+// stages do — counters, gauges and raw samples from many goroutines,
+// with readers interleaved — and relies on the race detector to catch
+// unguarded access to the mutating logical clock.
 func TestConcurrentStages(t *testing.T) {
 	r := NewRegistry(Labels{"experiment": "race"}, nil)
 	const workers, rounds = 8, 50
@@ -352,11 +255,9 @@ func TestConcurrentStages(t *testing.T) {
 			defer wg.Done()
 			v := r.WithLabels(Labels{"worker": string(rune('a' + w))})
 			for i := 0; i < rounds; i++ {
-				tm := v.StartTimer("stage")
 				r.Add("ops", 1)
 				r.Set("depth", float64(i))
 				v.Observe("sample", float64(i))
-				tm.Stop()
 				// Interleave readers with the writers.
 				_ = r.Counter("ops")
 				_ = r.Len()
@@ -368,9 +269,9 @@ func TestConcurrentStages(t *testing.T) {
 	if got := r.Counter("ops"); got != workers*rounds {
 		t.Fatalf("ops counter = %v, want %d", got, workers*rounds)
 	}
-	// timer + counter + gauge + sample per round per worker
-	if got := r.Len(); got != 4*workers*rounds {
-		t.Fatalf("observations = %d, want %d", got, 4*workers*rounds)
+	// counter + gauge + sample per round per worker
+	if got := r.Len(); got != 3*workers*rounds {
+		t.Fatalf("observations = %d, want %d", got, 3*workers*rounds)
 	}
 	if r.Table().Len() != r.Len() {
 		t.Fatal("table export must carry every observation")

@@ -332,15 +332,6 @@ func (c *Comm) rounds() float64 {
 // Barrier synchronizes all ranks.
 func (c *Comm) Barrier() { c.collective(callBarrier, 0, c.rounds()) }
 
-// Bcast broadcasts bytes from a root over a binomial tree.
-func (c *Comm) Bcast(root int, bytes int64) error {
-	if err := c.checkRank(root); err != nil {
-		return err
-	}
-	c.collective(callBcast, bytes, c.rounds())
-	return nil
-}
-
 // Reduce combines bytes to a root over a binomial tree.
 func (c *Comm) Reduce(root int, bytes int64) error {
 	if err := c.checkRank(root); err != nil {
@@ -353,11 +344,6 @@ func (c *Comm) Reduce(root int, bytes int64) error {
 // Allreduce combines and redistributes (reduce + broadcast).
 func (c *Comm) Allreduce(bytes int64) {
 	c.collective(callAllreduce, bytes, 2*c.rounds())
-}
-
-// Allgather gathers bytes from every rank to every rank.
-func (c *Comm) Allgather(bytes int64) {
-	c.collective(callAllgather, bytes*int64(len(c.nodes)), c.rounds())
 }
 
 // Compute runs application (non-MPI) work on a rank: Node.Run on its
@@ -391,10 +377,8 @@ func (c *Comm) checkRank(r int) error {
 type callID uint8
 
 const (
-	callAllgather callID = iota
-	callAllreduce
+	callAllreduce callID = iota
 	callBarrier
-	callBcast
 	callIsend
 	callRecv
 	callReduce
@@ -404,10 +388,8 @@ const (
 )
 
 var callNames = [numCalls]string{
-	callAllgather: "Allgather",
 	callAllreduce: "Allreduce",
 	callBarrier:   "Barrier",
-	callBcast:     "Bcast",
 	callIsend:     "Isend",
 	callRecv:      "Recv",
 	callReduce:    "Reduce",

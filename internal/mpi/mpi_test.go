@@ -276,15 +276,11 @@ func TestBarrierSynchronizesRanks(t *testing.T) {
 
 func TestCollectives(t *testing.T) {
 	cm, nodes := comm(t, 4, 7)
-	if err := cm.Bcast(0, 1<<16); err != nil {
-		t.Fatal(err)
-	}
 	if err := cm.Reduce(0, 1<<16); err != nil {
 		t.Fatal(err)
 	}
 	cm.Allreduce(8)
-	cm.Allgather(1024)
-	if err := cm.Bcast(99, 1); err == nil {
+	if err := cm.Reduce(99, 1); err == nil {
 		t.Fatal("bad root must fail")
 	}
 	if err := cm.Reduce(-1, 1); err == nil {
@@ -296,15 +292,15 @@ func TestCollectives(t *testing.T) {
 			t.Fatal("collectives must leave ranks synchronized")
 		}
 	}
-	// allreduce costs more than bcast of same size (two tree phases)
+	// allreduce costs more than reduce of same size (two tree phases)
 	cmA, nodesA := comm(t, 8, 8)
-	cmA.Bcast(0, 1<<20)
-	bcastEnd := nodesA[0].Now()
+	cmA.Reduce(0, 1<<20)
+	reduceEnd := nodesA[0].Now()
 	cmB, nodesB := comm(t, 8, 8)
 	cmB.Allreduce(1 << 20)
 	allreduceEnd := nodesB[0].Now()
-	if allreduceEnd <= bcastEnd {
-		t.Fatalf("allreduce %v should cost more than bcast %v", allreduceEnd, bcastEnd)
+	if allreduceEnd <= reduceEnd {
+		t.Fatalf("allreduce %v should cost more than reduce %v", allreduceEnd, reduceEnd)
 	}
 }
 
@@ -409,7 +405,7 @@ func TestQuickCollectivesSynchronize(t *testing.T) {
 			case 0:
 				cm.Barrier()
 			case 1:
-				cm.Bcast(int(op)%cm.Size(), int64(op)*100)
+				cm.Reduce(int(op)%cm.Size(), int64(op)*100)
 			case 2:
 				cm.Allreduce(int64(op))
 			case 3:

@@ -58,9 +58,6 @@ func New(dims []string, coords map[string][]float64) (*Array, error) {
 	return a, nil
 }
 
-// Dims returns the dimension names in order.
-func (a *Array) Dims() []string { return append([]string(nil), a.dims...) }
-
 // Shape returns the extent of each dimension.
 func (a *Array) Shape() []int { return append([]int(nil), a.shape...) }
 
@@ -143,38 +140,6 @@ func (a *Array) Clone() *Array {
 	cp, _ := New(a.dims, a.coords)
 	copy(cp.data, a.data)
 	return cp
-}
-
-// Sel selects the hyperplane where dim's coordinate equals value
-// (within a small tolerance), dropping that dimension.
-func (a *Array) Sel(dim string, value float64) (*Array, error) {
-	di, err := a.dimIndex(dim)
-	if err != nil {
-		return nil, err
-	}
-	pos := -1
-	for i, c := range a.coords[dim] {
-		if math.Abs(c-value) < 1e-9 {
-			pos = i
-			break
-		}
-	}
-	if pos < 0 {
-		return nil, fmt.Errorf("ndarray: no coordinate %g on %s", value, dim)
-	}
-	return a.isel(di, pos)
-}
-
-// ISel selects index `pos` along dim, dropping that dimension.
-func (a *Array) ISel(dim string, pos int) (*Array, error) {
-	di, err := a.dimIndex(dim)
-	if err != nil {
-		return nil, err
-	}
-	if pos < 0 || pos >= a.shape[di] {
-		return nil, fmt.Errorf("ndarray: index %d out of range on %s", pos, dim)
-	}
-	return a.isel(di, pos)
 }
 
 func (a *Array) isel(di, pos int) (*Array, error) {

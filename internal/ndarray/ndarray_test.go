@@ -49,10 +49,6 @@ func TestShapeAndSize(t *testing.T) {
 	if a.Size() != 48 {
 		t.Fatalf("size = %d", a.Size())
 	}
-	dims := a.Dims()
-	if len(dims) != 3 || dims[0] != "time" {
-		t.Fatalf("dims = %v", dims)
-	}
 	c, err := a.Coords("lat")
 	if err != nil || len(c) != 3 || c[2] != 30 {
 		t.Fatalf("coords = %v, %v", c, err)
@@ -86,46 +82,10 @@ func TestAtSet(t *testing.T) {
 	}
 }
 
-func TestSel(t *testing.T) {
-	a := sample(t)
-	eq, err := a.Sel("lat", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := eq.Shape(); len(got) != 2 || got[0] != 4 || got[1] != 4 {
-		t.Fatalf("shape after sel = %v", got)
-	}
-	v, _ := eq.At(2, 3)
-	if v != 213 { // time=2, lat index 1 (=0 deg), lon=3
-		t.Fatalf("sel value = %v", v)
-	}
-	if _, err := a.Sel("lat", 45); err == nil {
-		t.Fatal("missing coordinate must fail")
-	}
-	if _, err := a.Sel("ghost", 0); err == nil {
-		t.Fatal("missing dim must fail")
-	}
-}
-
-func TestISel(t *testing.T) {
-	a := sample(t)
-	s, err := a.ISel("time", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, _ := s.At(2, 1)
-	if v != 321 {
-		t.Fatalf("isel value = %v", v)
-	}
-	if _, err := a.ISel("time", 9); err == nil {
-		t.Fatal("out of range must fail")
-	}
-}
-
 func TestSelTo1D(t *testing.T) {
 	a, _ := New([]string{"x"}, map[string][]float64{"x": {10, 20}})
 	a.Set(7, 1)
-	s, err := a.Sel("x", 20)
+	s, err := a.isel(0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,12 +235,12 @@ func TestQuickReduceConservesSum(t *testing.T) {
 	}
 }
 
-// Property: Sel then Values matches direct indexing.
+// Property: selecting a time slice matches direct indexing.
 func TestQuickSelConsistent(t *testing.T) {
 	a := sampleQuick()
 	f := func(pos uint8) bool {
 		p := int(pos) % 4
-		s, err := a.ISel("time", p)
+		s, err := a.isel(0, p)
 		if err != nil {
 			return false
 		}

@@ -60,12 +60,6 @@ func NewHost(name string, node *cluster.Node) *Host {
 	}
 }
 
-// HasPackage reports whether a package has been installed on the host.
-func (h *Host) HasPackage(name string) bool { return h.packages[name] }
-
-// ServiceRunning reports whether a service was started on the host.
-func (h *Host) ServiceRunning(name string) bool { return h.services[name] }
-
 // File returns a file previously copied to the host.
 func (h *Host) File(path string) ([]byte, bool) {
 	b, ok := h.files[path]

@@ -124,10 +124,10 @@ func TestRunPlaybook(t *testing.T) {
 		t.Fatalf("results = %d\n%s", len(results), FormatResults(results))
 	}
 	for _, h := range inv.Group("storage") {
-		if !h.HasPackage("gcc") || !h.HasPackage("make") {
+		if !h.packages["gcc"] || !h.packages["make"] {
 			t.Fatalf("packages missing on %s", h.Name)
 		}
-		if !h.ServiceRunning("gassyfsd") {
+		if !h.services["gassyfsd"] {
 			t.Fatalf("service not running on %s", h.Name)
 		}
 		if b, ok := h.File("/etc/gassyfs.conf"); !ok || string(b) != "segment=2GB" {

@@ -109,11 +109,11 @@ func TestHostQuarantineExcludesFromLaterPlays(t *testing.T) {
 	}
 	// The quarantined host's state reflects only the tasks that ran.
 	h, _ := inv.Host("cloudlab-c220g1-1")
-	if h.ServiceRunning("gassyfsd") {
+	if h.services["gassyfsd"] {
 		t.Fatal("quarantined host must not have run later tasks")
 	}
 	h2, _ := inv.Host("cloudlab-c220g1-2")
-	if !h2.ServiceRunning("gassyfsd") {
+	if !h2.services["gassyfsd"] {
 		t.Fatal("healthy host must have completed configuration")
 	}
 	out := FormatResults(results)

@@ -127,8 +127,8 @@ type Pipeline struct {
 
 	// Faults, when set, is consulted before every stage attempt at site
 	// "pipeline/<scope>/<stage>" (see FaultScope). Injected errors fail
-	// the attempt, latency faults advance the Clock, and crashes are
-	// terminal (never retried). Callers running under an injector must
+	// the attempt, latency faults are logged, and crashes are terminal
+	// (never retried). Callers running under an injector must
 	// mix its Fingerprint into CacheSalt so chaos runs never share
 	// cache entries with clean runs.
 	Faults *fault.Injector
@@ -136,28 +136,10 @@ type Pipeline struct {
 	// scope it per configuration ("<experiment>/<idx>") so concurrent
 	// configurations draw from independent, deterministic fault streams.
 	FaultScope string
-	// Clock is the virtual clock stage deadlines, injected latency and
-	// retry backoff are measured on; lazily created when first needed.
-	// Sharing one clock across pipelines is allowed (it is internally
-	// locked) but forfeits per-run determinism under concurrency.
-	Clock *fault.Clock
 
 	retries   map[string]fault.Retry
-	timeouts  map[string]float64
 	cacheIDs  map[string]string
 	cacheDeps map[string][]string
-}
-
-// TimeoutError reports a stage that overran its virtual deadline. It is
-// retryable: a retry may hit fewer injected latency faults.
-type TimeoutError struct {
-	Stage             string
-	Elapsed, Deadline float64
-}
-
-func (e *TimeoutError) Error() string {
-	return fmt.Sprintf("pipeline: stage %s exceeded deadline: %.3fs elapsed > %.3fs allowed",
-		e.Stage, e.Elapsed, e.Deadline)
 }
 
 // New creates an empty pipeline.
@@ -166,7 +148,6 @@ func New(name string) *Pipeline {
 		Name:      name,
 		stages:    make(map[string]StageFunc),
 		retries:   make(map[string]fault.Retry),
-		timeouts:  make(map[string]float64),
 		cacheIDs:  make(map[string]string),
 		cacheDeps: make(map[string][]string),
 	}
@@ -175,9 +156,9 @@ func New(name string) *Pipeline {
 // RetryStage attaches a declarative retry policy to a registered stage:
 // on a retryable failure (anything but an injected crash) the stage is
 // re-executed up to policy.Max more times, the workspace restored to
-// its pre-attempt state first, with deterministic exponential backoff
-// charged to the pipeline's virtual Clock. Every attempt is visible in
-// the Record journal (StageResult.Attempts).
+// its pre-attempt state first, with a deterministic exponential backoff
+// delay logged before each retry. Every attempt is visible in the
+// Record journal (StageResult.Attempts).
 func (p *Pipeline) RetryStage(name string, policy fault.Retry) error {
 	if _, ok := p.stages[name]; !ok {
 		return fmt.Errorf("pipeline: cannot set retry policy on unregistered stage %q", name)
@@ -186,21 +167,6 @@ func (p *Pipeline) RetryStage(name string, policy fault.Retry) error {
 		return fmt.Errorf("pipeline: stage %q retry max must be >= 0", name)
 	}
 	p.retries[name] = policy
-	return nil
-}
-
-// StageDeadline bounds a registered stage's virtual elapsed time: when
-// the Clock advances more than `seconds` across an attempt (injected
-// latency is what moves it), the attempt fails with *TimeoutError —
-// retryable under the stage's retry policy.
-func (p *Pipeline) StageDeadline(name string, seconds float64) error {
-	if _, ok := p.stages[name]; !ok {
-		return fmt.Errorf("pipeline: cannot set deadline on unregistered stage %q", name)
-	}
-	if seconds <= 0 {
-		return fmt.Errorf("pipeline: stage %q deadline must be positive", name)
-	}
-	p.timeouts[name] = seconds
 	return nil
 }
 
@@ -367,18 +333,14 @@ func (p *Pipeline) Run(ctx *Context) Record {
 }
 
 // execStage runs one stage through its resilience envelope: fault
-// injection, virtual deadline, and the retry policy. Returns the number
-// of attempts executed and the final error. When no injector, policy or
-// deadline is configured the stage runs exactly as it always has — one
-// direct call, zero extra allocation.
+// injection and the retry policy. Returns the number of attempts
+// executed and the final error. When no injector or policy is
+// configured the stage runs exactly as it always has — one direct
+// call, zero extra allocation.
 func (p *Pipeline) execStage(name string, fn StageFunc, ctx *Context) (int, error) {
 	policy, hasRetry := p.retries[name]
-	deadline := p.timeouts[name]
-	if p.Faults == nil && !hasRetry && deadline == 0 {
+	if p.Faults == nil && !hasRetry {
 		return 1, fn(ctx)
-	}
-	if p.Clock == nil {
-		p.Clock = fault.NewClock()
 	}
 	scope := p.FaultScope
 	if scope == "" {
@@ -397,12 +359,10 @@ func (p *Pipeline) execStage(name string, fn StageFunc, ctx *Context) (int, erro
 		}
 	}
 	for attempt := 1; ; attempt++ {
-		start := p.Clock.Now()
 		var err error
 		if p.Faults != nil {
 			if f := p.Faults.Check(site); f != nil {
 				if f.Kind == fault.Latency {
-					p.Clock.Advance(f.Delay)
 					ctx.Logf("stage %s: injected %.3fs latency (%s#%d)", name, f.Delay, f.Site, f.Occurrence)
 				} else {
 					err = f
@@ -412,11 +372,6 @@ func (p *Pipeline) execStage(name string, fn StageFunc, ctx *Context) (int, erro
 		if err == nil {
 			err = fn(ctx)
 		}
-		if err == nil && deadline > 0 {
-			if elapsed := p.Clock.Now() - start; elapsed > deadline {
-				err = &TimeoutError{Stage: name, Elapsed: elapsed, Deadline: deadline}
-			}
-		}
 		if err == nil {
 			return attempt, nil
 		}
@@ -424,7 +379,6 @@ func (p *Pipeline) execStage(name string, fn StageFunc, ctx *Context) (int, erro
 			return attempt, err
 		}
 		delay := policy.Delay(p.Faults.Seed(), site, attempt)
-		p.Clock.Advance(delay)
 		ctx.Logf("stage %s: attempt %d failed (%v); retrying in %.3fs", name, attempt, err, delay)
 		if snap != nil {
 			restoreWorkspace(ctx.Workspace, snap)

@@ -20,7 +20,7 @@ func (g *Group) stepLocked() {
 		if r.down || r.role != primary {
 			continue
 		}
-		if g.clock-r.lastBeat >= g.opts.HeartbeatEvery {
+		if g.clock-r.lastBeat >= heartbeatEvery {
 			r.lastBeat = g.clock
 			g.replicateLocked(r, r.lastIndex())
 		}
@@ -29,7 +29,7 @@ func (g *Group) stepLocked() {
 		if r.down || r.role == primary {
 			continue
 		}
-		if g.clock-r.lastHeard >= g.opts.ElectionAfter {
+		if g.clock-r.lastHeard >= electionAfter {
 			g.electLocked(r)
 		}
 	}
@@ -51,7 +51,7 @@ func (g *Group) ensureLeaderLocked() (*replica, error) {
 		if round >= maxElectionRounds {
 			return nil, ErrNoPrimary
 		}
-		g.clock += g.opts.ElectionAfter
+		g.clock += electionAfter
 		g.stepLocked()
 	}
 }

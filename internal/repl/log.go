@@ -68,9 +68,6 @@ func (r *Record) seal() {
 	r.digest = r.identify()
 }
 
-// Digest returns the sealed content digest.
-func (r *Record) Digest() [sha256.Size]byte { return r.digest }
-
 // identify hashes each file once, keeps the sums, and returns the
 // record digest: SHA-256 over the index, epoch, kind and path, the
 // SHA-256 of Data, then each file's path, size and SHA-256 in path

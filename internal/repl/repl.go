@@ -68,15 +68,6 @@ type Options struct {
 	Seed int64
 	// Machine is the cluster profile replicas run on.
 	Machine string
-	// HeartbeatEvery is the primary's heartbeat period in virtual
-	// seconds. Defaults to 0.5.
-	HeartbeatEvery float64
-	// ElectionAfter is how long a follower waits without hearing a
-	// primary before standing for election. Defaults to 2.0.
-	ElectionAfter float64
-	// MailboxBytes sizes each directed mailbox in a rank's segment.
-	// Defaults to 4 MiB.
-	MailboxBytes int64
 }
 
 func (o *Options) defaults() {
@@ -89,16 +80,18 @@ func (o *Options) defaults() {
 	if o.Machine == "" {
 		o.Machine = "cloudlab-c220g1"
 	}
-	if o.HeartbeatEvery <= 0 {
-		o.HeartbeatEvery = 0.5
-	}
-	if o.ElectionAfter <= 0 {
-		o.ElectionAfter = 2.0
-	}
-	if o.MailboxBytes <= 0 {
-		o.MailboxBytes = 4 << 20
-	}
 }
+
+const (
+	// heartbeatEvery is the primary's heartbeat period in virtual
+	// seconds.
+	heartbeatEvery = 0.5
+	// electionAfter is how long, in virtual seconds, a follower waits
+	// without hearing a primary before standing for election.
+	electionAfter = 2.0
+	// mailboxBytes sizes each directed mailbox in a rank's segment.
+	mailboxBytes int64 = 4 << 20
+)
 
 // QuorumError reports an operation the primary could not commit: fewer
 // than a majority of replicas acknowledged it. Unless OutcomeUnknown is
@@ -222,7 +215,7 @@ func New(opts Options, mkfs func(id int) store.VFS) (*Group, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := world.AttachAll(int64(opts.Replicas) * opts.MailboxBytes); err != nil {
+	if err := world.AttachAll(int64(opts.Replicas) * mailboxBytes); err != nil {
 		return nil, err
 	}
 	g := &Group{opts: opts, world: world, nodes: nodes}
@@ -313,15 +306,8 @@ func (g *Group) Size() int { return len(g.reps) }
 
 func (g *Group) quorum() int { return len(g.reps)/2 + 1 }
 
-// Clock returns the group's virtual time.
-func (g *Group) Clock() float64 {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.clock
-}
-
 // Tick advances virtual time: primaries heartbeat on schedule, and
-// followers that outwaited ElectionAfter stand for election.
+// followers that outwaited electionAfter stand for election.
 func (g *Group) Tick(dt float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

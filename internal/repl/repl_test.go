@@ -593,7 +593,7 @@ func TestMessageEncodingRoundTrip(t *testing.T) {
 		len(got.Records) != 2 || got.Commit != m.Commit {
 		t.Fatalf("round trip mismatch: %+v", got)
 	}
-	if got.Records[0].Digest() != rec.digest || !bytes.Equal(got.Records[1].Data, put.Data) {
+	if got.Records[0].digest != rec.digest || !bytes.Equal(got.Records[1].Data, put.Data) {
 		t.Fatal("record payloads did not survive the round trip")
 	}
 	// Corruption never decodes.

@@ -8,7 +8,7 @@ import (
 )
 
 // The wire. Each rank's gasnet segment is divided into N directed
-// mailboxes of MailboxBytes each; a message from s lands in slot s of
+// mailboxes of mailboxBytes each; a message from s lands in slot s of
 // the target's segment (8-byte length header, then the encoded
 // envelope), so concurrent request/response pairs never collide. Every
 // send is one vectored Put — the caller's virtual clock is charged the
@@ -24,10 +24,10 @@ func (e *downError) Error() string { return fmt.Sprintf("repl: replica %d is dow
 
 // deliver writes one encoded message into `to`'s mailbox slot `from`.
 func (g *Group) deliver(from, to int, payload []byte) error {
-	slot := int64(from) * g.opts.MailboxBytes
-	if int64(len(payload))+8 > g.opts.MailboxBytes {
-		return fmt.Errorf("repl: message of %d bytes exceeds the %d-byte mailbox (raise Options.MailboxBytes)",
-			len(payload), g.opts.MailboxBytes)
+	slot := int64(from) * mailboxBytes
+	if int64(len(payload))+8 > mailboxBytes {
+		return fmt.Errorf("repl: message of %d bytes exceeds the %d-byte mailbox",
+			len(payload), mailboxBytes)
 	}
 	var hdr [8]byte
 	binary.BigEndian.PutUint64(hdr[:], uint64(len(payload)))
@@ -39,13 +39,13 @@ func (g *Group) deliver(from, to int, payload []byte) error {
 
 // receive reads the message sender `from` left in `owner`'s mailbox.
 func (g *Group) receive(owner, from int) ([]byte, error) {
-	slot := int64(from) * g.opts.MailboxBytes
+	slot := int64(from) * mailboxBytes
 	var hdr [8]byte
 	if err := g.world.GetInto(owner, gasnet.Addr{Rank: owner, Offset: slot}, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := binary.BigEndian.Uint64(hdr[:])
-	if int64(n)+8 > g.opts.MailboxBytes {
+	if int64(n)+8 > mailboxBytes {
 		return nil, fmt.Errorf("repl: mailbox header of %d bytes is corrupt", n)
 	}
 	buf := make([]byte, n)

@@ -5,7 +5,6 @@ package sched
 import (
 	"encoding/json"
 	"os"
-	"runtime/debug"
 	"testing"
 )
 
@@ -14,13 +13,9 @@ import (
 // virtual_makespan_s, virtual_straggler_recovery and allocs_per_op — to
 // equal the committed BENCH_sched.json's. Only ns_per_op is left to the
 // wall clock: a change to the scheduler's model or its allocations
-// fails here until `make bench-json` records it. With the collector on
-// a sweep's allocation count moves with when collections fall, so the
-// gate counts with it off, where every run counts the same and equals
-// the recorder's long-run mean — except for the 1,024-host sweep, which
-// the recorder, running with the collector on, counts higher; its
-// allocs_per_op is left out. The race build allocates more, so it skips
-// this file.
+// fails here until `make bench-json` records it. Gate and recorder
+// count allocations alike, with the collector off (fleetAllocs). The
+// race build allocates more, so it skips this file.
 func TestSchedBenchJSONExactCounts(t *testing.T) {
 	raw, err := os.ReadFile("../../BENCH_sched.json")
 	if err != nil {
@@ -35,7 +30,6 @@ func TestSchedBenchJSONExactCounts(t *testing.T) {
 		t.Errorf("the recorder has %d entries, BENCH_sched.json %d", len(cases), len(committed))
 	}
 	recovery, _, _, _ := stragglerRecovery(t)
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, c := range cases {
 		want, ok := committed[c.name]
 		if !ok {
@@ -45,12 +39,9 @@ func TestSchedBenchJSONExactCounts(t *testing.T) {
 		rep := scheduleFleet(t, c.hosts, c.rules, c.noSteal)
 		got := benchRecord{
 			NsPerOp: want.NsPerOp, Clock: want.Clock,
-			AllocsPerOp:   want.AllocsPerOp,
+			AllocsPerOp:   fleetAllocs(t, c),
 			ConfigsPerSec: rep.ConfigsPerSec(),
 			Makespan:      rep.Makespan,
-		}
-		if c.hosts != 1024 {
-			got.AllocsPerOp = int64(testing.AllocsPerRun(2, func() { scheduleFleet(t, c.hosts, c.rules, c.noSteal) }))
 		}
 		if c.name == "BenchmarkStragglerRecovery/straggler-steal" {
 			got.Recovery = recovery

@@ -66,13 +66,6 @@ type ClusterOptions struct {
 	NoSteal bool
 	// NoSpeculate disables speculative straggler re-execution.
 	NoSpeculate bool
-	// SpeculationFactor is the straggler threshold: a running copy whose
-	// virtual duration exceeds factor × the mean completed-copy duration
-	// is a speculation candidate. <= 0 means the default of 2.
-	SpeculationFactor float64
-	// TaskCost returns task's virtual duration on host, in seconds; nil
-	// means a uniform 1s. Must be a pure function of its arguments.
-	TaskCost func(task, host int) float64
 	// Faults is consulted once per copy start at site
 	// "sched/host/<name>": latency faults slow the copy by Delay
 	// (stragglers), errors fail the attempt (the task is re-placed by
@@ -80,11 +73,6 @@ type ClusterOptions struct {
 	// The loop is single-threaded, so per-site occurrence counters are
 	// deterministic. Nil disables injection.
 	Faults *fault.Injector
-	// MaxTaskAttempts bounds how many times one task is re-placed after
-	// injected host errors before it is abandoned as lost (<= 0 means
-	// the default of 8) — the backstop against a fleet-wide prob-1 error
-	// rule livelocking the loop.
-	MaxTaskAttempts int
 	// Jobs bounds the real worker pool that executes task functions
 	// (<= 0 means one per CPU). Purely a wall-clock knob: the virtual
 	// schedule and every artifact are identical at any value.
@@ -171,14 +159,23 @@ func NewClusterScheduler(opts ClusterOptions) (*ClusterScheduler, error) {
 			return nil, fmt.Errorf("sched: host %d has no name", i)
 		}
 	}
-	if opts.SpeculationFactor <= 0 {
-		opts.SpeculationFactor = 2
-	}
-	if opts.MaxTaskAttempts <= 0 {
-		opts.MaxTaskAttempts = 8
-	}
 	return &ClusterScheduler{opts: opts}, nil
 }
+
+const (
+	// taskSeconds is every copy's virtual duration before injected
+	// latency.
+	taskSeconds = 1.0
+	// speculationFactor is the straggler threshold: a running copy whose
+	// virtual duration exceeds speculationFactor × the mean
+	// completed-copy duration is a speculation candidate.
+	speculationFactor = 2
+	// maxTaskAttempts bounds how many times one task is re-placed after
+	// injected host errors before it is abandoned as lost — the
+	// backstop against a fleet-wide prob-1 error rule livelocking the
+	// loop.
+	maxTaskAttempts = 8
+)
 
 // Task lifecycle states.
 const (
@@ -407,18 +404,6 @@ func (s *ClusterScheduler) RunHosted(n int, fn func(i, host int) error) ([]error
 	return errs, &rep
 }
 
-// cost returns task's virtual duration on host rank.
-func (r *clusterRun) cost(task, host int) float64 {
-	if r.opts.TaskCost == nil {
-		return 1
-	}
-	d := r.opts.TaskCost(task, host)
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // acquire gives idle host h work at virtual time t: pop its own deque,
 // else steal, else speculate, else park.
 func (r *clusterRun) acquire(h int, t float64) {
@@ -525,7 +510,7 @@ func (r *clusterRun) pickStraggler(h int, t float64) int {
 		if other.cur < 0 || !other.curCandidate || r.tasks[other.cur].copies != 1 {
 			continue
 		}
-		if t+r.cost(other.cur, h) >= other.busyUntil {
+		if t+taskSeconds >= other.busyUntil {
 			continue // h would not beat the original copy
 		}
 		if best < 0 || other.busyUntil > bestFinish {
@@ -542,13 +527,13 @@ func (r *clusterRun) start(h, task int, speculative bool) bool {
 	sh := r.hosts[h]
 	ts := &r.tasks[task]
 	if !speculative {
-		if int(ts.attempts) >= r.opts.MaxTaskAttempts {
+		if int(ts.attempts) >= maxTaskAttempts {
 			ts.state = taskLost
 			return false
 		}
 		ts.attempts++
 	}
-	dur := r.cost(task, h)
+	dur := taskSeconds
 	failed := false
 	if r.opts.Faults != nil {
 		if f := r.opts.Faults.Check(sh.site); f != nil {
@@ -584,7 +569,7 @@ func (r *clusterRun) start(h, task int, speculative bool) bool {
 	// completions, which the loop orders totally.
 	sh.curCandidate = false
 	if !r.opts.NoSpeculate && !speculative && r.nDur > 0 &&
-		dur > r.opts.SpeculationFactor*(r.sumDur/float64(r.nDur)) {
+		dur > speculationFactor*(r.sumDur/float64(r.nDur)) {
 		sh.curCandidate = true
 		r.candidates++
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -173,6 +174,14 @@ func schedBenchCases(hostCounts []int) []schedBenchCase {
 		schedBenchCase{name: "BenchmarkStragglerRecovery/straggler-steal", hosts: 16, rules: stragglerRules()})
 }
 
+// fleetAllocs counts the heap allocations of one of c's sweeps with the
+// collector off: with it on the count moves with when collections fall,
+// with it off every run counts the same.
+func fleetAllocs(tb testing.TB, c schedBenchCase) int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	return int64(testing.AllocsPerRun(2, func() { scheduleFleet(tb, c.hosts, c.rules, c.noSteal) }))
+}
+
 // TestWriteBenchJSON records the scheduler's perf trajectory: when
 // BENCH_JSON names an output file (`make bench-json`), it benchmarks
 // the scaling curve and the straggler-recovery triple and writes
@@ -207,13 +216,12 @@ func TestWriteBenchJSON(t *testing.T) {
 				for i := 0; i < b.N; i++ {
 					scheduleFleet(b, c.hosts, c.rules, c.noSteal)
 				}
-				b.ReportAllocs()
 			})
 		}
 		records[c.name] = benchRecord{
 			NsPerOp:       float64(res.NsPerOp()),
 			Clock:         "wall",
-			AllocsPerOp:   res.AllocsPerOp(),
+			AllocsPerOp:   fleetAllocs(t, c),
 			ConfigsPerSec: rep.ConfigsPerSec(),
 			Makespan:      rep.Makespan,
 		}

@@ -434,7 +434,7 @@ func TestAttemptCapStopsErrorLivelock(t *testing.T) {
 		{Site: "sched/host/*", Kind: fault.Error, Prob: 1, Msg: "fleet-wide flake"},
 	})
 	cs, err := NewClusterScheduler(ClusterOptions{
-		Hosts: testFleet(t, 3), Faults: inj, MaxTaskAttempts: 4, Jobs: 1,
+		Hosts: testFleet(t, 3), Faults: inj, Jobs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)

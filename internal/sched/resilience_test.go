@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"popper/internal/fault"
 )
 
 func TestEachOptsFailFastSerial(t *testing.T) {
@@ -94,79 +92,6 @@ func TestEachDefaultRunsEverything(t *testing.T) {
 		if err == ErrSkipped {
 			t.Fatalf("default Each skipped task %d", i)
 		}
-	}
-}
-
-func TestEachOptsCancel(t *testing.T) {
-	var canceled atomic.Bool
-	var ran atomic.Int32
-	errs := NewPool(1).EachOpts(10, func(i int) error {
-		ran.Add(1)
-		if i == 1 {
-			canceled.Store(true)
-		}
-		return nil
-	}, Options{Cancel: canceled.Load})
-	if got := ran.Load(); got != 2 {
-		t.Fatalf("ran %d tasks after cancellation, want 2", got)
-	}
-	for i := 2; i < 10; i++ {
-		if errs[i] != ErrSkipped {
-			t.Fatalf("errs[%d] = %v, want ErrSkipped", i, errs[i])
-		}
-	}
-}
-
-func TestMapOptsSkippedZeroValue(t *testing.T) {
-	vals, errs := MapOpts(NewPool(1), 5, func(i int) (int, error) {
-		if i == 1 {
-			return 0, errors.New("stop")
-		}
-		return i * 10, nil
-	}, Options{FailFast: true})
-	if vals[0] != 0 || vals[1] != 0 {
-		t.Fatalf("vals = %v", vals)
-	}
-	for i := 2; i < 5; i++ {
-		if vals[i] != 0 || errs[i] != ErrSkipped {
-			t.Fatalf("slot %d = (%d, %v), want zero/skipped", i, vals[i], errs[i])
-		}
-	}
-}
-
-func TestEachTimedDeadline(t *testing.T) {
-	// Tasks advance their own virtual clock; the deadline is enforced
-	// on virtual time only, so outcomes are identical at any pool size.
-	for _, workers := range []int{1, 4} {
-		errs := NewPool(workers).EachTimed(6, func(i int, clk *fault.Clock) error {
-			clk.Advance(float64(i)) // task i takes i virtual seconds
-			if i == 5 {
-				return errors.New("task error wins over deadline tagging")
-			}
-			return nil
-		}, Options{TaskDeadline: 3})
-		for i := 0; i <= 3; i++ {
-			if errs[i] != nil {
-				t.Fatalf("workers=%d: task %d within deadline failed: %v", workers, i, errs[i])
-			}
-		}
-		var de *DeadlineError
-		if !errors.As(errs[4], &de) || de.Task != 4 || de.Elapsed != 4 || de.Deadline != 3 {
-			t.Fatalf("workers=%d: errs[4] = %v", workers, errs[4])
-		}
-		if errs[5] == nil || errors.As(errs[5], &de) && errs[5].Error() == de.Error() {
-			t.Fatalf("workers=%d: task error must be preserved: %v", workers, errs[5])
-		}
-	}
-}
-
-func TestEachTimedNoDeadline(t *testing.T) {
-	errs := NewPool(2).EachTimed(3, func(i int, clk *fault.Clock) error {
-		clk.Advance(1e6)
-		return nil
-	}, Options{})
-	if FirstError(errs) != nil {
-		t.Fatalf("no deadline must mean no deadline errors: %v", FirstError(errs))
 	}
 }
 

@@ -14,13 +14,10 @@ package sched
 
 import (
 	"errors"
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"popper/internal/fault"
 )
 
 // Jobs normalizes a requested worker count: values <= 0 mean "one
@@ -47,24 +44,12 @@ func NewPool(workers int) *Pool { return &Pool{workers: Jobs(workers)} }
 func (p *Pool) Workers() int { return p.workers }
 
 // ErrSkipped marks a task the pool never dispatched because it stopped
-// early (FailFast after a failure, or an external cancellation). A
-// skipped slot is distinguishable from success so collect-and-report
-// callers can tell "ran and passed" from "never ran".
+// early (FailFast after a failure). A skipped slot is distinguishable
+// from success so collect-and-report callers can tell "ran and passed"
+// from "never ran".
 var ErrSkipped = errors.New("sched: task skipped (pool stopped early)")
 
-// DeadlineError reports a task that exceeded its virtual deadline in
-// EachTimed. It is retryable in the fault-model sense: a retry may hit
-// fewer injected latency faults.
-type DeadlineError struct {
-	Task              int
-	Elapsed, Deadline float64
-}
-
-func (e *DeadlineError) Error() string {
-	return fmt.Sprintf("sched: task %d exceeded deadline: %.3fs elapsed > %.3fs allowed", e.Task, e.Elapsed, e.Deadline)
-}
-
-// Options tunes Each/Map dispatch. The zero value preserves the
+// Options tunes Each dispatch. The zero value preserves the
 // historical semantics: every index runs even when earlier ones fail.
 type Options struct {
 	// FailFast stops dispatching remaining tasks after the first
@@ -74,17 +59,6 @@ type Options struct {
 	// deterministic all-indexes-ran contract for earlier termination —
 	// callers that journal results should keep the default.
 	FailFast bool
-	// Cancel, when non-nil, is polled before each dispatch; once it
-	// returns true no further tasks start and their slots are marked
-	// ErrSkipped. The pool never blocks on Cancel — it is a plain
-	// function so layers can wire it to a fault injector, a deadline,
-	// or an external stop signal.
-	Cancel func() bool
-	// TaskDeadline bounds each task's virtual duration in EachTimed
-	// (seconds on the task's own fault.Clock); 0 means unbounded. A
-	// task whose clock advances past the deadline gets a *DeadlineError
-	// slot even if its function returned nil.
-	TaskDeadline float64
 }
 
 // Each runs fn(0) .. fn(n-1) across the pool and returns one error slot
@@ -102,7 +76,7 @@ func (p *Pool) Each(n int, fn func(i int) error) []error {
 // it to order their tasks after the stop.
 var failFastStopped func()
 
-// EachOpts is Each with dispatch options (fail-fast, cancellation).
+// EachOpts is Each with dispatch options (fail-fast).
 func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	errs := make([]error, n)
 	if n == 0 {
@@ -115,7 +89,7 @@ func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	if workers <= 1 {
 		stopped := false
 		for i := 0; i < n; i++ {
-			if stopped || (opts.Cancel != nil && opts.Cancel()) {
+			if stopped {
 				errs[i] = ErrSkipped
 				continue
 			}
@@ -147,7 +121,7 @@ func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 		}()
 	}
 	for i := 0; i < n; i++ {
-		if stopped.Load() || (opts.Cancel != nil && opts.Cancel()) {
+		if stopped.Load() {
 			errs[i] = ErrSkipped
 			continue
 		}
@@ -156,46 +130,6 @@ func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	close(next)
 	wg.Wait()
 	return errs
-}
-
-// EachTimed is EachOpts with per-task virtual time: every task gets its
-// own fault.Clock (starting at zero), and when Options.TaskDeadline is
-// set, a task whose clock ran past the deadline has its slot replaced
-// by a *DeadlineError. Latency faults and retry backoff advance the
-// clock, so deadlines are deterministic functions of the fault schedule
-// — never of wall time or goroutine interleaving.
-func (p *Pool) EachTimed(n int, fn func(i int, clk *fault.Clock) error, opts Options) []error {
-	return p.EachOpts(n, func(i int) error {
-		clk := fault.NewClock()
-		err := fn(i, clk)
-		if opts.TaskDeadline > 0 {
-			if elapsed := clk.Now(); elapsed > opts.TaskDeadline {
-				if err == nil {
-					return &DeadlineError{Task: i, Elapsed: elapsed, Deadline: opts.TaskDeadline}
-				}
-				return fmt.Errorf("%w (and task %d ran %.3fs past its %.3fs deadline)", err, i, elapsed, opts.TaskDeadline)
-			}
-		}
-		return err
-	}, opts)
-}
-
-// Map fans fn out over the pool and returns the results in index
-// order, plus the per-index error slots (see Each).
-func Map[T any](p *Pool, n int, fn func(i int) (T, error)) ([]T, []error) {
-	return MapOpts(p, n, fn, Options{})
-}
-
-// MapOpts is Map with dispatch options; skipped indexes keep the zero
-// value of T and an ErrSkipped slot.
-func MapOpts[T any](p *Pool, n int, fn func(i int) (T, error), opts Options) ([]T, []error) {
-	out := make([]T, n)
-	errs := p.EachOpts(n, func(i int) error {
-		v, err := fn(i)
-		out[i] = v
-		return err
-	}, opts)
-	return out, errs
 }
 
 // FirstError returns the lowest-index non-nil error, or nil. Using the

@@ -79,22 +79,6 @@ func TestEachZeroAndSerial(t *testing.T) {
 	}
 }
 
-func TestMap(t *testing.T) {
-	p := NewPool(8)
-	vals, errs := Map(p, 10, func(i int) (string, error) {
-		if i == 4 {
-			return "", fmt.Errorf("no")
-		}
-		return fmt.Sprintf("v%d", i), nil
-	})
-	if vals[2] != "v2" || vals[9] != "v9" {
-		t.Fatalf("vals = %v", vals)
-	}
-	if errs[4] == nil || FirstError(errs) == nil {
-		t.Fatal("error at index 4 must surface")
-	}
-}
-
 func TestMatrixDeterministicOrder(t *testing.T) {
 	// Axis order in the input must not matter.
 	a := Matrix([]Axis{

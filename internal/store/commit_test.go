@@ -46,7 +46,7 @@ func TestManifestEncodeMatchesFmtEncoder(t *testing.T) {
 			}
 			files[strings.Join(parts, "/")] = []byte(strconv.Itoa(rng.Int()))
 		}
-		m := NewManifest(gens[rng.Intn(len(gens))], files)
+		m := newManifest(gens[rng.Intn(len(gens))], files, nil)
 		for i := range m.Entries {
 			m.Entries[i].Size = sizes[rng.Intn(len(sizes))]
 		}
@@ -525,7 +525,7 @@ func putFixture(tb testing.TB, n int) (*Store, string) {
 	for i := 0; i < n; i++ {
 		files[fmt.Sprintf("experiments/e%02d/sweep/%05d/results.csv", i%50, i)] = []byte(strconv.Itoa(i))
 	}
-	man := NewManifest(1, files)
+	man := newManifest(1, files, nil)
 	fs := NewMemFS(1)
 	if err := fs.WriteFile(manifestPath, man.Encode()); err != nil {
 		tb.Fatal(err)

@@ -67,14 +67,9 @@ type Manifest struct {
 // manifestHeader versions the on-disk format.
 const manifestHeader = "popper-manifest v1"
 
-// NewManifest builds a manifest over a workspace snapshot: every
-// tracked path, hashed, at the given generation.
-func NewManifest(generation int, files map[string][]byte) *Manifest {
-	return newManifest(generation, files, nil)
-}
-
-// newManifest is NewManifest taking each file's hash from hashes where
-// it has one (see SyncHashed).
+// newManifest builds a manifest over a workspace snapshot: every
+// tracked path, hashed, at the given generation, taking each file's
+// hash from hashes where it has one (see SyncHashed).
 func newManifest(generation int, files map[string][]byte, hashes map[string][sha256.Size]byte) *Manifest {
 	m := &Manifest{Generation: generation}
 	for path, content := range files {

@@ -1009,7 +1009,7 @@ func TestSyncHashedCommitsWhatSyncCommits(t *testing.T) {
 }
 
 func TestManifestEncodeParseRoundTrip(t *testing.T) {
-	m := NewManifest(7, w2())
+	m := newManifest(7, w2(), nil)
 	parsed, err := ParseManifest(m.Encode())
 	if err != nil {
 		t.Fatalf("parse: %v", err)

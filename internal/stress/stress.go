@@ -17,7 +17,6 @@
 package stress
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
@@ -67,38 +66,6 @@ func (s Stressor) Speedup(base, target *cluster.MachineProfile) float64 {
 // All returns the full battery, sorted by name.
 func All() []Stressor {
 	out := append([]Stressor(nil), battery...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// ByName finds a stressor.
-func ByName(name string) (Stressor, error) {
-	for _, s := range battery {
-		if s.Name == name {
-			return s, nil
-		}
-	}
-	return Stressor{}, fmt.Errorf("stress: unknown stressor %q", name)
-}
-
-// Names lists all stressor names, sorted.
-func Names() []string {
-	out := make([]string, 0, len(battery))
-	for _, s := range battery {
-		out = append(out, s.Name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ByClass returns the battery members of one class.
-func ByClass(c Class) []Stressor {
-	var out []Stressor
-	for _, s := range battery {
-		if s.Class == c {
-			out = append(out, s)
-		}
-	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }

@@ -14,6 +14,7 @@ func TestBatteryWellFormed(t *testing.T) {
 		t.Fatalf("battery has %d stressors, want >= 20", len(all))
 	}
 	seen := map[string]bool{}
+	classes := map[Class]int{}
 	for _, s := range all {
 		if s.Name == "" || s.Class == "" || s.Native == nil {
 			t.Errorf("stressor %+v incomplete", s.Name)
@@ -22,9 +23,15 @@ func TestBatteryWellFormed(t *testing.T) {
 			t.Errorf("duplicate stressor %q", s.Name)
 		}
 		seen[s.Name] = true
+		classes[s.Class]++
 		z := cluster.Work{}
 		if s.Unit == z {
 			t.Errorf("stressor %q has empty work unit", s.Name)
+		}
+	}
+	for _, c := range []Class{ClassCPU, ClassVector, ClassMemory, ClassRandMem, ClassBranch, ClassSyscall, ClassMixed} {
+		if classes[c] == 0 {
+			t.Errorf("class %s has no stressors", c)
 		}
 	}
 	// sorted by name
@@ -32,24 +39,6 @@ func TestBatteryWellFormed(t *testing.T) {
 		if all[i-1].Name >= all[i].Name {
 			t.Fatal("All() not sorted")
 		}
-	}
-}
-
-func TestByNameAndClass(t *testing.T) {
-	s, err := ByName("cpu")
-	if err != nil || s.Class != ClassCPU {
-		t.Fatalf("ByName(cpu) = %+v, %v", s, err)
-	}
-	if _, err := ByName("nope"); err == nil {
-		t.Fatal("unknown stressor should fail")
-	}
-	for _, c := range []Class{ClassCPU, ClassVector, ClassMemory, ClassRandMem, ClassBranch, ClassSyscall, ClassMixed} {
-		if len(ByClass(c)) == 0 {
-			t.Errorf("class %s has no stressors", c)
-		}
-	}
-	if len(Names()) != len(All()) {
-		t.Fatal("Names/All mismatch")
 	}
 }
 
@@ -88,7 +77,10 @@ func TestSpeedupShape(t *testing.T) {
 	new_ := cluster.MustProfile("cloudlab-c220g1")
 
 	inMode := 0
-	for _, s := range ByClass(ClassCPU) {
+	for _, s := range All() {
+		if s.Class != ClassCPU {
+			continue
+		}
 		sp := s.Speedup(old, new_)
 		if sp > 2.2 && sp <= 2.3 {
 			inMode++
@@ -97,19 +89,28 @@ func TestSpeedupShape(t *testing.T) {
 	if inMode != 7 {
 		t.Errorf("CPU stressors in (2.2,2.3] = %d, want 7 (the paper's mode)", inMode)
 	}
-	for _, s := range ByClass(ClassMemory) {
+	for _, s := range All() {
+		if s.Class != ClassMemory {
+			continue
+		}
 		sp := s.Speedup(old, new_)
 		if sp < 2.8 || sp > 3.6 {
 			t.Errorf("%s memory speedup = %.2f, want ~3.3", s.Name, sp)
 		}
 	}
-	for _, s := range ByClass(ClassRandMem) {
+	for _, s := range All() {
+		if s.Class != ClassRandMem {
+			continue
+		}
 		sp := s.Speedup(old, new_)
 		if sp < 1.0 || sp > 2.0 {
 			t.Errorf("%s randmem speedup = %.2f, want ~1.3-1.5", s.Name, sp)
 		}
 	}
-	for _, s := range ByClass(ClassVector) {
+	for _, s := range All() {
+		if s.Class != ClassVector {
+			continue
+		}
 		sp := s.Speedup(old, new_)
 		if sp < 4.0 {
 			t.Errorf("%s vector speedup = %.2f, want tail > 4", s.Name, sp)

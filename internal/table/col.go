@@ -97,17 +97,6 @@ func (c Col) Sum() float64 {
 	return s
 }
 
-// CountNums returns the number of numeric cells.
-func (c Col) CountNums() int {
-	k := 0
-	for i := 0; i < c.n; i++ {
-		if c.ids[c.phys(i)] < 0 {
-			k++
-		}
-	}
-	return k
-}
-
 // MinMax returns the smallest and largest numeric cell; ok is false
 // when the column has no numeric cells.
 func (c Col) MinMax() (min, max float64, ok bool) {

@@ -2,20 +2,11 @@ package table
 
 import (
 	"encoding/csv"
-	"encoding/json"
 	"fmt"
 	"io"
 	"strconv"
 	"strings"
 )
-
-// ReadCSV loads a table from CSV with a header row; cells are auto-typed
-// and streamed straight into typed columns: numbers land in the float
-// storage, strings are interned (the record buffer is reused, so only
-// first-occurrence strings are retained).
-func ReadCSV(r io.Reader) (*Table, error) {
-	return readCSV(r, 0)
-}
 
 // readCSV parses CSV with an optional row-count hint used to
 // preallocate the typed columns.
@@ -66,8 +57,11 @@ func readCSV(r io.Reader, rowHint int) (*Table, error) {
 	return t, nil
 }
 
-// ParseCSV is ReadCSV over a string; the input length yields a
-// row-count estimate that presizes the columns.
+// ParseCSV loads a table from CSV with a header row; cells are
+// auto-typed and streamed straight into typed columns: numbers land in
+// the float storage, strings are interned (the record buffer is reused,
+// so only first-occurrence strings are retained). The input length
+// yields a row-count estimate that presizes the columns.
 func ParseCSV(s string) (*Table, error) {
 	return readCSV(strings.NewReader(s), strings.Count(s, "\n"))
 }
@@ -98,25 +92,6 @@ func (t *Table) CSV() string {
 	var sb strings.Builder
 	_ = t.WriteCSV(&sb)
 	return sb.String()
-}
-
-// MarshalJSON encodes the table as a list of row objects.
-func (t *Table) MarshalJSON() ([]byte, error) {
-	rows := make([]map[string]any, t.Len())
-	for i := range rows {
-		r := t.phys(i)
-		m := make(map[string]any, len(t.cols))
-		for c, name := range t.cols {
-			v := t.valueAt(c, r)
-			if v.IsNum {
-				m[name] = v.Num
-			} else {
-				m[name] = v.Str
-			}
-		}
-		rows[i] = m
-	}
-	return json.Marshal(rows)
 }
 
 // Format renders a human-readable aligned text table (for CLI output).

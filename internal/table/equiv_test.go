@@ -1,7 +1,6 @@
 package table
 
 import (
-	"encoding/json"
 	"flag"
 	"os"
 	"path/filepath"
@@ -170,11 +169,6 @@ func TestGoldenJoinConcat(t *testing.T) {
 func TestGoldenFormatJSON(t *testing.T) {
 	tb := goldenFixture()
 	checkGolden(t, "format.txt", tb.Format())
-	raw, err := json.Marshal(tb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "table.json", string(raw))
 }
 
 // TestViewIsolation proves the copy-on-write contract: mutating a view
@@ -192,9 +186,6 @@ func TestViewIsolation(t *testing.T) {
 
 	// Mutate the view: the parent must be untouched.
 	view.MustAppend(String("new"), String("ec2"), Number(1), Number(1), String(""))
-	if err := view.AddColumn("extra", func(int) Value { return Number(7) }); err != nil {
-		t.Fatal(err)
-	}
 	if tb.CSV() != wantParent {
 		t.Fatalf("view mutation leaked into parent:\n%s", tb.CSV())
 	}

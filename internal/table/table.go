@@ -20,7 +20,7 @@
 // they return *views* — tables that share the backing columns and carry
 // only a row-index (and column-reference) slice. SortBy reorders the
 // permutation, never the data. Views follow a copy-on-write contract:
-// mutating a view (Append, AddColumn, Concat) first detaches it into
+// mutating a view (Append, Concat) first detaches it into
 // its own storage, so the parent table and sibling views are never
 // affected. Appending to the table a view was taken from is also safe:
 // the view captured its row indices and does not see later rows.
@@ -35,7 +35,6 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Value is a single cell: either a numeric or a string observation.
@@ -50,17 +49,6 @@ func Number(f float64) Value { return Value{Num: f, IsNum: true} }
 
 // String builds a string value.
 func String(s string) Value { return Value{Str: s} }
-
-// Auto parses s as a number when possible, otherwise keeps it as a string.
-func Auto(s string) Value {
-	t := strings.TrimSpace(s)
-	if t != "" {
-		if f, err := strconv.ParseFloat(t, 64); err == nil {
-			return Number(f)
-		}
-	}
-	return String(s)
-}
 
 // Float returns the numeric interpretation of the value; strings yield NaN.
 func (v Value) Float() float64 {
@@ -87,17 +75,6 @@ func (v Value) Equal(o Value) bool {
 		return v.Num == o.Num || (math.IsNaN(v.Num) && math.IsNaN(o.Num))
 	}
 	return v.Str == o.Str
-}
-
-// Less orders values: numbers before strings, then by value.
-func (v Value) Less(o Value) bool {
-	if v.IsNum != o.IsNum {
-		return v.IsNum
-	}
-	if v.IsNum {
-		return v.Num < o.Num
-	}
-	return v.Str < o.Str
 }
 
 // dict interns the strings of one store. Ids are dense and append-only,
@@ -176,7 +153,7 @@ func (s *store) length() int {
 }
 
 // Table is a column-oriented frame with equal-length columns. The zero
-// value is not usable; construct with New, ReadCSV or a view-producing
+// value is not usable; construct with New, ParseCSV or a view-producing
 // method.
 //
 // Invariant: rows == nil means the table is "direct" — it owns its
@@ -310,18 +287,6 @@ func (t *Table) Append(vals ...Value) error {
 	return nil
 }
 
-// AppendRecord adds one row from raw strings, auto-typing each cell.
-func (t *Table) AppendRecord(fields ...string) error {
-	if len(fields) != len(t.cols) {
-		return fmt.Errorf("table: row has %d values, table has %d columns", len(fields), len(t.cols))
-	}
-	t.detach()
-	for i, f := range fields {
-		t.st.cols[t.refs[i]].appendValue(Auto(f), t.st.dict)
-	}
-	return nil
-}
-
 // MustAppend is Append that panics on arity mismatch; for test fixtures
 // and generators where the shape is statically known.
 func (t *Table) MustAppend(vals ...Value) {
@@ -387,26 +352,6 @@ func (t *Table) Row(i int) []Value {
 		out[c] = t.valueAt(c, r)
 	}
 	return out
-}
-
-// AddColumn appends a new column computed from each row. The compute
-// function receives the row index. On a view this detaches first.
-func (t *Table) AddColumn(name string, f func(row int) Value) error {
-	if t.HasColumn(name) {
-		return fmt.Errorf("table: column %q already exists", name)
-	}
-	t.detach()
-	var col column
-	n := t.Len()
-	col.grow(n)
-	for i := 0; i < n; i++ {
-		col.appendValue(f(i), t.st.dict)
-	}
-	t.index[name] = len(t.cols)
-	t.cols = append(t.cols, name)
-	t.refs = append(append([]int(nil), t.refs...), len(t.st.cols))
-	t.st.cols = append(t.st.cols, col)
-	return nil
 }
 
 // Select returns a zero-copy view with only the named columns, in order.

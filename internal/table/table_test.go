@@ -257,22 +257,6 @@ func TestUnique(t *testing.T) {
 	}
 }
 
-func TestAddColumn(t *testing.T) {
-	tb := sample(t)
-	err := tb.AddColumn("speedup", func(r int) Value {
-		return Number(100 / tb.MustCell(r, "time").Num)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := tb.MustCell(1, "speedup").Num; math.Abs(v-100.0/55) > 1e-12 {
-		t.Fatalf("speedup = %v", v)
-	}
-	if err := tb.AddColumn("speedup", func(int) Value { return Number(0) }); err == nil {
-		t.Fatal("duplicate column should fail")
-	}
-}
-
 func TestClone(t *testing.T) {
 	tb := sample(t)
 	cp := tb.Clone()
@@ -292,19 +276,6 @@ func TestFormatAligned(t *testing.T) {
 	}
 	if !strings.Contains(lines[1], "---") {
 		t.Fatalf("no separator:\n%s", out)
-	}
-}
-
-func TestMarshalJSON(t *testing.T) {
-	tb := New("a", "b")
-	tb.MustAppend(Number(1.5), String("x"))
-	buf, err := tb.MarshalJSON()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := `[{"a":1.5,"b":"x"}]`
-	if string(buf) != want {
-		t.Fatalf("json = %s, want %s", buf, want)
 	}
 }
 
@@ -334,32 +305,8 @@ func TestStatsHelpers(t *testing.T) {
 }
 
 func TestValueOrdering(t *testing.T) {
-	if !Number(1).Less(Number(2)) || Number(2).Less(Number(1)) {
-		t.Fatal("numeric ordering broken")
-	}
-	if !Number(5).Less(String("a")) {
-		t.Fatal("numbers sort before strings")
-	}
-	if !String("a").Less(String("b")) {
-		t.Fatal("string ordering broken")
-	}
 	if !Number(math.NaN()).Equal(Number(math.NaN())) {
 		t.Fatal("NaN cells should compare equal for grouping purposes")
-	}
-}
-
-func TestAutoTyping(t *testing.T) {
-	if v := Auto("3.5"); !v.IsNum || v.Num != 3.5 {
-		t.Fatalf("Auto(3.5) = %#v", v)
-	}
-	if v := Auto(" 42 "); !v.IsNum || v.Num != 42 {
-		t.Fatalf("Auto(' 42 ') = %#v", v)
-	}
-	if v := Auto("n/a"); v.IsNum {
-		t.Fatalf("Auto(n/a) = %#v", v)
-	}
-	if v := Auto(""); v.IsNum || v.Str != "" {
-		t.Fatalf("Auto('') = %#v", v)
 	}
 }
 

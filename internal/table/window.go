@@ -52,41 +52,3 @@ func (w *Window) Len() int { return w.t.Len() }
 
 // Batches returns how many batches have been appended.
 func (w *Window) Batches() int { return len(w.spans) - 1 }
-
-// Batch returns a zero-copy view of batch i (row-index view over the
-// shared store — no cells are copied).
-func (w *Window) Batch(i int) (*Table, error) {
-	if i < 0 || i >= w.Batches() {
-		return nil, fmt.Errorf("table: window has %d batches, no batch %d", w.Batches(), i)
-	}
-	lo, hi := w.spans[i], w.spans[i+1]
-	rows := make([]int, hi-lo)
-	for r := range rows {
-		rows[r] = lo + r
-	}
-	return w.t.View(rows)
-}
-
-// Last returns a zero-copy view of the most recent batch, or nil when
-// nothing has been appended.
-func (w *Window) Last() *Table {
-	if w.Batches() == 0 {
-		return nil
-	}
-	v, _ := w.Batch(w.Batches() - 1)
-	return v
-}
-
-// Prefix returns a zero-copy view of rows [0, n). Prefix views are
-// stable snapshots: later appends grow the store but never change the
-// view's row set.
-func (w *Window) Prefix(n int) (*Table, error) {
-	if n < 0 || n > w.t.Len() {
-		return nil, fmt.Errorf("table: window prefix %d out of range [0,%d]", n, w.t.Len())
-	}
-	rows := make([]int, n)
-	for r := range rows {
-		rows[r] = r
-	}
-	return w.t.View(rows)
-}

@@ -338,17 +338,6 @@ func (r *Repository) CreateBranch(name string, checkout bool) error {
 	return nil
 }
 
-// SwitchBranch checks out an existing branch.
-func (r *Repository) SwitchBranch(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.refs[name]; !ok {
-		return fmt.Errorf("vcs: no branch %q", name)
-	}
-	r.head = name
-	return nil
-}
-
 // Tag names a commit immutably ("the asset id" the convention references).
 func (r *Repository) Tag(name string, commit Hash) error {
 	if name == "" {
@@ -364,17 +353,6 @@ func (r *Repository) Tag(name string, commit Hash) error {
 	}
 	r.tags[name] = commit
 	return nil
-}
-
-// ResolveTag returns the commit a tag points at.
-func (r *Repository) ResolveTag(name string) (Hash, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.tags[name]
-	if !ok {
-		return "", fmt.Errorf("vcs: no tag %q", name)
-	}
-	return h, nil
 }
 
 // LookupCommit loads commit metadata by hash.
@@ -445,62 +423,6 @@ func (r *Repository) Log() ([]Commit, error) {
 		}
 		cur = next
 	}
-}
-
-// ChangeKind classifies one path in a diff.
-type ChangeKind byte
-
-const (
-	Added    ChangeKind = 'A'
-	Deleted  ChangeKind = 'D'
-	Modified ChangeKind = 'M'
-)
-
-// Change is one path-level difference between two commits.
-type Change struct {
-	Path string
-	Kind ChangeKind
-}
-
-// Diff compares two commits and returns path-level changes sorted by path.
-// An empty `from` hash means "diff against the empty tree".
-func (r *Repository) Diff(from, to Hash) ([]Change, error) {
-	older := map[string][]byte{}
-	if from != "" {
-		var err error
-		older, err = r.Checkout(from)
-		if err != nil {
-			return nil, err
-		}
-	}
-	newer, err := r.Checkout(to)
-	if err != nil {
-		return nil, err
-	}
-	var out []Change
-	for path, content := range newer {
-		old, ok := older[path]
-		switch {
-		case !ok:
-			out = append(out, Change{Path: path, Kind: Added})
-		case string(old) != string(content):
-			out = append(out, Change{Path: path, Kind: Modified})
-		}
-	}
-	for path := range older {
-		if _, ok := newer[path]; !ok {
-			out = append(out, Change{Path: path, Kind: Deleted})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Path < out[j].Path })
-	return out, nil
-}
-
-// ObjectCount reports how many objects the store holds (dedup metric).
-func (r *Repository) ObjectCount() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.objects)
 }
 
 // FormatLog renders a compact one-line-per-commit history.

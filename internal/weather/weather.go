@@ -34,12 +34,6 @@ type ReanalysisSpec struct {
 	Seed    int64
 }
 
-// DefaultReanalysisSpec matches the Reanalysis-1 2.5-degree grid over
-// one year.
-func DefaultReanalysisSpec() ReanalysisSpec {
-	return ReanalysisSpec{Days: 365, LatStep: 2.5, LonStep: 2.5, NoiseK: 1.5, Seed: 1}
-}
-
 func (s ReanalysisSpec) validate() error {
 	switch {
 	case s.Days <= 0:

@@ -60,13 +60,6 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestDefaultSpecIsReanalysisShaped(t *testing.T) {
-	s := DefaultReanalysisSpec()
-	if s.LatStep != 2.5 || s.LonStep != 2.5 || s.Days != 365 {
-		t.Fatalf("default spec = %+v", s)
-	}
-}
-
 func TestAnalyzePaperShape(t *testing.T) {
 	// The qualitative facts the BWW figure shows.
 	a, err := Generate(coarse())
