@@ -405,3 +405,93 @@ func TestCLIPutRecordsRerunLeavesOneRecord(t *testing.T) {
 		}
 	}
 }
+
+// forgedRepo builds a healthy repository in a directory of its own and
+// appends an entry naming path, with the size and hash of the content
+// content picks from it, to its committed manifest, recomputing the
+// checksum as anyone who can write .popper/manifest can. It returns the
+// repository and its parent.
+func forgedRepo(t *testing.T, path string, content func(dir string) []byte) (dir, parent string) {
+	t.Helper()
+	parent = t.TempDir()
+	dir = filepath.Join(parent, "repo")
+	if err := os.Mkdir(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"init"}, {"add", "proteustm", "stm"}, {"run", "stm"}} {
+		if _, err := popperOut(t, dir, args...); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+	}
+	data := content(dir)
+	file := filepath.Join(dir, ".popper", "manifest")
+	raw, err := os.ReadFile(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := raw[:strings.LastIndex(string(raw), "checksum ")]
+	body = fmt.Appendf(body, "%x %d %s\n", sha256.Sum256(data), len(data), path)
+	if err := os.WriteFile(file, fmt.Appendf(body, "checksum %x\n", sha256.Sum256(body)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir, parent
+}
+
+// TestCLIForgedManifestRunRefuses: `popper run` over a manifest forged
+// to track ../victim.txt refuses and names `popper fsck --repair`
+// instead of pruning the file beside the repository; the repair
+// rebuilds the manifest from the tree, and the next run passes.
+func TestCLIForgedManifestRunRefuses(t *testing.T) {
+	victimText := []byte("a file beside the repository\n")
+	dir, parent := forgedRepo(t, "../victim.txt", func(string) []byte { return victimText })
+	victim := filepath.Join(parent, "victim.txt")
+	if err := os.WriteFile(victim, victimText, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := popperOut(t, dir, "run", "stm"); err == nil || !strings.Contains(err.Error(), "popper fsck --repair") {
+		t.Fatalf("run over a forged manifest: %v, want a refusal naming `popper fsck --repair`", err)
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != string(victimText) {
+		t.Fatalf("the file beside the repository after run: %q, %v", data, err)
+	}
+	out, err := popperOut(t, dir, "fsck", "--repair")
+	if err != nil || !strings.Contains(out, "rebuilt") {
+		t.Fatalf("fsck --repair: %v\n%s", err, out)
+	}
+	for _, args := range [][]string{{"fsck"}, {"run", "stm"}} {
+		if out, err := popperOut(t, dir, args...); err != nil {
+			t.Fatalf("%v after the repair: %v\n%s", args, err, out)
+		}
+	}
+	if data, err := os.ReadFile(victim); err != nil || string(data) != string(victimText) {
+		t.Fatalf("the file beside the repository after the repair: %q, %v", data, err)
+	}
+}
+
+// TestCLIForgedManifestRepairStaysInside: `popper fsck` over a manifest
+// forged to track ../escaped.txt with the content of a tracked file,
+// which the pool holds, reports the manifest damaged, not a restorable
+// file outside the repository, and `popper fsck --repair` rebuilds the
+// manifest without writing there.
+func TestCLIForgedManifestRepairStaysInside(t *testing.T) {
+	dir, parent := forgedRepo(t, "../escaped.txt", func(dir string) []byte {
+		data, err := os.ReadFile(filepath.Join(dir, "experiments/stm/results.csv"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	})
+	out, err := popperOut(t, dir, "fsck")
+	if err == nil || !strings.Contains(out, "manifest damaged") || strings.Contains(out, "escaped.txt") {
+		t.Fatalf("fsck over a forged manifest: %v\n%s", err, out)
+	}
+	if out, err := popperOut(t, dir, "fsck", "--repair"); err != nil {
+		t.Fatalf("fsck --repair: %v\n%s", err, out)
+	}
+	if _, err := os.Stat(filepath.Join(parent, "escaped.txt")); !os.IsNotExist(err) {
+		t.Fatalf("fsck --repair wrote outside the repository: %v", err)
+	}
+	if out, err := popperOut(t, dir, "fsck"); err != nil {
+		t.Fatalf("fsck after the repair: %v\n%s", err, out)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Extents pack many small objects into one append-only blob — the
@@ -85,7 +86,11 @@ func EncodeHashedExtent(blobs [][]byte, hashes [][sha256.Size]byte) ([]byte, []E
 
 // ParseExtent decodes an intact extent via its footer and index,
 // verifying the whole-image checksum. A torn or corrupted extent
-// returns an error; use SalvageExtent to recover what survives.
+// returns an error; use SalvageExtent to recover what survives. The
+// checksum proves the image is what its writer wrote, not that each
+// payload matches the hash its index line names: a consumer that needs
+// that hashes the payload itself. The index is scanned in place, each
+// hash decoded straight into its record.
 func ParseExtent(raw []byte) ([]ExtentRecord, error) {
 	if !bytes.HasPrefix(raw, []byte(extentMagic)) {
 		return nil, fmt.Errorf("cas: not an extent (bad magic)")
@@ -100,64 +105,129 @@ func ParseExtent(raw []byte) ([]ExtentRecord, error) {
 		return nil, fmt.Errorf("cas: extent truncated (no footer line)")
 	}
 	footerStart := nl + 1
-	fields := strings.Fields(string(body[footerStart:]))
-	if len(fields) != 3 || fields[0] != extentFooterWord {
+	var fields [3][]byte
+	if Fields(body[footerStart:], fields[:]) != 3 || string(fields[0]) != extentFooterWord {
 		return nil, fmt.Errorf("cas: extent footer malformed")
 	}
-	indexOff, err := strconv.ParseInt(fields[1], 10, 64)
+	indexOff, err := strconv.ParseInt(string(fields[1]), 10, 64)
 	if err != nil || indexOff < int64(len(extentMagic)) || indexOff >= int64(footerStart) {
 		return nil, fmt.Errorf("cas: extent footer index offset invalid")
 	}
-	wantSum, err := hex.DecodeString(fields[2])
-	if err != nil || len(wantSum) != sha256.Size {
+	var wantSum [sha256.Size]byte
+	if !DecodeHash(&wantSum, fields[2]) {
 		return nil, fmt.Errorf("cas: extent footer checksum malformed")
 	}
-	if sum := sha256.Sum256(raw[:footerStart]); !bytes.Equal(sum[:], wantSum) {
+	if sha256.Sum256(raw[:footerStart]) != wantSum {
 		return nil, fmt.Errorf("cas: extent checksum mismatch")
 	}
 	// Checksum proves the index region intact; parse it.
 	index := raw[indexOff:footerStart]
-	nl = bytes.IndexByte(index, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("cas: extent index header missing")
-	}
-	header := string(index[:nl])
-	if !strings.HasPrefix(header, strings.TrimSpace(extentIndexPrefix)) {
+	header, lines, _ := bytes.Cut(index, []byte("\n")) // index ends in the footer's newline
+	word := []byte(strings.TrimSpace(extentIndexPrefix))
+	if !bytes.HasPrefix(header, word) {
 		return nil, fmt.Errorf("cas: extent index header malformed")
 	}
-	n, err := strconv.Atoi(strings.TrimSpace(strings.TrimPrefix(header, strings.TrimSpace(extentIndexPrefix))))
+	n, err := strconv.Atoi(string(bytes.TrimSpace(header[len(word):])))
 	if err != nil || n < 0 {
 		return nil, fmt.Errorf("cas: extent index count malformed")
 	}
-	lines := strings.Split(strings.TrimSuffix(string(index[nl+1:]), "\n"), "\n")
-	if n == 0 && len(lines) == 1 && lines[0] == "" {
-		lines = nil
+	lines = bytes.TrimSuffix(lines, []byte("\n"))
+	count := bytes.Count(lines, []byte("\n")) + 1
+	if n == 0 && len(lines) == 0 {
+		count = 0
 	}
-	if len(lines) != n {
-		return nil, fmt.Errorf("cas: extent index has %d entries, header says %d", len(lines), n)
+	if count != n {
+		return nil, fmt.Errorf("cas: extent index has %d entries, header says %d", count, n)
 	}
-	recs := make([]ExtentRecord, 0, n)
-	for _, line := range lines {
-		f := strings.Fields(line)
-		if len(f) != 3 {
+	recs := make([]ExtentRecord, n)
+	for i := range recs {
+		line, rest, _ := bytes.Cut(lines, []byte("\n"))
+		lines = rest
+		if Fields(line, fields[:]) != 3 {
 			return nil, fmt.Errorf("cas: extent index entry malformed: %q", line)
 		}
-		hb, err := hex.DecodeString(f[0])
-		if err != nil || len(hb) != sha256.Size {
-			return nil, fmt.Errorf("cas: extent index hash malformed: %q", f[0])
+		r := &recs[i]
+		if !DecodeHash(&r.Hash, fields[0]) {
+			return nil, fmt.Errorf("cas: extent index hash malformed: %q", fields[0])
 		}
-		off, err1 := strconv.ParseInt(f[1], 10, 64)
-		size, err2 := strconv.ParseInt(f[2], 10, 64)
-		if err1 != nil || err2 != nil || off < 0 || size < 0 || off+size > indexOff {
+		off, err1 := strconv.ParseInt(string(fields[1]), 10, 64)
+		size, err2 := strconv.ParseInt(string(fields[2]), 10, 64)
+		// size > indexOff-off is off+size > indexOff without overflow.
+		if err1 != nil || err2 != nil || off < 0 || size < 0 || off > indexOff || size > indexOff-off {
 			return nil, fmt.Errorf("cas: extent index entry out of range: %q", line)
 		}
-		var r ExtentRecord
-		copy(r.Hash[:], hb)
 		r.Offset, r.Size = off, size
-		recs = append(recs, r)
 	}
 	return recs, nil
 }
+
+// DecodeHash decodes src into h when src is exactly the hex encoding of
+// a SHA-256 digest, and reports whether it was.
+func DecodeHash(h *[sha256.Size]byte, src []byte) bool {
+	if len(src) != hex.EncodedLen(sha256.Size) {
+		return false
+	}
+	_, err := hex.Decode(h[:], src)
+	return err == nil
+}
+
+// Fields splits line around each run of white space, as bytes.Fields
+// does, into dst. It returns how many fields line holds, or len(dst)+1
+// when it holds more than dst can take; the text formats built on
+// extents (the extent index, the stage-cache sidecar's metadata)
+// tokenize their lines with it. An ASCII line is split byte by byte
+// and allocates nothing; a line with any other byte, which those
+// writers leave only in a quoted path, is handed to bytes.Fields.
+func Fields(line []byte, dst [][]byte) int {
+	n, start := 0, -1
+	for i, c := range line {
+		switch byteClass[c] {
+		case fieldByte:
+			if start < 0 {
+				start = i
+			}
+		case spaceByte:
+			if start >= 0 {
+				if n == len(dst) {
+					return n + 1
+				}
+				dst[n], n, start = line[start:i], n+1, -1
+			}
+		default:
+			all := bytes.Fields(line)
+			if len(all) > len(dst) {
+				return len(dst) + 1
+			}
+			return copy(dst, all)
+		}
+	}
+	if start >= 0 {
+		if n == len(dst) {
+			return n + 1
+		}
+		dst[n], n = line[start:], n+1
+	}
+	return n
+}
+
+// byteClass sorts each byte for Fields: ASCII white space (what
+// unicode.IsSpace holds for below utf8.RuneSelf), another ASCII byte,
+// or a byte of a multi-byte rune.
+var byteClass = func() (class [256]uint8) {
+	for c := utf8.RuneSelf; c < len(class); c++ {
+		class[c] = multiByte
+	}
+	for _, c := range "\t\n\v\f\r " {
+		class[c] = spaceByte
+	}
+	return class
+}()
+
+const (
+	fieldByte = iota
+	spaceByte
+	multiByte
+)
 
 // SalvageExtent walks a (possibly torn) extent's record stream from
 // the front and returns every record whose payload verifies against

@@ -117,3 +117,32 @@ func TestExtentSalvageScalesToManyRecords(t *testing.T) {
 		}
 	}
 }
+
+// TestFieldsMatchesBytesFields: Fields splits as bytes.Fields does,
+// Unicode white space and invalid bytes included, and says when a line
+// holds more fields than dst can take.
+func TestFieldsMatchesBytesFields(t *testing.T) {
+	for _, line := range []string{
+		"", " ", "ref abc 12", "  ref\tabc\v12 \r", "a b", "a\u0085b c", " x　y",
+		"a\xffb c", "\xe2\x80 x", "set \"dir/é.csv\" 3 1", "a b c d", "a b c d e f",
+	} {
+		var dst [4][]byte
+		n := Fields([]byte(line), dst[:])
+		want := bytes.Fields([]byte(line))
+		if len(want) > len(dst) {
+			if n != len(dst)+1 {
+				t.Errorf("%q: Fields = %d, want %d for more than %d fields", line, n, len(dst)+1, len(dst))
+			}
+			continue
+		}
+		if n != len(want) {
+			t.Errorf("%q: Fields = %d fields, bytes.Fields %d", line, n, len(want))
+			continue
+		}
+		for i := range want {
+			if !bytes.Equal(dst[i], want[i]) {
+				t.Errorf("%q: field %d = %q, want %q", line, i, dst[i], want[i])
+			}
+		}
+	}
+}

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"popper/internal/fault"
@@ -57,11 +60,54 @@ func checkRecords(t *testing.T, raw []byte, recs []ExtentRecord, who string) {
 	}
 }
 
+// resealIndex rewrites raw's footer for the index region it holds, from
+// the last index header to the footer line, so damage to the index
+// lines passes the checksum and reaches the index scanner. It returns
+// nil when raw holds no index header.
+func resealIndex(raw []byte) []byte {
+	body := bytes.TrimSuffix(raw, []byte("\n"))
+	if nl := bytes.LastIndexByte(body, '\n'); nl >= 0 && bytes.Contains(body[nl:], []byte(extentFooterWord)) {
+		body = body[:nl+1]
+	}
+	indexOff := bytes.LastIndex(body, []byte(extentIndexPrefix))
+	if indexOff < 0 || len(body) == 0 || body[len(body)-1] != '\n' {
+		return nil
+	}
+	sum := sha256.Sum256(body)
+	return fmt.Appendf(bytes.Clone(body), "%s %d %x\n", extentFooterWord, indexOff, sum)
+}
+
+// checkExtentAgainstOracle requires ParseExtent and the oracle to accept
+// raw with the same records or refuse it with the same message, except
+// that ParseExtent refuses an index entry whose offset plus size
+// overflows, which the oracle admits.
+func checkExtentAgainstOracle(t *testing.T, raw []byte) {
+	t.Helper()
+	want, werr := parseExtentOracle(raw)
+	got, err := ParseExtent(raw)
+	if werr == nil && slices.ContainsFunc(want, func(r ExtentRecord) bool { return r.Offset+r.Size < 0 }) {
+		if err == nil {
+			t.Fatalf("ParseExtent admits an index entry whose offset plus size overflows: %+v", got)
+		}
+		return
+	}
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("ParseExtent: %v; the oracle: %v", err, werr)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("ParseExtent: %+v; the oracle: %+v", got, want)
+	}
+}
+
 func FuzzParseExtent(f *testing.F) {
 	for _, img := range fuzzExtentImages() {
 		f.Add(img)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkExtentAgainstOracle(t, raw)
+		if resealed := resealIndex(raw); resealed != nil {
+			checkExtentAgainstOracle(t, resealed)
+		}
 		recs, err := ParseExtent(raw)
 		if err != nil {
 			return
@@ -92,4 +138,22 @@ func FuzzSalvageExtent(f *testing.F) {
 			t.Fatalf("salvage recovered %d records from a pristine extent of %d", len(recs), len(parsed))
 		}
 	})
+}
+
+// TestParseExtentRefusesOverflowingEntry: an index entry whose offset
+// plus size overflows int64 wraps below the index offset, so a parser
+// that checks the sum admits it, and a consumer slicing the image by it
+// panics. The image's checksum is recomputed, as anyone can.
+func TestParseExtentRefusesOverflowingEntry(t *testing.T) {
+	raw := EncodeExtent([][]byte{[]byte("a")})
+	recs, err := ParseExtent(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := fmt.Sprintf("%x %d %d\n", recs[0].Hash, recs[0].Offset, recs[0].Size)
+	forged := fmt.Sprintf("%x %d %d\n", recs[0].Hash, recs[0].Offset, int64(math.MaxInt64))
+	damaged := resealIndex(bytes.Replace(raw, []byte(line), []byte(forged), 1))
+	if got, err := ParseExtent(damaged); err == nil || !strings.Contains(err.Error(), "out of range") {
+		t.Fatalf("ParseExtent admits %+v (%v), want an out-of-range refusal", got, err)
+	}
 }

@@ -10,9 +10,10 @@ import (
 )
 
 // TestCacheBenchJSONExactCounts runs the recorder's sweeps and requires
-// each entry's exact fields — allocs_per_config, bytes_dedup_ratio,
-// hit_rate, remote_fetches, peer_fetch_vseconds, recompute_vseconds and
-// fetch_over_recompute — to equal the committed BENCH_cache.json's.
+// each entry's exact fields — allocs_per_config, allocs_per_entry,
+// bytes_dedup_ratio, hit_rate, remote_fetches, peer_fetch_vseconds,
+// recompute_vseconds and fetch_over_recompute — to equal the committed
+// BENCH_cache.json's.
 // ns_per_op and warm_speedup are left to the wall clock: a change to
 // the cache's model or a sweep's allocations fails here until `make
 // bench-json` records it. The race build allocates more, so it skips
@@ -37,7 +38,8 @@ func TestCacheBenchJSONExactCounts(t *testing.T) {
 			continue
 		}
 		g.NsPerOp, g.Speedup = want.NsPerOp, want.Speedup
-		if g != want || !sameBits(g.AllocsPerConfig, want.AllocsPerConfig) || !sameBits(g.BytesDedupRatio, want.BytesDedupRatio) ||
+		if g != want || !sameBits(g.AllocsPerConfig, want.AllocsPerConfig) || !sameBits(g.AllocsPerEntry, want.AllocsPerEntry) ||
+			!sameBits(g.BytesDedupRatio, want.BytesDedupRatio) ||
 			!sameBits(g.HitRate, want.HitRate) || !sameBits(g.FetchVSeconds, want.FetchVSeconds) ||
 			!sameBits(g.RecomputeVSecs, want.RecomputeVSecs) || !sameBits(g.FetchVsRecomp, want.FetchVsRecomp) {
 			t.Errorf("%s: the recorder measures %+v, BENCH_cache.json holds %+v", name, g, want)

@@ -191,11 +191,73 @@ func peerFetchCost(tb testing.TB, hosts int) float64 {
 	return res.Cost
 }
 
+// restoreBenchName is BENCH_cache.json's sidecar-restore entry.
+const restoreBenchName = "BenchmarkRestoreState/entries=96"
+
+// warmSidecarImage is the sidecar a `popper run` of e2ebench's
+// warm-rerun sweep saves: 32 seed configurations of cloverleaf at 200
+// iterations and problem size 24, run once to fill the stage cache.
+func warmSidecarImage(tb testing.TB) []byte {
+	tb.Helper()
+	p := Init()
+	if err := p.AddExperiment("cloverleaf", "clover"); err != nil {
+		tb.Fatal(err)
+	}
+	p.SetParam("clover", "iterations", "200")
+	p.SetParam("clover", "problem_size", "24")
+	cache := pipeline.NewCache()
+	sr, err := p.RunSweep("clover", &Env{Seed: 2}, cacheBenchMatrix(32), SweepOptions{Jobs: 1, Cache: cache})
+	if err != nil || !sr.Passed() {
+		tb.Fatalf("sidecar sweep: %v / %v", err, sr.Err())
+	}
+	return cache.SaveState()
+}
+
+// restoreAllocs counts the heap allocations of one warm start from img
+// — NewCacheOpts restoring it, as `popper run` does — per restored
+// entry, counted as sweepAllocs counts.
+func restoreAllocs(tb testing.TB, img []byte) float64 {
+	tb.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	runtime.GC()
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cache := pipeline.NewCacheOpts(pipeline.CacheOptions{State: img})
+	runtime.ReadMemStats(&after)
+	if cache.WarmEntries() != 96 {
+		tb.Fatalf("the sidecar restores %d entries, want 96", cache.WarmEntries())
+	}
+	return float64(after.Mallocs-before.Mallocs) / 96
+}
+
+// restoreBenchRecord times and counts the warm start from e2ebench's
+// warm-rerun sidecar, with one hand-timed restore when smoke is set.
+func restoreBenchRecord(t *testing.T, smoke bool) cacheBenchRecord {
+	img := warmSidecarImage(t)
+	restore := func() { pipeline.NewCacheOpts(pipeline.CacheOptions{State: img}) }
+	var res testing.BenchmarkResult
+	if smoke {
+		start := time.Now()
+		restore()
+		res = testing.BenchmarkResult{N: 1, T: time.Since(start)}
+	} else {
+		res = testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				restore()
+			}
+		})
+	}
+	return cacheBenchRecord{NsPerOp: float64(res.NsPerOp()), Clock: "wall", AllocsPerEntry: restoreAllocs(t, img)}
+}
+
 // cacheBenchRecord is one BENCH_cache.json entry.
 type cacheBenchRecord struct {
 	NsPerOp         float64 `json:"ns_per_op"`
 	Clock           string  `json:"clock"`
 	AllocsPerConfig float64 `json:"allocs_per_config,omitempty"`
+	AllocsPerEntry  float64 `json:"allocs_per_entry,omitempty"`
 	Speedup         float64 `json:"warm_speedup,omitempty"`
 	HitRate         float64 `json:"hit_rate,omitempty"`
 	FetchVSeconds   float64 `json:"peer_fetch_vseconds,omitempty"`
@@ -208,9 +270,10 @@ type cacheBenchRecord struct {
 // cacheBenchRecords runs the recorder's sweeps: the cold/warm
 // overlapping sweep of sweepSize configurations, the warm hit rate on
 // a fleet of each of hostCounts simulated hosts, and the peer-fetch vs
-// recompute virtual cost at each fleet size. It returns BENCH_cache.json's
-// entries; ns_per_op and warm_speedup are wall-clock (the best of three
-// warm sweeps, or one when smoke is set), every other field is exact.
+// recompute virtual cost at each fleet size, and the warm start from
+// e2ebench's warm-rerun sidecar. It returns BENCH_cache.json's entries;
+// ns_per_op and warm_speedup are wall-clock (the best of three warm
+// sweeps, or one when smoke is set), every other field is exact.
 func cacheBenchRecords(t *testing.T, sweepSize int, hostCounts []int, smoke bool) map[string]cacheBenchRecord {
 	records := make(map[string]cacheBenchRecord)
 
@@ -290,14 +353,16 @@ func cacheBenchRecords(t *testing.T, sweepSize int, hostCounts []int, smoke bool
 				hosts, cost, recomputeSeconds)
 		}
 	}
+	records[restoreBenchName] = restoreBenchRecord(t, smoke)
 	return records
 }
 
 // TestWriteCacheBenchJSON records the federated cache's perf
 // trajectory: when BENCH_JSON names an output file (`make bench-json`),
 // it times the cold/warm 64-configuration overlapping sweep, the warm
-// hit-rate across simulated fleet sizes, and the peer-fetch vs
-// recompute virtual-cost curve, writing name → record JSON.
+// hit-rate across simulated fleet sizes, the peer-fetch vs recompute
+// virtual-cost curve and the warm start from a 96-entry sidecar,
+// writing name → record JSON.
 // BENCH_SMOKE=1 (wired into `make verify`) shrinks the matrix so
 // regressions in the cache path fail the full loop without a long
 // bench run.

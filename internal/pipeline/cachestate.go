@@ -21,7 +21,6 @@ import (
 	"fmt"
 	"sort"
 	"strconv"
-	"strings"
 
 	"popper/internal/cas"
 )
@@ -132,6 +131,10 @@ func (c *Cache) SaveState() []byte {
 // not carry — fails the restoration as a whole with no partial effects
 // beyond chunks already admitted to the tier (which are harmless:
 // content-addressed, evictable, invisible without an entry).
+//
+// The metadata is scanned in place: keys and hashes decode straight
+// into their arrays, the restored entries and their refs share a few
+// backing arrays, and each distinct path is unquoted once.
 func (c *Cache) RestoreState(state []byte) (int, error) {
 	recs, err := cas.ParseExtent(state)
 	if err != nil {
@@ -141,8 +144,8 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		return 0, fmt.Errorf("pipeline: cache state has no metadata record")
 	}
 	payload := func(r cas.ExtentRecord) []byte { return state[r.Offset : r.Offset+r.Size] }
-	meta := string(payload(recs[0]))
-	if !strings.HasPrefix(meta, cacheStateMagic+"\n") {
+	meta, ok := bytes.CutPrefix(payload(recs[0]), []byte(cacheStateMagic+"\n"))
+	if !ok {
 		return 0, fmt.Errorf("pipeline: cache state magic mismatch")
 	}
 	chunks := make(map[[sha256.Size]byte][]byte, len(recs)-1)
@@ -152,135 +155,160 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		}
 	}
 
-	lines := strings.Split(meta, "\n")
-	i := 1 // past the magic
-	next := func() (string, bool) {
-		for i < len(lines) {
-			l := lines[i]
-			i++
-			if l != "" {
-				return l, true
-			}
-		}
-		return "", false
+	sc := stateScanner{
+		rest:   meta,
+		chunks: chunks,
+		paths:  make(map[string]string),
+		refs:   make([]cas.Ref, 0, bytes.Count(meta, []byte("\nref "))),
+		sets:   make([]pathDelta, 0, bytes.Count(meta, []byte("\nset "))),
 	}
-	parseRefs := func(n int) ([]cas.Ref, error) {
-		refs := make([]cas.Ref, 0, n)
-		for j := 0; j < n; j++ {
-			l, ok := next()
-			f := strings.Fields(l)
-			if !ok || len(f) != 3 || f[0] != "ref" {
-				return nil, fmt.Errorf("pipeline: cache state ref line malformed: %q", l)
-			}
-			hb, err := hex.DecodeString(f[1])
-			if err != nil || len(hb) != sha256.Size {
-				return nil, fmt.Errorf("pipeline: cache state ref hash malformed: %q", f[1])
-			}
-			size, err := strconv.ParseInt(f[2], 10, 64)
-			if err != nil || size < 0 {
-				return nil, fmt.Errorf("pipeline: cache state ref size malformed: %q", f[2])
-			}
-			var r cas.Ref
-			copy(r.Hash[:], hb)
-			r.Size = size
-			data, carried := chunks[r.Hash]
-			if !carried || int64(len(data)) != size {
-				return nil, fmt.Errorf("pipeline: cache state references a chunk it does not carry")
-			}
-			refs = append(refs, r)
-		}
-		return refs, nil
-	}
-
-	type restored struct {
-		key [sha256.Size]byte
-		ent *stageEntry
-	}
-	var out []restored
+	n := bytes.Count(meta, []byte("\nentry ")) + 1
+	keys, ents := make([][sha256.Size]byte, 0, n), make([]stageEntry, 0, n)
+	var f [5][]byte
 	for {
-		l, ok := next()
+		l, ok := sc.next()
 		if !ok {
 			break
 		}
-		f := strings.Fields(l)
-		if len(f) != 5 || f[0] != "entry" {
+		if cas.Fields(l, f[:]) != 5 || string(f[0]) != "entry" {
 			return 0, fmt.Errorf("pipeline: cache state entry line malformed: %q", l)
 		}
-		kb, err := hex.DecodeString(f[1])
-		if err != nil || len(kb) != sha256.Size {
+		var key [sha256.Size]byte
+		if !cas.DecodeHash(&key, f[1]) {
 			return 0, fmt.Errorf("pipeline: cache state entry key malformed: %q", f[1])
 		}
-		nset, err1 := strconv.Atoi(f[2])
-		ndel, err2 := strconv.Atoi(f[3])
-		logLen, err3 := strconv.ParseInt(f[4], 10, 64)
+		nset, err1 := strconv.Atoi(string(f[2]))
+		ndel, err2 := strconv.Atoi(string(f[3]))
+		logLen, err3 := strconv.ParseInt(string(f[4]), 10, 64)
 		if err1 != nil || err2 != nil || err3 != nil || nset < 0 || ndel < 0 || logLen < 0 {
 			return 0, fmt.Errorf("pipeline: cache state entry counts malformed: %q", l)
 		}
-		ent := &stageEntry{logLen: logLen}
+		ent := stageEntry{logLen: logLen}
+		start := len(sc.sets)
 		for j := 0; j < nset; j++ {
-			l, ok := next()
-			sf := strings.Fields(l)
-			if !ok || len(sf) != 4 || sf[0] != "set" {
+			l, ok := sc.next()
+			if !ok || cas.Fields(l, f[:]) != 4 || string(f[0]) != "set" {
 				return 0, fmt.Errorf("pipeline: cache state set line malformed: %q", l)
 			}
-			path, err := strconv.Unquote(sf[1])
+			path, err := sc.unquote(f[1])
 			if err != nil {
-				return 0, fmt.Errorf("pipeline: cache state set path malformed: %q", sf[1])
+				return 0, fmt.Errorf("pipeline: cache state set path malformed: %q", f[1])
 			}
-			size, err1 := strconv.ParseInt(sf[2], 10, 64)
-			nrefs, err2 := strconv.Atoi(sf[3])
+			size, err1 := strconv.ParseInt(string(f[2]), 10, 64)
+			nrefs, err2 := strconv.Atoi(string(f[3]))
 			if err1 != nil || err2 != nil || size < 0 || nrefs < 0 {
 				return 0, fmt.Errorf("pipeline: cache state set counts malformed: %q", l)
 			}
-			refs, err := parseRefs(nrefs)
+			refs, err := sc.parseRefs(nrefs)
 			if err != nil {
 				return 0, err
 			}
-			ent.set = append(ent.set, pathDelta{path: path, size: size, refs: refs})
+			sc.sets = append(sc.sets, pathDelta{path: path, size: size, refs: refs})
+		}
+		if nset > 0 {
+			ent.set = sc.sets[start:len(sc.sets):len(sc.sets)]
 		}
 		for j := 0; j < ndel; j++ {
-			l, ok := next()
-			df := strings.Fields(l)
-			if !ok || len(df) != 2 || df[0] != "del" {
+			l, ok := sc.next()
+			if !ok || cas.Fields(l, f[:]) != 2 || string(f[0]) != "del" {
 				return 0, fmt.Errorf("pipeline: cache state del line malformed: %q", l)
 			}
-			path, err := strconv.Unquote(df[1])
+			path, err := sc.unquote(f[1])
 			if err != nil {
-				return 0, fmt.Errorf("pipeline: cache state del path malformed: %q", df[1])
+				return 0, fmt.Errorf("pipeline: cache state del path malformed: %q", f[1])
 			}
 			ent.del = append(ent.del, path)
 		}
-		l, ok = next()
-		lf := strings.Fields(l)
-		if !ok || len(lf) != 2 || lf[0] != "log" {
+		l, ok = sc.next()
+		if !ok || cas.Fields(l, f[:]) != 2 || string(f[0]) != "log" {
 			return 0, fmt.Errorf("pipeline: cache state log line malformed: %q", l)
 		}
-		nlog, err := strconv.Atoi(lf[1])
+		nlog, err := strconv.Atoi(string(f[1]))
 		if err != nil || nlog < 0 {
 			return 0, fmt.Errorf("pipeline: cache state log count malformed: %q", l)
 		}
-		if ent.logRefs, err = parseRefs(nlog); err != nil {
+		if ent.logRefs, err = sc.parseRefs(nlog); err != nil {
 			return 0, err
 		}
-		var key [sha256.Size]byte
-		copy(key[:], kb)
-		out = append(out, restored{key: key, ent: ent})
+		keys, ents = append(keys, key), append(ents, ent)
 	}
 
 	// Validation passed as a whole; admit chunks and entries.
 	for _, data := range chunks {
 		c.tier.Put(data)
 	}
-	n := 0
-	for _, r := range out {
-		s := c.shardFor(r.key)
+	restored := 0
+	for i, key := range keys {
+		s := c.shardFor(key)
 		s.mu.Lock()
-		if _, exists := s.entries[r.key]; !exists {
-			s.entries[r.key] = r.ent
-			n++
+		if _, exists := s.entries[key]; !exists {
+			s.entries[key] = &ents[i]
+			restored++
 		}
 		s.mu.Unlock()
 	}
-	c.changes.Add(int64(n))
-	return n, nil
+	c.changes.Add(int64(restored))
+	return restored, nil
+}
+
+// stateScanner walks a cache-state image's metadata line by line. The
+// refs and path deltas it parses go into shared backing arrays, and
+// each distinct quoted path is unquoted once.
+type stateScanner struct {
+	rest   []byte // the metadata not yet scanned
+	chunks map[[sha256.Size]byte][]byte
+	paths  map[string]string // quoted form → path
+	refs   []cas.Ref
+	sets   []pathDelta
+}
+
+// next returns the next non-empty line.
+func (sc *stateScanner) next() ([]byte, bool) {
+	for len(sc.rest) > 0 {
+		l, rest, _ := bytes.Cut(sc.rest, []byte("\n"))
+		sc.rest = rest
+		if len(l) > 0 {
+			return l, true
+		}
+	}
+	return nil, false
+}
+
+// unquote returns the path a quoted field names.
+func (sc *stateScanner) unquote(quoted []byte) (string, error) {
+	if path, ok := sc.paths[string(quoted)]; ok {
+		return path, nil
+	}
+	path, err := strconv.Unquote(string(quoted))
+	if err == nil {
+		sc.paths[string(quoted)] = path
+	}
+	return path, err
+}
+
+// parseRefs parses n ref lines, each naming a chunk the image carries.
+func (sc *stateScanner) parseRefs(n int) ([]cas.Ref, error) {
+	start := len(sc.refs)
+	var f [3][]byte
+	for j := 0; j < n; j++ {
+		l, ok := sc.next()
+		if !ok || cas.Fields(l, f[:]) != 3 || string(f[0]) != "ref" {
+			return nil, fmt.Errorf("pipeline: cache state ref line malformed: %q", l)
+		}
+		var r cas.Ref
+		if !cas.DecodeHash(&r.Hash, f[1]) {
+			return nil, fmt.Errorf("pipeline: cache state ref hash malformed: %q", f[1])
+		}
+		size, err := strconv.ParseInt(string(f[2]), 10, 64)
+		if err != nil || size < 0 {
+			return nil, fmt.Errorf("pipeline: cache state ref size malformed: %q", f[2])
+		}
+		r.Size = size
+		data, carried := sc.chunks[r.Hash]
+		if !carried || int64(len(data)) != size {
+			return nil, fmt.Errorf("pipeline: cache state references a chunk it does not carry")
+		}
+		sc.refs = append(sc.refs, r)
+	}
+	return sc.refs[start:len(sc.refs):len(sc.refs)], nil
 }

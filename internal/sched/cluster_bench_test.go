@@ -142,9 +142,12 @@ func TestStealRecoversStragglerThroughput(t *testing.T) {
 // benchRecord is one BENCH_sched.json entry. ns_per_op is the host's
 // wall-clock cost of scheduling the sweep; every virtual_ number is
 // model output on the simulated cluster's clock (virtual configs/sec
-// equals the host count by construction), not a measured speedup.
+// equals the host count by construction), not a measured speedup. The
+// flat pool's entry records the wall-clock cost of one EachOpts call
+// instead, and of each task in it.
 type benchRecord struct {
 	NsPerOp       float64 `json:"ns_per_op"`
+	NsPerTask     float64 `json:"ns_per_task,omitempty"`
 	Clock         string  `json:"clock"`
 	AllocsPerOp   int64   `json:"allocs_per_op"`
 	ConfigsPerSec float64 `json:"virtual_configs_per_sec,omitempty"`
@@ -182,10 +185,69 @@ func fleetAllocs(tb testing.TB, c schedBenchCase) int64 {
 	return int64(testing.AllocsPerRun(2, func() { scheduleFleet(tb, c.hosts, c.rules, c.noSteal) }))
 }
 
+// poolBenchTasks and poolBenchWorkers shape the flat pool's entry:
+// near-empty tasks on two workers, so what it times is the pool's own
+// cost of handing out tasks and joining its workers.
+const (
+	poolBenchTasks   = 1024
+	poolBenchWorkers = 2
+	poolBenchName    = "BenchmarkPoolEach/tasks=1024"
+)
+
+// eachNearEmpty runs one EachOpts call of poolBenchTasks near-empty
+// tasks on a poolBenchWorkers pool.
+func eachNearEmpty(p *Pool, out []int) {
+	p.EachOpts(len(out), func(i int) error {
+		out[i] = i
+		return nil
+	}, Options{})
+}
+
+// BenchmarkPoolEach times the flat pool under every sweep: one EachOpts
+// call of 1,024 near-empty tasks on two workers.
+func BenchmarkPoolEach(b *testing.B) {
+	p, out := NewPool(poolBenchWorkers), make([]int, poolBenchTasks)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		eachNearEmpty(p, out)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*poolBenchTasks), "ns/task")
+}
+
+// poolAllocs counts one pool call's heap allocations with the collector
+// off. A call starts a goroutine, which may reuse a dead one or
+// allocate a new one, so the gate holds the count as an upper bound.
+func poolAllocs() int64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	p, out := NewPool(poolBenchWorkers), make([]int, poolBenchTasks)
+	return int64(testing.AllocsPerRun(20, func() { eachNearEmpty(p, out) }))
+}
+
+// poolBenchRecord times the flat pool, with one hand-timed call when
+// smoke is set.
+func poolBenchRecord(smoke bool) benchRecord {
+	var res testing.BenchmarkResult
+	if smoke {
+		p, out := NewPool(poolBenchWorkers), make([]int, poolBenchTasks)
+		start := time.Now()
+		eachNearEmpty(p, out)
+		res = testing.BenchmarkResult{N: 1, T: time.Since(start)}
+	} else {
+		res = testing.Benchmark(BenchmarkPoolEach)
+	}
+	return benchRecord{
+		NsPerOp:     float64(res.NsPerOp()),
+		NsPerTask:   float64(res.T.Nanoseconds()) / float64(res.N*poolBenchTasks),
+		Clock:       "wall",
+		AllocsPerOp: poolAllocs(),
+	}
+}
+
 // TestWriteBenchJSON records the scheduler's perf trajectory: when
 // BENCH_JSON names an output file (`make bench-json`), it benchmarks
-// the scaling curve and the straggler-recovery triple and writes
-// benchmark name → {ns/op, allocs/op, virtual configs/sec} JSON. BENCH_SMOKE=1
+// the scaling curve, the straggler-recovery triple and the flat pool,
+// and writes benchmark name → {ns/op, allocs/op, virtual configs/sec}
+// JSON. BENCH_SMOKE=1
 // (wired into `make verify`) shrinks the matrix to one quick iteration
 // per point so regressions in the scheduling path fail the full loop
 // without a long bench run.
@@ -226,6 +288,8 @@ func TestWriteBenchJSON(t *testing.T) {
 			Makespan:      rep.Makespan,
 		}
 	}
+
+	records[poolBenchName] = poolBenchRecord(smoke)
 
 	recovery, _, _, _ := stragglerRecovery(t)
 	rec := records["BenchmarkStragglerRecovery/straggler-steal"]

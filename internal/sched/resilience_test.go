@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,12 +36,12 @@ func TestEachOptsFailFastSerial(t *testing.T) {
 	}
 }
 
-// Parallel fail-fast stops dispatch at the first failure. Tasks after
+// Parallel fail-fast stops the pool at the first failure. Tasks after
 // task 0 wait until the pool has stored its stop flag (the
 // failFastStopped hook opens their gate), so the schedule cannot
-// outrun the stop: while task 0 runs, the other worker holds task 1 and
-// the dispatcher at most task 2, and every later task is skipped. A
-// pool that ignored FailFast never opens the gate; the timer opens it
+// outrun the stop: while task 0 runs, the other worker holds task 1,
+// and every later task is claimed after the stop and skipped. A pool
+// that ignored FailFast never opens the gate; the timer opens it
 // instead, every task runs, and the test fails.
 func TestEachOptsFailFastParallel(t *testing.T) {
 	gate := make(chan struct{})
@@ -95,19 +96,24 @@ func TestEachDefaultRunsEverything(t *testing.T) {
 	}
 }
 
-// TestEachNoFaultAllocationBounds pins the no-fault hot path: dispatch
-// through EachOpts must not allocate per task beyond the caller-visible
-// error slice, so threading resilience options through every layer
-// costs nothing when no injector or policy is configured.
+// TestEachNoFaultAllocationBounds pins the no-fault hot path: a call
+// allocates the caller-visible error slice and, with more than one
+// worker, a fixed set of shared state and goroutines, never anything
+// per task — so threading resilience options through every layer costs
+// nothing when no injector or policy is configured. Counted with the
+// collector off.
 func TestEachNoFaultAllocationBounds(t *testing.T) {
-	pool := NewPool(1)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	fn := func(i int) error { return nil }
-	const n = 100
-	allocs := testing.AllocsPerRun(20, func() {
-		pool.EachOpts(n, fn, Options{})
-	})
-	// One allocation for the errs slice; nothing per task.
-	if allocs > 1 {
-		t.Fatalf("EachOpts allocates %.1f/call for %d tasks, want <= 1 (zero per task)", allocs, n)
+	for _, tc := range []struct{ workers, bound int }{{1, 1}, {2, 6}, {4, 8}} {
+		pool := NewPool(tc.workers)
+		count := func(n int) int {
+			return int(testing.AllocsPerRun(20, func() { pool.EachOpts(n, fn, Options{}) }))
+		}
+		small, large := count(100), count(10000)
+		if small != large || large > tc.bound {
+			t.Errorf("%d workers: EachOpts allocates %d/call for 100 tasks and %d for 10,000, want the same count, at most %d",
+				tc.workers, small, large, tc.bound)
+		}
 	}
 }

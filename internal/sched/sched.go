@@ -9,7 +9,11 @@
 // share it without import cycles. Determinism is the design constraint
 // the paper's re-execution story imposes: results are always delivered
 // in submission (index) order, never completion order, so a parallel
-// sweep journals identically to a serial one.
+// sweep journals identically to a serial one. The pool has no
+// dispatcher: its workers, the calling goroutine among them, claim
+// indexes in ascending order from one shared counter, and a fail-fast
+// stop marks every index claimed after it skipped, so every unclaimed
+// one ends skipped.
 package sched
 
 import (
@@ -43,18 +47,19 @@ func NewPool(workers int) *Pool { return &Pool{workers: Jobs(workers)} }
 // Workers returns the pool's concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
 
-// ErrSkipped marks a task the pool never dispatched because it stopped
-// early (FailFast after a failure). A skipped slot is distinguishable
+// ErrSkipped marks a task the pool never ran because it stopped early
+// (FailFast after a failure). A skipped slot is distinguishable
 // from success so collect-and-report callers can tell "ran and passed"
 // from "never ran".
 var ErrSkipped = errors.New("sched: task skipped (pool stopped early)")
 
-// Options tunes Each dispatch. The zero value preserves the
-// historical semantics: every index runs even when earlier ones fail.
+// Options tunes Each. The zero value preserves the historical
+// semantics: every index runs even when earlier ones fail.
 type Options struct {
-	// FailFast stops dispatching remaining tasks after the first
-	// non-nil error. In-flight tasks finish; undispatched slots are
-	// marked ErrSkipped. Which tasks were already in flight when the
+	// FailFast stops the pool running further tasks after the first
+	// non-nil error. In-flight tasks finish; a worker that claims an
+	// index after the stop marks it ErrSkipped, and so every unclaimed
+	// slot ends ErrSkipped. Which tasks were already in flight when the
 	// failure landed depends on scheduling, so FailFast trades the
 	// deterministic all-indexes-ran contract for earlier termination —
 	// callers that journal results should keep the default.
@@ -72,11 +77,15 @@ func (p *Pool) Each(n int, fn func(i int) error) []error {
 }
 
 // failFastStopped, when set, runs on the worker whose task failed,
-// right after a parallel fail-fast EachOpts stops dispatch. Tests hook
-// it to order their tasks after the stop.
+// right after a parallel fail-fast EachOpts stores its stop flag. Tests
+// hook it to order their tasks after the stop.
 var failFastStopped func()
 
-// EachOpts is Each with dispatch options (fail-fast).
+// EachOpts is Each with options (fail-fast). With more than one worker
+// it starts workers-1 goroutines and the caller works as the last one:
+// each worker claims the next index from a shared counter until none is
+// left, so no task waits on a handoff. It returns once every claimed
+// task has finished.
 func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	errs := make([]error, n)
 	if n == 0 {
@@ -102,32 +111,32 @@ func (p *Pool) EachOpts(n int, fn func(i int) error, opts Options) []error {
 	}
 	var (
 		wg      sync.WaitGroup
-		next    = make(chan int)
+		claimed atomic.Int64 // indexes claimed so far, by every worker
 		stopped atomic.Bool
 	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				errs[i] = fn(i)
-				if errs[i] != nil && opts.FailFast {
-					stopped.Store(true)
-					if failFastStopped != nil {
-						failFastStopped()
-					}
+	work := func() {
+		for i := int(claimed.Add(1) - 1); i < n; i = int(claimed.Add(1) - 1) {
+			if stopped.Load() {
+				errs[i] = ErrSkipped
+				continue
+			}
+			errs[i] = fn(i)
+			if errs[i] != nil && opts.FailFast {
+				stopped.Store(true)
+				if failFastStopped != nil {
+					failFastStopped()
 				}
 			}
+		}
+	}
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		if stopped.Load() {
-			errs[i] = ErrSkipped
-			continue
-		}
-		next <- i
-	}
-	close(next)
+	work()
 	wg.Wait()
 	return errs
 }

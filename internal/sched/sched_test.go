@@ -44,6 +44,32 @@ func TestEachOrderingAndErrors(t *testing.T) {
 	}
 }
 
+// TestEachRunsEveryIndexOnce runs near-empty tasks across 1–8 workers
+// and several task counts (under -race in `make race`): every index
+// runs exactly once, and each error lands in its own index's slot.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	for workers := 1; workers <= 8; workers++ {
+		for _, n := range []int{0, 1, 2, 7, 1000} {
+			runs := make([]atomic.Int32, n)
+			errs := NewPool(workers).Each(n, func(i int) error {
+				runs[i].Add(1)
+				return fmt.Errorf("task %d", i)
+			})
+			if len(errs) != n {
+				t.Fatalf("workers=%d n=%d: %d error slots", workers, n, len(errs))
+			}
+			for i := range runs {
+				if got := runs[i].Load(); got != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
+				}
+				if want := fmt.Sprintf("task %d", i); errs[i] == nil || errs[i].Error() != want {
+					t.Fatalf("workers=%d n=%d: errs[%d] = %v, want %s", workers, n, i, errs[i], want)
+				}
+			}
+		}
+	}
+}
+
 func TestEachBoundsConcurrency(t *testing.T) {
 	const workers = 3
 	var inFlight, peak int64

@@ -2,8 +2,11 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"popper/internal/cas"
@@ -58,11 +61,67 @@ func fuzzManifests(tb testing.TB) [][]byte {
 	return out
 }
 
+// resealManifest gives raw's entry lines a fresh checksum: the bytes
+// before its last "checksum " (all of raw when it has none), then a
+// checksum line over them, so damage to the entry lines passes the
+// checksum and reaches the scanner.
+func resealManifest(raw []byte) []byte {
+	body := raw
+	if i := bytes.LastIndex(raw, []byte("checksum ")); i >= 0 {
+		body = raw[:i]
+	}
+	sum := sha256.Sum256(body)
+	return fmt.Appendf(bytes.Clone(body), "checksum %x\n", sum)
+}
+
+// checkManifestAgainstOracle requires ParseManifest and the oracle to
+// accept raw with the same generation and entries, or to refuse it with
+// the same message. The one exception: ParseManifest refuses an entry
+// path that is not Tracked or repeats an earlier entry's, which the
+// oracle accepts. Every path ParseManifest accepts is tracked and
+// unique.
+func checkManifestAgainstOracle(t *testing.T, raw []byte) {
+	t.Helper()
+	got, err := ParseManifest(raw)
+	want, werr := parseManifestOracle(raw)
+	if werr == nil && err != nil {
+		seen := make(map[string]bool, len(want.Entries))
+		for _, e := range want.Entries {
+			if !Tracked(e.Path) || seen[e.Path] {
+				if msg := err.Error(); !strings.Contains(msg, "is not a tracked path") && !strings.Contains(msg, "repeats an earlier entry") {
+					t.Fatalf("ParseManifest refuses a manifest naming %q with %v, want the path refusal", e.Path, err)
+				}
+				return
+			}
+			seen[e.Path] = true
+		}
+	}
+	if (err == nil) != (werr == nil) || err != nil && err.Error() != werr.Error() {
+		t.Fatalf("ParseManifest: %v; the oracle: %v", err, werr)
+	}
+	if err != nil {
+		return
+	}
+	if got.Generation != want.Generation || !slices.Equal(got.Entries, want.Entries) {
+		t.Fatalf("ParseManifest: generation %d, %+v; the oracle: generation %d, %+v", got.Generation, got.Entries, want.Generation, want.Entries)
+	}
+	for i, e := range got.Entries {
+		if !Tracked(e.Path) {
+			t.Fatalf("accepted an untracked entry path %q", e.Path)
+		}
+		if got.byPath[e.Path] != i {
+			t.Fatalf("accepted entry path %q twice", e.Path)
+		}
+	}
+}
+
 func FuzzParseManifest(f *testing.F) {
 	for _, raw := range withDamage("fuzz-manifest", fuzzManifests(f)...) {
 		f.Add(raw)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		checkManifestAgainstOracle(t, raw)
+		checkManifestAgainstOracle(t, resealManifest(raw))
 		m, err := ParseManifest(raw)
 		if err != nil {
 			return

@@ -1,12 +1,15 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
 	"sort"
 	"strconv"
 	"strings"
+
+	"popper/internal/cas"
 )
 
 // Store layout under the repository root. The .popper directory is the
@@ -185,53 +188,80 @@ func (m *Manifest) Encode() []byte {
 
 // ParseManifest decodes and verifies an encoded manifest. Any
 // deviation — bad header, bad checksum, torn tail — is an error; fsck
-// treats an unparseable manifest as damaged.
+// treats an unparseable manifest as damaged. So is an entry whose path
+// is not Tracked (an absolute path, a `..` or empty segment, a
+// dot-directory) or repeats an earlier entry's: the checksum is plain
+// SHA-256, which anyone can recompute, so nothing else keeps a forged
+// manifest from naming a file outside the repository for Sync to prune
+// or repair to write.
+//
+// It scans raw in place: hashes decode straight into the entries, and
+// the paths share one string holding the entry lines.
 func ParseManifest(raw []byte) (*Manifest, error) {
-	text := string(raw)
-	i := strings.LastIndex(text, "checksum ")
-	if i < 0 || !strings.HasSuffix(text, "\n") {
+	i := bytes.LastIndex(raw, []byte("checksum "))
+	if i < 0 || raw[len(raw)-1] != '\n' {
 		return nil, fmt.Errorf("store: manifest: missing checksum (torn or damaged)")
 	}
-	body, sumLine := text[:i], strings.TrimSpace(text[i+len("checksum "):])
-	want := sha256.Sum256([]byte(body))
-	if sumLine != hex.EncodeToString(want[:]) {
+	body := raw[:i]
+	want := sha256.Sum256(body)
+	var wantHex [2 * sha256.Size]byte
+	hex.Encode(wantHex[:], want[:])
+	if !bytes.Equal(bytes.TrimSpace(raw[i+len("checksum "):]), wantHex[:]) {
 		return nil, fmt.Errorf("store: manifest: checksum mismatch (damaged)")
 	}
-	lines := strings.Split(strings.TrimSuffix(body, "\n"), "\n")
-	if len(lines) < 2 || lines[0] != manifestHeader {
+	text := bytes.TrimSuffix(body, []byte("\n"))
+	header, text, more := bytes.Cut(text, []byte("\n"))
+	if !more || string(header) != manifestHeader {
 		return nil, fmt.Errorf("store: manifest: bad header")
 	}
-	genStr, ok := strings.CutPrefix(lines[1], "generation ")
+	genLine, text, more := bytes.Cut(text, []byte("\n"))
+	genStr, ok := bytes.CutPrefix(genLine, []byte("generation "))
 	if !ok {
 		return nil, fmt.Errorf("store: manifest: missing generation")
 	}
-	gen, err := strconv.Atoi(genStr)
+	gen, err := strconv.Atoi(string(genStr))
 	if err != nil {
 		return nil, fmt.Errorf("store: manifest: bad generation %q", genStr)
 	}
 	m := &Manifest{Generation: gen}
-	for _, line := range lines[2:] {
-		hashStr, rest, ok := strings.Cut(line, " ")
+	if !more {
+		m.index()
+		return m, nil
+	}
+	m.Entries = make([]Entry, 0, bytes.Count(text, []byte("\n"))+1)
+	paths := string(text) // every entry's path is a substring of it
+	for off := 0; off <= len(text); {
+		line, _, _ := bytes.Cut(text[off:], []byte("\n"))
+		end := off + len(line)
+		off = end + 1
+		hashStr, rest, ok := bytes.Cut(line, []byte(" "))
 		if !ok {
 			return nil, fmt.Errorf("store: manifest: bad entry %q", line)
 		}
-		sizeStr, path, ok := strings.Cut(rest, " ")
-		if !ok || path == "" {
+		sizeStr, path, ok := bytes.Cut(rest, []byte(" "))
+		if !ok || len(path) == 0 {
 			return nil, fmt.Errorf("store: manifest: bad entry %q", line)
 		}
-		size, err := strconv.ParseInt(sizeStr, 10, 64)
+		size, err := strconv.ParseInt(string(sizeStr), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("store: manifest: bad size in %q", line)
 		}
-		hash, err := hex.DecodeString(hashStr)
-		if err != nil || len(hash) != sha256.Size {
+		e := Entry{Path: paths[end-len(path) : end], Size: size}
+		if !cas.DecodeHash(&e.Hash, hashStr) {
 			return nil, fmt.Errorf("store: manifest: bad hash in %q", line)
 		}
-		e := Entry{Path: path, Size: size}
-		copy(e.Hash[:], hash)
 		m.Entries = append(m.Entries, e)
 	}
-	m.index()
+	m.byPath = make(map[string]int, len(m.Entries))
+	for i, e := range m.Entries {
+		if !Tracked(e.Path) {
+			return nil, fmt.Errorf("store: manifest: entry path %q is not a tracked path", e.Path)
+		}
+		if _, dup := m.byPath[e.Path]; dup {
+			return nil, fmt.Errorf("store: manifest: entry path %q repeats an earlier entry", e.Path)
+		}
+		m.byPath[e.Path] = i
+	}
 	return m, nil
 }
 
