@@ -24,6 +24,108 @@ var uncalledKeep = map[string]string{
 	"repl.Group.Restart":              "oracle: the split tests bring a crashed replica back through it and check it catches up by anti-entropy",
 }
 
+// unsetKeep lists the exported fields of internal/ option structs that
+// no non-test file sets, with the reason each stays. Keys are
+// "<package>.<Type>.<Field>".
+var unsetKeep = map[string]string{
+	"aver.StreamOptions.RecheckEvery":  "benchmark knob: the streaming benchmarks turn automatic rechecks off to time incremental validation alone",
+	"core.SweepOptions.Limit":          "test hook: the resume tests interrupt a sweep after N configurations; a crash-disk rule in faults.yml could do it instead",
+	"gassyfs.Options.Registry":         "waits for the in-program trace ROADMAP.md plans, like metrics.Registry.StreamInto; only the gassyfs metrics test sets it",
+	"sched.ClusterOptions.NoSpeculate": "ablation: the scheduler tests and benchmarks isolate stealing from speculation with it",
+	"sched.ClusterOptions.NoSteal":     "ablation: BENCH_sched.json's straggler-nosteal baseline and the stealing tests turn stealing off with it",
+}
+
+// TestOptionFieldsHaveSetters keeps option structs free of settings
+// nothing sets. It covers every exported field of an exported struct
+// type under internal/ named Options or ending in Options or Opts. A
+// field passes when a non-test Go file anywhere in the repository
+// (cmd/, examples/ and e2ebench/ included) sets it: as a composite-
+// literal key, or as the selector on the left of an assignment. A key
+// that only forwards the same field of another value (X: opts.X) is not
+// a set. Anything else must be on unsetKeep with its reason, and every
+// unsetKeep entry must still exist and still need listing. Like
+// TestInternalExportsHaveCallers, it matches field names as
+// identifiers, not resolved to their types, so a name another option
+// type's setter uses passes.
+func TestOptionFieldsHaveSetters(t *testing.T) {
+	files := parseRepoGoFiles(t)
+	declared := map[string]bool{}
+	for _, gf := range files {
+		if gf.test || !strings.HasPrefix(gf.dir, "internal/") {
+			continue
+		}
+		for _, d := range gf.f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.TYPE {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				ts := spec.(*ast.TypeSpec)
+				st, ok := ts.Type.(*ast.StructType)
+				name := ts.Name.Name
+				if !ok || !ts.Name.IsExported() ||
+					!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Opts")) {
+					continue
+				}
+				for _, field := range st.Fields.List {
+					for _, id := range field.Names {
+						if id.IsExported() {
+							declared[gf.f.Name.Name+"."+name+"."+id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// Field names set in a composite literal or on the left of an
+	// assignment, by any non-test file.
+	set := map[string]bool{}
+	for _, gf := range files {
+		if gf.test {
+			continue
+		}
+		ast.Inspect(gf.f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.KeyValueExpr:
+				key, ok := n.Key.(*ast.Ident)
+				if !ok {
+					return true
+				}
+				if sel, ok := n.Value.(*ast.SelectorExpr); !ok || sel.Sel.Name != key.Name {
+					set[key.Name] = true
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+
+	unset := map[string]bool{}
+	for key := range declared {
+		if set[key[strings.LastIndexByte(key, '.')+1:]] {
+			continue
+		}
+		unset[key] = true
+		if _, ok := unsetKeep[key]; !ok {
+			t.Errorf("%s is a setting no non-test file sets: make it a constant, delete it, or list it in unsetKeep with the reason it stays", key)
+		}
+	}
+	for key := range unsetKeep {
+		switch {
+		case !declared[key]:
+			t.Errorf("unsetKeep lists %s, which no longer exists", key)
+		case !unset[key]:
+			t.Errorf("unsetKeep lists %s, which now has a setter: drop it from the list", key)
+		}
+	}
+}
+
 // goFile is one parsed Go file of the repository.
 type goFile struct {
 	dir  string // slash-separated, relative to the repository root

@@ -727,7 +727,7 @@ func BenchmarkAblationGassyfsMetadata(b *testing.B) {
 					b.Fatal(err)
 				}
 				world.AttachAll(32 << 20)
-				fs, err := gassyfs.Mount(world, gassyfs.Options{MetadataRank: 0})
+				fs, err := gassyfs.Mount(world, gassyfs.Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

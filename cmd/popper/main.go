@@ -17,8 +17,8 @@
 //	                                 -resume finishes an interrupted
 //	                                 sweep from its journal; -hosts N
 //	                                 fans the sweep across N simulated
-//	                                 cluster hosts with -placement
-//	                                 roundrobin|locality scheduling;
+//	                                 cluster hosts, placed round robin
+//	                                 with work stealing;
 //	                                 -replicas N replicates the artifact
 //	                                 store across N simulated nodes with
 //	                                 quorum commits and epoch failover;
@@ -71,7 +71,6 @@ import (
 	"popper/internal/orchestrate"
 	"popper/internal/pipeline"
 	"popper/internal/repl"
-	"popper/internal/sched"
 	"popper/internal/scrub"
 	"popper/internal/store"
 )
@@ -146,13 +145,12 @@ func run(args []string) error {
 	maxRetries := fs.Int("max-retries", 0, "retry failing sweep configurations up to N times in `popper run`")
 	resume := fs.Bool("resume", false, "resume an interrupted sweep from its journal in `popper run`")
 	hosts := fs.Int("hosts", 0, "fan a sweep across N simulated cluster hosts in `popper run` (0 = flat worker pool)")
-	placement := fs.String("placement", "roundrobin", "sweep placement policy with -hosts: roundrobin or locality")
 	stream := fs.Bool("stream", false, "stream validations incrementally while experiments run in `popper run`")
 	failFast := fs.Bool("fail-fast", false, "with -stream: cancel configurations whose assertions become unsatisfiable and stop dispatching the rest")
 	scrubEvery := fs.Duration("scrub-interval", 0, "run detect-only integrity scrub passes every interval during `popper run`, plus a final full pass (0 = off)")
 	replicas := fs.Int("replicas", 0, "replicate the artifact store across N simulated nodes with quorum commits (0 = auto-detect a provisioned group, 1 = plain store)")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: popper [-C dir] [-seed n] [-jobs n] [-hosts n] [-placement p] [-replicas n] [-no-cache] [-faults f] [-max-retries n] [-resume] [-stream] [-fail-fast] [-scrub-interval d] <command> [args]")
+		fmt.Fprintln(os.Stderr, "usage: popper [-C dir] [-seed n] [-jobs n] [-hosts n] [-replicas n] [-no-cache] [-faults f] [-max-retries n] [-resume] [-stream] [-fail-fast] [-scrub-interval d] <command> [args]")
 		fmt.Fprintln(os.Stderr, "commands: init, experiment list, add, paper, check, lint, run, ci, machines, report, build-paper, fsck, scrub")
 		fs.PrintDefaults()
 	}
@@ -255,9 +253,9 @@ func run(args []string) error {
 						fmt.Printf("-- stage cache warmed: %d entries from %s\n", n, store.CacheStatePath)
 					}
 					// The repository's own object pool backs the in-memory tier:
-					// stage outputs the tier evicted but the manifest still proves
-					// (loose .popper/objects or packed extents) are re-admitted on
-					// miss instead of recomputed.
+					// a miss on content the manifest proves (loose
+					// .popper/objects or packed extents) is admitted from there
+					// instead of recomputed.
 					cache.Tier().SetFallback(st.Object)
 					defer func() { _ = st.SaveCacheState(cache.SaveState()) }()
 				}
@@ -289,14 +287,10 @@ func run(args []string) error {
 					if err != nil {
 						return err
 					}
-					policy, err := sched.ParsePlacement(*placement)
-					if err != nil {
-						return err
-					}
 					sr, err := p.RunSweep(name, env, configs, core.SweepOptions{
 						Jobs: *jobs, Cache: cache,
 						Faults: injector, Retry: retry, Resume: *resume,
-						Hosts: *hosts, Placement: policy,
+						Hosts: *hosts,
 						// -fail-fast implies -stream: cancellation needs the
 						// incremental evaluator watching each run.
 						Stream: *stream || *failFast, FailFast: *failFast,
@@ -312,7 +306,7 @@ func run(args []string) error {
 						return err
 					}
 					if sr.Sched != nil {
-						fmt.Printf("-- cluster schedule (%s placement): %s\n", policy, sr.Sched)
+						fmt.Printf("-- cluster schedule: %s\n", sr.Sched)
 					}
 					for _, run := range sr.Runs {
 						status := "passed"
@@ -334,14 +328,14 @@ func run(args []string) error {
 					}
 					if cache != nil {
 						cs := cache.Stats()
-						fmt.Printf("-- stage cache: %d hits, %d misses, %s stored, %s deduped, %d evictions\n",
-							cs.Hits, cs.Misses, humanBytes(cs.BytesAdded), humanBytes(cs.BytesDeduped), cs.Evictions)
+						fmt.Printf("-- stage cache: %d hits, %d misses, %s stored, %s deduped\n",
+							cs.Hits, cs.Misses, humanBytes(cs.BytesAdded), humanBytes(cs.BytesDeduped))
 						if cache.Federated() {
 							fmt.Printf("-- federated tier: %d local peer hits, %d remote fetches (%s, %.3f vsec)\n",
 								cs.LocalPeerHits, cs.RemoteFetches, humanBytes(cs.RemoteBytes), cs.FetchSeconds)
 						}
 						if ts := cache.Tier().Stats(); ts.FallbackHits > 0 {
-							fmt.Printf("-- object tier: %d evicted entries restored from repository objects\n", ts.FallbackHits)
+							fmt.Printf("-- object tier: %d cache misses restored from repository objects\n", ts.FallbackHits)
 						}
 					}
 					if err := sr.Err(); err != nil {

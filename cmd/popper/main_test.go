@@ -296,8 +296,8 @@ func TestCLIClusterSweepRun(t *testing.T) {
 	if err := os.WriteFile(sweep, []byte("seed: [1, 2, 3, 4]\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// -hosts fans the sweep across simulated hosts; both placement
-	// policies must produce the same merged results as the flat run.
+	// -hosts fans the sweep across simulated hosts; at any -jobs the
+	// merged results must be those of the flat run.
 	if err := popper(t, dir, "-hosts", "4", "run", "stm"); err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +305,7 @@ func TestCLIClusterSweepRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := popper(t, dir, "-hosts", "4", "-placement", "locality", "-jobs", "2", "run", "stm"); err != nil {
+	if err := popper(t, dir, "-hosts", "4", "-jobs", "2", "run", "stm"); err != nil {
 		t.Fatal(err)
 	}
 	if err := popper(t, dir, "run", "stm"); err != nil {
@@ -317,10 +317,6 @@ func TestCLIClusterSweepRun(t *testing.T) {
 	}
 	if string(flat) != string(clustered) {
 		t.Fatalf("cluster-scheduled results diverge from flat results:\n%s\nvs\n%s", clustered, flat)
-	}
-	// An unknown placement policy is a flag error, not a silent default.
-	if err := popper(t, dir, "-hosts", "2", "-placement", "nope", "run", "stm"); err == nil {
-		t.Fatal("bad -placement must fail")
 	}
 }
 

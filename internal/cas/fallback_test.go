@@ -13,50 +13,39 @@ import (
 
 // The second-chance fallback: a tier miss consults an external
 // content-addressed source (the artifact store's object pool in
-// production) and re-admits verified bytes instead of reporting the
-// miss — so eviction never costs a recompute for content the
-// repository still proves it holds.
+// production) and admits verified bytes instead of reporting the miss.
 
-// flood pushes enough junk through the tier to evict every unpinned
-// object (single-shard tiers only).
-func flood(t *cas.Tier, budget int64) {
-	var n int64
-	for i := 0; n < 2*budget; i++ {
-		junk := bytes.Repeat([]byte{byte(i + 1)}, 128)
-		junk = append(junk, []byte(fmt.Sprintf("junk-%d", i))...)
-		t.Put(junk)
-		n += int64(len(junk))
-	}
-}
-
-func TestFallbackRestoresEvictedObject(t *testing.T) {
-	const budget = 1 << 10
-	tier := cas.NewTier(cas.Options{MaxBytes: budget, Shards: 1})
-	content := []byte("evicted but provable content")
-	ref := tier.Put(content)
+func TestFallbackRestoresUnadmittedObject(t *testing.T) {
+	tier := cas.NewTier()
+	content := []byte("provable content the tier never admitted")
+	ref := cas.Sum(content)
 	source := map[[sha256.Size]byte][]byte{ref.Hash: content}
 	tier.SetFallback(func(h [sha256.Size]byte) ([]byte, bool) {
 		data, ok := source[h]
 		return data, ok
 	})
-	flood(tier, budget)
 	if tier.Contains(ref) {
-		t.Fatal("flood did not evict the object")
+		t.Fatal("object resident before any admission")
 	}
 	got, ok := tier.View(ref)
 	if !ok || !bytes.Equal(got, content) {
-		t.Fatalf("View after eviction = %q, %v; want fallback restore", got, ok)
+		t.Fatalf("View of unadmitted content = %q, %v; want fallback restore", got, ok)
 	}
 	if !tier.Contains(ref) {
-		t.Fatal("fallback hit must re-admit the object")
+		t.Fatal("fallback hit must admit the object")
 	}
-	if st := tier.Stats(); st.FallbackHits != 1 {
-		t.Fatalf("FallbackHits = %d, want 1", st.FallbackHits)
+	if st := tier.Stats(); st.FallbackHits != 1 || st.Misses != 1 {
+		t.Fatalf("FallbackHits = %d, Misses = %d; want 1 and 1", st.FallbackHits, st.Misses)
+	}
+	// The admitted copy now serves hits without the source.
+	tier.SetFallback(nil)
+	if got, ok := tier.View(ref); !ok || !bytes.Equal(got, content) {
+		t.Fatal("admitted object missing once the source is removed")
 	}
 }
 
 func TestFallbackRejectsCorruptSource(t *testing.T) {
-	tier := cas.NewTier(cas.Options{Shards: 1})
+	tier := cas.NewTier()
 	ref := cas.Sum([]byte("the real content"))
 	// A source that serves wrong bytes for the address must not be
 	// believed — hash verification guards admission.
@@ -66,45 +55,11 @@ func TestFallbackRejectsCorruptSource(t *testing.T) {
 	if _, ok := tier.View(ref); ok {
 		t.Fatal("corrupt fallback bytes must not satisfy a View")
 	}
-	if tier.Pin(ref) {
-		t.Fatal("corrupt fallback bytes must not satisfy a Pin")
-	}
 	if tier.Contains(ref) {
 		t.Fatal("corrupt bytes must not be admitted")
 	}
 	if st := tier.Stats(); st.FallbackHits != 0 {
 		t.Fatalf("FallbackHits = %d, want 0", st.FallbackHits)
-	}
-}
-
-func TestPinViaFallbackIsEvictionSafe(t *testing.T) {
-	const budget = 1 << 10
-	tier := cas.NewTier(cas.Options{MaxBytes: budget, Shards: 1})
-	content := []byte("pin me back in")
-	ref := tier.Put(content)
-	source := map[[sha256.Size]byte][]byte{ref.Hash: content}
-	tier.SetFallback(func(h [sha256.Size]byte) ([]byte, bool) {
-		data, ok := source[h]
-		return data, ok
-	})
-	flood(tier, budget)
-	if tier.Contains(ref) {
-		t.Fatal("flood did not evict the object")
-	}
-	// Pin on a miss restores AND pins: a second flood cannot push the
-	// object out while the pin holds.
-	if !tier.Pin(ref) {
-		t.Fatal("Pin must succeed via the fallback")
-	}
-	flood(tier, budget)
-	got, ok := tier.View(ref)
-	if !ok || !bytes.Equal(got, content) {
-		t.Fatal("pinned fallback-admitted object was evicted")
-	}
-	tier.Unpin(ref)
-	flood(tier, budget)
-	if tier.Contains(ref) {
-		t.Fatal("unpinned object must be evictable again")
 	}
 }
 
@@ -122,8 +77,7 @@ func TestStoreObjectPoolBacksTheTier(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	const budget = 1 << 10
-	tier := cas.NewTier(cas.Options{MaxBytes: budget, Shards: 1})
+	tier := cas.NewTier()
 	tier.SetFallback(st.Object)
 	for _, tc := range []struct {
 		name    string
@@ -151,7 +105,7 @@ func TestStoreObjectPoolBacksTheTier(t *testing.T) {
 // miss path for the same address: exactly one copy is admitted, every
 // caller sees the right bytes (run under -race).
 func TestConcurrentFallbackAdmission(t *testing.T) {
-	tier := cas.NewTier(cas.Options{Shards: 1})
+	tier := cas.NewTier()
 	content := []byte("one admission, many readers")
 	ref := cas.Sum(content)
 	source := map[[sha256.Size]byte][]byte{ref.Hash: content}
@@ -162,18 +116,9 @@ func TestConcurrentFallbackAdmission(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for i := 0; i < 32; i++ {
-		pin := i%2 == 0
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if pin {
-				if !tier.Pin(ref) {
-					errs <- fmt.Errorf("concurrent Pin failed")
-					return
-				}
-				tier.Unpin(ref)
-				return
-			}
 			got, ok := tier.View(ref)
 			if !ok || !bytes.Equal(got, content) {
 				errs <- fmt.Errorf("concurrent View failed (ok=%v)", ok)

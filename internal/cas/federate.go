@@ -121,9 +121,9 @@ func (f *Federation) allocLocked(host int, ref Ref) (gasnet.Addr, bool, bool) {
 
 // Publish records that host now holds the entry key with the given
 // chunk refs, writing any chunks not yet in the host's segment. The
-// chunk bytes must be resident in the tier; if any have been evicted
-// (or the segment is full) the publish is skipped — the entry simply
-// stays unavailable for peer fetch, never wrong.
+// chunk bytes must be resident in the tier; if any is not (or the
+// segment is full) the publish is skipped — the entry simply stays
+// unavailable for peer fetch, never wrong.
 func (f *Federation) Publish(host int, key [sha256.Size]byte, refs []Ref) error {
 	if host < 0 || host >= f.world.Size() {
 		return fmt.Errorf("cas: publish from host %d of %d", host, f.world.Size())
@@ -145,7 +145,7 @@ func (f *Federation) Publish(host int, key [sha256.Size]byte, refs []Ref) error 
 	for i, ref := range refs {
 		data, resident := f.tier.View(ref)
 		if !resident {
-			return nil // evicted under us: skip, peer fetch just misses
+			return nil // not admitted: skip, peer fetch just misses
 		}
 		addr, fresh, fits := f.allocLocked(host, ref)
 		if !fits {
@@ -305,14 +305,6 @@ func (f *Federation) Present(host int, key [sha256.Size]byte) bool {
 		}
 	}
 	return false
-}
-
-// Forget drops an entry from the index (the stage cache calls this
-// when it invalidates an entry whose chunks were evicted).
-func (f *Federation) Forget(key [sha256.Size]byte) {
-	f.mu.Lock()
-	delete(f.entries, key)
-	f.mu.Unlock()
 }
 
 // FedStats is a point-in-time aggregate of federation activity.

@@ -30,7 +30,7 @@ func testFederation(t *testing.T, hosts int) (*Federation, *Tier, []*cluster.Nod
 	for i := range profiles {
 		profiles[i] = nodes[i].Profile()
 	}
-	tier := NewTier(Options{})
+	tier := NewTier()
 	fed, err := NewFederation(tier, w, profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -102,7 +102,19 @@ func TestFederationMiss(t *testing.T) {
 	if err != nil || res.Kind != FetchMiss {
 		t.Fatalf("want clean miss, got %v err %v", res.Kind, err)
 	}
-	if st := fed.Stats(); st.Misses != 1 {
+	// Publishing chunks the tier never admitted is skipped, and the
+	// entry stays a miss rather than serving bytes nobody holds.
+	key := entryKey("never admitted")
+	if err := fed.Publish(0, key, []Ref{Sum([]byte("not in the tier"))}); err != nil {
+		t.Fatal(err)
+	}
+	if fed.Present(0, key) {
+		t.Fatal("publish of chunks the tier does not hold must be skipped")
+	}
+	if res, err := fed.Fetch(1, key); err != nil || res.Kind != FetchMiss {
+		t.Fatalf("want miss for an unpublishable entry, got %v err %v", res.Kind, err)
+	}
+	if st := fed.Stats(); st.Misses != 2 || st.Publishes != 0 {
 		t.Fatalf("stats: %+v", st)
 	}
 }
@@ -133,7 +145,7 @@ func TestFederationPicksCheapestPeer(t *testing.T) {
 		t.Fatal(err)
 	}
 	profiles := []*cluster.MachineProfile{&slowProfile, fast[0].Profile(), fast[1].Profile()}
-	tier := NewTier(Options{})
+	tier := NewTier()
 	fed, err := NewFederation(tier, w, profiles)
 	if err != nil {
 		t.Fatal(err)
@@ -158,55 +170,6 @@ func TestFederationPicksCheapestPeer(t *testing.T) {
 	}
 	if want := fed.transferCost(2, 1, int64(len(content))); res.Cost >= fed.transferCost(2, 0, int64(len(content))) || res.Cost < want {
 		t.Fatalf("cost %g not consistent with the alpha-beta model", res.Cost)
-	}
-}
-
-// TestFederationSurvivesEviction: publishing an entry whose chunks were
-// evicted from the tier is skipped cleanly, and fetch of it misses —
-// never serves wrong bytes.
-func TestFederationSurvivesEviction(t *testing.T) {
-	c := cluster.New(3)
-	nodes, err := c.Provision("cloudlab-c220g1", 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := gasnet.New(nodes, cluster.NewNetwork(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.AttachAll(1 << 20); err != nil {
-		t.Fatal(err)
-	}
-	profiles := []*cluster.MachineProfile{nodes[0].Profile(), nodes[1].Profile()}
-	tier := NewTier(Options{MaxBytes: 512, Shards: 1})
-	fed, err := NewFederation(tier, w, profiles)
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs := tier.PutChunked(bytes.Repeat([]byte("v"), 400))
-	tier.Put(bytes.Repeat([]byte("evictor"), 60)) // push the chunk out
-	key := entryKey("evicted-entry")
-	if err := fed.Publish(0, key, refs); err != nil {
-		t.Fatal(err)
-	}
-	if fed.Present(0, key) {
-		t.Fatal("publish of evicted chunks must be skipped")
-	}
-	res, err := fed.Fetch(1, key)
-	if err != nil || res.Kind != FetchMiss {
-		t.Fatalf("want miss for unpublishable entry, got %v err %v", res.Kind, err)
-	}
-}
-
-func TestFederationForget(t *testing.T) {
-	fed, tier, _ := testFederation(t, 2)
-	key := entryKey("forgettable")
-	if err := fed.Publish(0, key, tier.PutChunked([]byte("data"))); err != nil {
-		t.Fatal(err)
-	}
-	fed.Forget(key)
-	if res, _ := fed.Fetch(1, key); res.Kind != FetchMiss {
-		t.Fatal("forgotten entry must miss")
 	}
 }
 

@@ -162,7 +162,7 @@ func benchFederation(tb testing.TB, hosts int) (*cas.Federation, *cas.Tier) {
 	for i := range profiles {
 		profiles[i] = nodes[i].Profile()
 	}
-	tier := cas.NewTier(cas.Options{})
+	tier := cas.NewTier()
 	fed, err := cas.NewFederation(tier, w, profiles)
 	if err != nil {
 		tb.Fatal(err)

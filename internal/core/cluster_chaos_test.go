@@ -113,31 +113,3 @@ func TestChaosClusterScheduleDeterministicInCore(t *testing.T) {
 		t.Fatalf("virtual schedule must not depend on worker count: %+v vs %+v", a, b)
 	}
 }
-
-// TestClusterSweepLocalityPlacement drives the locality policy through
-// RunSweep: hints pin every configuration to host 2, and the report
-// must show placement honoring them.
-func TestClusterSweepLocalityPlacement(t *testing.T) {
-	p := sweepProject(t)
-	configs := chaosConfigs()
-	locality := make([]int, len(configs))
-	for i := range locality {
-		locality[i] = 2
-	}
-	sr, err := p.RunSweep("sweep", &Env{Seed: 5}, configs, SweepOptions{
-		Jobs: 2, Hosts: 4,
-		Placement: sched.PlaceLocality, Locality: locality,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.Sched == nil {
-		t.Fatal("no schedule report")
-	}
-	if got := sr.Sched.Hosts[2].Placed; got != len(configs) {
-		t.Fatalf("host 2 placed %d configs, want %d (locality hints)", got, len(configs))
-	}
-	if !sr.Passed() {
-		t.Fatalf("sweep failed: %v", sr.Err())
-	}
-}

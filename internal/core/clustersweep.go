@@ -45,33 +45,17 @@ func runSweepCluster(env *Env, opts SweepOptions, todo []int, runConfig func(k, 
 		return nil, err
 	}
 
-	// Locality hints arrive keyed by configuration index; the scheduler
-	// sees the todo-compacted task space (resumed and limited configs
-	// are not scheduled), so re-key them.
-	var locality []int
-	if len(opts.Locality) > 0 {
-		locality = make([]int, len(todo))
-		for k, i := range todo {
-			locality[k] = -1
-			if i < len(opts.Locality) {
-				locality[k] = opts.Locality[i]
-			}
-		}
-	}
-
 	hosts := inv.HostSpecs("sweep")
 	if err := federateSweepCache(opts.Cache, hosts); err != nil {
 		return nil, err
 	}
 
 	cs, err := sched.NewClusterScheduler(sched.ClusterOptions{
-		Hosts:     hosts,
-		Placement: opts.Placement,
-		Locality:  locality,
-		Seed:      seed,
-		Faults:    opts.Faults,
-		Jobs:      opts.Jobs,
-		FailFast:  opts.FailFast,
+		Hosts:    hosts,
+		Seed:     seed,
+		Faults:   opts.Faults,
+		Jobs:     opts.Jobs,
+		FailFast: opts.FailFast,
 	})
 	if err != nil {
 		return nil, err

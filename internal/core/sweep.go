@@ -85,21 +85,13 @@ type SweepOptions struct {
 	// error stops further calls and fails the sweep.
 	Durable func(path string, data []byte) error
 	// Hosts, when > 0, fans the sweep across that many simulated
-	// cluster hosts through the cluster scheduler (locality-aware
+	// cluster hosts through the cluster scheduler (round-robin
 	// placement, work stealing, speculative straggler re-execution —
 	// see docs/SCHEDULING.md). The fleet is provisioned elastically via
 	// orchestrate.Runner.ScaleGroup from DefaultHostProfile machines. The
 	// virtual schedule shapes SweepResult.Sched only: results, journal
 	// and failures stay byte-identical to a Hosts == 0 run.
 	Hosts int
-	// Placement selects how configurations are assigned to hosts
-	// (sched.PlaceRoundRobin or sched.PlaceLocality).
-	Placement sched.PlacementPolicy
-	// Locality gives configuration i a preferred host rank — typically
-	// gassyfs SweepLocality output mapping each configuration's dataset
-	// to the rank holding its blocks. Consulted by PlaceLocality; -1 or
-	// missing entries mean "no hint".
-	Locality []int
 	// Stream turns on streaming validation inside every configuration:
 	// executors checkpoint partial results and assertions are evaluated
 	// incrementally as rows land (RunOptions.Stream).

@@ -56,9 +56,6 @@ type Options struct {
 	BlockSize int64
 	// Policy for block placement; default AllocRoundRobin.
 	Policy AllocPolicy
-	// MetadataRank hosts the (centralized) metadata service; clients on
-	// other ranks pay a round trip per metadata operation. Default 0.
-	MetadataRank int
 	// CacheBlocks enables a per-client LRU block cache of this many
 	// blocks (0 disables). See cache.go for the coherence contract:
 	// caches are write-through for the owning client and flushed when
@@ -115,9 +112,6 @@ func Mount(world *gasnet.World, opts Options) (*FS, error) {
 	}
 	if opts.BlockSize < 512 {
 		return nil, fmt.Errorf("gassyfs: block size %d too small", opts.BlockSize)
-	}
-	if opts.MetadataRank < 0 || opts.MetadataRank >= world.Size() {
-		return nil, fmt.Errorf("gassyfs: metadata rank %d out of range", opts.MetadataRank)
 	}
 	segSizes := make([]int64, world.Size())
 	for r := 0; r < world.Size(); r++ {
@@ -324,6 +318,10 @@ func (c *Client) Rank() int { return c.rank }
 // FS returns the filesystem this client is mounted on.
 func (c *Client) FS() *FS { return c.fs }
 
+// metadataRank hosts the (centralized) metadata service; clients on
+// other ranks pay a round trip per metadata operation.
+const metadataRank = 0
+
 // metaCost charges one metadata round trip when the client is not
 // colocated with the metadata service.
 func (c *Client) metaCost() {
@@ -331,8 +329,8 @@ func (c *Client) metaCost() {
 	node, _ := fs.world.Node(c.rank)
 	// Local metadata: a map lookup's worth of work.
 	node.Run(cluster.Work{CPUOps: 2000})
-	if c.rank != fs.opts.MetadataRank {
-		mdNode, _ := fs.world.Node(fs.opts.MetadataRank)
+	if c.rank != metadataRank {
+		mdNode, _ := fs.world.Node(metadataRank)
 		lat := node.Profile().NICLatS + mdNode.Profile().NICLatS
 		node.Advance(2 * lat)
 	}

@@ -48,9 +48,6 @@ func TestMountValidation(t *testing.T) {
 	if _, err := Mount(w, Options{BlockSize: 16}); err == nil {
 		t.Fatal("tiny block size must fail")
 	}
-	if _, err := Mount(w, Options{MetadataRank: 5}); err == nil {
-		t.Fatal("bad metadata rank must fail")
-	}
 	fs, err := Mount(w, Options{})
 	if err != nil {
 		t.Fatal(err)

@@ -23,11 +23,10 @@ import (
 //
 // Entry *content* lives in a shared cas.Tier: every workspace file and
 // log is chunked by SHA-256, so identical outputs across
-// configurations, sweeps, and tenants are stored once (and evicted
-// under one size bound). The Cache itself holds only metadata — path
-// names and chunk refs — sharded across striped locks so concurrent
-// sweep workers looking up and storing entries never serialize on one
-// mutex. Optionally a cas.Federation is attached (Federate): hits then
+// configurations, sweeps, and tenants are stored once. The Cache itself
+// holds only metadata — path names and chunk refs — sharded across
+// striped locks so concurrent sweep workers looking up and storing
+// entries never serialize on one mutex. Optionally a cas.Federation is attached (Federate): hits then
 // also consult the per-host index and charge a peer transfer to the
 // simulated host's virtual clock when the entry's bytes live elsewhere.
 //
@@ -49,11 +48,10 @@ type Cache struct {
 	// construction (diagnostics only; set before concurrent use).
 	warm int
 	// image is the CacheOptions.State the cache restored in full;
-	// SaveState returns it while changes stands at imageChanges and the
-	// tier has evicted nothing.
+	// SaveState returns it while changes stands at imageChanges.
 	image        []byte
 	imageChanges int64
-	// changes counts entries added or dropped.
+	// changes counts entries added.
 	changes atomic.Int64
 
 	shards [cacheShards]cacheShard
@@ -97,14 +95,8 @@ type cacheEntry struct {
 	log string
 }
 
-// CacheOptions configures the backing tier.
+// CacheOptions configures a new cache.
 type CacheOptions struct {
-	// MaxBytes bounds resident cached bytes (workspace deltas + logs);
-	// 0 means unbounded. Entries whose chunks are evicted simply miss
-	// and recompute.
-	MaxBytes int64
-	// Shards is the tier's lock-stripe count; 0 means the default.
-	Shards int
 	// State is a previously SaveState-serialized entry index. A
 	// non-empty value warm-starts the cache: entries and their chunks
 	// are restored before the first lookup, so a second process replays
@@ -113,18 +105,18 @@ type CacheOptions struct {
 	State []byte
 }
 
-// NewCache creates an empty, unbounded stage cache.
+// NewCache creates an empty stage cache.
 func NewCache() *Cache { return NewCacheOpts(CacheOptions{}) }
 
-// NewCacheOpts creates a stage cache over a bounded tier.
+// NewCacheOpts creates a stage cache, warm-started from opts.State.
 func NewCacheOpts(opts CacheOptions) *Cache {
-	c := &Cache{tier: cas.NewTier(cas.Options{MaxBytes: opts.MaxBytes, Shards: opts.Shards})}
+	c := &Cache{tier: cas.NewTier()}
 	for i := range c.shards {
 		c.shards[i].entries = make(map[[sha256.Size]byte]*stageEntry)
 	}
 	if len(opts.State) > 0 {
 		var err error
-		if c.warm, err = c.RestoreState(opts.State); err == nil && c.warm > 0 && c.tier.Stats().Evictions == 0 {
+		if c.warm, err = c.RestoreState(opts.State); err == nil && c.warm > 0 {
 			c.image, c.imageChanges = opts.State, c.changes.Load()
 		}
 	}
@@ -162,19 +154,16 @@ func (c *Cache) Federate(f *cas.Federation) {
 func (c *Cache) Federated() bool { return c.fed != nil }
 
 // CacheStats aggregates the cache's counters: entry hit/miss, the
-// backing tier's dedup and eviction accounting, and the federation's
+// backing tier's dedup accounting, and the federation's
 // peer-fetch counters (zero when not federated).
 type CacheStats struct {
 	Hits    int64 // stage lookups replayed from cache
 	Misses  int64 // stage lookups that had to execute
 	Entries int64 // live stage entries
 
-	Objects       int64 // resident tier objects (chunks)
-	BytesResident int64
-	BytesAdded    int64 // bytes stored (first copy)
-	BytesDeduped  int64 // bytes NOT stored because content was resident
-	Evictions     int64
-	BytesEvicted  int64
+	Objects      int64 // resident tier objects (chunks)
+	BytesAdded   int64 // bytes stored (first copy); the tier drops none
+	BytesDeduped int64 // bytes NOT stored because content was resident
 
 	LocalPeerHits int64   // federated hits served by the host's own copy
 	RemoteFetches int64   // federated hits transferred from a peer
@@ -195,11 +184,8 @@ func (c *Cache) Stats() CacheStats {
 	}
 	ts := c.tier.Stats()
 	st.Objects = ts.Objects
-	st.BytesResident = ts.BytesResident
 	st.BytesAdded = ts.BytesAdded
 	st.BytesDeduped = ts.BytesDeduped
-	st.Evictions = ts.Evictions
-	st.BytesEvicted = ts.BytesEvicted
 	st.LocalPeerHits = c.fedRetired.LocalHits
 	st.RemoteFetches = c.fedRetired.RemoteFetches
 	st.RemoteBytes = c.fedRetired.RemoteBytes
@@ -224,10 +210,8 @@ func (c *Cache) Record(reg *metrics.Registry) {
 	reg.Set("cache_hits", float64(st.Hits))
 	reg.Set("cache_misses", float64(st.Misses))
 	reg.Set("cache_entries", float64(st.Entries))
-	reg.Set("cache_bytes_resident", float64(st.BytesResident))
 	reg.Set("cache_bytes_added", float64(st.BytesAdded))
 	reg.Set("cache_bytes_deduped", float64(st.BytesDeduped))
-	reg.Set("cache_evictions", float64(st.Evictions))
 	reg.Set("cache_remote_fetches", float64(st.RemoteFetches))
 	reg.Set("cache_remote_bytes", float64(st.RemoteBytes))
 	reg.Set("cache_fetch_vseconds", st.FetchSeconds)
@@ -251,12 +235,9 @@ func (c *Cache) shardFor(key [sha256.Size]byte) *cacheShard {
 	return &c.shards[key[0]&(cacheShards-1)]
 }
 
-// lookup fetches an entry and bumps the hit/miss counters. On a hit
-// every chunk the entry references is pinned against eviction until
-// replay releases it — a view handed to replay can therefore never be
-// invalidated by a concurrent store pushing the tier over budget. An
-// entry whose chunks were already evicted is dropped and counts as a
-// miss (the stage recomputes and re-stores it).
+// lookup fetches an entry and bumps the hit/miss counters. An entry is
+// recorded only after its chunks are admitted to the tier, and the tier
+// never drops a chunk, so a hit is always replayable.
 //
 // host is the simulated host performing the lookup (federated
 // accounting); pass a negative host to skip federation entirely.
@@ -264,12 +245,6 @@ func (c *Cache) lookup(key [sha256.Size]byte, host int) (*stageEntry, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
 	ent, ok := s.entries[key]
-	if ok && !c.pinEntry(ent) {
-		// Chunks evicted: the entry is no longer replayable.
-		delete(s.entries, key)
-		c.changes.Add(1)
-		ok = false
-	}
 	if ok {
 		s.hits++
 	} else {
@@ -277,9 +252,6 @@ func (c *Cache) lookup(key [sha256.Size]byte, host int) (*stageEntry, bool) {
 	}
 	s.mu.Unlock()
 	if !ok {
-		if ent != nil && c.fed != nil {
-			c.fed.Forget(key)
-		}
 		return nil, false
 	}
 	if c.fed != nil && host >= 0 {
@@ -294,91 +266,58 @@ func (c *Cache) lookup(key [sha256.Size]byte, host int) (*stageEntry, bool) {
 	return ent, true
 }
 
-// pinEntry pins every chunk the entry references, rolling back on a
-// missing chunk. Caller holds the entry's shard lock.
-func (c *Cache) pinEntry(ent *stageEntry) bool {
-	pin := func(refs []cas.Ref) int {
-		for i, ref := range refs {
-			if !c.tier.Pin(ref) {
-				return i
-			}
-		}
-		return len(refs)
-	}
-	unpin := func(refs []cas.Ref, n int) {
-		for i := 0; i < n; i++ {
-			c.tier.Unpin(refs[i])
-		}
-	}
-	for di, d := range ent.set {
-		if n := pin(d.refs); n != len(d.refs) {
-			unpin(d.refs, n)
-			for j := 0; j < di; j++ {
-				unpin(ent.set[j].refs, len(ent.set[j].refs))
-			}
-			return false
-		}
-	}
-	if n := pin(ent.logRefs); n != len(ent.logRefs) {
-		unpin(ent.logRefs, n)
-		for _, d := range ent.set {
-			unpin(d.refs, len(d.refs))
-		}
-		return false
-	}
-	return true
-}
+// chunkLost reports a replay that found a chunk missing, which the
+// cache's invariant rules out: entries are recorded only over admitted
+// chunks, and the tier never drops one.
+const chunkLost = "pipeline: cache entry names a chunk the tier does not hold (entries are recorded only over admitted chunks, and the tier drops none)"
 
-// replay applies the entry's workspace delta, returns its log text,
-// and releases the pins lookup took. Single-chunk paths are applied
-// zero-copy: the workspace aliases tier-owned bytes, which is safe
-// because stages replace workspace entries rather than mutating them
-// in place (the Context contract) and pinned chunks cannot be evicted
-// mid-apply.
+// replay applies the entry's workspace delta and returns its log text.
+// Single-chunk paths are applied zero-copy: the workspace aliases
+// tier-owned bytes, which is safe because stages replace workspace
+// entries rather than mutating them in place (the Context contract) and
+// the tier never mutates or drops a chunk.
 func (c *Cache) replay(ent *stageEntry, ws map[string][]byte) string {
 	for _, d := range ent.set {
 		if len(d.refs) == 1 {
 			data, ok := c.tier.View(d.refs[0])
 			if !ok {
-				panic("pipeline: pinned cache chunk evicted") // pins forbid this
+				panic(chunkLost)
 			}
 			ws[d.path] = data
-			c.tier.Unpin(d.refs[0])
 			continue
 		}
 		buf := make([]byte, 0, d.size)
 		for _, ref := range d.refs {
 			data, ok := c.tier.View(ref)
 			if !ok {
-				panic("pipeline: pinned cache chunk evicted")
+				panic(chunkLost)
 			}
 			buf = append(buf, data...)
-			c.tier.Unpin(ref)
 		}
 		ws[d.path] = buf
 	}
 	for _, p := range ent.del {
 		delete(ws, p)
 	}
-	var log string
 	if ent.logLen == 0 {
-		for _, ref := range ent.logRefs {
-			c.tier.Unpin(ref)
-		}
-	} else if len(ent.logRefs) == 1 {
-		data, _ := c.tier.View(ent.logRefs[0])
-		log = string(data)
-		c.tier.Unpin(ent.logRefs[0])
-	} else {
-		buf := make([]byte, 0, ent.logLen)
-		for _, ref := range ent.logRefs {
-			data, _ := c.tier.View(ref)
-			buf = append(buf, data...)
-			c.tier.Unpin(ref)
-		}
-		log = string(buf)
+		return ""
 	}
-	return log
+	if len(ent.logRefs) == 1 {
+		data, ok := c.tier.View(ent.logRefs[0])
+		if !ok {
+			panic(chunkLost)
+		}
+		return string(data)
+	}
+	buf := make([]byte, 0, ent.logLen)
+	for _, ref := range ent.logRefs {
+		data, ok := c.tier.View(ref)
+		if !ok {
+			panic(chunkLost)
+		}
+		buf = append(buf, data...)
+	}
+	return string(buf)
 }
 
 // store chunks a stage outcome into the tier and records the entry.
@@ -408,8 +347,8 @@ func (c *Cache) store(key [sha256.Size]byte, ent cacheEntry, host int) {
 	c.changes.Add(1)
 
 	if c.fed != nil && host >= 0 {
-		// Best-effort: a failed publish (segment full, chunk evicted)
-		// just means peers recompute instead of fetching.
+		// Best-effort: a failed publish (segment full) just means peers
+		// recompute instead of fetching.
 		_ = c.fed.Publish(host, key, flat)
 	}
 }

@@ -30,10 +30,8 @@ func TestCacheRecordMetrics(t *testing.T) {
 		"cache_hits":           float64(st.Hits),
 		"cache_misses":         float64(st.Misses),
 		"cache_entries":        float64(st.Entries),
-		"cache_bytes_resident": float64(st.BytesResident),
 		"cache_bytes_added":    float64(st.BytesAdded),
 		"cache_bytes_deduped":  float64(st.BytesDeduped),
-		"cache_evictions":      float64(st.Evictions),
 		"cache_remote_fetches": float64(st.RemoteFetches),
 		"cache_remote_bytes":   float64(st.RemoteBytes),
 		"cache_fetch_vseconds": st.FetchSeconds,
@@ -44,7 +42,7 @@ func TestCacheRecordMetrics(t *testing.T) {
 	}
 	// The traffic above guarantees these are nonzero — a regression to
 	// zero placeholders must fail, not silently chart flat lines.
-	for _, name := range []string{"cache_hits", "cache_misses", "cache_entries", "cache_bytes_resident", "cache_bytes_added"} {
+	for _, name := range []string{"cache_hits", "cache_misses", "cache_entries", "cache_bytes_added"} {
 		if reg.Gauge(name) == 0 {
 			t.Errorf("gauge %s is zero after real cache traffic", name)
 		}

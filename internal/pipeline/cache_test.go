@@ -1,14 +1,10 @@
 package pipeline
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
-
-	"popper/internal/cas"
 )
 
 // countingPipeline builds a pipeline whose run stage writes an output
@@ -273,59 +269,5 @@ func TestConcurrentLogf(t *testing.T) {
 	}
 	if n := strings.Count(ctx.logString(), "\n"); n != 800 {
 		t.Fatalf("expected 800 log lines, got %d", n)
-	}
-}
-
-// TestEvictedEntryRestoredByTierFallback proves eviction need not cost
-// a recompute: a donor tier holding every chunk (standing in for the
-// artifact store's object pool) is installed as the cache tier's
-// second-chance source, and a stage whose chunks were evicted replays
-// from it instead of re-executing.
-func TestEvictedEntryRestoredByTierFallback(t *testing.T) {
-	donor := NewCache() // unbounded: retains every chunk ever stored
-	const budget = int64(1 << 10)
-
-	build := func(cache *Cache, runs *atomic.Int64) *Pipeline {
-		pl := countingPipeline("v1", runs)
-		pl.Cache = cache
-		pl.CacheFilter = func(path string) bool { return path == "in.txt" }
-		return pl
-	}
-
-	// Warm the donor with the exact same pipeline so its tier holds
-	// every chunk the bounded cache will later lose.
-	var donorRuns atomic.Int64
-	build(donor, &donorRuns).Run(ctxWith("1", "a"))
-
-	for _, tc := range []struct {
-		name     string
-		fallback bool
-		wantRuns int64
-	}{
-		{"without fallback, eviction recomputes", false, 2},
-		{"with fallback, eviction replays", true, 1},
-	} {
-		var runs atomic.Int64
-		cache := NewCacheOpts(CacheOptions{MaxBytes: budget, Shards: 1})
-		if tc.fallback {
-			cache.Tier().SetFallback(func(h [sha256.Size]byte) ([]byte, bool) {
-				return donor.Tier().View(cas.Ref{Hash: h})
-			})
-		}
-		pl := build(cache, &runs)
-		if rec := pl.Run(ctxWith("1", "a")); rec.Failed() {
-			t.Fatalf("%s: first run failed: %v", tc.name, rec.Err)
-		}
-		// Evict everything the first run cached.
-		for i := 0; int64(i)*128 < 4*budget; i++ {
-			cache.Tier().Put(bytes.Repeat([]byte{byte(i + 1)}, 128))
-		}
-		rec := pl.Run(ctxWith("1", "a"))
-		if rec.Failed() {
-			t.Fatalf("%s: second run failed: %v", tc.name, rec.Err)
-		}
-		if got := runs.Load(); got != tc.wantRuns {
-			t.Errorf("%s: run stage executed %d times, want %d", tc.name, got, tc.wantRuns)
-		}
 	}
 }

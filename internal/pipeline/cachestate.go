@@ -9,10 +9,8 @@ package pipeline
 // CacheOptions.State — the second process starts warm.
 //
 // The image is advisory: any damage (torn write, stale format, missing
-// chunk) makes restoration fail as a whole and the cache simply starts
-// cold, exactly as if the sidecar had never existed. Entries whose
-// chunks were evicted from the tier are not saved — they were no longer
-// replayable in memory either.
+// or altered chunk) makes restoration fail as a whole and the cache
+// simply starts cold, exactly as if the sidecar had never existed.
 
 import (
 	"bytes"
@@ -28,19 +26,19 @@ import (
 // cacheStateMagic heads the metadata blob (record 0 of the extent).
 const cacheStateMagic = "popper-cache-state v1"
 
-// SaveState serializes every replayable stage entry into a cas extent
-// image: record 0 is a metadata manifest describing the entries and
-// their chunk references, the remaining records are the referenced
-// chunk payloads (deduplicated). Entries are emitted in key order, so
-// the image is deterministic for a given cache state. A cache with no
-// replayable entries serializes to nil (there is nothing to warm).
+// SaveState serializes every stage entry into a cas extent image:
+// record 0 is a metadata manifest describing the entries and their
+// chunk references, the remaining records are the referenced chunk
+// payloads (deduplicated). Entries are emitted in key order, so the
+// image is deterministic for a given cache state. An empty cache
+// serializes to nil (there is nothing to warm).
 //
-// A cache that restored CacheOptions.State and has since added or
-// dropped no entry (and lost no chunk to eviction) returns that image
-// as it is, neither re-encoding it nor copying it: it restores exactly
-// the entries the cache holds. The caller must not modify it.
+// A cache that restored CacheOptions.State and has since added no entry
+// returns that image as it is, neither re-encoding it nor copying it: it
+// restores exactly the entries the cache holds. The caller must not
+// modify it.
 func (c *Cache) SaveState() []byte {
-	if c.image != nil && c.changes.Load() == c.imageChanges && c.tier.Stats().Evictions == 0 {
+	if c.image != nil && c.changes.Load() == c.imageChanges {
 		return c.image
 	}
 	type keyed struct {
@@ -56,52 +54,33 @@ func (c *Cache) SaveState() []byte {
 		}
 		s.mu.Unlock()
 	}
+	if len(all) == 0 {
+		return nil
+	}
 	sort.Slice(all, func(i, j int) bool {
 		return bytes.Compare(all[i].key[:], all[j].key[:]) < 0
 	})
 
 	var meta bytes.Buffer
 	meta.WriteString(cacheStateMagic + "\n")
-	saved := 0
 	seen := make(map[[sha256.Size]byte]bool)
 	var order [][]byte // chunk payloads in first-reference order
 	writeRefs := func(refs []cas.Ref) {
 		for _, r := range refs {
 			fmt.Fprintf(&meta, "ref %s %d\n", hex.EncodeToString(r.Hash[:]), r.Size)
-		}
-	}
-	for _, kv := range all {
-		ent := kv.ent
-		refs := make([]cas.Ref, 0, len(ent.logRefs))
-		for _, d := range ent.set {
-			refs = append(refs, d.refs...)
-		}
-		refs = append(refs, ent.logRefs...)
-		// Stage the entry's chunks; an evicted chunk drops the whole
-		// entry (it is not replayable, in memory or on disk).
-		fresh := make([][]byte, 0, len(refs))
-		freshHash := make(map[[sha256.Size]byte]bool)
-		replayable := true
-		for _, r := range refs {
-			if seen[r.Hash] || freshHash[r.Hash] {
+			if seen[r.Hash] {
 				continue
 			}
 			data, ok := c.tier.View(r)
 			if !ok {
-				replayable = false
-				break
+				panic(chunkLost)
 			}
-			freshHash[r.Hash] = true
-			fresh = append(fresh, data)
-		}
-		if !replayable {
-			continue
-		}
-		for _, data := range fresh {
-			seen[sha256.Sum256(data)] = true
+			seen[r.Hash] = true
 			order = append(order, data)
 		}
-		saved++
+	}
+	for _, kv := range all {
+		ent := kv.ent
 		fmt.Fprintf(&meta, "entry %s %d %d %d\n",
 			hex.EncodeToString(kv.key[:]), len(ent.set), len(ent.del), ent.logLen)
 		for _, d := range ent.set {
@@ -114,9 +93,6 @@ func (c *Cache) SaveState() []byte {
 		fmt.Fprintf(&meta, "log %d\n", len(ent.logRefs))
 		writeRefs(ent.logRefs)
 	}
-	if saved == 0 {
-		return nil
-	}
 	blobs := make([][]byte, 0, len(order)+1)
 	blobs = append(blobs, meta.Bytes())
 	blobs = append(blobs, order...)
@@ -128,9 +104,10 @@ func (c *Cache) SaveState() []byte {
 // into the index (existing keys win — restoration never clobbers live
 // state). Returns how many entries were restored. Any damage — a torn
 // extent, a malformed manifest, a reference to a chunk the image does
-// not carry — fails the restoration as a whole with no partial effects
-// beyond chunks already admitted to the tier (which are harmless:
-// content-addressed, evictable, invisible without an entry).
+// not carry, a chunk whose bytes do not match its hash — fails the
+// restoration as a whole with no partial effects beyond chunks already
+// admitted to the tier (which are harmless: content-addressed and
+// invisible without an entry).
 //
 // The metadata is scanned in place: keys and hashes decode straight
 // into their arrays, the restored entries and their refs share a few
@@ -187,7 +164,7 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		start := len(sc.sets)
 		for j := 0; j < nset; j++ {
 			l, ok := sc.next()
-			if !ok || cas.Fields(l, f[:]) != 4 || string(f[0]) != "set" {
+			if !ok || pathFields(l, f[:4]) != 4 || string(f[0]) != "set" {
 				return 0, fmt.Errorf("pipeline: cache state set line malformed: %q", l)
 			}
 			path, err := sc.unquote(f[1])
@@ -210,7 +187,7 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		}
 		for j := 0; j < ndel; j++ {
 			l, ok := sc.next()
-			if !ok || cas.Fields(l, f[:]) != 2 || string(f[0]) != "del" {
+			if !ok || pathFields(l, f[:2]) != 2 || string(f[0]) != "del" {
 				return 0, fmt.Errorf("pipeline: cache state del line malformed: %q", l)
 			}
 			path, err := sc.unquote(f[1])
@@ -233,9 +210,20 @@ func (c *Cache) RestoreState(state []byte) (int, error) {
 		keys, ents = append(keys, key), append(ents, ent)
 	}
 
-	// Validation passed as a whole; admit chunks and entries.
-	for _, data := range chunks {
-		c.tier.Put(data)
+	// Validation passed as a whole; admit chunks and entries. The tier
+	// files each chunk under the hash of its bytes, so a chunk whose
+	// bytes do not hash to the name the image gives it would leave an
+	// entry over a chunk the tier does not hold: that is damage too.
+	// Every chunk is admitted before the refusal, so the tier ends the
+	// same whatever order the map yields them in.
+	forged := false
+	for h, data := range chunks {
+		if c.tier.Put(data).Hash != h {
+			forged = true
+		}
+	}
+	if forged {
+		return 0, fmt.Errorf("pipeline: cache state carries a chunk that does not match its hash")
 	}
 	restored := 0
 	for i, key := range keys {
@@ -272,6 +260,29 @@ func (sc *stateScanner) next() ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// pathFields splits a set or del line into dst as cas.Fields does,
+// except that a quoted path holding white space stays one field:
+// strconv.Quote leaves a space in a path as it is. Only a line with
+// more fields than dst takes can hold such a path, so only then is the
+// field after the line's word read as a quoted string.
+func pathFields(l []byte, dst [][]byte) int {
+	n := cas.Fields(l, dst)
+	if n <= len(dst) {
+		return n
+	}
+	i := bytes.IndexByte(l, '"')
+	if i < 1 || cas.Fields(l[:i], dst[:1]) != 1 || cas.Fields(l[i-1:i], nil) != 0 {
+		return n
+	}
+	q, err := strconv.QuotedPrefix(string(l[i:]))
+	rest := l[i+len(q):]
+	if err != nil || len(rest) > 0 && cas.Fields(rest[:1], nil) != 0 {
+		return n
+	}
+	dst[1] = l[i : i+len(q)]
+	return 2 + cas.Fields(rest, dst[2:])
 }
 
 // unquote returns the path a quoted field names.

@@ -59,6 +59,74 @@ func TestCacheStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheStateSpacedPaths: strconv.Quote leaves a space in a path as
+// it is, so a stage that writes or deletes such a path saves a set or
+// del line whose quoted field holds spaces. The image must restore whole
+// and replay the stage, not refuse as malformed and start every later
+// process cold.
+func TestCacheStateSpacedPaths(t *testing.T) {
+	build := func(runs *atomic.Int64) *Pipeline {
+		pl := New("spaced")
+		pl.AddStage("run", func(c *Context) error {
+			runs.Add(1)
+			c.Workspace["out/my results.csv"] = []byte("x,y\n1," + c.Param("x", "") + "\n")
+			c.Workspace["notes.txt"] = []byte("tab\tand  two spaces")
+			delete(c.Workspace, "old draft.txt")
+			delete(c.Workspace, "a  b\tc.txt")
+			c.Logf("wrote results")
+			return nil
+		})
+		if err := pl.CacheStage("run", "run@v1", nil); err != nil {
+			t.Fatal(err)
+		}
+		pl.CacheFilter = func(path string) bool { return path == "in.txt" }
+		return pl
+	}
+	ctx := func() *Context {
+		return &Context{
+			Params: map[string]string{"x": "7"},
+			Workspace: map[string][]byte{
+				"in.txt": []byte("a"), "old draft.txt": []byte("stale"), "a  b\tc.txt": []byte("stale"),
+			},
+		}
+	}
+	var runs1 atomic.Int64
+	c1 := NewCache()
+	pl1 := build(&runs1)
+	pl1.Cache = c1
+	ctx1 := ctx()
+	if rec := pl1.Run(ctx1); rec.Failed() {
+		t.Fatal(rec.Err)
+	}
+	state := c1.SaveState()
+	if !bytes.Contains(state, []byte(`set "out/my results.csv" `)) || !bytes.Contains(state, []byte("del \"old draft.txt\"\n")) {
+		t.Fatal("the image does not hold the spaced set and del lines this test is about")
+	}
+
+	c2 := NewCache()
+	if n, err := c2.RestoreState(state); err != nil || n != c1.Len() {
+		t.Fatalf("RestoreState = %d, %v; want %d entries", n, err, c1.Len())
+	}
+	if !bytes.Equal(c2.SaveState(), state) {
+		t.Fatal("re-encoding the restored entries does not reproduce the image")
+	}
+	var runs2 atomic.Int64
+	pl2 := build(&runs2)
+	pl2.Cache = NewCacheOpts(CacheOptions{State: state})
+	ctx2 := ctx()
+	if rec := pl2.Run(ctx2); rec.Failed() || rec.CacheHits != 1 || runs2.Load() != 0 {
+		t.Fatalf("warm run: failed=%v hits=%d runs=%d", rec.Failed(), rec.CacheHits, runs2.Load())
+	}
+	if len(ctx2.Workspace) != len(ctx1.Workspace) {
+		t.Fatalf("warm workspace %d paths, cold %d", len(ctx2.Workspace), len(ctx1.Workspace))
+	}
+	for path, want := range ctx1.Workspace {
+		if got, ok := ctx2.Workspace[path]; !ok || !bytes.Equal(got, want) {
+			t.Fatalf("warm replay of %q = %q, want %q", path, got, want)
+		}
+	}
+}
+
 // TestCacheStateDeterministic: the image is a pure function of the
 // cache contents.
 func TestCacheStateDeterministic(t *testing.T) {
@@ -158,30 +226,24 @@ func TestCacheStateDamaged(t *testing.T) {
 			t.Fatalf("%s: damaged state produced %d entries, want cold start", name, warmed.Len())
 		}
 	}
-}
 
-// TestCacheStateSkipsEvictedEntries: an entry whose chunks the tier
-// evicted is not replayable and must not be saved.
-func TestCacheStateSkipsEvictedEntries(t *testing.T) {
-	var runs atomic.Int64
-	// A tiny budget so the second stage's output evicts the first's.
-	c := NewCacheOpts(CacheOptions{MaxBytes: 1, Shards: 1})
-	pl := countingPipeline("v1", &runs)
-	pl.Cache = c
-	pl.CacheFilter = func(path string) bool { return path == "in.txt" }
-	if rec := pl.Run(ctxWith("1", "a")); rec.Failed() {
-		t.Fatal(rec.Err)
+	// A chunk altered under the hash the image names it by, the image
+	// resealed: every checksum the extent holds passes, yet the tier
+	// would file the chunk under another hash. Whether it is a file's
+	// or a log's, the cache starts cold and the stages run again.
+	chunks := len(extentPayloads(state)) - 1
+	if chunks < 3 {
+		t.Fatalf("image carries %d chunks, want a file's and two logs'", chunks)
 	}
-	state := c.SaveState()
-	warmed := NewCacheOpts(CacheOptions{State: state})
-	// Whatever was saved must be fully replayable: every restored
-	// entry's chunks are resident.
-	if n := warmed.WarmEntries(); n > 0 && warmed.Tier().Len() == 0 {
-		t.Fatalf("restored %d entries with no chunks", n)
-	}
-	if len(state) != 0 {
-		if _, err := warmed.RestoreState(state); err != nil {
-			t.Fatalf("saved state must restore cleanly: %v", err)
+	for i := 1; i <= chunks; i++ {
+		warmed := NewCacheOpts(CacheOptions{State: withForgedChunk(state, i)})
+		if warmed.WarmEntries() != 0 || warmed.Len() != 0 {
+			t.Fatalf("chunk %d forged: restored %d entries, want cold start", i, warmed.Len())
+		}
+		runs.Store(0)
+		pl.Cache = warmed
+		if rec := pl.Run(ctxWith("1", "a")); rec.Failed() || runs.Load() != 1 || rec.CacheHits != 0 {
+			t.Fatalf("chunk %d forged: failed=%v runs=%d hits=%d", i, rec.Failed(), runs.Load(), rec.CacheHits)
 		}
 	}
 }

@@ -149,9 +149,16 @@ func restoreStateOracle(c *Cache, state []byte) (int, error) {
 		out = append(out, restored{key: key, ent: ent})
 	}
 
-	// Validation passed as a whole; admit chunks and entries.
-	for _, data := range chunks {
-		c.tier.Put(data)
+	// Validation passed as a whole; admit chunks and entries, unless a
+	// chunk's bytes do not hash to the name the image gives it.
+	forged := false
+	for h, data := range chunks {
+		if c.tier.Put(data).Hash != h {
+			forged = true
+		}
+	}
+	if forged {
+		return 0, fmt.Errorf("pipeline: cache state carries a chunk that does not match its hash")
 	}
 	n := 0
 	for _, r := range out {

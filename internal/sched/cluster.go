@@ -1,4 +1,4 @@
-// Cluster-wide sweep scheduling: locality-aware placement, per-host
+// Cluster-wide sweep scheduling: round-robin placement, per-host
 // deques with work stealing, and speculative re-execution of stragglers,
 // scaled to thousands of simulated hosts.
 //
@@ -40,8 +40,8 @@ type HostSpec struct {
 	// Name identifies the host in reports and fault sites
 	// ("sched/host/<name>").
 	Name string
-	// Profile supplies the network parameters placement cost orders and
-	// steal round trips are computed from. Required.
+	// Profile supplies the network parameters re-placement cost orders
+	// and steal round trips are computed from. Required.
 	Profile *cluster.MachineProfile
 	// Node, when set, is the host's cluster node: its logical clock is
 	// advanced to each completion the host wins, so cluster.MaxClock
@@ -53,12 +53,6 @@ type HostSpec struct {
 type ClusterOptions struct {
 	// Hosts is the simulated fleet; at least one host is required.
 	Hosts []HostSpec
-	// Placement selects the initial assignment policy.
-	Placement PlacementPolicy
-	// Locality gives task i a preferred host rank (PlaceLocality reads
-	// it; typically gassyfs.SweepLocality output). -1 or out-of-range
-	// means "no hint"; shorter-than-n slices imply no hint for the rest.
-	Locality []int
 	// Seed drives the deterministic victim-selection coin (and nothing
 	// else — placement and speculation are seed-free).
 	Seed int64
@@ -338,7 +332,7 @@ func (s *ClusterScheduler) RunHosted(n int, fn func(i, host int) error) ([]error
 	}
 
 	if n > 0 {
-		place(n, r.hosts, s.opts.Hosts, s.opts.Placement, s.opts.Locality)
+		place(n, r.hosts)
 		r.queued = n
 		for i := range r.hosts {
 			r.acquire(i, 0)

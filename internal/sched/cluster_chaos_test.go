@@ -101,20 +101,18 @@ func TestChaosClusterScheduleDeterministic(t *testing.T) {
 // what completes.
 func TestChaosVictimSelectionSeeded(t *testing.T) {
 	run := func(seed int64) *ClusterReport {
-		// All work pinned to two equal piles so thieves always face a
+		// Hosts 0 and 1 are equal stragglers, so their round-robin
+		// shares back up into two equal piles and thieves always face a
 		// tie.
-		locality := make([]int, 64)
-		for i := range locality {
-			locality[i] = i % 2
-		}
+		rules := append(stragglerRules(), fault.Rule{Site: "sched/host/" + hostName(1), Kind: fault.Latency, Delay: 9, Prob: 1})
 		cs, err := NewClusterScheduler(ClusterOptions{
-			Hosts: testFleet(t, 8), Placement: PlaceLocality,
-			Locality: locality, Seed: seed, NoSpeculate: true, Jobs: 1,
+			Hosts: testFleet(t, 8), Faults: fault.NewInjector(42, rules),
+			Seed: seed, NoSpeculate: true, Jobs: 1,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, rep := cs.Run(len(locality), nil)
+		_, rep := cs.Run(64, nil)
 		return rep
 	}
 	a1, a2 := run(1), run(1)

@@ -82,25 +82,6 @@ func TestDequeStealOddSizeRoundsUp(t *testing.T) {
 	}
 }
 
-func TestParsePlacement(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want PlacementPolicy
-	}{{"roundrobin", PlaceRoundRobin}, {"rr", PlaceRoundRobin}, {"", PlaceRoundRobin},
-		{"locality", PlaceLocality}, {"local", PlaceLocality}} {
-		got, err := ParsePlacement(tc.in)
-		if err != nil || got != tc.want {
-			t.Fatalf("ParsePlacement(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParsePlacement("chaos-monkey"); err == nil {
-		t.Fatal("unknown policy must error")
-	}
-	if PlaceLocality.String() != "locality" || PlaceRoundRobin.String() != "roundrobin" {
-		t.Fatal("policy names must round-trip with the -placement flag")
-	}
-}
-
 func TestClusterSchedulerValidation(t *testing.T) {
 	if _, err := NewClusterScheduler(ClusterOptions{}); err == nil {
 		t.Fatal("empty fleet must be rejected")
@@ -140,9 +121,17 @@ func TestClusterSchedulerRunsEveryTaskOnce(t *testing.T) {
 		t.Fatalf("report: %d tasks, %d lost; want %d, 0", rep.Tasks, rep.Lost, n)
 	}
 	var executed, placed int
-	for _, h := range rep.Hosts {
+	for i, h := range rep.Hosts {
 		executed += h.Executed
 		placed += h.Placed
+		// Round robin: the first n%hosts hosts take one task more.
+		want := n / hosts
+		if i < n%hosts {
+			want++
+		}
+		if h.Placed != want {
+			t.Fatalf("host %d placed %d tasks, want %d", i, h.Placed, want)
+		}
 	}
 	if executed != n || placed != n {
 		t.Fatalf("executed %d placed %d, want %d each", executed, placed, n)
@@ -183,47 +172,6 @@ func TestClusterSchedulerFnErrorsSurface(t *testing.T) {
 	}
 }
 
-func TestPlacementLocalityHonorsHints(t *testing.T) {
-	const hosts = 8
-	// Every task hints at host 5; without stealing they must all be
-	// placed — and executed — there.
-	locality := make([]int, 24)
-	for i := range locality {
-		locality[i] = 5
-	}
-	cs, err := NewClusterScheduler(ClusterOptions{
-		Hosts: testFleet(t, hosts), Placement: PlaceLocality,
-		Locality: locality, NoSteal: true, NoSpeculate: true, Jobs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep := cs.Run(len(locality), nil)
-	if rep.Hosts[5].Placed != len(locality) || rep.Hosts[5].Executed != len(locality) {
-		t.Fatalf("host 5 placed %d executed %d, want %d each",
-			rep.Hosts[5].Placed, rep.Hosts[5].Executed, len(locality))
-	}
-}
-
-func TestPlacementLocalityFallbackSpreads(t *testing.T) {
-	const hosts, n = 4, 40
-	// No hints at all: the locality policy must fall back to the
-	// deterministic cheapest-host rotation, not pile onto one host.
-	cs, err := NewClusterScheduler(ClusterOptions{
-		Hosts: testFleet(t, hosts), Placement: PlaceLocality,
-		NoSteal: true, NoSpeculate: true, Jobs: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, rep := cs.Run(n, nil)
-	for i, h := range rep.Hosts {
-		if h.Placed != n/hosts {
-			t.Fatalf("host %d placed %d, want %d (uniform fallback rotation)", i, h.Placed, n/hosts)
-		}
-	}
-}
-
 func TestCostOrderStartsAtSelf(t *testing.T) {
 	specs := testFleet(t, 6)
 	for from := 0; from < 6; from++ {
@@ -243,12 +191,12 @@ func TestCostOrderStartsAtSelf(t *testing.T) {
 
 func TestWorkStealingDrainsImbalance(t *testing.T) {
 	const hosts, n = 8, 64
-	// All work lands on host 0 via hints; stealing must spread it so
-	// the makespan is far below the n-seconds serial pile-up.
-	locality := make([]int, n)
+	// Host 0 runs every task 10× slow (stragglerRules), so its
+	// round-robin share backs up; stealing must spread that backlog so
+	// the makespan stays near the healthy n/hosts.
 	cs, err := NewClusterScheduler(ClusterOptions{
-		Hosts: testFleet(t, hosts), Placement: PlaceLocality,
-		Locality: locality, NoSpeculate: true, Jobs: 1,
+		Hosts: testFleet(t, hosts), Faults: fault.NewInjector(42, stragglerRules()),
+		NoSpeculate: true, Jobs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +206,7 @@ func TestWorkStealingDrainsImbalance(t *testing.T) {
 		t.Fatalf("tasks = %d, want %d", rep.Tasks, n)
 	}
 	if rep.Steals == 0 {
-		t.Fatal("an 8-host fleet with all work on host 0 must steal")
+		t.Fatal("an 8-host fleet with a backlog on straggler host 0 must steal")
 	}
 	// Ideal is n/hosts = 8s; allow generous slack for steal ramp-up.
 	if rep.Makespan > float64(n)/float64(hosts)*2 {
@@ -276,10 +224,9 @@ func TestWorkStealingDrainsImbalance(t *testing.T) {
 
 func TestNoStealLeavesImbalance(t *testing.T) {
 	const hosts, n = 8, 64
-	locality := make([]int, n)
 	cs, err := NewClusterScheduler(ClusterOptions{
-		Hosts: testFleet(t, hosts), Placement: PlaceLocality,
-		Locality: locality, NoSteal: true, NoSpeculate: true, Jobs: 1,
+		Hosts: testFleet(t, hosts), Faults: fault.NewInjector(42, stragglerRules()),
+		NoSteal: true, NoSpeculate: true, Jobs: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -288,8 +235,10 @@ func TestNoStealLeavesImbalance(t *testing.T) {
 	if rep.Steals != 0 {
 		t.Fatalf("NoSteal run recorded %d steals", rep.Steals)
 	}
-	if rep.Makespan < float64(n)-0.01 {
-		t.Fatalf("makespan %.2f; without stealing host 0 must run all %d tasks serially", rep.Makespan, n)
+	// Without stealing, straggler host 0 runs its whole round-robin
+	// share at 10 s a task.
+	if want := float64(n/hosts) * 10; rep.Makespan < want-0.01 {
+		t.Fatalf("makespan %.2f; without stealing host 0 must run its %d tasks serially (%.0f s)", rep.Makespan, n/hosts, want)
 	}
 }
 

@@ -1,49 +1,10 @@
 package sched
 
 import (
-	"fmt"
 	"sort"
 
 	"popper/internal/cluster"
 )
-
-// PlacementPolicy selects how the cluster scheduler assigns
-// configurations to hosts before execution starts.
-type PlacementPolicy uint8
-
-const (
-	// PlaceRoundRobin spreads configurations evenly across the fleet in
-	// index order — the placement-oblivious baseline.
-	PlaceRoundRobin PlacementPolicy = iota
-	// PlaceLocality sends each configuration to the host whose rank
-	// holds its dataset blocks (ClusterOptions.Locality, typically from
-	// the GassyFS striped allocator via gassyfs.SweepLocality).
-	// Configurations without a hint, or hinted at a rank outside the
-	// fleet, fall back to hosts in deterministic network-cost order.
-	PlaceLocality
-)
-
-// String names the policy as the -placement flag spells it.
-func (p PlacementPolicy) String() string {
-	switch p {
-	case PlaceRoundRobin:
-		return "roundrobin"
-	case PlaceLocality:
-		return "locality"
-	}
-	return fmt.Sprintf("placement(%d)", p)
-}
-
-// ParsePlacement parses a -placement flag value.
-func ParsePlacement(s string) (PlacementPolicy, error) {
-	switch s {
-	case "roundrobin", "rr", "":
-		return PlaceRoundRobin, nil
-	case "locality", "local":
-		return PlaceLocality, nil
-	}
-	return 0, fmt.Errorf("sched: unknown placement policy %q (roundrobin, locality)", s)
-}
 
 // placementRefBytes is the reference transfer size the cost order
 // weighs bandwidth against latency with — one dataset block.
@@ -51,7 +12,7 @@ const placementRefBytes = 64 << 10
 
 // hostCost is the alpha-beta cost of moving a reference block between
 // two machine profiles — the same shape as cluster.Network.RDMACost,
-// computed from profiles alone so placement needs no live nodes.
+// computed from profiles alone so re-placement needs no live nodes.
 func hostCost(a, b *cluster.MachineProfile) float64 {
 	if a == b {
 		return placementRefBytes / a.MemBWBps
@@ -91,54 +52,15 @@ func costOrder(hosts []HostSpec, from int) []int {
 	return order
 }
 
-// cheapestHosts returns the fleet sorted by each host's own reference
-// transfer cost (cheapest NIC first, ties by index) — the deterministic
-// fallback rotation for configurations with no locality hint.
-func cheapestHosts(hosts []HostSpec) []int {
-	order := make([]int, len(hosts))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := hosts[order[i]].Profile, hosts[order[j]].Profile
-		ca := a.NICLatS + placementRefBytes/a.NICBWBps
-		cb := b.NICLatS + placementRefBytes/b.NICBWBps
-		if ca != cb {
-			return ca < cb
-		}
-		return order[i] < order[j]
-	})
-	return order
-}
-
-// place distributes n tasks into the per-host deques according to the
-// policy. Placement is a pure function of (policy, locality, fleet), so
-// the initial schedule is identical across runs, worker counts and
-// machine load — stealing and speculation then adapt it without
-// perturbing journaled artifacts (results are keyed by task index, never
-// by host).
-func place(n int, hosts []*schedHost, specs []HostSpec, policy PlacementPolicy, locality []int) {
-	h := len(hosts)
-	switch policy {
-	case PlaceLocality:
-		fallback := cheapestHosts(specs)
-		fi := 0
-		for i := 0; i < n; i++ {
-			rank := -1
-			if i < len(locality) {
-				rank = locality[i]
-			}
-			if rank < 0 || rank >= h {
-				rank = fallback[fi%h]
-				fi++
-			}
-			hosts[rank].dq.push(i)
-			hosts[rank].placed++
-		}
-	default: // PlaceRoundRobin
-		for i := 0; i < n; i++ {
-			hosts[i%h].dq.push(i)
-			hosts[i%h].placed++
-		}
+// place queues n tasks round robin across the per-host deques, in index
+// order. Placement is a pure function of (n, fleet size), so the initial
+// schedule is identical across runs, worker counts and machine load —
+// stealing and speculation then adapt it without perturbing journaled
+// artifacts (results are keyed by task index, never by host).
+func place(n int, hosts []*schedHost) {
+	for i := 0; i < n; i++ {
+		h := hosts[i%len(hosts)]
+		h.dq.push(i)
+		h.placed++
 	}
 }
